@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--homophily", type=float, default=0.8)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--feat-dim", type=int, default=10, dest="feat_dim")
-    p.add_argument("--separation", type=float, default=1.3)
+    p.add_argument("--separation", type=float, default=SyntheticSpec.class_separation)
     p.add_argument("--noise-std", type=float, default=1.0, dest="noise_std")
     p.set_defaults(func=cmd_gen_synthetic)
 

@@ -42,7 +42,7 @@ class TrainConfig:
     seed: int = 0
     mode: str = "full_graph"  # or "subgraph_batch"
     clipping: bool = False
-    clip_norm: float = 1.0
+    clip_norm: float = 1.0  # non-DP clipping; DP runs take it from the PrivacySpec
     noise: bool = False
     model_kind: str = "gcn"  # or "mlp"
     max_degree: int = 5  # non-DP subgraphing; DP runs take it from the PrivacySpec
@@ -158,7 +158,7 @@ def subgraph_batch_gradients(adj: np.ndarray, feats: np.ndarray, root_labels: np
         spec = params.layers[l]
         w, _ = params.weight_bias(l)
         p, _ = cache[l]
-        dw = np.einsum("msi,msj->mij", p, dz)
+        dw = p.transpose(0, 2, 1) @ dz
         db = dz.sum(axis=1)
         pieces[l] = (dw.reshape(m, -1), db)
         if l > 0:
@@ -245,7 +245,7 @@ def _train_subgraph(graph, config, params, dp: PrivacySpec | None):
         occurrence_bound = dp.effective_occurrence_bound
         max_degree, hops = dp.max_degree, dp.hops
         steps, batch_size = dp.total_steps, dp.batch_size
-        sigma = dp.noise_multiplier
+        sigma, clip_norm = dp.noise_multiplier, dp.clip_norm
         if sigma is None:
             sigma = calibrate_sigma(dp.epsilon_target, dp.delta, steps, n_train,
                                     occurrence_bound, batch_size)
@@ -261,7 +261,7 @@ def _train_subgraph(graph, config, params, dp: PrivacySpec | None):
         hops = config.num_layers
         occurrence_bound = config.occurrence_bound or max_degree * hops + 1
         steps, batch_size = config.steps, config.batch_size
-        sigma, accountant = 0.0, None
+        sigma, accountant, clip_norm = 0.0, None, config.clip_norm
 
     sampler_rng = _stream(config.seed, 1)
     batch_rng = _stream(config.seed, 2)
@@ -284,9 +284,9 @@ def _train_subgraph(graph, config, params, dp: PrivacySpec | None):
         losses, grads = subgraph_batch_gradients(adj, feats, root_labels, params)
         loss_window.append(float(losses.mean()))
         if config.noise:
-            avg = noisy_batch_gradient(grads, config.clip_norm, sigma, noise_rng)
+            avg = noisy_batch_gradient(grads, clip_norm, sigma, noise_rng)
         elif config.clipping:
-            avg = clip_rows(grads, config.clip_norm).mean(axis=0)
+            avg = clip_rows(grads, clip_norm).mean(axis=0)
         else:
             avg = grads.mean(axis=0)
         optimizer.step(params.flat, avg)

@@ -143,6 +143,38 @@ def test_rdp_monotonicity():
     assert dg.per_step_rdp(8.0, 4.0, 400, 3, 20) <= val  # N up, m fixed
 
 
+def test_accountant_order_grid_against_oracles():
+    # the whole DEFAULT_ORDERS grid, checked order by order against references
+    # that share no code with the accountant
+    for sigma in (0.5, 1.0, 4.0, 16.0):
+        costs = make_accountant(sigma, 100, 1, 100).per_step_costs
+        want = DEFAULT_ORDERS / (2 * sigma * sigma)
+        np.testing.assert_allclose(costs, want, rtol=1e-12, atol=0)
+
+    # Near alpha = 1 the cost is a log-moment of about 1e-3 divided by alpha - 1,
+    # and the pmfs sum to 1 only to rounding, so the log-moment carries an
+    # absolute error of some 1e-14 (3.9e-11 relative in the cost at alpha 1.25,
+    # confirmed against 50-digit arithmetic): the bound is 1e-12 relative or
+    # 1e-13 absolute on the log-moment, whichever is looser.
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        N = int(rng.integers(20, 500))
+        T = int(rng.integers(1, 7))
+        m = int(rng.integers(max(1, T), N + 1))
+        sigma = float(rng.uniform(4.0, 20.0))
+        costs = make_accountant(sigma, N, T, m).per_step_costs
+        for alpha, cost in zip(DEFAULT_ORDERS, costs):
+            if alpha > 12:
+                break
+            want = naive_per_step_rdp(float(alpha), sigma, N, T, m)
+            assert cost == pytest.approx(want, rel=1e-12, abs=1e-13 / (alpha - 1))
+
+    for sigma in (0.3, 1000.0):
+        costs = make_accountant(sigma, 560, 6, 64).per_step_costs
+        assert np.all(np.isfinite(costs))
+        assert np.all(np.diff(costs) >= 0)
+
+
 # ---------------------------------------------------------------- composition
 
 def test_compose_zero_steps():

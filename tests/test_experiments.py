@@ -238,6 +238,13 @@ def test_cli_gen_synthetic_and_build_graph(tmp_path, capsys):
     assert (tmp_path / "kg" / "edges.txt").exists()
 
 
+def test_cli_gen_synthetic_default_separation(tmp_path, capsys):
+    code, _ = run_cli(capsys, "gen-synthetic", "--out", str(tmp_path / "d"))
+    assert code == 0
+    meta = json.loads((tmp_path / "d" / "edges.txt.json").read_text())
+    assert meta["provenance"]["class_separation"] == dg.SyntheticSpec.class_separation == 1.6
+
+
 def test_cli_train_and_report(tmp_path, capsys):
     manifest = tiny_manifest(tmp_path / "res").to_dict()
     mpath = tmp_path / "m.json"

@@ -326,6 +326,22 @@ def test_dp_train_requires_noise_flags():
         dg.train(g, dg.TrainConfig(mode="full_graph"), dp)
 
 
+def test_dp_train_clips_with_privacy_spec_norm():
+    g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=80, target_homophily=0.8, seed=0))
+    g = dg.assign_splits(g, dg.SplitSpec(0.5, 0.2, 0.3, seed=1))
+
+    def run(config_norm, spec_norm):
+        cfg = dg.TrainConfig(mode="subgraph_batch", clipping=True, noise=True,
+                             clip_norm=config_norm, eval_every=10, seed=3)
+        dp = dg.PrivacySpec(epsilon_target=10.0, delta=1e-3, clip_norm=spec_norm,
+                            batch_size=8, total_steps=20)
+        return dg.train(g, cfg, dp)[0].flat
+
+    spec_small = run(1.0, 0.01)
+    np.testing.assert_array_equal(spec_small, run(0.01, 0.01))
+    assert not np.array_equal(spec_small, run(0.01, 1.0))
+
+
 def test_training_log_jsonl(tmp_path):
     g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=80, target_homophily=0.8, seed=0))
     g = dg.assign_splits(g, dg.SplitSpec(0.5, 0.2, 0.3, seed=1))

@@ -7,6 +7,7 @@ import dpgraphlab as dg
 from dpgraphlab.sampling import SubgraphStore, audit_subgraphs
 from dpgraphlab.training import subgraph_batch_gradients
 from tests.test_graphs import make_graph
+from tests.test_nn import assert_grad_close, finite_difference
 
 
 def star_graph(leaves=10):
@@ -135,6 +136,25 @@ def test_store_batch_matches_singletons():
         loss_1, grad_1 = subgraph_batch_gradients(a1, f1, l1, params)
         assert losses[j] == pytest.approx(loss_1[0], rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(grads[j], grad_1[0], atol=1e-12)
+
+
+def test_batch_gradients_match_finite_differences():
+    # each row against central differences of that subgraph's own root loss
+    rng = np.random.default_rng(8)
+    for num_layers in (2, 3):
+        for trial in range(3):
+            g = random_split_graph(rng, n=40)
+            subs = dg.sample_training_subgraphs(g, 3, num_layers, 4, seed=trial)
+            store = SubgraphStore(g, subs)
+            params = dg.init_gcn(g.feat_dim, 4, 2, num_layers, seed=trial)
+            idx = rng.choice(len(store), size=min(4, len(store)), replace=False)
+            adj, feats, labels = store.batch(idx)
+            _, grads = subgraph_batch_gradients(adj, feats, labels, params)
+            for j, row in enumerate(grads):
+                fd = finite_difference(
+                    lambda: subgraph_batch_gradients(adj, feats, labels, params)[0][j],
+                    params.flat)
+                assert_grad_close(row, fd, rel=1e-4)
 
 
 def test_sampler_requires_masks():
