@@ -2,7 +2,7 @@
 
 DP training replaces full-graph gradients with per-root-subgraph gradients,
 clips each one, and adds Gaussian noise calibrated so the whole run spends
-at most the epsilon target.  Takes a couple of minutes.
+at most the epsilon target.  Takes about ten seconds on two cores.
 """
 
 import dpgraphlab as dg

@@ -2,8 +2,8 @@
 
 The full benchmark grid (five homophily levels x eight variants x five
 seeds) runs through the same manifest machinery; this demo shrinks the grid
-to finish in a few minutes and prints the long-form table plus the
-per-seed homophily/accuracy trend.
+to finish in about fifteen seconds on two cores and prints the long-form
+table plus the per-seed homophily/accuracy trend.
 """
 
 import json

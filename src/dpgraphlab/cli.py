@@ -106,14 +106,13 @@ def cmd_sweep(args) -> int:
     return 0 if result["n_failures"] == 0 else 1
 
 
-def cmd_accountant(args) -> int:
-    delta = args.delta if args.delta is not None else recommend_delta(args.n_train)
-    eps, order = epsilon_spent(args.sigma, args.steps, delta, args.n_train,
+def _accountant_payload(args, delta: float, sigma: float) -> dict:
+    eps, order = epsilon_spent(sigma, args.steps, delta, args.n_train,
                                args.occurrence_bound, args.batch_size, return_order=True)
-    payload = {
+    return {
         "epsilon_target": args.epsilon,
         "delta": delta,
-        "sigma": args.sigma,
+        "sigma": sigma,
         "clip_norm": args.clip_norm,
         "K": args.max_degree,
         "T": args.occurrence_bound,
@@ -122,8 +121,13 @@ def cmd_accountant(args) -> int:
         "epsilon_spent": eps,
         "order_argmin": order,
     }
+
+
+def cmd_accountant(args) -> int:
+    delta = args.delta if args.delta is not None else recommend_delta(args.n_train)
+    payload = _accountant_payload(args, delta, args.sigma)
     if args.fpr:
-        eps_for_power = args.epsilon if args.epsilon is not None else eps
+        eps_for_power = args.epsilon if args.epsilon is not None else payload["epsilon_spent"]
         payload["supremum_power"] = {
             f"{f:g}": supremum_power(eps_for_power, delta, f, tight=args.tight)
             for f in (float(x) for x in args.fpr.split(","))
@@ -138,20 +142,7 @@ def cmd_calibrate(args) -> int:
     delta = args.delta if args.delta is not None else recommend_delta(args.n_train)
     sigma = calibrate_sigma(args.epsilon, delta, args.steps, args.n_train,
                             args.occurrence_bound, args.batch_size)
-    eps, order = epsilon_spent(sigma, args.steps, delta, args.n_train,
-                               args.occurrence_bound, args.batch_size, return_order=True)
-    _print_json({
-        "epsilon_target": args.epsilon,
-        "delta": delta,
-        "sigma": sigma,
-        "clip_norm": args.clip_norm,
-        "K": args.max_degree,
-        "T": args.occurrence_bound,
-        "m": args.batch_size,
-        "steps": args.steps,
-        "epsilon_spent": eps,
-        "order_argmin": order,
-    })
+    _print_json(_accountant_payload(args, delta, sigma))
     return 0
 
 

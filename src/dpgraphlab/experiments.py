@@ -420,26 +420,14 @@ def sweep_homophily(manifest: ExperimentManifest, homophilies, out_dir=None,
 
 
 def spearman(x, y) -> float:
-    """Spearman rank correlation (average ranks on ties)."""
-    def ranks(v):
-        v = np.asarray(v, dtype=np.float64)
-        order = np.argsort(v, kind="stable")
-        r = np.empty(v.size)
-        r[order] = np.arange(1, v.size + 1, dtype=np.float64)
-        # average tied ranks
-        for val in np.unique(v):
-            tied = v == val
-            if tied.sum() > 1:
-                r[tied] = r[tied].mean()
-        return r
+    """Spearman rank correlation (average ranks on ties); 0.0 if either input is constant."""
+    # imported here: scipy.stats takes longer to import than the rest of the
+    # package, and every CLI command imports this module
+    from scipy.stats import spearmanr
 
-    rx, ry = ranks(x), ranks(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = np.sqrt((rx * rx).sum() * (ry * ry).sum())
-    if denom == 0:
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
         return 0.0
-    return float((rx * ry).sum() / denom)
+    return float(spearmanr(x, y).statistic)
 
 
 def report(results_dir) -> dict:

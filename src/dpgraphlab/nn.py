@@ -7,6 +7,11 @@ affine map; a ``dense`` layer skips propagation.  Hidden layers use ReLU,
 the output layer is linear, and the loss is mean softmax cross-entropy over
 a node mask.  Gradients are exact (checked against finite differences) and
 are returned flat, matching the parameter vector.
+
+The same forward and backward pass serves the whole graph (sparse
+adjacency) and a zero-padded stack of sampled subgraphs (dense (m, s, s)
+adjacency), where :func:`subgraph_batch_gradients` takes each subgraph's
+root loss and returns one gradient row per subgraph.
 """
 
 from __future__ import annotations
@@ -65,17 +70,6 @@ class ModelParams:
 
     def clone(self) -> "ModelParams":
         return ModelParams(flat=self.flat.copy(), layers=self.layers, seed=self.seed)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.flat))
-
-    def scale(self, factor: float) -> "ModelParams":
-        return ModelParams(flat=self.flat * factor, layers=self.layers, seed=self.seed)
-
-    def add_noise(self, std: float, seed) -> "ModelParams":
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        return ModelParams(flat=self.flat + rng.normal(0.0, std, self.flat.shape),
-                           layers=self.layers, seed=self.seed)
 
 
 def layer_dims(in_dim: int, hidden_dim: int, out_dim: int, num_layers: int) -> list[tuple[int, int]]:
@@ -150,14 +144,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _check_dims(x: np.ndarray, params: ModelParams):
-    if x.shape[1] != params.layers[0].in_dim:
-        raise ShapeError(f"feature dim {x.shape[1]} != first-layer in_dim {params.layers[0].in_dim}")
-
-
 def _forward(adj, x: np.ndarray, params: ModelParams, keep_cache: bool):
-    """Shared forward pass; returns (logits, cache of (pre-affine input, pre-activation))."""
-    _check_dims(x, params)
+    """Shared forward pass; returns (logits, cache of (pre-affine input, pre-activation)).
+
+    ``adj`` is sparse (n, n) with ``x`` (n, d), or a dense (m, s, s) stack with ``x`` (m, s, d).
+    """
+    in_dim = params.layers[0].in_dim
+    if x.shape[-1] != in_dim:
+        raise ShapeError(f"feature dim {x.shape[-1]} != first-layer in_dim {in_dim}")
     h = x
     cache = []
     last = len(params.layers) - 1
@@ -194,38 +188,56 @@ def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarra
 
 
 def _backward(adj, params: ModelParams, cache, d_logits: np.ndarray) -> np.ndarray:
-    """Reverse-mode sweep from an output-logit gradient to a flat parameter gradient."""
+    """Reverse-mode sweep from an output-logit gradient to a flat parameter gradient
+    (one row per batch entry when the forward pass ran over an (m, s, s) stack)."""
     grads = [None] * len(params.layers)
     dz = d_logits
     for l in range(len(params.layers) - 1, -1, -1):
         spec = params.layers[l]
         w, _ = params.weight_bias(l)
         p, _ = cache[l]
-        dw = p.T @ dz
-        db = dz.sum(axis=0)
-        grads[l] = (dw, db)
+        dw = np.swapaxes(p, -1, -2) @ dz
+        db = dz.sum(axis=-2)
+        grads[l] = (dw.reshape(*dw.shape[:-2], -1), db)
         if l > 0:
             dp = dz @ w.T
             # normalized adjacency is symmetric, so A^T dp == A dp
             dh = adj @ dp if spec.kind == "gcn_conv" else dp
             _, z_prev = cache[l - 1]
             dz = dh * (z_prev > 0.0)
-    return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grads])
+    return np.concatenate([np.concatenate(g, axis=-1) for g in grads], axis=-1)
 
 
 def _loss_and_grad(adj, x: np.ndarray, params: ModelParams, labels: np.ndarray,
                    mask: np.ndarray) -> tuple[float, np.ndarray]:
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        raise ValueError("mask selects no nodes")
     logits, cache = _forward(adj, x, params, keep_cache=True)
-    loss = masked_cross_entropy(logits, labels, mask)
+    loss = masked_cross_entropy(logits, labels, mask)  # raises on an empty mask
+    idx = np.flatnonzero(mask)
     probs = softmax(logits[idx])
     d_logits = np.zeros_like(logits)
     d_logits[idx] = probs
     d_logits[idx, labels[idx]] -= 1.0
     d_logits[idx] /= idx.size
     return loss, _backward(adj, params, cache, d_logits)
+
+
+def subgraph_batch_gradients(adj: np.ndarray, feats: np.ndarray, root_labels: np.ndarray,
+                             params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Per-subgraph root losses and flat gradients, vectorized over the batch.
+
+    ``adj`` is a zero-padded (m, s, s) stack of normalized adjacencies with
+    the root at local index 0; gradients come back as an (m, n_params) matrix
+    in the same layout as ``params.flat``.
+    """
+    logits, cache = _forward(adj, feats, params, keep_cache=True)
+    rows = np.arange(adj.shape[0])
+    shifted = logits[:, 0, :] - logits[:, 0, :].max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    losses = np.log(exp.sum(axis=1)) - shifted[rows, root_labels]
+    d_logits = np.zeros_like(logits)
+    d_logits[:, 0, :] = exp / exp.sum(axis=1, keepdims=True)
+    d_logits[rows, 0, root_labels] -= 1.0
+    return losses, _backward(adj, params, cache, d_logits)
 
 
 def loss_and_grad(ctx: ForwardContext, params: ModelParams, labels: np.ndarray,

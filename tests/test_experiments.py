@@ -142,6 +142,7 @@ def test_spearman_hand_values():
     assert spearman([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
     assert spearman([1, 2, 3], [30, 20, 10]) == pytest.approx(-1.0)
     assert spearman([1, 2, 3, 4], [1, 1, 2, 2]) == pytest.approx(spearman([1, 2, 3, 4], [0, 0, 5, 5]))
+    assert spearman([0.5, 0.7, 0.9], [0.8, 0.8, 0.8]) == 0.0  # constant input
 
 
 def test_sweep_homophily_outputs(tmp_path):

@@ -138,6 +138,30 @@ def test_store_batch_matches_singletons():
         np.testing.assert_allclose(grads[j], grad_1[0], atol=1e-12)
 
 
+def test_batch_rows_match_loss_and_grad_on_own_graph():
+    # cross-path oracle: a row of the batched core equals the full-graph path
+    # run on that subgraph as its own graph, with only the root masked
+    rng = np.random.default_rng(9)
+    for num_layers in (2, 3):
+        g = random_split_graph(rng, n=60)
+        subs = dg.sample_training_subgraphs(g, 3, num_layers, 5, seed=num_layers)
+        store = SubgraphStore(g, subs)
+        params = dg.init_gcn(g.feat_dim, 8, g.num_classes, num_layers, seed=1)
+        by_size = np.argsort(store.sizes, kind="stable")
+        idx = np.concatenate([by_size[-3:], by_size[:3]])  # the small ones get padded
+        assert store.sizes[idx].min() < store.sizes[idx].max()
+        adj, feats, labels = store.batch(idx)
+        losses, grads = subgraph_batch_gradients(adj, feats, labels, params)
+        for j, i in enumerate(idx):
+            sg = subs[i]
+            own = make_graph(g.features[sg.nodes], g.labels[sg.nodes], sg.edges, g.num_classes)
+            root_only = np.arange(sg.size) == 0
+            loss, grad = dg.loss_and_grad(dg.normalize_adjacency(own), params, own.labels,
+                                          root_only)
+            assert losses[j] == pytest.approx(loss, rel=1e-12)
+            np.testing.assert_allclose(grads[j], grad, rtol=1e-12, atol=1e-15)
+
+
 def test_batch_gradients_match_finite_differences():
     # each row against central differences of that subgraph's own root loss
     rng = np.random.default_rng(8)
