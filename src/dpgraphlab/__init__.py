@@ -21,8 +21,7 @@ from .graphs import (CsvParseError, IngestionError, MetricUndefinedError,
                      write_edge_list)
 from .nn import (ForwardContext, LayerSpec, ModelParams, ShapeError,
                  gcn_forward, init_gcn, init_mlp, load_params, loss_and_grad,
-                 mlp_forward, mlp_loss_and_grad, normalize_adjacency,
-                 save_params)
+                 normalize_adjacency, save_params)
 from .sampling import (SampledSubgraph, SubgraphStore, audit_subgraphs,
                        sample_training_subgraphs)
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -39,7 +38,7 @@ __all__ = [
     "epsilon_spent", "evaluate", "gcn_forward", "generate_synthetic",
     "graph_stats", "hypergeom_pmf", "init_gcn", "init_mlp", "lira_score",
     "load_csv", "load_params", "loss_and_grad", "make_accountant",
-    "mlp_forward", "mlp_loss_and_grad", "node_homophily",
+    "node_homophily",
     "noisy_batch_gradient", "normalize_adjacency", "per_step_rdp",
     "read_edge_list", "recommend_delta", "roc", "sample_training_subgraphs",
     "save_params", "scaled_confidence", "supremum_power", "train",

@@ -22,7 +22,7 @@ exact, and the empirical sensitivity audit backs the ``rho * C`` bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -33,6 +33,8 @@ class CalibrationError(Exception):
 
 
 DEFAULT_ORDERS = np.concatenate([np.arange(1.25, 64.001, 0.25), np.arange(65.0, 513.0)])
+SIGMA_LO, SIGMA_HI = 0.3, 1000.0  # noise-multiplier search range of calibrate_sigma
+SIGMA_REL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,7 @@ class PrivacySpec:
     ``noise_multiplier`` may be left None and solved for with
     :func:`calibrate_sigma`; ``occurrence_bound`` defaults to
     ``max_degree * hops + 1`` (own subgraph plus at most ``max_degree``
-    appearances per hop level); ``n_train`` is normally filled in from the
-    graph's train mask at training time.
+    appearances per hop level).
     """
 
     epsilon_target: float
@@ -55,7 +56,6 @@ class PrivacySpec:
     occurrence_bound: int | None = None
     batch_size: int = 64
     total_steps: int = 1000
-    n_train: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
@@ -78,14 +78,6 @@ class PrivacySpec:
         if self.occurrence_bound is not None:
             return self.occurrence_bound
         return self.max_degree * self.hops + 1
-
-    def resolved(self, n_train: int) -> "PrivacySpec":
-        """Fill in n_train and validate batch feasibility against it."""
-        if n_train < 1:
-            raise ValueError("n_train must be >= 1")
-        if self.batch_size > n_train:
-            raise ValueError(f"batch_size={self.batch_size} exceeds n_train={n_train}")
-        return replace(self, n_train=n_train)
 
 
 def clip(gradient: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -228,32 +220,31 @@ def epsilon_spent(sigma: float, steps: int, delta: float, N: int, T: int, m: int
 
 
 def calibrate_sigma(epsilon_target: float, delta: float, steps: int, N: int, T: int,
-                    m: int, sigma_lo: float = 0.3, sigma_hi: float = 1000.0,
-                    rel_tol: float = 1e-3) -> float:
-    """Smallest noise multiplier in [sigma_lo, sigma_hi] meeting the epsilon target.
+                    m: int) -> float:
+    """Smallest noise multiplier in [SIGMA_LO, SIGMA_HI] meeting the epsilon target.
 
     Binary search on the monotone map sigma -> epsilon; the returned sigma
     satisfies epsilon(sigma) <= epsilon_target, with relative slack below
-    ``rel_tol`` against the infeasible side.
+    ``SIGMA_REL_TOL`` against the infeasible side.
     """
     if epsilon_target <= 0:
         raise ValueError("epsilon_target must be positive")
     if steps == 0:
-        return sigma_lo
+        return SIGMA_LO
 
     def eps_at(sig):
         return epsilon_spent(sig, steps, delta, N, T, m)
 
-    if eps_at(sigma_hi) > epsilon_target:
+    if eps_at(SIGMA_HI) > epsilon_target:
         raise CalibrationError(
-            f"epsilon target {epsilon_target} unreachable: even sigma={sigma_hi} "
-            f"gives epsilon={eps_at(sigma_hi):.4g} over {steps} steps "
+            f"epsilon target {epsilon_target} unreachable: even sigma={SIGMA_HI} "
+            f"gives epsilon={eps_at(SIGMA_HI):.4g} over {steps} steps "
             f"(N={N}, T={T}, m={m}, delta={delta})"
         )
-    if eps_at(sigma_lo) <= epsilon_target:
-        return sigma_lo
-    lo, hi = sigma_lo, sigma_hi
-    while (hi - lo) > rel_tol * hi:
+    if eps_at(SIGMA_LO) <= epsilon_target:
+        return SIGMA_LO
+    lo, hi = SIGMA_LO, SIGMA_HI
+    while (hi - lo) > SIGMA_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if eps_at(mid) <= epsilon_target:
             hi = mid

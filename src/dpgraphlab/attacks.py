@@ -17,14 +17,15 @@ import numpy as np
 
 from .accounting import PrivacySpec, supremum_power
 from .graphs import PopulationGraph
-from .nn import ModelParams
-from .training import TrainConfig, _full_logits, train
+from .nn import ModelParams, gcn_forward, normalize_adjacency
+from .training import TrainConfig, train
 
 logger = logging.getLogger(__name__)
 
 CONFIDENCE_CLAMP = 1e-7
 VARIANCE_FLOOR = 1e-3
 MIN_SHADOWS_EACH_SIDE = 8
+MEMBERSHIP_REDRAWS = 200
 FPR_GRID = (0.001, 0.005, 0.01)
 
 
@@ -52,15 +53,14 @@ class ShadowEnsemble:
         return self.membership.shape[0]
 
 
-def _draw_membership(n_shadows: int, n_pool: int, rng: np.random.Generator,
-                     redraw_budget: int = 200) -> np.ndarray:
+def _draw_membership(n_shadows: int, n_pool: int, rng: np.random.Generator) -> np.ndarray:
     if n_shadows < 2 * MIN_SHADOWS_EACH_SIDE:
         raise AuditSetupError(
             f"need at least {2 * MIN_SHADOWS_EACH_SIDE} shadows for IN/OUT coverage, "
             f"got {n_shadows}"
         )
     membership = rng.random((n_shadows, n_pool)) < 0.5
-    for _ in range(redraw_budget):
+    for _ in range(MEMBERSHIP_REDRAWS):
         in_counts = membership.sum(axis=0)
         bad = (in_counts < MIN_SHADOWS_EACH_SIDE) | (
             n_shadows - in_counts < MIN_SHADOWS_EACH_SIDE
@@ -89,13 +89,14 @@ def train_shadows(graph: PopulationGraph, config: TrainConfig,
 
     phi = np.empty((n_shadows, pool.size))
     n = graph.num_nodes
+    ctx = normalize_adjacency(graph)  # shadows re-mask the graph but keep its edges
     for s in range(n_shadows):
         train_mask = np.zeros(n, dtype=bool)
         train_mask[pool[membership[s]]] = True
         shadow_graph = graph.with_masks(train_mask, graph.val_mask, np.zeros(n, dtype=bool))
         shadow_config = replace(config, seed=int(seeds[s]))
         params, _ = train(shadow_graph, shadow_config, dp)
-        logits = _full_logits(shadow_graph, params)
+        logits = gcn_forward(ctx, params)
         phi[s] = scaled_confidence(logits[pool], graph.labels[pool])
     return ShadowEnsemble(pool=pool, membership=membership, phi=phi)
 
@@ -109,24 +110,25 @@ def lira_score(ensemble: ShadowEnsemble, target_phi: np.ndarray) -> np.ndarray:
     n_pool = ensemble.pool.size
     if target_phi.shape != (n_pool,):
         raise ValueError("target_phi must align with the ensemble pool")
-    scores = np.full(n_pool, np.nan)
-    excluded = 0
-    for j in range(n_pool):
-        mask = ensemble.membership[:, j]
-        in_vals = ensemble.phi[mask, j]
-        out_vals = ensemble.phi[~mask, j]
-        if in_vals.size < 2 or out_vals.size < 2:
-            excluded += 1
-            continue
-        mu_in, var_in = in_vals.mean(), max(in_vals.var(), VARIANCE_FLOOR)
-        mu_out, var_out = out_vals.mean(), max(out_vals.var(), VARIANCE_FLOOR)
-        x = target_phi[j]
-        log_in = -0.5 * np.log(2.0 * np.pi * var_in) - (x - mu_in) ** 2 / (2.0 * var_in)
-        log_out = -0.5 * np.log(2.0 * np.pi * var_out) - (x - mu_out) ** 2 / (2.0 * var_out)
-        scores[j] = log_in - log_out
-    if excluded:
+    membership, phi = ensemble.membership, ensemble.phi
+    n_in = membership.sum(axis=0)
+    n_out = membership.shape[0] - n_in
+
+    def log_density(side, count):
+        # Gaussian fitted to each node's shadows on one side, at the target
+        # confidence; a count of 0 only occurs on excluded (NaN) nodes
+        count = np.maximum(count, 1)
+        mu = np.where(side, phi, 0.0).sum(axis=0) / count
+        var = np.maximum((np.where(side, phi - mu, 0.0) ** 2).sum(axis=0) / count,
+                         VARIANCE_FLOOR)
+        return -0.5 * np.log(2.0 * np.pi * var) - (target_phi - mu) ** 2 / (2.0 * var)
+
+    scores = log_density(membership, n_in) - log_density(~membership, n_out)
+    excluded = (n_in < 2) | (n_out < 2)
+    scores[excluded] = np.nan
+    if excluded.any():
         logger.warning("lira_score: excluded %d nodes with insufficient IN/OUT coverage",
-                       excluded)
+                       int(excluded.sum()))
     return scores
 
 
@@ -228,7 +230,7 @@ def audit(target_params: ModelParams, graph: PopulationGraph, config: TrainConfi
     """
     if ensemble is None:
         ensemble = train_shadows(graph, config, dp, n_shadows, seed)
-    logits = _full_logits(graph, target_params)
+    logits = gcn_forward(normalize_adjacency(graph), target_params)
     target_phi = scaled_confidence(logits[ensemble.pool], graph.labels[ensemble.pool])
     scores = lira_score(ensemble, target_phi)
     member = graph.train_mask[ensemble.pool]

@@ -13,6 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .accounting import (calibrate_sigma, epsilon_spent, recommend_delta,
                          supremum_power)
 from .experiments import SCHEMA_VERSION, ExperimentManifest, report, run, sweep_homophily
@@ -28,12 +30,8 @@ def _print_json(payload: dict) -> None:
 
 def _write_csv_graph(graph, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "features.csv", "w", encoding="utf-8") as fh:
-        for row in graph.features:
-            fh.write(",".join(f"{x:.10g}" for x in row) + "\n")
-    with open(out / "labels.csv", "w", encoding="utf-8") as fh:
-        for y in graph.labels:
-            fh.write(f"{y}\n")
+    np.savetxt(out / "features.csv", graph.features, fmt="%.10g", delimiter=",")
+    np.savetxt(out / "labels.csv", graph.labels, fmt="%d")
     write_edge_list(graph, out / "edges.txt")
 
 

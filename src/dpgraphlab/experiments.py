@@ -18,7 +18,7 @@ import tempfile
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -113,18 +113,7 @@ class ExperimentManifest:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "dataset": self.dataset,
-            "split": self.split,
-            "graph": self.graph,
-            "model": self.model,
-            "privacy": self.privacy,
-            "audit": self.audit,
-            "variants": list(self.variants),
-            "seeds": list(self.seeds),
-            "output_dir": self.output_dir,
-        }
+        return asdict(self)
 
     def hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")

@@ -9,7 +9,7 @@ transductively through boolean train/val/test masks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,33 +93,12 @@ class PopulationGraph:
         return np.column_stack([rows[mask], self.indices[mask]])
 
     def with_edges(self, indptr: np.ndarray, indices: np.ndarray, meta: dict | None = None):
-        merged = dict(self.meta)
-        if meta:
-            merged.update(meta)
-        return PopulationGraph(
-            features=self.features,
-            labels=self.labels,
-            indptr=indptr,
-            indices=indices,
-            num_classes=self.num_classes,
-            train_mask=self.train_mask,
-            val_mask=self.val_mask,
-            test_mask=self.test_mask,
-            meta=merged,
-        )
+        return replace(self, indptr=indptr, indices=indices, meta={**self.meta, **(meta or {})})
 
     def with_masks(self, train_mask: np.ndarray, val_mask: np.ndarray, test_mask: np.ndarray):
-        return PopulationGraph(
-            features=self.features,
-            labels=self.labels,
-            indptr=self.indptr,
-            indices=self.indices,
-            num_classes=self.num_classes,
-            train_mask=np.asarray(train_mask, dtype=bool),
-            val_mask=np.asarray(val_mask, dtype=bool),
-            test_mask=np.asarray(test_mask, dtype=bool),
-            meta=self.meta,
-        )
+        return replace(self, train_mask=np.asarray(train_mask, dtype=bool),
+                       val_mask=np.asarray(val_mask, dtype=bool),
+                       test_mask=np.asarray(test_mask, dtype=bool))
 
     def check_adjacency(self) -> None:
         """Full-scan check that adjacency is symmetric and self-loop free."""
@@ -162,10 +141,8 @@ def csr_from_edges(num_nodes: int, edges) -> tuple[np.ndarray, np.ndarray]:
     if np.any(edges[:, 0] == edges[:, 1]):
         raise ValueError("self-loops are not stored")
     both = np.concatenate([edges, edges[:, ::-1]])
-    # dedupe in case the same undirected pair appears twice
+    # dedupe in case the same undirected pair appears twice; rows come out sorted
     both = np.unique(both, axis=0)
-    order = np.lexsort((both[:, 1], both[:, 0]))
-    both = both[order]
     counts = np.bincount(both[:, 0], minlength=num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
@@ -298,8 +275,7 @@ def node_homophily(graph: PopulationGraph) -> float:
         raise MetricUndefinedError("homophily is undefined for an edgeless graph")
     rows = np.repeat(np.arange(graph.num_nodes), deg)
     same = (graph.labels[rows] == graph.labels[graph.indices]).astype(np.float64)
-    per_node = np.zeros(graph.num_nodes)
-    np.add.at(per_node, rows, same)
+    per_node = np.bincount(rows, weights=same, minlength=graph.num_nodes)
     active = deg > 0
     return float((per_node[active] / deg[active]).mean())
 
@@ -348,10 +324,7 @@ def graph_stats(graph: PopulationGraph) -> dict:
 
 def write_edge_list(graph: PopulationGraph, path) -> None:
     """Export edges as "u v" lines (u < v, one line per undirected edge) plus a JSON sidecar."""
-    edges = graph.edge_array()
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, v in edges:
-            fh.write(f"{u} {v}\n")
+    np.savetxt(path, graph.edge_array(), fmt="%d")
     sidecar = {
         "num_nodes": graph.num_nodes,
         "num_classes": graph.num_classes,

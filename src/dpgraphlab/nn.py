@@ -166,13 +166,9 @@ def _forward(adj, x: np.ndarray, params: ModelParams, keep_cache: bool):
 
 
 def gcn_forward(ctx: ForwardContext, params: ModelParams) -> np.ndarray:
-    """Per-node class logits of the GCN over the whole (transductive) graph."""
+    """Per-node class logits over the whole (transductive) graph; MLP models
+    (``dense`` layers only) ignore the adjacency."""
     logits, _ = _forward(ctx.adj_norm, ctx.features, params, keep_cache=False)
-    return logits
-
-
-def mlp_forward(features: np.ndarray, params: ModelParams) -> np.ndarray:
-    logits, _ = _forward(None, features, params, keep_cache=False)
     return logits
 
 
@@ -208,19 +204,6 @@ def _backward(adj, params: ModelParams, cache, d_logits: np.ndarray) -> np.ndarr
     return np.concatenate([np.concatenate(g, axis=-1) for g in grads], axis=-1)
 
 
-def _loss_and_grad(adj, x: np.ndarray, params: ModelParams, labels: np.ndarray,
-                   mask: np.ndarray) -> tuple[float, np.ndarray]:
-    logits, cache = _forward(adj, x, params, keep_cache=True)
-    loss = masked_cross_entropy(logits, labels, mask)  # raises on an empty mask
-    idx = np.flatnonzero(mask)
-    probs = softmax(logits[idx])
-    d_logits = np.zeros_like(logits)
-    d_logits[idx] = probs
-    d_logits[idx, labels[idx]] -= 1.0
-    d_logits[idx] /= idx.size
-    return loss, _backward(adj, params, cache, d_logits)
-
-
 def subgraph_batch_gradients(adj: np.ndarray, feats: np.ndarray, root_labels: np.ndarray,
                              params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-subgraph root losses and flat gradients, vectorized over the batch.
@@ -243,12 +226,15 @@ def subgraph_batch_gradients(adj: np.ndarray, feats: np.ndarray, root_labels: np
 def loss_and_grad(ctx: ForwardContext, params: ModelParams, labels: np.ndarray,
                   mask: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean masked cross-entropy and its exact gradient through all layers."""
-    return _loss_and_grad(ctx.adj_norm, ctx.features, params, labels, mask)
-
-
-def mlp_loss_and_grad(features: np.ndarray, params: ModelParams, labels: np.ndarray,
-                      mask: np.ndarray) -> tuple[float, np.ndarray]:
-    return _loss_and_grad(None, features, params, labels, mask)
+    logits, cache = _forward(ctx.adj_norm, ctx.features, params, keep_cache=True)
+    loss = masked_cross_entropy(logits, labels, mask)  # raises on an empty mask
+    idx = np.flatnonzero(mask)
+    probs = softmax(logits[idx])
+    d_logits = np.zeros_like(logits)
+    d_logits[idx] = probs
+    d_logits[idx, labels[idx]] -= 1.0
+    d_logits[idx] /= idx.size
+    return loss, _backward(ctx.adj_norm, params, cache, d_logits)
 
 
 def save_params(params: ModelParams, path) -> None:

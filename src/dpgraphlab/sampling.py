@@ -129,19 +129,22 @@ def audit_subgraphs(subgraphs: list[SampledSubgraph], num_nodes: int) -> dict:
 class SubgraphStore:
     """Per-subgraph dense arrays prepared for batched gradient computation.
 
-    Keeps one small normalized adjacency and feature block per subgraph and
-    assembles zero-padded (batch, s, s) stacks on demand; padding rows are
+    Holds every subgraph's normalized adjacency and feature block in one
+    zero-padded (N, s_max, s_max) and one (N, s_max, d) tensor, built once;
+    a batch is a slice of them cut to its largest subgraph.  Padding rows are
     disconnected so they contribute nothing to root losses or gradients.
     """
 
     def __init__(self, graph: PopulationGraph, subgraphs: list[SampledSubgraph]):
         self.subgraphs = subgraphs
-        self.adjs = [dense_normalized_adjacency(sg.size, sg.edges) for sg in subgraphs]
-        self.feats = [graph.features[sg.nodes] for sg in subgraphs]
         self.root_labels = np.asarray([graph.labels[sg.root] for sg in subgraphs])
-        self.roots = np.asarray([sg.root for sg in subgraphs])
         self.sizes = np.asarray([sg.size for sg in subgraphs])
-        self.feat_dim = graph.features.shape[1]
+        s_max = int(self.sizes.max())
+        self.adj = np.zeros((len(subgraphs), s_max, s_max))
+        self.features = np.zeros((len(subgraphs), s_max, graph.feat_dim))
+        for i, sg in enumerate(subgraphs):
+            self.adj[i, :sg.size, :sg.size] = dense_normalized_adjacency(sg.size, sg.edges)
+            self.features[i, :sg.size] = graph.features[sg.nodes]
 
     def __len__(self) -> int:
         return len(self.subgraphs)
@@ -150,11 +153,4 @@ class SubgraphStore:
         """Padded (adj, features, root_labels) stacks for the given subgraph indices."""
         idx = np.asarray(idx)
         s = int(self.sizes[idx].max())
-        m = idx.size
-        adj = np.zeros((m, s, s))
-        feats = np.zeros((m, s, self.feat_dim))
-        for j, i in enumerate(idx):
-            k = self.sizes[i]
-            adj[j, :k, :k] = self.adjs[i]
-            feats[j, :k] = self.feats[i]
-        return adj, feats, self.root_labels[idx]
+        return self.adj[idx, :s, :s], self.features[idx, :s], self.root_labels[idx]

@@ -11,6 +11,7 @@ signal when homophily is high.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,15 +30,13 @@ class SyntheticSpec:
     feature_noise_std: float = 1.0
     seed: int = 0
 
-    num_classes: int = 2  # binary task; even split between the two classes
+    num_classes: ClassVar[int] = 2  # binary task; even split between the two classes
 
     def __post_init__(self):
         if not 0.0 <= self.target_homophily <= 1.0:
             raise ValueError("target_homophily must lie in [0, 1]")
         if self.neighbors_per_node < 1:
             raise ValueError("neighbors_per_node must be >= 1")
-        if self.num_classes != 2:
-            raise ValueError("generator is binary: num_classes must be 2")
         if self.num_nodes % 2 != 0:
             raise ValueError("num_nodes must be even (balanced classes)")
         if self.feat_dim < 1:
@@ -97,6 +96,6 @@ def generate_synthetic(spec: SyntheticSpec) -> PopulationGraph:
             f"retry cap exhausted on {skipped}/{total_slots} neighbor slots"
         )
 
-    graph = edgeless_graph(features, labels, num_classes=2, meta=meta)
+    graph = edgeless_graph(features, labels, num_classes=spec.num_classes, meta=meta)
     indptr, indices = csr_from_edges(n, sorted(edge_set))
     return graph.with_edges(indptr, indices)

@@ -24,11 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import (CalibrationError, PrivacySpec, calibrate_sigma, clip,
-                         clip_rows, compose_and_convert, make_accountant,
-                         noisy_batch_gradient)
+                         compose_and_convert, make_accountant, noisy_batch_gradient)
 from .graphs import PopulationGraph
-from .nn import (ForwardContext, ModelParams, gcn_forward, init_gcn, init_mlp,
-                 loss_and_grad, mlp_forward, mlp_loss_and_grad,
+from .nn import (ModelParams, gcn_forward, init_gcn, init_mlp, loss_and_grad,
                  normalize_adjacency, subgraph_batch_gradients)
 from .sampling import SubgraphStore, sample_training_subgraphs
 
@@ -67,6 +65,8 @@ class TrainConfig:
             raise ValueError("noise requires clipping and subgraph_batch mode")
         if self.clipping and self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive when clipping")
+        if self.eval_every is not None and self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1 when set")
 
 
 class _Sgd:
@@ -103,14 +103,6 @@ def _stream(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
-def _full_logits(graph: PopulationGraph, params: ModelParams,
-                 ctx: ForwardContext | None = None) -> np.ndarray:
-    if params.layers[0].kind == "gcn_conv":
-        ctx = ctx if ctx is not None else normalize_adjacency(graph)
-        return gcn_forward(ctx, params)
-    return mlp_forward(graph.features, params)
-
-
 def _accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     idx = np.flatnonzero(mask)
     if idx.size == 0:
@@ -121,7 +113,7 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float
 
 def evaluate(graph: PopulationGraph, params: ModelParams, mask: np.ndarray) -> float:
     """Argmax accuracy of the model over the masked nodes (transductive forward)."""
-    return _accuracy(_full_logits(graph, params), graph.labels, mask)
+    return _accuracy(gcn_forward(normalize_adjacency(graph), params), graph.labels, mask)
 
 
 def _init_model(graph: PopulationGraph, config: TrainConfig) -> ModelParams:
@@ -147,7 +139,7 @@ def train(graph: PopulationGraph, config: TrainConfig,
                          "and noise requires a PrivacySpec")
 
     params = _init_model(graph, config)
-    ctx = normalize_adjacency(graph) if config.model_kind == "gcn" else None
+    ctx = normalize_adjacency(graph)
     if config.mode == "full_graph":
         steps, every, gradients, privacy = _full_graph_source(graph, config, ctx, params)
     else:
@@ -164,7 +156,7 @@ def train(graph: PopulationGraph, config: TrainConfig,
         loss_window.append(loss)
         optimizer.step(params.flat, update)
         if step % every == 0 or step == steps:
-            logits = _full_logits(graph, params, ctx)
+            logits = gcn_forward(ctx, params)
             record = {
                 "step": step,
                 "loss": float(np.mean(loss_window)),
@@ -200,11 +192,7 @@ def _checkpoint(best, params, val_acc):
 def _full_graph_source(graph, config, ctx, params):
     def gradients():
         while True:
-            if ctx is not None:
-                loss, grad = loss_and_grad(ctx, params, graph.labels, graph.train_mask)
-            else:
-                loss, grad = mlp_loss_and_grad(graph.features, params, graph.labels,
-                                               graph.train_mask)
+            loss, grad = loss_and_grad(ctx, params, graph.labels, graph.train_mask)
             yield loss, clip(grad, config.clip_norm) if config.clipping else grad
 
     return config.epochs, config.eval_every or 1, gradients(), lambda step: {}
@@ -214,10 +202,11 @@ def _subgraph_source(graph, config, dp: PrivacySpec | None, params):
     """DP runs calibrate sigma if unset and check the budget before any sampling."""
     n_train = int(graph.train_mask.sum())
     if dp is not None:
-        dp = dp.resolved(n_train)
         occurrence_bound = dp.effective_occurrence_bound
         max_degree, hops = dp.max_degree, dp.hops
         steps, batch_size = dp.total_steps, dp.batch_size
+        if batch_size > n_train:
+            raise ValueError(f"batch_size={batch_size} exceeds n_train={n_train}")
         sigma, clip_norm = dp.noise_multiplier, dp.clip_norm
         if sigma is None:
             sigma = calibrate_sigma(dp.epsilon_target, dp.delta, steps, n_train,
@@ -234,7 +223,7 @@ def _subgraph_source(graph, config, dp: PrivacySpec | None, params):
         hops = config.num_layers
         occurrence_bound = config.occurrence_bound or max_degree * hops + 1
         steps, batch_size = config.steps, config.batch_size
-        clip_norm = config.clip_norm
+        sigma, clip_norm = 0.0, config.clip_norm
 
     sampler_rng = _stream(config.seed, 1)
     batch_rng = _stream(config.seed, 2)
@@ -249,10 +238,8 @@ def _subgraph_source(graph, config, dp: PrivacySpec | None, params):
             idx = batch_rng.choice(len(store), size=batch_size, replace=False)
             adj, feats, root_labels = store.batch(idx)
             losses, grads = subgraph_batch_gradients(adj, feats, root_labels, params)
-            if dp is not None:
+            if config.clipping:  # sigma is 0.0 outside DP runs
                 update = noisy_batch_gradient(grads, clip_norm, sigma, noise_rng)
-            elif config.clipping:
-                update = clip_rows(grads, clip_norm).mean(axis=0)
             else:
                 update = grads.mean(axis=0)
             yield float(losses.mean()), update

@@ -97,9 +97,9 @@ def test_criterion_3_gradient_correctness():
         assert_grad_close(grad, fd, rel=1e-4)
 
         params_m = dg.init_mlp(3, 4, 2, 2, seed=trial)
-        _, grad_m = dg.mlp_loss_and_grad(g.features, params_m, g.labels, mask)
+        _, grad_m = dg.loss_and_grad(ctx, params_m, g.labels, mask)
         fd_m = finite_difference(
-            lambda: dg.mlp_loss_and_grad(g.features, params_m, g.labels, mask)[0],
+            lambda: dg.loss_and_grad(ctx, params_m, g.labels, mask)[0],
             params_m.flat)
         assert_grad_close(grad_m, fd_m, rel=1e-4)
         big = np.abs(grad) > 1e-6

@@ -224,7 +224,7 @@ def test_calibrate_regression_pin():
 
 def test_calibrate_unreachable_raises():
     with pytest.raises(dg.CalibrationError):
-        dg.calibrate_sigma(1e-4, 1e-5, 100_000, 100, 10, 100, sigma_hi=50.0)
+        dg.calibrate_sigma(1e-4, 1e-5, 100_000, 100, 10, 100)
 
 
 # ---------------------------------------------------------------- supremum power

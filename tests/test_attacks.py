@@ -77,6 +77,32 @@ def test_lira_translation_invariance():
     np.testing.assert_allclose(shifted, base, atol=1e-9)
 
 
+def test_lira_matches_per_node_logpdf(caplog):
+    # oracle: per-node Gaussian fits recomputed one node at a time with scipy
+    from scipy.stats import norm
+
+    from dpgraphlab.attacks import VARIANCE_FLOOR
+    rng = np.random.default_rng(3)
+    membership = rng.random((48, 40)) < 0.5
+    phi = 2.0 * rng.standard_normal((48, 40)) + rng.uniform(-6.0, 6.0, 40)
+    membership[:, 0] = False
+    membership[5, 0] = True  # one IN shadow: excluded
+    phi[:, 1] = np.where(membership[:, 1], 1.5, -0.5)  # constant sides: variance floor
+    target = rng.uniform(-8.0, 8.0, 40)
+    scores = dg.lira_score(ensemble_from_phi(phi, membership), target)
+    want = np.full(40, np.nan)
+    for j in range(1, 40):
+        ins, outs = phi[membership[:, j], j], phi[~membership[:, j], j]
+        want[j] = (norm.logpdf(target[j], ins.mean(), np.sqrt(max(ins.var(), VARIANCE_FLOOR)))
+                   - norm.logpdf(target[j], outs.mean(),
+                                 np.sqrt(max(outs.var(), VARIANCE_FLOOR))))
+    # a score near zero is a difference of much larger log-densities, so the
+    # absolute term covers its rounding
+    np.testing.assert_allclose(scores, want, rtol=1e-12, atol=1e-12)
+    assert np.isnan(scores[0]) and not np.isnan(scores[1:]).any()
+    assert "excluded 1 nodes" in caplog.text
+
+
 # ---------------------------------------------------------------- roc
 
 def test_roc_perfect_separation():
@@ -207,8 +233,7 @@ def test_audit_excluding_one_shadow_bounded_effect():
     cfg = quick_config()
     target, _ = dg.train(g, cfg)
     ens = dg.train_shadows(g, cfg, None, n_shadows=32, seed=3)
-    from dpgraphlab.training import _full_logits
-    logits = _full_logits(g, target)
+    logits = dg.gcn_forward(dg.normalize_adjacency(g), target)
     target_phi = scaled_confidence(logits[ens.pool], g.labels[ens.pool])
     full = dg.lira_score(ens, target_phi)
     dropped = ShadowEnsemble(pool=ens.pool, membership=ens.membership[:-1],

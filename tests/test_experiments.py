@@ -63,6 +63,17 @@ def test_manifest_hash_stable():
     assert a.hash() != c.hash()
 
 
+def test_manifest_to_dict_is_a_copy(tmp_path):
+    manifest = tiny_manifest(tmp_path)
+    before = manifest.hash()
+    d = manifest.to_dict()
+    d["model"]["epochs"] = 10
+    d["dataset"]["synthetic"]["num_nodes"] = 20
+    assert manifest.model["epochs"] == 5
+    assert manifest.dataset["synthetic"]["num_nodes"] == 60
+    assert manifest.hash() == before
+
+
 # ---------------------------------------------------------------- run
 
 def test_run_writes_cells_and_aggregate(tmp_path):

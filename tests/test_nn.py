@@ -154,8 +154,9 @@ def test_mlp_gradient_matches_finite_differences():
         labels = rng.integers(0, 3, 10)
         mask = np.ones(10, bool)
         params = dg.init_mlp(4, 5, 3, 2, seed=trial)
-        _, grad = dg.mlp_loss_and_grad(feats, params, labels, mask)
-        fd = finite_difference(lambda: dg.mlp_loss_and_grad(feats, params, labels, mask)[0],
+        ctx = dg.ForwardContext(adj_norm=None, features=feats)  # dense layers skip adj
+        _, grad = dg.loss_and_grad(ctx, params, labels, mask)
+        fd = finite_difference(lambda: dg.loss_and_grad(ctx, params, labels, mask)[0],
                                params.flat)
         assert_grad_close(grad, fd)
 
@@ -166,7 +167,7 @@ def test_single_layer_mlp_is_logistic_regression():
     labels = rng.integers(0, 2, 6)
     params = dg.init_mlp(3, 0, 2, 1, seed=0)  # hidden unused for one layer
     w, b = params.weight_bias(0)
-    logits = dg.mlp_forward(feats, params)
+    logits = dg.gcn_forward(dg.ForwardContext(adj_norm=None, features=feats), params)
     np.testing.assert_allclose(logits, feats @ w + b, atol=1e-12)
 
 
@@ -310,6 +311,9 @@ def test_train_config_validation():
         dg.TrainConfig(learning_rate=-1e-3)
     with pytest.raises(ValueError):
         dg.TrainConfig(optimizer="rmsprop")
+    for bad in (0, -3):  # None selects the default interval; 0 is an error, not a default
+        with pytest.raises(ValueError, match="eval_every"):
+            dg.TrainConfig(eval_every=bad)
 
 
 def test_privacy_spec_validation():
@@ -321,8 +325,11 @@ def test_privacy_spec_validation():
         dg.PrivacySpec(epsilon_target=5.0, delta=1e-4, clip_norm=0.0)
     spec = dg.PrivacySpec(epsilon_target=5.0, delta=1e-4, max_degree=4, hops=3)
     assert spec.effective_occurrence_bound == 13  # K * r + 1
-    with pytest.raises(ValueError):
-        spec.resolved(n_train=32)  # batch larger than train set
+    g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=80, seed=0))
+    g = dg.assign_splits(g, dg.SplitSpec(0.4, 0.2, 0.4, seed=1))  # 32 train nodes
+    cfg = dg.TrainConfig(num_layers=3, mode="subgraph_batch", clipping=True, noise=True)
+    with pytest.raises(ValueError, match="batch_size=64 exceeds n_train=32"):
+        dg.train(g, cfg, spec)  # batch larger than train set
 
 
 def test_dp_train_requires_noise_flags():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dpgraphlab as dg
+from dpgraphlab.nn import dense_normalized_adjacency
 from dpgraphlab.sampling import SubgraphStore, audit_subgraphs
 from dpgraphlab.training import subgraph_batch_gradients
 from tests.test_graphs import make_graph
@@ -136,6 +137,29 @@ def test_store_batch_matches_singletons():
         loss_1, grad_1 = subgraph_batch_gradients(a1, f1, l1, params)
         assert losses[j] == pytest.approx(loss_1[0], rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(grads[j], grad_1[0], atol=1e-12)
+
+
+def test_store_batch_equals_padded_blocks():
+    # oracle: the batch is each subgraph's own normalized adjacency and feature
+    # block, zero-padded to the batch's largest subgraph
+    rng = np.random.default_rng(10)
+    g = random_split_graph(rng, n=60)
+    subs = dg.sample_training_subgraphs(g, 3, 2, 5, seed=4)
+    store = SubgraphStore(g, subs)
+    by_size = np.argsort(store.sizes, kind="stable")
+    for idx in (by_size[:4], by_size[-4:], rng.permutation(by_size)[:10], by_size[[0, 0]]):
+        s = int(store.sizes[idx].max())
+        want_adj = np.zeros((idx.size, s, s))
+        want_feats = np.zeros((idx.size, s, g.feat_dim))
+        for j, i in enumerate(idx):
+            k = subs[i].size
+            want_adj[j, :k, :k] = dense_normalized_adjacency(k, subs[i].edges)
+            want_feats[j, :k] = g.features[subs[i].nodes]
+        adj, feats, labels = store.batch(idx)
+        assert np.array_equal(adj, want_adj)
+        assert np.array_equal(feats, want_feats)
+        assert np.array_equal(labels, g.labels[[subs[i].root for i in idx]])
+    assert store.sizes.min() < store.sizes.max()
 
 
 def test_batch_rows_match_loss_and_grad_on_own_graph():
