@@ -11,6 +11,7 @@ per cell.  Output files are written atomically and embed the manifest hash.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -101,7 +102,7 @@ class ExperimentManifest:
         unknown = set(raw) - known
         if unknown:
             raise ManifestError(f"unknown manifest keys {sorted(unknown)}")
-        raw = dict(raw)
+        raw = copy.deepcopy(raw)  # the frozen manifest must not share the caller's dicts
         for key in ("variants", "seeds"):
             if key in raw:
                 raw[key] = tuple(raw[key])

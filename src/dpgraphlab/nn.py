@@ -12,6 +12,15 @@ The same forward and backward pass serves the whole graph (sparse
 adjacency) and a zero-padded stack of sampled subgraphs (dense (m, s, s)
 adjacency), where :func:`subgraph_batch_gradients` takes each subgraph's
 root loss and returns one gradient row per subgraph.
+
+Layer order: a ``gcn_conv`` layer multiplies the adjacency into the
+narrower side of its weight, as (A @ h) @ w + b when it widens or keeps
+the width and as A @ (h @ w) + b when it narrows, so the 32 -> 2 output
+layer propagates 2 columns forward and backward.  The forward cache holds,
+per layer, the post-activation input h and the matrix multiplied into w
+(A @ h or h itself); the backward pass masks with h > 0, which is the
+ReLU mask of the pre-activation.  Each step allocates only the arrays the
+loss needs: biases are added and ReLUs applied in place.
 """
 
 from __future__ import annotations
@@ -144,8 +153,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _propagated_side(spec: LayerSpec) -> str | None:
+    """Which side of a layer's weight the adjacency multiplies: the narrower one.
+
+    A ``gcn_conv`` layer computes adj @ h @ w + b; it propagates its output
+    (adj @ (h @ w)) when that is narrower than its input, and its input
+    ((adj @ h) @ w) otherwise.  ``dense`` layers do not propagate.
+    """
+    if spec.kind != "gcn_conv":
+        return None
+    return "output" if spec.out_dim < spec.in_dim else "input"
+
+
 def _forward(adj, x: np.ndarray, params: ModelParams, keep_cache: bool):
-    """Shared forward pass; returns (logits, cache of (pre-affine input, pre-activation)).
+    """Shared forward pass; returns (logits, cache of (layer input, matrix times w)).
 
     ``adj`` is sparse (n, n) with ``x`` (n, d), or a dense (m, s, s) stack with ``x`` (m, s, d).
     """
@@ -157,11 +178,17 @@ def _forward(adj, x: np.ndarray, params: ModelParams, keep_cache: bool):
     last = len(params.layers) - 1
     for l, spec in enumerate(params.layers):
         w, b = params.weight_bias(l)
-        p = adj @ h if spec.kind == "gcn_conv" else h
-        z = p @ w + b
+        side = _propagated_side(spec)
+        p = adj @ h if side == "input" else h
+        z = p @ w
+        if side == "output":
+            z = adj @ z
+        z += b
         if keep_cache:
-            cache.append((p, z))
-        h = np.maximum(z, 0.0) if l < last else z
+            cache.append((h, p))
+        if l < last:
+            np.maximum(z, 0.0, out=z)
+        h = z
     return h, cache
 
 
@@ -172,35 +199,55 @@ def gcn_forward(ctx: ForwardContext, params: ModelParams) -> np.ndarray:
     return logits
 
 
-def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
+def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row softmax cross-entropy and its gradient with respect to the rows,
+    both from one shifted log-softmax."""
+    rows = np.arange(labels.size)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    losses = np.log(total[:, 0]) - shifted[rows, labels]
+    exp /= total
+    exp[rows, labels] -= 1.0
+    return losses, exp
+
+
+def _mask_rows(mask: np.ndarray) -> np.ndarray:
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         raise ValueError("mask selects no nodes")
-    sub = logits[idx]
-    shifted = sub - sub.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    log_probs = shifted[np.arange(idx.size), labels[idx]] - log_z
-    return float(-log_probs.mean())
+    return idx
+
+
+def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
+    idx = _mask_rows(mask)
+    return float(_cross_entropy_rows(logits[idx], labels[idx])[0].mean())
 
 
 def _backward(adj, params: ModelParams, cache, d_logits: np.ndarray) -> np.ndarray:
     """Reverse-mode sweep from an output-logit gradient to a flat parameter gradient
-    (one row per batch entry when the forward pass ran over an (m, s, s) stack)."""
+    (one row per batch entry when the forward pass ran over an (m, s, s) stack).
+
+    The normalized adjacency is symmetric, so A^T g == A g.
+    """
     grads = [None] * len(params.layers)
     dz = d_logits
     for l in range(len(params.layers) - 1, -1, -1):
         spec = params.layers[l]
         w, _ = params.weight_bias(l)
-        p, _ = cache[l]
-        dw = np.swapaxes(p, -1, -2) @ dz
+        h, p = cache[l]
+        side = _propagated_side(spec)
         db = dz.sum(axis=-2)
+        if side == "output":
+            dz = adj @ dz
+        dw = np.swapaxes(p, -1, -2) @ dz
         grads[l] = (dw.reshape(*dw.shape[:-2], -1), db)
         if l > 0:
-            dp = dz @ w.T
-            # normalized adjacency is symmetric, so A^T dp == A dp
-            dh = adj @ dp if spec.kind == "gcn_conv" else dp
-            _, z_prev = cache[l - 1]
-            dz = dh * (z_prev > 0.0)
+            dh = dz @ w.T
+            if side == "input":
+                dh = adj @ dh
+            dh *= h > 0.0  # h is post-ReLU, so h > 0 exactly where its pre-activation is
+            dz = dh
     return np.concatenate([np.concatenate(g, axis=-1) for g in grads], axis=-1)
 
 
@@ -213,28 +260,29 @@ def subgraph_batch_gradients(adj: np.ndarray, feats: np.ndarray, root_labels: np
     in the same layout as ``params.flat``.
     """
     logits, cache = _forward(adj, feats, params, keep_cache=True)
-    rows = np.arange(adj.shape[0])
-    shifted = logits[:, 0, :] - logits[:, 0, :].max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    losses = np.log(exp.sum(axis=1)) - shifted[rows, root_labels]
+    losses, d_roots = _cross_entropy_rows(logits[:, 0, :], root_labels)
     d_logits = np.zeros_like(logits)
-    d_logits[:, 0, :] = exp / exp.sum(axis=1, keepdims=True)
-    d_logits[rows, 0, root_labels] -= 1.0
+    d_logits[:, 0, :] = d_roots
     return losses, _backward(adj, params, cache, d_logits)
+
+
+def loss_grad_and_logits(ctx: ForwardContext, params: ModelParams, labels: np.ndarray,
+                         mask: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """:func:`loss_and_grad` plus the logits of the forward pass it ran."""
+    logits, cache = _forward(ctx.adj_norm, ctx.features, params, keep_cache=True)
+    idx = _mask_rows(mask)
+    losses, d_rows = _cross_entropy_rows(logits[idx], labels[idx])
+    d_rows /= idx.size
+    d_logits = np.zeros_like(logits)
+    d_logits[idx] = d_rows
+    return float(losses.mean()), _backward(ctx.adj_norm, params, cache, d_logits), logits
 
 
 def loss_and_grad(ctx: ForwardContext, params: ModelParams, labels: np.ndarray,
                   mask: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean masked cross-entropy and its exact gradient through all layers."""
-    logits, cache = _forward(ctx.adj_norm, ctx.features, params, keep_cache=True)
-    loss = masked_cross_entropy(logits, labels, mask)  # raises on an empty mask
-    idx = np.flatnonzero(mask)
-    probs = softmax(logits[idx])
-    d_logits = np.zeros_like(logits)
-    d_logits[idx] = probs
-    d_logits[idx, labels[idx]] -= 1.0
-    d_logits[idx] /= idx.size
-    return loss, _backward(ctx.adj_norm, params, cache, d_logits)
+    loss, grad, _ = loss_grad_and_logits(ctx, params, labels, mask)
+    return loss, grad
 
 
 def save_params(params: ModelParams, path) -> None:

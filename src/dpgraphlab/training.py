@@ -10,10 +10,10 @@ Five regimes map onto the config flags:
     subg. + clip    subgraph_batch, clipping
     DP              subgraph_batch, clipping, noise, with a PrivacySpec
 
-Each source returns one (loss, update) per step; :func:`train` owns the
-optimizer, evaluation, log and checkpoint.  DP runs calibrate (or validate)
-the noise multiplier against the accountant before the first step and log
-spent epsilon alongside accuracy.
+Each source returns one (loss, update, logits) per step; :func:`train`
+owns the optimizer, evaluation, log and checkpoint.  DP runs calibrate (or
+validate) the noise multiplier against the accountant before the first
+step and log spent epsilon alongside accuracy.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .accounting import (CalibrationError, PrivacySpec, calibrate_sigma, clip,
                          compose_and_convert, make_accountant, noisy_batch_gradient)
 from .graphs import PopulationGraph
-from .nn import (ModelParams, gcn_forward, init_gcn, init_mlp, loss_and_grad,
+from .nn import (ModelParams, gcn_forward, init_gcn, init_mlp, loss_grad_and_logits,
                  normalize_adjacency, subgraph_batch_gradients)
 from .sampling import SubgraphStore, sample_training_subgraphs
 
@@ -150,24 +150,37 @@ def train(graph: PopulationGraph, config: TrainConfig,
     optimizer = _Adam(lr) if config.optimizer == "adam" else _Sgd(lr)
     log: list[dict] = []
     best = (None, -1.0)
+
+    def record(step, loss, logits):
+        nonlocal best
+        entry = {
+            "step": step,
+            "loss": loss,
+            "train_acc": _accuracy(logits, graph.labels, graph.train_mask),
+            "val_acc": _accuracy(logits, graph.labels, graph.val_mask) if has_val else None,
+            **privacy(step),
+        }
+        log.append(entry)
+        if has_val:
+            best = _checkpoint(best, params, entry["val_acc"])
+
+    # A record is due after an evaluation step's update and takes the logits
+    # at the updated params: those of the next step's forward when the
+    # source has them, else its own forward.
+    due = None
     loss_window: list[float] = []
     for step in range(1, steps + 1):
-        loss, update = next(gradients)
+        loss, update, logits = next(gradients)
+        if due is not None:
+            record(*due, gcn_forward(ctx, params) if logits is None else logits)
+            due = None
         loss_window.append(loss)
         optimizer.step(params.flat, update)
         if step % every == 0 or step == steps:
-            logits = gcn_forward(ctx, params)
-            record = {
-                "step": step,
-                "loss": float(np.mean(loss_window)),
-                "train_acc": _accuracy(logits, graph.labels, graph.train_mask),
-                "val_acc": _accuracy(logits, graph.labels, graph.val_mask) if has_val else None,
-                **privacy(step),
-            }
-            log.append(record)
+            due = (step, float(np.mean(loss_window)))
             loss_window = []
-            if has_val:
-                best = _checkpoint(best, params, record["val_acc"])
+    if due is not None:  # no steps, no record
+        record(*due, gcn_forward(ctx, params))
     final = best[0] if best[0] is not None else params.clone()
     return final, log
 
@@ -182,7 +195,11 @@ def _checkpoint(best, params, val_acc):
 
 
 # A gradient source returns (steps, eval interval, endless iterator of
-# per-step (loss, update) at the current params, log extras for a step).
+# per-step (loss, update, logits) at the current params, log extras for a
+# step).  The full-graph source's logits are those of the forward pass its
+# gradient ran, so one forward serves both the step's gradient and the
+# previous record's evaluation; the subgraph source has no full-graph
+# logits and yields None.
 # The iterators are generators, so one step's batch arrays stay alive until
 # the next step has allocated its own, as in an inline loop.  A function
 # call per step frees the whole batch at once on return; malloc then hands
@@ -192,8 +209,9 @@ def _checkpoint(best, params, val_acc):
 def _full_graph_source(graph, config, ctx, params):
     def gradients():
         while True:
-            loss, grad = loss_and_grad(ctx, params, graph.labels, graph.train_mask)
-            yield loss, clip(grad, config.clip_norm) if config.clipping else grad
+            loss, grad, logits = loss_grad_and_logits(ctx, params, graph.labels,
+                                                      graph.train_mask)
+            yield loss, clip(grad, config.clip_norm) if config.clipping else grad, logits
 
     return config.epochs, config.eval_every or 1, gradients(), lambda step: {}
 
@@ -242,7 +260,7 @@ def _subgraph_source(graph, config, dp: PrivacySpec | None, params):
                 update = noisy_batch_gradient(grads, clip_norm, sigma, noise_rng)
             else:
                 update = grads.mean(axis=0)
-            yield float(losses.mean()), update
+            yield float(losses.mean()), update, None
 
     def privacy(step):
         if dp is None:

@@ -74,6 +74,17 @@ def test_manifest_to_dict_is_a_copy(tmp_path):
     assert manifest.hash() == before
 
 
+def test_manifest_from_dict_copies_nested_dicts():
+    raw = {"dataset": {"synthetic": {"num_nodes": 60}}, "model": {"epochs": 5}, "seeds": [0]}
+    manifest = ExperimentManifest.from_dict(raw)
+    before = manifest.hash()
+    raw["model"]["epochs"] = 10
+    raw["dataset"]["synthetic"]["num_nodes"] = 20
+    assert manifest.model == {"epochs": 5}
+    assert manifest.dataset == {"synthetic": {"num_nodes": 60}}
+    assert manifest.hash() == before
+
+
 # ---------------------------------------------------------------- run
 
 def test_run_writes_cells_and_aggregate(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 
 import dpgraphlab as dg
 from dpgraphlab.graphs import csr_from_edges
-from dpgraphlab.nn import LayerSpec, ModelParams, softmax
+from dpgraphlab.nn import LayerSpec, ModelParams, dense_normalized_adjacency, softmax
+from dpgraphlab.training import subgraph_batch_gradients
 from tests.test_graphs import make_graph
 
 
@@ -92,6 +93,26 @@ def test_gcn_forward_two_clique_average():
     np.testing.assert_allclose(logits, [[2.0], [2.0]], atol=1e-12)
 
 
+def test_gcn_forward_matches_dense_layer_by_layer():
+    # oracle: (A @ H) @ W + b per layer with a dense adjacency, whichever side
+    # of W the package propagates
+    rng = np.random.default_rng(12)
+    for dims in ((6, 3, 2, 3), (3, 8, 2, 2), (6, 16, 2, 3), (6, 4, 2, 1)):
+        g = random_graph(rng, n=9, d=dims[0])
+        params = dg.init_gcn(*dims, seed=int(rng.integers(100)))
+        params.flat[:] += 0.1 * rng.standard_normal(params.flat.size)  # nonzero biases
+        ctx = dg.normalize_adjacency(g)
+        a = ctx.adj_norm.toarray()
+        h = g.features
+        for l in range(len(params.layers)):
+            w, b = params.weight_bias(l)
+            h = (a @ h) @ w + b
+            if l < len(params.layers) - 1:
+                h = np.maximum(h, 0.0)
+        got = dg.gcn_forward(ctx, params)
+        np.testing.assert_allclose(got, h, rtol=1e-12, atol=1e-12 * np.abs(h).max())
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(1)
     s = softmax(rng.standard_normal((50, 7)) * 30)
@@ -145,6 +166,45 @@ def test_gcn_gradient_matches_finite_differences():
         fd = finite_difference(lambda: dg.loss_and_grad(ctx, params, g.labels, mask)[0],
                                params.flat)
         assert_grad_close(grad, fd)
+
+
+def test_narrowing_gcn_gradient_matches_finite_differences():
+    # 6 -> 3 -> 3 -> 2: the first and last layers propagate their output, the
+    # middle one its input
+    rng = np.random.default_rng(13)
+    for trial in range(3):
+        g = random_graph(rng, n=9, d=6)
+        mask = np.zeros(9, bool)
+        mask[rng.choice(9, 5, replace=False)] = True
+        ctx = dg.normalize_adjacency(g)
+        params = dg.init_gcn(6, 3, 2, 3, seed=trial)
+        params.flat[:] += 0.1 * rng.standard_normal(params.flat.size)
+        _, grad = dg.loss_and_grad(ctx, params, g.labels, mask)
+        fd = finite_difference(lambda: dg.loss_and_grad(ctx, params, g.labels, mask)[0],
+                               params.flat)
+        assert_grad_close(grad, fd)
+
+
+def test_narrowing_gcn_batch_gradients_match_finite_differences():
+    # a zero-padded batch of subgraphs of 2, 5 and 3 nodes, root at index 0
+    rng = np.random.default_rng(14)
+    sizes = (2, 5, 3)
+    s = max(sizes)
+    adj = np.zeros((len(sizes), s, s))
+    feats = np.zeros((len(sizes), s, 6))
+    for j, k in enumerate(sizes):
+        edges = np.array([(0, v) for v in range(1, k)] + [(v, v + 1) for v in range(1, k - 1)])
+        adj[j, :k, :k] = dense_normalized_adjacency(k, edges.reshape(-1, 2))
+        feats[j, :k] = rng.standard_normal((k, 6))
+    root_labels = np.array([0, 1, 1])
+    params = dg.init_gcn(6, 3, 2, 3, seed=4)
+    params.flat[:] += 0.1 * rng.standard_normal(params.flat.size)
+    _, grads = subgraph_batch_gradients(adj, feats, root_labels, params)
+    for j in range(len(sizes)):
+        fd = finite_difference(
+            lambda: subgraph_batch_gradients(adj, feats, root_labels, params)[0][j],
+            params.flat)
+        assert_grad_close(grads[j], fd)
 
 
 def test_mlp_gradient_matches_finite_differences():
@@ -241,6 +301,24 @@ def test_full_graph_log_loss_is_interval_mean():
     assert [r["step"] for r in log] == [3, 6, 9, 10]
     for record, lo in zip(log, (0, 3, 6, 9)):
         assert record["loss"] == pytest.approx(np.mean(losses[lo:record["step"]]), rel=1e-12)
+
+
+def test_checkpoint_matches_its_log_record():
+    # a record's accuracies come from the params after its step's update, the
+    # params a checkpoint saves: the returned model reproduces the best record
+    g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=200, target_homophily=0.6,
+                                               class_separation=0.8, seed=3))
+    g = dg.assign_splits(g, dg.SplitSpec(0.3, 0.3, 0.4, seed=3))
+    runs = [(dg.TrainConfig(epochs=60, eval_every=every, seed=13), None) for every in (1, 3)]
+    runs.append((dg.TrainConfig(mode="subgraph_batch", clipping=True, noise=True, eval_every=5,
+                                optimizer="sgd", learning_rate=0.05, seed=7),
+                 dg.PrivacySpec(epsilon_target=10.0, delta=1e-3, batch_size=16, total_steps=60)))
+    for cfg, dp in runs:
+        params, log = dg.train(g, cfg, dp)
+        best = max(r["val_acc"] for r in log)
+        chosen = [r for r in log if r["val_acc"] == best][-1]  # ties keep the latest
+        assert dg.evaluate(g, params, g.val_mask) == best
+        assert dg.evaluate(g, params, g.train_mask) == chosen["train_acc"]
 
 
 def test_zero_learning_rate_is_null_update():
