@@ -22,8 +22,7 @@ from .graphs import (CsvParseError, IngestionError, MetricUndefinedError,
 from .nn import (ForwardContext, LayerSpec, ModelParams, ShapeError,
                  gcn_forward, init_gcn, init_mlp, load_params, loss_and_grad,
                  normalize_adjacency, save_params)
-from .sampling import (SampledSubgraph, SubgraphStore, audit_subgraphs,
-                       sample_training_subgraphs)
+from .sampling import SampledSubgraph, SubgraphStore, sample_training_subgraphs
 from .synthetic import SyntheticSpec, generate_synthetic
 from .training import TrainConfig, evaluate, train, write_training_log
 
@@ -33,7 +32,7 @@ __all__ = [
     "MetricUndefinedError", "ModelParams", "PopulationGraph", "PrivacySpec",
     "SampledSubgraph", "ShadowEnsemble", "ShapeError", "SplitSpec",
     "SubgraphStore", "SyntheticSpec", "TrainConfig", "assign_splits", "audit",
-    "audit_subgraphs", "build_knn_graph", "calibrate_sigma", "clip",
+    "build_knn_graph", "calibrate_sigma", "clip",
     "compose_and_convert", "edge_homophily", "edgeless_graph",
     "epsilon_spent", "evaluate", "gcn_forward", "generate_synthetic",
     "graph_stats", "hypergeom_pmf", "init_gcn", "init_mlp", "lira_score",

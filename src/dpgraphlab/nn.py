@@ -11,7 +11,12 @@ are returned flat, matching the parameter vector.
 The same forward and backward pass serves the whole graph (sparse
 adjacency) and a zero-padded stack of sampled subgraphs (dense (m, s, s)
 adjacency), where :func:`subgraph_batch_gradients` takes each subgraph's
-root loss and returns one gradient row per subgraph.
+root loss and returns one gradient row per subgraph.  That loss sits on
+row 0 only, so the batch computes only the root's receptive field, going
+back from the output: the last layer yields 1 row, a ``gcn_conv`` layer
+reads the rows up to the last column with a nonzero in the adjacency rows
+the next layer reads, and a ``dense`` layer reads the rows the next layer
+reads.  The full-graph path computes every row.
 
 Layer order: a ``gcn_conv`` layer multiplies the adjacency into the
 narrower side of its weight, as (A @ h) @ w + b when it widens or keeps
@@ -20,7 +25,9 @@ layer propagates 2 columns forward and backward.  The forward cache holds,
 per layer, the post-activation input h and the matrix multiplied into w
 (A @ h or h itself); the backward pass masks with h > 0, which is the
 ReLU mask of the pre-activation.  Each step allocates only the arrays the
-loss needs: biases are added and ReLUs applied in place.
+loss needs: biases are added and ReLUs applied in place, and the backward
+pass writes each layer's weight and bias gradient straight into its slice
+of the flat gradient.
 """
 
 from __future__ import annotations
@@ -71,14 +78,19 @@ class ModelParams:
 
     def weight_bias(self, l: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of layer l's weight matrix and bias vector into the flat array."""
-        off = sum(s.size for s in self.layers[:l])
-        spec = self.layers[l]
-        w = self.flat[off : off + spec.in_dim * spec.out_dim].reshape(spec.in_dim, spec.out_dim)
-        b = self.flat[off + spec.in_dim * spec.out_dim : off + spec.size]
-        return w, b
+        return _weight_bias_views(self.flat, self.layers, l)
 
     def clone(self) -> "ModelParams":
         return ModelParams(flat=self.flat.copy(), layers=self.layers, seed=self.seed)
+
+
+def _weight_bias_views(flat: np.ndarray, layers, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of layer l's weight matrix and bias vector into the last axis of ``flat``."""
+    off = sum(s.size for s in layers[:l])
+    spec = layers[l]
+    k = off + spec.in_dim * spec.out_dim
+    w = flat[..., off:k].reshape(*flat.shape[:-1], spec.in_dim, spec.out_dim)
+    return w, flat[..., k:off + spec.size]
 
 
 def layer_dims(in_dim: int, hidden_dim: int, out_dim: int, num_layers: int) -> list[tuple[int, int]]:
@@ -165,24 +177,44 @@ def _propagated_side(spec: LayerSpec) -> str | None:
     return "output" if spec.out_dim < spec.in_dim else "input"
 
 
-def _forward(adj, x: np.ndarray, params: ModelParams, keep_cache: bool):
+def _receptive_rows(adj: np.ndarray, layers) -> list[int]:
+    """Row prefix each layer reads so that output row 0 is exact: ``rows[l]``
+    rows enter layer l and ``rows[l + 1]`` leave it, with ``rows[-1] == 1``.
+
+    Going back from the output, a ``gcn_conv`` layer needs every column up to
+    the last nonzero in the rows the next layer reads; a ``dense`` layer needs
+    the same rows.  Holds for any local order with the root at index 0.
+    """
+    rows = [1]
+    for spec in reversed(layers):
+        r = rows[0]
+        if spec.kind == "gcn_conv":
+            r = int(np.flatnonzero(adj[:, :r].any(axis=(0, 1))).max(initial=-1)) + 1
+        rows.insert(0, r)
+    return rows
+
+
+def _forward(adj, x: np.ndarray, params: ModelParams, keep_cache: bool, rows=None):
     """Shared forward pass; returns (logits, cache of (layer input, matrix times w)).
 
     ``adj`` is sparse (n, n) with ``x`` (n, d), or a dense (m, s, s) stack with ``x`` (m, s, d).
+    With ``rows`` from :func:`_receptive_rows`, layer l maps the first
+    ``rows[l]`` rows to the first ``rows[l + 1]``.
     """
     in_dim = params.layers[0].in_dim
     if x.shape[-1] != in_dim:
         raise ShapeError(f"feature dim {x.shape[-1]} != first-layer in_dim {in_dim}")
-    h = x
+    h = x if rows is None else x[:, :rows[0]]
     cache = []
     last = len(params.layers) - 1
     for l, spec in enumerate(params.layers):
         w, b = params.weight_bias(l)
         side = _propagated_side(spec)
-        p = adj @ h if side == "input" else h
+        a = adj if rows is None else adj[:, :rows[l + 1], :rows[l]]
+        p = a @ h if side == "input" else h
         z = p @ w
         if side == "output":
-            z = adj @ z
+            z = a @ z
         z += b
         if keep_cache:
             cache.append((h, p))
@@ -224,31 +256,33 @@ def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarra
     return float(_cross_entropy_rows(logits[idx], labels[idx])[0].mean())
 
 
-def _backward(adj, params: ModelParams, cache, d_logits: np.ndarray) -> np.ndarray:
+def _backward(adj, params: ModelParams, cache, d_logits: np.ndarray, rows=None) -> np.ndarray:
     """Reverse-mode sweep from an output-logit gradient to a flat parameter gradient
     (one row per batch entry when the forward pass ran over an (m, s, s) stack).
 
-    The normalized adjacency is symmetric, so A^T g == A g.
+    The normalized adjacency is symmetric, so A^T g == A g; with ``rows``,
+    layer l's transposed block is ``adj[:, :rows[l], :rows[l + 1]]``.
     """
-    grads = [None] * len(params.layers)
+    grad = np.empty((*d_logits.shape[:-2], params.flat.size))
     dz = d_logits
     for l in range(len(params.layers) - 1, -1, -1):
         spec = params.layers[l]
         w, _ = params.weight_bias(l)
+        dw, db = _weight_bias_views(grad, params.layers, l)
         h, p = cache[l]
         side = _propagated_side(spec)
-        db = dz.sum(axis=-2)
+        a = adj if rows is None else adj[:, :rows[l], :rows[l + 1]]
+        dz.sum(axis=-2, out=db)
         if side == "output":
-            dz = adj @ dz
-        dw = np.swapaxes(p, -1, -2) @ dz
-        grads[l] = (dw.reshape(*dw.shape[:-2], -1), db)
+            dz = a @ dz
+        np.matmul(np.swapaxes(p, -1, -2), dz, out=dw)
         if l > 0:
             dh = dz @ w.T
             if side == "input":
-                dh = adj @ dh
+                dh = a @ dh
             dh *= h > 0.0  # h is post-ReLU, so h > 0 exactly where its pre-activation is
             dz = dh
-    return np.concatenate([np.concatenate(g, axis=-1) for g in grads], axis=-1)
+    return grad
 
 
 def subgraph_batch_gradients(adj: np.ndarray, feats: np.ndarray, root_labels: np.ndarray,
@@ -257,13 +291,15 @@ def subgraph_batch_gradients(adj: np.ndarray, feats: np.ndarray, root_labels: np
 
     ``adj`` is a zero-padded (m, s, s) stack of normalized adjacencies with
     the root at local index 0; gradients come back as an (m, n_params) matrix
-    in the same layout as ``params.flat``.
+    in the same layout as ``params.flat``.  Only the root's receptive field
+    is computed: the last layer yields row 0 alone, and each ``gcn_conv``
+    layer reads the row prefix up to the last column adjacent to the rows the
+    next layer reads (:func:`_receptive_rows`).
     """
-    logits, cache = _forward(adj, feats, params, keep_cache=True)
+    rows = _receptive_rows(adj, params.layers)
+    logits, cache = _forward(adj, feats, params, keep_cache=True, rows=rows)
     losses, d_roots = _cross_entropy_rows(logits[:, 0, :], root_labels)
-    d_logits = np.zeros_like(logits)
-    d_logits[:, 0, :] = d_roots
-    return losses, _backward(adj, params, cache, d_logits)
+    return losses, _backward(adj, params, cache, d_roots[:, None, :], rows=rows)
 
 
 def loss_grad_and_logits(ctx: ForwardContext, params: ModelParams, labels: np.ndarray,

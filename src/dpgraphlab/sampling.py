@@ -6,7 +6,7 @@ A global occurrence counter caps how many subgraphs any node may join
 (``occurrence_bound``, counting the node's own root subgraph), which is what
 bounds the per-node sensitivity of a batch gradient.  Roots reserve their
 own slot up front, so the cap holds over the whole collection by
-construction; :func:`audit_subgraphs` re-derives it from the output alone.
+construction.
 """
 
 from __future__ import annotations
@@ -106,33 +106,15 @@ def sample_training_subgraphs(graph: PopulationGraph, max_degree: int, hops: int
     return [out[int(r)] for r in np.sort(roots)]
 
 
-def audit_subgraphs(subgraphs: list[SampledSubgraph], num_nodes: int) -> dict:
-    """Exhaustive recount of the sampler's guarantees from its output alone.
-
-    Returns per-node occurrence counts, their max, and the max number of
-    sampled children any node contributed in one expansion.
-    """
-    occurrence = np.zeros(num_nodes, dtype=np.int64)
-    max_children = 0
-    for sg in subgraphs:
-        occurrence[sg.nodes] += 1
-        if sg.edges.size:
-            children = np.bincount(sg.edges[:, 0])
-            max_children = max(max_children, int(children.max()))
-    return {
-        "occurrence": occurrence,
-        "max_occurrence": int(occurrence.max()) if num_nodes else 0,
-        "max_children_per_expansion": max_children,
-    }
-
-
 class SubgraphStore:
     """Per-subgraph dense arrays prepared for batched gradient computation.
 
     Holds every subgraph's normalized adjacency and feature block in one
     zero-padded (N, s_max, s_max) and one (N, s_max, d) tensor, built once;
     a batch is a slice of them cut to its largest subgraph.  Padding rows are
-    disconnected so they contribute nothing to root losses or gradients.
+    disconnected so they contribute nothing to root losses or gradients, and
+    the gradient reads only the prefix of each padded block that lies in the
+    root's receptive field (see :func:`dpgraphlab.nn.subgraph_batch_gradients`).
     """
 
     def __init__(self, graph: PopulationGraph, subgraphs: list[SampledSubgraph]):

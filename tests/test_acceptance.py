@@ -14,11 +14,12 @@ from dpgraphlab.accounting import DEFAULT_ORDERS
 from dpgraphlab.attacks import binomial_half_width
 from dpgraphlab.experiments import (run, spearman, sweep_homophily,
                                     synthetic_benchmark_manifest)
-from dpgraphlab.sampling import SubgraphStore, audit_subgraphs
+from dpgraphlab.sampling import SubgraphStore
 from dpgraphlab.training import _init_model, subgraph_batch_gradients
 from tests.test_accounting import naive_per_step_rdp
 from tests.test_graphs import make_graph
 from tests.test_nn import assert_grad_close, finite_difference, random_graph
+from tests.test_sampling import audit_subgraphs
 
 SEEDS = (0, 1, 2, 3, 4)
 

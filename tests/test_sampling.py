@@ -5,10 +5,35 @@ import pytest
 
 import dpgraphlab as dg
 from dpgraphlab.nn import dense_normalized_adjacency
-from dpgraphlab.sampling import SubgraphStore, audit_subgraphs
+from dpgraphlab.sampling import SampledSubgraph, SubgraphStore
 from dpgraphlab.training import subgraph_batch_gradients
 from tests.test_graphs import make_graph
 from tests.test_nn import assert_grad_close, finite_difference
+
+
+def audit_subgraphs(subgraphs, num_nodes):
+    """Exhaustive recount of the sampler's guarantees from its output alone:
+    per-node occurrence counts, their max, and the max number of sampled
+    children any node contributed in one expansion."""
+    occurrence = np.zeros(num_nodes, dtype=np.int64)
+    max_children = 0
+    for sg in subgraphs:
+        occurrence[sg.nodes] += 1
+        if sg.edges.size:
+            max_children = max(max_children, int(np.bincount(sg.edges[:, 0]).max()))
+    return {
+        "occurrence": occurrence,
+        "max_occurrence": int(occurrence.max()) if num_nodes else 0,
+        "max_children_per_expansion": max_children,
+    }
+
+
+def shuffle_local_order(sg, rng):
+    """The same subgraph with its non-root local nodes out of BFS order."""
+    perm = np.concatenate([[0], 1 + rng.permutation(sg.size - 1)])  # perm[new] = old
+    new_of_old = np.argsort(perm)
+    return SampledSubgraph(root=sg.root, nodes=sg.nodes[perm], edges=new_of_old[sg.edges],
+                           hop=sg.hop[perm])
 
 
 def star_graph(leaves=10):
@@ -164,13 +189,22 @@ def test_store_batch_equals_padded_blocks():
 
 def test_batch_rows_match_loss_and_grad_on_own_graph():
     # cross-path oracle: a row of the batched core equals the full-graph path
-    # run on that subgraph as its own graph, with only the root masked
+    # run on that subgraph as its own graph, with only the root masked.  Cases:
+    # BFS order with depth == hops, non-root nodes shuffled out of BFS order,
+    # depth != hops, and an MLP.
     rng = np.random.default_rng(9)
-    for num_layers in (2, 3):
+    cases = [("gcn", 2, 2, False), ("gcn", 3, 3, False),
+             ("gcn", 2, 2, True), ("gcn", 3, 2, True),
+             ("gcn", 1, 2, False), ("gcn", 3, 2, False),
+             ("mlp", 2, 2, False)]
+    for kind, num_layers, hops, shuffled in cases:
         g = random_split_graph(rng, n=60)
-        subs = dg.sample_training_subgraphs(g, 3, num_layers, 5, seed=num_layers)
+        subs = dg.sample_training_subgraphs(g, 3, hops, 5, seed=num_layers)
+        if shuffled:
+            subs = [shuffle_local_order(sg, rng) for sg in subs]
         store = SubgraphStore(g, subs)
-        params = dg.init_gcn(g.feat_dim, 8, g.num_classes, num_layers, seed=1)
+        init = dg.init_gcn if kind == "gcn" else dg.init_mlp
+        params = init(g.feat_dim, 8, g.num_classes, num_layers, seed=1)
         by_size = np.argsort(store.sizes, kind="stable")
         idx = np.concatenate([by_size[-3:], by_size[:3]])  # the small ones get padded
         assert store.sizes[idx].min() < store.sizes[idx].max()
@@ -184,6 +218,25 @@ def test_batch_rows_match_loss_and_grad_on_own_graph():
                                           root_only)
             assert losses[j] == pytest.approx(loss, rel=1e-12)
             np.testing.assert_allclose(grads[j], grad, rtol=1e-12, atol=1e-15)
+
+
+def test_batch_rows_independent_of_padding():
+    # a batch cut to its largest subgraph and the same batch padded to the
+    # store's s_max give bit-identical losses and gradient rows
+    rng = np.random.default_rng(11)
+    g = random_split_graph(rng, n=60)
+    subs = dg.sample_training_subgraphs(g, 3, 2, 5, seed=2)
+    store = SubgraphStore(g, subs)
+    small = np.flatnonzero(store.sizes < store.sizes.max())
+    assert small.size >= 8
+    for params in (dg.init_gcn(g.feat_dim, 8, 2, 2, seed=3), dg.init_gcn(g.feat_dim, 8, 2, 3, seed=4),
+                   dg.init_mlp(g.feat_dim, 8, 2, 2, seed=5)):
+        for idx in (rng.choice(small, size=8, replace=False), rng.permutation(len(store))[:8]):
+            adj, feats, labels = store.batch(idx)
+            cut = subgraph_batch_gradients(adj, feats, labels, params)
+            padded = subgraph_batch_gradients(store.adj[idx], store.features[idx], labels, params)
+            assert np.array_equal(cut[0], padded[0])
+            assert np.array_equal(cut[1], padded[1])
 
 
 def test_batch_gradients_match_finite_differences():
