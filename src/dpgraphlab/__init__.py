@@ -8,7 +8,7 @@ checked against the analytic supremum-power bound.
 
 from .accounting import (AccountantState, CalibrationError, PrivacySpec,
                          calibrate_sigma, clip, compose_and_convert,
-                         epsilon_spent, hypergeom_pmf, make_accountant,
+                         epsilon_spent, make_accountant,
                          noisy_batch_gradient, per_step_rdp, recommend_delta,
                          supremum_power)
 from .attacks import (AttackReport, AuditSetupError, ShadowEnsemble, audit,
@@ -35,7 +35,7 @@ __all__ = [
     "build_knn_graph", "calibrate_sigma", "clip",
     "compose_and_convert", "edge_homophily", "edgeless_graph",
     "epsilon_spent", "evaluate", "gcn_forward", "generate_synthetic",
-    "graph_stats", "hypergeom_pmf", "init_gcn", "init_mlp", "lira_score",
+    "graph_stats", "init_gcn", "init_mlp", "lira_score",
     "load_csv", "load_params", "loss_and_grad", "make_accountant",
     "node_homophily",
     "noisy_batch_gradient", "normalize_adjacency", "per_step_rdp",

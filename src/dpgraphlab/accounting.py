@@ -90,15 +90,6 @@ def clip(gradient: np.ndarray, clip_norm: float) -> np.ndarray:
     return gradient * (clip_norm / norm)
 
 
-def clip_rows(gradients: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Row-wise :func:`clip` for a (batch, dim) gradient matrix."""
-    if clip_norm <= 0:
-        raise ValueError("clip_norm must be positive")
-    norms = np.linalg.norm(gradients, axis=1)
-    scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
-    return gradients * scale[:, None]
-
-
 def noisy_batch_gradient(gradients: np.ndarray, clip_norm: float, sigma: float,
                          seed) -> np.ndarray:
     """Average of clipped per-subgraph gradients plus N(0, sigma^2 C^2 I).
@@ -110,11 +101,15 @@ def noisy_batch_gradient(gradients: np.ndarray, clip_norm: float, sigma: float,
     gradients = np.atleast_2d(np.asarray(gradients, dtype=np.float64))
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
+    if clip_norm <= 0:
+        raise ValueError("clip_norm must be positive")
     m = gradients.shape[0]
-    total = clip_rows(gradients, clip_norm).sum(axis=0)
+    # the row-wise clip folded into the sum: row i is scaled by min(1, C / ||g_i||)
+    norms = np.sqrt(np.vecdot(gradients, gradients))
+    total = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300)) @ gradients
     if sigma > 0:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        total = total + rng.normal(0.0, sigma * clip_norm, size=total.shape)
+        total += rng.normal(0.0, sigma * clip_norm, size=total.shape)
     return total / m
 
 
@@ -134,18 +129,6 @@ def _hyper_log_pmf(N: int, T: int, m: int, rho: int) -> float:
     for k in range(T):
         out -= math.log(N - k)
     return out
-
-
-def hypergeom_pmf(N: int, T: int, m: int, rho: int) -> float:
-    """P[rho marked draws] for m draws without replacement from N items, T marked.
-
-    Computed in log-space; zero outside the support; exact for small T.
-    """
-    if T > N or m > N or T < 0 or m < 0:
-        raise ValueError("need 0 <= T <= N and 0 <= m <= N")
-    if rho < max(0, m - (N - T)) or rho > min(T, m):
-        return 0.0
-    return math.exp(_hyper_log_pmf(N, T, m, rho))
 
 
 def _rdp_over_orders(orders: np.ndarray, sigma: float, N: int, T: int, m: int) -> np.ndarray:

@@ -8,31 +8,38 @@ the output layer is linear, and the loss is mean softmax cross-entropy over
 a node mask.  Gradients are exact (checked against finite differences) and
 are returned flat, matching the parameter vector.
 
+Layer 0 never touches the adjacency: A @ X does not depend on the
+parameters, so a ``gcn_conv`` first layer is a dense layer on A @ X, which
+is computed once, per graph by :class:`ForwardContext` and per subgraph by
+:class:`dpgraphlab.sampling.SubgraphStore`.  A ``dense`` first layer reads X.
+
 The same forward and backward pass serves the whole graph (sparse
 adjacency) and a zero-padded stack of sampled subgraphs (dense (m, s, s)
 adjacency), where :func:`subgraph_batch_gradients` takes each subgraph's
 root loss and returns one gradient row per subgraph.  That loss sits on
 row 0 only, so the batch computes only the root's receptive field, going
-back from the output: the last layer yields 1 row, a ``gcn_conv`` layer
-reads the rows up to the last column with a nonzero in the adjacency rows
-the next layer reads, and a ``dense`` layer reads the rows the next layer
-reads.  The full-graph path computes every row.
+back from the output (:func:`receptive_rows`): the last layer yields 1 row,
+a layer above the first that propagates reads the rows up to the last
+column with a nonzero in the adjacency rows the next layer reads, and any
+other layer reads the rows the next layer reads.  The full-graph path
+computes every row.
 
-Layer order: a ``gcn_conv`` layer multiplies the adjacency into the
-narrower side of its weight, as (A @ h) @ w + b when it widens or keeps
-the width and as A @ (h @ w) + b when it narrows, so the 32 -> 2 output
-layer propagates 2 columns forward and backward.  The forward cache holds,
-per layer, the post-activation input h and the matrix multiplied into w
-(A @ h or h itself); the backward pass masks with h > 0, which is the
-ReLU mask of the pre-activation.  Each step allocates only the arrays the
-loss needs: biases are added and ReLUs applied in place, and the backward
-pass writes each layer's weight and bias gradient straight into its slice
-of the flat gradient.
+Layer order: a ``gcn_conv`` layer above the first multiplies the
+adjacency into the narrower side of its weight, as (A @ h) @ w + b when it
+widens or keeps the width and as A @ (h @ w) + b when it narrows, so the
+32 -> 2 output layer propagates 2 columns forward and backward.  The
+forward cache holds, per layer, the post-activation input h and the matrix
+multiplied into w (A @ h or h itself); the backward pass masks with h > 0,
+which is the ReLU mask of the pre-activation.  Each step allocates only the
+arrays the loss needs: biases are added and ReLUs applied in place, and the
+backward pass writes each layer's weight and bias gradient straight into
+its slice of the flat gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -135,6 +142,15 @@ class ForwardContext:
     def num_nodes(self) -> int:
         return self.features.shape[0]
 
+    @cached_property
+    def propagated_features(self) -> np.ndarray:
+        """A @ X, computed on first use and kept for the life of the context."""
+        return self.adj_norm @ self.features
+
+    def first_layer_input(self, layers) -> np.ndarray:
+        """What layer 0 reads: A @ X for a ``gcn_conv`` first layer, X for a ``dense`` one."""
+        return self.propagated_features if layers[0].kind == "gcn_conv" else self.features
+
 
 def normalize_adjacency(graph: PopulationGraph) -> ForwardContext:
     """Symmetric normalization with self-loops: D^{-1/2} (A + I) D^{-1/2}."""
@@ -165,31 +181,34 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _propagated_side(spec: LayerSpec) -> str | None:
-    """Which side of a layer's weight the adjacency multiplies: the narrower one.
+def _propagated_side(l: int, spec: LayerSpec) -> str | None:
+    """Which side of layer l's weight the adjacency multiplies: the narrower one.
 
-    A ``gcn_conv`` layer computes adj @ h @ w + b; it propagates its output
-    (adj @ (h @ w)) when that is narrower than its input, and its input
-    ((adj @ h) @ w) otherwise.  ``dense`` layers do not propagate.
+    A ``gcn_conv`` layer above the first computes adj @ h @ w + b; it
+    propagates its output (adj @ (h @ w)) when that is narrower than its
+    input, and its input ((adj @ h) @ w) otherwise.  Layer 0 reads the
+    precomputed A @ X and ``dense`` layers do not propagate.
     """
-    if spec.kind != "gcn_conv":
+    if l == 0 or spec.kind != "gcn_conv":
         return None
     return "output" if spec.out_dim < spec.in_dim else "input"
 
 
-def _receptive_rows(adj: np.ndarray, layers) -> list[int]:
+def receptive_rows(reach: np.ndarray, layers) -> list[int]:
     """Row prefix each layer reads so that output row 0 is exact: ``rows[l]``
     rows enter layer l and ``rows[l + 1]`` leave it, with ``rows[-1] == 1``.
 
-    Going back from the output, a ``gcn_conv`` layer needs every column up to
-    the last nonzero in the rows the next layer reads; a ``dense`` layer needs
-    the same rows.  Holds for any local order with the root at index 0.
+    ``reach`` is a batch's (m, s + 1) table whose entry [i, k] is 1 + the
+    last nonzero column in the first k rows of subgraph i's adjacency.
+    Going back from the output, a layer that propagates needs every column
+    up to the last nonzero in the rows the next layer reads; any other layer
+    needs the same rows.  Holds for any local order with the root at index 0.
     """
     rows = [1]
-    for spec in reversed(layers):
+    for l in range(len(layers) - 1, -1, -1):
         r = rows[0]
-        if spec.kind == "gcn_conv":
-            r = int(np.flatnonzero(adj[:, :r].any(axis=(0, 1))).max(initial=-1)) + 1
+        if _propagated_side(l, layers[l]) is not None:
+            r = int(reach[:, r].max())
         rows.insert(0, r)
     return rows
 
@@ -197,8 +216,9 @@ def _receptive_rows(adj: np.ndarray, layers) -> list[int]:
 def _forward(adj, x: np.ndarray, params: ModelParams, keep_cache: bool, rows=None):
     """Shared forward pass; returns (logits, cache of (layer input, matrix times w)).
 
+    ``x`` is layer 0's input (A @ X or X, see the module docstring).
     ``adj`` is sparse (n, n) with ``x`` (n, d), or a dense (m, s, s) stack with ``x`` (m, s, d).
-    With ``rows`` from :func:`_receptive_rows`, layer l maps the first
+    With ``rows`` from :func:`receptive_rows`, layer l maps the first
     ``rows[l]`` rows to the first ``rows[l + 1]``.
     """
     in_dim = params.layers[0].in_dim
@@ -209,7 +229,7 @@ def _forward(adj, x: np.ndarray, params: ModelParams, keep_cache: bool, rows=Non
     last = len(params.layers) - 1
     for l, spec in enumerate(params.layers):
         w, b = params.weight_bias(l)
-        side = _propagated_side(spec)
+        side = _propagated_side(l, spec)
         a = adj if rows is None else adj[:, :rows[l + 1], :rows[l]]
         p = a @ h if side == "input" else h
         z = p @ w
@@ -227,7 +247,8 @@ def _forward(adj, x: np.ndarray, params: ModelParams, keep_cache: bool, rows=Non
 def gcn_forward(ctx: ForwardContext, params: ModelParams) -> np.ndarray:
     """Per-node class logits over the whole (transductive) graph; MLP models
     (``dense`` layers only) ignore the adjacency."""
-    logits, _ = _forward(ctx.adj_norm, ctx.features, params, keep_cache=False)
+    logits, _ = _forward(ctx.adj_norm, ctx.first_layer_input(params.layers), params,
+                         keep_cache=False)
     return logits
 
 
@@ -270,7 +291,7 @@ def _backward(adj, params: ModelParams, cache, d_logits: np.ndarray, rows=None) 
         w, _ = params.weight_bias(l)
         dw, db = _weight_bias_views(grad, params.layers, l)
         h, p = cache[l]
-        side = _propagated_side(spec)
+        side = _propagated_side(l, spec)
         a = adj if rows is None else adj[:, :rows[l], :rows[l + 1]]
         dz.sum(axis=-2, out=db)
         if side == "output":
@@ -285,19 +306,18 @@ def _backward(adj, params: ModelParams, cache, d_logits: np.ndarray, rows=None) 
     return grad
 
 
-def subgraph_batch_gradients(adj: np.ndarray, feats: np.ndarray, root_labels: np.ndarray,
-                             params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+def subgraph_batch_gradients(adj: np.ndarray, inputs: np.ndarray, root_labels: np.ndarray,
+                             rows: list[int], params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-subgraph root losses and flat gradients, vectorized over the batch.
 
     ``adj`` is a zero-padded (m, s, s) stack of normalized adjacencies with
-    the root at local index 0; gradients come back as an (m, n_params) matrix
-    in the same layout as ``params.flat``.  Only the root's receptive field
-    is computed: the last layer yields row 0 alone, and each ``gcn_conv``
-    layer reads the row prefix up to the last column adjacent to the rows the
-    next layer reads (:func:`_receptive_rows`).
+    the root at local index 0, ``inputs`` the (m, s, d) stack of layer 0's
+    inputs (A @ X or X), and ``rows`` the :func:`receptive_rows` of the
+    batch, with ``rows[0] <= s``; :meth:`dpgraphlab.sampling.SubgraphStore.batch`
+    returns all four, cut to ``rows[0]``.  Gradients come back as an
+    (m, n_params) matrix in the same layout as ``params.flat``.
     """
-    rows = _receptive_rows(adj, params.layers)
-    logits, cache = _forward(adj, feats, params, keep_cache=True, rows=rows)
+    logits, cache = _forward(adj, inputs, params, keep_cache=True, rows=rows)
     losses, d_roots = _cross_entropy_rows(logits[:, 0, :], root_labels)
     return losses, _backward(adj, params, cache, d_roots[:, None, :], rows=rows)
 
@@ -305,7 +325,8 @@ def subgraph_batch_gradients(adj: np.ndarray, feats: np.ndarray, root_labels: np
 def loss_grad_and_logits(ctx: ForwardContext, params: ModelParams, labels: np.ndarray,
                          mask: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """:func:`loss_and_grad` plus the logits of the forward pass it ran."""
-    logits, cache = _forward(ctx.adj_norm, ctx.features, params, keep_cache=True)
+    logits, cache = _forward(ctx.adj_norm, ctx.first_layer_input(params.layers), params,
+                             keep_cache=True)
     idx = _mask_rows(mask)
     losses, d_rows = _cross_entropy_rows(logits[idx], labels[idx])
     d_rows /= idx.size

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import PopulationGraph
-from .nn import dense_normalized_adjacency
+from .nn import ForwardContext, dense_normalized_adjacency, receptive_rows
 
 logger = logging.getLogger(__name__)
 
@@ -107,32 +107,47 @@ def sample_training_subgraphs(graph: PopulationGraph, max_degree: int, hops: int
 
 
 class SubgraphStore:
-    """Per-subgraph dense arrays prepared for batched gradient computation.
+    """Per-subgraph dense arrays of one model's batched gradient computation.
 
-    Holds every subgraph's normalized adjacency and feature block in one
-    zero-padded (N, s_max, s_max) and one (N, s_max, d) tensor, built once;
-    a batch is a slice of them cut to its largest subgraph.  Padding rows are
-    disconnected so they contribute nothing to root losses or gradients, and
-    the gradient reads only the prefix of each padded block that lies in the
-    root's receptive field (see :func:`dpgraphlab.nn.subgraph_batch_gradients`).
+    Built once for the model's layers, zero-padded to the largest subgraph:
+
+    - ``adj``: each subgraph's normalized adjacency, (N, s_max, s_max);
+    - ``inputs``: each subgraph's first-layer input, (N, s_max, d): A @ X
+      for a ``gcn_conv`` first layer, X for a ``dense`` one;
+    - ``reach``: (N, s_max + 1) ints, [i, k] is 1 + the last nonzero column
+      in the first k rows of subgraph i's adjacency.
+
+    A batch takes its receptive rows from ``reach``
+    (:func:`dpgraphlab.nn.receptive_rows`) and copies only the first
+    ``rows[0]`` rows and columns of each drawn block, all that the root
+    losses read.  Padding rows are disconnected and contribute nothing.
     """
 
-    def __init__(self, graph: PopulationGraph, subgraphs: list[SampledSubgraph]):
+    def __init__(self, graph: PopulationGraph, subgraphs: list[SampledSubgraph], layers):
         self.subgraphs = subgraphs
+        self.layers = tuple(layers)
         self.root_labels = np.asarray([graph.labels[sg.root] for sg in subgraphs])
         self.sizes = np.asarray([sg.size for sg in subgraphs])
-        s_max = int(self.sizes.max())
-        self.adj = np.zeros((len(subgraphs), s_max, s_max))
-        self.features = np.zeros((len(subgraphs), s_max, graph.feat_dim))
+        n, s_max = len(subgraphs), int(self.sizes.max())
+        self.adj = np.zeros((n, s_max, s_max))
+        features = np.zeros((n, s_max, graph.feat_dim))
         for i, sg in enumerate(subgraphs):
             self.adj[i, :sg.size, :sg.size] = dense_normalized_adjacency(sg.size, sg.edges)
-            self.features[i, :sg.size] = graph.features[sg.nodes]
+            features[i, :sg.size] = graph.features[sg.nodes]
+        self.inputs = ForwardContext(self.adj, features).first_layer_input(self.layers)
+        nonzero = self.adj != 0.0
+        ends = np.where(nonzero.any(axis=2), s_max - np.argmax(nonzero[:, :, ::-1], axis=2), 0)
+        self.reach = np.zeros((n, s_max + 1), dtype=np.int64)
+        np.maximum.accumulate(ends, axis=1, out=self.reach[:, 1:])
 
     def __len__(self) -> int:
         return len(self.subgraphs)
 
-    def batch(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Padded (adj, features, root_labels) stacks for the given subgraph indices."""
+    def batch(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+        """(adj, inputs, root_labels, rows) for the given subgraph indices: the
+        blocks cut to the batch's ``rows[0]`` receptive rows, and the row
+        counts :func:`dpgraphlab.nn.subgraph_batch_gradients` takes."""
         idx = np.asarray(idx)
-        s = int(self.sizes[idx].max())
-        return self.adj[idx, :s, :s], self.features[idx, :s], self.root_labels[idx]
+        rows = receptive_rows(self.reach[idx], self.layers)
+        r = rows[0]
+        return self.adj[idx, :r, :r], self.inputs[idx, :r], self.root_labels[idx], rows

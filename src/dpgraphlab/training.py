@@ -92,8 +92,10 @@ class _Adam:
             self.m = np.zeros_like(flat)
             self.v = np.zeros_like(flat)
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1 - self.beta2) * grad * grad
         m_hat = self.m / (1 - self.beta1 ** self.t)
         v_hat = self.v / (1 - self.beta2 ** self.t)
         flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
@@ -103,17 +105,24 @@ def _stream(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
-def _accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
+def _split(labels: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes a mask selects and their labels."""
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         raise ValueError("mask selects no nodes")
-    pred = np.argmax(logits[idx], axis=1)  # argmax ties resolve to the lower class id
-    return float((pred == labels[idx]).mean())
+    return idx, labels[idx]
+
+
+def _accuracy(logits: np.ndarray, splits) -> list[float]:
+    """Argmax accuracy over each (nodes, labels) split, from one argmax."""
+    pred = np.argmax(logits, axis=1)  # argmax ties resolve to the lower class id
+    return [float((pred[idx] == labels).mean()) for idx, labels in splits]
 
 
 def evaluate(graph: PopulationGraph, params: ModelParams, mask: np.ndarray) -> float:
     """Argmax accuracy of the model over the masked nodes (transductive forward)."""
-    return _accuracy(gcn_forward(normalize_adjacency(graph), params), graph.labels, mask)
+    split = _split(graph.labels, mask)
+    return _accuracy(gcn_forward(normalize_adjacency(graph), params), [split])[0]
 
 
 def _init_model(graph: PopulationGraph, config: TrainConfig) -> ModelParams:
@@ -145,7 +154,10 @@ def train(graph: PopulationGraph, config: TrainConfig,
     else:
         steps, every, gradients, privacy = _subgraph_source(graph, config, dp, params)
 
+    splits = [_split(graph.labels, graph.train_mask)]
     has_val = bool(graph.val_mask.any())
+    if has_val:
+        splits.append(_split(graph.labels, graph.val_mask))
     lr = config.learning_rate
     optimizer = _Adam(lr) if config.optimizer == "adam" else _Sgd(lr)
     log: list[dict] = []
@@ -153,11 +165,12 @@ def train(graph: PopulationGraph, config: TrainConfig,
 
     def record(step, loss, logits):
         nonlocal best
+        acc = _accuracy(logits, splits)
         entry = {
             "step": step,
             "loss": loss,
-            "train_acc": _accuracy(logits, graph.labels, graph.train_mask),
-            "val_acc": _accuracy(logits, graph.labels, graph.val_mask) if has_val else None,
+            "train_acc": acc[0],
+            "val_acc": acc[1] if has_val else None,
             **privacy(step),
         }
         log.append(entry)
@@ -248,14 +261,14 @@ def _subgraph_source(graph, config, dp: PrivacySpec | None, params):
     noise_rng = _stream(config.seed, 3)
     subgraphs = sample_training_subgraphs(graph, max_degree, hops, occurrence_bound,
                                           sampler_rng)
-    store = SubgraphStore(graph, subgraphs)
+    store = SubgraphStore(graph, subgraphs, params.layers)
     batch_size = min(batch_size, len(store))
 
     def gradients():
         while True:
             idx = batch_rng.choice(len(store), size=batch_size, replace=False)
-            adj, feats, root_labels = store.batch(idx)
-            losses, grads = subgraph_batch_gradients(adj, feats, root_labels, params)
+            batch = store.batch(idx)
+            losses, grads = subgraph_batch_gradients(*batch, params)
             if config.clipping:  # sigma is 0.0 outside DP runs
                 update = noisy_batch_gradient(grads, clip_norm, sigma, noise_rng)
             else:

@@ -150,15 +150,14 @@ def test_criterion_5_empirical_sensitivity():
     g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=200, target_homophily=0.7, seed=5))
     g = dg.assign_splits(g, dg.SplitSpec(0.5, 0.2, 0.3, seed=5))
     subs = dg.sample_training_subgraphs(g, 4, 2, 5, seed=5)
-    store = SubgraphStore(g, subs)
     params = dg.init_gcn(g.feat_dim, 16, 2, 2, seed=5)
+    store = SubgraphStore(g, subs, params.layers)
     C = 1.0
     worst_slack = -np.inf
     for _ in range(100):
         m = 24
         idx = rng.choice(len(store), size=m, replace=False)
-        adj, feats, labels = store.batch(idx)
-        _, grads = subgraph_batch_gradients(adj, feats, labels, params)
+        _, grads = subgraph_batch_gradients(*store.batch(idx), params)
         clipped = np.stack([dg.clip(gr, C) for gr in grads])
         v = int(rng.integers(g.num_nodes))
         contains = np.array([v in set(subs[i].nodes.tolist()) for i in idx])

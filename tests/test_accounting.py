@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dpgraphlab as dg
-from dpgraphlab.accounting import DEFAULT_ORDERS, make_accountant
+from dpgraphlab.accounting import DEFAULT_ORDERS, _hyper_log_pmf, make_accountant
 
 
 def naive_per_step_rdp(alpha, sigma, N, T, m):
@@ -45,11 +45,19 @@ def test_clip_norm_bound_property():
 
 
 def test_noisy_batch_gradient_sigma_zero_is_mean():
+    # oracle: row-wise clip, then the mean; one row is all zero and one has
+    # norm exactly 5 (a 3-4-5 row), which C = 5 leaves as it is
     rng = np.random.default_rng(1)
     grads = rng.standard_normal((8, 20))
-    out = dg.noisy_batch_gradient(grads, clip_norm=0.7, sigma=0.0, seed=0)
-    clipped = np.stack([dg.clip(g, 0.7) for g in grads])
-    np.testing.assert_allclose(out, clipped.mean(axis=0), atol=1e-12)
+    grads[2] = 0.0
+    grads[5] = 0.0
+    grads[5, :2] = (3.0, 4.0)
+    assert np.linalg.norm(grads[5]) == 5.0
+    for C in (0.7, 5.0):
+        out = dg.noisy_batch_gradient(grads, clip_norm=C, sigma=0.0, seed=0)
+        want = np.stack([dg.clip(g, C) for g in grads]).mean(axis=0)
+        np.testing.assert_allclose(out, want, atol=1e-12)
+        assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_noisy_batch_gradient_std_monte_carlo():
@@ -71,20 +79,25 @@ def test_noisy_batch_gradient_deterministic():
 def test_noisy_batch_gradient_rejects_negative_sigma():
     with pytest.raises(ValueError):
         dg.noisy_batch_gradient(np.zeros((1, 4)), 1.0, -0.5, seed=0)
+    for clip_norm in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            dg.noisy_batch_gradient(np.zeros((1, 4)), clip_norm, 1.0, seed=0)
 
 
 # ---------------------------------------------------------------- hypergeometric
 
+# the accountant's T-bounded factorization of the hypergeometric log pmf
+
+def hypergeom_pmf(N, T, m, rho):
+    return math.exp(_hyper_log_pmf(N, T, m, rho))
+
+
 def test_hypergeom_pmf_direct_value():
-    assert dg.hypergeom_pmf(10, 2, 5, 0) == pytest.approx(56 / 252, abs=1e-12)
+    assert hypergeom_pmf(10, 2, 5, 0) == pytest.approx(56 / 252, abs=1e-12)
 
 
 def test_hypergeom_pmf_degenerate_T0():
-    assert dg.hypergeom_pmf(10, 0, 5, 0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_hypergeom_pmf_out_of_support():
-    assert dg.hypergeom_pmf(10, 2, 5, 3) == 0.0
+    assert hypergeom_pmf(10, 0, 5, 0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hypergeom_pmf_normalization():
@@ -93,7 +106,8 @@ def test_hypergeom_pmf_normalization():
         N = int(rng.integers(5, 200))
         T = int(rng.integers(0, N + 1))
         m = int(rng.integers(1, N + 1))
-        total = sum(dg.hypergeom_pmf(N, T, m, r) for r in range(0, min(T, m) + 1))
+        support = range(max(0, m - (N - T)), min(T, m) + 1)
+        total = sum(hypergeom_pmf(N, T, m, r) for r in support)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 

@@ -5,7 +5,8 @@ import pytest
 
 import dpgraphlab as dg
 from dpgraphlab.graphs import csr_from_edges
-from dpgraphlab.nn import LayerSpec, ModelParams, dense_normalized_adjacency, softmax
+from dpgraphlab.nn import LayerSpec, ModelParams, softmax
+from dpgraphlab.sampling import SampledSubgraph, SubgraphStore
 from dpgraphlab.training import subgraph_batch_gradients
 from tests.test_graphs import make_graph
 
@@ -97,7 +98,7 @@ def test_gcn_forward_matches_dense_layer_by_layer():
     # oracle: (A @ H) @ W + b per layer with a dense adjacency, whichever side
     # of W the package propagates
     rng = np.random.default_rng(12)
-    for dims in ((6, 3, 2, 3), (3, 8, 2, 2), (6, 16, 2, 3), (6, 4, 2, 1)):
+    for dims in ((6, 3, 2, 3), (3, 8, 2, 2), (6, 16, 2, 3), (6, 4, 2, 1), (10, 4, 2, 2)):
         g = random_graph(rng, n=9, d=dims[0])
         params = dg.init_gcn(*dims, seed=int(rng.integers(100)))
         params.flat[:] += 0.1 * rng.standard_normal(params.flat.size)  # nonzero biases
@@ -166,6 +167,17 @@ def test_gcn_gradient_matches_finite_differences():
         fd = finite_difference(lambda: dg.loss_and_grad(ctx, params, g.labels, mask)[0],
                                params.flat)
         assert_grad_close(grad, fd)
+    for trial in range(3):  # a narrowing first layer, 10 -> 4, on the precomputed A @ X
+        g = random_graph(rng, n=8, d=10)
+        mask = np.zeros(8, bool)
+        mask[rng.choice(8, 4, replace=False)] = True
+        ctx = dg.normalize_adjacency(g)
+        params = dg.init_gcn(10, 4, 2, 2, seed=trial)
+        params.flat[:] += 0.1 * rng.standard_normal(params.flat.size)
+        _, grad = dg.loss_and_grad(ctx, params, g.labels, mask)
+        fd = finite_difference(lambda: dg.loss_and_grad(ctx, params, g.labels, mask)[0],
+                               params.flat)
+        assert_grad_close(grad, fd)
 
 
 def test_narrowing_gcn_gradient_matches_finite_differences():
@@ -189,21 +201,23 @@ def test_narrowing_gcn_batch_gradients_match_finite_differences():
     # a zero-padded batch of subgraphs of 2, 5 and 3 nodes, root at index 0
     rng = np.random.default_rng(14)
     sizes = (2, 5, 3)
-    s = max(sizes)
-    adj = np.zeros((len(sizes), s, s))
-    feats = np.zeros((len(sizes), s, 6))
-    for j, k in enumerate(sizes):
+    feats = np.zeros((sum(sizes), 6))
+    labels = np.zeros(sum(sizes), dtype=int)
+    subs = []
+    for root, k, label in zip(np.cumsum((0,) + sizes[:-1]), sizes, (0, 1, 1)):
         edges = np.array([(0, v) for v in range(1, k)] + [(v, v + 1) for v in range(1, k - 1)])
-        adj[j, :k, :k] = dense_normalized_adjacency(k, edges.reshape(-1, 2))
-        feats[j, :k] = rng.standard_normal((k, 6))
-    root_labels = np.array([0, 1, 1])
+        subs.append(SampledSubgraph(root=int(root), nodes=root + np.arange(k),
+                                    edges=edges.reshape(-1, 2), hop=np.minimum(np.arange(k), 1)))
+        feats[root:root + k] = rng.standard_normal((k, 6))
+        labels[root] = label
     params = dg.init_gcn(6, 3, 2, 3, seed=4)
     params.flat[:] += 0.1 * rng.standard_normal(params.flat.size)
-    _, grads = subgraph_batch_gradients(adj, feats, root_labels, params)
+    store = SubgraphStore(dg.edgeless_graph(feats, labels, 2), subs, params.layers)
+    batch = store.batch(np.arange(len(sizes)))
+    _, grads = subgraph_batch_gradients(*batch, params)
     for j in range(len(sizes)):
-        fd = finite_difference(
-            lambda: subgraph_batch_gradients(adj, feats, root_labels, params)[0][j],
-            params.flat)
+        fd = finite_difference(lambda: subgraph_batch_gradients(*batch, params)[0][j],
+                               params.flat)
         assert_grad_close(grads[j], fd)
 
 

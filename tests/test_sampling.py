@@ -132,14 +132,13 @@ def test_empirical_sensitivity_bound():
     rng = np.random.default_rng(5)
     g = random_split_graph(rng, n=80)
     subs = dg.sample_training_subgraphs(g, 4, 2, 5, seed=0)
-    store = SubgraphStore(g, subs)
     params = dg.init_gcn(g.feat_dim, 8, 2, 2, seed=0)
+    store = SubgraphStore(g, subs, params.layers)
     C = 0.5
     for trial in range(100):
         m = min(16, len(store))
         idx = rng.choice(len(store), size=m, replace=False)
-        adj, feats, labels = store.batch(idx)
-        _, grads = subgraph_batch_gradients(adj, feats, labels, params)
+        _, grads = subgraph_batch_gradients(*store.batch(idx), params)
         clipped = np.stack([dg.clip(gr, C) for gr in grads])
         v = int(rng.integers(g.num_nodes))
         contains = np.array([v in set(subs[i].nodes.tolist()) for i in idx])
@@ -152,64 +151,96 @@ def test_store_batch_matches_singletons():
     rng = np.random.default_rng(6)
     g = random_split_graph(rng, n=60)
     subs = dg.sample_training_subgraphs(g, 3, 2, 5, seed=1)
-    store = SubgraphStore(g, subs)
     params = dg.init_gcn(g.feat_dim, 8, 2, 2, seed=2)
+    store = SubgraphStore(g, subs, params.layers)
     idx = np.arange(min(6, len(store)))
-    adj, feats, labels = store.batch(idx)
-    losses, grads = subgraph_batch_gradients(adj, feats, labels, params)
+    losses, grads = subgraph_batch_gradients(*store.batch(idx), params)
     for j, i in enumerate(idx):
-        a1, f1, l1 = store.batch(np.array([i]))
-        loss_1, grad_1 = subgraph_batch_gradients(a1, f1, l1, params)
+        loss_1, grad_1 = subgraph_batch_gradients(*store.batch(np.array([i])), params)
         assert losses[j] == pytest.approx(loss_1[0], rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(grads[j], grad_1[0], atol=1e-12)
 
 
+def padded_receptive_rows(adj, layers):
+    """Oracle of a batch's receptive rows, from its full padded adjacency:
+    going back from the root row, a ``gcn_conv`` layer above the first reads
+    every column with a nonzero in the rows the next layer reads; layer 0
+    reads the rows of A @ X (or X) that it outputs."""
+    rows = [1]
+    for l in range(len(layers) - 1, -1, -1):
+        r = rows[0]
+        if l > 0 and layers[l].kind == "gcn_conv":
+            r = int(np.flatnonzero(adj[:, :r].any(axis=(0, 1))).max()) + 1
+        rows.insert(0, r)
+    return rows
+
+
 def test_store_batch_equals_padded_blocks():
-    # oracle: the batch is each subgraph's own normalized adjacency and feature
-    # block, zero-padded to the batch's largest subgraph
+    # oracle: the batch is each subgraph's own normalized adjacency and
+    # first-layer input (A @ X for a GCN, X for an MLP), zero-padded to the
+    # batch's largest subgraph and cut to its receptive rows
     rng = np.random.default_rng(10)
     g = random_split_graph(rng, n=60)
     subs = dg.sample_training_subgraphs(g, 3, 2, 5, seed=4)
-    store = SubgraphStore(g, subs)
-    by_size = np.argsort(store.sizes, kind="stable")
-    for idx in (by_size[:4], by_size[-4:], rng.permutation(by_size)[:10], by_size[[0, 0]]):
-        s = int(store.sizes[idx].max())
-        want_adj = np.zeros((idx.size, s, s))
-        want_feats = np.zeros((idx.size, s, g.feat_dim))
-        for j, i in enumerate(idx):
-            k = subs[i].size
-            want_adj[j, :k, :k] = dense_normalized_adjacency(k, subs[i].edges)
-            want_feats[j, :k] = g.features[subs[i].nodes]
-        adj, feats, labels = store.batch(idx)
-        assert np.array_equal(adj, want_adj)
-        assert np.array_equal(feats, want_feats)
-        assert np.array_equal(labels, g.labels[[subs[i].root for i in idx]])
+    for params in (dg.init_gcn(g.feat_dim, 8, 2, 2, seed=0),
+                   dg.init_gcn(g.feat_dim, 8, 2, 3, seed=0),
+                   dg.init_mlp(g.feat_dim, 8, 2, 2, seed=0)):
+        gcn = params.layers[0].kind == "gcn_conv"
+        store = SubgraphStore(g, subs, params.layers)
+        by_size = np.argsort(store.sizes, kind="stable")
+        for idx in (by_size[:4], by_size[-4:], rng.permutation(by_size)[:10], by_size[[0, 0]]):
+            s = int(store.sizes[idx].max())
+            want_adj = np.zeros((idx.size, s, s))
+            want_inputs = np.zeros((idx.size, s, g.feat_dim))
+            for j, i in enumerate(idx):
+                k = subs[i].size
+                a = dense_normalized_adjacency(k, subs[i].edges)
+                x = g.features[subs[i].nodes]
+                want_adj[j, :k, :k] = a
+                want_inputs[j, :k] = a @ x if gcn else x
+            adj, inputs, labels, rows = store.batch(idx)
+            r = rows[0]
+            assert rows == padded_receptive_rows(want_adj, params.layers)
+            assert adj.shape == (idx.size, r, r) and inputs.shape == (idx.size, r, g.feat_dim)
+            assert np.array_equal(adj, want_adj[:, :r, :r])
+            if gcn:
+                np.testing.assert_allclose(inputs, want_inputs[:, :r], rtol=1e-12, atol=1e-15)
+            else:
+                assert np.array_equal(inputs, want_inputs[:, :r])
+            assert np.array_equal(labels, g.labels[[subs[i].root for i in idx]])
     assert store.sizes.min() < store.sizes.max()
 
 
-def test_batch_rows_match_loss_and_grad_on_own_graph():
-    # cross-path oracle: a row of the batched core equals the full-graph path
-    # run on that subgraph as its own graph, with only the root masked.  Cases:
-    # BFS order with depth == hops, non-root nodes shuffled out of BFS order,
-    # depth != hops, and an MLP.
-    rng = np.random.default_rng(9)
-    cases = [("gcn", 2, 2, False), ("gcn", 3, 3, False),
-             ("gcn", 2, 2, True), ("gcn", 3, 2, True),
-             ("gcn", 1, 2, False), ("gcn", 3, 2, False),
-             ("mlp", 2, 2, False)]
-    for kind, num_layers, hops, shuffled in cases:
+# Cases of the cross-path oracle: BFS order with depth == hops, non-root
+# nodes shuffled out of BFS order, depth != hops, and an MLP.
+ORACLE_CASES = [("gcn", 2, 2, False), ("gcn", 3, 3, False),
+                ("gcn", 2, 2, True), ("gcn", 3, 2, True),
+                ("gcn", 1, 2, False), ("gcn", 3, 2, False),
+                ("mlp", 2, 2, False)]
+
+
+def oracle_case_stores(rng):
+    """(graph, subgraphs, params, store, batch indices) for each oracle case;
+    the batch mixes the three largest and three smallest subgraphs."""
+    for kind, num_layers, hops, shuffled in ORACLE_CASES:
         g = random_split_graph(rng, n=60)
         subs = dg.sample_training_subgraphs(g, 3, hops, 5, seed=num_layers)
         if shuffled:
             subs = [shuffle_local_order(sg, rng) for sg in subs]
-        store = SubgraphStore(g, subs)
         init = dg.init_gcn if kind == "gcn" else dg.init_mlp
         params = init(g.feat_dim, 8, g.num_classes, num_layers, seed=1)
+        store = SubgraphStore(g, subs, params.layers)
         by_size = np.argsort(store.sizes, kind="stable")
         idx = np.concatenate([by_size[-3:], by_size[:3]])  # the small ones get padded
         assert store.sizes[idx].min() < store.sizes[idx].max()
-        adj, feats, labels = store.batch(idx)
-        losses, grads = subgraph_batch_gradients(adj, feats, labels, params)
+        yield g, subs, params, store, idx
+
+
+def test_batch_rows_match_loss_and_grad_on_own_graph():
+    # cross-path oracle: a row of the batched core equals the full-graph path
+    # run on that subgraph as its own graph, with only the root masked
+    for g, subs, params, store, idx in oracle_case_stores(np.random.default_rng(9)):
+        losses, grads = subgraph_batch_gradients(*store.batch(idx), params)
         for j, i in enumerate(idx):
             sg = subs[i]
             own = make_graph(g.features[sg.nodes], g.labels[sg.nodes], sg.edges, g.num_classes)
@@ -220,21 +251,35 @@ def test_batch_rows_match_loss_and_grad_on_own_graph():
             np.testing.assert_allclose(grads[j], grad, rtol=1e-12, atol=1e-15)
 
 
+def test_store_rows_equal_receptive_rows_of_padded_adjacency():
+    # the row count the store cuts each batch to, read from its reach table,
+    # equals the receptive rows of the batch's full padded adjacency
+    rng = np.random.default_rng(19)
+    for g, subs, params, store, idx in oracle_case_stores(np.random.default_rng(9)):
+        for batch in (idx, rng.permutation(len(store))[:8], idx[[0, 0]]):
+            adj, inputs, _, rows = store.batch(batch)
+            assert rows == padded_receptive_rows(store.adj[batch], params.layers)
+            assert adj.shape[1:] == (rows[0], rows[0]) and inputs.shape[1] == rows[0]
+
+
 def test_batch_rows_independent_of_padding():
-    # a batch cut to its largest subgraph and the same batch padded to the
-    # store's s_max give bit-identical losses and gradient rows
+    # a batch cut to its receptive rows and the same batch padded to the
+    # store's s_max, with the rows of its padded adjacency, give bit-identical
+    # losses and gradient rows
     rng = np.random.default_rng(11)
     g = random_split_graph(rng, n=60)
     subs = dg.sample_training_subgraphs(g, 3, 2, 5, seed=2)
-    store = SubgraphStore(g, subs)
-    small = np.flatnonzero(store.sizes < store.sizes.max())
-    assert small.size >= 8
     for params in (dg.init_gcn(g.feat_dim, 8, 2, 2, seed=3), dg.init_gcn(g.feat_dim, 8, 2, 3, seed=4),
                    dg.init_mlp(g.feat_dim, 8, 2, 2, seed=5)):
+        store = SubgraphStore(g, subs, params.layers)
+        small = np.flatnonzero(store.sizes < store.sizes.max())
+        assert small.size >= 8
         for idx in (rng.choice(small, size=8, replace=False), rng.permutation(len(store))[:8]):
-            adj, feats, labels = store.batch(idx)
-            cut = subgraph_batch_gradients(adj, feats, labels, params)
-            padded = subgraph_batch_gradients(store.adj[idx], store.features[idx], labels, params)
+            adj, inputs, labels, rows = store.batch(idx)
+            cut = subgraph_batch_gradients(adj, inputs, labels, rows, params)
+            padded = subgraph_batch_gradients(store.adj[idx], store.inputs[idx], labels,
+                                              padded_receptive_rows(store.adj[idx], params.layers),
+                                              params)
             assert np.array_equal(cut[0], padded[0])
             assert np.array_equal(cut[1], padded[1])
 
@@ -246,14 +291,14 @@ def test_batch_gradients_match_finite_differences():
         for trial in range(3):
             g = random_split_graph(rng, n=40)
             subs = dg.sample_training_subgraphs(g, 3, num_layers, 4, seed=trial)
-            store = SubgraphStore(g, subs)
             params = dg.init_gcn(g.feat_dim, 4, 2, num_layers, seed=trial)
+            store = SubgraphStore(g, subs, params.layers)
             idx = rng.choice(len(store), size=min(4, len(store)), replace=False)
-            adj, feats, labels = store.batch(idx)
-            _, grads = subgraph_batch_gradients(adj, feats, labels, params)
+            batch = store.batch(idx)
+            _, grads = subgraph_batch_gradients(*batch, params)
             for j, row in enumerate(grads):
                 fd = finite_difference(
-                    lambda: subgraph_batch_gradients(adj, feats, labels, params)[0][j],
+                    lambda: subgraph_batch_gradients(*batch, params)[0][j],
                     params.flat)
                 assert_grad_close(row, fd, rel=1e-4)
 
