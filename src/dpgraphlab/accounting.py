@@ -156,7 +156,6 @@ class AccountantState:
 
     orders: np.ndarray
     per_step_costs: np.ndarray
-    steps_composed: int = 0
 
     def __post_init__(self):
         if self.orders.size == 0:

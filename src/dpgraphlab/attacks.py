@@ -75,10 +75,11 @@ def train_shadows(graph: PopulationGraph, config: TrainConfig,
                   dp: PrivacySpec | None, n_shadows: int, seed: int) -> ShadowEnsemble:
     """Train shadow models on fresh random halves of the audit pool.
 
-    Each shadow re-masks the graph (IN nodes become the train set, the
-    original validation mask is kept for checkpointing) and runs the same
-    training pipeline as the target, including DP noise when auditing a DP
-    model.
+    Each shadow re-masks the graph (IN nodes become the train set) and runs
+    the same training pipeline as the target, including DP noise and the
+    final-iterate release when auditing a DP model.  The original
+    validation mask is kept; only non-DP shadows read it, to select their
+    checkpoint.
     """
     pool = np.flatnonzero(graph.train_mask | graph.test_mask)
     if pool.size == 0:

@@ -169,7 +169,6 @@ def config_for_variant(manifest: ExperimentManifest, variant: str, seed: int) ->
         base["optimizer"] = privacy.get("optimizer", DEFAULT_DP_OPTIMIZER["optimizer"])
         base["learning_rate"] = privacy.get("learning_rate",
                                             DEFAULT_DP_OPTIMIZER["learning_rate"])
-        base["clip_norm"] = privacy.get("clip_norm", base.get("clip_norm", 1.0))
     else:
         raise ManifestError(f"unknown variant {variant!r}")
     if variant in ("clipping", "subgraph_clip") and manifest.privacy:

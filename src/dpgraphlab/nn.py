@@ -138,10 +138,6 @@ class ForwardContext:
     adj_norm: object  # scipy CSR for full graphs, dense ndarray for small subgraphs
     features: np.ndarray
 
-    @property
-    def num_nodes(self) -> int:
-        return self.features.shape[0]
-
     @cached_property
     def propagated_features(self) -> np.ndarray:
         """A @ X, computed on first use and kept for the life of the context."""
@@ -173,12 +169,6 @@ def dense_normalized_adjacency(n: int, edges: np.ndarray) -> np.ndarray:
     a[np.arange(n), np.arange(n)] = 1.0
     inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
     return a * inv_sqrt[:, None] * inv_sqrt[None, :]
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _propagated_side(l: int, spec: LayerSpec) -> str | None:
@@ -265,18 +255,6 @@ def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndar
     return losses, exp
 
 
-def _mask_rows(mask: np.ndarray) -> np.ndarray:
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        raise ValueError("mask selects no nodes")
-    return idx
-
-
-def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
-    idx = _mask_rows(mask)
-    return float(_cross_entropy_rows(logits[idx], labels[idx])[0].mean())
-
-
 def _backward(adj, params: ModelParams, cache, d_logits: np.ndarray, rows=None) -> np.ndarray:
     """Reverse-mode sweep from an output-logit gradient to a flat parameter gradient
     (one row per batch entry when the forward pass ran over an (m, s, s) stack).
@@ -327,7 +305,9 @@ def loss_grad_and_logits(ctx: ForwardContext, params: ModelParams, labels: np.nd
     """:func:`loss_and_grad` plus the logits of the forward pass it ran."""
     logits, cache = _forward(ctx.adj_norm, ctx.first_layer_input(params.layers), params,
                              keep_cache=True)
-    idx = _mask_rows(mask)
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        raise ValueError("mask selects no nodes")
     losses, d_rows = _cross_entropy_rows(logits[idx], labels[idx])
     d_rows /= idx.size
     d_logits = np.zeros_like(logits)

@@ -13,7 +13,8 @@ Five regimes map onto the config flags:
 Each source returns one (loss, update, logits) per step; :func:`train`
 owns the optimizer, evaluation, log and checkpoint.  DP runs calibrate (or
 validate) the noise multiplier against the accountant before the first
-step and log spent epsilon alongside accuracy.
+step, log spent epsilon and sigma in place of accuracy, and release the
+final iterate rather than a checkpoint selected on private labels.
 """
 
 from __future__ import annotations
@@ -55,6 +56,12 @@ class TrainConfig:
             raise ValueError("num_layers must be >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
+        if self.epochs < 0:
+            raise ValueError("epochs must be nonnegative")
+        if self.steps < 0:
+            raise ValueError("steps must be nonnegative")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("optimizer must be 'sgd' or 'adam'")
         if self.mode not in ("full_graph", "subgraph_batch"):
@@ -133,12 +140,16 @@ def _init_model(graph: PopulationGraph, config: TrainConfig) -> ModelParams:
 
 def train(graph: PopulationGraph, config: TrainConfig,
           dp: PrivacySpec | None = None) -> tuple[ModelParams, list[dict]]:
-    """Train under the configured regime; returns (best-val-accuracy params, log).
+    """Train under the configured regime; returns (params, log).
 
-    The log has one record per evaluation interval: step, mean loss over
-    the interval, train_acc, val_acc, and epsilon_spent and sigma for DP
-    runs.  DP runs fail with CalibrationError before the first step if the
-    epsilon target cannot be met at the requested step count.
+    DP runs release the final iterate, and each log record holds only what
+    the accountant covers (step, epsilon_spent, sigma) plus the interval's
+    mean batch loss: a DP run reads labels only through its sampled
+    subgraphs' roots.  Other runs release the params of their best
+    validation accuracy (the final iterate without validation nodes), and
+    each record holds step, mean loss over the interval, train_acc and
+    val_acc.  DP runs fail with CalibrationError before the first step if
+    the epsilon target cannot be met at the requested step count.
     """
     if not graph.train_mask.any():
         raise ValueError("graph has no training nodes; assign splits first")
@@ -148,16 +159,17 @@ def train(graph: PopulationGraph, config: TrainConfig,
                          "and noise requires a PrivacySpec")
 
     params = _init_model(graph, config)
-    ctx = normalize_adjacency(graph)
+    if dp is None:
+        ctx = normalize_adjacency(graph)
+        splits = [_split(graph.labels, graph.train_mask)]
+        has_val = bool(graph.val_mask.any())
+        if has_val:
+            splits.append(_split(graph.labels, graph.val_mask))
     if config.mode == "full_graph":
         steps, every, gradients, privacy = _full_graph_source(graph, config, ctx, params)
     else:
         steps, every, gradients, privacy = _subgraph_source(graph, config, dp, params)
 
-    splits = [_split(graph.labels, graph.train_mask)]
-    has_val = bool(graph.val_mask.any())
-    if has_val:
-        splits.append(_split(graph.labels, graph.val_mask))
     lr = config.learning_rate
     optimizer = _Adam(lr) if config.optimizer == "adam" else _Sgd(lr)
     log: list[dict] = []
@@ -165,27 +177,25 @@ def train(graph: PopulationGraph, config: TrainConfig,
 
     def record(step, loss, logits):
         nonlocal best
-        acc = _accuracy(logits, splits)
-        entry = {
-            "step": step,
-            "loss": loss,
-            "train_acc": acc[0],
-            "val_acc": acc[1] if has_val else None,
-            **privacy(step),
-        }
+        entry = {"step": step, "loss": loss}
+        if dp is not None:  # the accountant's fields; no evaluation, no selection
+            entry.update(privacy(step))
+        else:
+            acc = _accuracy(gcn_forward(ctx, params) if logits is None else logits, splits)
+            entry.update(train_acc=acc[0], val_acc=acc[1] if has_val else None)
+            if has_val:
+                best = _checkpoint(best, params, entry["val_acc"])
         log.append(entry)
-        if has_val:
-            best = _checkpoint(best, params, entry["val_acc"])
 
-    # A record is due after an evaluation step's update and takes the logits
-    # at the updated params: those of the next step's forward when the
-    # source has them, else its own forward.
+    # A record is due after an evaluation step's update and, outside DP,
+    # takes the logits at the updated params: those of the next step's
+    # forward when the source has them, else its own forward.
     due = None
     loss_window: list[float] = []
     for step in range(1, steps + 1):
         loss, update, logits = next(gradients)
         if due is not None:
-            record(*due, gcn_forward(ctx, params) if logits is None else logits)
+            record(*due, logits)
             due = None
         loss_window.append(loss)
         optimizer.step(params.flat, update)
@@ -193,9 +203,8 @@ def train(graph: PopulationGraph, config: TrainConfig,
             due = (step, float(np.mean(loss_window)))
             loss_window = []
     if due is not None:  # no steps, no record
-        record(*due, gcn_forward(ctx, params))
-    final = best[0] if best[0] is not None else params.clone()
-    return final, log
+        record(*due, None)
+    return params if best[0] is None else best[0], log
 
 
 def _checkpoint(best, params, val_acc):
@@ -208,11 +217,11 @@ def _checkpoint(best, params, val_acc):
 
 
 # A gradient source returns (steps, eval interval, endless iterator of
-# per-step (loss, update, logits) at the current params, log extras for a
-# step).  The full-graph source's logits are those of the forward pass its
-# gradient ran, so one forward serves both the step's gradient and the
-# previous record's evaluation; the subgraph source has no full-graph
-# logits and yields None.
+# per-step (loss, update, logits) at the current params, a DP run's
+# accountant fields for a step or None outside DP).  The full-graph
+# source's logits are those of the forward pass its gradient ran, so one
+# forward serves both the step's gradient and the previous record's
+# evaluation; the subgraph source has no full-graph logits and yields None.
 # The iterators are generators, so one step's batch arrays stay alive until
 # the next step has allocated its own, as in an inline loop.  A function
 # call per step frees the whole batch at once on return; malloc then hands
@@ -226,7 +235,7 @@ def _full_graph_source(graph, config, ctx, params):
                                                       graph.train_mask)
             yield loss, clip(grad, config.clip_norm) if config.clipping else grad, logits
 
-    return config.epochs, config.eval_every or 1, gradients(), lambda step: {}
+    return config.epochs, config.eval_every or 1, gradients(), None
 
 
 def _subgraph_source(graph, config, dp: PrivacySpec | None, params):
@@ -249,12 +258,16 @@ def _subgraph_source(graph, config, dp: PrivacySpec | None, params):
                 f"epsilon budget infeasible: sigma={sigma} spends {total_eps:.4g} "
                 f"over {steps} steps, target {dp.epsilon_target}"
             )
+
+        def privacy(step):
+            return {"epsilon_spent": compose_and_convert(accountant, step, dp.delta),
+                    "sigma": sigma}
     else:
         max_degree = config.max_degree
         hops = config.num_layers
         occurrence_bound = config.occurrence_bound or max_degree * hops + 1
         steps, batch_size = config.steps, config.batch_size
-        sigma, clip_norm = 0.0, config.clip_norm
+        sigma, clip_norm, privacy = 0.0, config.clip_norm, None
 
     sampler_rng = _stream(config.seed, 1)
     batch_rng = _stream(config.seed, 2)
@@ -274,12 +287,6 @@ def _subgraph_source(graph, config, dp: PrivacySpec | None, params):
             else:
                 update = grads.mean(axis=0)
             yield float(losses.mean()), update, None
-
-    def privacy(step):
-        if dp is None:
-            return {}
-        return {"epsilon_spent": compose_and_convert(accountant, step, dp.delta),
-                "sigma": sigma}
 
     return steps, config.eval_every or 50, gradients(), privacy
 

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.special import softmax
 
 import dpgraphlab as dg
+from dpgraphlab import training
 from dpgraphlab.graphs import csr_from_edges
-from dpgraphlab.nn import LayerSpec, ModelParams, softmax
+from dpgraphlab.nn import LayerSpec, ModelParams, _cross_entropy_rows
 from dpgraphlab.sampling import SampledSubgraph, SubgraphStore
 from dpgraphlab.training import subgraph_batch_gradients
 from tests.test_graphs import make_graph
@@ -83,7 +85,7 @@ def test_gcn_forward_zero_weights_uniform_softmax():
     params.flat[:] = 0.0
     logits = dg.gcn_forward(dg.normalize_adjacency(g), params)
     np.testing.assert_allclose(logits, 0.0)
-    np.testing.assert_allclose(softmax(logits), 0.5)
+    np.testing.assert_allclose(softmax(logits, axis=1), 0.5)
 
 
 def test_gcn_forward_two_clique_average():
@@ -114,12 +116,6 @@ def test_gcn_forward_matches_dense_layer_by_layer():
         np.testing.assert_allclose(got, h, rtol=1e-12, atol=1e-12 * np.abs(h).max())
 
 
-def test_softmax_rows_sum_to_one():
-    rng = np.random.default_rng(1)
-    s = softmax(rng.standard_normal((50, 7)) * 30)
-    np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-9)
-
-
 def test_shape_error():
     g = random_graph(np.random.default_rng(2))
     params = dg.init_gcn(5, 4, 2, 2, seed=0)  # wrong in_dim
@@ -139,10 +135,11 @@ def test_loss_uniform_prediction_ln2():
 
 
 def test_loss_saturated_softmax_near_zero():
-    from dpgraphlab.nn import masked_cross_entropy
     labels = np.array([0, 1, 0])
     logits = np.eye(2)[labels] * 1000.0
-    assert masked_cross_entropy(logits, labels, np.ones(3, bool)) < 1e-6
+    losses, d_rows = _cross_entropy_rows(logits, labels)
+    assert np.all(losses < 1e-6)
+    assert np.all(np.isfinite(d_rows))
 
 
 def test_loss_empty_mask_error():
@@ -317,22 +314,60 @@ def test_full_graph_log_loss_is_interval_mean():
         assert record["loss"] == pytest.approx(np.mean(losses[lo:record["step"]]), rel=1e-12)
 
 
+def checkpoint_graph():
+    g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=200, target_homophily=0.6,
+                                               class_separation=0.8, seed=3))
+    return dg.assign_splits(g, dg.SplitSpec(0.3, 0.3, 0.4, seed=3))
+
+
+def train_dp(g, eval_every):
+    cfg = dg.TrainConfig(mode="subgraph_batch", clipping=True, noise=True, eval_every=eval_every,
+                         optimizer="sgd", learning_rate=0.05, seed=7)
+    return dg.train(g, cfg, dg.PrivacySpec(epsilon_target=10.0, delta=1e-3, batch_size=16,
+                                           total_steps=60))
+
+
 def test_checkpoint_matches_its_log_record():
     # a record's accuracies come from the params after its step's update, the
     # params a checkpoint saves: the returned model reproduces the best record
-    g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=200, target_homophily=0.6,
-                                               class_separation=0.8, seed=3))
-    g = dg.assign_splits(g, dg.SplitSpec(0.3, 0.3, 0.4, seed=3))
-    runs = [(dg.TrainConfig(epochs=60, eval_every=every, seed=13), None) for every in (1, 3)]
-    runs.append((dg.TrainConfig(mode="subgraph_batch", clipping=True, noise=True, eval_every=5,
-                                optimizer="sgd", learning_rate=0.05, seed=7),
-                 dg.PrivacySpec(epsilon_target=10.0, delta=1e-3, batch_size=16, total_steps=60)))
-    for cfg, dp in runs:
-        params, log = dg.train(g, cfg, dp)
+    g = checkpoint_graph()
+    for every in (1, 3):
+        params, log = dg.train(g, dg.TrainConfig(epochs=60, eval_every=every, seed=13))
         best = max(r["val_acc"] for r in log)
         chosen = [r for r in log if r["val_acc"] == best][-1]  # ties keep the latest
         assert dg.evaluate(g, params, g.val_mask) == best
         assert dg.evaluate(g, params, g.train_mask) == chosen["train_acc"]
+
+
+def test_dp_releases_the_final_iterate():
+    # no checkpoint is selected on private labels, so the evaluation interval
+    # cannot change what a DP run releases
+    g = checkpoint_graph()
+    released = [train_dp(g, every)[0].flat for every in (1, 5, 60)]
+    assert [r.tobytes() == released[0].tobytes() for r in released[1:]] == [True, True]
+
+
+def test_dp_log_records_hold_only_accounted_fields():
+    g = checkpoint_graph()
+    for every in (1, 5, 60):
+        _, log = train_dp(g, every)
+        assert [r["step"] for r in log] == list(range(every, 61, every))
+        for record in log:
+            assert set(record) == {"step", "loss", "epsilon_spent", "sigma"}
+
+
+def test_dp_train_runs_no_full_graph_pass(monkeypatch):
+    g = checkpoint_graph()
+    expected = train_dp(g, 5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("DP training ran a full-graph pass")
+
+    monkeypatch.setattr(training, "normalize_adjacency", refuse)
+    monkeypatch.setattr(training, "gcn_forward", refuse)
+    params, log = train_dp(g, 5)
+    np.testing.assert_array_equal(params.flat, expected[0].flat)
+    assert log == expected[1]
 
 
 def test_zero_learning_rate_is_null_update():
@@ -406,6 +441,9 @@ def test_train_config_validation():
     for bad in (0, -3):  # None selects the default interval; 0 is an error, not a default
         with pytest.raises(ValueError, match="eval_every"):
             dg.TrainConfig(eval_every=bad)
+    for field, bad in (("epochs", -3), ("steps", -1), ("batch_size", 0)):
+        with pytest.raises(ValueError, match=field):
+            dg.TrainConfig(**{field: bad})
 
 
 def test_privacy_spec_validation():
