@@ -34,6 +34,18 @@ which is the ReLU mask of the pre-activation.  Each step allocates only the
 arrays the loss needs: biases are added and ReLUs applied in place, and the
 backward pass writes each layer's weight and bias gradient straight into
 its slice of the flat gradient.
+
+A training run resolves the layout once, in a ``_StepWorkspace``: the
+views of each layer's weight and bias in ``params.flat`` (which the
+optimizer updates in place), each layer's propagated side, and the
+per-layer views of one flat gradient buffer; for the full graph it also
+holds the loss rows, their labels and ``arange``, and a d_logits buffer
+whose non-loss rows stay zero.  Every step reuses these, and its gradient
+overwrites the previous step's, which the optimizer has consumed by then.
+The public functions (:func:`gcn_forward`, :func:`loss_and_grad`,
+:func:`loss_grad_and_logits`, :func:`subgraph_batch_gradients`) build a
+workspace per call, so what they return is never overwritten by a later
+call.
 """
 
 from __future__ import annotations
@@ -203,7 +215,35 @@ def receptive_rows(reach: np.ndarray, layers) -> list[int]:
     return rows
 
 
-def _forward(adj, x: np.ndarray, params: ModelParams, keep_cache: bool, rows=None):
+class _StepWorkspace:
+    """One model's layer layout, resolved once, and the buffers its steps reuse.
+
+    ``batch`` is () for the whole graph and (m,) for a stack of m subgraphs;
+    ``labels`` and ``mask`` select the full-graph loss rows.  The weight and
+    bias views read ``params.flat``, so in-place optimizer updates reach the
+    next step; each step overwrites ``grad`` and, on its loss rows,
+    ``d_logits``.
+    """
+
+    def __init__(self, params: ModelParams, batch: tuple[int, ...] = (), labels=None, mask=None):
+        layers = params.layers
+        self.layers = layers
+        self.sides = [_propagated_side(l, spec) for l, spec in enumerate(layers)]
+        self.weights = [_weight_bias_views(params.flat, layers, l) for l in range(len(layers))]
+        self.grad = np.empty((*batch, params.flat.size))
+        self.grad_views = [_weight_bias_views(self.grad, layers, l) for l in range(len(layers))]
+        if batch:  # one root loss per subgraph
+            self.loss_arange = np.arange(batch[0])
+        if mask is not None:
+            self.loss_rows = np.flatnonzero(mask)
+            if self.loss_rows.size == 0:
+                raise ValueError("mask selects no nodes")
+            self.loss_labels = labels[self.loss_rows]
+            self.loss_arange = np.arange(self.loss_rows.size)
+            self.d_logits = np.zeros((mask.shape[0], layers[-1].out_dim))
+
+
+def _forward(ws: _StepWorkspace, adj, x: np.ndarray, keep_cache: bool, rows=None):
     """Shared forward pass; returns (logits, cache of (layer input, matrix times w)).
 
     ``x`` is layer 0's input (A @ X or X, see the module docstring).
@@ -211,15 +251,13 @@ def _forward(adj, x: np.ndarray, params: ModelParams, keep_cache: bool, rows=Non
     With ``rows`` from :func:`receptive_rows`, layer l maps the first
     ``rows[l]`` rows to the first ``rows[l + 1]``.
     """
-    in_dim = params.layers[0].in_dim
+    in_dim = ws.layers[0].in_dim
     if x.shape[-1] != in_dim:
         raise ShapeError(f"feature dim {x.shape[-1]} != first-layer in_dim {in_dim}")
     h = x if rows is None else x[:, :rows[0]]
     cache = []
-    last = len(params.layers) - 1
-    for l, spec in enumerate(params.layers):
-        w, b = params.weight_bias(l)
-        side = _propagated_side(l, spec)
+    last = len(ws.layers) - 1
+    for l, ((w, b), side) in enumerate(zip(ws.weights, ws.sides)):
         a = adj if rows is None else adj[:, :rows[l + 1], :rows[l]]
         p = a @ h if side == "input" else h
         z = p @ w
@@ -237,15 +275,15 @@ def _forward(adj, x: np.ndarray, params: ModelParams, keep_cache: bool, rows=Non
 def gcn_forward(ctx: ForwardContext, params: ModelParams) -> np.ndarray:
     """Per-node class logits over the whole (transductive) graph; MLP models
     (``dense`` layers only) ignore the adjacency."""
-    logits, _ = _forward(ctx.adj_norm, ctx.first_layer_input(params.layers), params,
-                         keep_cache=False)
+    logits, _ = _forward(_StepWorkspace(params), ctx.adj_norm,
+                         ctx.first_layer_input(params.layers), keep_cache=False)
     return logits
 
 
-def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray,
+                        rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row softmax cross-entropy and its gradient with respect to the rows,
-    both from one shifted log-softmax."""
-    rows = np.arange(labels.size)
+    both from one shifted log-softmax; ``rows`` is ``np.arange(labels.size)``."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=1, keepdims=True)
@@ -255,23 +293,25 @@ def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndar
     return losses, exp
 
 
-def _backward(adj, params: ModelParams, cache, d_logits: np.ndarray, rows=None) -> np.ndarray:
-    """Reverse-mode sweep from an output-logit gradient to a flat parameter gradient
-    (one row per batch entry when the forward pass ran over an (m, s, s) stack).
+def _backward(ws: _StepWorkspace, adj, cache, d_logits: np.ndarray, rows=None) -> np.ndarray:
+    """Reverse-mode sweep from an output-logit gradient into ``ws.grad``, the
+    flat parameter gradient (one row per batch entry when the forward pass
+    ran over an (m, s, s) stack).
 
     The normalized adjacency is symmetric, so A^T g == A g; with ``rows``,
     layer l's transposed block is ``adj[:, :rows[l], :rows[l + 1]]``.
     """
-    grad = np.empty((*d_logits.shape[:-2], params.flat.size))
     dz = d_logits
-    for l in range(len(params.layers) - 1, -1, -1):
-        spec = params.layers[l]
-        w, _ = params.weight_bias(l)
-        dw, db = _weight_bias_views(grad, params.layers, l)
+    for l in range(len(ws.layers) - 1, -1, -1):
+        w, _ = ws.weights[l]
+        dw, db = ws.grad_views[l]
         h, p = cache[l]
-        side = _propagated_side(l, spec)
+        side = ws.sides[l]
         a = adj if rows is None else adj[:, :rows[l], :rows[l + 1]]
-        dz.sum(axis=-2, out=db)
+        if db.shape[-1] == 1:  # numpy sums one contiguous column pairwise
+            dz.sum(axis=-2, out=db)
+        else:  # the row-by-row order of dz.sum(axis=-2), with less overhead
+            np.einsum("...rk->...k", dz, out=db)
         if side == "output":
             dz = a @ dz
         np.matmul(np.swapaxes(p, -1, -2), dz, out=dw)
@@ -281,7 +321,7 @@ def _backward(adj, params: ModelParams, cache, d_logits: np.ndarray, rows=None) 
                 dh = a @ dh
             dh *= h > 0.0  # h is post-ReLU, so h > 0 exactly where its pre-activation is
             dz = dh
-    return grad
+    return ws.grad
 
 
 def subgraph_batch_gradients(adj: np.ndarray, inputs: np.ndarray, root_labels: np.ndarray,
@@ -294,25 +334,35 @@ def subgraph_batch_gradients(adj: np.ndarray, inputs: np.ndarray, root_labels: n
     batch, with ``rows[0] <= s``; :meth:`dpgraphlab.sampling.SubgraphStore.batch`
     returns all four, cut to ``rows[0]``.  Gradients come back as an
     (m, n_params) matrix in the same layout as ``params.flat``.
+
+    The training loop passes its :class:`_StepWorkspace` as ``params``, and
+    the gradient matrix is then that workspace's buffer, overwritten by the
+    next call; given a :class:`ModelParams`, the arrays are fresh.
     """
-    logits, cache = _forward(adj, inputs, params, keep_cache=True, rows=rows)
-    losses, d_roots = _cross_entropy_rows(logits[:, 0, :], root_labels)
-    return losses, _backward(adj, params, cache, d_roots[:, None, :], rows=rows)
+    ws = (params if isinstance(params, _StepWorkspace)
+          else _StepWorkspace(params, batch=(root_labels.size,)))
+    logits, cache = _forward(ws, adj, inputs, keep_cache=True, rows=rows)
+    losses, d_roots = _cross_entropy_rows(logits[:, 0, :], root_labels, ws.loss_arange)
+    return losses, _backward(ws, adj, cache, d_roots[:, None, :], rows=rows)
+
+
+def _masked_loss_grad_and_logits(ws: _StepWorkspace, adj, x: np.ndarray):
+    """Mean cross-entropy over ``ws``'s loss rows, its gradient (``ws.grad``)
+    and the logits of the forward pass."""
+    logits, cache = _forward(ws, adj, x, keep_cache=True)
+    idx = ws.loss_rows
+    losses, d_rows = _cross_entropy_rows(logits[idx], ws.loss_labels, ws.loss_arange)
+    d_rows /= idx.size
+    ws.d_logits[idx] = d_rows
+    # sum / size is the bits of losses.mean() without its per-call overhead
+    return float(losses.sum() / idx.size), _backward(ws, adj, cache, ws.d_logits), logits
 
 
 def loss_grad_and_logits(ctx: ForwardContext, params: ModelParams, labels: np.ndarray,
                          mask: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """:func:`loss_and_grad` plus the logits of the forward pass it ran."""
-    logits, cache = _forward(ctx.adj_norm, ctx.first_layer_input(params.layers), params,
-                             keep_cache=True)
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        raise ValueError("mask selects no nodes")
-    losses, d_rows = _cross_entropy_rows(logits[idx], labels[idx])
-    d_rows /= idx.size
-    d_logits = np.zeros_like(logits)
-    d_logits[idx] = d_rows
-    return float(losses.mean()), _backward(ctx.adj_norm, params, cache, d_logits), logits
+    return _masked_loss_grad_and_logits(_StepWorkspace(params, labels=labels, mask=mask),
+                                        ctx.adj_norm, ctx.first_layer_input(params.layers))
 
 
 def loss_and_grad(ctx: ForwardContext, params: ModelParams, labels: np.ndarray,

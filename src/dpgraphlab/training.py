@@ -15,6 +15,14 @@ owns the optimizer, evaluation, log and checkpoint.  DP runs calibrate (or
 validate) the noise multiplier against the accountant before the first
 step, log spent epsilon and sigma in place of accuracy, and release the
 final iterate rather than a checkpoint selected on private labels.
+
+Each source builds one step workspace (:mod:`dpgraphlab.nn`) per training,
+so a step's gradient is a buffer that the next step overwrites.  The
+optimizers update the parameters in place through scratch arrays allocated
+with them, in the same operations and order as their textbook expressions,
+so every seeded run is bit-identical to those.  The checkpoint is one
+buffer, allocated before the first step and copied into whenever
+validation accuracy ties or improves.
 """
 
 from __future__ import annotations
@@ -27,8 +35,8 @@ import numpy as np
 from .accounting import (CalibrationError, PrivacySpec, calibrate_sigma, clip,
                          compose_and_convert, make_accountant, noisy_batch_gradient)
 from .graphs import PopulationGraph
-from .nn import (ModelParams, gcn_forward, init_gcn, init_mlp, loss_grad_and_logits,
-                 normalize_adjacency, subgraph_batch_gradients)
+from .nn import (ModelParams, _masked_loss_grad_and_logits, _StepWorkspace, gcn_forward,
+                 init_gcn, init_mlp, normalize_adjacency, subgraph_batch_gradients)
 from .sampling import SubgraphStore, sample_training_subgraphs
 
 
@@ -74,38 +82,53 @@ class TrainConfig:
             raise ValueError("clip_norm must be positive when clipping")
         if self.eval_every is not None and self.eval_every < 1:
             raise ValueError("eval_every must be >= 1 when set")
+        if self.max_degree < 1:
+            raise ValueError("max_degree must be >= 1")
+        if self.occurrence_bound is not None and self.occurrence_bound < 1:
+            raise ValueError("occurrence_bound must be >= 1 when set")
 
+
+# Both optimizers update ``flat`` in place through scratch arrays of its
+# size; each operation is the one of the expression
+#   sgd:  buf = momentum * buf + grad;  flat -= lr * buf
+#   adam: m = b1 * m + (1 - b1) * grad;  v = b2 * v + (1 - b2) * grad * grad;
+#         flat -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+# in its order, so the steps are bit-identical to it.
 
 class _Sgd:
-    def __init__(self, lr, momentum=0.9):
-        self.lr, self.momentum, self.buf = lr, momentum, None
+    def __init__(self, lr, size: int, momentum=0.9):
+        self.lr, self.momentum = lr, momentum
+        self.buf = np.zeros(size)
+        self.scratch = np.empty(size)
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
-        if self.buf is None:
-            self.buf = np.zeros_like(flat)
         self.buf *= self.momentum
         self.buf += grad
-        flat -= self.lr * self.buf
+        flat -= np.multiply(self.lr, self.buf, out=self.scratch)
 
 
 class _Adam:
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr, size: int, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = self.v = None
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.scratch = (np.empty(size), np.empty(size))
         self.t = 0
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
-        if self.m is None:
-            self.m = np.zeros_like(flat)
-            self.v = np.zeros_like(flat)
+        s, u = self.scratch
         self.t += 1
         self.m *= self.beta1
-        self.m += (1 - self.beta1) * grad
+        self.m += np.multiply(1 - self.beta1, grad, out=s)
         self.v *= self.beta2
-        self.v += (1 - self.beta2) * grad * grad
-        m_hat = self.m / (1 - self.beta1 ** self.t)
-        v_hat = self.v / (1 - self.beta2 ** self.t)
-        flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.multiply(1 - self.beta2, grad, out=s)
+        self.v += np.multiply(s, grad, out=s)
+        np.divide(self.m, 1 - self.beta1 ** self.t, out=s)  # m_hat
+        np.multiply(self.lr, s, out=s)
+        np.divide(self.v, 1 - self.beta2 ** self.t, out=u)  # v_hat
+        np.sqrt(u, out=u)
+        u += self.eps
+        flat -= np.divide(s, u, out=s)
 
 
 def _stream(seed: int, key: int) -> np.random.Generator:
@@ -123,7 +146,7 @@ def _split(labels: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _accuracy(logits: np.ndarray, splits) -> list[float]:
     """Argmax accuracy over each (nodes, labels) split, from one argmax."""
     pred = np.argmax(logits, axis=1)  # argmax ties resolve to the lower class id
-    return [float((pred[idx] == labels).mean()) for idx, labels in splits]
+    return [np.count_nonzero(pred[idx] == labels) / labels.size for idx, labels in splits]
 
 
 def evaluate(graph: PopulationGraph, params: ModelParams, mask: np.ndarray) -> float:
@@ -159,21 +182,22 @@ def train(graph: PopulationGraph, config: TrainConfig,
                          "and noise requires a PrivacySpec")
 
     params = _init_model(graph, config)
+    best = None  # (params of the best validation accuracy so far, that accuracy)
     if dp is None:
         ctx = normalize_adjacency(graph)
         splits = [_split(graph.labels, graph.train_mask)]
         has_val = bool(graph.val_mask.any())
         if has_val:
             splits.append(_split(graph.labels, graph.val_mask))
+            best = (params.clone(), -1.0)
     if config.mode == "full_graph":
         steps, every, gradients, privacy = _full_graph_source(graph, config, ctx, params)
     else:
         steps, every, gradients, privacy = _subgraph_source(graph, config, dp, params)
 
-    lr = config.learning_rate
-    optimizer = _Adam(lr) if config.optimizer == "adam" else _Sgd(lr)
+    optimizer_class = _Adam if config.optimizer == "adam" else _Sgd
+    optimizer = optimizer_class(config.learning_rate, params.flat.size)
     log: list[dict] = []
-    best = (None, -1.0)
 
     def record(step, loss, logits):
         nonlocal best
@@ -200,19 +224,24 @@ def train(graph: PopulationGraph, config: TrainConfig,
         loss_window.append(loss)
         optimizer.step(params.flat, update)
         if step % every == 0 or step == steps:
-            due = (step, float(np.mean(loss_window)))
+            # a one-loss window is its own mean, to the bit
+            due = (step, loss_window[0] if len(loss_window) == 1
+                   else float(np.mean(loss_window)))
             loss_window = []
     if due is not None:  # no steps, no record
         record(*due, None)
-    return params if best[0] is None else best[0], log
+    return params if best is None else best[0], log
 
 
 def _checkpoint(best, params, val_acc):
+    """Copy ``params`` into the checkpoint buffer ``best[0]`` when ``val_acc``
+    ties or beats ``best[1]``."""
     # >= keeps the most-trained params among ties (val accuracy saturates early
     # on easy splits and carries no signal between tied checkpoints)
     best_params, best_acc = best
-    if best_params is None or val_acc >= best_acc:
-        return (params.clone(), val_acc)
+    if val_acc >= best_acc:
+        np.copyto(best_params.flat, params.flat)
+        return (best_params, val_acc)
     return best
 
 
@@ -229,10 +258,12 @@ def _checkpoint(best, params, val_acc):
 # made DP training about 1.5x slower on the dp_audit benchmark.
 
 def _full_graph_source(graph, config, ctx, params):
+    ws = _StepWorkspace(params, labels=graph.labels, mask=graph.train_mask)
+    adj, x = ctx.adj_norm, ctx.first_layer_input(params.layers)
+
     def gradients():
         while True:
-            loss, grad, logits = loss_grad_and_logits(ctx, params, graph.labels,
-                                                      graph.train_mask)
+            loss, grad, logits = _masked_loss_grad_and_logits(ws, adj, x)
             yield loss, clip(grad, config.clip_norm) if config.clipping else grad, logits
 
     return config.epochs, config.eval_every or 1, gradients(), None
@@ -265,7 +296,9 @@ def _subgraph_source(graph, config, dp: PrivacySpec | None, params):
     else:
         max_degree = config.max_degree
         hops = config.num_layers
-        occurrence_bound = config.occurrence_bound or max_degree * hops + 1
+        occurrence_bound = config.occurrence_bound
+        if occurrence_bound is None:
+            occurrence_bound = max_degree * hops + 1
         steps, batch_size = config.steps, config.batch_size
         sigma, clip_norm, privacy = 0.0, config.clip_norm, None
 
@@ -276,12 +309,13 @@ def _subgraph_source(graph, config, dp: PrivacySpec | None, params):
                                           sampler_rng)
     store = SubgraphStore(graph, subgraphs, params.layers)
     batch_size = min(batch_size, len(store))
+    ws = _StepWorkspace(params, batch=(batch_size,))
 
     def gradients():
         while True:
             idx = batch_rng.choice(len(store), size=batch_size, replace=False)
             batch = store.batch(idx)
-            losses, grads = subgraph_batch_gradients(*batch, params)
+            losses, grads = subgraph_batch_gradients(*batch, ws)
             if config.clipping:  # sigma is 0.0 outside DP runs
                 update = noisy_batch_gradient(grads, clip_norm, sigma, noise_rng)
             else:

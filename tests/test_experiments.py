@@ -134,6 +134,55 @@ def test_run_isolates_cell_failures(tmp_path):
     assert "CalibrationError" in failed["error"]
 
 
+def test_run_cell_evaluates_with_one_forward(tmp_path, monkeypatch):
+    from dpgraphlab import experiments, training
+
+    calls = {"normalize_adjacency": 0, "gcn_forward": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (experiments, training):
+        for name in calls:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+
+    manifest = tiny_manifest(tmp_path / "res", variants=("non_dp", "dp"),
+                             privacy={"epsilons": [10.0], "batch_size": 8, "steps": 8,
+                                      "max_degree": 3, "occurrence_bound": 7})
+    for variant, epsilon in (("non_dp", None), ("dp", 10.0)):
+        graph = experiments.build_graph_for_cell(manifest, 0)
+        config = experiments.config_for_variant(manifest, variant, 0)
+        dp = None
+        if variant == "dp":
+            dp = experiments.privacy_spec_for_cell(manifest, epsilon,
+                                                   int(graph.train_mask.sum()), config.num_layers)
+        calls.update(normalize_adjacency=0, gcn_forward=0)
+        params, _ = dg.train(graph, config, dp)
+        in_train = dict(calls)
+        calls.update(normalize_adjacency=0, gcn_forward=0)
+        cell = experiments.run_cell(manifest, variant, epsilon, 0)
+        assert calls == {name: count + 1 for name, count in in_train.items()}
+        assert cell["test_acc"] == dg.evaluate(graph, params, graph.test_mask)
+        assert cell["train_acc"] == dg.evaluate(graph, params, graph.train_mask)
+        assert cell["val_acc"] == dg.evaluate(graph, params, graph.val_mask)
+
+
+def test_run_cell_without_val_or_test_nodes(tmp_path):
+    from dpgraphlab.experiments import run_cell
+
+    manifest = tiny_manifest(tmp_path / "res", seeds=(0,))
+    no_val = ExperimentManifest.from_dict(
+        {**manifest.to_dict(), "split": {"train": 0.6, "val": 0.0, "test": 0.4, "seed": 0}})
+    assert run_cell(no_val, "non_dp", None, 0)["val_acc"] is None
+    no_test = ExperimentManifest.from_dict(
+        {**manifest.to_dict(), "split": {"train": 0.6, "val": 0.4, "test": 0.0, "seed": 0}})
+    with pytest.raises(ValueError, match="mask selects no nodes"):
+        run_cell(no_test, "non_dp", None, 0)
+
+
 def test_aggregate_matches_recomputation(tmp_path):
     manifest = tiny_manifest(tmp_path / "res", seeds=(0, 1, 2))
     summary = run(manifest)

@@ -1,5 +1,7 @@
 """GCN/MLP numeric core: normalization, forward passes, gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import softmax
@@ -7,7 +9,7 @@ from scipy.special import softmax
 import dpgraphlab as dg
 from dpgraphlab import training
 from dpgraphlab.graphs import csr_from_edges
-from dpgraphlab.nn import LayerSpec, ModelParams, _cross_entropy_rows
+from dpgraphlab.nn import LayerSpec, ModelParams, _cross_entropy_rows, _StepWorkspace
 from dpgraphlab.sampling import SampledSubgraph, SubgraphStore
 from dpgraphlab.training import subgraph_batch_gradients
 from tests.test_graphs import make_graph
@@ -137,7 +139,7 @@ def test_loss_uniform_prediction_ln2():
 def test_loss_saturated_softmax_near_zero():
     labels = np.array([0, 1, 0])
     logits = np.eye(2)[labels] * 1000.0
-    losses, d_rows = _cross_entropy_rows(logits, labels)
+    losses, d_rows = _cross_entropy_rows(logits, labels, np.arange(labels.size))
     assert np.all(losses < 1e-6)
     assert np.all(np.isfinite(d_rows))
 
@@ -381,6 +383,127 @@ def test_zero_learning_rate_is_null_update():
     assert max(losses) - min(losses) < 1e-12
 
 
+# ---------------------------------------------------------------- reused step buffers
+
+def oracle_sgd(flat, grads, lr, momentum=0.9):
+    buf = np.zeros_like(flat)
+    for grad in grads:
+        buf *= momentum
+        buf += grad
+        flat -= lr * buf
+    return buf
+
+
+def oracle_adam(flat, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
+    for t, grad in enumerate(grads, start=1):
+        m *= beta1
+        m += (1 - beta1) * grad
+        v *= beta2
+        v += (1 - beta2) * grad * grad
+        m_hat = m / (1 - beta1 ** t)
+        v_hat = v / (1 - beta2 ** t)
+        flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return m, v
+
+
+def test_in_place_optimizers_match_their_expressions():
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(37)
+    grads = [rng.standard_normal(37) * 10.0 ** rng.integers(-6, 3) for _ in range(50)]
+    for lr in (1e-2, 0.3):
+        flat, expected = start.copy(), start.copy()
+        sgd = training._Sgd(lr, flat.size)
+        for grad in grads:
+            sgd.step(flat, grad)
+        buf = oracle_sgd(expected, grads, lr)
+        np.testing.assert_array_equal(flat, expected)
+        np.testing.assert_array_equal(sgd.buf, buf)
+
+        flat, expected = start.copy(), start.copy()
+        adam = training._Adam(lr, flat.size)
+        for grad in grads:
+            adam.step(flat, grad)
+        m, v = oracle_adam(expected, grads, lr)
+        np.testing.assert_array_equal(flat, expected)
+        np.testing.assert_array_equal(adam.m, m)
+        np.testing.assert_array_equal(adam.v, v)
+
+
+def workspace_graph():
+    g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=90, target_homophily=0.7, seed=2))
+    return dg.assign_splits(g, dg.SplitSpec(0.5, 0.2, 0.3, seed=2))
+
+
+def test_full_graph_workspace_matches_fresh_calls():
+    g = workspace_graph()
+    for model_kind in ("gcn", "mlp"):
+        cfg = dg.TrainConfig(num_layers=3, hidden_dim=6, model_kind=model_kind, seed=1)
+        params = training._init_model(g, cfg)
+        ctx = dg.normalize_adjacency(g)
+        _, _, source, _ = training._full_graph_source(g, cfg, ctx, params)
+        adam = training._Adam(cfg.learning_rate, params.flat.size)
+        for _ in range(20):
+            loss, grad, logits = next(source)
+            fresh = dg.nn.loss_grad_and_logits(ctx, params, g.labels, g.train_mask)
+            assert loss == fresh[0]
+            np.testing.assert_array_equal(grad, fresh[1])
+            np.testing.assert_array_equal(logits, fresh[2])
+            adam.step(params.flat, grad)
+
+
+def test_subgraph_workspace_matches_fresh_calls():
+    g = workspace_graph()
+    rng = np.random.default_rng(3)
+    for params in (dg.init_gcn(g.feat_dim, 6, 2, 3, seed=1),
+                   dg.init_mlp(g.feat_dim, 6, 2, 2, seed=1)):
+        subgraphs = dg.sample_training_subgraphs(g, 3, 3, 10, rng)
+        store = SubgraphStore(g, subgraphs, params.layers)
+        ws = _StepWorkspace(params, batch=(8,))
+        sgd = training._Sgd(0.5, params.flat.size)
+        for _ in range(20):
+            batch = store.batch(rng.choice(len(store), size=8, replace=False))
+            losses, grads = subgraph_batch_gradients(*batch, ws)
+            assert grads is ws.grad  # the buffer is reused, not reallocated
+            fresh = subgraph_batch_gradients(*batch, params)
+            np.testing.assert_array_equal(losses, fresh[0])
+            np.testing.assert_array_equal(grads, fresh[1])
+            sgd.step(params.flat, grads.mean(axis=0))
+
+
+def test_public_gradients_are_fresh_arrays():
+    g = workspace_graph()
+    ctx = dg.normalize_adjacency(g)
+    p1 = dg.init_gcn(g.feat_dim, 6, 2, 2, seed=1)
+    p2 = dg.init_gcn(g.feat_dim, 6, 2, 2, seed=2)
+    loss, grad = dg.loss_and_grad(ctx, p1, g.labels, g.train_mask)
+    kept = grad.copy()
+    dg.loss_and_grad(ctx, p2, g.labels, g.train_mask)
+    np.testing.assert_array_equal(grad, kept)
+
+    store = SubgraphStore(g, dg.sample_training_subgraphs(g, 3, 2, 7, np.random.default_rng(0)),
+                          p1.layers)
+    losses, grads = subgraph_batch_gradients(*store.batch(np.arange(8)), p1)
+    kept = losses.copy(), grads.copy()
+    subgraph_batch_gradients(*store.batch(np.arange(8, 16)), p2)
+    np.testing.assert_array_equal(losses, kept[0])
+    np.testing.assert_array_equal(grads, kept[1])
+
+
+def test_second_train_leaves_first_result_alone():
+    g = workspace_graph()
+    no_val = dg.assign_splits(g, dg.SplitSpec(0.6, 0.0, 0.4, seed=2))
+    for graph, cfg in ((g, dg.TrainConfig(epochs=15, seed=1)),  # checkpoint buffer
+                       (no_val, dg.TrainConfig(epochs=15, seed=1)),  # final iterate
+                       (g, dg.TrainConfig(mode="subgraph_batch", steps=15, batch_size=8,
+                                          seed=1))):
+        first, _ = dg.train(graph, cfg)
+        kept = first.flat.copy()
+        dg.train(graph, dataclasses.replace(cfg, seed=2))
+        np.testing.assert_array_equal(first.flat, kept)
+
+
 # ---------------------------------------------------------------- evaluate
 
 def test_evaluate_perfect_logits():
@@ -441,7 +564,8 @@ def test_train_config_validation():
     for bad in (0, -3):  # None selects the default interval; 0 is an error, not a default
         with pytest.raises(ValueError, match="eval_every"):
             dg.TrainConfig(eval_every=bad)
-    for field, bad in (("epochs", -3), ("steps", -1), ("batch_size", 0)):
+    for field, bad in (("epochs", -3), ("steps", -1), ("batch_size", 0), ("max_degree", 0),
+                       ("occurrence_bound", 0), ("occurrence_bound", -2)):
         with pytest.raises(ValueError, match=field):
             dg.TrainConfig(**{field: bad})
 
