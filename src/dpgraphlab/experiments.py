@@ -27,9 +27,8 @@ import numpy as np
 from .accounting import PrivacySpec, recommend_delta
 from .attacks import audit as run_audit
 from .graphs import SplitSpec, assign_splits, build_knn_graph, edge_homophily, load_csv
-from .nn import gcn_forward, normalize_adjacency
 from .synthetic import SyntheticSpec, generate_synthetic
-from .training import TrainConfig, _accuracy, _split, train
+from .training import TrainConfig, _evaluate, train
 
 SCHEMA_VERSION = 1
 
@@ -214,8 +213,7 @@ def run_cell(manifest: ExperimentManifest, variant: str, epsilon, seed: int,
     masks = [graph.test_mask, graph.train_mask]
     if graph.val_mask.any():
         masks.append(graph.val_mask)
-    splits = [_split(graph.labels, mask) for mask in masks]
-    accs = _accuracy(gcn_forward(normalize_adjacency(graph), params), splits)
+    accs = _evaluate(graph, params, masks)
     cell = {
         "schema_version": SCHEMA_VERSION,
         "manifest_hash": manifest.hash(),

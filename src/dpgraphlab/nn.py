@@ -39,8 +39,8 @@ A training run resolves the layout once, in a ``_StepWorkspace``: the
 views of each layer's weight and bias in ``params.flat`` (which the
 optimizer updates in place), each layer's propagated side, and the
 per-layer views of one flat gradient buffer; for the full graph it also
-holds the loss rows, their labels and ``arange``, and a d_logits buffer
-whose non-loss rows stay zero.  Every step reuses these, and its gradient
+holds the loss rows, their labels, and a d_logits buffer whose
+non-loss rows stay zero.  Every step reuses these, and its gradient
 overwrites the previous step's, which the optimizer has consumed by then.
 The public functions (:func:`gcn_forward`, :func:`loss_and_grad`,
 :func:`loss_grad_and_logits`, :func:`subgraph_batch_gradients`) build a
@@ -232,14 +232,11 @@ class _StepWorkspace:
         self.weights = [_weight_bias_views(params.flat, layers, l) for l in range(len(layers))]
         self.grad = np.empty((*batch, params.flat.size))
         self.grad_views = [_weight_bias_views(self.grad, layers, l) for l in range(len(layers))]
-        if batch:  # one root loss per subgraph
-            self.loss_arange = np.arange(batch[0])
         if mask is not None:
             self.loss_rows = np.flatnonzero(mask)
             if self.loss_rows.size == 0:
                 raise ValueError("mask selects no nodes")
             self.loss_labels = labels[self.loss_rows]
-            self.loss_arange = np.arange(self.loss_rows.size)
             self.d_logits = np.zeros((mask.shape[0], layers[-1].out_dim))
 
 
@@ -280,10 +277,10 @@ def gcn_forward(ctx: ForwardContext, params: ModelParams) -> np.ndarray:
     return logits
 
 
-def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray,
-                        rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row softmax cross-entropy and its gradient with respect to the rows,
-    both from one shifted log-softmax; ``rows`` is ``np.arange(labels.size)``."""
+    both from one shifted log-softmax."""
+    rows = np.arange(labels.size)
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=1, keepdims=True)
@@ -308,10 +305,7 @@ def _backward(ws: _StepWorkspace, adj, cache, d_logits: np.ndarray, rows=None) -
         h, p = cache[l]
         side = ws.sides[l]
         a = adj if rows is None else adj[:, :rows[l], :rows[l + 1]]
-        if db.shape[-1] == 1:  # numpy sums one contiguous column pairwise
-            dz.sum(axis=-2, out=db)
-        else:  # the row-by-row order of dz.sum(axis=-2), with less overhead
-            np.einsum("...rk->...k", dz, out=db)
+        np.einsum("...rk->...k", dz, out=db)
         if side == "output":
             dz = a @ dz
         np.matmul(np.swapaxes(p, -1, -2), dz, out=dw)
@@ -325,7 +319,8 @@ def _backward(ws: _StepWorkspace, adj, cache, d_logits: np.ndarray, rows=None) -
 
 
 def subgraph_batch_gradients(adj: np.ndarray, inputs: np.ndarray, root_labels: np.ndarray,
-                             rows: list[int], params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+                             rows: list[int], params: ModelParams | _StepWorkspace
+                             ) -> tuple[np.ndarray, np.ndarray]:
     """Per-subgraph root losses and flat gradients, vectorized over the batch.
 
     ``adj`` is a zero-padded (m, s, s) stack of normalized adjacencies with
@@ -335,14 +330,15 @@ def subgraph_batch_gradients(adj: np.ndarray, inputs: np.ndarray, root_labels: n
     returns all four, cut to ``rows[0]``.  Gradients come back as an
     (m, n_params) matrix in the same layout as ``params.flat``.
 
-    The training loop passes its :class:`_StepWorkspace` as ``params``, and
-    the gradient matrix is then that workspace's buffer, overwritten by the
-    next call; given a :class:`ModelParams`, the arrays are fresh.
+    The workspace form of ``params`` is internal: the training loop passes
+    its :class:`_StepWorkspace`, and the gradient matrix is then that
+    workspace's buffer, overwritten by the next call.  Given a
+    :class:`ModelParams`, the arrays are fresh.
     """
     ws = (params if isinstance(params, _StepWorkspace)
           else _StepWorkspace(params, batch=(root_labels.size,)))
     logits, cache = _forward(ws, adj, inputs, keep_cache=True, rows=rows)
-    losses, d_roots = _cross_entropy_rows(logits[:, 0, :], root_labels, ws.loss_arange)
+    losses, d_roots = _cross_entropy_rows(logits[:, 0, :], root_labels)
     return losses, _backward(ws, adj, cache, d_roots[:, None, :], rows=rows)
 
 
@@ -351,7 +347,7 @@ def _masked_loss_grad_and_logits(ws: _StepWorkspace, adj, x: np.ndarray):
     and the logits of the forward pass."""
     logits, cache = _forward(ws, adj, x, keep_cache=True)
     idx = ws.loss_rows
-    losses, d_rows = _cross_entropy_rows(logits[idx], ws.loss_labels, ws.loss_arange)
+    losses, d_rows = _cross_entropy_rows(logits[idx], ws.loss_labels)
     d_rows /= idx.size
     ws.d_logits[idx] = d_rows
     # sum / size is the bits of losses.mean() without its per-call overhead

@@ -17,12 +17,10 @@ step, log spent epsilon and sigma in place of accuracy, and release the
 final iterate rather than a checkpoint selected on private labels.
 
 Each source builds one step workspace (:mod:`dpgraphlab.nn`) per training,
-so a step's gradient is a buffer that the next step overwrites.  The
-optimizers update the parameters in place through scratch arrays allocated
-with them, in the same operations and order as their textbook expressions,
-so every seeded run is bit-identical to those.  The checkpoint is one
-buffer, allocated before the first step and copied into whenever
-validation accuracy ties or improves.
+so a step's gradient is a buffer that the next step overwrites; the
+optimizer updates ``params.flat`` in place, which the workspace's weight
+views read.  The checkpoint is one buffer, allocated before the first step
+and copied into whenever validation accuracy ties or improves.
 """
 
 from __future__ import annotations
@@ -88,47 +86,36 @@ class TrainConfig:
             raise ValueError("occurrence_bound must be >= 1 when set")
 
 
-# Both optimizers update ``flat`` in place through scratch arrays of its
-# size; each operation is the one of the expression
-#   sgd:  buf = momentum * buf + grad;  flat -= lr * buf
-#   adam: m = b1 * m + (1 - b1) * grad;  v = b2 * v + (1 - b2) * grad * grad;
-#         flat -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
-# in its order, so the steps are bit-identical to it.
-
 class _Sgd:
-    def __init__(self, lr, size: int, momentum=0.9):
-        self.lr, self.momentum = lr, momentum
-        self.buf = np.zeros(size)
-        self.scratch = np.empty(size)
+    def __init__(self, lr, momentum=0.9):
+        self.lr, self.momentum, self.buf = lr, momentum, None
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        if self.buf is None:
+            self.buf = np.zeros_like(flat)
         self.buf *= self.momentum
         self.buf += grad
-        flat -= np.multiply(self.lr, self.buf, out=self.scratch)
+        flat -= self.lr * self.buf
 
 
 class _Adam:
-    def __init__(self, lr, size: int, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self.scratch = (np.empty(size), np.empty(size))
+        self.m = self.v = None
         self.t = 0
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
-        s, u = self.scratch
+        if self.m is None:
+            self.m = np.zeros_like(flat)
+            self.v = np.zeros_like(flat)
         self.t += 1
         self.m *= self.beta1
-        self.m += np.multiply(1 - self.beta1, grad, out=s)
+        self.m += (1 - self.beta1) * grad
         self.v *= self.beta2
-        np.multiply(1 - self.beta2, grad, out=s)
-        self.v += np.multiply(s, grad, out=s)
-        np.divide(self.m, 1 - self.beta1 ** self.t, out=s)  # m_hat
-        np.multiply(self.lr, s, out=s)
-        np.divide(self.v, 1 - self.beta2 ** self.t, out=u)  # v_hat
-        np.sqrt(u, out=u)
-        u += self.eps
-        flat -= np.divide(s, u, out=s)
+        self.v += (1 - self.beta2) * grad * grad
+        m_hat = self.m / (1 - self.beta1 ** self.t)
+        v_hat = self.v / (1 - self.beta2 ** self.t)
+        flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def _stream(seed: int, key: int) -> np.random.Generator:
@@ -149,10 +136,16 @@ def _accuracy(logits: np.ndarray, splits) -> list[float]:
     return [np.count_nonzero(pred[idx] == labels) / labels.size for idx, labels in splits]
 
 
+def _evaluate(graph: PopulationGraph, params: ModelParams, masks) -> list[float]:
+    """Argmax accuracy over each mask's nodes, from one transductive forward;
+    a mask that selects no nodes raises ValueError."""
+    splits = [_split(graph.labels, mask) for mask in masks]
+    return _accuracy(gcn_forward(normalize_adjacency(graph), params), splits)
+
+
 def evaluate(graph: PopulationGraph, params: ModelParams, mask: np.ndarray) -> float:
     """Argmax accuracy of the model over the masked nodes (transductive forward)."""
-    split = _split(graph.labels, mask)
-    return _accuracy(gcn_forward(normalize_adjacency(graph), params), [split])[0]
+    return _evaluate(graph, params, [mask])[0]
 
 
 def _init_model(graph: PopulationGraph, config: TrainConfig) -> ModelParams:
@@ -195,8 +188,8 @@ def train(graph: PopulationGraph, config: TrainConfig,
     else:
         steps, every, gradients, privacy = _subgraph_source(graph, config, dp, params)
 
-    optimizer_class = _Adam if config.optimizer == "adam" else _Sgd
-    optimizer = optimizer_class(config.learning_rate, params.flat.size)
+    lr = config.learning_rate
+    optimizer = _Adam(lr) if config.optimizer == "adam" else _Sgd(lr)
     log: list[dict] = []
 
     def record(step, loss, logits):

@@ -145,9 +145,8 @@ def test_run_cell_evaluates_with_one_forward(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (experiments, training):
-        for name in calls:
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for name in calls:
+        monkeypatch.setattr(training, name, counting(name, getattr(training, name)))
 
     manifest = tiny_manifest(tmp_path / "res", variants=("non_dp", "dp"),
                              privacy={"epsilons": [10.0], "batch_size": 8, "steps": 8,
