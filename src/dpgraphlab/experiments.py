@@ -3,10 +3,12 @@ aggregate tables, ROC exports, and provenance hashes.
 
 A manifest (JSON) declares one dataset source, a split, model settings, an
 optional privacy block (epsilon list plus DP-SGD hyperparameters), an
-optional audit block, and the seed list.  Each grid cell builds its own
-graph (the cell seed drives both the synthetic generator and the split
-shuffle), trains, evaluates, and optionally audits; failures are isolated
-per cell.  Output files are written atomically and embed the manifest hash.
+optional audit block, and the seed list.  The grid builds one graph per
+seed (the seed drives both the synthetic generator and the split shuffle)
+and hands it to every cell of that seed; each cell trains, evaluates, and
+optionally audits.  Failures are isolated per cell: a graph build that
+raises fails the cells of its seed.  Output files are written atomically
+and embed the manifest hash.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import numpy as np
 
 from .accounting import PrivacySpec, recommend_delta
 from .attacks import audit as run_audit
-from .graphs import SplitSpec, assign_splits, build_knn_graph, edge_homophily, load_csv
+from .graphs import (PopulationGraph, SplitSpec, assign_splits, build_knn_graph, edge_homophily,
+                     load_csv)
 from .synthetic import SyntheticSpec, generate_synthetic
 from .training import TrainConfig, _evaluate, train
 
@@ -199,10 +202,13 @@ def _cell_name(variant: str, epsilon, seed: int) -> str:
 
 
 def run_cell(manifest: ExperimentManifest, variant: str, epsilon, seed: int,
-             do_audit: bool = False) -> dict:
-    """Build graph, train, evaluate, and optionally audit one grid cell."""
+             do_audit: bool = False, *, graph: PopulationGraph | None = None) -> dict:
+    """Train, evaluate, and optionally audit one grid cell on ``graph``, the
+    seed's graph, which is built here when not given.  ``runtime_sec`` times
+    the cell from the moment it has its graph."""
+    if graph is None:
+        graph = build_graph_for_cell(manifest, seed)
     t0 = time.time()
-    graph = build_graph_for_cell(manifest, seed)
     config = config_for_variant(manifest, variant, seed)
     dp = None
     if variant == "dp":
@@ -248,22 +254,37 @@ def run_cell(manifest: ExperimentManifest, variant: str, epsilon, seed: int,
     return cell
 
 
-def _run_cell_packed(args):
-    manifest_dict, variant, epsilon, seed, do_audit = args
-    manifest = ExperimentManifest.from_dict(manifest_dict)
+def _build_graph_or_error(manifest: ExperimentManifest, seed: int):
+    """The seed's graph, or the exception its build raised."""
     try:
-        return run_cell(manifest, variant, epsilon, seed, do_audit)
+        return build_graph_for_cell(manifest, seed)
+    except Exception as exc:  # fails each cell of the seed, in _run_cell_packed
+        return exc
+
+
+def _failed_cell(manifest: ExperimentManifest, variant: str, epsilon, seed: int,
+                 exc: Exception) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "manifest_hash": manifest.hash(),
+        "cell": _cell_name(variant, epsilon, seed),
+        "variant": variant,
+        "epsilon": epsilon,
+        "seed": seed,
+        "error": f"{type(exc).__name__}: {exc}",
+        "traceback": "".join(traceback.format_exception(type(exc), exc, exc.__traceback__)),
+    }
+
+
+def _run_cell_packed(args):
+    manifest_dict, variant, epsilon, seed, do_audit, graph = args
+    manifest = ExperimentManifest.from_dict(manifest_dict)
+    if isinstance(graph, Exception):
+        return _failed_cell(manifest, variant, epsilon, seed, graph)
+    try:
+        return run_cell(manifest, variant, epsilon, seed, do_audit, graph=graph)
     except Exception as exc:  # cell failures must not kill the grid
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "manifest_hash": manifest.hash(),
-            "cell": _cell_name(variant, epsilon, seed),
-            "variant": variant,
-            "epsilon": epsilon,
-            "seed": seed,
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-        }
+        return _failed_cell(manifest, variant, epsilon, seed, exc)
 
 
 def grid_cells(manifest: ExperimentManifest) -> list[tuple]:
@@ -314,10 +335,14 @@ def run(manifest: ExperimentManifest, out_dir=None, threads: int = 1,
     out = Path(out_dir if out_dir is not None else manifest.output_dir)
     (out / "cells").mkdir(parents=True, exist_ok=True)
     cells = grid_cells(manifest)
-    packed = [(manifest.to_dict(), v, e, s, do_audit) for v, e, s in cells]
+    graphs = {seed: _build_graph_or_error(manifest, seed) for seed in dict.fromkeys(manifest.seeds)}
+    packed = [(manifest.to_dict(), v, e, s, do_audit, graphs[s]) for v, e, s in cells]
     if threads > 1:
+        # cells of a failed build are reported here: not every exception pickles
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_cell_packed, packed))
+            jobs = [p if isinstance(p[-1], Exception) else pool.submit(_run_cell_packed, p)
+                    for p in packed]
+            results = [_run_cell_packed(j) if isinstance(j, tuple) else j.result() for j in jobs]
     else:
         results = [_run_cell_packed(p) for p in packed]
 

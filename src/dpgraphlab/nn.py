@@ -172,17 +172,6 @@ def normalize_adjacency(graph: PopulationGraph) -> ForwardContext:
     return ForwardContext(adj_norm=adj.tocsr(), features=graph.features)
 
 
-def dense_normalized_adjacency(n: int, edges: np.ndarray) -> np.ndarray:
-    """Dense D^{-1/2}(A+I)D^{-1/2} for small node sets (edges are local (u,v) pairs)."""
-    a = np.zeros((n, n))
-    if edges.size:
-        a[edges[:, 0], edges[:, 1]] = 1.0
-        a[edges[:, 1], edges[:, 0]] = 1.0
-    a[np.arange(n), np.arange(n)] = 1.0
-    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
-    return a * inv_sqrt[:, None] * inv_sqrt[None, :]
-
-
 def _propagated_side(l: int, spec: LayerSpec) -> str | None:
     """Which side of layer l's weight the adjacency multiplies: the narrower one.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import PopulationGraph
-from .nn import ForwardContext, dense_normalized_adjacency, receptive_rows
+from .nn import ForwardContext, receptive_rows
 
 logger = logging.getLogger(__name__)
 
@@ -121,22 +121,50 @@ class SubgraphStore:
     (:func:`dpgraphlab.nn.receptive_rows`) and copies only the first
     ``rows[0]`` rows and columns of each drawn block, all that the root
     losses read.  Padding rows are disconnected and contribute nothing.
+
+    The arrays are built for all subgraphs at once, in O(nodes + edges)
+    array operations: each local node's degree (plus its self-loop) is a
+    ``bincount`` over the concatenated tree edges, an edge (u, v) scatters
+    ``inv_sqrt[u] * inv_sqrt[v]`` to [u, v] and [v, u], the diagonal gets
+    ``inv_sqrt * inv_sqrt``, and the features are gathered through a padded
+    (N, s_max) node-index matrix.  Each entry equals the one of
+    D^{-1/2}(A+I)D^{-1/2} built per subgraph, bit for bit: the degrees are
+    exact integers and the per-subgraph product only adds a factor 1.0.
+    A row's last nonzero column is the largest of its own index and its
+    neighbours', so ``reach`` too comes from the edges alone.
     """
 
     def __init__(self, graph: PopulationGraph, subgraphs: list[SampledSubgraph], layers):
         self.subgraphs = subgraphs
         self.layers = tuple(layers)
-        self.root_labels = np.asarray([graph.labels[sg.root] for sg in subgraphs])
         self.sizes = np.asarray([sg.size for sg in subgraphs])
+        self.root_labels = graph.labels[[sg.root for sg in subgraphs]]
         n, s_max = len(subgraphs), int(self.sizes.max())
+        # every node and tree edge of the collection: its subgraph, its local
+        # indices, and (gu, gv) its endpoints' positions in the concatenation
+        offsets = np.cumsum(self.sizes) - self.sizes
+        node_sub = np.repeat(np.arange(n), self.sizes)
+        node_local = np.arange(node_sub.size) - offsets[node_sub]
+        edge_sub = np.repeat(np.arange(n), [sg.edges.shape[0] for sg in subgraphs])
+        u, v = np.concatenate([sg.edges for sg in subgraphs]).reshape(-1, 2).T
+        gu, gv = offsets[edge_sub] + u, offsets[edge_sub] + v
+
+        inv_sqrt = 1.0 / np.sqrt(np.bincount(np.concatenate([gu, gv]),
+                                             minlength=node_sub.size) + 1)
         self.adj = np.zeros((n, s_max, s_max))
-        features = np.zeros((n, s_max, graph.feat_dim))
-        for i, sg in enumerate(subgraphs):
-            self.adj[i, :sg.size, :sg.size] = dense_normalized_adjacency(sg.size, sg.edges)
-            features[i, :sg.size] = graph.features[sg.nodes]
+        self.adj[node_sub, node_local, node_local] = inv_sqrt * inv_sqrt
+        self.adj[edge_sub, u, v] = self.adj[edge_sub, v, u] = inv_sqrt[gu] * inv_sqrt[gv]
+
+        nodes = np.zeros((n, s_max), dtype=np.int64)
+        nodes[node_sub, node_local] = np.concatenate([sg.nodes for sg in subgraphs])
+        features = graph.features[nodes]
+        features[np.arange(s_max) >= self.sizes[:, None]] = 0.0
         self.inputs = ForwardContext(self.adj, features).first_layer_input(self.layers)
-        nonzero = self.adj != 0.0
-        ends = np.where(nonzero.any(axis=2), s_max - np.argmax(nonzero[:, :, ::-1], axis=2), 0)
+
+        ends = np.zeros((n, s_max), dtype=np.int64)
+        ends[node_sub, node_local] = node_local + 1
+        np.maximum.at(ends, (edge_sub, u), v + 1)
+        np.maximum.at(ends, (edge_sub, v), u + 1)
         self.reach = np.zeros((n, s_max + 1), dtype=np.int64)
         np.maximum.accumulate(ends, axis=1, out=self.reach[:, 1:])
 

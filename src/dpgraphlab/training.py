@@ -313,7 +313,7 @@ def _subgraph_source(graph, config, dp: PrivacySpec | None, params):
                 update = noisy_batch_gradient(grads, clip_norm, sigma, noise_rng)
             else:
                 update = grads.mean(axis=0)
-            yield float(losses.mean()), update, None
+            yield float(losses.sum() / losses.size), update, None
 
     return steps, config.eval_every or 50, gradients(), privacy
 

@@ -1,12 +1,19 @@
 """Accountant anchors, clipping, noise, and the power bound."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import dpgraphlab as dg
-from dpgraphlab.accounting import DEFAULT_ORDERS, _hyper_log_pmf, make_accountant
+from dpgraphlab.accounting import (DEFAULT_ORDERS, SIGMA_HI, SIGMA_LO, SIGMA_REL_TOL,
+                                   _hyper_log_pmf, _logsumexp_rows, _sigma_free_terms,
+                                   make_accountant)
 
 
 def naive_per_step_rdp(alpha, sigma, N, T, m):
@@ -187,6 +194,96 @@ def test_accountant_order_grid_against_oracles():
         costs = make_accountant(sigma, 560, 6, 64).per_step_costs
         assert np.all(np.isfinite(costs))
         assert np.all(np.diff(costs) >= 0)
+
+
+def log_terms(sigma, N, T, m):
+    """The accountant's (orders x rho) log-moment matrix, recomputed apart from it."""
+    rhos = np.arange(max(0, m - (N - T)), min(T, m) + 1)
+    log_pmf = np.array([_hyper_log_pmf(N, T, m, int(r)) for r in rhos])
+    alpha = DEFAULT_ORDERS[:, None]
+    return log_pmf + alpha * (alpha - 1.0) * rhos * rhos / (2.0 * sigma * sigma)
+
+
+def test_logsumexp_rows_matches_scipy():
+    # within 1e-13 absolute on the log-moment, not bit for bit: scipy before
+    # 1.15 sums exp(a - a_max) over the whole row
+    rng = np.random.default_rng(12)
+    cases = [log_terms(float(np.exp(rng.uniform(np.log(0.3), np.log(1000.0)))), N, T, m)
+             for N, T, m in ((560, 6, 64), (100, 3, 10), (50, 1, 50), (64, 6, 64), (1000, 30, 999))]
+    ties = rng.normal(size=(50, 7))
+    ties[:, 3] = ties[:, 5] = ties.max(axis=1) + rng.uniform(0.0, 2.0, size=50)
+    cases += [ties, np.zeros((4, 3)), np.full((2, 1), -7.5), rng.normal(scale=50.0, size=(30, 9))]
+    for a in cases:
+        np.testing.assert_allclose(_logsumexp_rows(a), logsumexp(a, axis=1), rtol=0, atol=1e-13)
+    assert log_terms(2.0, 64, 6, 64).shape == (DEFAULT_ORDERS.size, 1)  # m = N: one rho
+    assert _logsumexp_rows(np.array([[np.inf, 0.0], [1.0, 1.0]])).tolist() == [np.inf,
+                                                                               1.0 + math.log(2)]
+
+
+def test_sigma_free_terms_need_T_and_m_within_N():
+    with pytest.raises(ValueError, match="must not exceed"):
+        _sigma_free_terms(DEFAULT_ORDERS, 10, 20, 5)
+    with pytest.raises(ValueError, match="must not exceed"):
+        make_accountant(1.0, 10, 2, 11)
+
+
+def scipy_calibrate(epsilon_target, delta, steps, N, T, m):
+    """Oracle bisection: epsilon at each sigma from scipy's logsumexp and a
+    fresh minimum over the order grid."""
+    def eps_at(sigma):
+        costs = logsumexp(log_terms(sigma, N, T, m), axis=1) / (DEFAULT_ORDERS - 1.0)
+        return float(np.min(steps * costs + np.log(1.0 / delta) / (DEFAULT_ORDERS - 1.0)))
+
+    if eps_at(SIGMA_HI) > epsilon_target:
+        return None
+    if eps_at(SIGMA_LO) <= epsilon_target:
+        return SIGMA_LO
+    lo, hi = SIGMA_LO, SIGMA_HI
+    while (hi - lo) > SIGMA_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if eps_at(mid) <= epsilon_target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_calibrate_matches_scipy_bisection():
+    rng = np.random.default_rng(13)
+    tuples = [(5.0, 1.79e-4, 1000, 560, 6, 64), (1e-4, 1e-5, 100_000, 100, 10, 100),
+              (50.0, 1e-5, 10, 100, 2, 100), (50.0, 1e-5, 1, 1000, 1, 10)]
+    for _ in range(12):
+        N = int(rng.integers(20, 2000))
+        T = int(rng.integers(1, 12))
+        m = int(rng.integers(1, N + 1))
+        tuples.append((float(rng.uniform(0.5, 20.0)), float(10 ** rng.uniform(-7, -3)),
+                       int(rng.integers(1, 3000)), N, T, m))
+    wants = [scipy_calibrate(*args) for args in tuples]
+    assert None in wants and SIGMA_LO in wants  # infeasible and smallest-sigma cases
+    for args, want in zip(tuples, wants):
+        if want is None:
+            with pytest.raises(dg.CalibrationError):
+                dg.calibrate_sigma(*args)
+        else:
+            assert dg.calibrate_sigma(*args) == want
+
+
+def test_calibrate_unreachable_message_reports_epsilon_at_sigma_hi():
+    args = (1e-4, 1e-5, 100_000, 100, 10, 100)
+    with pytest.raises(dg.CalibrationError) as err:
+        dg.calibrate_sigma(*args)
+    eps_hi = dg.epsilon_spent(SIGMA_HI, 100_000, 1e-5, 100, 10, 100)
+    assert f"gives epsilon={eps_hi:.4g} over" in str(err.value)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    src = str(Path(dg.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, dpgraphlab; print('scipy.special' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- composition

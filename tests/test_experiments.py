@@ -7,8 +7,8 @@ import pytest
 
 import dpgraphlab as dg
 from dpgraphlab.cli import main as cli_main
-from dpgraphlab.experiments import (ExperimentManifest, ManifestError, aggregate,
-                                    report, run, spearman, sweep_homophily)
+from dpgraphlab.experiments import (ExperimentManifest, ManifestError, aggregate, grid_cells,
+                                    report, run, run_cell, spearman, sweep_homophily)
 
 
 def tiny_manifest(out, variants=("non_dp", "subgraphing"), seeds=(0, 1), privacy=None):
@@ -132,6 +132,57 @@ def test_run_isolates_cell_failures(tmp_path):
     assert len(ok) == 1
     failed = json.loads((tmp_path / "res" / "cells" / "dp_eps0.0001_seed0.json").read_text())
     assert "CalibrationError" in failed["error"]
+
+
+def count_graph_builds(monkeypatch, log_path, fail_seed=None):
+    """Record every build_graph_for_cell call in a file (so builds made in a
+    worker process count too); the build for ``fail_seed`` raises an
+    exception that cannot be unpickled."""
+    from dpgraphlab import experiments
+
+    build = experiments.build_graph_for_cell
+
+    def counting(manifest, seed):
+        with open(log_path, "a", encoding="utf-8") as fh:
+            fh.write(f"{seed}\n")
+        if seed == fail_seed:
+            raise dg.CsvParseError("features.csv", 3, 2, "x")
+        return build(manifest, seed)
+
+    monkeypatch.setattr(experiments, "build_graph_for_cell", counting)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_builds_one_graph_per_seed(tmp_path, monkeypatch, threads):
+    privacy = {"epsilons": [10.0], "batch_size": 8, "steps": 8, "max_degree": 3,
+               "occurrence_bound": 7}
+    manifest = tiny_manifest(tmp_path / "res", variants=("non_dp", "subgraphing", "dp"),
+                             privacy=privacy)
+    # oracle: each cell on a graph of its own
+    want = [run_cell(manifest, v, e, s) for v, e, s in grid_cells(manifest)]
+    log = tmp_path / "builds.txt"
+    count_graph_builds(monkeypatch, log)
+    got = run(manifest, threads=threads)
+    assert sorted(log.read_text().split()) == ["0", "1"]
+    assert got["n_cells"] == 6 and got["n_failures"] == 0
+    for a, b in zip(want, got["cells"]):
+        assert {**a, "runtime_sec": None} == {**b, "runtime_sec": None}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failed_graph_build_fails_only_its_seed(tmp_path, monkeypatch, threads):
+    log = tmp_path / "builds.txt"
+    count_graph_builds(monkeypatch, log, fail_seed=1)
+    summary = run(tiny_manifest(tmp_path / "res"), threads=threads)
+    assert sorted(log.read_text().split()) == ["0", "1"]
+    assert summary["failed_cells"] == ["non_dp_seed1", "subgraphing_seed1"]
+    for cell in summary["cells"]:
+        if cell["seed"] == 1:
+            assert cell["error"] == ("CsvParseError: features.csv: non-numeric value 'x' "
+                                     "at row 3, column 2")
+        else:
+            assert "error" not in cell and 0.0 <= cell["test_acc"] <= 1.0
+    assert [row["n_seeds"] for row in summary["aggregate"]] == [1, 1]
 
 
 def test_run_cell_evaluates_with_one_forward(tmp_path, monkeypatch):

@@ -4,11 +4,22 @@ import numpy as np
 import pytest
 
 import dpgraphlab as dg
-from dpgraphlab.nn import dense_normalized_adjacency
 from dpgraphlab.sampling import SampledSubgraph, SubgraphStore
 from dpgraphlab.training import subgraph_batch_gradients
 from tests.test_graphs import make_graph
 from tests.test_nn import assert_grad_close, finite_difference
+
+
+def dense_normalized_adjacency(n: int, edges: np.ndarray) -> np.ndarray:
+    """Oracle of one subgraph's normalized adjacency: dense D^{-1/2}(A+I)D^{-1/2}
+    of a small node set (edges are local (u, v) pairs)."""
+    a = np.zeros((n, n))
+    if edges.size:
+        a[edges[:, 0], edges[:, 1]] = 1.0
+        a[edges[:, 1], edges[:, 0]] = 1.0
+    a[np.arange(n), np.arange(n)] = 1.0
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    return a * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
 def audit_subgraphs(subgraphs, num_nodes):
@@ -145,6 +156,58 @@ def test_empirical_sensitivity_bound():
         occ = int(contains.sum())
         shift = np.linalg.norm(clipped[contains].sum(axis=0)) if occ else 0.0
         assert shift <= occ * C + 1e-9
+
+
+def store_oracle(graph, subgraphs, layers):
+    """(adj, inputs, reach) of a store, built one subgraph at a time: each
+    block is the subgraph's own dense normalized adjacency and features,
+    zero-padded, and reach[i, k] is 1 + the last nonzero column in the first
+    k rows of block i."""
+    n, s = len(subgraphs), max(sg.size for sg in subgraphs)
+    adj = np.zeros((n, s, s))
+    features = np.zeros((n, s, graph.feat_dim))
+    for i, sg in enumerate(subgraphs):
+        adj[i, :sg.size, :sg.size] = dense_normalized_adjacency(sg.size, sg.edges)
+        features[i, :sg.size] = graph.features[sg.nodes]
+    inputs = adj @ features if layers[0].kind == "gcn_conv" else features
+    reach = np.zeros((n, s + 1), dtype=np.int64)
+    for i in range(n):
+        for k in range(1, s + 1):
+            cols = np.flatnonzero(adj[i, :k].any(axis=0))
+            reach[i, k] = cols.max() + 1 if cols.size else 0
+    return adj, inputs, reach
+
+
+def root_only(roots):
+    return [SampledSubgraph(root=int(r), nodes=np.array([r]), hop=np.zeros(1, dtype=np.int64),
+                            edges=np.zeros((0, 2), dtype=np.int64)) for r in roots]
+
+
+def test_store_arrays_equal_per_subgraph_oracle():
+    # the whole-array build gives the per-subgraph construction's arrays, bit for bit,
+    # also with local indices out of BFS order
+    rng = np.random.default_rng(21)
+    g = random_split_graph(rng, n=60)
+    roots = np.flatnonzero(g.train_mask)
+    mixed = dg.sample_training_subgraphs(g, 3, 2, 5, seed=3)
+    mixed[::4] = root_only(roots[::4])
+    cases = [(dg.init_gcn, hops, dg.sample_training_subgraphs(g, 3, hops, 5, seed=hops))
+             for hops in (1, 2, 3)]
+    cases += [(dg.init_mlp, 2, dg.sample_training_subgraphs(g, 3, 2, 5, seed=7)),
+              (dg.init_gcn, 3, [shuffle_local_order(sg, rng) for sg in cases[2][2]]),
+              (dg.init_gcn, 2, mixed),
+              (dg.init_gcn, 2, root_only(roots)),
+              (dg.init_mlp, 2, root_only(roots))]
+    for init, num_layers, subs in cases:
+        params = init(g.feat_dim, 8, g.num_classes, num_layers, seed=0)
+        store = SubgraphStore(g, subs, params.layers)
+        adj, inputs, reach = store_oracle(g, subs, params.layers)
+        assert np.array_equal(store.adj, adj)
+        assert np.array_equal(store.inputs, inputs)
+        assert np.array_equal(store.reach, reach)
+        assert np.array_equal(store.sizes, [sg.size for sg in subs])
+        assert np.array_equal(store.root_labels, g.labels[[sg.root for sg in subs]])
+    assert store.adj.shape[1:] == (1, 1)
 
 
 def test_store_batch_matches_singletons():
