@@ -19,9 +19,9 @@ print(f"graph: homophily {dg.edge_homophily(graph):.3f}, {n_train} training node
 nondp, _ = dg.train(graph, dg.TrainConfig(mode="full_graph", epochs=200, seed=0))
 print(f"non-DP full graph      : test acc {dg.evaluate(graph, nondp, graph.test_mask):.4f}")
 
-subg_cfg = dg.TrainConfig(mode="subgraph_batch", steps=1000, batch_size=64,
-                          max_degree=5, seed=0)
-subg, _ = dg.train(graph, subg_cfg)
+subg_cfg = dg.TrainConfig(mode="subgraph_batch", seed=0)
+subg_spec = dg.SubgraphSpec(max_degree=5, batch_size=64, total_steps=1000)
+subg, _ = dg.train(graph, subg_cfg, subg_spec)
 print(f"sub-graphing (no noise): test acc {dg.evaluate(graph, subg, graph.test_mask):.4f}")
 
 # --- DP at a few budgets -------------------------------------------------

@@ -7,7 +7,7 @@ checked against the analytic supremum-power bound.
 """
 
 from .accounting import (AccountantState, CalibrationError, PrivacySpec,
-                         calibrate_sigma, clip, compose_and_convert,
+                         SubgraphSpec, calibrate_sigma, clip, compose_and_convert,
                          epsilon_spent, make_accountant,
                          noisy_batch_gradient, per_step_rdp, recommend_delta,
                          supremum_power)
@@ -31,7 +31,7 @@ __all__ = [
     "CsvParseError", "ForwardContext", "IngestionError", "LayerSpec",
     "MetricUndefinedError", "ModelParams", "PopulationGraph", "PrivacySpec",
     "SampledSubgraph", "ShadowEnsemble", "ShapeError", "SplitSpec",
-    "SubgraphStore", "SyntheticSpec", "TrainConfig", "assign_splits", "audit",
+    "SubgraphSpec", "SubgraphStore", "SyntheticSpec", "TrainConfig", "assign_splits", "audit",
     "build_knn_graph", "calibrate_sigma", "clip",
     "compose_and_convert", "edge_homophily", "edgeless_graph",
     "epsilon_spent", "evaluate", "gcn_forward", "generate_synthetic",

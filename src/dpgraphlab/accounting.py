@@ -31,7 +31,7 @@ exact, and the empirical sensitivity audit backs the ``rho * C`` bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,20 +45,15 @@ SIGMA_LO, SIGMA_HI = 0.3, 1000.0  # noise-multiplier search range of calibrate_s
 SIGMA_REL_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class PrivacySpec:
-    """Bundle of privacy and sampling parameters driving DP training.
+@dataclass(frozen=True, kw_only=True)
+class SubgraphSpec:
+    """How a run samples, batches and clips, DP or not: C, K, r, T, m and steps.
 
-    ``noise_multiplier`` may be left None and solved for with
-    :func:`calibrate_sigma`; ``occurrence_bound`` defaults to
-    ``max_degree * hops + 1`` (own subgraph plus at most ``max_degree``
-    appearances per hop level).
+    ``occurrence_bound`` defaults to ``max_degree * hops + 1`` (own subgraph
+    plus at most ``max_degree`` appearances per hop level).
     """
 
-    epsilon_target: float
-    delta: float
     clip_norm: float = 1.0
-    noise_multiplier: float | None = None
     max_degree: int = 5
     hops: int = 2
     occurrence_bound: int | None = None
@@ -66,10 +61,6 @@ class PrivacySpec:
     total_steps: int = 1000
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.epsilon_target <= 0:
-            raise ValueError("epsilon_target must be positive")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive")
         if self.max_degree < 1 or self.hops < 1:
@@ -78,14 +69,32 @@ class PrivacySpec:
             raise ValueError("occurrence_bound must be >= 1")
         if self.batch_size < 1 or self.total_steps < 0:
             raise ValueError("batch_size must be >= 1 and total_steps >= 0")
-        if self.noise_multiplier is not None and self.noise_multiplier <= 0:
-            raise ValueError("noise_multiplier must be positive when set")
 
     @property
     def effective_occurrence_bound(self) -> int:
         if self.occurrence_bound is not None:
             return self.occurrence_bound
         return self.max_degree * self.hops + 1
+
+
+@dataclass(frozen=True)
+class PrivacySpec(SubgraphSpec):
+    """A :class:`SubgraphSpec` plus the privacy target; only epsilon and delta
+    are positional.  ``noise_multiplier`` may be left None and solved for
+    with :func:`calibrate_sigma`."""
+
+    epsilon_target: float
+    delta: float
+    noise_multiplier: float | None = field(default=None, kw_only=True)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
+        if self.epsilon_target <= 0:
+            raise ValueError("epsilon_target must be positive")
+        if self.noise_multiplier is not None and self.noise_multiplier <= 0:
+            raise ValueError("noise_multiplier must be positive when set")
 
 
 def clip(gradient: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -240,14 +249,15 @@ def calibrate_sigma(epsilon_target: float, delta: float, steps: int, N: int, T: 
     """
     if epsilon_target <= 0:
         raise ValueError("epsilon_target must be positive")
-    if steps == 0:
-        return SIGMA_LO
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    # the terms of make_accountant and compose_and_convert that sigma leaves alone
+    # the terms of make_accountant and compose_and_convert that sigma leaves
+    # alone; building them checks T and m against N
     log_pmf, quad = _sigma_free_terms(DEFAULT_ORDERS, N, T, m)
+    if steps == 0:
+        return SIGMA_LO
     order_m1 = DEFAULT_ORDERS - 1.0
     conversion = np.log(1.0 / delta) / order_m1
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .accounting import PrivacySpec, supremum_power
+from .accounting import PrivacySpec, SubgraphSpec, supremum_power
 from .graphs import PopulationGraph
 from .nn import ModelParams, gcn_forward, normalize_adjacency
 from .training import TrainConfig, train
@@ -72,14 +72,14 @@ def _draw_membership(n_shadows: int, n_pool: int, rng: np.random.Generator) -> n
 
 
 def train_shadows(graph: PopulationGraph, config: TrainConfig,
-                  dp: PrivacySpec | None, n_shadows: int, seed: int) -> ShadowEnsemble:
+                  spec: SubgraphSpec | None, n_shadows: int, seed: int) -> ShadowEnsemble:
     """Train shadow models on fresh random halves of the audit pool.
 
     Each shadow re-masks the graph (IN nodes become the train set) and runs
-    the same training pipeline as the target, including DP noise and the
-    final-iterate release when auditing a DP model.  The original
-    validation mask is kept; only non-DP shadows read it, to select their
-    checkpoint.
+    the same training pipeline as the target, with the target's ``spec``,
+    including DP noise and the final-iterate release when auditing a DP
+    model.  The original validation mask is kept; only non-DP shadows read
+    it, to select their checkpoint.
     """
     pool = np.flatnonzero(graph.train_mask | graph.test_mask)
     if pool.size == 0:
@@ -96,7 +96,7 @@ def train_shadows(graph: PopulationGraph, config: TrainConfig,
         train_mask[pool[membership[s]]] = True
         shadow_graph = graph.with_masks(train_mask, graph.val_mask, np.zeros(n, dtype=bool))
         shadow_config = replace(config, seed=int(seeds[s]))
-        params, _ = train(shadow_graph, shadow_config, dp)
+        params, _ = train(shadow_graph, shadow_config, spec)
         logits = gcn_forward(ctx, params)
         phi[s] = scaled_confidence(logits[pool], graph.labels[pool])
     return ShadowEnsemble(pool=pool, membership=membership, phi=phi)
@@ -219,15 +219,16 @@ def binomial_half_width(p: float, n: int) -> float:
 
 
 def audit(target_params: ModelParams, graph: PopulationGraph, config: TrainConfig,
-          n_shadows: int = 128, seed: int = 0, dp: PrivacySpec | None = None,
+          n_shadows: int = 128, seed: int = 0, dp: SubgraphSpec | None = None,
           fpr_grid=FPR_GRID, model_variant: str = "",
           ensemble: ShadowEnsemble | None = None) -> AttackReport:
     """Full LiRA audit of a trained model: shadows, scores, ROC, and bound check.
 
-    Members are the target's training nodes, non-members its test nodes.  For
-    DP targets the report carries the supremum power at each FPR budget and a
-    soundness flag (empirical TPR must not exceed the bound by more than the
-    95% binomial half-width for the member count).
+    Members are the target's training nodes, non-members its test nodes.
+    ``dp`` is the target's spec, which the shadows train with.  For DP
+    targets (a PrivacySpec) the report carries the supremum power at each
+    FPR budget and a soundness flag (empirical TPR must not exceed the bound
+    by more than the 95% binomial half-width for the member count).
     """
     if ensemble is None:
         ensemble = train_shadows(graph, config, dp, n_shadows, seed)
@@ -238,9 +239,10 @@ def audit(target_params: ModelParams, graph: PopulationGraph, config: TrainConfi
     valid = ~np.isnan(scores)
     result = roc(scores[valid], member[valid], fpr_grid)
     n_members = int(member[valid].sum())
-    supremum = bound_ok = None
-    if dp is not None:
-        supremum = {f: supremum_power(dp.epsilon_target, dp.delta, f) for f in fpr_grid}
+    supremum = bound_ok = epsilon = delta = None
+    if isinstance(dp, PrivacySpec):
+        epsilon, delta = dp.epsilon_target, dp.delta
+        supremum = {f: supremum_power(epsilon, delta, f) for f in fpr_grid}
         bound_ok = {
             f: result.tpr_at[f] <= supremum[f] + binomial_half_width(supremum[f], n_members)
             for f in fpr_grid
@@ -257,8 +259,8 @@ def audit(target_params: ModelParams, graph: PopulationGraph, config: TrainConfi
         n_nonmembers=int((~member[valid]).sum()),
         n_shadows=ensemble.n_shadows,
         seed=seed,
-        epsilon=dp.epsilon_target if dp is not None else None,
-        delta=dp.delta if dp is not None else None,
+        epsilon=epsilon,
+        delta=delta,
         model_variant=model_variant,
     )
 

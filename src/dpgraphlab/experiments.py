@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .accounting import PrivacySpec, recommend_delta
+from .accounting import PrivacySpec, SubgraphSpec, recommend_delta
 from .attacks import audit as run_audit
 from .graphs import (PopulationGraph, SplitSpec, assign_splits, build_knn_graph, edge_homophily,
                      load_csv)
@@ -41,6 +41,11 @@ VARIANTS = ("non_dp", "clipping", "subgraphing", "subgraph_clip", "dp")
 # (adam) renormalizes the calibrated Gaussian noise away, which erases the
 # epsilon/utility trade-off the grid is meant to expose.
 DEFAULT_DP_OPTIMIZER = {"optimizer": "sgd", "learning_rate": 1e-4}
+
+# manifest key -> SubgraphSpec field, read from the model block by non-DP
+# cells and from the privacy block by DP cells
+SPEC_KEYS = {"steps": "total_steps", "batch_size": "batch_size", "max_degree": "max_degree",
+             "occurrence_bound": "occurrence_bound", "clip_norm": "clip_norm"}
 
 
 class ManifestError(Exception):
@@ -156,7 +161,7 @@ def build_graph_for_cell(manifest: ExperimentManifest, seed: int):
 
 
 def config_for_variant(manifest: ExperimentManifest, variant: str, seed: int) -> TrainConfig:
-    base = dict(manifest.model)
+    base = {k: v for k, v in manifest.model.items() if k not in SPEC_KEYS}
     base["seed"] = seed
     if variant == "non_dp":
         base.update(mode="full_graph", clipping=False, noise=False)
@@ -174,26 +179,24 @@ def config_for_variant(manifest: ExperimentManifest, variant: str, seed: int) ->
                                             DEFAULT_DP_OPTIMIZER["learning_rate"])
     else:
         raise ManifestError(f"unknown variant {variant!r}")
-    if variant in ("clipping", "subgraph_clip") and manifest.privacy:
-        base["clip_norm"] = manifest.privacy.get("clip_norm", base.get("clip_norm", 1.0))
     return TrainConfig(**base)
 
 
-def privacy_spec_for_cell(manifest: ExperimentManifest, epsilon: float,
-                          n_train: int, num_layers: int) -> PrivacySpec:
-    privacy = dict(manifest.privacy or {})
-    delta = privacy.get("delta") or recommend_delta(n_train)
-    return PrivacySpec(
-        epsilon_target=epsilon,
-        delta=delta,
-        clip_norm=privacy.get("clip_norm", 1.0),
-        noise_multiplier=privacy.get("noise_multiplier"),
-        max_degree=privacy.get("max_degree", 5),
-        hops=privacy.get("hops", num_layers),
-        occurrence_bound=privacy.get("occurrence_bound"),
-        batch_size=privacy.get("batch_size", 64),
-        total_steps=privacy.get("steps", 1000),
-    )
+def spec_for_cell(manifest: ExperimentManifest, variant: str, epsilon, n_train: int,
+                  num_layers: int) -> SubgraphSpec:
+    """The cell's sampling and clipping knobs.  A DP cell reads the privacy
+    block into a PrivacySpec; every other cell reads the model block, and a
+    clipping cell takes the privacy block's clip_norm over it."""
+    privacy = manifest.privacy or {}
+    if variant == "dp":
+        knobs = {SPEC_KEYS[k]: v for k, v in privacy.items() if k in SPEC_KEYS}
+        return PrivacySpec(epsilon, privacy.get("delta") or recommend_delta(n_train),
+                           noise_multiplier=privacy.get("noise_multiplier"),
+                           hops=privacy.get("hops", num_layers), **knobs)
+    knobs = {SPEC_KEYS[k]: v for k, v in manifest.model.items() if k in SPEC_KEYS}
+    if variant in ("clipping", "subgraph_clip") and "clip_norm" in privacy:
+        knobs["clip_norm"] = privacy["clip_norm"]
+    return SubgraphSpec(hops=num_layers, **knobs)
 
 
 def _cell_name(variant: str, epsilon, seed: int) -> str:
@@ -210,11 +213,9 @@ def run_cell(manifest: ExperimentManifest, variant: str, epsilon, seed: int,
         graph = build_graph_for_cell(manifest, seed)
     t0 = time.time()
     config = config_for_variant(manifest, variant, seed)
-    dp = None
-    if variant == "dp":
-        dp = privacy_spec_for_cell(manifest, epsilon, int(graph.train_mask.sum()),
-                                   config.num_layers)
-    params, log = train(graph, config, dp)
+    spec = spec_for_cell(manifest, variant, epsilon, int(graph.train_mask.sum()),
+                         config.num_layers)
+    params, log = train(graph, config, spec)
     # one forward serves every split; an empty test split raises, as it must
     masks = [graph.test_mask, graph.train_mask]
     if graph.val_mask.any():
@@ -244,7 +245,7 @@ def run_cell(manifest: ExperimentManifest, variant: str, epsilon, seed: int,
             params, graph, config,
             n_shadows=audit_cfg.get("n_shadows", 128),
             seed=seed + audit_cfg.get("seed_offset", 10_000),
-            dp=dp,
+            dp=spec,
             fpr_grid=tuple(audit_cfg.get("fpr_grid", (0.001, 0.005, 0.01))),
             model_variant=_cell_name(variant, epsilon, seed),
         )

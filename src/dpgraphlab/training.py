@@ -2,13 +2,14 @@
 descent and per-subgraph batches with optional clipping and Gaussian noise
 (DP-SGD).
 
-Five regimes map onto the config flags:
+Five regimes map onto the config flags and the run's spec (C, K, r, T, m
+and steps; ``SubgraphSpec(hops=config.num_layers)`` when none is given):
 
     non-DP          full_graph, no clipping
-    clipping        full_graph, clipping
-    sub-graphing    subgraph_batch, no clipping
-    subg. + clip    subgraph_batch, clipping
-    DP              subgraph_batch, clipping, noise, with a PrivacySpec
+    clipping        full_graph, clipping to the spec's C
+    sub-graphing    subgraph_batch, no clipping, a SubgraphSpec
+    subg. + clip    subgraph_batch, clipping, a SubgraphSpec
+    DP              subgraph_batch, clipping, noise, a PrivacySpec
 
 Each source returns one (loss, update, logits) per step; :func:`train`
 owns the optimizer, evaluation, log and checkpoint.  DP runs calibrate (or
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounting import (CalibrationError, PrivacySpec, calibrate_sigma, clip,
+from .accounting import (CalibrationError, PrivacySpec, SubgraphSpec, calibrate_sigma, clip,
                          compose_and_convert, make_accountant, noisy_batch_gradient)
 from .graphs import PopulationGraph
 from .nn import (ModelParams, _masked_loss_grad_and_logits, _StepWorkspace, gcn_forward,
@@ -44,17 +45,12 @@ class TrainConfig:
     hidden_dim: int = 32
     learning_rate: float = 1e-2
     optimizer: str = "adam"  # or "sgd" (with momentum)
-    epochs: int = 200  # full-graph budget
-    steps: int = 1000  # subgraph-batch budget (overridden by PrivacySpec)
-    batch_size: int = 64
+    epochs: int = 200  # full-graph budget; the spec holds the subgraph-batch one
     seed: int = 0
     mode: str = "full_graph"  # or "subgraph_batch"
-    clipping: bool = False
-    clip_norm: float = 1.0  # non-DP clipping; DP runs take it from the PrivacySpec
+    clipping: bool = False  # to the spec's clip_norm
     noise: bool = False
     model_kind: str = "gcn"  # or "mlp"
-    max_degree: int = 5  # non-DP subgraphing; DP runs take it from the PrivacySpec
-    occurrence_bound: int | None = None  # None -> max_degree * num_layers + 1
     eval_every: int | None = None  # None -> every epoch / every 50 steps
 
     def __post_init__(self):
@@ -64,10 +60,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be nonnegative")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("optimizer must be 'sgd' or 'adam'")
         if self.mode not in ("full_graph", "subgraph_batch"):
@@ -76,14 +68,8 @@ class TrainConfig:
             raise ValueError("model_kind must be 'gcn' or 'mlp'")
         if self.noise and not (self.clipping and self.mode == "subgraph_batch"):
             raise ValueError("noise requires clipping and subgraph_batch mode")
-        if self.clipping and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive when clipping")
         if self.eval_every is not None and self.eval_every < 1:
             raise ValueError("eval_every must be >= 1 when set")
-        if self.max_degree < 1:
-            raise ValueError("max_degree must be >= 1")
-        if self.occurrence_bound is not None and self.occurrence_bound < 1:
-            raise ValueError("occurrence_bound must be >= 1 when set")
 
 
 class _Sgd:
@@ -155,28 +141,32 @@ def _init_model(graph: PopulationGraph, config: TrainConfig) -> ModelParams:
 
 
 def train(graph: PopulationGraph, config: TrainConfig,
-          dp: PrivacySpec | None = None) -> tuple[ModelParams, list[dict]]:
+          spec: SubgraphSpec | None = None) -> tuple[ModelParams, list[dict]]:
     """Train under the configured regime; returns (params, log).
 
-    DP runs release the final iterate, and each log record holds only what
-    the accountant covers (step, epsilon_spent, sigma) plus the interval's
-    mean batch loss: a DP run reads labels only through its sampled
-    subgraphs' roots.  Other runs release the params of their best
-    validation accuracy (the final iterate without validation nodes), and
-    each record holds step, mean loss over the interval, train_acc and
-    val_acc.  DP runs fail with CalibrationError before the first step if
-    the epsilon target cannot be met at the requested step count.
+    A PrivacySpec ``spec`` makes the run a DP run.  DP runs release the
+    final iterate, and each log record holds only what the accountant
+    covers (step, epsilon_spent, sigma) plus the interval's mean batch loss:
+    a DP run reads labels only through its sampled subgraphs' roots.  Other
+    runs release the params of their best validation accuracy (the final
+    iterate without validation nodes), and each record holds step, mean
+    loss over the interval, train_acc and val_acc.  DP runs fail with
+    CalibrationError before the first step if the epsilon target cannot be
+    met at the requested step count.
     """
     if not graph.train_mask.any():
         raise ValueError("graph has no training nodes; assign splits first")
+    if spec is None:
+        spec = SubgraphSpec(hops=config.num_layers)
     # TrainConfig only allows noise with clipping in subgraph_batch mode
-    if (dp is not None) != config.noise:
+    dp = isinstance(spec, PrivacySpec)
+    if dp != config.noise:
         raise ValueError("DP training requires subgraph_batch mode with clipping and noise, "
                          "and noise requires a PrivacySpec")
 
     params = _init_model(graph, config)
     best = None  # (params of the best validation accuracy so far, that accuracy)
-    if dp is None:
+    if not dp:
         ctx = normalize_adjacency(graph)
         splits = [_split(graph.labels, graph.train_mask)]
         has_val = bool(graph.val_mask.any())
@@ -184,9 +174,9 @@ def train(graph: PopulationGraph, config: TrainConfig,
             splits.append(_split(graph.labels, graph.val_mask))
             best = (params.clone(), -1.0)
     if config.mode == "full_graph":
-        steps, every, gradients, privacy = _full_graph_source(graph, config, ctx, params)
+        steps, every, gradients, privacy = _full_graph_source(graph, config, spec, ctx, params)
     else:
-        steps, every, gradients, privacy = _subgraph_source(graph, config, dp, params)
+        steps, every, gradients, privacy = _subgraph_source(graph, config, spec, params)
 
     lr = config.learning_rate
     optimizer = _Adam(lr) if config.optimizer == "adam" else _Sgd(lr)
@@ -195,7 +185,7 @@ def train(graph: PopulationGraph, config: TrainConfig,
     def record(step, loss, logits):
         nonlocal best
         entry = {"step": step, "loss": loss}
-        if dp is not None:  # the accountant's fields; no evaluation, no selection
+        if dp:  # the accountant's fields; no evaluation, no selection
             entry.update(privacy(step))
         else:
             acc = _accuracy(gcn_forward(ctx, params) if logits is None else logits, splits)
@@ -250,55 +240,47 @@ def _checkpoint(best, params, val_acc):
 # the heap top back to the OS and faults it in again on the next step, which
 # made DP training about 1.5x slower on the dp_audit benchmark.
 
-def _full_graph_source(graph, config, ctx, params):
+def _full_graph_source(graph, config, spec, ctx, params):
     ws = _StepWorkspace(params, labels=graph.labels, mask=graph.train_mask)
     adj, x = ctx.adj_norm, ctx.first_layer_input(params.layers)
 
     def gradients():
         while True:
             loss, grad, logits = _masked_loss_grad_and_logits(ws, adj, x)
-            yield loss, clip(grad, config.clip_norm) if config.clipping else grad, logits
+            yield loss, clip(grad, spec.clip_norm) if config.clipping else grad, logits
 
     return config.epochs, config.eval_every or 1, gradients(), None
 
 
-def _subgraph_source(graph, config, dp: PrivacySpec | None, params):
+def _subgraph_source(graph, config, spec: SubgraphSpec, params):
     """DP runs calibrate sigma if unset and check the budget before any sampling."""
-    n_train = int(graph.train_mask.sum())
-    if dp is not None:
-        occurrence_bound = dp.effective_occurrence_bound
-        max_degree, hops = dp.max_degree, dp.hops
-        steps, batch_size = dp.total_steps, dp.batch_size
+    steps, batch_size = spec.total_steps, spec.batch_size
+    occurrence_bound = spec.effective_occurrence_bound
+    sigma, privacy = 0.0, None
+    if isinstance(spec, PrivacySpec):
+        n_train = int(graph.train_mask.sum())
         if batch_size > n_train:
             raise ValueError(f"batch_size={batch_size} exceeds n_train={n_train}")
-        sigma, clip_norm = dp.noise_multiplier, dp.clip_norm
+        sigma = spec.noise_multiplier
         if sigma is None:
-            sigma = calibrate_sigma(dp.epsilon_target, dp.delta, steps, n_train,
+            sigma = calibrate_sigma(spec.epsilon_target, spec.delta, steps, n_train,
                                     occurrence_bound, batch_size)
         accountant = make_accountant(sigma, n_train, occurrence_bound, batch_size)
-        total_eps = compose_and_convert(accountant, steps, dp.delta)
-        if total_eps > dp.epsilon_target * (1.0 + 1e-9):
+        total_eps = compose_and_convert(accountant, steps, spec.delta)
+        if total_eps > spec.epsilon_target * (1.0 + 1e-9):
             raise CalibrationError(
                 f"epsilon budget infeasible: sigma={sigma} spends {total_eps:.4g} "
-                f"over {steps} steps, target {dp.epsilon_target}"
+                f"over {steps} steps, target {spec.epsilon_target}"
             )
 
         def privacy(step):
-            return {"epsilon_spent": compose_and_convert(accountant, step, dp.delta),
+            return {"epsilon_spent": compose_and_convert(accountant, step, spec.delta),
                     "sigma": sigma}
-    else:
-        max_degree = config.max_degree
-        hops = config.num_layers
-        occurrence_bound = config.occurrence_bound
-        if occurrence_bound is None:
-            occurrence_bound = max_degree * hops + 1
-        steps, batch_size = config.steps, config.batch_size
-        sigma, clip_norm, privacy = 0.0, config.clip_norm, None
 
     sampler_rng = _stream(config.seed, 1)
     batch_rng = _stream(config.seed, 2)
     noise_rng = _stream(config.seed, 3)
-    subgraphs = sample_training_subgraphs(graph, max_degree, hops, occurrence_bound,
+    subgraphs = sample_training_subgraphs(graph, spec.max_degree, spec.hops, occurrence_bound,
                                           sampler_rng)
     store = SubgraphStore(graph, subgraphs, params.layers)
     batch_size = min(batch_size, len(store))
@@ -310,7 +292,7 @@ def _subgraph_source(graph, config, dp: PrivacySpec | None, params):
             batch = store.batch(idx)
             losses, grads = subgraph_batch_gradients(*batch, ws)
             if config.clipping:  # sigma is 0.0 outside DP runs
-                update = noisy_batch_gradient(grads, clip_norm, sigma, noise_rng)
+                update = noisy_batch_gradient(grads, spec.clip_norm, sigma, noise_rng)
             else:
                 update = grads.mean(axis=0)
             yield float(losses.sum() / losses.size), update, None

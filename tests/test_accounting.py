@@ -333,6 +333,26 @@ def test_calibrate_regression_pin():
     assert sigma == pytest.approx(30.94, abs=0.05)
 
 
+@pytest.mark.parametrize("args,match", [
+    ((5.0, 2.0, 0, 100, 6, 64), "delta"),
+    ((5.0, 1e-3, 0, 10, 60, 64), "must not exceed"),  # T and m above N
+    ((5.0, 1e-3, -1, 100, 6, 64), "steps"),
+    ((5.0, 1e-3, 0, 100, 101, 64), "must not exceed"),  # T above N
+    ((5.0, 1e-3, 0, 100, 6, 101), "must not exceed"),  # m above N
+])
+def test_calibrate_validates_before_the_zero_step_shortcut(args, match):
+    # epsilon_spent rejects the same accountant inputs
+    with pytest.raises(ValueError, match=match):
+        dg.calibrate_sigma(*args)
+    epsilon, delta, steps, N, T, m = args
+    with pytest.raises(ValueError, match=match):
+        dg.epsilon_spent(1.0, steps, delta, N, T, m)
+
+
+def test_calibrate_zero_steps_gives_the_smallest_sigma():
+    assert dg.calibrate_sigma(5.0, 1e-3, 0, 100, 6, 64) == SIGMA_LO
+
+
 def test_calibrate_unreachable_raises():
     with pytest.raises(dg.CalibrationError):
         dg.calibrate_sigma(1e-4, 1e-5, 100_000, 100, 10, 100)

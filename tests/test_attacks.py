@@ -217,6 +217,24 @@ def test_audit_dp_report_carries_bound():
     assert isinstance(report.sound, bool)
 
 
+def test_audit_forwards_a_subgraph_spec_without_a_bound():
+    # a non-DP spec reaches every shadow, and only a PrivacySpec has a bound
+    g = small_graph(n=120)
+    spec = dg.SubgraphSpec(clip_norm=0.05, max_degree=3, occurrence_bound=4, batch_size=8,
+                           total_steps=20)
+    cfg = dg.TrainConfig(mode="subgraph_batch", clipping=True, hidden_dim=8, seed=0,
+                         eval_every=10)
+    target, _ = dg.train(g, cfg, spec)
+    report = dg.audit(target, g, cfg, n_shadows=16, seed=2, dp=spec)
+    assert report.supremum is None and report.epsilon is None and report.sound
+    assert "epsilon" not in report.to_json()
+    ensemble = dg.train_shadows(g, cfg, spec, n_shadows=16, seed=2)
+    np.testing.assert_array_equal(report.scores,
+                                  dg.audit(target, g, cfg, seed=2, ensemble=ensemble).scores)
+    default = dg.train_shadows(g, cfg, None, n_shadows=16, seed=2)
+    assert not np.array_equal(ensemble.phi, default.phi)
+
+
 def test_audit_determinism():
     g = small_graph()
     cfg = quick_config()

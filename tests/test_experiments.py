@@ -1,5 +1,6 @@
 """Manifest-driven grids, aggregation, reporting, and the CLI surface."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -205,12 +206,10 @@ def test_run_cell_evaluates_with_one_forward(tmp_path, monkeypatch):
     for variant, epsilon in (("non_dp", None), ("dp", 10.0)):
         graph = experiments.build_graph_for_cell(manifest, 0)
         config = experiments.config_for_variant(manifest, variant, 0)
-        dp = None
-        if variant == "dp":
-            dp = experiments.privacy_spec_for_cell(manifest, epsilon,
-                                                   int(graph.train_mask.sum()), config.num_layers)
+        spec = experiments.spec_for_cell(manifest, variant, epsilon,
+                                         int(graph.train_mask.sum()), config.num_layers)
         calls.update(normalize_adjacency=0, gcn_forward=0)
-        params, _ = dg.train(graph, config, dp)
+        params, _ = dg.train(graph, config, spec)
         in_train = dict(calls)
         calls.update(normalize_adjacency=0, gcn_forward=0)
         cell = experiments.run_cell(manifest, variant, epsilon, 0)
@@ -218,6 +217,38 @@ def test_run_cell_evaluates_with_one_forward(tmp_path, monkeypatch):
         assert cell["test_acc"] == dg.evaluate(graph, params, graph.test_mask)
         assert cell["train_acc"] == dg.evaluate(graph, params, graph.train_mask)
         assert cell["val_acc"] == dg.evaluate(graph, params, graph.val_mask)
+
+
+def test_spec_for_cell_reads_the_manifest_keys(tmp_path):
+    from dpgraphlab.experiments import config_for_variant, spec_for_cell
+
+    model = {"num_layers": 3, "hidden_dim": 8, "steps": 12, "batch_size": 4, "max_degree": 2,
+             "occurrence_bound": 5, "clip_norm": 0.5}
+    privacy = {"epsilons": [5.0], "clip_norm": 2.0, "max_degree": 3, "hops": 1,
+               "occurrence_bound": 4, "batch_size": 8, "steps": 30, "delta": 1e-4}
+    from_model = dg.SubgraphSpec(clip_norm=0.5, max_degree=2, hops=3, occurrence_bound=5,
+                                 batch_size=4, total_steps=12)
+
+    def spec(variant, privacy, epsilon=None):
+        manifest = ExperimentManifest.from_dict({"dataset": {"synthetic": {}}, "model": model,
+                                                 "privacy": privacy, "seeds": [0],
+                                                 "output_dir": str(tmp_path)})
+        config = config_for_variant(manifest, variant, 0)
+        assert config.num_layers == 3
+        return spec_for_cell(manifest, variant, epsilon, 100, config.num_layers)
+
+    no_norm = {k: v for k, v in privacy.items() if k != "clip_norm"}
+    for variant in ("non_dp", "subgraphing"):  # the privacy block's norm is for clipping cells
+        assert spec(variant, privacy) == from_model
+    for variant in ("clipping", "subgraph_clip"):
+        assert spec(variant, None) == from_model
+        assert spec(variant, no_norm) == from_model
+        assert spec(variant, privacy) == dataclasses.replace(from_model, clip_norm=2.0)
+    assert spec("dp", privacy, 5.0) == dg.PrivacySpec(
+        5.0, 1e-4, clip_norm=2.0, max_degree=3, hops=1, occurrence_bound=4, batch_size=8,
+        total_steps=30)
+    # a privacy block without the knobs gets the defaults, hops from the model
+    assert spec("dp", {"epsilons": [5.0]}, 5.0) == dg.PrivacySpec(5.0, 1e-3, hops=3)
 
 
 def test_run_cell_without_val_or_test_nodes(tmp_path):

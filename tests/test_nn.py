@@ -396,7 +396,7 @@ def test_full_graph_workspace_matches_fresh_calls():
         cfg = dg.TrainConfig(num_layers=3, hidden_dim=6, model_kind=model_kind, seed=1)
         params = training._init_model(g, cfg)
         ctx = dg.normalize_adjacency(g)
-        _, _, source, _ = training._full_graph_source(g, cfg, ctx, params)
+        _, _, source, _ = training._full_graph_source(g, cfg, dg.SubgraphSpec(), ctx, params)
         adam = training._Adam(cfg.learning_rate)
         for _ in range(20):
             loss, grad, logits = next(source)
@@ -448,13 +448,13 @@ def test_public_gradients_are_fresh_arrays():
 def test_second_train_leaves_first_result_alone():
     g = workspace_graph()
     no_val = dg.assign_splits(g, dg.SplitSpec(0.6, 0.0, 0.4, seed=2))
-    for graph, cfg in ((g, dg.TrainConfig(epochs=15, seed=1)),  # checkpoint buffer
-                       (no_val, dg.TrainConfig(epochs=15, seed=1)),  # final iterate
-                       (g, dg.TrainConfig(mode="subgraph_batch", steps=15, batch_size=8,
-                                          seed=1))):
-        first, _ = dg.train(graph, cfg)
+    for graph, cfg, spec in ((g, dg.TrainConfig(epochs=15, seed=1), None),  # checkpoint buffer
+                             (no_val, dg.TrainConfig(epochs=15, seed=1), None),  # final iterate
+                             (g, dg.TrainConfig(mode="subgraph_batch", seed=1),
+                              dg.SubgraphSpec(batch_size=8, total_steps=15))):
+        first, _ = dg.train(graph, cfg, spec)
         kept = first.flat.copy()
-        dg.train(graph, dataclasses.replace(cfg, seed=2))
+        dg.train(graph, dataclasses.replace(cfg, seed=2), spec)
         np.testing.assert_array_equal(first.flat, kept)
 
 
@@ -518,10 +518,31 @@ def test_train_config_validation():
     for bad in (0, -3):  # None selects the default interval; 0 is an error, not a default
         with pytest.raises(ValueError, match="eval_every"):
             dg.TrainConfig(eval_every=bad)
-    for field, bad in (("epochs", -3), ("steps", -1), ("batch_size", 0), ("max_degree", 0),
-                       ("occurrence_bound", 0), ("occurrence_bound", -2)):
+    with pytest.raises(ValueError, match="epochs"):
+        dg.TrainConfig(epochs=-3)
+
+
+@pytest.mark.parametrize("field", ["steps", "batch_size", "clip_norm", "max_degree",
+                                   "occurrence_bound"])
+def test_train_config_has_no_spec_fields(field):
+    # the run's SubgraphSpec holds these; a TrainConfig copy could be ignored
+    with pytest.raises(TypeError, match=field):
+        dg.TrainConfig(**{field: 1})
+
+
+def test_subgraph_spec_validation():
+    for field, bad in (("total_steps", -1), ("batch_size", 0), ("max_degree", 0), ("hops", 0),
+                       ("occurrence_bound", 0), ("occurrence_bound", -2), ("clip_norm", 0.0),
+                       ("clip_norm", -1.0)):
         with pytest.raises(ValueError, match=field):
-            dg.TrainConfig(**{field: bad})
+            dg.SubgraphSpec(**{field: bad})
+        with pytest.raises(ValueError, match=field):  # the same checks, inherited
+            dg.PrivacySpec(5.0, 1e-4, **{field: bad})
+    spec = dg.SubgraphSpec(max_degree=4, hops=3)
+    assert spec.effective_occurrence_bound == 13  # K * r + 1
+    assert dg.SubgraphSpec(occurrence_bound=2).effective_occurrence_bound == 2
+    with pytest.raises(TypeError):
+        dg.SubgraphSpec(1.0)  # every field is keyword-only
 
 
 def test_privacy_spec_validation():
@@ -531,6 +552,8 @@ def test_privacy_spec_validation():
         dg.PrivacySpec(epsilon_target=5.0, delta=1.5)
     with pytest.raises(ValueError):
         dg.PrivacySpec(epsilon_target=5.0, delta=1e-4, clip_norm=0.0)
+    with pytest.raises(ValueError):
+        dg.PrivacySpec(epsilon_target=5.0, delta=1e-4, noise_multiplier=0.0)
     spec = dg.PrivacySpec(epsilon_target=5.0, delta=1e-4, max_degree=4, hops=3)
     assert spec.effective_occurrence_bound == 13  # K * r + 1
     g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=80, seed=0))
@@ -547,24 +570,75 @@ def test_dp_train_requires_noise_flags():
     with pytest.raises(ValueError):
         dg.train(g, dg.TrainConfig(mode="full_graph"), dp)
     with pytest.raises(ValueError):  # noise without a PrivacySpec has no sigma to add
-        dg.train(g, dg.TrainConfig(mode="subgraph_batch", clipping=True, noise=True,
-                                   steps=5, batch_size=8))
+        dg.train(g, dg.TrainConfig(mode="subgraph_batch", clipping=True, noise=True),
+                 dg.SubgraphSpec(batch_size=8, total_steps=5))
+    with pytest.raises(ValueError):
+        dg.train(g, dg.TrainConfig(mode="subgraph_batch", clipping=True, noise=True))
 
 
-def test_dp_train_clips_with_privacy_spec_norm():
-    g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=80, target_homophily=0.8, seed=0))
-    g = dg.assign_splits(g, dg.SplitSpec(0.5, 0.2, 0.3, seed=1))
+def test_privacy_spec_positional_fields():
+    spec = dg.PrivacySpec(5.0, 1e-3)
+    assert (spec.epsilon_target, spec.delta, spec.clip_norm) == (5.0, 1e-3, 1.0)
+    with pytest.raises(TypeError):
+        dg.PrivacySpec(5.0, 1e-3, 1.0)  # read neither as clip_norm nor as noise_multiplier
+    assert isinstance(spec, dg.SubgraphSpec)
 
-    def run(config_norm, spec_norm):
-        cfg = dg.TrainConfig(mode="subgraph_batch", clipping=True, noise=True,
-                             clip_norm=config_norm, eval_every=10, seed=3)
-        dp = dg.PrivacySpec(epsilon_target=10.0, delta=1e-3, clip_norm=spec_norm,
+
+# each SubgraphSpec field moved alone to a value that binds on spec_field_graph()
+BASE_SPEC = dg.SubgraphSpec(clip_norm=1.0, max_degree=3, hops=2, occurrence_bound=None,
                             batch_size=8, total_steps=20)
-        return dg.train(g, cfg, dp)[0].flat
+BINDING = {"clip_norm": 0.01, "max_degree": 1, "hops": 1, "occurrence_bound": 2,
+           "batch_size": 4, "total_steps": 10}
 
-    spec_small = run(1.0, 0.01)
-    np.testing.assert_array_equal(spec_small, run(0.01, 0.01))
-    assert not np.array_equal(spec_small, run(0.01, 1.0))
+
+def spec_field_graph():
+    g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=80, target_homophily=0.8, seed=0))
+    return dg.assign_splits(g, dg.SplitSpec(0.5, 0.2, 0.3, seed=1))
+
+
+def train_with_spec(g, spec, dp):
+    """The released params' bytes and the log of one subgraph-clip or DP run."""
+    cfg = dg.TrainConfig(mode="subgraph_batch", clipping=True, noise=dp, eval_every=10, seed=3)
+    if dp:
+        spec = dg.PrivacySpec(10.0, 1e-3, **dataclasses.asdict(spec))
+    params, log = dg.train(g, cfg, spec)
+    return params.flat.tobytes(), log
+
+
+def test_binding_values_cover_every_spec_field():
+    assert set(BINDING) == {f.name for f in dataclasses.fields(dg.SubgraphSpec)}
+
+
+@pytest.mark.parametrize("dp", [False, True], ids=["subgraph_clip", "dp"])
+@pytest.mark.parametrize("field", sorted(BINDING))
+def test_every_spec_field_reaches_the_run(field, dp):
+    # no knob of the run's spec is silently ignored, in a DP run or not; a
+    # non-DP run may release the same checkpoint after fewer steps, so the
+    # log counts too
+    g = spec_field_graph()
+    base = train_with_spec(g, BASE_SPEC, dp)
+    assert train_with_spec(g, BASE_SPEC, dp) == base
+    moved = train_with_spec(g, dataclasses.replace(BASE_SPEC, **{field: BINDING[field]}), dp)
+    assert moved != base
+
+
+def test_spec_less_run_is_the_default_spec_at_the_layer_count():
+    g = spec_field_graph()
+    for cfg in (dg.TrainConfig(clipping=True, epochs=10, seed=3),
+                dg.TrainConfig(mode="subgraph_batch", num_layers=3, eval_every=10, seed=3)):
+        spec_less = dg.train(g, cfg)[0].flat
+        default = dg.train(g, cfg, dg.SubgraphSpec(hops=cfg.num_layers))[0].flat
+        np.testing.assert_array_equal(spec_less, default)
+
+
+def test_full_graph_clipping_reads_the_spec_norm():
+    g = spec_field_graph()
+    cfg = dg.TrainConfig(clipping=True, epochs=10, seed=3)
+    loose, _ = dg.train(g, cfg, dg.SubgraphSpec(clip_norm=1e3))
+    tight, _ = dg.train(g, cfg, dg.SubgraphSpec(clip_norm=0.01))
+    unclipped, _ = dg.train(g, dataclasses.replace(cfg, clipping=False))
+    np.testing.assert_array_equal(loose.flat, unclipped.flat)
+    assert not np.array_equal(loose.flat, tight.flat)
 
 
 def test_training_log_jsonl(tmp_path):
