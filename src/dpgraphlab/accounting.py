@@ -15,13 +15,13 @@ gradient sum by at most ``rho * C``, so the Gaussian mechanism with noise
 which reduces exactly to the plain Gaussian mechanism when T=1 and m=N.
 All orders of the grid are computed together, in one log-sum-exp over an
 (orders x rho) matrix built from the T+1 hypergeometric log-pmfs.  The
-log-pmfs and ``alpha (alpha-1) rho^2`` do not depend on sigma, and neither
-does the conversion term ``log(1/delta)/(alpha-1)``, so
+log-pmfs and ``alpha (alpha-1) rho^2`` do not depend on sigma, so
 :func:`calibrate_sigma` derives them once and each bisection step only
-divides by ``2 sigma^2`` and reduces.  The log-sum-exp is plain numpy, in the
-form ``scipy.special.logsumexp`` takes from scipy 1.15 on: the row maximum
-``a_max`` and its ``k`` ties are separated out, the other terms are summed as
-``s = sum exp(a - a_max) / k``, and the result is
+divides by ``2 sigma^2``, reduces, and converts to epsilon with the
+conversion that :func:`compose_and_convert` uses.  The log-sum-exp is
+plain numpy, in the form ``scipy.special.logsumexp`` takes from scipy 1.15
+on: the row maximum ``a_max`` and its ``k`` ties are separated out, the
+other terms are summed as ``s = sum exp(a - a_max) / k``, and the result is
 ``log1p(s) + log(k) + a_max`` (it matched scipy 1.17.1 bit for bit on
 3,000 random accountant inputs).
 The rule is conservative by construction; the anchors tested against it are
@@ -151,6 +151,10 @@ def _hyper_log_pmf(N: int, T: int, m: int, rho: int) -> float:
 def _sigma_free_terms(orders: np.ndarray, N: int, T: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The per-step cost's terms that do not depend on sigma: the log-pmfs of
     every feasible rho and the (orders x rho) matrix alpha (alpha-1) rho^2."""
+    if T < 1:
+        raise ValueError(f"occurrence bound T must be >= 1, got T={T}")
+    if m < 1:
+        raise ValueError(f"batch size m must be >= 1, got m={m}")
     rhos = np.arange(max(0, m - (N - T)), min(T, m) + 1)
     if rhos.size == 0:
         raise ValueError(f"T={T} and m={m} must not exceed N={N}")
@@ -211,6 +215,12 @@ def make_accountant(sigma: float, N: int, T: int, m: int,
     return AccountantState(orders=orders, per_step_costs=costs)
 
 
+def _epsilon_over_orders(costs: np.ndarray, orders: np.ndarray, steps: int,
+                         delta: float) -> np.ndarray:
+    """Epsilon at ``delta`` per order: steps * cost(alpha) + log(1/delta)/(alpha-1)."""
+    return steps * costs + np.log(1.0 / delta) / (orders - 1.0)
+
+
 def compose_and_convert(state: AccountantState, steps: int, delta: float,
                         return_order: bool = False):
     """Total epsilon after ``steps`` compositions, converted at ``delta``.
@@ -224,7 +234,7 @@ def compose_and_convert(state: AccountantState, steps: int, delta: float,
         raise ValueError("delta must lie in (0, 1)")
     if steps == 0:
         return (0.0, None) if return_order else 0.0
-    totals = steps * state.per_step_costs + np.log(1.0 / delta) / (state.orders - 1.0)
+    totals = _epsilon_over_orders(state.per_step_costs, state.orders, steps, delta)
     best = int(np.argmin(totals))
     eps = float(totals[best])
     if return_order:
@@ -259,11 +269,10 @@ def calibrate_sigma(epsilon_target: float, delta: float, steps: int, N: int, T: 
     if steps == 0:
         return SIGMA_LO
     order_m1 = DEFAULT_ORDERS - 1.0
-    conversion = np.log(1.0 / delta) / order_m1
 
     def eps_at(sig):
         costs = _logsumexp_rows(log_pmf + quad / (2.0 * sig * sig)) / order_m1
-        return float(np.min(steps * costs + conversion))
+        return float(np.min(_epsilon_over_orders(costs, DEFAULT_ORDERS, steps, delta)))
 
     eps_hi = eps_at(SIGMA_HI)
     if eps_hi > epsilon_target:

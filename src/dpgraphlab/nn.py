@@ -17,12 +17,14 @@ The same forward and backward pass serves the whole graph (sparse
 adjacency) and a zero-padded stack of sampled subgraphs (dense (m, s, s)
 adjacency), where :func:`subgraph_batch_gradients` takes each subgraph's
 root loss and returns one gradient row per subgraph.  That loss sits on
-row 0 only, so the batch computes only the root's receptive field, going
-back from the output (:func:`receptive_rows`): the last layer yields 1 row,
-a layer above the first that propagates reads the rows up to the last
-column with a nonzero in the adjacency rows the next layer reads, and any
-other layer reads the rows the next layer reads.  The full-graph path
-computes every row.
+row 0 only, so the batch computes only the root's receptive field, given
+as ``rows``, the row prefix each layer reads.  Going back from the output,
+the last layer yields 1 row, a layer above the first that propagates reads
+the rows up to the last column with a nonzero in the adjacency rows the
+next layer reads, and any other layer reads the rows the next layer reads.
+The store resolves these rows once, over all its subgraphs, when it is
+built, and keeps only the first ``rows[0]`` rows and columns of each
+subgraph.  The full-graph path computes every row.
 
 Layer order: a ``gcn_conv`` layer above the first multiplies the
 adjacency into the narrower side of its weight, as (A @ h) @ w + b when it
@@ -43,9 +45,8 @@ holds the loss rows, their labels, and a d_logits buffer whose
 non-loss rows stay zero.  Every step reuses these, and its gradient
 overwrites the previous step's, which the optimizer has consumed by then.
 The public functions (:func:`gcn_forward`, :func:`loss_and_grad`,
-:func:`loss_grad_and_logits`, :func:`subgraph_batch_gradients`) build a
-workspace per call, so what they return is never overwritten by a later
-call.
+:func:`subgraph_batch_gradients`) build a workspace per call, so what they
+return is never overwritten by a later call.
 """
 
 from __future__ import annotations
@@ -185,25 +186,6 @@ def _propagated_side(l: int, spec: LayerSpec) -> str | None:
     return "output" if spec.out_dim < spec.in_dim else "input"
 
 
-def receptive_rows(reach: np.ndarray, layers) -> list[int]:
-    """Row prefix each layer reads so that output row 0 is exact: ``rows[l]``
-    rows enter layer l and ``rows[l + 1]`` leave it, with ``rows[-1] == 1``.
-
-    ``reach`` is a batch's (m, s + 1) table whose entry [i, k] is 1 + the
-    last nonzero column in the first k rows of subgraph i's adjacency.
-    Going back from the output, a layer that propagates needs every column
-    up to the last nonzero in the rows the next layer reads; any other layer
-    needs the same rows.  Holds for any local order with the root at index 0.
-    """
-    rows = [1]
-    for l in range(len(layers) - 1, -1, -1):
-        r = rows[0]
-        if _propagated_side(l, layers[l]) is not None:
-            r = int(reach[:, r].max())
-        rows.insert(0, r)
-    return rows
-
-
 class _StepWorkspace:
     """One model's layer layout, resolved once, and the buffers its steps reuse.
 
@@ -234,7 +216,7 @@ def _forward(ws: _StepWorkspace, adj, x: np.ndarray, keep_cache: bool, rows=None
 
     ``x`` is layer 0's input (A @ X or X, see the module docstring).
     ``adj`` is sparse (n, n) with ``x`` (n, d), or a dense (m, s, s) stack with ``x`` (m, s, d).
-    With ``rows`` from :func:`receptive_rows`, layer l maps the first
+    With ``rows`` (see the module docstring), layer l maps the first
     ``rows[l]`` rows to the first ``rows[l + 1]``.
     """
     in_dim = ws.layers[0].in_dim
@@ -314,10 +296,11 @@ def subgraph_batch_gradients(adj: np.ndarray, inputs: np.ndarray, root_labels: n
 
     ``adj`` is a zero-padded (m, s, s) stack of normalized adjacencies with
     the root at local index 0, ``inputs`` the (m, s, d) stack of layer 0's
-    inputs (A @ X or X), and ``rows`` the :func:`receptive_rows` of the
-    batch, with ``rows[0] <= s``; :meth:`dpgraphlab.sampling.SubgraphStore.batch`
-    returns all four, cut to ``rows[0]``.  Gradients come back as an
-    (m, n_params) matrix in the same layout as ``params.flat``.
+    inputs (A @ X or X), and ``rows`` the row prefix each layer reads (see
+    the module docstring), with ``rows[0] <= s``;
+    :meth:`dpgraphlab.sampling.SubgraphStore.batch` returns all four, cut to
+    ``rows[0]``.  Gradients come back as an (m, n_params) matrix in the same
+    layout as ``params.flat``.
 
     The workspace form of ``params`` is internal: the training loop passes
     its :class:`_StepWorkspace`, and the gradient matrix is then that
@@ -343,17 +326,11 @@ def _masked_loss_grad_and_logits(ws: _StepWorkspace, adj, x: np.ndarray):
     return float(losses.sum() / idx.size), _backward(ws, adj, cache, ws.d_logits), logits
 
 
-def loss_grad_and_logits(ctx: ForwardContext, params: ModelParams, labels: np.ndarray,
-                         mask: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """:func:`loss_and_grad` plus the logits of the forward pass it ran."""
-    return _masked_loss_grad_and_logits(_StepWorkspace(params, labels=labels, mask=mask),
-                                        ctx.adj_norm, ctx.first_layer_input(params.layers))
-
-
 def loss_and_grad(ctx: ForwardContext, params: ModelParams, labels: np.ndarray,
                   mask: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean masked cross-entropy and its exact gradient through all layers."""
-    loss, grad, _ = loss_grad_and_logits(ctx, params, labels, mask)
+    loss, grad, _ = _masked_loss_grad_and_logits(_StepWorkspace(params, labels=labels, mask=mask),
+                                                 ctx.adj_norm, ctx.first_layer_input(params.layers))
     return loss, grad
 
 

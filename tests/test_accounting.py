@@ -227,6 +227,13 @@ def test_sigma_free_terms_need_T_and_m_within_N():
         make_accountant(1.0, 10, 2, 11)
 
 
+def test_accountant_names_a_nonpositive_T_or_m():
+    with pytest.raises(ValueError, match="T must be >= 1, got T=-1"):
+        make_accountant(1.0, 100, -1, 64)
+    with pytest.raises(ValueError, match="m must be >= 1, got m=0"):
+        make_accountant(1.0, 100, 6, 0)
+
+
 def scipy_calibrate(epsilon_target, delta, steps, N, T, m):
     """Oracle bisection: epsilon at each sigma from scipy's logsumexp and a
     fresh minimum over the order grid."""
@@ -339,6 +346,10 @@ def test_calibrate_regression_pin():
     ((5.0, 1e-3, -1, 100, 6, 64), "steps"),
     ((5.0, 1e-3, 0, 100, 101, 64), "must not exceed"),  # T above N
     ((5.0, 1e-3, 0, 100, 6, 101), "must not exceed"),  # m above N
+    ((5.0, 1e-3, 0, 100, 0, 64), "T must be >= 1"),
+    ((5.0, 1e-3, 0, 100, -1, 64), "T must be >= 1"),
+    ((5.0, 1e-3, 0, 100, 6, 0), "m must be >= 1"),
+    ((5.0, 1e-3, 0, 100, 6, -3), "m must be >= 1"),
 ])
 def test_calibrate_validates_before_the_zero_step_shortcut(args, match):
     # epsilon_spent rejects the same accountant inputs

@@ -362,6 +362,11 @@ def test_cli_accountant_supremum_power(capsys):
     assert power["0.01"] == 1.0
 
 
+def test_cli_accountant_rejects_zero_batch_size(capsys):
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        run_cli(capsys, "accountant", "--sigma", "1", "--n-train", "100", "-T", "6", "-m", "0")
+
+
 def test_cli_calibrate_json(capsys):
     code, out = run_cli(capsys, "calibrate", "--epsilon", "5", "--steps", "1000",
                         "--n-train", "560", "-T", "6", "-m", "64")

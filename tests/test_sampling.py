@@ -158,24 +158,34 @@ def test_empirical_sensitivity_bound():
         assert shift <= occ * C + 1e-9
 
 
-def store_oracle(graph, subgraphs, layers):
-    """(adj, inputs, reach) of a store, built one subgraph at a time: each
-    block is the subgraph's own dense normalized adjacency and features,
-    zero-padded, and reach[i, k] is 1 + the last nonzero column in the first
-    k rows of block i."""
+def padded_adjacency(subgraphs, dtype=np.float64):
+    """Every subgraph's own dense normalized adjacency, zero-padded to the
+    largest; with ``dtype=bool``, only where its nonzeros lie."""
     n, s = len(subgraphs), max(sg.size for sg in subgraphs)
-    adj = np.zeros((n, s, s))
-    features = np.zeros((n, s, graph.feat_dim))
+    adj = np.zeros((n, s, s), dtype=dtype)
     for i, sg in enumerate(subgraphs):
         adj[i, :sg.size, :sg.size] = dense_normalized_adjacency(sg.size, sg.edges)
+    return adj
+
+
+def store_oracle(graph, subgraphs, layers):
+    """(adj, inputs, rows) of a store, built one subgraph at a time: each block
+    is the subgraph's own dense normalized adjacency and features, zero-padded,
+    then cut to the receptive rows R = rows[0] of the whole padded stack; A @ X
+    multiplies the first R rows into the first ``cols`` columns, the last that
+    any of those rows touches."""
+    adj = padded_adjacency(subgraphs)
+    features = np.zeros((*adj.shape[:2], graph.feat_dim))
+    for i, sg in enumerate(subgraphs):
         features[i, :sg.size] = graph.features[sg.nodes]
-    inputs = adj @ features if layers[0].kind == "gcn_conv" else features
-    reach = np.zeros((n, s + 1), dtype=np.int64)
-    for i in range(n):
-        for k in range(1, s + 1):
-            cols = np.flatnonzero(adj[i, :k].any(axis=0))
-            reach[i, k] = cols.max() + 1 if cols.size else 0
-    return adj, inputs, reach
+    rows = padded_receptive_rows(adj, layers)
+    r = rows[0]
+    cols = int(np.flatnonzero(adj[:, :r].any(axis=(0, 1))).max()) + 1
+    if layers[0].kind == "gcn_conv":
+        inputs = adj[:, :r, :cols] @ features[:, :cols]
+    else:
+        inputs = features[:, :r]
+    return adj[:, :r, :r], inputs, rows
 
 
 def root_only(roots):
@@ -184,8 +194,8 @@ def root_only(roots):
 
 
 def test_store_arrays_equal_per_subgraph_oracle():
-    # the whole-array build gives the per-subgraph construction's arrays, bit for bit,
-    # also with local indices out of BFS order
+    # the whole-array build gives the per-subgraph construction's arrays, cut to
+    # the store's receptive rows, bit for bit, also with local indices out of BFS order
     rng = np.random.default_rng(21)
     g = random_split_graph(rng, n=60)
     roots = np.flatnonzero(g.train_mask)
@@ -201,10 +211,10 @@ def test_store_arrays_equal_per_subgraph_oracle():
     for init, num_layers, subs in cases:
         params = init(g.feat_dim, 8, g.num_classes, num_layers, seed=0)
         store = SubgraphStore(g, subs, params.layers)
-        adj, inputs, reach = store_oracle(g, subs, params.layers)
+        adj, inputs, rows = store_oracle(g, subs, params.layers)
         assert np.array_equal(store.adj, adj)
         assert np.array_equal(store.inputs, inputs)
-        assert np.array_equal(store.reach, reach)
+        assert np.array_equal(store.rows, rows)
         assert np.array_equal(store.sizes, [sg.size for sg in subs])
         assert np.array_equal(store.root_labels, g.labels[[sg.root for sg in subs]])
     assert store.adj.shape[1:] == (1, 1)
@@ -241,10 +251,12 @@ def padded_receptive_rows(adj, layers):
 def test_store_batch_equals_padded_blocks():
     # oracle: the batch is each subgraph's own normalized adjacency and
     # first-layer input (A @ X for a GCN, X for an MLP), zero-padded to the
-    # batch's largest subgraph and cut to its receptive rows
+    # largest subgraph and cut to the store's receptive rows, which cover the
+    # batch's own
     rng = np.random.default_rng(10)
     g = random_split_graph(rng, n=60)
     subs = dg.sample_training_subgraphs(g, 3, 2, 5, seed=4)
+    s = max(sg.size for sg in subs)
     for params in (dg.init_gcn(g.feat_dim, 8, 2, 2, seed=0),
                    dg.init_gcn(g.feat_dim, 8, 2, 3, seed=0),
                    dg.init_mlp(g.feat_dim, 8, 2, 2, seed=0)):
@@ -252,7 +264,6 @@ def test_store_batch_equals_padded_blocks():
         store = SubgraphStore(g, subs, params.layers)
         by_size = np.argsort(store.sizes, kind="stable")
         for idx in (by_size[:4], by_size[-4:], rng.permutation(by_size)[:10], by_size[[0, 0]]):
-            s = int(store.sizes[idx].max())
             want_adj = np.zeros((idx.size, s, s))
             want_inputs = np.zeros((idx.size, s, g.feat_dim))
             for j, i in enumerate(idx):
@@ -263,7 +274,9 @@ def test_store_batch_equals_padded_blocks():
                 want_inputs[j, :k] = a @ x if gcn else x
             adj, inputs, labels, rows = store.batch(idx)
             r = rows[0]
-            assert rows == padded_receptive_rows(want_adj, params.layers)
+            assert rows == store.rows
+            assert all(a >= b for a, b in zip(rows, padded_receptive_rows(want_adj,
+                                                                          params.layers)))
             assert adj.shape == (idx.size, r, r) and inputs.shape == (idx.size, r, g.feat_dim)
             assert np.array_equal(adj, want_adj[:, :r, :r])
             if gcn:
@@ -315,33 +328,64 @@ def test_batch_rows_match_loss_and_grad_on_own_graph():
 
 
 def test_store_rows_equal_receptive_rows_of_padded_adjacency():
-    # the row count the store cuts each batch to, read from its reach table,
-    # equals the receptive rows of the batch's full padded adjacency
+    # the rows the store resolves at build equal the receptive rows of the
+    # whole padded stack, cover every batch's own, and cut every batch
     rng = np.random.default_rng(19)
     for g, subs, params, store, idx in oracle_case_stores(np.random.default_rng(9)):
+        full = padded_adjacency(subs)
+        assert store.rows == padded_receptive_rows(full, params.layers)
         for batch in (idx, rng.permutation(len(store))[:8], idx[[0, 0]]):
             adj, inputs, _, rows = store.batch(batch)
-            assert rows == padded_receptive_rows(store.adj[batch], params.layers)
+            assert rows == store.rows
+            assert all(a >= b for a, b in zip(rows, padded_receptive_rows(full[batch],
+                                                                          params.layers)))
             assert adj.shape[1:] == (rows[0], rows[0]) and inputs.shape[1] == rows[0]
 
 
+def test_store_rows_independent_of_largest_subgraph():
+    # on the 1000-node benchmark graph at 3 hops (K=5, T=6) the largest
+    # subgraph has 156 nodes; the store keeps each one's receptive rows only
+    g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=1000, target_homophily=0.8,
+                                               neighbors_per_node=5, feat_dim=10, seed=0))
+    g = dg.assign_splits(g, dg.SplitSpec(0.56, 0.14, 0.30, seed=0))
+    subs = dg.sample_training_subgraphs(g, 5, 3, 6, seed=0)
+    pattern = padded_adjacency(subs, dtype=bool)
+    n, s_max = len(subs), pattern.shape[1]
+    assert s_max == 156
+    for num_layers in (2, 3):
+        params = dg.init_gcn(g.feat_dim, 32, g.num_classes, num_layers, seed=0)
+        store = SubgraphStore(g, subs, params.layers)
+        r = store.rows[0]
+        assert store.rows == padded_receptive_rows(pattern, params.layers)
+        assert store.adj.shape == (n, r, r) and store.inputs.shape == (n, r, g.feat_dim)
+        assert r < s_max
+        if num_layers == 2:
+            assert store.adj.nbytes + store.inputs.nbytes < 1e6
+
+
 def test_batch_rows_independent_of_padding():
-    # a batch cut to its receptive rows and the same batch padded to the
-    # store's s_max, with the rows of its padded adjacency, give bit-identical
-    # losses and gradient rows
+    # a batch cut to the store's receptive rows and the same batch zero-padded
+    # to the store's s_max, with the rows of its padded adjacency, give
+    # bit-identical losses and gradient rows
     rng = np.random.default_rng(11)
     g = random_split_graph(rng, n=60)
     subs = dg.sample_training_subgraphs(g, 3, 2, 5, seed=2)
     for params in (dg.init_gcn(g.feat_dim, 8, 2, 2, seed=3), dg.init_gcn(g.feat_dim, 8, 2, 3, seed=4),
                    dg.init_mlp(g.feat_dim, 8, 2, 2, seed=5)):
         store = SubgraphStore(g, subs, params.layers)
-        small = np.flatnonzero(store.sizes < store.sizes.max())
+        s = int(store.sizes.max())
+        small = np.flatnonzero(store.sizes < s)
         assert small.size >= 8
         for idx in (rng.choice(small, size=8, replace=False), rng.permutation(len(store))[:8]):
             adj, inputs, labels, rows = store.batch(idx)
+            r = rows[0]
+            padded_adj = np.zeros((idx.size, s, s))
+            padded_adj[:, :r, :r] = adj
+            padded_inputs = np.zeros((idx.size, s, g.feat_dim))
+            padded_inputs[:, :r] = inputs
             cut = subgraph_batch_gradients(adj, inputs, labels, rows, params)
-            padded = subgraph_batch_gradients(store.adj[idx], store.inputs[idx], labels,
-                                              padded_receptive_rows(store.adj[idx], params.layers),
+            padded = subgraph_batch_gradients(padded_adj, padded_inputs, labels,
+                                              padded_receptive_rows(padded_adj, params.layers),
                                               params)
             assert np.array_equal(cut[0], padded[0])
             assert np.array_equal(cut[1], padded[1])
