@@ -64,18 +64,12 @@ def cmd_build_graph(args) -> int:
     return 0
 
 
-def _load_manifest(args) -> ExperimentManifest:
-    if not args.manifest:
-        raise SystemExit("--manifest is required for this subcommand")
-    return ExperimentManifest.from_file(args.manifest)
-
-
 def _summary_exit(summary: dict) -> int:
     return 0 if summary["n_failures"] == 0 and not summary.get("unsound_audits") else 1
 
 
 def cmd_train(args) -> int:
-    manifest = _load_manifest(args)
+    manifest = ExperimentManifest.from_file(args.manifest)
     summary = run(manifest, out_dir=args.out, threads=args.threads, do_audit=False)
     summary.pop("cells", None)
     _print_json(summary)
@@ -83,7 +77,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    manifest = _load_manifest(args)
+    manifest = ExperimentManifest.from_file(args.manifest)
     if manifest.audit is None:
         raise SystemExit("manifest has no audit block")
     summary = run(manifest, out_dir=args.out, threads=args.threads, do_audit=True)
@@ -93,7 +87,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    manifest = _load_manifest(args)
+    manifest = ExperimentManifest.from_file(args.manifest)
     homophilies = [float(h) for h in args.homophilies.split(",")]
     result = sweep_homophily(manifest, homophilies, out_dir=args.out, threads=args.threads)
     _print_json({
@@ -135,8 +129,6 @@ def cmd_accountant(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if args.epsilon is None:
-        raise SystemExit("--epsilon is required for calibrate")
     delta = args.delta if args.delta is not None else recommend_delta(args.n_train)
     sigma = calibrate_sigma(args.epsilon, delta, args.steps, args.n_train,
                             args.occurrence_bound, args.batch_size)
@@ -228,10 +220,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _usage_error(args) -> str | None:
+    """What the arguments get wrong that argparse does not check, or None:
+    a missing --manifest, --sigma or --epsilon, and the accountant's ranges
+    for -T, -m, --n-train and --steps."""
+    if args.command in ("train", "audit", "sweep") and not args.manifest:
+        return "--manifest is required for this subcommand"
+    if args.command not in ("accountant", "calibrate"):
+        return None
     if args.command == "accountant" and args.sigma is None:
-        raise SystemExit("--sigma is required for accountant")
+        return "--sigma is required for accountant"
+    if args.command == "calibrate" and args.epsilon is None:
+        return "--epsilon is required for calibrate"
+    T, m, n = args.occurrence_bound, args.batch_size, args.n_train
+    if n < 1:
+        return f"--n-train must be >= 1, got {n}"
+    if T < 1:
+        return f"occurrence bound T must be >= 1, got T={T}"
+    if m < 1:
+        return f"batch size m must be >= 1, got m={m}"
+    if T > n or m > n:
+        return f"T={T} and m={m} must not exceed --n-train={n}"
+    if args.steps < 0:
+        return f"--steps must be >= 0, got {args.steps}"
+    return None
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    error = _usage_error(args)
+    if error is not None:
+        parser.error(error)
     return args.func(args)
 
 

@@ -132,21 +132,27 @@ def csr_from_edges(num_nodes: int, edges) -> tuple[np.ndarray, np.ndarray]:
     """Build CSR (indptr, indices) from an iterable of undirected (u, v) pairs.
 
     Each pair is stored in both directions; neighbor lists come out sorted.
+    Node ids must lie in [0, num_nodes).
     """
     edges = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
     if edges.size == 0:
         return np.zeros(num_nodes + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise ValueError("edges must be (E, 2)")
+    outside = (edges < 0) | (edges >= num_nodes)
+    if outside.any():
+        raise ValueError(f"node id {edges[outside][0]} outside [0, {num_nodes})")
     if np.any(edges[:, 0] == edges[:, 1]):
         raise ValueError("self-loops are not stored")
-    both = np.concatenate([edges, edges[:, ::-1]])
-    # dedupe in case the same undirected pair appears twice; rows come out sorted
-    both = np.unique(both, axis=0)
-    counts = np.bincount(both[:, 0], minlength=num_nodes)
+    u, v = edges.T
+    # each directed pair as the key u * n + v, which sorts as (u, v) does;
+    # unique drops a pair that appears twice
+    keys = np.unique(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
+    src, dst = np.divmod(keys, num_nodes)
+    counts = np.bincount(src, minlength=num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return indptr, both[:, 1].copy()
+    return indptr, dst
 
 
 def edgeless_graph(features: np.ndarray, labels: np.ndarray, num_classes: int | None = None,

@@ -12,6 +12,11 @@ Layer 0 never touches the adjacency: A @ X does not depend on the
 parameters, so a ``gcn_conv`` first layer is a dense layer on A @ X, which
 is computed once, per graph by :class:`ForwardContext` and per subgraph by
 :class:`dpgraphlab.sampling.SubgraphStore`.  A ``dense`` first layer reads X.
+Either input carries a trailing ones column, added once per training.
+``params.flat`` stores each layer as w (in x out) followed by b (out), so
+layer 0's w and b form one contiguous (in + 1, out) block [w; b]: its
+forward pass is one product against the block, and its backward pass one
+product that writes the weight and bias gradients together.
 
 The same forward and backward pass serves the whole graph (sparse
 adjacency) and a zero-padded stack of sampled subgraphs (dense (m, s, s)
@@ -33,13 +38,14 @@ widens or keeps the width and as A @ (h @ w) + b when it narrows, so the
 forward cache holds, per layer, the post-activation input h and the matrix
 multiplied into w (A @ h or h itself); the backward pass masks with h > 0,
 which is the ReLU mask of the pre-activation.  Each step allocates only the
-arrays the loss needs: biases are added and ReLUs applied in place, and the
-backward pass writes each layer's weight and bias gradient straight into
-its slice of the flat gradient.
+arrays the loss needs: the biases above layer 0 are added and ReLUs applied
+in place, and the backward pass writes each layer's weight and bias
+gradient straight into its slice of the flat gradient.
 
 A training run resolves the layout once, in a ``_StepWorkspace``: the
 views of each layer's weight and bias in ``params.flat`` (which the
-optimizer updates in place), each layer's propagated side, and the
+optimizer updates in place; layer 0's [w; b] block and no separate bias),
+each layer's propagated side, and the
 per-layer views of one flat gradient buffer; for the full graph it also
 holds the loss rows, their labels, and a d_logits buffer whose
 non-loss rows stay zero.  Every step reuses these, and its gradient
@@ -113,6 +119,24 @@ def _weight_bias_views(flat: np.ndarray, layers, l: int) -> tuple[np.ndarray, np
     return w, flat[..., k:off + spec.size]
 
 
+def _step_views(flat: np.ndarray, layers) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Per layer, the (weight, bias) views of a step into the last axis of
+    ``flat``: layer 0's [w; b] block, (in_dim + 1, out_dim), and no bias,
+    since its input carries a ones column; every other layer's w and b."""
+    spec = layers[0]
+    block = flat[..., :spec.size].reshape(*flat.shape[:-1], spec.in_dim + 1, spec.out_dim)
+    return [(block, None)] + [_weight_bias_views(flat, layers, l) for l in range(1, len(layers))]
+
+
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """A copy of ``x`` with a trailing ones column: layer 0's input, whose
+    product with the [w; b] block adds the bias."""
+    out = np.empty((*x.shape[:-1], x.shape[-1] + 1))
+    out[..., :-1] = x
+    out[..., -1] = 1.0
+    return out
+
+
 def layer_dims(in_dim: int, hidden_dim: int, out_dim: int, num_layers: int) -> list[tuple[int, int]]:
     if num_layers < 1:
         raise ValueError("num_layers must be >= 1")
@@ -151,14 +175,25 @@ class ForwardContext:
     adj_norm: object  # scipy CSR for full graphs, dense ndarray for small subgraphs
     features: np.ndarray
 
-    @cached_property
+    @property
     def propagated_features(self) -> np.ndarray:
-        """A @ X, computed on first use and kept for the life of the context."""
-        return self.adj_norm @ self.features
+        """A @ X, computed on first use and kept for the life of the context
+        (a view of layer 0's input without its ones column)."""
+        return self._propagated_input[:, :-1]
+
+    @cached_property
+    def _propagated_input(self) -> np.ndarray:
+        return _with_ones(self.adj_norm @ self.features)
+
+    @cached_property
+    def _feature_input(self) -> np.ndarray:
+        return _with_ones(self.features)
 
     def first_layer_input(self, layers) -> np.ndarray:
-        """What layer 0 reads: A @ X for a ``gcn_conv`` first layer, X for a ``dense`` one."""
-        return self.propagated_features if layers[0].kind == "gcn_conv" else self.features
+        """What layer 0 reads, with a trailing ones column and kept for the
+        life of the context: A @ X for a ``gcn_conv`` first layer, X for a
+        ``dense`` one."""
+        return self._propagated_input if layers[0].kind == "gcn_conv" else self._feature_input
 
 
 def normalize_adjacency(graph: PopulationGraph) -> ForwardContext:
@@ -200,9 +235,9 @@ class _StepWorkspace:
         layers = params.layers
         self.layers = layers
         self.sides = [_propagated_side(l, spec) for l, spec in enumerate(layers)]
-        self.weights = [_weight_bias_views(params.flat, layers, l) for l in range(len(layers))]
+        self.weights = _step_views(params.flat, layers)
         self.grad = np.empty((*batch, params.flat.size))
-        self.grad_views = [_weight_bias_views(self.grad, layers, l) for l in range(len(layers))]
+        self.grad_views = _step_views(self.grad, layers)
         if mask is not None:
             self.loss_rows = np.flatnonzero(mask)
             if self.loss_rows.size == 0:
@@ -214,14 +249,15 @@ class _StepWorkspace:
 def _forward(ws: _StepWorkspace, adj, x: np.ndarray, keep_cache: bool, rows=None):
     """Shared forward pass; returns (logits, cache of (layer input, matrix times w)).
 
-    ``x`` is layer 0's input (A @ X or X, see the module docstring).
-    ``adj`` is sparse (n, n) with ``x`` (n, d), or a dense (m, s, s) stack with ``x`` (m, s, d).
+    ``x`` is layer 0's input (A @ X or X with a ones column, see the module
+    docstring).  ``adj`` is sparse (n, n) with ``x`` (n, d + 1), or a dense
+    (m, s, s) stack with ``x`` (m, s, d + 1).
     With ``rows`` (see the module docstring), layer l maps the first
     ``rows[l]`` rows to the first ``rows[l + 1]``.
     """
     in_dim = ws.layers[0].in_dim
-    if x.shape[-1] != in_dim:
-        raise ShapeError(f"feature dim {x.shape[-1]} != first-layer in_dim {in_dim}")
+    if x.shape[-1] != in_dim + 1:
+        raise ShapeError(f"feature dim {x.shape[-1] - 1} != first-layer in_dim {in_dim}")
     h = x if rows is None else x[:, :rows[0]]
     cache = []
     last = len(ws.layers) - 1
@@ -231,7 +267,8 @@ def _forward(ws: _StepWorkspace, adj, x: np.ndarray, keep_cache: bool, rows=None
         z = p @ w
         if side == "output":
             z = a @ z
-        z += b
+        if b is not None:
+            z += b
         if keep_cache:
             cache.append((h, p))
         if l < last:
@@ -276,7 +313,8 @@ def _backward(ws: _StepWorkspace, adj, cache, d_logits: np.ndarray, rows=None) -
         h, p = cache[l]
         side = ws.sides[l]
         a = adj if rows is None else adj[:, :rows[l], :rows[l + 1]]
-        np.einsum("...rk->...k", dz, out=db)
+        if db is not None:
+            np.einsum("...rk->...k", dz, out=db)
         if side == "output":
             dz = a @ dz
         np.matmul(np.swapaxes(p, -1, -2), dz, out=dw)
@@ -295,8 +333,9 @@ def subgraph_batch_gradients(adj: np.ndarray, inputs: np.ndarray, root_labels: n
     """Per-subgraph root losses and flat gradients, vectorized over the batch.
 
     ``adj`` is a zero-padded (m, s, s) stack of normalized adjacencies with
-    the root at local index 0, ``inputs`` the (m, s, d) stack of layer 0's
-    inputs (A @ X or X), and ``rows`` the row prefix each layer reads (see
+    the root at local index 0, ``inputs`` the (m, s, d + 1) stack of layer
+    0's inputs (A @ X or X) with a trailing ones column (see the module
+    docstring), and ``rows`` the row prefix each layer reads (see
     the module docstring), with ``rows[0] <= s``;
     :meth:`dpgraphlab.sampling.SubgraphStore.batch` returns all four, cut to
     ``rows[0]``.  Gradients come back as an (m, n_params) matrix in the same

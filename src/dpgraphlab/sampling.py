@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import PopulationGraph
-from .nn import _propagated_side
+from .nn import _propagated_side, _with_ones
 
 logger = logging.getLogger(__name__)
 
@@ -63,28 +63,30 @@ def sample_training_subgraphs(graph: PopulationGraph, max_degree: int, hops: int
         raise ValueError("graph has no training nodes; assign splits first")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
-    occurrence = np.zeros(graph.num_nodes, dtype=np.int64)
-    occurrence[roots] = 1  # each root's own subgraph claims one slot
-    order = rng.permutation(roots)
+    # the loop runs on Python ints: CSR bounds, neighbor ids and counts
+    indptr, indices = graph.indptr.tolist(), graph.indices
+    permutation = rng.permutation
+    occurrence = [0] * graph.num_nodes
+    for root in roots.tolist():
+        occurrence[root] = 1  # each root's own subgraph claims one slot
     out: dict[int, SampledSubgraph] = {}
     starved = 0
-    for root in order:
-        nodes = [int(root)]
-        local = {int(root): 0}
+    for root in permutation(roots).tolist():
+        nodes = [root]
+        local = {root: 0}
         edges: list[tuple[int, int]] = []
         hop = [0]
-        frontier = [int(root)]
+        frontier = [root]
         for depth in range(1, hops + 1):
             next_frontier: list[int] = []
             for u in frontier:
-                nbrs = graph.neighbors(u)
-                if nbrs.size == 0:
+                lo, hi = indptr[u], indptr[u + 1]
+                if lo == hi:
                     continue
                 taken = 0
-                for w in rng.permutation(nbrs):
+                for w in permutation(indices[lo:hi]).tolist():
                     if taken == max_degree:
                         break
-                    w = int(w)
                     if w in local:
                         continue
                     if occurrence[w] >= occurrence_bound:
@@ -97,10 +99,10 @@ def sample_training_subgraphs(graph: PopulationGraph, max_degree: int, hops: int
                     next_frontier.append(w)
                     taken += 1
             frontier = next_frontier
-        if len(nodes) == 1 and graph.neighbors(int(root)).size > 0:
+        if len(nodes) == 1 and indptr[root + 1] > indptr[root]:
             starved += 1
-        out[int(root)] = SampledSubgraph(
-            root=int(root),
+        out[root] = SampledSubgraph(
+            root=root,
             nodes=np.asarray(nodes, dtype=np.int64),
             edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
             hop=np.asarray(hop, dtype=np.int64),
@@ -108,7 +110,7 @@ def sample_training_subgraphs(graph: PopulationGraph, max_degree: int, hops: int
     if starved:
         logger.info("subgraph sampler: %d/%d roots starved to root-only subgraphs",
                     starved, roots.size)
-    return [out[int(r)] for r in np.sort(roots)]
+    return [out[r] for r in roots.tolist()]  # flatnonzero's roots are sorted
 
 
 class SubgraphStore:
@@ -120,7 +122,8 @@ class SubgraphStore:
     With R = ``rows[0]`` the store keeps
 
     - ``adj``: each subgraph's normalized adjacency cut to (R, R), (N, R, R);
-    - ``inputs``: each subgraph's first-layer input, (N, R, d): A @ X for a
+    - ``inputs``: each subgraph's first-layer input with a trailing ones
+      column (see :mod:`dpgraphlab.nn`), (N, R, d + 1): A @ X for a
       ``gcn_conv`` first layer, X for a ``dense`` one;
 
     and a batch is a plain gather of both.  Rows past a subgraph's size are
@@ -176,7 +179,8 @@ class SubgraphStore:
         features = np.zeros((n, cols, graph.feat_dim))
         features[node_sub[keep], node_local[keep]] = graph.features[
             np.concatenate([sg.nodes for sg in subgraphs])[keep]]
-        self.inputs = slab @ features if layers[0].kind == "gcn_conv" else features[:, :r].copy()
+        self.inputs = _with_ones(slab @ features if layers[0].kind == "gcn_conv"
+                                 else features[:, :r])
 
     def __len__(self) -> int:
         return self.sizes.size

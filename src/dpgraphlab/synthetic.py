@@ -60,18 +60,20 @@ def generate_synthetic(spec: SyntheticSpec) -> PopulationGraph:
     centers[1, 0] = +spec.class_separation / 2.0
     features = centers[labels] + spec.feature_noise_std * rng.standard_normal((n, spec.feat_dim))
 
-    class_members = [np.flatnonzero(labels == c) for c in (0, 1)]
+    # the wiring loop runs on Python ints, with the same RNG calls in the same order
+    class_members = [np.flatnonzero(labels == c).tolist() for c in (0, 1)]
+    random, integers = rng.random, rng.integers
     edge_set: set[tuple[int, int]] = set()
     h = spec.target_homophily
     skipped = 0
     total_slots = n * spec.neighbors_per_node
-    for v in range(n):
+    for v, label in enumerate(labels.tolist()):
+        same, other = class_members[label], class_members[1 - label]
         for _ in range(spec.neighbors_per_node):
             placed = False
             for _ in range(_RETRY_CAP):
-                same_class = rng.random() < h
-                pool = class_members[labels[v]] if same_class else class_members[1 - labels[v]]
-                u = int(pool[rng.integers(pool.size)])
+                pool = same if random() < h else other
+                u = pool[integers(len(pool))]
                 if u == v:
                     continue
                 key = (v, u) if v < u else (u, v)

@@ -363,8 +363,27 @@ def test_cli_accountant_supremum_power(capsys):
 
 
 def test_cli_accountant_rejects_zero_batch_size(capsys):
-    with pytest.raises(ValueError, match="m must be >= 1"):
+    # a usage error: exit code 2 and the accountant's message, no traceback
+    with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "accountant", "--sigma", "1", "--n-train", "100", "-T", "6", "-m", "0")
+    assert exc.value.code == 2
+    assert "m must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_calibrate_rejects_zero_occurrence_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "calibrate", "--epsilon", "5", "--n-train", "100", "-T", "0")
+    assert exc.value.code == 2
+    assert "T must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("train",), ("accountant", "--n-train", "100", "-T", "6"),
+                                  ("calibrate", "--n-train", "100", "-T", "6")])
+def test_cli_missing_required_value_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv)
+    assert exc.value.code == 2
+    assert "is required" in capsys.readouterr().err
 
 
 def test_cli_calibrate_json(capsys):

@@ -216,6 +216,99 @@ def test_synthetic_balanced_classes():
     assert np.bincount(g.labels).tolist() == [200, 200]
 
 
+def synthetic_oracle(spec):
+    """generate_synthetic's graph, wired by a numpy loop over the same RNG calls
+    (one ``random`` and one ``integers`` per try) and built as CSR by
+    :func:`csr_oracle`."""
+    rng = np.random.default_rng(spec.seed)
+    n, half = spec.num_nodes, spec.num_nodes // 2
+    labels = np.concatenate([np.zeros(half, dtype=np.int64), np.ones(half, dtype=np.int64)])
+    centers = np.zeros((2, spec.feat_dim))
+    centers[0, 0] = -spec.class_separation / 2.0
+    centers[1, 0] = +spec.class_separation / 2.0
+    features = centers[labels] + spec.feature_noise_std * rng.standard_normal((n, spec.feat_dim))
+    class_members = [np.flatnonzero(labels == c) for c in (0, 1)]
+    edge_set = set()
+    skipped = 0
+    for v in range(n):
+        for _ in range(spec.neighbors_per_node):
+            for _ in range(20):
+                same_class = rng.random() < spec.target_homophily
+                pool = class_members[labels[v]] if same_class else class_members[1 - labels[v]]
+                u = int(pool[rng.integers(pool.size)])
+                key = (min(u, v), max(u, v))
+                if u != v and key not in edge_set:
+                    edge_set.add(key)
+                    break
+            else:
+                skipped += 1
+    return features, labels, *csr_oracle(n, sorted(edge_set)), skipped
+
+
+def test_synthetic_equals_numpy_loop_oracle():
+    specs = [dg.SyntheticSpec(num_nodes=n, target_homophily=h, neighbors_per_node=k,
+                              feat_dim=d, seed=seed)
+             for seed, (n, h, k, d) in enumerate([
+                 (2, 0.5, 1, 1), (4, 1.0, 5, 2),  # tiny pools: slots skipped
+                 (40, 0.0, 3, 3), (40, 1.0, 3, 3), (60, 0.5, 1, 4), (100, 0.8, 5, 10),
+                 (200, 0.3, 2, 5), (300, 0.9, 7, 10), (500, 0.7, 5, 10), (1000, 0.5, 5, 10)])]
+    specs.append(dg.SyntheticSpec(num_nodes=80, class_separation=0.6,
+                                  feature_noise_std=2.0, seed=99))
+    skips = []
+    for spec in specs:
+        g = dg.generate_synthetic(spec)
+        features, labels, indptr, indices, skipped = synthetic_oracle(spec)
+        assert np.array_equal(g.features, features)
+        assert np.array_equal(g.labels, labels)
+        assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+        assert g.meta["skipped_slots"] == skipped
+        skips.append(skipped)
+    assert skips[1] > 0  # 4 nodes cannot fill 5 slots each
+
+
+# ---------------------------------------------------------------- CSR
+
+def csr_oracle(num_nodes, edges):
+    """csr_from_edges by a row dedupe: np.unique over the (u, v) rows of both
+    orientations, which sorts them lexicographically."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    both = np.unique(np.concatenate([edges, edges[:, ::-1]]), axis=0)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(both[:, 0], minlength=num_nodes), out=indptr[1:])
+    return indptr, both[:, 1].copy()
+
+
+def test_csr_from_edges_equals_row_dedupe_oracle():
+    rng = np.random.default_rng(31)
+    cases = [(5, []), (5, np.zeros((0, 2), dtype=np.int64)), (2, [(1, 0)]),
+             (100_000, [(99_999, 0), (3, 70_000), (0, 99_999)])]
+    for _ in range(20):
+        n = int(rng.integers(2, 80))
+        active = int(rng.integers(2, n + 1))  # nodes past it stay isolated
+        pairs = rng.integers(0, active, (int(rng.integers(1, 3 * n)), 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        dup = pairs[rng.random(pairs.shape[0]) < 0.3]  # repeated pairs, some reversed
+        flip = rng.random(dup.shape[0]) < 0.5
+        dup[flip] = dup[flip, ::-1]
+        pairs = rng.permutation(np.concatenate([pairs, dup]))  # unsorted
+        cases.append((n, pairs))
+        cases.append((n, [tuple(p) for p in pairs.tolist()]))
+    for n, edges in cases:
+        indptr, indices = csr_from_edges(n, edges)
+        want_indptr, want_indices = csr_oracle(n, edges)
+        assert indptr.dtype == indices.dtype == np.int64
+        assert np.array_equal(indptr, want_indptr) and np.array_equal(indices, want_indices)
+
+
+@pytest.mark.parametrize("bad", [-1, -7, 5, 6, 12])
+def test_csr_from_edges_rejects_ids_out_of_range(bad):
+    # the scalar key u * n + v would otherwise wrap id 5 at n = 5 into row 1
+    with pytest.raises(ValueError, match=f"node id {bad} outside"):
+        csr_from_edges(5, [(0, 1), (1, bad)])
+    with pytest.raises(ValueError, match=f"node id {bad} outside"):
+        csr_from_edges(5, np.array([[bad, 2]]))
+
+
 # ---------------------------------------------------------------- splits
 
 def test_splits_exact_fractions():

@@ -257,6 +257,94 @@ def test_mlp_ignores_edges():
     np.testing.assert_array_equal(p1.flat, p2.flat)
 
 
+def unfolded_gradients(adj, x, params, labels, loss_rows=None, rows=None):
+    """Oracle of the core with layer 0 unfolded: each layer computes p @ w + b
+    and sums dz over rows for its bias gradient, in the package's layer order.
+
+    ``x`` is layer 0's input without the ones column.  A sparse ``adj`` is the
+    full graph, whose mean loss over ``loss_rows`` is differentiated; a dense
+    (m, s, s) stack with ``rows`` is a batch of root losses, one gradient row
+    each.  Returns (losses, logits, gradient)."""
+    layers = params.layers
+    h = x if rows is None else x[:, :rows[0]]
+    cache = []
+    for l, spec in enumerate(layers):
+        w, b = params.weight_bias(l)
+        a = adj if rows is None else adj[:, :rows[l + 1], :rows[l]]
+        side = None
+        if l > 0 and spec.kind == "gcn_conv":
+            side = "output" if spec.out_dim < spec.in_dim else "input"
+        p = a @ h if side == "input" else h
+        z = p @ w
+        if side == "output":
+            z = a @ z
+        z = z + b
+        cache.append((h, p, side))
+        h = np.maximum(z, 0.0) if l < len(layers) - 1 else z
+    logits = h
+    if rows is None:
+        losses, d = _cross_entropy_rows(logits[loss_rows], labels)
+        dz = np.zeros_like(logits)
+        dz[loss_rows] = d / loss_rows.size
+    else:
+        losses, d = _cross_entropy_rows(logits[:, 0, :], labels)
+        dz = d[:, None, :]
+    grads = []
+    for l in range(len(layers) - 1, -1, -1):
+        w, _ = params.weight_bias(l)
+        h, p, side = cache[l]
+        a = adj if rows is None else adj[:, :rows[l], :rows[l + 1]]
+        db = np.einsum("...rk->...k", dz)
+        if side == "output":
+            dz = a @ dz
+        dw = np.swapaxes(p, -1, -2) @ dz
+        grads[:0] = [dw.reshape(*dw.shape[:-2], -1), db]
+        if l > 0:
+            dh = dz @ w.T
+            if side == "input":
+                dh = a @ dh
+            dz = dh * (h > 0.0)
+    return losses, logits, np.concatenate(grads, axis=-1)
+
+
+def test_layer0_fold_matches_unfolded_oracle():
+    # layer 0 multiplies its input, with a ones column, by the [w; b] block; the
+    # oracle adds b and sums its gradient.  How the BLAS kernel orders the
+    # extra term varies by CPU, so the check is rtol 1e-14 rather than equality
+    g = workspace_graph()
+    ctx = dg.normalize_adjacency(g)
+    loss_rows = np.flatnonzero(g.train_mask)
+    rng = np.random.default_rng(17)
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+    for init, num_layers, hidden in ((dg.init_gcn, 1, 8), (dg.init_gcn, 2, 6),
+                                     (dg.init_gcn, 3, 16), (dg.init_gcn, 2, 1),
+                                     (dg.init_mlp, 2, 6)):
+        params = init(g.feat_dim, hidden, g.num_classes, num_layers, seed=num_layers)
+        params.flat[:] += 0.1 * rng.standard_normal(params.flat.size)  # nonzero biases
+        gcn = params.layers[0].kind == "gcn_conv"
+        x = ctx.propagated_features if gcn else g.features
+        assert np.array_equal(ctx.first_layer_input(params.layers)[:, :-1], x)
+        assert np.all(ctx.first_layer_input(params.layers)[:, -1] == 1.0)
+        losses, logits, grad = unfolded_gradients(ctx.adj_norm, x, params,
+                                                  g.labels[loss_rows], loss_rows)
+        loss, got = dg.loss_and_grad(ctx, params, g.labels, g.train_mask)
+        close(loss, losses.mean())
+        close(got, grad)
+        close(dg.gcn_forward(ctx, params), logits)
+
+        subgraphs = dg.sample_training_subgraphs(g, 3, num_layers, 5, seed=num_layers)
+        store = SubgraphStore(g, subgraphs, params.layers)
+        adj, inputs, labels, rows = store.batch(rng.choice(len(store), 8, replace=False))
+        assert np.all(inputs[..., -1] == 1.0)
+        losses, _, grads = unfolded_gradients(adj, inputs[..., :-1], params, labels, rows=rows)
+        got_losses, got_grads = subgraph_batch_gradients(adj, inputs, labels, rows, params)
+        close(got_losses, losses)
+        close(got_grads, grads)
+
+
 # ---------------------------------------------------------------- model invariances
 
 def test_permutation_equivariance():

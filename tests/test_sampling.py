@@ -1,5 +1,7 @@
 """Occurrence-bounded subgraph sampling and its sensitivity guarantees."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,75 @@ def test_occurrence_bound_one_gives_disjoint_subgraphs():
             nodes = set(sg.nodes.tolist())
             assert not (nodes & seen)
             seen |= nodes
+
+
+def sampler_oracle(graph, max_degree, hops, occurrence_bound, seed):
+    """sample_training_subgraphs' collection as (root, nodes, edges, hop) and
+    its count of starved roots, by a numpy loop over the same RNG calls: one
+    permutation of the roots, then one of each expanded node's neighbors."""
+    roots = np.flatnonzero(graph.train_mask)
+    rng = np.random.default_rng(seed)
+    occurrence = np.zeros(graph.num_nodes, dtype=np.int64)
+    occurrence[roots] = 1
+    out = {}
+    starved = 0
+    for root in rng.permutation(roots):
+        root = int(root)
+        nodes, local, edges, hop, frontier = [root], {root: 0}, [], [0], [root]
+        for depth in range(1, hops + 1):
+            next_frontier = []
+            for u in frontier:
+                nbrs = graph.neighbors(u)
+                if nbrs.size == 0:
+                    continue
+                taken = 0
+                for w in rng.permutation(nbrs):
+                    if taken == max_degree:
+                        break
+                    w = int(w)
+                    if w in local or occurrence[w] >= occurrence_bound:
+                        continue
+                    occurrence[w] += 1
+                    local[w] = len(nodes)
+                    nodes.append(w)
+                    hop.append(depth)
+                    edges.append((local[u], local[w]))
+                    next_frontier.append(w)
+                    taken += 1
+            frontier = next_frontier
+        out[root] = (nodes, edges, hop)
+        starved += len(nodes) == 1 and graph.neighbors(root).size > 0
+    return [(r, *out[r]) for r in sorted(out)], starved
+
+
+def test_sampler_equals_numpy_loop_oracle(caplog):
+    rng = np.random.default_rng(23)
+    dense = dg.assign_splits(  # most nodes are roots: T=1 starves many of them
+        dg.generate_synthetic(dg.SyntheticSpec(num_nodes=40, neighbors_per_node=2, seed=4)),
+        dg.SplitSpec(0.9, 0.1, 0.0, seed=4))
+    isolated = make_graph(np.zeros((6, 1)), np.zeros(6, dtype=int), [(0, 1), (1, 2)], 1)
+    isolated = isolated.with_masks(np.ones(6, bool), np.zeros(6, bool), np.zeros(6, bool))
+    cases = [(star_graph(), 3, 1, 4, 0), (dense, 5, 2, 1, 1), (dense, 2, 3, 2, 2),
+             (isolated, 2, 2, 1, 3), (random_split_graph(rng, n=300), 5, 2, 6, 4)]
+    cases += [(random_split_graph(rng), int(rng.integers(1, 6)), int(rng.integers(1, 4)),
+               int(rng.integers(1, 8)), seed) for seed in range(5, 15)]
+    total_starved = 0
+    for g, K, r, T, seed in cases:
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="dpgraphlab.sampling"):
+            subs = dg.sample_training_subgraphs(g, K, r, T, seed)
+        want, starved = sampler_oracle(g, K, r, T, seed)
+        assert [rec.getMessage() for rec in caplog.records] == (
+            [f"subgraph sampler: {starved}/{len(want)} roots starved to root-only subgraphs"]
+            if starved else [])
+        total_starved += starved
+        assert len(subs) == len(want)
+        for sg, (root, nodes, edges, hop) in zip(subs, want):
+            assert sg.root == root
+            assert sg.nodes.dtype == sg.edges.dtype == sg.hop.dtype == np.int64
+            assert np.array_equal(sg.nodes, nodes) and np.array_equal(sg.hop, hop)
+            assert np.array_equal(sg.edges, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    assert total_starved > 0
 
 
 def test_recount_on_random_graphs():
@@ -213,7 +284,8 @@ def test_store_arrays_equal_per_subgraph_oracle():
         store = SubgraphStore(g, subs, params.layers)
         adj, inputs, rows = store_oracle(g, subs, params.layers)
         assert np.array_equal(store.adj, adj)
-        assert np.array_equal(store.inputs, inputs)
+        assert np.array_equal(store.inputs, np.concatenate(  # layer 0's ones column
+            [inputs, np.ones((*inputs.shape[:2], 1))], axis=2))
         assert np.array_equal(store.rows, rows)
         assert np.array_equal(store.sizes, [sg.size for sg in subs])
         assert np.array_equal(store.root_labels, g.labels[[sg.root for sg in subs]])
@@ -265,19 +337,20 @@ def test_store_batch_equals_padded_blocks():
         by_size = np.argsort(store.sizes, kind="stable")
         for idx in (by_size[:4], by_size[-4:], rng.permutation(by_size)[:10], by_size[[0, 0]]):
             want_adj = np.zeros((idx.size, s, s))
-            want_inputs = np.zeros((idx.size, s, g.feat_dim))
+            want_inputs = np.zeros((idx.size, s, g.feat_dim + 1))
+            want_inputs[..., -1] = 1.0  # layer 0's ones column
             for j, i in enumerate(idx):
                 k = subs[i].size
                 a = dense_normalized_adjacency(k, subs[i].edges)
                 x = g.features[subs[i].nodes]
                 want_adj[j, :k, :k] = a
-                want_inputs[j, :k] = a @ x if gcn else x
+                want_inputs[j, :k, :-1] = a @ x if gcn else x
             adj, inputs, labels, rows = store.batch(idx)
             r = rows[0]
             assert rows == store.rows
             assert all(a >= b for a, b in zip(rows, padded_receptive_rows(want_adj,
                                                                           params.layers)))
-            assert adj.shape == (idx.size, r, r) and inputs.shape == (idx.size, r, g.feat_dim)
+            assert adj.shape == (idx.size, r, r) and inputs.shape == (idx.size, r, g.feat_dim + 1)
             assert np.array_equal(adj, want_adj[:, :r, :r])
             if gcn:
                 np.testing.assert_allclose(inputs, want_inputs[:, :r], rtol=1e-12, atol=1e-15)
@@ -357,7 +430,7 @@ def test_store_rows_independent_of_largest_subgraph():
         store = SubgraphStore(g, subs, params.layers)
         r = store.rows[0]
         assert store.rows == padded_receptive_rows(pattern, params.layers)
-        assert store.adj.shape == (n, r, r) and store.inputs.shape == (n, r, g.feat_dim)
+        assert store.adj.shape == (n, r, r) and store.inputs.shape == (n, r, g.feat_dim + 1)
         assert r < s_max
         if num_layers == 2:
             assert store.adj.nbytes + store.inputs.nbytes < 1e6
@@ -381,7 +454,7 @@ def test_batch_rows_independent_of_padding():
             r = rows[0]
             padded_adj = np.zeros((idx.size, s, s))
             padded_adj[:, :r, :r] = adj
-            padded_inputs = np.zeros((idx.size, s, g.feat_dim))
+            padded_inputs = np.zeros((idx.size, s, g.feat_dim + 1))
             padded_inputs[:, :r] = inputs
             cut = subgraph_batch_gradients(adj, inputs, labels, rows, params)
             padded = subgraph_batch_gradients(padded_adj, padded_inputs, labels,
