@@ -254,14 +254,15 @@ def build_knn_graph(graph: PopulationGraph, k: int, metric: str = "euclidean") -
     else:
         raise ValueError(f"unknown metric {metric!r}; expected 'euclidean' or 'cosine'")
     np.fill_diagonal(dist, np.inf)
-    # stable argsort keeps lower indices first among equal distances
-    nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    src = np.repeat(np.arange(n), k)
-    dst = nearest.ravel()
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    pairs = np.unique(np.column_stack([lo, hi]), axis=0)
-    indptr, indices = csr_from_edges(n, pairs)
+    # each row keeps every node closer than its k-th smallest distance, then
+    # the lowest-index nodes tied at that distance: the first k of a stable sort
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    closer = dist < kth
+    tied = dist == kth
+    need = k - np.count_nonzero(closer, axis=1)
+    keep = closer | (tied & (np.cumsum(tied, axis=1) <= need[:, None]))
+    src, dst = np.nonzero(keep)
+    indptr, indices = csr_from_edges(n, np.column_stack([src, dst]))
     return graph.with_edges(indptr, indices, meta={"knn_k": int(k), "knn_metric": metric})
 
 

@@ -29,7 +29,18 @@ the rows up to the last column with a nonzero in the adjacency rows the
 next layer reads, and any other layer reads the rows the next layer reads.
 The store resolves these rows once, over all its subgraphs, when it is
 built, and keeps only the first ``rows[0]`` rows and columns of each
-subgraph.  The full-graph path computes every row.
+subgraph.
+
+A full-graph training step reads the logits of the loss (train) rows and,
+for its log record, of the val rows, so its last layer computes only those
+rows, E (the loss rows, then the val rows): it propagates through A[E], or
+gathers the E rows when it does not propagate, and its backward pass
+starts from the loss rows alone, through A[:, loss rows] (the transpose of
+A's loss rows, as A is symmetric).  The layers below compute every row.
+For a narrowing last layer (classes < hidden) every kept logit and every
+gradient entry has the bits of the every-row computation: each kept row
+sum is the same CSR row sum, and the backward pass drops only +0.0 terms.
+:func:`gcn_forward` computes every row.
 
 Layer order: a ``gcn_conv`` layer above the first multiplies the
 adjacency into the narrower side of its weight, as (A @ h) @ w + b when it
@@ -45,11 +56,11 @@ gradient straight into its slice of the flat gradient.
 A training run resolves the layout once, in a ``_StepWorkspace``: the
 views of each layer's weight and bias in ``params.flat`` (which the
 optimizer updates in place; layer 0's [w; b] block and no separate bias),
-each layer's propagated side, and the
-per-layer views of one flat gradient buffer; for the full graph it also
-holds the loss rows, their labels, and a d_logits buffer whose
-non-loss rows stay zero.  Every step reuses these, and its gradient
-overwrites the previous step's, which the optimizer has consumed by then.
+each layer's propagated side, and the per-layer views of one flat gradient
+buffer; for the full graph it also holds the loss rows, their labels, E
+and the sparse row and column blocks the last layer reads.  Every step
+reuses these, and its gradient overwrites the previous step's, which the
+optimizer has consumed by then.
 The public functions (:func:`gcn_forward`, :func:`loss_and_grad`,
 :func:`subgraph_batch_gradients`) build a workspace per call, so what they
 return is never overwritten by a later call.
@@ -224,26 +235,40 @@ def _propagated_side(l: int, spec: LayerSpec) -> str | None:
 class _StepWorkspace:
     """One model's layer layout, resolved once, and the buffers its steps reuse.
 
-    ``batch`` is () for the whole graph and (m,) for a stack of m subgraphs;
-    ``labels`` and ``mask`` select the full-graph loss rows.  The weight and
-    bias views read ``params.flat``, so in-place optimizer updates reach the
-    next step; each step overwrites ``grad`` and, on its loss rows,
-    ``d_logits``.
+    ``batch`` is () for the whole graph and (m,) for a stack of m subgraphs.
+    The weight and bias views read ``params.flat``, so in-place optimizer
+    updates reach the next step; each step overwrites ``grad``.
+
+    A full-graph training workspace (given ``adj``, ``labels``, the loss
+    ``mask`` and the ``val_mask``) resolves ``rows``, E (see the module
+    docstring), and what its last layer reads: ``adj_rows`` = A[E] and
+    ``adj_loss_cols`` = A[:, loss rows] when it propagates, else
+    ``d_hidden``, an input-gradient buffer whose non-loss rows stay zero.
+    Without a mask ``rows`` is None, and every row is computed.
     """
 
-    def __init__(self, params: ModelParams, batch: tuple[int, ...] = (), labels=None, mask=None):
+    def __init__(self, params: ModelParams, batch: tuple[int, ...] = (), adj=None, labels=None,
+                 mask=None, val_mask=None):
         layers = params.layers
         self.layers = layers
         self.sides = [_propagated_side(l, spec) for l, spec in enumerate(layers)]
         self.weights = _step_views(params.flat, layers)
         self.grad = np.empty((*batch, params.flat.size))
         self.grad_views = _step_views(self.grad, layers)
+        self.rows = None
         if mask is not None:
             self.loss_rows = np.flatnonzero(mask)
             if self.loss_rows.size == 0:
                 raise ValueError("mask selects no nodes")
             self.loss_labels = labels[self.loss_rows]
-            self.d_logits = np.zeros((mask.shape[0], layers[-1].out_dim))
+            self.rows = (self.loss_rows if val_mask is None
+                         else np.concatenate([self.loss_rows, np.flatnonzero(val_mask)]))
+            if self.sides[-1] is not None:
+                # CSR row and column selection keep each row's entries in order
+                self.adj_rows = adj[self.rows]
+                self.adj_loss_cols = adj[:, self.loss_rows]
+            elif len(layers) > 1:
+                self.d_hidden = np.zeros((mask.shape[0], layers[-1].in_dim))
 
 
 def _forward(ws: _StepWorkspace, adj, x: np.ndarray, keep_cache: bool, rows=None):
@@ -253,7 +278,8 @@ def _forward(ws: _StepWorkspace, adj, x: np.ndarray, keep_cache: bool, rows=None
     docstring).  ``adj`` is sparse (n, n) with ``x`` (n, d + 1), or a dense
     (m, s, s) stack with ``x`` (m, s, d + 1).
     With ``rows`` (see the module docstring), layer l maps the first
-    ``rows[l]`` rows to the first ``rows[l + 1]``.
+    ``rows[l]`` rows to the first ``rows[l + 1]``.  A full-graph training
+    workspace's last layer maps every row to its E rows (``ws.rows``).
     """
     in_dim = ws.layers[0].in_dim
     if x.shape[-1] != in_dim + 1:
@@ -263,7 +289,14 @@ def _forward(ws: _StepWorkspace, adj, x: np.ndarray, keep_cache: bool, rows=None
     last = len(ws.layers) - 1
     for l, ((w, b), side) in enumerate(zip(ws.weights, ws.sides)):
         a = adj if rows is None else adj[:, :rows[l + 1], :rows[l]]
-        p = a @ h if side == "input" else h
+        p = h
+        if l == last and ws.rows is not None:  # the full graph's E rows only
+            if side is None:
+                p = h[ws.rows]
+            else:
+                a = ws.adj_rows
+        if side == "input":
+            p = a @ h
         z = p @ w
         if side == "output":
             z = a @ z
@@ -304,15 +337,24 @@ def _backward(ws: _StepWorkspace, adj, cache, d_logits: np.ndarray, rows=None) -
     ran over an (m, s, s) stack).
 
     The normalized adjacency is symmetric, so A^T g == A g; with ``rows``,
-    layer l's transposed block is ``adj[:, :rows[l], :rows[l + 1]]``.
+    layer l's transposed block is ``adj[:, :rows[l], :rows[l + 1]]``.  A
+    full-graph training workspace's ``d_logits`` holds the loss rows only,
+    and its last layer's transposed block is ``ws.adj_loss_cols``.
     """
     dz = d_logits
-    for l in range(len(ws.layers) - 1, -1, -1):
+    last = len(ws.layers) - 1
+    for l in range(last, -1, -1):
         w, _ = ws.weights[l]
         dw, db = ws.grad_views[l]
         h, p = cache[l]
         side = ws.sides[l]
         a = adj if rows is None else adj[:, :rows[l], :rows[l + 1]]
+        cut = l == last and ws.rows is not None  # dz holds the loss rows only
+        if cut:
+            if side is not None:
+                a = ws.adj_loss_cols
+            if side != "output":
+                p = p[:dz.shape[0]]  # the loss rows, E's prefix
         if db is not None:
             np.einsum("...rk->...k", dz, out=db)
         if side == "output":
@@ -322,6 +364,9 @@ def _backward(ws: _StepWorkspace, adj, cache, d_logits: np.ndarray, rows=None) -
             dh = dz @ w.T
             if side == "input":
                 dh = a @ dh
+            elif cut and side is None:
+                ws.d_hidden[ws.loss_rows] = dh
+                dh = ws.d_hidden
             dh *= h > 0.0  # h is post-ReLU, so h > 0 exactly where its pre-activation is
             dz = dh
     return ws.grad
@@ -355,21 +400,21 @@ def subgraph_batch_gradients(adj: np.ndarray, inputs: np.ndarray, root_labels: n
 
 def _masked_loss_grad_and_logits(ws: _StepWorkspace, adj, x: np.ndarray):
     """Mean cross-entropy over ``ws``'s loss rows, its gradient (``ws.grad``)
-    and the logits of the forward pass."""
+    and the logits of ``ws.rows``: the loss rows, then the val rows."""
     logits, cache = _forward(ws, adj, x, keep_cache=True)
-    idx = ws.loss_rows
-    losses, d_rows = _cross_entropy_rows(logits[idx], ws.loss_labels)
-    d_rows /= idx.size
-    ws.d_logits[idx] = d_rows
+    size = ws.loss_rows.size
+    losses, d_rows = _cross_entropy_rows(logits[:size], ws.loss_labels)
+    d_rows /= size
     # sum / size is the bits of losses.mean() without its per-call overhead
-    return float(losses.sum() / idx.size), _backward(ws, adj, cache, ws.d_logits), logits
+    return float(losses.sum() / size), _backward(ws, adj, cache, d_rows), logits
 
 
 def loss_and_grad(ctx: ForwardContext, params: ModelParams, labels: np.ndarray,
                   mask: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean masked cross-entropy and its exact gradient through all layers."""
-    loss, grad, _ = _masked_loss_grad_and_logits(_StepWorkspace(params, labels=labels, mask=mask),
-                                                 ctx.adj_norm, ctx.first_layer_input(params.layers))
+    ws = _StepWorkspace(params, adj=ctx.adj_norm, labels=labels, mask=mask)
+    loss, grad, _ = _masked_loss_grad_and_logits(ws, ctx.adj_norm,
+                                                 ctx.first_layer_input(params.layers))
     return loss, grad
 
 

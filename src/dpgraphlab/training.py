@@ -91,42 +91,62 @@ class _Adam:
         self.t = 0
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        """(lr * m_hat) / (sqrt(v_hat) + eps) in two reused buffers, with the
+        textbook expression's operations in its order."""
         if self.m is None:
-            self.m = np.zeros_like(flat)
-            self.v = np.zeros_like(flat)
+            self.m, self.v = np.zeros_like(flat), np.zeros_like(flat)
+            self._num, self._den = np.empty_like(flat), np.empty_like(flat)
         self.t += 1
-        self.m *= self.beta1
-        self.m += (1 - self.beta1) * grad
-        self.v *= self.beta2
-        self.v += (1 - self.beta2) * grad * grad
-        m_hat = self.m / (1 - self.beta1 ** self.t)
-        v_hat = self.v / (1 - self.beta2 ** self.t)
-        flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, num, den = self.m, self.v, self._num, self._den
+        beta1, beta2 = self.beta1, self.beta2
+        m *= beta1
+        # out passed by position: a keyword out costs more than the work here
+        np.multiply(1 - beta1, grad, num)
+        m += num
+        v *= beta2
+        np.multiply(1 - beta2, grad, num)
+        num *= grad
+        v += num
+        np.divide(m, 1 - beta1 ** self.t, num)  # m_hat
+        num *= self.lr
+        np.divide(v, 1 - beta2 ** self.t, den)  # v_hat
+        np.sqrt(den, den)
+        den += self.eps
+        num /= den
+        flat -= num
 
 
 def _stream(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
-def _split(labels: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes a mask selects and their labels."""
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
+def _eval_rows(labels: np.ndarray, masks) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The nodes each mask selects, concatenated in mask order, and each
+    mask's labels: the rows and blocks :func:`_accuracy` scores.  A mask
+    that selects no nodes raises ValueError."""
+    idx = [np.flatnonzero(mask) for mask in masks]
+    if any(i.size == 0 for i in idx):
         raise ValueError("mask selects no nodes")
-    return idx, labels[idx]
+    return np.concatenate(idx), [labels[i] for i in idx]
 
 
-def _accuracy(logits: np.ndarray, splits) -> list[float]:
-    """Argmax accuracy over each (nodes, labels) split, from one argmax."""
+def _accuracy(logits: np.ndarray, blocks) -> list[float]:
+    """Argmax accuracy of consecutive row blocks of ``logits`` against each
+    labels array in ``blocks``, from one argmax."""
     pred = np.argmax(logits, axis=1)  # argmax ties resolve to the lower class id
-    return [np.count_nonzero(pred[idx] == labels) / labels.size for idx, labels in splits]
+    accs, start = [], 0
+    for labels in blocks:
+        stop = start + labels.size
+        accs.append(np.count_nonzero(pred[start:stop] == labels) / labels.size)
+        start = stop
+    return accs
 
 
 def _evaluate(graph: PopulationGraph, params: ModelParams, masks) -> list[float]:
     """Argmax accuracy over each mask's nodes, from one transductive forward;
     a mask that selects no nodes raises ValueError."""
-    splits = [_split(graph.labels, mask) for mask in masks]
-    return _accuracy(gcn_forward(normalize_adjacency(graph), params), splits)
+    rows, blocks = _eval_rows(graph.labels, masks)
+    return _accuracy(gcn_forward(normalize_adjacency(graph), params)[rows], blocks)
 
 
 def evaluate(graph: PopulationGraph, params: ModelParams, mask: np.ndarray) -> float:
@@ -168,10 +188,12 @@ def train(graph: PopulationGraph, config: TrainConfig,
     best = None  # (params of the best validation accuracy so far, that accuracy)
     if not dp:
         ctx = normalize_adjacency(graph)
-        splits = [_split(graph.labels, graph.train_mask)]
         has_val = bool(graph.val_mask.any())
+        # the train rows, then the val rows: the rows of the full-graph
+        # source's logits
+        eval_rows, eval_blocks = _eval_rows(
+            graph.labels, [graph.train_mask, graph.val_mask] if has_val else [graph.train_mask])
         if has_val:
-            splits.append(_split(graph.labels, graph.val_mask))
             best = (params.clone(), -1.0)
     if config.mode == "full_graph":
         steps, every, gradients, privacy = _full_graph_source(graph, config, spec, ctx, params)
@@ -188,7 +210,9 @@ def train(graph: PopulationGraph, config: TrainConfig,
         if dp:  # the accountant's fields; no evaluation, no selection
             entry.update(privacy(step))
         else:
-            acc = _accuracy(gcn_forward(ctx, params) if logits is None else logits, splits)
+            if logits is None:
+                logits = gcn_forward(ctx, params)[eval_rows]
+            acc = _accuracy(logits, eval_blocks)
             entry.update(train_acc=acc[0], val_acc=acc[1] if has_val else None)
             if has_val:
                 best = _checkpoint(best, params, entry["val_acc"])
@@ -231,9 +255,11 @@ def _checkpoint(best, params, val_acc):
 # A gradient source returns (steps, eval interval, endless iterator of
 # per-step (loss, update, logits) at the current params, a DP run's
 # accountant fields for a step or None outside DP).  The full-graph
-# source's logits are those of the forward pass its gradient ran, so one
-# forward serves both the step's gradient and the previous record's
-# evaluation; the subgraph source has no full-graph logits and yields None.
+# source's logits are those of the forward pass its gradient ran, which
+# computes the last layer on the train rows (the loss) and then the val
+# rows only, so one forward serves both the step's gradient and the
+# previous record's evaluation; the subgraph source has no full-graph
+# logits and yields None.
 # The iterators are generators, so one step's batch arrays stay alive until
 # the next step has allocated its own, as in an inline loop.  A function
 # call per step frees the whole batch at once on return; malloc then hands
@@ -241,8 +267,9 @@ def _checkpoint(best, params, val_acc):
 # made DP training about 1.5x slower on the dp_audit benchmark.
 
 def _full_graph_source(graph, config, spec, ctx, params):
-    ws = _StepWorkspace(params, labels=graph.labels, mask=graph.train_mask)
     adj, x = ctx.adj_norm, ctx.first_layer_input(params.layers)
+    ws = _StepWorkspace(params, adj=adj, labels=graph.labels, mask=graph.train_mask,
+                        val_mask=graph.val_mask)
 
     def gradients():
         while True:

@@ -104,6 +104,43 @@ def test_knn_tie_breaks_to_lower_index():
     assert kg.edge_array().tolist() == [[0, 1], [0, 2]]
 
 
+def knn_by_stable_sort(graph, k, metric):
+    """Oracle: the k nearest by a full stable argsort of each distance row,
+    symmetrized by union (the distances as build_knn_graph computes them)."""
+    x = graph.features
+    n = graph.num_nodes
+    if metric == "euclidean":
+        sq = np.einsum("ij,ij->i", x, x)
+        dist = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+        np.maximum(dist, 0.0, out=dist)
+    else:
+        norms = np.linalg.norm(x, axis=1)
+        norms[norms == 0] = 1.0
+        xn = x / norms[:, None]
+        dist = 1.0 - xn @ xn.T
+    np.fill_diagonal(dist, np.inf)
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    src = np.repeat(np.arange(n), k)
+    dst = nearest.ravel()
+    pairs = np.unique(np.column_stack([np.minimum(src, dst), np.maximum(src, dst)]), axis=0)
+    return csr_from_edges(n, pairs)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_knn_partial_selection_equals_stable_sort_oracle(metric):
+    # tie-heavy small-integer features (zero rows among them), duplicated rows
+    rng = np.random.default_rng(5)
+    ints = rng.integers(0, 3, size=(40, 3)).astype(float)
+    dup = np.repeat(rng.standard_normal((10, 2)), 4, axis=0)
+    for x in (ints, dup, rng.standard_normal((30, 4))):
+        g = dg.edgeless_graph(x, np.zeros(len(x), dtype=np.int64), 2)
+        for k in (1, 2, 5, len(x) - 1):
+            kg = dg.build_knn_graph(g, k, metric)
+            indptr, indices = knn_by_stable_sort(g, k, metric)
+            np.testing.assert_array_equal(kg.indptr, indptr)
+            np.testing.assert_array_equal(kg.indices, indices)
+
+
 def test_knn_k_too_large():
     g = make_graph([[0.0], [1.0]], [0, 1], [])
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import softmax
 
 import dpgraphlab as dg
-from dpgraphlab import training
+from dpgraphlab import nn, training
 from dpgraphlab.graphs import csr_from_edges
 from dpgraphlab.nn import LayerSpec, ModelParams, _cross_entropy_rows, _StepWorkspace
 from dpgraphlab.sampling import SampledSubgraph, SubgraphStore
@@ -485,14 +485,178 @@ def test_full_graph_workspace_matches_fresh_calls():
         params = training._init_model(g, cfg)
         ctx = dg.normalize_adjacency(g)
         _, _, source, _ = training._full_graph_source(g, cfg, dg.SubgraphSpec(), ctx, params)
+        # the source's logits are the train rows, then the val rows
+        rows = np.concatenate([np.flatnonzero(g.train_mask), np.flatnonzero(g.val_mask)])
         adam = training._Adam(cfg.learning_rate)
         for _ in range(20):
             loss, grad, logits = next(source)
             fresh = dg.loss_and_grad(ctx, params, g.labels, g.train_mask)
             assert loss == fresh[0]
             np.testing.assert_array_equal(grad, fresh[1])
-            np.testing.assert_array_equal(logits, dg.gcn_forward(ctx, params))
+            np.testing.assert_array_equal(logits, dg.gcn_forward(ctx, params)[rows])
             adam.step(params.flat, grad)
+
+
+def full_row_loss_grad_and_logits(params, adj, x, labels, mask):
+    """Oracle of the full-graph step that computes every row: the full-row
+    forward pass, the loss gradient scattered into an (n, C) d_logits whose
+    other rows are zero, and the full-row backward pass."""
+    ws = _StepWorkspace(params)
+    logits, cache = nn._forward(ws, adj, x, keep_cache=True)
+    idx = np.flatnonzero(mask)
+    losses, d_rows = _cross_entropy_rows(logits[idx], labels[idx])
+    d_rows /= idx.size
+    d_logits = np.zeros_like(logits)
+    d_logits[idx] = d_rows
+    return float(losses.sum() / idx.size), nn._backward(ws, adj, cache, d_logits).copy(), logits
+
+
+def cut_step(params, ctx, labels, mask, val_mask):
+    """The training step's loss, gradient and E-row logits, and E."""
+    adj, x = ctx.adj_norm, ctx.first_layer_input(params.layers)
+    ws = _StepWorkspace(params, adj=adj, labels=labels, mask=mask, val_mask=val_mask)
+    loss, grad, logits = nn._masked_loss_grad_and_logits(ws, adj, x)
+    return loss, grad, logits, ws.rows
+
+
+def row_cut_masks(g):
+    """(train, val) pairs: the graph's own, no val rows, val overlapping
+    train (E repeats rows), and a single loss row."""
+    n = g.num_nodes
+    one = np.zeros(n, dtype=bool)
+    one[np.flatnonzero(g.train_mask)[3]] = True
+    overlap = g.val_mask.copy()
+    overlap[np.flatnonzero(g.train_mask)[::2]] = True
+    return [(g.train_mask, g.val_mask), (g.train_mask, np.zeros(n, dtype=bool)),
+            (g.train_mask, overlap), (one, g.val_mask)]
+
+
+def relabeled(g, num_classes, seed):
+    labels = np.random.default_rng(seed).integers(0, num_classes, g.num_nodes)
+    return dataclasses.replace(g, labels=labels, num_classes=num_classes)
+
+
+def test_row_cut_step_equals_full_row_oracle_for_narrowing_outputs():
+    # a narrowing last layer (classes < hidden) propagates its output: the
+    # kept logits are the same CSR row sums and the backward pass drops only
+    # +0.0 terms, so the cut step is bit-identical to the full-row step
+    g = workspace_graph()
+    ctx = dg.normalize_adjacency(g)
+    rng = np.random.default_rng(23)
+    for num_layers, hidden in ((2, 32), (2, 6), (3, 32), (3, 48)):
+        params = dg.init_gcn(g.feat_dim, hidden, 2, num_layers, seed=hidden)
+        params.flat[:] += 0.1 * rng.standard_normal(params.flat.size)  # nonzero biases
+        x = ctx.first_layer_input(params.layers)
+        for mask, val_mask in row_cut_masks(g):
+            loss, grad, logits, rows = cut_step(params, ctx, g.labels, mask, val_mask)
+            want = full_row_loss_grad_and_logits(params, ctx.adj_norm, x, g.labels, mask)
+            assert rows.size == mask.sum() + val_mask.sum()
+            np.testing.assert_array_equal(rows[:mask.sum()], np.flatnonzero(mask))
+            assert loss == want[0]
+            np.testing.assert_array_equal(grad, want[1])
+            np.testing.assert_array_equal(logits, want[2][rows])
+
+
+@pytest.mark.parametrize("hidden", [32, 48])
+def test_row_cut_chaotic_adam_clipping_run_equals_full_row_oracle(hidden):
+    # full-graph adam with clipping amplifies any last-bit difference, so 60
+    # equal steps show that no step differs at all
+    g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=200, target_homophily=0.7,
+                                               feat_dim=40, seed=11))
+    g = dg.assign_splits(g, dg.SplitSpec(0.5, 0.2, 0.3, seed=11))
+    ctx = dg.normalize_adjacency(g)
+    params = dg.init_gcn(g.feat_dim, hidden, 2, 3, seed=12)
+    oracle = params.clone()
+    x = ctx.first_layer_input(params.layers)
+    cfg = dg.TrainConfig(num_layers=3, hidden_dim=hidden, clipping=True, seed=12)
+    _, _, source, _ = training._full_graph_source(g, cfg, dg.SubgraphSpec(clip_norm=0.5), ctx,
+                                                  params)
+    adam, oracle_adam = training._Adam(1e-2), training._Adam(1e-2)
+    for _ in range(60):
+        _, update, _ = next(source)
+        adam.step(params.flat, update)
+        _, grad, _ = full_row_loss_grad_and_logits(oracle, ctx.adj_norm, x, g.labels,
+                                                   g.train_mask)
+        oracle_adam.step(oracle.flat, dg.clip(grad, 0.5))
+        np.testing.assert_array_equal(params.flat, oracle.flat)
+
+
+def test_row_cut_step_close_to_full_row_oracle_for_other_last_layers():
+    # a last layer that does not narrow (an MLP, a 1-layer GCN, classes >=
+    # hidden, hidden_dim=1) sums its weight gradient over the loss rows only,
+    # and the BLAS kernel may then order the sum differently
+    g = workspace_graph()
+    g4 = relabeled(g, 4, 5)
+    rng = np.random.default_rng(29)
+    for graph, init, num_layers, hidden in ((g, dg.init_mlp, 2, 6), (g, dg.init_mlp, 1, 6),
+                                            (g, dg.init_mlp, 3, 6), (g, dg.init_gcn, 1, 6),
+                                            (g4, dg.init_gcn, 2, 3), (g4, dg.init_gcn, 3, 4),
+                                            (g, dg.init_gcn, 2, 1)):
+        ctx = dg.normalize_adjacency(graph)
+        params = init(graph.feat_dim, hidden, graph.num_classes, num_layers, seed=hidden)
+        params.flat[:] += 0.1 * rng.standard_normal(params.flat.size)
+        x = ctx.first_layer_input(params.layers)
+        for mask, val_mask in row_cut_masks(graph):
+            loss, grad, logits, rows = cut_step(params, ctx, graph.labels, mask, val_mask)
+            want = full_row_loss_grad_and_logits(params, ctx.adj_norm, x, graph.labels, mask)
+            np.testing.assert_allclose(loss, want[0], rtol=1e-14)
+            np.testing.assert_allclose(grad, want[1], rtol=1e-14,
+                                       atol=1e-14 * np.abs(want[1]).max())
+            np.testing.assert_allclose(logits, want[2][rows], rtol=1e-14,
+                                       atol=1e-14 * np.abs(want[2]).max())
+
+
+def test_row_cut_dense_last_layer_keeps_non_loss_rows_zero():
+    # the scattered input gradient of a dense last layer stays zero outside
+    # the loss rows from one step to the next
+    g = workspace_graph()
+    ctx = dg.normalize_adjacency(g)
+    params = dg.init_mlp(g.feat_dim, 6, 2, 2, seed=3)
+    adj, x = ctx.adj_norm, ctx.first_layer_input(params.layers)
+    ws = _StepWorkspace(params, adj=adj, labels=g.labels, mask=g.train_mask, val_mask=g.val_mask)
+    for _ in range(3):
+        nn._masked_loss_grad_and_logits(ws, adj, x)
+        assert not ws.d_hidden[~g.train_mask].any()
+        training._Sgd(0.5).step(params.flat, ws.grad)
+
+
+def test_adam_step_equals_textbook_expression():
+    # the buffered step keeps the textbook operations in their order
+    rng = np.random.default_rng(31)
+    flat = rng.standard_normal(418)
+    want = flat.copy()
+    adam = training._Adam(1e-2)
+    m, v = np.zeros_like(want), np.zeros_like(want)
+    for t in range(1, 301):
+        grad = rng.standard_normal(418) * rng.choice([1e-8, 1.0, 1e3])
+        adam.step(flat, grad)
+        m *= 0.9
+        m += (1 - 0.9) * grad
+        v *= 0.999
+        v += (1 - 0.999) * grad * grad
+        m_hat = m / (1 - 0.9 ** t)
+        v_hat = v / (1 - 0.999 ** t)
+        want -= 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        np.testing.assert_array_equal(flat, want)
+
+
+def test_records_score_the_e_row_logits():
+    # each record's accuracies are those of a full forward pass at the
+    # record's params, whether the next step's forward or the final one
+    g = workspace_graph()
+    cfg = dg.TrainConfig(epochs=7, eval_every=3, seed=4)
+    params, log = dg.train(g, cfg)
+    assert [r["step"] for r in log] == [3, 6, 7]
+    ctx = dg.normalize_adjacency(g)
+    replay = training._init_model(g, cfg)
+    adam = training._Adam(cfg.learning_rate)
+    for step in range(1, 8):
+        _, grad = dg.loss_and_grad(ctx, replay, g.labels, g.train_mask)
+        adam.step(replay.flat, grad)
+        if step in (3, 6, 7):
+            record = log[[3, 6, 7].index(step)]
+            assert record["train_acc"] == dg.evaluate(g, replay, g.train_mask)
+            assert record["val_acc"] == dg.evaluate(g, replay, g.val_mask)
 
 
 def test_subgraph_workspace_matches_fresh_calls():
