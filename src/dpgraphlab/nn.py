@@ -31,6 +31,16 @@ The store resolves these rows once, over all its subgraphs, when it is
 built, and keeps only the first ``rows[0]`` rows and columns of each
 subgraph.
 
+A stacked (m, rows, k) batch takes each product with a weight that every
+subgraph shares, ``p @ w`` forward and ``dz @ w.T`` backward, as one 2-D
+product over its m * rows rows, through reshape views
+(:func:`_matmul_rows`); the products that differ per subgraph stay
+batched: the adjacency products and the per-sample weight gradient
+``p.T @ dz``.  On the full graph these products are 2-D already, and the
+same call.  The BLAS kernel may order a row's sum differently in one large
+product than in m small ones, so a batch's gradients can differ in the
+last bits from per-subgraph products.
+
 A full-graph training step reads the logits of the loss (train) rows and,
 for its log record, of the val rows, so its last layer computes only those
 rows, E (the loss rows, then the val rows): it propagates through A[E], or
@@ -56,9 +66,11 @@ gradient straight into its slice of the flat gradient.
 A training run resolves the layout once, in a ``_StepWorkspace``: the
 views of each layer's weight and bias in ``params.flat`` (which the
 optimizer updates in place; layer 0's [w; b] block and no separate bias),
-each layer's propagated side, and the per-layer views of one flat gradient
-buffer; for the full graph it also holds the loss rows, their labels, E
-and the sparse row and column blocks the last layer reads.  Every step
+each layer's propagated side, the per-layer views of one flat gradient
+buffer, and the start of each loss row in the flattened logits, through
+which the cross-entropy reads and writes each row's label entry; for the
+full graph it also holds the loss rows, their labels, E and the sparse row
+and column blocks the last layer reads.  Every step
 reuses these, and its gradient overwrites the previous step's, which the
 optimizer has consumed by then.
 The public functions (:func:`gcn_forward`, :func:`loss_and_grad`,
@@ -146,6 +158,13 @@ def _with_ones(x: np.ndarray) -> np.ndarray:
     out[..., :-1] = x
     out[..., -1] = 1.0
     return out
+
+
+def _matmul_rows(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``p @ w`` for a weight ``w`` shared by every row of ``p``, as one 2-D
+    product over all of p's rows: (..., r, k) -> (..., r, o) through reshape
+    views (a stacked ``p`` is copied only when its rows are not contiguous)."""
+    return (p.reshape(-1, p.shape[-1]) @ w).reshape(*p.shape[:-1], w.shape[-1])
 
 
 def layer_dims(in_dim: int, hidden_dim: int, out_dim: int, num_layers: int) -> list[tuple[int, int]]:
@@ -256,11 +275,15 @@ class _StepWorkspace:
         self.grad = np.empty((*batch, params.flat.size))
         self.grad_views = _step_views(self.grad, layers)
         self.rows = None
+        classes = layers[-1].out_dim
+        if batch:
+            self.label_starts = np.arange(batch[0]) * classes
         if mask is not None:
             self.loss_rows = np.flatnonzero(mask)
             if self.loss_rows.size == 0:
                 raise ValueError("mask selects no nodes")
             self.loss_labels = labels[self.loss_rows]
+            self.label_starts = np.arange(self.loss_rows.size) * classes
             self.rows = (self.loss_rows if val_mask is None
                          else np.concatenate([self.loss_rows, np.flatnonzero(val_mask)]))
             if self.sides[-1] is not None:
@@ -297,7 +320,7 @@ def _forward(ws: _StepWorkspace, adj, x: np.ndarray, keep_cache: bool, rows=None
                 a = ws.adj_rows
         if side == "input":
             p = a @ h
-        z = p @ w
+        z = _matmul_rows(p, w)
         if side == "output":
             z = a @ z
         if b is not None:
@@ -318,16 +341,21 @@ def gcn_forward(ctx: ForwardContext, params: ModelParams) -> np.ndarray:
     return logits
 
 
-def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray,
+                        starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row softmax cross-entropy and its gradient with respect to the rows,
-    both from one shifted log-softmax."""
-    rows = np.arange(labels.size)
+    both from one shifted log-softmax.
+
+    ``starts`` holds each row's offset in the flattened (rows, classes)
+    array, ``np.arange(rows) * classes`` (a workspace's ``label_starts``), so
+    each row's label entry is read and written through one flat index."""
+    flat = starts + labels
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=1, keepdims=True)
-    losses = np.log(total[:, 0]) - shifted[rows, labels]
+    losses = np.log(total[:, 0]) - shifted.take(flat)
     exp /= total
-    exp[rows, labels] -= 1.0
+    exp.reshape(-1)[flat] -= 1.0
     return losses, exp
 
 
@@ -361,7 +389,7 @@ def _backward(ws: _StepWorkspace, adj, cache, d_logits: np.ndarray, rows=None) -
             dz = a @ dz
         np.matmul(np.swapaxes(p, -1, -2), dz, out=dw)
         if l > 0:
-            dh = dz @ w.T
+            dh = _matmul_rows(dz, w.T)
             if side == "input":
                 dh = a @ dh
             elif cut and side is None:
@@ -394,7 +422,7 @@ def subgraph_batch_gradients(adj: np.ndarray, inputs: np.ndarray, root_labels: n
     ws = (params if isinstance(params, _StepWorkspace)
           else _StepWorkspace(params, batch=(root_labels.size,)))
     logits, cache = _forward(ws, adj, inputs, keep_cache=True, rows=rows)
-    losses, d_roots = _cross_entropy_rows(logits[:, 0, :], root_labels)
+    losses, d_roots = _cross_entropy_rows(logits[:, 0, :], root_labels, ws.label_starts)
     return losses, _backward(ws, adj, cache, d_roots[:, None, :], rows=rows)
 
 
@@ -403,7 +431,7 @@ def _masked_loss_grad_and_logits(ws: _StepWorkspace, adj, x: np.ndarray):
     and the logits of ``ws.rows``: the loss rows, then the val rows."""
     logits, cache = _forward(ws, adj, x, keep_cache=True)
     size = ws.loss_rows.size
-    losses, d_rows = _cross_entropy_rows(logits[:size], ws.loss_labels)
+    losses, d_rows = _cross_entropy_rows(logits[:size], ws.loss_labels, ws.label_starts)
     d_rows /= size
     # sum / size is the bits of losses.mean() without its per-call overhead
     return float(losses.sum() / size), _backward(ws, adj, cache, d_rows), logits

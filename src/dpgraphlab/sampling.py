@@ -1,7 +1,11 @@
 """Occurrence-bounded neighborhood sampling for node-level DP training.
 
 Every training node roots one subgraph: a BFS over at most ``hops`` levels
-keeping at most ``max_degree`` freshly sampled neighbors per expanded node.
+keeping at most ``max_degree`` freshly sampled neighbors per expanded node:
+the first admissible ids of its neighbor list in a uniformly random order.
+The loop runs on Python ints and shuffles each expansion's slice of one
+neighbor-id list with ``rng.shuffle``, which makes the Fisher-Yates draws
+of ``rng.permutation`` on the same ids.
 A global occurrence counter caps how many subgraphs any node may join
 (``occurrence_bound``, counting the node's own root subgraph), which is what
 bounds the per-node sensitivity of a batch gradient.  Roots reserve their
@@ -64,14 +68,14 @@ def sample_training_subgraphs(graph: PopulationGraph, max_degree: int, hops: int
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     # the loop runs on Python ints: CSR bounds, neighbor ids and counts
-    indptr, indices = graph.indptr.tolist(), graph.indices
-    permutation = rng.permutation
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    shuffle = rng.shuffle
     occurrence = [0] * graph.num_nodes
     for root in roots.tolist():
         occurrence[root] = 1  # each root's own subgraph claims one slot
     out: dict[int, SampledSubgraph] = {}
     starved = 0
-    for root in permutation(roots).tolist():
+    for root in rng.permutation(roots).tolist():
         nodes = [root]
         local = {root: 0}
         edges: list[tuple[int, int]] = []
@@ -84,7 +88,9 @@ def sample_training_subgraphs(graph: PopulationGraph, max_degree: int, hops: int
                 if lo == hi:
                     continue
                 taken = 0
-                for w in permutation(indices[lo:hi]).tolist():
+                neighbors = indices[lo:hi]
+                shuffle(neighbors)
+                for w in neighbors:
                     if taken == max_degree:
                         break
                     if w in local:

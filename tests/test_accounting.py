@@ -12,8 +12,8 @@ from scipy.special import logsumexp
 
 import dpgraphlab as dg
 from dpgraphlab.accounting import (DEFAULT_ORDERS, SIGMA_HI, SIGMA_LO, SIGMA_REL_TOL,
-                                   _hyper_log_pmf, _logsumexp_rows, _sigma_free_terms,
-                                   make_accountant)
+                                   _clip_scale, _hyper_log_pmf, _logsumexp_rows,
+                                   _sigma_free_terms, make_accountant)
 
 
 def naive_per_step_rdp(alpha, sigma, N, T, m):
@@ -65,6 +65,25 @@ def test_noisy_batch_gradient_sigma_zero_is_mean():
         want = np.stack([dg.clip(g, C) for g in grads]).mean(axis=0)
         np.testing.assert_allclose(out, want, atol=1e-12)
         assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def min_clip_scale(norms, C):
+    """The clip factor's earlier form, min(1, C / max(||g_i||, 1e-300))."""
+    return np.minimum(1.0, C / np.maximum(norms, 1e-300))
+
+
+def test_clip_scale_equals_the_min_expression_bit_for_bit():
+    for C in (1.0, 0.5, 3.7, 1e-3):
+        norms = np.array([0.0, 1e-300, np.nextafter(C, 0.0), C, np.nextafter(C, np.inf),
+                          2.0 * C, 1e300, np.inf, np.nan])
+        got, want = _clip_scale(norms, C), min_clip_scale(norms, C)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # and through the batch gradient, on rows of norm 0, C - ulp, C, C + ulp, 2C
+        rows = np.zeros((5, 3))
+        rows[:, 0] = norms[[0, 2, 3, 4, 5]]
+        want_sum = min_clip_scale(np.sqrt(np.vecdot(rows, rows)), C) @ rows
+        got = dg.noisy_batch_gradient(rows, C, 0.0, seed=0)
+        assert got.tobytes() == (want_sum / 5).tobytes()
 
 
 def test_noisy_batch_gradient_std_monte_carlo():

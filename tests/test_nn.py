@@ -139,9 +139,36 @@ def test_loss_uniform_prediction_ln2():
 def test_loss_saturated_softmax_near_zero():
     labels = np.array([0, 1, 0])
     logits = np.eye(2)[labels] * 1000.0
-    losses, d_rows = _cross_entropy_rows(logits, labels)
+    losses, d_rows = _cross_entropy_rows(logits, labels, np.arange(3) * 2)
     assert np.all(losses < 1e-6)
     assert np.all(np.isfinite(d_rows))
+
+
+def fancy_cross_entropy_rows(logits, labels):
+    """Oracle of ``_cross_entropy_rows``: the same shifted log-softmax, with
+    each row's label entry read and written by [rows, labels] indexing."""
+    rows = np.arange(labels.size)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    losses = np.log(total[:, 0]) - shifted[rows, labels]
+    exp /= total
+    exp[rows, labels] -= 1.0
+    return losses, exp
+
+
+def test_cross_entropy_rows_equals_fancy_index_oracle():
+    rng = np.random.default_rng(31)
+    for rows, classes in ((1, 2), (1, 7), (2, 2), (9, 2), (9, 7), (64, 7)):
+        for scale in (1.0, 30.0):
+            logits = scale * rng.standard_normal((rows, classes))
+            for labels in (rng.integers(classes, size=rows), np.zeros(rows, dtype=np.int64),
+                           np.full(rows, classes - 1)):  # repeated labels
+                got = _cross_entropy_rows(logits, labels, np.arange(rows) * classes)
+                want = fancy_cross_entropy_rows(logits, labels)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert g.tobytes() == w.tobytes()
 
 
 def test_loss_empty_mask_error():
@@ -283,11 +310,11 @@ def unfolded_gradients(adj, x, params, labels, loss_rows=None, rows=None):
         h = np.maximum(z, 0.0) if l < len(layers) - 1 else z
     logits = h
     if rows is None:
-        losses, d = _cross_entropy_rows(logits[loss_rows], labels)
+        losses, d = fancy_cross_entropy_rows(logits[loss_rows], labels)
         dz = np.zeros_like(logits)
         dz[loss_rows] = d / loss_rows.size
     else:
-        losses, d = _cross_entropy_rows(logits[:, 0, :], labels)
+        losses, d = fancy_cross_entropy_rows(logits[:, 0, :], labels)
         dz = d[:, None, :]
     grads = []
     for l in range(len(layers) - 1, -1, -1):
@@ -343,6 +370,89 @@ def test_layer0_fold_matches_unfolded_oracle():
         got_losses, got_grads = subgraph_batch_gradients(adj, inputs, labels, rows, params)
         close(got_losses, losses)
         close(got_grads, grads)
+
+
+def per_slice_batch_gradients(adj, inputs, labels, rows, params):
+    """Oracle of ``subgraph_batch_gradients`` that runs each subgraph alone in
+    2-D arrays: the package's layer order and [w; b] fold, with every weight
+    product taken over one subgraph's rows.  Returns (losses, gradients)."""
+    layers = params.layers
+    block = params.flat[:layers[0].size].reshape(layers[0].in_dim + 1, layers[0].out_dim)
+    weights = [(block, None)] + [params.weight_bias(l) for l in range(1, len(layers))]
+    sides = [None] + [None if s.kind != "gcn_conv" else "output" if s.out_dim < s.in_dim
+                      else "input" for s in layers[1:]]
+    last = len(layers) - 1
+    all_losses, all_grads = [], []
+    for i in range(labels.size):
+        h, cache = inputs[i, :rows[0]], []
+        for l, ((w, b), side) in enumerate(zip(weights, sides)):
+            a = adj[i, :rows[l + 1], :rows[l]]
+            p = a @ h if side == "input" else h
+            z = p @ w
+            if side == "output":
+                z = a @ z
+            if b is not None:
+                z = z + b
+            cache.append((h, p))
+            h = np.maximum(z, 0.0) if l < last else z
+        losses, dz = fancy_cross_entropy_rows(h[:1], labels[i:i + 1])
+        grads = []
+        for l in range(last, -1, -1):
+            (w, b), side = weights[l], sides[l]
+            h, p = cache[l]
+            a = adj[i, :rows[l], :rows[l + 1]]
+            db = dz.sum(axis=0)
+            if side == "output":
+                dz = a @ dz
+            dw = p.T @ dz
+            grads[:0] = [dw.ravel()] + ([] if b is None else [db])
+            if l > 0:
+                dh = dz @ w.T
+                if side == "input":
+                    dh = a @ dh
+                dz = dh * (h > 0.0)
+        all_losses.append(losses[0])
+        all_grads.append(np.concatenate(grads))
+    return np.array(all_losses), np.stack(all_grads)
+
+
+def test_stacked_row_products_match_per_slice_products():
+    # a batch takes each shared-weight product (p @ w, dz @ w.T) as one 2-D
+    # product over all its subgraphs' rows; the BLAS kernel may order a row's
+    # sum differently from a per-subgraph product, so the check is rtol 1e-14
+    # plus 1e-14 of the largest entry, not equality
+    g = workspace_graph()
+    rng = np.random.default_rng(41)
+    for init, num_layers, hidden in ((dg.init_gcn, 2, 32), (dg.init_gcn, 3, 32),
+                                     (dg.init_gcn, 2, 1), (dg.init_mlp, 2, 32),
+                                     (dg.init_mlp, 3, 16)):
+        params = init(g.feat_dim, hidden, g.num_classes, num_layers, seed=num_layers)
+        params.flat[:] += 0.1 * rng.standard_normal(params.flat.size)  # nonzero biases
+        subgraphs = dg.sample_training_subgraphs(g, 5, num_layers, 6, seed=num_layers)
+        store = SubgraphStore(g, subgraphs, params.layers)
+        batch = store.batch(rng.choice(len(store), 24, replace=False))
+        want_losses, want = per_slice_batch_gradients(*batch, params)
+        losses, got = subgraph_batch_gradients(*batch, params)
+        np.testing.assert_allclose(losses, want_losses, rtol=1e-14,
+                                   atol=1e-14 * np.abs(want_losses).max())
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+
+def test_matmul_rows_is_the_2d_product():
+    # a 2-D p (the full graph) makes the same call as p @ w, so the same bits;
+    # a stacked p with rows cut from a longer stack is copied, not misread
+    rng = np.random.default_rng(43)
+    w = rng.standard_normal((7, 3))
+    p = rng.standard_normal((40, 7))
+    assert nn._matmul_rows(p, w).tobytes() == (p @ w).tobytes()
+    assert nn._matmul_rows(p, w.T[:, :7].T).tobytes() == (p @ w).tobytes()
+    stack = rng.standard_normal((5, 9, 7))
+    cut = stack[:, :4]
+    got = nn._matmul_rows(cut, w)
+    assert got.shape == (5, 4, 3)
+    assert got.tobytes() == nn._matmul_rows(np.ascontiguousarray(cut), w).tobytes()
+    want = np.stack([cut[i] @ w for i in range(5)])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------- model invariances
@@ -504,7 +614,7 @@ def full_row_loss_grad_and_logits(params, adj, x, labels, mask):
     ws = _StepWorkspace(params)
     logits, cache = nn._forward(ws, adj, x, keep_cache=True)
     idx = np.flatnonzero(mask)
-    losses, d_rows = _cross_entropy_rows(logits[idx], labels[idx])
+    losses, d_rows = fancy_cross_entropy_rows(logits[idx], labels[idx])
     d_rows /= idx.size
     d_logits = np.zeros_like(logits)
     d_logits[idx] = d_rows

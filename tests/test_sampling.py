@@ -89,8 +89,9 @@ def test_occurrence_bound_one_gives_disjoint_subgraphs():
 
 def sampler_oracle(graph, max_degree, hops, occurrence_bound, seed):
     """sample_training_subgraphs' collection as (root, nodes, edges, hop) and
-    its count of starved roots, by a numpy loop over the same RNG calls: one
-    permutation of the roots, then one of each expanded node's neighbors."""
+    its count of starved roots, by a numpy loop over the same RNG draws: one
+    ``rng.permutation`` of the roots, then one of each expanded node's
+    neighbor array (the sampler shuffles a list slice instead)."""
     roots = np.flatnonzero(graph.train_mask)
     rng = np.random.default_rng(seed)
     occurrence = np.zeros(graph.num_nodes, dtype=np.int64)
@@ -137,6 +138,9 @@ def test_sampler_equals_numpy_loop_oracle(caplog):
              (isolated, 2, 2, 1, 3), (random_split_graph(rng, n=300), 5, 2, 6, 4)]
     cases += [(random_split_graph(rng), int(rng.integers(1, 6)), int(rng.integers(1, 4)),
                int(rng.integers(1, 8)), seed) for seed in range(5, 15)]
+    # one neighbor per expansion, three hops deep
+    cases += [(dense, 1, 3, 3, 15), (isolated, 1, 3, 2, 16),
+              (random_split_graph(rng, n=200), 1, 3, 6, 17), (star_graph(), 1, 3, 1, 18)]
     total_starved = 0
     for g, K, r, T, seed in cases:
         caplog.clear()
