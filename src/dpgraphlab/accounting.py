@@ -6,9 +6,17 @@ subgraphs is drawn uniformly without replacement from ``N`` training
 subgraphs, and any single node appears in at most ``T`` of those subgraphs
 overall.  Conditioned on the node occurring in ``rho`` subgraphs of the
 batch (hypergeometric in the worst case), removing it shifts the clipped
-gradient sum by at most ``rho * C``, so the Gaussian mechanism with noise
-``sigma * C`` pays Renyi cost ``alpha * rho**2 / (2 sigma**2)`` at order
-``alpha``.  The per-step cost is the moment of that mixture:
+gradient sum by at most ``rho * Delta``, with ``Delta = 2C`` per subgraph:
+the node's own root subgraph disappears, which moves the sum by at most C,
+but a subgraph rooted elsewhere survives with the node cut out, and its
+two clipped gradients, each in the C-ball, can lie up to 2C apart.  The
+accountant works in units of Delta: training draws the noise with std
+``sigma * Delta``, so the Gaussian mechanism pays Renyi cost
+``alpha * rho**2 / (2 sigma**2)`` at order ``alpha``, and the logged
+``sigma`` is this one.  The factor ``Delta / C`` has one home,
+:data:`OCCURRENCE_SENSITIVITY`, and one use, the noise multiplier that
+training passes to :func:`noisy_batch_gradient` (which itself draws
+``sigma * C``).  The per-step cost is the moment of that mixture:
 
     eps(alpha) = log( sum_rho pmf(rho) * exp(alpha (alpha-1) rho^2 / (2 sigma^2)) ) / (alpha - 1)
 
@@ -25,7 +33,9 @@ other terms are summed as ``s = sum exp(a - a_max) / k``, and the result is
 ``log1p(s) + log(k) + a_max`` (it matched scipy 1.17.1 bit for bit on
 3,000 random accountant inputs).
 The rule is conservative by construction; the anchors tested against it are
-exact, and the empirical sensitivity audit backs the ``rho * C`` bound.
+exact.  The empirical sensitivity audit backs the ``rho * C`` bound on the
+clipped gradients of the subgraphs that hold a node, and a removal test the
+``rho * Delta`` bound on the shift of a subgraph that survives without it.
 """
 
 from __future__ import annotations
@@ -43,6 +53,9 @@ class CalibrationError(Exception):
 DEFAULT_ORDERS = np.concatenate([np.arange(1.25, 64.001, 0.25), np.arange(65.0, 513.0)])
 SIGMA_LO, SIGMA_HI = 0.3, 1000.0  # noise-multiplier search range of calibrate_sigma
 SIGMA_REL_TOL = 1e-3
+# Delta / C: removing a node moves the clipped gradient of each batch
+# subgraph that holds it by up to 2C (see the module docstring)
+OCCURRENCE_SENSITIVITY = 2.0
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -117,6 +130,9 @@ def _clip_scale(norms: np.ndarray, clip_norm: float) -> np.ndarray:
 def noisy_batch_gradient(gradients: np.ndarray, clip_norm: float, sigma: float,
                          seed) -> np.ndarray:
     """Average of clipped per-subgraph gradients plus N(0, sigma^2 C^2 I).
+
+    DP training passes ``sigma * OCCURRENCE_SENSITIVITY`` for the
+    accountant's sigma, so its noise std is sigma * Delta = sigma * 2C.
 
     ``sigma == 0`` disables the noise (plain mean of clipped gradients);
     negative sigma is rejected.  ``seed`` may be an int or a Generator;

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounting import (CalibrationError, PrivacySpec, SubgraphSpec, calibrate_sigma, clip,
-                         compose_and_convert, make_accountant, noisy_batch_gradient)
+from .accounting import (OCCURRENCE_SENSITIVITY, CalibrationError, PrivacySpec, SubgraphSpec,
+                         calibrate_sigma, clip, compose_and_convert, make_accountant,
+                         noisy_batch_gradient)
 from .graphs import PopulationGraph
 from .nn import (ModelParams, _masked_loss_grad_and_logits, _StepWorkspace, gcn_forward,
                  init_gcn, init_mlp, normalize_adjacency, subgraph_batch_gradients)
@@ -312,6 +313,8 @@ def _subgraph_source(graph, config, spec: SubgraphSpec, params):
     store = SubgraphStore(graph, subgraphs, params.layers)
     batch_size = min(batch_size, len(store))
     ws = _StepWorkspace(params, batch=(batch_size,))
+    # the accountant's sigma is in units of Delta = OCCURRENCE_SENSITIVITY * C
+    noise_multiplier = sigma * OCCURRENCE_SENSITIVITY
 
     def gradients():
         while True:
@@ -319,7 +322,8 @@ def _subgraph_source(graph, config, spec: SubgraphSpec, params):
             batch = store.batch(idx)
             losses, grads = subgraph_batch_gradients(*batch, ws)
             if config.clipping:  # sigma is 0.0 outside DP runs
-                update = noisy_batch_gradient(grads, spec.clip_norm, sigma, noise_rng)
+                update = noisy_batch_gradient(grads, spec.clip_norm, noise_multiplier,
+                                              noise_rng)
             else:
                 update = grads.mean(axis=0)
             yield float(losses.sum() / losses.size), update, None

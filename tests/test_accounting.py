@@ -1,5 +1,6 @@
 """Accountant anchors, clipping, noise, and the power bound."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -11,9 +12,11 @@ import pytest
 from scipy.special import logsumexp
 
 import dpgraphlab as dg
-from dpgraphlab.accounting import (DEFAULT_ORDERS, SIGMA_HI, SIGMA_LO, SIGMA_REL_TOL,
-                                   _clip_scale, _hyper_log_pmf, _logsumexp_rows,
+from dpgraphlab.accounting import (DEFAULT_ORDERS, OCCURRENCE_SENSITIVITY, SIGMA_HI, SIGMA_LO,
+                                   SIGMA_REL_TOL, _clip_scale, _hyper_log_pmf, _logsumexp_rows,
                                    _sigma_free_terms, make_accountant)
+from dpgraphlab.sampling import SampledSubgraph, SubgraphStore
+from dpgraphlab.training import subgraph_batch_gradients
 
 
 def naive_per_step_rdp(alpha, sigma, N, T, m):
@@ -108,6 +111,52 @@ def test_noisy_batch_gradient_rejects_negative_sigma():
     for clip_norm in (0.0, -1.0):
         with pytest.raises(ValueError):
             dg.noisy_batch_gradient(np.zeros((1, 4)), clip_norm, 1.0, seed=0)
+
+
+def without_local_node(sg, k):
+    """``sg`` with its leaf at local index ``k`` cut out: the subgraph of the
+    same root on the graph without that node, under the same sampling."""
+    keep = np.arange(sg.size) != k
+    edges = sg.edges[sg.edges[:, 1] != k]
+    return SampledSubgraph(root=sg.root, nodes=sg.nodes[keep], edges=edges - (edges > k),
+                           hop=sg.hop[keep])
+
+
+def test_removing_a_leaf_moves_a_surviving_subgraph_by_up_to_2c():
+    # Removing node v cuts it out of a subgraph rooted at u != v, which
+    # survives; both clipped gradients lie in the C-ball, so the shift per
+    # occurrence (rho = 1 here) is at most 2C, the accountant's Delta.  A v
+    # crafted with features lambda * d pushes the shift past rho * C, which
+    # shows the check has power: a Delta of C would be too small.
+    g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=300, target_homophily=0.7, seed=6))
+    g = dg.assign_splits(g, dg.SplitSpec(0.56, 0.14, 0.30, seed=6))
+    params = dg.init_gcn(g.feat_dim, 32, g.num_classes, 2, seed=6)
+    subgraphs = [sg for sg in dg.sample_training_subgraphs(g, 5, 2, 6, seed=6)
+                 if np.any(sg.hop == 2)]
+    rng = np.random.default_rng(66)
+    C = 1.0
+
+    def clipped_gradient(graph, sg):
+        batch = SubgraphStore(graph, [sg], params.layers).batch(np.zeros(1, dtype=np.int64))
+        return dg.clip(subgraph_batch_gradients(*batch, params)[1][0], C)
+
+    shifts = []
+    for sg in subgraphs[:12]:
+        k = int(rng.choice(np.flatnonzero(sg.hop == 2)))  # hop 2 of 2: a leaf
+        v = int(sg.nodes[k])
+        cut = without_local_node(sg, k)
+        assert v not in cut.nodes and cut.size == sg.size - 1
+        d = rng.standard_normal(g.feat_dim)
+        for lam in (1.0, 10.0, 100.0):
+            for sign in (1.0, -1.0):
+                features = g.features.copy()
+                features[v] = sign * lam * d
+                crafted = dataclasses.replace(g, features=features)
+                shift = float(np.linalg.norm(clipped_gradient(crafted, sg)
+                                             - clipped_gradient(crafted, cut)))
+                assert shift <= OCCURRENCE_SENSITIVITY * C * (1 + 1e-12)
+                shifts.append(shift)
+    assert max(shifts) > C
 
 
 # ---------------------------------------------------------------- hypergeometric
