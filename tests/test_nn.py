@@ -439,13 +439,15 @@ def test_stacked_row_products_match_per_slice_products():
 
 
 def test_matmul_rows_is_the_2d_product():
-    # a 2-D p (the full graph) makes the same call as p @ w, so the same bits;
-    # a stacked p with rows cut from a longer stack is copied, not misread
+    # a 2-D p (the full graph) makes the same call as p @ w, so the same bits,
+    # for a transposed w too (the backward pass's w.T); a stacked p with rows
+    # cut from a longer stack is copied, not misread
     rng = np.random.default_rng(43)
     w = rng.standard_normal((7, 3))
     p = rng.standard_normal((40, 7))
     assert nn._matmul_rows(p, w).tobytes() == (p @ w).tobytes()
-    assert nn._matmul_rows(p, w.T[:, :7].T).tobytes() == (p @ w).tobytes()
+    q = rng.standard_normal((40, 3))
+    assert nn._matmul_rows(q, w.T).tobytes() == (q @ w.T).tobytes()
     stack = rng.standard_normal((5, 9, 7))
     cut = stack[:, :4]
     got = nn._matmul_rows(cut, w)
