@@ -6,6 +6,8 @@ the target's confidence into a membership score.  A small shadow count
 keeps this demo quick; the acceptance suite runs the full 128.
 """
 
+import numpy as np
+
 import dpgraphlab as dg
 
 # an overfit-prone setup: few training nodes, weak features, long training
@@ -25,7 +27,8 @@ print(f"  AUC {report.auc:.4f}")
 for f in (0.001, 0.005, 0.01):
     print(f"  TPR at FPR<={f}: {report.tpr_at[f]:.4f}")
 
-dg.write_roc_csv(report, "audit_roc.csv")
+np.savetxt("audit_roc.csv", report.roc_points, fmt="%.10g", delimiter=",",
+           header="fpr,tpr", comments="")
 print("full ROC sweep written to audit_roc.csv (fpr,tpr rows, log-log plottable)")
 
 # against a DP-trained target the same attack is blunted, and the report

@@ -199,21 +199,6 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return (np.log1p(s) + np.log(ties) + a_max)[:, 0]
 
 
-def _rdp_over_orders(orders: np.ndarray, sigma: float, N: int, T: int, m: int) -> np.ndarray:
-    """Per-step Renyi cost at every order in ``orders`` (see module docstring)."""
-    if np.any(orders <= 1):
-        raise ValueError("alpha must exceed 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    log_pmf, quad = _sigma_free_terms(orders, N, T, m)
-    return _logsumexp_rows(log_pmf + quad / (2.0 * sigma * sigma)) / (orders - 1.0)
-
-
-def per_step_rdp(alpha: float, sigma: float, N: int, T: int, m: int) -> float:
-    """Renyi cost of one noisy batch step at order ``alpha`` (see module docstring)."""
-    return float(_rdp_over_orders(np.array([alpha], dtype=np.float64), sigma, N, T, m)[0])
-
-
 @dataclass(frozen=True)
 class AccountantState:
     """Per-order RDP cost of one step, on a fixed grid of orders."""
@@ -232,8 +217,15 @@ class AccountantState:
 
 def make_accountant(sigma: float, N: int, T: int, m: int,
                     orders: np.ndarray | None = None) -> AccountantState:
+    """Per-step Renyi cost at every order of ``orders`` (default
+    :data:`DEFAULT_ORDERS`; see the module docstring)."""
     orders = DEFAULT_ORDERS if orders is None else np.asarray(orders, dtype=np.float64)
-    costs = _rdp_over_orders(orders, sigma, N, T, m)
+    if np.any(orders <= 1):
+        raise ValueError("alpha must exceed 1")
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    log_pmf, quad = _sigma_free_terms(orders, N, T, m)
+    costs = _logsumexp_rows(log_pmf + quad / (2.0 * sigma * sigma)) / (orders - 1.0)
     return AccountantState(orders=orders, per_step_costs=costs)
 
 
@@ -262,13 +254,6 @@ def compose_and_convert(state: AccountantState, steps: int, delta: float,
     if return_order:
         return eps, float(state.orders[best])
     return eps
-
-
-def epsilon_spent(sigma: float, steps: int, delta: float, N: int, T: int, m: int,
-                  return_order: bool = False):
-    """Convenience wrapper: build the accountant and convert in one call."""
-    state = make_accountant(sigma, N, T, m)
-    return compose_and_convert(state, steps, delta, return_order=return_order)
 
 
 def calibrate_sigma(epsilon_target: float, delta: float, steps: int, N: int, T: int,

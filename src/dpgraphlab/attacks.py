@@ -264,10 +264,3 @@ def audit(target_params: ModelParams, graph: PopulationGraph, config: TrainConfi
         model_variant=model_variant,
     )
 
-
-def write_roc_csv(report: AttackReport, path) -> None:
-    """Full-sweep "fpr,tpr" rows for external (log-log) plotting."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("fpr,tpr\n")
-        for f, t in report.roc_points:
-            fh.write(f"{f:.10g},{t:.10g}\n")

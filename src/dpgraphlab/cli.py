@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .accounting import (calibrate_sigma, epsilon_spent, recommend_delta,
-                         supremum_power)
+from .accounting import (calibrate_sigma, compose_and_convert, make_accountant,
+                         recommend_delta, supremum_power)
 from .experiments import SCHEMA_VERSION, ExperimentManifest, report, run, sweep_homophily
 from .graphs import build_knn_graph, graph_stats, load_csv, write_edge_list
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -99,8 +99,8 @@ def cmd_sweep(args) -> int:
 
 
 def _accountant_payload(args, delta: float, sigma: float) -> dict:
-    eps, order = epsilon_spent(sigma, args.steps, delta, args.n_train,
-                               args.occurrence_bound, args.batch_size, return_order=True)
+    state = make_accountant(sigma, args.n_train, args.occurrence_bound, args.batch_size)
+    eps, order = compose_and_convert(state, args.steps, delta, return_order=True)
     return {
         "epsilon_target": args.epsilon,
         "delta": delta,
@@ -221,28 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _usage_error(args) -> str | None:
-    """What the arguments get wrong that argparse does not check, or None:
-    a missing --manifest, --sigma or --epsilon, and the accountant's ranges
-    for -T, -m, --n-train and --steps."""
+    """A required value that argparse does not check and the arguments lack
+    (--manifest, --sigma or --epsilon), or None."""
     if args.command in ("train", "audit", "sweep") and not args.manifest:
         return "--manifest is required for this subcommand"
-    if args.command not in ("accountant", "calibrate"):
-        return None
     if args.command == "accountant" and args.sigma is None:
         return "--sigma is required for accountant"
     if args.command == "calibrate" and args.epsilon is None:
         return "--epsilon is required for calibrate"
-    T, m, n = args.occurrence_bound, args.batch_size, args.n_train
-    if n < 1:
-        return f"--n-train must be >= 1, got {n}"
-    if T < 1:
-        return f"occurrence bound T must be >= 1, got T={T}"
-    if m < 1:
-        return f"batch size m must be >= 1, got m={m}"
-    if T > n or m > n:
-        return f"T={T} and m={m} must not exceed --n-train={n}"
-    if args.steps < 0:
-        return f"--steps must be >= 0, got {args.steps}"
     return None
 
 
@@ -252,7 +238,12 @@ def main(argv=None) -> int:
     error = _usage_error(args)
     if error is not None:
         parser.error(error)
-    return args.func(args)
+    if args.command not in ("accountant", "calibrate"):
+        return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # the accountant's range checks: a usage error, exit code 2
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

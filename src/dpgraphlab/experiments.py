@@ -35,7 +35,14 @@ from .training import TrainConfig, _evaluate, train
 
 SCHEMA_VERSION = 1
 
-VARIANTS = ("non_dp", "clipping", "subgraphing", "subgraph_clip", "dp")
+# each training regime of the grid: variant -> (mode, clipping, noise)
+VARIANTS = {
+    "non_dp": ("full_graph", False, False),
+    "clipping": ("full_graph", True, False),
+    "subgraphing": ("subgraph_batch", False, False),
+    "subgraph_clip": ("subgraph_batch", True, False),
+    "dp": ("subgraph_batch", True, True),
+}
 
 # DP cells default to plain momentum SGD: adaptive per-coordinate scaling
 # (adam) renormalizes the calibrated Gaussian noise away, which erases the
@@ -99,7 +106,8 @@ class ExperimentManifest:
             raise ManifestError("seeds list must be nonempty")
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
-            raise ManifestError(f"unknown variants {sorted(unknown)}; expected from {VARIANTS}")
+            raise ManifestError(f"unknown variants {sorted(unknown)}; "
+                                f"expected from {tuple(VARIANTS)}")
         if "dp" in self.variants:
             if not self.privacy or not self.privacy.get("epsilons"):
                 raise ManifestError("'dp' variant requires a privacy block with a nonempty epsilon list")
@@ -161,24 +169,14 @@ def build_graph_for_cell(manifest: ExperimentManifest, seed: int):
 
 
 def config_for_variant(manifest: ExperimentManifest, variant: str, seed: int) -> TrainConfig:
+    if variant not in VARIANTS:
+        raise ManifestError(f"unknown variant {variant!r}; expected from {tuple(VARIANTS)}")
     base = {k: v for k, v in manifest.model.items() if k not in SPEC_KEYS}
-    base["seed"] = seed
-    if variant == "non_dp":
-        base.update(mode="full_graph", clipping=False, noise=False)
-    elif variant == "clipping":
-        base.update(mode="full_graph", clipping=True, noise=False)
-    elif variant == "subgraphing":
-        base.update(mode="subgraph_batch", clipping=False, noise=False)
-    elif variant == "subgraph_clip":
-        base.update(mode="subgraph_batch", clipping=True, noise=False)
-    elif variant == "dp":
+    mode, clipping, noise = VARIANTS[variant]
+    base.update(seed=seed, mode=mode, clipping=clipping, noise=noise)
+    if variant == "dp":
         privacy = manifest.privacy or {}
-        base.update(mode="subgraph_batch", clipping=True, noise=True)
-        base["optimizer"] = privacy.get("optimizer", DEFAULT_DP_OPTIMIZER["optimizer"])
-        base["learning_rate"] = privacy.get("learning_rate",
-                                            DEFAULT_DP_OPTIMIZER["learning_rate"])
-    else:
-        raise ManifestError(f"unknown variant {variant!r}")
+        base.update({k: privacy.get(k, v) for k, v in DEFAULT_DP_OPTIMIZER.items()})
     return TrainConfig(**base)
 
 

@@ -80,9 +80,6 @@ class PopulationGraph:
     def num_undirected_edges(self) -> int:
         return self.indices.size // 2
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
@@ -343,20 +340,3 @@ def write_edge_list(graph: PopulationGraph, path) -> None:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def read_edge_list(path) -> tuple[np.ndarray, dict]:
-    """Read an exported edge list; returns ((E, 2) int array, sidecar dict)."""
-    edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                u, v = line.split()
-                edges.append((int(u), int(v)))
-    try:
-        with open(f"{path}.json", "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-    except FileNotFoundError:
-        sidecar = {}
-    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return arr, sidecar

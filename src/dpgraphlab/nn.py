@@ -116,7 +116,6 @@ class ModelParams:
 
     flat: np.ndarray
     layers: tuple[LayerSpec, ...]
-    seed: int = 0
 
     def __post_init__(self):
         expected = sum(l.size for l in self.layers)
@@ -125,12 +124,8 @@ class ModelParams:
         if not np.all(np.isfinite(self.flat)):
             raise ValueError("parameters must be finite")
 
-    def weight_bias(self, l: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of layer l's weight matrix and bias vector into the flat array."""
-        return _weight_bias_views(self.flat, self.layers, l)
-
     def clone(self) -> "ModelParams":
-        return ModelParams(flat=self.flat.copy(), layers=self.layers, seed=self.seed)
+        return ModelParams(flat=self.flat.copy(), layers=self.layers)
 
 
 def _weight_bias_views(flat: np.ndarray, layers, l: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +182,7 @@ def init_params(dims, kind: str, seed: int) -> ModelParams:
         limit = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
         chunks.append(rng.uniform(-limit, limit, spec.in_dim * spec.out_dim))
         chunks.append(np.zeros(spec.out_dim))
-    return ModelParams(flat=np.concatenate(chunks), layers=layers, seed=seed)
+    return ModelParams(flat=np.concatenate(chunks), layers=layers)
 
 
 def init_gcn(in_dim: int, hidden_dim: int, out_dim: int, num_layers: int, seed: int) -> ModelParams:
@@ -204,12 +199,6 @@ class ForwardContext:
 
     adj_norm: object  # scipy CSR for full graphs, dense ndarray for small subgraphs
     features: np.ndarray
-
-    @property
-    def propagated_features(self) -> np.ndarray:
-        """A @ X, computed on first use and kept for the life of the context
-        (a view of layer 0's input without its ones column)."""
-        return self._propagated_input[:, :-1]
 
     @cached_property
     def _propagated_input(self) -> np.ndarray:
@@ -445,30 +434,3 @@ def loss_and_grad(ctx: ForwardContext, params: ModelParams, labels: np.ndarray,
                                                  ctx.first_layer_input(params.layers))
     return loss, grad
 
-
-def save_params(params: ModelParams, path) -> None:
-    """Write a one-line JSON shape header followed by the flat little-endian float64 array."""
-    import json
-
-    header = {
-        "layers": [[s.in_dim, s.out_dim, s.kind] for s in params.layers],
-        "seed": params.seed,
-        "dtype": "<f8",
-        "length": int(params.flat.size),
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(params.flat.astype("<f8").tobytes())
-
-
-def load_params(path) -> ModelParams:
-    import json
-
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    layers = tuple(LayerSpec(i, o, k) for i, o, k in header["layers"])
-    if flat.size != header["length"]:
-        raise ValueError(f"parameter payload length {flat.size} != header length {header['length']}")
-    return ModelParams(flat=flat, layers=layers, seed=header.get("seed", 0))

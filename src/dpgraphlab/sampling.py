@@ -36,14 +36,12 @@ class SampledSubgraph:
     """BFS neighborhood rooted at one training node; loss attaches to the root only.
 
     ``nodes`` are global ids with the root first; ``edges`` are local-index
-    pairs (parent, child) of the sampled BFS tree; ``hop`` is each node's
-    BFS depth.
+    pairs (parent, child) of the sampled BFS tree.
     """
 
     root: int
     nodes: np.ndarray
     edges: np.ndarray  # (E, 2) local indices
-    hop: np.ndarray
 
     @property
     def size(self) -> int:
@@ -79,9 +77,8 @@ def sample_training_subgraphs(graph: PopulationGraph, max_degree: int, hops: int
         nodes = [root]
         local = {root: 0}
         edges: list[tuple[int, int]] = []
-        hop = [0]
         frontier = [root]
-        for depth in range(1, hops + 1):
+        for _ in range(hops):
             next_frontier: list[int] = []
             for u in frontier:
                 lo, hi = indptr[u], indptr[u + 1]
@@ -100,7 +97,6 @@ def sample_training_subgraphs(graph: PopulationGraph, max_degree: int, hops: int
                     occurrence[w] += 1
                     local[w] = len(nodes)
                     nodes.append(w)
-                    hop.append(depth)
                     edges.append((local[u], local[w]))
                     next_frontier.append(w)
                     taken += 1
@@ -111,7 +107,6 @@ def sample_training_subgraphs(graph: PopulationGraph, max_degree: int, hops: int
             root=root,
             nodes=np.asarray(nodes, dtype=np.int64),
             edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-            hop=np.asarray(hop, dtype=np.int64),
         )
     if starved:
         logger.info("subgraph sampler: %d/%d roots starved to root-only subgraphs",

@@ -50,7 +50,7 @@ def test_criterion_2_accountant_anchors():
     worst_anchor = 0.0
     for alpha in (1.25, 1.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
         for sigma in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
-            got = dg.per_step_rdp(alpha, sigma, 200, 1, 200)
+            got = dg.make_accountant(sigma, 200, 1, 200, orders=[alpha]).per_step_costs[0]
             want = alpha / (2 * sigma * sigma)
             worst_anchor = max(worst_anchor, abs(got - want) / want)
     assert worst_anchor <= 1e-12
@@ -63,18 +63,18 @@ def test_criterion_2_accountant_anchors():
         m = int(rng.integers(max(1, T), N + 1))
         sigma = float(rng.uniform(4.0, 20.0))
         alpha = float(rng.uniform(1.5, 12.0))
-        got = dg.per_step_rdp(alpha, sigma, N, T, m)
+        got = dg.make_accountant(sigma, N, T, m, orders=[alpha]).per_step_costs[0]
         want = naive_per_step_rdp(alpha, sigma, N, T, m)
         worst_oracle = max(worst_oracle, abs(got - want) / max(abs(want), 1e-300))
     assert worst_oracle <= 1e-12
 
     # monotonicities of the converted epsilon
-    base = dg.epsilon_spent(4.0, 100, 1e-4, 200, 3, 20)
-    assert dg.epsilon_spent(4.0, 200, 1e-4, 200, 3, 20) >= base  # steps up
-    assert dg.epsilon_spent(4.0, 100, 1e-4, 200, 5, 20) >= base  # T up
-    assert dg.epsilon_spent(4.0, 100, 1e-4, 200, 3, 40) >= base  # m up
-    assert dg.epsilon_spent(8.0, 100, 1e-4, 200, 3, 20) <= base  # sigma up
-    assert dg.epsilon_spent(4.0, 100, 1e-4, 400, 3, 20) <= base  # N up
+    base = dg.compose_and_convert(dg.make_accountant(4.0, 200, 3, 20), 100, 1e-4)
+    assert dg.compose_and_convert(dg.make_accountant(4.0, 200, 3, 20), 200, 1e-4) >= base  # steps up
+    assert dg.compose_and_convert(dg.make_accountant(4.0, 200, 5, 20), 100, 1e-4) >= base  # T up
+    assert dg.compose_and_convert(dg.make_accountant(4.0, 200, 3, 40), 100, 1e-4) >= base  # m up
+    assert dg.compose_and_convert(dg.make_accountant(8.0, 200, 3, 20), 100, 1e-4) <= base  # sigma up
+    assert dg.compose_and_convert(dg.make_accountant(4.0, 400, 3, 20), 100, 1e-4) <= base  # N up
     check(2, True, f"Gaussian anchor ({worst_anchor:.1e}) and direct-summation oracle "
                    f"({worst_oracle:.1e}) within 1e-12; monotone in steps/T/m, "
                    f"anti-monotone in sigma/N")

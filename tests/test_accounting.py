@@ -17,6 +17,7 @@ from dpgraphlab.accounting import (DEFAULT_ORDERS, OCCURRENCE_SENSITIVITY, SIGMA
                                    _sigma_free_terms, make_accountant)
 from dpgraphlab.sampling import SampledSubgraph, SubgraphStore
 from dpgraphlab.training import subgraph_batch_gradients
+from tests.test_sampling import bfs_depths
 
 
 def naive_per_step_rdp(alpha, sigma, N, T, m):
@@ -118,8 +119,7 @@ def without_local_node(sg, k):
     same root on the graph without that node, under the same sampling."""
     keep = np.arange(sg.size) != k
     edges = sg.edges[sg.edges[:, 1] != k]
-    return SampledSubgraph(root=sg.root, nodes=sg.nodes[keep], edges=edges - (edges > k),
-                           hop=sg.hop[keep])
+    return SampledSubgraph(root=sg.root, nodes=sg.nodes[keep], edges=edges - (edges > k))
 
 
 def test_removing_a_leaf_moves_a_surviving_subgraph_by_up_to_2c():
@@ -132,7 +132,7 @@ def test_removing_a_leaf_moves_a_surviving_subgraph_by_up_to_2c():
     g = dg.assign_splits(g, dg.SplitSpec(0.56, 0.14, 0.30, seed=6))
     params = dg.init_gcn(g.feat_dim, 32, g.num_classes, 2, seed=6)
     subgraphs = [sg for sg in dg.sample_training_subgraphs(g, 5, 2, 6, seed=6)
-                 if np.any(sg.hop == 2)]
+                 if np.any(bfs_depths(sg) == 2)]
     rng = np.random.default_rng(66)
     C = 1.0
 
@@ -142,7 +142,7 @@ def test_removing_a_leaf_moves_a_surviving_subgraph_by_up_to_2c():
 
     shifts = []
     for sg in subgraphs[:12]:
-        k = int(rng.choice(np.flatnonzero(sg.hop == 2)))  # hop 2 of 2: a leaf
+        k = int(rng.choice(np.flatnonzero(bfs_depths(sg) == 2)))  # hop 2 of 2: a leaf
         v = int(sg.nodes[k])
         cut = without_local_node(sg, k)
         assert v not in cut.nodes and cut.size == sg.size - 1
@@ -192,13 +192,13 @@ def test_rdp_degenerate_equals_gaussian():
     # T=1, m=N: every batch contains the node once; plain Gaussian mechanism
     for alpha in (1.5, 2.0, 4.0, 8.0, 32.0):
         for sigma in (0.5, 1.0, 4.0, 16.0):
-            got = dg.per_step_rdp(alpha, sigma, 100, 1, 100)
+            got = make_accountant(sigma, 100, 1, 100, orders=[alpha]).per_step_costs[0]
             assert got == pytest.approx(alpha / (2 * sigma * sigma), rel=1e-12, abs=1e-15)
 
 
 def test_rdp_subsampling_strictly_amplifies():
     for m in (10, 50, 90):
-        got = dg.per_step_rdp(8.0, 2.0, 100, 1, m)
+        got = make_accountant(2.0, 100, 1, m, orders=[8.0]).per_step_costs[0]
         assert got < 8.0 / (2 * 4.0)
 
 
@@ -211,25 +211,26 @@ def test_rdp_matches_direct_summation_oracle():
         m = int(rng.integers(max(1, T), N + 1))
         sigma = float(rng.uniform(4.0, 20.0))
         alpha = float(rng.uniform(1.5, 12.0))
-        got = dg.per_step_rdp(alpha, sigma, N, T, m)
+        got = make_accountant(sigma, N, T, m, orders=[alpha]).per_step_costs[0]
         want = naive_per_step_rdp(alpha, sigma, N, T, m)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 def test_rdp_example_tuple_against_oracle():
-    got = dg.per_step_rdp(8.0, 4.0, 100, 3, 10)
+    got = make_accountant(4.0, 100, 3, 10, orders=[8.0]).per_step_costs[0]
     want = naive_per_step_rdp(8.0, 4.0, 100, 3, 10)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_rdp_monotonicity():
     base = dict(sigma=4.0, N=200, T=3, m=20)
-    val = dg.per_step_rdp(8.0, base["sigma"], base["N"], base["T"], base["m"])
-    assert dg.per_step_rdp(16.0, 4.0, 200, 3, 20) >= val  # alpha up
-    assert dg.per_step_rdp(8.0, 4.0, 200, 5, 20) >= val  # T up
-    assert dg.per_step_rdp(8.0, 4.0, 200, 3, 40) >= val  # m up
-    assert dg.per_step_rdp(8.0, 8.0, 200, 3, 20) <= val  # sigma up
-    assert dg.per_step_rdp(8.0, 4.0, 400, 3, 20) <= val  # N up, m fixed
+    val = make_accountant(base["sigma"], base["N"], base["T"], base["m"],
+                          orders=[8.0]).per_step_costs[0]
+    assert make_accountant(4.0, 200, 3, 20, orders=[16.0]).per_step_costs[0] >= val  # alpha up
+    assert make_accountant(4.0, 200, 5, 20, orders=[8.0]).per_step_costs[0] >= val  # T up
+    assert make_accountant(4.0, 200, 3, 40, orders=[8.0]).per_step_costs[0] >= val  # m up
+    assert make_accountant(8.0, 200, 3, 20, orders=[8.0]).per_step_costs[0] <= val  # sigma up
+    assert make_accountant(4.0, 400, 3, 20, orders=[8.0]).per_step_costs[0] <= val  # N up, m fixed
 
 
 def test_accountant_order_grid_against_oracles():
@@ -347,7 +348,7 @@ def test_calibrate_unreachable_message_reports_epsilon_at_sigma_hi():
     args = (1e-4, 1e-5, 100_000, 100, 10, 100)
     with pytest.raises(dg.CalibrationError) as err:
         dg.calibrate_sigma(*args)
-    eps_hi = dg.epsilon_spent(SIGMA_HI, 100_000, 1e-5, 100, 10, 100)
+    eps_hi = dg.compose_and_convert(make_accountant(SIGMA_HI, 100, 10, 100), 100_000, 1e-5)
     assert f"gives epsilon={eps_hi:.4g} over" in str(err.value)
 
 
@@ -384,7 +385,7 @@ def test_compose_single_shot_gaussian_conversion():
 
 
 def test_epsilon_spent_reports_order():
-    eps, order = dg.epsilon_spent(4.0, 1, 1e-5, 50, 1, 50, return_order=True)
+    eps, order = dg.compose_and_convert(make_accountant(4.0, 50, 1, 50), 1, 1e-5, return_order=True)
     assert eps > 0
     assert order in DEFAULT_ORDERS
 
@@ -399,7 +400,7 @@ def test_calibrate_monotone_in_epsilon():
 def test_calibrate_self_consistent():
     for eps in (5.0, 10.0):
         sigma = dg.calibrate_sigma(eps, 1.79e-4, 1000, 560, 6, 64)
-        assert dg.epsilon_spent(sigma, 1000, 1.79e-4, 560, 6, 64) <= eps
+        assert dg.compose_and_convert(make_accountant(sigma, 560, 6, 64), 1000, 1.79e-4) <= eps
 
 
 def test_calibrate_regression_pin():
@@ -420,12 +421,12 @@ def test_calibrate_regression_pin():
     ((5.0, 1e-3, 0, 100, 6, -3), "m must be >= 1"),
 ])
 def test_calibrate_validates_before_the_zero_step_shortcut(args, match):
-    # epsilon_spent rejects the same accountant inputs
+    # the accountant and its conversion reject the same inputs
     with pytest.raises(ValueError, match=match):
         dg.calibrate_sigma(*args)
     epsilon, delta, steps, N, T, m = args
     with pytest.raises(ValueError, match=match):
-        dg.epsilon_spent(1.0, steps, delta, N, T, m)
+        dg.compose_and_convert(make_accountant(1.0, N, T, m), steps, delta)
 
 
 def test_calibrate_zero_steps_gives_the_smallest_sigma():

@@ -377,6 +377,28 @@ def test_cli_calibrate_rejects_zero_occurrence_bound(capsys):
     assert "T must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("accountant", "--sigma", "1", "--n-train", "100", "-T", "6", "--delta", "2"),
+     "delta must lie in (0, 1)"),
+    (("accountant", "--sigma", "-1", "--n-train", "100", "-T", "6"), "sigma must be positive"),
+    (("accountant", "--sigma", "1", "--n-train", "100", "-T", "6", "--steps", "-1"),
+     "steps must be nonnegative"),
+    (("accountant", "--sigma", "1", "--n-train", "100", "-T", "200"),
+     "T=200 and m=64 must not exceed N=100"),
+    (("accountant", "--sigma", "1", "--n-train", "100", "-T", "6", "--fpr", "2"),
+     "fpr must lie in [0, 1]"),
+    (("calibrate", "--epsilon", "5", "--n-train", "100", "-T", "6", "--delta", "0"),
+     "delta must lie in (0, 1)"),
+])
+def test_cli_accountant_out_of_range_is_usage_error(capsys, argv, message):
+    # the accountant's own range checks, reported as a usage error: exit code 2
+    # and the message on stderr, no traceback
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv)
+    assert exc.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [("train",), ("accountant", "--n-train", "100", "-T", "6"),
                                   ("calibrate", "--n-train", "100", "-T", "6")])
 def test_cli_missing_required_value_is_usage_error(capsys, argv):
@@ -435,7 +457,17 @@ def test_cli_train_and_report(tmp_path, capsys):
     assert "non_dp" in out
 
 
-def test_cli_audit_subcommand(tmp_path, capsys):
+def test_cli_audit_subcommand(tmp_path, capsys, monkeypatch):
+    from dpgraphlab import experiments
+
+    reports = []  # the cell's AttackReport, caught on its way to the grid's writer
+    run_audit = experiments.run_audit
+
+    def recording_audit(*args, **kwargs):
+        reports.append(run_audit(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(experiments, "run_audit", recording_audit)
     manifest = tiny_manifest(tmp_path / "res", variants=("non_dp",), seeds=(0,)).to_dict()
     manifest["model"]["epochs"] = 10
     manifest["audit"] = {"n_shadows": 24, "fpr_grid": [0.001, 0.005, 0.01]}
@@ -446,7 +478,11 @@ def test_cli_audit_subcommand(tmp_path, capsys):
     cell = json.loads((tmp_path / "res" / "cells" / "non_dp_seed0.json").read_text())
     assert cell["audit"]["n_shadows"] == 24
     assert "auc" in cell["audit"]
-    assert (tmp_path / "res" / "roc_non_dp_seed0.csv").exists()
+    lines = (tmp_path / "res" / "roc_non_dp_seed0.csv").read_text().strip().split("\n")
+    assert lines[0] == "fpr,tpr"
+    assert len(reports) == 1 and len(lines) == reports[0].roc_points.shape[0] + 1
+    points = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    np.testing.assert_allclose(points, reports[0].roc_points, rtol=1e-9, atol=0)
 
 
 def test_cli_sweep_subcommand(tmp_path, capsys):

@@ -110,7 +110,7 @@ def test_gcn_forward_matches_dense_layer_by_layer():
         a = ctx.adj_norm.toarray()
         h = g.features
         for l in range(len(params.layers)):
-            w, b = params.weight_bias(l)
+            w, b = nn._weight_bias_views(params.flat, params.layers, l)
             h = (a @ h) @ w + b
             if l < len(params.layers) - 1:
                 h = np.maximum(h, 0.0)
@@ -233,7 +233,7 @@ def test_narrowing_gcn_batch_gradients_match_finite_differences():
     for root, k, label in zip(np.cumsum((0,) + sizes[:-1]), sizes, (0, 1, 1)):
         edges = np.array([(0, v) for v in range(1, k)] + [(v, v + 1) for v in range(1, k - 1)])
         subs.append(SampledSubgraph(root=int(root), nodes=root + np.arange(k),
-                                    edges=edges.reshape(-1, 2), hop=np.minimum(np.arange(k), 1)))
+                                    edges=edges.reshape(-1, 2)))
         feats[root:root + k] = rng.standard_normal((k, 6))
         labels[root] = label
     params = dg.init_gcn(6, 3, 2, 3, seed=4)
@@ -266,7 +266,7 @@ def test_single_layer_mlp_is_logistic_regression():
     feats = rng.standard_normal((6, 3))
     labels = rng.integers(0, 2, 6)
     params = dg.init_mlp(3, 0, 2, 1, seed=0)  # hidden unused for one layer
-    w, b = params.weight_bias(0)
+    w, b = nn._weight_bias_views(params.flat, params.layers, 0)
     logits = dg.gcn_forward(dg.ForwardContext(adj_norm=None, features=feats), params)
     np.testing.assert_allclose(logits, feats @ w + b, atol=1e-12)
 
@@ -296,7 +296,7 @@ def unfolded_gradients(adj, x, params, labels, loss_rows=None, rows=None):
     h = x if rows is None else x[:, :rows[0]]
     cache = []
     for l, spec in enumerate(layers):
-        w, b = params.weight_bias(l)
+        w, b = nn._weight_bias_views(params.flat, params.layers, l)
         a = adj if rows is None else adj[:, :rows[l + 1], :rows[l]]
         side = None
         if l > 0 and spec.kind == "gcn_conv":
@@ -318,7 +318,7 @@ def unfolded_gradients(adj, x, params, labels, loss_rows=None, rows=None):
         dz = d[:, None, :]
     grads = []
     for l in range(len(layers) - 1, -1, -1):
-        w, _ = params.weight_bias(l)
+        w, _ = nn._weight_bias_views(params.flat, params.layers, l)
         h, p, side = cache[l]
         a = adj if rows is None else adj[:, :rows[l], :rows[l + 1]]
         db = np.einsum("...rk->...k", dz)
@@ -352,7 +352,7 @@ def test_layer0_fold_matches_unfolded_oracle():
         params = init(g.feat_dim, hidden, g.num_classes, num_layers, seed=num_layers)
         params.flat[:] += 0.1 * rng.standard_normal(params.flat.size)  # nonzero biases
         gcn = params.layers[0].kind == "gcn_conv"
-        x = ctx.propagated_features if gcn else g.features
+        x = ctx.adj_norm @ g.features if gcn else g.features
         assert np.array_equal(ctx.first_layer_input(params.layers)[:, :-1], x)
         assert np.all(ctx.first_layer_input(params.layers)[:, -1] == 1.0)
         losses, logits, grad = unfolded_gradients(ctx.adj_norm, x, params,
@@ -378,7 +378,8 @@ def per_slice_batch_gradients(adj, inputs, labels, rows, params):
     product taken over one subgraph's rows.  Returns (losses, gradients)."""
     layers = params.layers
     block = params.flat[:layers[0].size].reshape(layers[0].in_dim + 1, layers[0].out_dim)
-    weights = [(block, None)] + [params.weight_bias(l) for l in range(1, len(layers))]
+    weights = [(block, None)] + [nn._weight_bias_views(params.flat, layers, l)
+                                 for l in range(1, len(layers))]
     sides = [None] + [None if s.kind != "gcn_conv" else "output" if s.out_dim < s.in_dim
                       else "input" for s in layers[1:]]
     last = len(layers) - 1
@@ -488,7 +489,7 @@ def test_r_hop_locality():
         v = int(rng.integers(14))
         ball = {v}
         for _ in range(2):
-            ball |= {int(w) for u in list(ball) for w in g.neighbors(u)}
+            ball |= {int(w) for u in list(ball) for w in g.indices[g.indptr[u]:g.indptr[u + 1]]}
         feats = g.features.copy()
         feats[[u for u in range(14) if u not in ball]] = 0.0
         g_zeroed = make_graph(feats, g.labels, [tuple(e) for e in g.edge_array()])
@@ -857,15 +858,6 @@ def test_model_params_helpers():
     c = params.clone()
     c.flat[0] += 1.0
     assert params.flat[0] != c.flat[0]
-
-
-def test_params_serialization_round_trip(tmp_path):
-    params = dg.init_gcn(3, 4, 2, 2, seed=3)
-    path = tmp_path / "model.bin"
-    dg.save_params(params, path)
-    loaded = dg.load_params(path)
-    np.testing.assert_array_equal(loaded.flat, params.flat)
-    assert loaded.layers == params.layers
 
 
 def test_train_config_validation():

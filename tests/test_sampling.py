@@ -4,12 +4,23 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import shortest_path
 
 import dpgraphlab as dg
 from dpgraphlab.sampling import SampledSubgraph, SubgraphStore
 from dpgraphlab.training import subgraph_batch_gradients
 from tests.test_graphs import make_graph
 from tests.test_nn import assert_grad_close, finite_difference
+
+
+def bfs_depths(sg) -> np.ndarray:
+    """Each local node's BFS depth from the root (local index 0), read off
+    the subgraph's edges alone: its hop distance in the sampled tree (inf
+    for a node the edges do not reach)."""
+    u, v = sg.edges.T
+    tree = coo_matrix((np.ones(u.size), (u, v)), shape=(sg.size, sg.size))
+    return shortest_path(tree, directed=False, unweighted=True, indices=0)
 
 
 def dense_normalized_adjacency(n: int, edges: np.ndarray) -> np.ndarray:
@@ -45,8 +56,7 @@ def shuffle_local_order(sg, rng):
     """The same subgraph with its non-root local nodes out of BFS order."""
     perm = np.concatenate([[0], 1 + rng.permutation(sg.size - 1)])  # perm[new] = old
     new_of_old = np.argsort(perm)
-    return SampledSubgraph(root=sg.root, nodes=sg.nodes[perm], edges=new_of_old[sg.edges],
-                           hop=sg.hop[perm])
+    return SampledSubgraph(root=sg.root, nodes=sg.nodes[perm], edges=new_of_old[sg.edges])
 
 
 def star_graph(leaves=10):
@@ -72,7 +82,7 @@ def test_star_graph_cap_binds():
     assert len(subs) == 1
     assert subs[0].size == 4  # center plus exactly K=3 leaves
     assert subs[0].root == 0
-    assert np.all(subs[0].hop == np.array([0, 1, 1, 1]))
+    assert np.all(bfs_depths(subs[0]) == np.array([0, 1, 1, 1]))
 
 
 def test_occurrence_bound_one_gives_disjoint_subgraphs():
@@ -104,7 +114,7 @@ def sampler_oracle(graph, max_degree, hops, occurrence_bound, seed):
         for depth in range(1, hops + 1):
             next_frontier = []
             for u in frontier:
-                nbrs = graph.neighbors(u)
+                nbrs = graph.indices[graph.indptr[u]:graph.indptr[u + 1]]
                 if nbrs.size == 0:
                     continue
                 taken = 0
@@ -123,7 +133,7 @@ def sampler_oracle(graph, max_degree, hops, occurrence_bound, seed):
                     taken += 1
             frontier = next_frontier
         out[root] = (nodes, edges, hop)
-        starved += len(nodes) == 1 and graph.neighbors(root).size > 0
+        starved += len(nodes) == 1 and graph.indptr[root + 1] > graph.indptr[root]
     return [(r, *out[r]) for r in sorted(out)], starved
 
 
@@ -154,8 +164,8 @@ def test_sampler_equals_numpy_loop_oracle(caplog):
         assert len(subs) == len(want)
         for sg, (root, nodes, edges, hop) in zip(subs, want):
             assert sg.root == root
-            assert sg.nodes.dtype == sg.edges.dtype == sg.hop.dtype == np.int64
-            assert np.array_equal(sg.nodes, nodes) and np.array_equal(sg.hop, hop)
+            assert sg.nodes.dtype == sg.edges.dtype == np.int64
+            assert np.array_equal(sg.nodes, nodes) and np.array_equal(bfs_depths(sg), hop)
             assert np.array_equal(sg.edges, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
     assert total_starved > 0
 
@@ -205,12 +215,12 @@ def test_sampler_deterministic():
         assert np.array_equal(x.edges, y.edges)
 
 
-def test_hop_tags_within_radius():
+def test_bfs_depths_within_radius():
     rng = np.random.default_rng(4)
     g = random_split_graph(rng)
     for r in (1, 2, 3):
         subs = dg.sample_training_subgraphs(g, 3, r, 6, seed=0)
-        assert max(int(sg.hop.max()) for sg in subs) <= r
+        assert max(bfs_depths(sg).max() for sg in subs) <= r
 
 
 def test_empirical_sensitivity_bound():
@@ -264,7 +274,7 @@ def store_oracle(graph, subgraphs, layers):
 
 
 def root_only(roots):
-    return [SampledSubgraph(root=int(r), nodes=np.array([r]), hop=np.zeros(1, dtype=np.int64),
+    return [SampledSubgraph(root=int(r), nodes=np.array([r]),
                             edges=np.zeros((0, 2), dtype=np.int64)) for r in roots]
 
 
