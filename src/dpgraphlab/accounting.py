@@ -74,13 +74,12 @@ class SubgraphSpec:
     total_steps: int = 1000
 
     def __post_init__(self):
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
-        if self.max_degree < 1 or self.hops < 1:
+        _check_positive(self.clip_norm, "clip_norm")
+        if not (self.max_degree >= 1 and self.hops >= 1):
             raise ValueError("max_degree and hops must be >= 1")
-        if self.occurrence_bound is not None and self.occurrence_bound < 1:
+        if self.occurrence_bound is not None and not self.occurrence_bound >= 1:
             raise ValueError("occurrence_bound must be >= 1")
-        if self.batch_size < 1 or self.total_steps < 0:
+        if not (self.batch_size >= 1 and self.total_steps >= 0):
             raise ValueError("batch_size must be >= 1 and total_steps >= 0")
 
     @property
@@ -104,20 +103,23 @@ class PrivacySpec(SubgraphSpec):
         super().__post_init__()
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.epsilon_target <= 0:
-            raise ValueError("epsilon_target must be positive")
-        if self.noise_multiplier is not None and self.noise_multiplier <= 0:
-            raise ValueError("noise_multiplier must be positive when set")
+        _check_positive(self.epsilon_target, "epsilon_target")
+        if self.noise_multiplier is not None:
+            _check_positive(self.noise_multiplier, "noise_multiplier", " when set")
+
+
+def _check_positive(value: float, name: str, suffix: str = "") -> None:
+    """Reject a value that is not a positive finite number, NaN included."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive{suffix}")
+    if not value < math.inf:
+        raise ValueError(f"{name} must be finite")
 
 
 def clip(gradient: np.ndarray, clip_norm: float) -> np.ndarray:
     """Scale ``gradient`` down to l2 norm ``clip_norm`` if it exceeds it."""
-    if clip_norm <= 0:
-        raise ValueError("clip_norm must be positive")
-    norm = float(np.linalg.norm(gradient))
-    if norm <= clip_norm:
-        return np.array(gradient, copy=True)
-    return gradient * (clip_norm / norm)
+    _check_positive(clip_norm, "clip_norm")
+    return gradient * _clip_scale(np.linalg.norm(gradient), clip_norm)
 
 
 def _clip_scale(norms: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -139,10 +141,11 @@ def noisy_batch_gradient(gradients: np.ndarray, clip_norm: float, sigma: float,
     a fixed seed gives a bit-identical noise vector.
     """
     gradients = np.atleast_2d(np.asarray(gradients, dtype=np.float64))
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be nonnegative")
-    if clip_norm <= 0:
-        raise ValueError("clip_norm must be positive")
+    if not sigma < math.inf:
+        raise ValueError("sigma must be finite")
+    _check_positive(clip_norm, "clip_norm")
     m = gradients.shape[0]
     # the row-wise clip folded into the sum
     total = _clip_scale(np.sqrt(np.vecdot(gradients, gradients)), clip_norm) @ gradients
@@ -209,9 +212,9 @@ class AccountantState:
     def __post_init__(self):
         if self.orders.size == 0:
             raise ValueError("order grid must be nonempty")
-        if np.any(self.orders <= 1):
+        if not np.all(self.orders > 1):
             raise ValueError("all orders must exceed 1")
-        if np.any(self.per_step_costs < 0):
+        if not np.all(self.per_step_costs >= 0):
             raise ValueError("RDP costs must be nonnegative")
 
 
@@ -220,10 +223,9 @@ def make_accountant(sigma: float, N: int, T: int, m: int,
     """Per-step Renyi cost at every order of ``orders`` (default
     :data:`DEFAULT_ORDERS`; see the module docstring)."""
     orders = DEFAULT_ORDERS if orders is None else np.asarray(orders, dtype=np.float64)
-    if np.any(orders <= 1):
+    if not np.all(orders > 1):
         raise ValueError("alpha must exceed 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_positive(sigma, "sigma")
     log_pmf, quad = _sigma_free_terms(orders, N, T, m)
     costs = _logsumexp_rows(log_pmf + quad / (2.0 * sigma * sigma)) / (orders - 1.0)
     return AccountantState(orders=orders, per_step_costs=costs)
@@ -242,7 +244,7 @@ def compose_and_convert(state: AccountantState, steps: int, delta: float,
     epsilon = min over orders of [steps * cost(alpha) + log(1/delta)/(alpha-1)].
     Zero steps spend zero epsilon by convention.
     """
-    if steps < 0:
+    if not steps >= 0:
         raise ValueError("steps must be nonnegative")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -264,9 +266,8 @@ def calibrate_sigma(epsilon_target: float, delta: float, steps: int, N: int, T: 
     satisfies epsilon(sigma) <= epsilon_target, with relative slack below
     ``SIGMA_REL_TOL`` against the infeasible side.
     """
-    if epsilon_target <= 0:
-        raise ValueError("epsilon_target must be positive")
-    if steps < 0:
+    _check_positive(epsilon_target, "epsilon_target")
+    if not steps >= 0:
         raise ValueError("steps must be nonnegative")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -309,7 +310,7 @@ def supremum_power(epsilon: float, delta: float, fpr, tight: bool = False):
     is tighter near power 1 and available behind ``tight``.
     """
     fpr_arr = np.asarray(fpr, dtype=np.float64)
-    if np.any(fpr_arr < 0) or np.any(fpr_arr > 1):
+    if not np.all((fpr_arr >= 0) & (fpr_arr <= 1)):
         raise ValueError("fpr must lie in [0, 1]")
     if tight:
         beta = np.maximum(0.0, np.maximum(
@@ -330,6 +331,6 @@ def recommend_delta(n_train: int) -> float:
     Inferred rule: it reproduces the published per-dataset delta values to
     three significant figures under the train counts used here.
     """
-    if n_train < 1:
+    if not n_train >= 1:
         raise ValueError("n_train must be >= 1")
     return 1.0 / (10.0 * n_train)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .accounting import (calibrate_sigma, compose_and_convert, make_accountant,
+from .accounting import (SubgraphSpec, calibrate_sigma, compose_and_convert, make_accountant,
                          recommend_delta, supremum_power)
 from .experiments import SCHEMA_VERSION, ExperimentManifest, report, run, sweep_homophily
 from .graphs import build_knn_graph, graph_stats, load_csv, write_edge_list
@@ -64,26 +64,16 @@ def cmd_build_graph(args) -> int:
     return 0
 
 
-def _summary_exit(summary: dict) -> int:
-    return 0 if summary["n_failures"] == 0 and not summary.get("unsound_audits") else 1
-
-
-def cmd_train(args) -> int:
+def cmd_grid(args) -> int:
+    """``train`` runs the manifest's grid; ``audit`` also audits every cell."""
     manifest = ExperimentManifest.from_file(args.manifest)
-    summary = run(manifest, out_dir=args.out, threads=args.threads, do_audit=False)
-    summary.pop("cells", None)
-    _print_json(summary)
-    return _summary_exit(summary)
-
-
-def cmd_audit(args) -> int:
-    manifest = ExperimentManifest.from_file(args.manifest)
-    if manifest.audit is None:
+    do_audit = args.command == "audit"
+    if do_audit and manifest.audit is None:
         raise SystemExit("manifest has no audit block")
-    summary = run(manifest, out_dir=args.out, threads=args.threads, do_audit=True)
-    summary.pop("cells", None)
+    summary = run(manifest, out_dir=args.out, threads=args.threads, do_audit=do_audit)
+    del summary["cells"]
     _print_json(summary)
-    return _summary_exit(summary)
+    return 0 if summary["n_failures"] == 0 and not summary["unsound_audits"] else 1
 
 
 def cmd_sweep(args) -> int:
@@ -98,15 +88,23 @@ def cmd_sweep(args) -> int:
     return 0 if result["n_failures"] == 0 else 1
 
 
-def _accountant_payload(args, delta: float, sigma: float) -> dict:
+def _accountant_payload(args) -> dict:
+    """The JSON record of ``accountant`` and ``calibrate``, which solves for sigma."""
+    spec = SubgraphSpec(clip_norm=args.clip_norm, max_degree=args.max_degree)  # checks C and K
+    delta = args.delta if args.delta is not None else recommend_delta(args.n_train)
+    if args.command == "calibrate":
+        sigma = calibrate_sigma(args.epsilon, delta, args.steps, args.n_train,
+                                args.occurrence_bound, args.batch_size)
+    else:
+        sigma = args.sigma
     state = make_accountant(sigma, args.n_train, args.occurrence_bound, args.batch_size)
     eps, order = compose_and_convert(state, args.steps, delta, return_order=True)
     return {
         "epsilon_target": args.epsilon,
         "delta": delta,
         "sigma": sigma,
-        "clip_norm": args.clip_norm,
-        "K": args.max_degree,
+        "clip_norm": spec.clip_norm,
+        "K": spec.max_degree,
         "T": args.occurrence_bound,
         "m": args.batch_size,
         "steps": args.steps,
@@ -116,23 +114,14 @@ def _accountant_payload(args, delta: float, sigma: float) -> dict:
 
 
 def cmd_accountant(args) -> int:
-    delta = args.delta if args.delta is not None else recommend_delta(args.n_train)
-    payload = _accountant_payload(args, delta, args.sigma)
-    if args.fpr:
+    payload = _accountant_payload(args)
+    if args.command == "accountant" and args.fpr:
         eps_for_power = args.epsilon if args.epsilon is not None else payload["epsilon_spent"]
         payload["supremum_power"] = {
-            f"{f:g}": supremum_power(eps_for_power, delta, f, tight=args.tight)
+            f"{f:g}": supremum_power(eps_for_power, payload["delta"], f, tight=args.tight)
             for f in (float(x) for x in args.fpr.split(","))
         }
     _print_json(payload)
-    return 0
-
-
-def cmd_calibrate(args) -> int:
-    delta = args.delta if args.delta is not None else recommend_delta(args.n_train)
-    sigma = calibrate_sigma(args.epsilon, delta, args.steps, args.n_train,
-                            args.occurrence_bound, args.batch_size)
-    _print_json(_accountant_payload(args, delta, sigma))
     return 0
 
 
@@ -143,8 +132,6 @@ def cmd_report(args) -> int:
 
 
 def _add_accountant_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma", type=float, help="noise multiplier")
-    p.add_argument("--epsilon", type=float, default=None, help="epsilon target")
     p.add_argument("--delta", type=float, default=None,
                    help="failure probability (default: 1/(10 n_train))")
     p.add_argument("--steps", type=int, default=1000)
@@ -160,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.strip().splitlines()[0])
     # global flags are accepted both before and after the subcommand; the
     # SUPPRESS defaults keep the subparser from clobbering a prefix value
-    parser.add_argument("--seed", type=int, default=0, help="global seed")
+    parser.add_argument("--seed", type=int, default=0, help="generator seed (gen-synthetic only)")
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=1, help="cell worker processes")
     parser.add_argument("--manifest", type=str, default=None, help="experiment manifest JSON")
@@ -193,16 +180,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_graph)
 
     p = add_parser("train", "run a manifest's training grid")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_grid)
 
     p = add_parser("audit", "run a manifest's grid with membership-inference audits")
-    p.set_defaults(func=cmd_audit)
+    p.set_defaults(func=cmd_grid)
 
     p = add_parser("sweep", "expand a synthetic manifest over homophily levels")
     p.add_argument("--homophilies", default="0.5,0.6,0.7,0.8,0.9")
     p.set_defaults(func=cmd_sweep)
 
     p = add_parser("accountant", "epsilon spent for a given sigma")
+    p.add_argument("--sigma", type=float, required=True, help="noise multiplier")
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="epsilon target, echoed and used for --fpr (default: epsilon spent)")
     _add_accountant_args(p)
     p.add_argument("--fpr", default=None,
                    help="comma list of FPR budgets to report supremum power at")
@@ -211,8 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_accountant)
 
     p = add_parser("calibrate", "solve for the noise multiplier at an epsilon target")
+    p.add_argument("--epsilon", type=float, required=True, help="epsilon target")
     _add_accountant_args(p)
-    p.set_defaults(func=cmd_calibrate)
+    p.set_defaults(func=cmd_accountant)
 
     p = add_parser("report", "merge result cells into tables")
     p.add_argument("--results", required=True)
@@ -221,14 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _usage_error(args) -> str | None:
-    """A required value that argparse does not check and the arguments lack
-    (--manifest, --sigma or --epsilon), or None."""
+    """The global --manifest flag when a grid command lacks it, or None;
+    argparse checks every other required value."""
     if args.command in ("train", "audit", "sweep") and not args.manifest:
         return "--manifest is required for this subcommand"
-    if args.command == "accountant" and args.sigma is None:
-        return "--sigma is required for accountant"
-    if args.command == "calibrate" and args.epsilon is None:
-        return "--epsilon is required for calibrate"
     return None
 
 

@@ -21,7 +21,7 @@ import tempfile
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +147,19 @@ def _atomic_write(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_csv(path: Path, columns: str, rows) -> None:
+    """Write the dict ``rows`` atomically as CSV.  ``columns`` names each
+    field with its format spec (``"epsilon:g"``); None is an empty field."""
+    fields = [column.partition(":")[::2] for column in columns.split(",")]
+    lines = [",".join(name for name, _ in fields)]
+    lines += [",".join("" if row[name] is None else format(row[name], spec)
+                       for name, spec in fields) for row in rows]
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
+AGGREGATE_COLUMNS = "variant,epsilon:g,mean_acc:.6f,std_acc:.6f,n_seeds"
 
 
 def build_graph_for_cell(manifest: ExperimentManifest, seed: int):
@@ -276,8 +289,7 @@ def _failed_cell(manifest: ExperimentManifest, variant: str, epsilon, seed: int,
 
 
 def _run_cell_packed(args):
-    manifest_dict, variant, epsilon, seed, do_audit, graph = args
-    manifest = ExperimentManifest.from_dict(manifest_dict)
+    manifest, variant, epsilon, seed, do_audit, graph = args
     if isinstance(graph, Exception):
         return _failed_cell(manifest, variant, epsilon, seed, graph)
     try:
@@ -316,14 +328,6 @@ def aggregate(cells: list[dict]) -> list[dict]:
     return rows
 
 
-def _aggregate_csv(rows: list[dict]) -> str:
-    lines = ["variant,epsilon,mean_acc,std_acc,n_seeds"]
-    for r in rows:
-        eps = "" if r["epsilon"] is None else f"{r['epsilon']:g}"
-        lines.append(f"{r['variant']},{eps},{r['mean_acc']:.6f},{r['std_acc']:.6f},{r['n_seeds']}")
-    return "\n".join(lines) + "\n"
-
-
 def run(manifest: ExperimentManifest, out_dir=None, threads: int = 1,
         do_audit: bool = False) -> dict:
     """Execute the whole grid; write per-cell JSON, aggregate CSV, and ROC CSVs.
@@ -335,7 +339,7 @@ def run(manifest: ExperimentManifest, out_dir=None, threads: int = 1,
     (out / "cells").mkdir(parents=True, exist_ok=True)
     cells = grid_cells(manifest)
     graphs = {seed: _build_graph_or_error(manifest, seed) for seed in dict.fromkeys(manifest.seeds)}
-    packed = [(manifest.to_dict(), v, e, s, do_audit, graphs[s]) for v, e, s in cells]
+    packed = [(manifest, v, e, s, do_audit, graphs[s]) for v, e, s in cells]
     if threads > 1:
         # cells of a failed build are reported here: not every exception pickles
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -350,11 +354,11 @@ def run(manifest: ExperimentManifest, out_dir=None, threads: int = 1,
         _atomic_write(out / "cells" / f"{cell['cell']}.json",
                       json.dumps(cell, indent=2, sort_keys=True) + "\n")
         if roc_points is not None:
-            lines = ["fpr,tpr"] + [f"{f:.10g},{t:.10g}" for f, t in roc_points]
-            _atomic_write(out / f"roc_{cell['cell']}.csv", "\n".join(lines) + "\n")
+            _write_csv(out / f"roc_{cell['cell']}.csv", "fpr:.10g,tpr:.10g",
+                       ({"fpr": f, "tpr": t} for f, t in roc_points))
 
     rows = aggregate(results)
-    _atomic_write(out / "aggregate.csv", _aggregate_csv(rows))
+    _write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS, rows)
     failures = [c for c in results if "error" in c]
     unsound = [c["cell"] for c in results
                if c.get("audit") and c["audit"].get("sound") is False]
@@ -388,13 +392,9 @@ def sweep_homophily(manifest: ExperimentManifest, homophilies, out_dir=None,
     per_seed_acc: dict[tuple, dict[float, float]] = {}
     all_results = {}
     for h in homophilies:
-        synth = dict(manifest.dataset["synthetic"])
-        synth["target_homophily"] = h
-        sub = ExperimentManifest.from_dict({
-            **manifest.to_dict(),
-            "dataset": {"synthetic": synth},
-            "output_dir": str(out / f"h{h:g}"),
-        })
+        synth = {**manifest.dataset["synthetic"], "target_homophily": h}
+        sub = replace(manifest, dataset={"synthetic": synth},
+                      output_dir=str(out / f"h{h:g}"))
         summary = run(sub, threads=threads)
         all_results[h] = summary
         for row in summary["aggregate"]:
@@ -405,12 +405,8 @@ def sweep_homophily(manifest: ExperimentManifest, homophilies, out_dir=None,
             key = (cell["variant"], cell["epsilon"], cell["seed"])
             per_seed_acc.setdefault(key, {})[h] = cell["test_acc"]
 
-    lines = ["homophily,variant,epsilon,mean_acc,std_acc"]
-    for r in long_rows:
-        eps = "" if r["epsilon"] is None else f"{r['epsilon']:g}"
-        lines.append(f"{r['homophily']:g},{r['variant']},{eps},"
-                     f"{r['mean_acc']:.6f},{r['std_acc']:.6f}")
-    _atomic_write(out / "sweep.csv", "\n".join(lines) + "\n")
+    _write_csv(out / "sweep.csv", "homophily:g,variant,epsilon:g,mean_acc:.6f,std_acc:.6f",
+               long_rows)
 
     trends = []
     for (variant, eps, seed), by_h in sorted(per_seed_acc.items(),
@@ -503,11 +499,8 @@ def report(results_dir) -> dict:
 
     text = "\n".join(lines) + "\n"
     _atomic_write(results_dir / "report.txt", text)
-    _atomic_write(results_dir / "report.csv", _aggregate_csv(rows))
+    _write_csv(results_dir / "report.csv", AGGREGATE_COLUMNS, rows)
     if bound_rows:
-        blines = ["cell,epsilon,fpr,tpr,supremum_power"]
-        for r in bound_rows:
-            blines.append(f"{r['cell']},{r['epsilon']:g},{r['fpr']:g},"
-                          f"{r['tpr']:.6f},{r['supremum_power']:.6f}")
-        _atomic_write(results_dir / "bound_vs_empirical.csv", "\n".join(blines) + "\n")
+        _write_csv(results_dir / "bound_vs_empirical.csv",
+                   "cell,epsilon:g,fpr:g,tpr:.6f,supremum_power:.6f", bound_rows)
     return {"text": text, "aggregate": rows, "bound_rows": bound_rows, "corrupt": corrupt}

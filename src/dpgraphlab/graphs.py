@@ -119,9 +119,9 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train_fraction, self.val_fraction, self.test_fraction)
-        if any(f < 0 for f in fracs):
+        if not all(f >= 0 for f in fracs):
             raise ValueError("split fractions must be nonnegative")
-        if abs(sum(fracs) - 1.0) > 1e-9:
+        if not abs(sum(fracs) - 1.0) <= 1e-9:
             raise ValueError("split fractions must sum to 1")
 
 

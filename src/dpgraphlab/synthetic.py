@@ -10,6 +10,7 @@ signal when homophily is high.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -41,6 +42,8 @@ class SyntheticSpec:
             raise ValueError("num_nodes must be even (balanced classes)")
         if self.feat_dim < 1:
             raise ValueError("feat_dim must be >= 1")
+        if not (math.isfinite(self.class_separation) and math.isfinite(self.feature_noise_std)):
+            raise ValueError("class_separation and feature_noise_std must be finite")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> PopulationGraph:

@@ -57,7 +57,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise ValueError("learning_rate must be nonnegative")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")

@@ -90,6 +90,24 @@ def test_clip_scale_equals_the_min_expression_bit_for_bit():
         assert got.tobytes() == (want_sum / 5).tobytes()
 
 
+def test_clip_equals_the_branch_expression_bit_for_bit():
+    # clip multiplies by _clip_scale; the rule it replaced copied a gradient of
+    # norm <= C and scaled a longer one by C / norm
+    def branch_clip(g, C):
+        norm = float(np.linalg.norm(g))
+        return np.array(g, copy=True) if norm <= C else g * (C / norm)
+
+    for C in (1.0, 0.5, 3.7):
+        for norm in (0.0, np.nextafter(C, 0.0), C, np.nextafter(C, np.inf), 2.0 * C,
+                     np.inf, np.nan):
+            for g in (np.array([norm]), np.array([0.0, -norm, 0.0])):
+                with np.errstate(invalid="ignore"):  # inf * 0 at norm inf, in both
+                    got, want = dg.clip(g, C), branch_clip(g, C)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    g = np.random.default_rng(0).normal(size=(7, 5))
+    assert dg.clip(g, 1.0).tobytes() == branch_clip(g, 1.0).tobytes()
+
+
 def test_noisy_batch_gradient_std_monte_carlo():
     # m=1, g=0, sigma=1, C=1: output is standard normal per coordinate
     draws = np.stack([
@@ -472,6 +490,48 @@ def test_supremum_power_tight_variant():
 
 
 # ---------------------------------------------------------------- delta policy
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dg.PrivacySpec(NAN, 1e-3),
+    lambda: dg.PrivacySpec(INF, 1e-3),
+    lambda: dg.PrivacySpec(5.0, 1e-3, noise_multiplier=NAN),
+    lambda: dg.PrivacySpec(5.0, 1e-3, noise_multiplier=INF),
+    lambda: dg.SubgraphSpec(clip_norm=NAN),
+    lambda: dg.SubgraphSpec(clip_norm=INF),
+    lambda: dg.clip(np.ones(3), NAN),
+    lambda: dg.clip(np.ones(3), INF),
+    lambda: dg.noisy_batch_gradient(np.ones((2, 3)), NAN, 1.0, seed=0),
+    lambda: dg.noisy_batch_gradient(np.ones((2, 3)), 1.0, NAN, seed=0),
+    lambda: dg.noisy_batch_gradient(np.ones((2, 3)), 1.0, INF, seed=0),
+    lambda: make_accountant(NAN, 100, 6, 64),
+    lambda: dg.compose_and_convert(make_accountant(1.0, 100, 6, 64), NAN, 1e-3),
+    lambda: dg.calibrate_sigma(NAN, 1e-3, 100, 100, 6, 64),
+    lambda: dg.calibrate_sigma(INF, 1e-3, 100, 100, 6, 64),
+    lambda: dg.calibrate_sigma(5.0, 1e-3, NAN, 100, 6, 64),
+    lambda: dg.supremum_power(1.0, 0.01, NAN),
+    lambda: dg.supremum_power(1.0, 0.01, [0.001, NAN]),
+    lambda: dg.recommend_delta(NAN),
+    lambda: dg.SplitSpec(NAN, 0.5, 0.5),
+    lambda: dg.TrainConfig(learning_rate=NAN),
+    lambda: dg.SyntheticSpec(class_separation=NAN),
+    lambda: dg.SyntheticSpec(class_separation=INF),
+    lambda: dg.SyntheticSpec(feature_noise_std=NAN),
+    lambda: dg.SyntheticSpec(feature_noise_std=-INF),
+], ids=["eps-nan", "eps-inf", "noise-mult-nan", "noise-mult-inf", "spec-clip-nan",
+        "spec-clip-inf", "clip-nan", "clip-inf", "noisy-clip-nan", "noisy-sigma-nan",
+        "noisy-sigma-inf", "accountant-sigma-nan", "compose-steps-nan", "calibrate-eps-nan",
+        "calibrate-eps-inf", "calibrate-steps-nan", "power-fpr-nan", "power-fpr-list-nan",
+        "delta-n-train-nan", "split-nan", "learning-rate-nan", "separation-nan",
+        "separation-inf", "noise-std-nan", "noise-std-neg-inf"])
+def test_range_checks_reject_nan_and_inf(build):
+    # every float rule is a comparison that NaN fails; C, sigma and epsilon
+    # must also be finite (C / max(norm, inf) is NaN)
+    with pytest.raises(ValueError):
+        build()
+
 
 @pytest.mark.parametrize("n_train,want", [(559, "1.79e-04"), (763, "1.31e-04"), (560, "1.79e-04")])
 def test_recommend_delta_three_sig_figs(n_train, want):

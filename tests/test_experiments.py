@@ -8,8 +8,9 @@ import pytest
 
 import dpgraphlab as dg
 from dpgraphlab.cli import main as cli_main
-from dpgraphlab.experiments import (ExperimentManifest, ManifestError, aggregate, grid_cells,
-                                    report, run, run_cell, spearman, sweep_homophily)
+from dpgraphlab.experiments import (ExperimentManifest, ManifestError, aggregate,
+                                    build_graph_for_cell, grid_cells, report, run, run_cell,
+                                    spearman, sweep_homophily)
 
 
 def tiny_manifest(out, variants=("non_dp", "subgraphing"), seeds=(0, 1), privacy=None):
@@ -308,6 +309,35 @@ def test_sweep_homophily_outputs(tmp_path):
     assert len(out["trends"]) == 1
 
 
+def test_run_on_a_csv_dataset(tmp_path):
+    # a csv source: load_csv, then the graph block's k-NN build, then the split
+    rng = np.random.default_rng(0)
+    labels = np.repeat([0, 1], 20)
+    features = rng.normal(size=(40, 3)) + 2.0 * labels[:, None]
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(x, features, delimiter=",", header="a,b,c", comments="")
+    np.savetxt(y, labels, fmt="%d", header="label", comments="")
+    manifest = ExperimentManifest.from_dict({
+        "dataset": {"csv": {"features": str(x), "labels": str(y), "skip_header": True}},
+        "graph": {"k": 3, "metric": "cosine"},
+        "split": {"train": 0.5, "val": 0.2, "test": 0.3, "seed": 4},
+        "model": {"epochs": 5, "hidden_dim": 8},
+        "seeds": [1],
+        "output_dir": str(tmp_path / "res"),
+    })
+    want = dg.assign_splits(dg.build_knn_graph(dg.load_csv(x, y, skip_header=True), 3, "cosine"),
+                            dg.SplitSpec(0.5, 0.2, 0.3, seed=5))
+    graph = build_graph_for_cell(manifest, 1)
+    for name in ("features", "labels", "indptr", "indices", "train_mask", "val_mask", "test_mask"):
+        np.testing.assert_array_equal(getattr(graph, name), getattr(want, name))
+    summary = run(manifest)
+    assert summary["n_failures"] == 0
+    cell = summary["cells"][0]
+    assert cell["cell"] == "non_dp_seed1"
+    assert cell["graph"] == {"num_nodes": 40, "n_train": int(want.train_mask.sum()),
+                             "edge_homophily": dg.edge_homophily(want)}
+
+
 def test_report_empty_dir(tmp_path):
     out = report(tmp_path)
     assert "no result cells" in out["text"]
@@ -321,6 +351,40 @@ def test_report_merges_cells(tmp_path):
     assert (tmp_path / "res" / "report.txt").exists()
     assert (tmp_path / "res" / "report.csv").exists()
     assert out["corrupt"] == []
+
+
+def test_report_bound_vs_empirical_table(tmp_path):
+    # an audited DP cell's TPR against its power bound, one row per FPR budget
+    # in FPR order; an audited non-DP cell has no bound and no row
+    cells = tmp_path / "res" / "cells"
+    cells.mkdir(parents=True)
+    dp_cell = {"cell": "dp_eps5_seed0", "variant": "dp", "epsilon": 5, "seed": 0,
+               "test_acc": 0.75, "audit": {"tpr": {"0.01": 0.05, "0.001": 0.0125},
+                                           "supremum_power": {"0.01": 1.0, "0.001": 0.14851}}}
+    non_dp_cell = {"cell": "non_dp_seed0", "variant": "non_dp", "epsilon": None, "seed": 0,
+                   "test_acc": 0.5, "audit": {"tpr": {"0.01": 0.5}}}
+    (cells / "dp_eps5_seed0.json").write_text(json.dumps(dp_cell))
+    (cells / "non_dp_seed0.json").write_text(json.dumps(non_dp_cell))
+    out = report(tmp_path / "res")
+    assert out["bound_rows"] == [
+        {"cell": "dp_eps5_seed0", "epsilon": 5, "fpr": 0.001, "tpr": 0.0125,
+         "supremum_power": 0.14851},
+        {"cell": "dp_eps5_seed0", "epsilon": 5, "fpr": 0.01, "tpr": 0.05, "supremum_power": 1.0},
+    ]
+    assert (tmp_path / "res" / "bound_vs_empirical.csv").read_text() == (
+        "cell,epsilon,fpr,tpr,supremum_power\n"
+        "dp_eps5_seed0,5,0.001,0.012500,0.148510\n"
+        "dp_eps5_seed0,5,0.01,0.050000,1.000000\n")
+    table = out["text"].split("\n\n")[1].splitlines()
+    assert table == ["cell".ljust(24) + "fpr".rjust(8) + "tpr".rjust(10) + "power bound".rjust(13),
+                     "dp_eps5_seed0".ljust(24) + "0.001".rjust(8) + "0.0125".rjust(10)
+                     + "0.1485".rjust(13),
+                     "dp_eps5_seed0".ljust(24) + "0.01".rjust(8) + "0.0500".rjust(10)
+                     + "1.0000".rjust(13)]
+    assert (tmp_path / "res" / "report.csv").read_text() == (
+        "variant,epsilon,mean_acc,std_acc,n_seeds\n"
+        "dp,5,0.750000,0.000000,1\n"
+        "non_dp,,0.500000,0.000000,1\n")
 
 
 def test_report_lists_corrupt_cells(tmp_path):
@@ -405,7 +469,33 @@ def test_cli_missing_required_value_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, *argv)
     assert exc.value.code == 2
-    assert "is required" in capsys.readouterr().err
+    # --manifest is checked by main, --sigma and --epsilon by argparse
+    expected = {"train": "is required", "accountant": "--sigma",
+                "calibrate": "--epsilon"}[argv[0]]
+    err = capsys.readouterr().err
+    assert expected in err and "required" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("accountant", "--sigma", "nan", "--n-train", "100", "-T", "6"), "sigma must be positive"),
+    (("calibrate", "--epsilon", "nan", "--n-train", "100", "-T", "6"),
+     "epsilon_target must be positive"),
+    (("calibrate", "--epsilon", "5", "--sigma", "123", "--n-train", "100", "-T", "6"),
+     "unrecognized arguments: --sigma 123"),
+    (("accountant", "--sigma", "1", "--n-train", "100", "-T", "6", "--clip-norm", "-1"),
+     "clip_norm must be positive"),
+    (("accountant", "--sigma", "1", "--n-train", "100", "-T", "6", "-K", "0"),
+     "max_degree and hops must be >= 1"),
+    (("calibrate", "--epsilon", "5", "--n-train", "100", "-T", "6", "--clip-norm", "inf"),
+     "clip_norm must be finite"),
+])
+def test_cli_rejects_nan_unknown_flags_and_unchecked_settings(capsys, argv, message):
+    # NaN, a flag the command does not take, and C or K that SubgraphSpec
+    # rejects are usage errors: exit code 2 and the message on stderr
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv)
+    assert exc.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_cli_calibrate_json(capsys):
