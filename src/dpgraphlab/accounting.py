@@ -116,6 +116,12 @@ def _check_positive(value: float, name: str, suffix: str = "") -> None:
         raise ValueError(f"{name} must be finite")
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """Reject an epsilon that is not a finite number >= 0, NaN included."""
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and >= 0")
+
+
 def clip(gradient: np.ndarray, clip_norm: float) -> np.ndarray:
     """Scale ``gradient`` down to l2 norm ``clip_norm`` if it exceeds it."""
     _check_positive(clip_norm, "clip_norm")
@@ -309,6 +315,9 @@ def supremum_power(epsilon: float, delta: float, fpr, tight: bool = False):
     two-sided variant 1 - max(0, 1 - delta - e^eps * fpr, e^-eps (1 - delta - fpr))
     is tighter near power 1 and available behind ``tight``.
     """
+    _check_epsilon(epsilon)
+    if not 0 <= delta < 1:
+        raise ValueError("delta must lie in [0, 1)")
     fpr_arr = np.asarray(fpr, dtype=np.float64)
     if not np.all((fpr_arr >= 0) & (fpr_arr <= 1)):
         raise ValueError("fpr must lie in [0, 1]")

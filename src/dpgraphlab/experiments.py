@@ -21,7 +21,7 @@ import tempfile
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,21 @@ DEFAULT_DP_OPTIMIZER = {"optimizer": "sgd", "learning_rate": 1e-4}
 # cells and from the privacy block by DP cells
 SPEC_KEYS = {"steps": "total_steps", "batch_size": "batch_size", "max_degree": "max_degree",
              "occurrence_bound": "occurrence_bound", "clip_norm": "clip_norm"}
+
+# the keys each manifest block takes: those its reader reads (the cell seed
+# is the generator's seed, and the variant sets mode, clipping and noise)
+BLOCK_KEYS = {
+    "dataset": ("synthetic", "csv"),
+    "synthetic": tuple(f.name for f in fields(SyntheticSpec) if f.name != "seed"),
+    "csv": ("features", "labels", "standardize", "skip_header"),
+    "split": ("train", "val", "test", "seed"),
+    "graph": ("k", "metric"),
+    "model": (*(f.name for f in fields(TrainConfig)
+                if f.name not in ("seed", "mode", "clipping", "noise")), *SPEC_KEYS),
+    "privacy": ("epsilons", "hops", "delta", "noise_multiplier", *SPEC_KEYS,
+                *DEFAULT_DP_OPTIMIZER),
+    "audit": ("n_shadows", "seed_offset", "fpr_grid"),
+}
 
 
 class ManifestError(Exception):
@@ -102,6 +117,13 @@ class ExperimentManifest:
         sources = [k for k in ("synthetic", "csv") if k in self.dataset]
         if len(sources) != 1:
             raise ManifestError("dataset must name exactly one source: 'synthetic' or 'csv'")
+        for name, block in (("dataset", self.dataset), (sources[0], self.dataset[sources[0]]),
+                            ("split", self.split), ("graph", self.graph), ("model", self.model),
+                            ("privacy", self.privacy), ("audit", self.audit)):
+            unknown = set(block or ()) - set(BLOCK_KEYS[name])
+            if unknown:
+                raise ManifestError(f"unknown {name} keys {sorted(unknown)}; "
+                                    f"expected from {BLOCK_KEYS[name]}")
         if not self.seeds:
             raise ManifestError("seeds list must be nonempty")
         unknown = set(self.variants) - set(VARIANTS)
@@ -165,9 +187,7 @@ AGGREGATE_COLUMNS = "variant,epsilon:g,mean_acc:.6f,std_acc:.6f,n_seeds"
 def build_graph_for_cell(manifest: ExperimentManifest, seed: int):
     """Cell seed drives the generator (synthetic) and offsets the split shuffle."""
     if "synthetic" in manifest.dataset:
-        spec_args = dict(manifest.dataset["synthetic"])
-        spec_args["seed"] = seed
-        graph = generate_synthetic(SyntheticSpec(**spec_args))
+        graph = generate_synthetic(SyntheticSpec(**manifest.dataset["synthetic"], seed=seed))
     else:
         csv = manifest.dataset["csv"]
         graph = load_csv(csv["features"], csv["labels"],
@@ -252,13 +272,14 @@ def run_cell(manifest: ExperimentManifest, variant: str, epsilon, seed: int,
     }
     if do_audit and manifest.audit is not None:
         audit_cfg = manifest.audit
+        # an absent n_shadows or fpr_grid takes attacks.audit's default
+        given = {k: audit_cfg[k] for k in ("n_shadows", "fpr_grid") if k in audit_cfg}
         report = run_audit(
             params, graph, config,
-            n_shadows=audit_cfg.get("n_shadows", 128),
             seed=seed + audit_cfg.get("seed_offset", 10_000),
             dp=spec,
-            fpr_grid=tuple(audit_cfg.get("fpr_grid", (0.001, 0.005, 0.01))),
             model_variant=_cell_name(variant, epsilon, seed),
+            **given,
         )
         cell["audit"] = report.to_json()
         cell["_roc_points"] = report.roc_points.tolist()
@@ -452,6 +473,8 @@ def report(results_dir) -> dict:
     unreadable cell files are listed; the report is still produced.
     """
     results_dir = Path(results_dir)
+    if not results_dir.is_dir():
+        raise FileNotFoundError(f"no results directory {str(results_dir)!r}")
     cell_files = sorted(results_dir.glob("**/cells/*.json"))
     cells, corrupt = [], []
     for path in cell_files:

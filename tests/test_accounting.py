@@ -489,6 +489,16 @@ def test_supremum_power_tight_variant():
     assert dg.supremum_power(5.0, 1.31e-4, 0.01) == 1.0
 
 
+@pytest.mark.parametrize("epsilon,delta", [
+    (float("nan"), 1e-4), (-3.0, 1e-4), (float("inf"), 1e-4),
+    (5.0, 2.0), (5.0, 1.0), (5.0, -1e-4), (5.0, float("nan")),
+])
+def test_supremum_power_rejects_epsilon_and_delta_out_of_range(epsilon, delta):
+    # at the parent these gave NaN, a bound below the FPR itself, or 1.0
+    with pytest.raises(ValueError, match="epsilon must be finite and >= 0|delta must lie in"):
+        dg.supremum_power(epsilon, delta, 0.01)
+
+
 # ---------------------------------------------------------------- delta policy
 
 NAN, INF = float("nan"), float("inf")

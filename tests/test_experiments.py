@@ -57,6 +57,22 @@ def test_manifest_rejects_unknown_keys():
                                       "noise_level": 3})
 
 
+@pytest.mark.parametrize("block,raw", [
+    ("dataset", {"dataset": {"synthetic": {}, "note": "x"}}),
+    ("synthetic", {"dataset": {"synthetic": {"seed": 3}}}),
+    ("csv", {"dataset": {"csv": {"features": "x.csv", "labels": "y.csv", "delimiter": ";"}}}),
+    ("split", {"split": {"train": 0.5, "val": 0.2, "test": 0.3, "shuffle": True}}),
+    ("graph", {"graph": {"k": 5, "metric": "euclidean", "weighted": True}}),
+    ("model", {"model": {"epochs": 5, "seed": 1}}),
+    ("privacy", {"variants": ["dp"], "privacy": {"epsilons": [5], "clipnorm": 0.1}}),
+    ("audit", {"audit": {"n_shadow": 16}}),
+])
+def test_manifest_rejects_keys_a_block_does_not_take(block, raw):
+    # a misspelt or unread key fails at load instead of leaving its default in force
+    with pytest.raises(ManifestError, match=f"unknown {block} keys"):
+        ExperimentManifest.from_dict({"dataset": {"synthetic": {}}, "seeds": [0], **raw})
+
+
 def test_manifest_hash_stable():
     a = ExperimentManifest.from_dict({"dataset": {"synthetic": {}}, "seeds": [0]})
     b = ExperimentManifest.from_dict({"dataset": {"synthetic": {}}, "seeds": [0]})
@@ -397,6 +413,12 @@ def test_report_lists_corrupt_cells(tmp_path):
     assert len(out["aggregate"]) == 2  # partial report still produced
 
 
+def test_report_names_a_missing_results_directory(tmp_path):
+    with pytest.raises(FileNotFoundError, match="no results directory .*missing"):
+        report(tmp_path / "missing")
+    assert not (tmp_path / "missing").exists()
+
+
 # ---------------------------------------------------------------- cli
 
 def run_cli(capsys, *argv):
@@ -469,9 +491,7 @@ def test_cli_missing_required_value_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, *argv)
     assert exc.value.code == 2
-    # --manifest is checked by main, --sigma and --epsilon by argparse
-    expected = {"train": "is required", "accountant": "--sigma",
-                "calibrate": "--epsilon"}[argv[0]]
+    expected = {"train": "--manifest", "accountant": "--sigma", "calibrate": "--epsilon"}[argv[0]]
     err = capsys.readouterr().err
     assert expected in err and "required" in err
 
@@ -498,6 +518,58 @@ def test_cli_rejects_nan_unknown_flags_and_unchecked_settings(capsys, argv, mess
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("accountant", "--sigma", "1", "--n-train", "100", "-T", "6", "--manifest", "m.json"),
+    ("calibrate", "--epsilon", "5", "--n-train", "100", "-T", "6", "--seed", "3"),
+    ("build-graph", "--features", "x.csv", "--labels", "y.csv", "--threads", "2"),
+    ("report", "--results", "res", "--out", "o"),
+])
+def test_cli_rejects_flags_the_subcommand_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _bad_csv(tmp_path):
+    (tmp_path / "x.csv").write_text("1,2\nx,3\n")
+    (tmp_path / "y.csv").write_text("0\n1\n")
+    return ("build-graph", "--features", str(tmp_path / "x.csv"),
+            "--labels", str(tmp_path / "y.csv"))
+
+
+def _manifest_file(tmp_path, **changes):
+    manifest = {**tiny_manifest(tmp_path / "res").to_dict(), **changes}
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    return str(tmp_path / "m.json")
+
+
+@pytest.mark.parametrize("make_argv,message", [
+    (lambda t: ("--manifest", _manifest_file(t), "train"), "invalid choice"),
+    (lambda t: ("gen-synthetic", "--nodes", "7", "--out", str(t / "g")),
+     "num_nodes must be even"),
+    (lambda t: ("train", "--manifest", str(t / "missing.json")), "missing.json"),
+    (_bad_csv, "non-numeric value 'x' at row 2, column 1"),
+    (lambda t: ("report", "--results", str(t / "missing")), "no results directory"),
+    (lambda t: ("train", "--manifest", _manifest_file(t, audit={"n_shadow": 16})),
+     "unknown audit keys ['n_shadow']"),
+    (lambda t: ("audit", "--manifest", _manifest_file(t)), "manifest has no audit block"),
+    (lambda t: ("accountant", "--sigma", "30", "--n-train", "560", "-T", "6",
+                "--epsilon", "nan"), "epsilon must be finite and >= 0"),
+    (lambda t: ("accountant", "--sigma", "30", "--n-train", "560", "-T", "6",
+                "--epsilon", "-3", "--fpr", "0.01"), "epsilon must be finite and >= 0"),
+], ids=["prefix-flag", "odd-nodes", "missing-manifest", "bad-csv", "missing-results",
+        "unknown-block-key", "no-audit-block", "epsilon-nan", "epsilon-negative"])
+def test_cli_rejected_input_is_usage_error(tmp_path, capsys, make_argv, message):
+    # every subcommand reports a rejected flag, value, file or manifest the
+    # same way: exit code 2 and the message on stderr, no traceback
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *make_argv(tmp_path))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err and "Traceback" not in err
+
+
 def test_cli_calibrate_json(capsys):
     code, out = run_cli(capsys, "calibrate", "--epsilon", "5", "--steps", "1000",
                         "--n-train", "560", "-T", "6", "-m", "64")
@@ -509,7 +581,7 @@ def test_cli_calibrate_json(capsys):
 
 
 def test_cli_gen_synthetic_and_build_graph(tmp_path, capsys):
-    code, out = run_cli(capsys, "--seed", "3", "gen-synthetic", "--nodes", "60",
+    code, out = run_cli(capsys, "gen-synthetic", "--seed", "3", "--nodes", "60",
                         "--homophily", "0.8", "--k", "3", "--out", str(tmp_path / "g"))
     assert code == 0
     stats = json.loads(out)
@@ -532,13 +604,23 @@ def test_cli_gen_synthetic_default_separation(tmp_path, capsys):
     assert code == 0
     meta = json.loads((tmp_path / "d" / "edges.txt.json").read_text())
     assert meta["provenance"]["class_separation"] == dg.SyntheticSpec.class_separation == 1.6
+    # every default the CLI passes on is the spec's own
+    from dpgraphlab.cli import build_parser
+    args = build_parser().parse_args(["gen-synthetic"])
+    names = [f.name for f in dataclasses.fields(dg.SyntheticSpec)]
+    assert dg.SyntheticSpec(**{name: getattr(args, name) for name in names}) == dg.SyntheticSpec()
+    spec = dg.SubgraphSpec()
+    for command in (("accountant", "--sigma", "1"), ("calibrate", "--epsilon", "5")):
+        args = build_parser().parse_args([*command, "--n-train", "100", "-T", "6"])
+        assert (args.steps, args.batch_size, args.max_degree, args.clip_norm) == (
+            spec.total_steps, spec.batch_size, spec.max_degree, spec.clip_norm)
 
 
 def test_cli_train_and_report(tmp_path, capsys):
     manifest = tiny_manifest(tmp_path / "res").to_dict()
     mpath = tmp_path / "m.json"
     mpath.write_text(json.dumps(manifest))
-    code, out = run_cli(capsys, "--manifest", str(mpath), "train")
+    code, out = run_cli(capsys, "train", "--manifest", str(mpath))
     assert code == 0
     payload = json.loads(out)
     assert payload["n_failures"] == 0
@@ -587,6 +669,22 @@ def test_cli_sweep_subcommand(tmp_path, capsys):
     assert (tmp_path / "res" / "sweep.csv").exists()
 
 
+def test_readme_cli_examples_parse():
+    import shlex
+    from pathlib import Path
+
+    from dpgraphlab.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("dpgraphlab ")]
+    assert len(commands) >= 8
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # exits 2 on a flag the subcommand does not take
+
+
 def test_cli_train_nonzero_exit_on_failure(tmp_path, capsys):
     manifest = tiny_manifest(
         tmp_path / "res", variants=("dp",), seeds=(0,),
@@ -595,5 +693,5 @@ def test_cli_train_nonzero_exit_on_failure(tmp_path, capsys):
     ).to_dict()
     mpath = tmp_path / "m.json"
     mpath.write_text(json.dumps(manifest))
-    code, _ = run_cli(capsys, "--manifest", str(mpath), "train")
+    code, _ = run_cli(capsys, "train", "--manifest", str(mpath))
     assert code == 1
