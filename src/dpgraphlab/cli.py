@@ -19,8 +19,8 @@ import numpy as np
 
 from .accounting import (SubgraphSpec, _check_epsilon, calibrate_sigma, compose_and_convert,
                          make_accountant, recommend_delta, supremum_power)
-from .experiments import (SCHEMA_VERSION, ExperimentManifest, ManifestError, report, run,
-                          sweep_homophily)
+from .experiments import (GRAPH_DEFAULTS, SCHEMA_VERSION, ExperimentManifest, ManifestError,
+                          report, run, sweep_homophily)
 from .graphs import (CsvParseError, IngestionError, build_knn_graph, graph_stats, load_csv,
                      write_edge_list)
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -151,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-graph", help="k-NN graph from feature/label CSVs")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--metric", choices=("euclidean", "cosine"), default="euclidean")
+    p.add_argument("--k", type=int, default=GRAPH_DEFAULTS["k"])
+    p.add_argument("--metric", choices=("euclidean", "cosine"), default=GRAPH_DEFAULTS["metric"])
     p.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--skip-header", action="store_true")
     p.add_argument("--out", default=None, help="directory for edges.txt (default: none)")

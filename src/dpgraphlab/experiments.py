@@ -6,9 +6,9 @@ optional privacy block (epsilon list plus DP-SGD hyperparameters), an
 optional audit block, and the seed list.  The grid builds one graph per
 seed (the seed drives both the synthetic generator and the split shuffle)
 and hands it to every cell of that seed; each cell trains, evaluates, and
-optionally audits.  Failures are isolated per cell: a graph build that
-raises fails the cells of its seed.  Output files are written atomically
-and embed the manifest hash.
+optionally audits.  The manifest checks the values its cells read, and the
+graphs are built before anything is written; a cell that raises is
+recorded.  Output files are written atomically and embed the manifest hash.
 """
 
 from __future__ import annotations
@@ -69,6 +69,10 @@ BLOCK_KEYS = {
     "audit": ("n_shadows", "seed_offset", "fpr_grid"),
 }
 
+# the graph and split blocks' defaults, for a block or a key a manifest leaves out
+GRAPH_DEFAULTS = {"k": 5, "metric": "euclidean"}
+SPLIT_DEFAULTS = {"train": 0.56, "val": 0.14, "test": 0.30, "seed": 0}
+
 
 class ManifestError(Exception):
     """Raised when an experiment manifest fails validation."""
@@ -101,8 +105,8 @@ def synthetic_benchmark_manifest(variants=("non_dp", "dp"), epsilons=(5.0,),
 @dataclass(frozen=True)
 class ExperimentManifest:
     dataset: dict
-    split: dict = field(default_factory=lambda: {"train": 0.56, "val": 0.14, "test": 0.30, "seed": 0})
-    graph: dict = field(default_factory=lambda: {"k": 5, "metric": "euclidean"})
+    split: dict = field(default_factory=SPLIT_DEFAULTS.copy)
+    graph: dict = field(default_factory=GRAPH_DEFAULTS.copy)
     model: dict = field(default_factory=dict)
     privacy: dict | None = None
     audit: dict | None = None
@@ -133,6 +137,18 @@ class ExperimentManifest:
         if "dp" in self.variants:
             if not self.privacy or not self.privacy.get("epsilons"):
                 raise ManifestError("'dp' variant requires a privacy block with a nonempty epsilon list")
+        # the dataset, split, seed and spec values a cell reads: bad ones fail the load
+        if "synthetic" in self.dataset:
+            SyntheticSpec(**self.dataset["synthetic"])
+        for seed in self.seeds:  # a seed reaches only default_rng, which takes an int >= 0
+            split_seed = _split_spec(self, seed).seed
+            for name, value in (("seed", seed), ("split seed plus seed", split_seed)):
+                if type(value) is not int or value < 0:
+                    raise ManifestError(f"{name} must be a nonnegative integer, not {value!r}")
+        for variant, epsilon, seed in grid_cells(self):
+            config = config_for_variant(self, variant, seed)
+            # n_train (1 here) sets only an absent delta, whose default is in range
+            spec_for_cell(self, variant, epsilon, 1, config.num_layers)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentManifest":
@@ -184,6 +200,11 @@ def _write_csv(path: Path, columns: str, rows) -> None:
 AGGREGATE_COLUMNS = "variant,epsilon:g,mean_acc:.6f,std_acc:.6f,n_seeds"
 
 
+def _split_spec(manifest: ExperimentManifest, seed: int) -> SplitSpec:
+    sp = {**SPLIT_DEFAULTS, **manifest.split}
+    return SplitSpec(sp["train"], sp["val"], sp["test"], seed=sp["seed"] + seed)
+
+
 def build_graph_for_cell(manifest: ExperimentManifest, seed: int):
     """Cell seed drives the generator (synthetic) and offsets the split shuffle."""
     if "synthetic" in manifest.dataset:
@@ -193,17 +214,12 @@ def build_graph_for_cell(manifest: ExperimentManifest, seed: int):
         graph = load_csv(csv["features"], csv["labels"],
                          standardize=csv.get("standardize", True),
                          skip_header=csv.get("skip_header", False))
-        graph = build_knn_graph(graph, manifest.graph.get("k", 5),
-                                manifest.graph.get("metric", "euclidean"))
-    sp = manifest.split
-    split = SplitSpec(sp.get("train", 0.56), sp.get("val", 0.14), sp.get("test", 0.30),
-                      seed=sp.get("seed", 0) + seed)
-    return assign_splits(graph, split)
+        knn = {**GRAPH_DEFAULTS, **manifest.graph}
+        graph = build_knn_graph(graph, knn["k"], knn["metric"])
+    return assign_splits(graph, _split_spec(manifest, seed))
 
 
 def config_for_variant(manifest: ExperimentManifest, variant: str, seed: int) -> TrainConfig:
-    if variant not in VARIANTS:
-        raise ManifestError(f"unknown variant {variant!r}; expected from {tuple(VARIANTS)}")
     base = {k: v for k, v in manifest.model.items() if k not in SPEC_KEYS}
     mode, clipping, noise = VARIANTS[variant]
     base.update(seed=seed, mode=mode, clipping=clipping, noise=noise)
@@ -221,7 +237,8 @@ def spec_for_cell(manifest: ExperimentManifest, variant: str, epsilon, n_train: 
     privacy = manifest.privacy or {}
     if variant == "dp":
         knobs = {SPEC_KEYS[k]: v for k, v in privacy.items() if k in SPEC_KEYS}
-        return PrivacySpec(epsilon, privacy.get("delta") or recommend_delta(n_train),
+        delta = privacy.get("delta")  # absent or null takes the default; 0 is rejected
+        return PrivacySpec(epsilon, recommend_delta(n_train) if delta is None else delta,
                            noise_multiplier=privacy.get("noise_multiplier"),
                            hops=privacy.get("hops", num_layers), **knobs)
     knobs = {SPEC_KEYS[k]: v for k, v in manifest.model.items() if k in SPEC_KEYS}
@@ -287,36 +304,21 @@ def run_cell(manifest: ExperimentManifest, variant: str, epsilon, seed: int,
     return cell
 
 
-def _build_graph_or_error(manifest: ExperimentManifest, seed: int):
-    """The seed's graph, or the exception its build raised."""
-    try:
-        return build_graph_for_cell(manifest, seed)
-    except Exception as exc:  # fails each cell of the seed, in _run_cell_packed
-        return exc
-
-
-def _failed_cell(manifest: ExperimentManifest, variant: str, epsilon, seed: int,
-                 exc: Exception) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "manifest_hash": manifest.hash(),
-        "cell": _cell_name(variant, epsilon, seed),
-        "variant": variant,
-        "epsilon": epsilon,
-        "seed": seed,
-        "error": f"{type(exc).__name__}: {exc}",
-        "traceback": "".join(traceback.format_exception(type(exc), exc, exc.__traceback__)),
-    }
-
-
 def _run_cell_packed(args):
     manifest, variant, epsilon, seed, do_audit, graph = args
-    if isinstance(graph, Exception):
-        return _failed_cell(manifest, variant, epsilon, seed, graph)
     try:
         return run_cell(manifest, variant, epsilon, seed, do_audit, graph=graph)
     except Exception as exc:  # cell failures must not kill the grid
-        return _failed_cell(manifest, variant, epsilon, seed, exc)
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "manifest_hash": manifest.hash(),
+            "cell": _cell_name(variant, epsilon, seed),
+            "variant": variant,
+            "epsilon": epsilon,
+            "seed": seed,
+            "error": f"{type(exc).__name__}: {exc}",
+            "traceback": "".join(traceback.format_exception(type(exc), exc, exc.__traceback__)),
+        }
 
 
 def grid_cells(manifest: ExperimentManifest) -> list[tuple]:
@@ -354,19 +356,16 @@ def run(manifest: ExperimentManifest, out_dir=None, threads: int = 1,
     """Execute the whole grid; write per-cell JSON, aggregate CSV, and ROC CSVs.
 
     Returns a summary with cell results and failure list; failed cells do not
-    stop the rest of the grid.
+    stop the rest of the grid.  Every seed's graph is built before anything is
+    written, and a build error propagates.
     """
+    graphs = {seed: build_graph_for_cell(manifest, seed) for seed in dict.fromkeys(manifest.seeds)}
     out = Path(out_dir if out_dir is not None else manifest.output_dir)
     (out / "cells").mkdir(parents=True, exist_ok=True)
-    cells = grid_cells(manifest)
-    graphs = {seed: _build_graph_or_error(manifest, seed) for seed in dict.fromkeys(manifest.seeds)}
-    packed = [(manifest, v, e, s, do_audit, graphs[s]) for v, e, s in cells]
+    packed = [(manifest, v, e, s, do_audit, graphs[s]) for v, e, s in grid_cells(manifest)]
     if threads > 1:
-        # cells of a failed build are reported here: not every exception pickles
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            jobs = [p if isinstance(p[-1], Exception) else pool.submit(_run_cell_packed, p)
-                    for p in packed]
-            results = [_run_cell_packed(j) if isinstance(j, tuple) else j.result() for j in jobs]
+            results = list(pool.map(_run_cell_packed, packed))
     else:
         results = [_run_cell_packed(p) for p in packed]
 
@@ -403,19 +402,19 @@ def sweep_homophily(manifest: ExperimentManifest, homophilies, out_dir=None,
 
     Output CSV rows: homophily, variant, epsilon, mean_acc, std_acc.  A trend
     summary reports the per-seed Spearman correlation between homophily and
-    DP accuracy for each epsilon.
+    DP accuracy for each epsilon.  Every level is checked before the first runs.
     """
     if "synthetic" not in manifest.dataset:
         raise ManifestError("sweep_homophily requires a synthetic dataset source")
     out = Path(out_dir if out_dir is not None else manifest.output_dir)
+    synth = manifest.dataset["synthetic"]
+    levels = [(h, replace(manifest, dataset={"synthetic": {**synth, "target_homophily": h}},
+                          output_dir=str(out / f"h{h:g}"))) for h in homophilies]
     out.mkdir(parents=True, exist_ok=True)
     long_rows = []
     per_seed_acc: dict[tuple, dict[float, float]] = {}
     all_results = {}
-    for h in homophilies:
-        synth = {**manifest.dataset["synthetic"], "target_homophily": h}
-        sub = replace(manifest, dataset={"synthetic": synth},
-                      output_dir=str(out / f"h{h:g}"))
+    for h, sub in levels:
         summary = run(sub, threads=threads)
         all_results[h] = summary
         for row in summary["aggregate"]:

@@ -152,10 +152,9 @@ def test_run_isolates_cell_failures(tmp_path):
     assert "CalibrationError" in failed["error"]
 
 
-def count_graph_builds(monkeypatch, log_path, fail_seed=None):
+def count_graph_builds(monkeypatch, log_path):
     """Record every build_graph_for_cell call in a file (so builds made in a
-    worker process count too); the build for ``fail_seed`` raises an
-    exception that cannot be unpickled."""
+    worker process count too)."""
     from dpgraphlab import experiments
 
     build = experiments.build_graph_for_cell
@@ -163,8 +162,6 @@ def count_graph_builds(monkeypatch, log_path, fail_seed=None):
     def counting(manifest, seed):
         with open(log_path, "a", encoding="utf-8") as fh:
             fh.write(f"{seed}\n")
-        if seed == fail_seed:
-            raise dg.CsvParseError("features.csv", 3, 2, "x")
         return build(manifest, seed)
 
     monkeypatch.setattr(experiments, "build_graph_for_cell", counting)
@@ -185,22 +182,6 @@ def test_run_builds_one_graph_per_seed(tmp_path, monkeypatch, threads):
     assert got["n_cells"] == 6 and got["n_failures"] == 0
     for a, b in zip(want, got["cells"]):
         assert {**a, "runtime_sec": None} == {**b, "runtime_sec": None}
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_failed_graph_build_fails_only_its_seed(tmp_path, monkeypatch, threads):
-    log = tmp_path / "builds.txt"
-    count_graph_builds(monkeypatch, log, fail_seed=1)
-    summary = run(tiny_manifest(tmp_path / "res"), threads=threads)
-    assert sorted(log.read_text().split()) == ["0", "1"]
-    assert summary["failed_cells"] == ["non_dp_seed1", "subgraphing_seed1"]
-    for cell in summary["cells"]:
-        if cell["seed"] == 1:
-            assert cell["error"] == ("CsvParseError: features.csv: non-numeric value 'x' "
-                                     "at row 3, column 2")
-        else:
-            assert "error" not in cell and 0.0 <= cell["test_acc"] <= 1.0
-    assert [row["n_seeds"] for row in summary["aggregate"]] == [1, 1]
 
 
 def test_run_cell_evaluates_with_one_forward(tmp_path, monkeypatch):
@@ -341,11 +322,17 @@ def test_run_on_a_csv_dataset(tmp_path):
         "seeds": [1],
         "output_dir": str(tmp_path / "res"),
     })
-    want = dg.assign_splits(dg.build_knn_graph(dg.load_csv(x, y, skip_header=True), 3, "cosine"),
-                            dg.SplitSpec(0.5, 0.2, 0.3, seed=5))
-    graph = build_graph_for_cell(manifest, 1)
-    for name in ("features", "labels", "indptr", "indices", "train_mask", "val_mask", "test_mask"):
-        np.testing.assert_array_equal(getattr(graph, name), getattr(want, name))
+    # a partial graph or split block takes the defaults for the keys it leaves out
+    partial = ExperimentManifest.from_dict({**manifest.to_dict(), "graph": {"k": 3},
+                                            "split": {"seed": 4}})
+    for m, metric, split in ((partial, "euclidean", dg.SplitSpec(0.56, 0.14, 0.30, seed=5)),
+                             (manifest, "cosine", dg.SplitSpec(0.5, 0.2, 0.3, seed=5))):
+        want = dg.assign_splits(
+            dg.build_knn_graph(dg.load_csv(x, y, skip_header=True), 3, metric), split)
+        graph = build_graph_for_cell(m, 1)
+        for name in ("features", "labels", "indptr", "indices", "train_mask", "val_mask",
+                     "test_mask"):
+            np.testing.assert_array_equal(getattr(graph, name), getattr(want, name))
     summary = run(manifest)
     assert summary["n_failures"] == 0
     cell = summary["cells"][0]
@@ -532,14 +519,19 @@ def test_cli_rejects_flags_the_subcommand_does_not_read(capsys, argv):
 
 
 def _bad_csv(tmp_path):
+    """A features CSV with a non-numeric value at row 2, column 1, and its labels."""
     (tmp_path / "x.csv").write_text("1,2\nx,3\n")
     (tmp_path / "y.csv").write_text("0\n1\n")
-    return ("build-graph", "--features", str(tmp_path / "x.csv"),
-            "--labels", str(tmp_path / "y.csv"))
+    return {"features": str(tmp_path / "x.csv"), "labels": str(tmp_path / "y.csv")}
 
 
-def _manifest_file(tmp_path, **changes):
-    manifest = {**tiny_manifest(tmp_path / "res").to_dict(), **changes}
+def _manifest_file(tmp_path, edit=lambda manifest: None):
+    """A 60-node, two-seed non_dp + dp grid writing to tmp_path / "res", as a
+    JSON file, after ``edit`` has changed its dict in place."""
+    manifest = tiny_manifest(tmp_path / "res", variants=("non_dp", "dp"),
+                             privacy={"epsilons": [10.0], "batch_size": 8, "steps": 8,
+                                      "max_degree": 3, "occurrence_bound": 7}).to_dict()
+    edit(manifest)
     (tmp_path / "m.json").write_text(json.dumps(manifest))
     return str(tmp_path / "m.json")
 
@@ -549,25 +541,49 @@ def _manifest_file(tmp_path, **changes):
     (lambda t: ("gen-synthetic", "--nodes", "7", "--out", str(t / "g")),
      "num_nodes must be even"),
     (lambda t: ("train", "--manifest", str(t / "missing.json")), "missing.json"),
-    (_bad_csv, "non-numeric value 'x' at row 2, column 1"),
+    (lambda t: ("build-graph", "--features", _bad_csv(t)["features"], "--labels", str(t / "y.csv")),
+     "non-numeric value 'x' at row 2, column 1"),
     (lambda t: ("report", "--results", str(t / "missing")), "no results directory"),
-    (lambda t: ("train", "--manifest", _manifest_file(t, audit={"n_shadow": 16})),
+    (lambda t: ("train", "--manifest",
+                _manifest_file(t, lambda m: m.update(audit={"n_shadow": 16}))),
      "unknown audit keys ['n_shadow']"),
     (lambda t: ("audit", "--manifest", _manifest_file(t)), "manifest has no audit block"),
     (lambda t: ("accountant", "--sigma", "30", "--n-train", "560", "-T", "6",
                 "--epsilon", "nan"), "epsilon must be finite and >= 0"),
     (lambda t: ("accountant", "--sigma", "30", "--n-train", "560", "-T", "6",
                 "--epsilon", "-3", "--fpr", "0.01"), "epsilon must be finite and >= 0"),
+    # a grid's input is checked whole before its first cell runs
+    (lambda t: ("train", "--manifest",
+                _manifest_file(t, lambda m: m["dataset"]["synthetic"].update(num_nodes=61))),
+     "num_nodes must be even"),
+    (lambda t: ("sweep", "--manifest", _manifest_file(t), "--homophilies", "0.5,1.5"),
+     "target_homophily must lie in [0, 1]"),
+    (lambda t: ("train", "--manifest", _manifest_file(t, lambda m: m.update(seeds=[0, -1]))),
+     "seed must be a nonnegative integer, not -1"),
+    (lambda t: ("train", "--manifest", _manifest_file(t, lambda m: m.update(seeds=[0, 1.5]))),
+     "seed must be a nonnegative integer, not 1.5"),
+    (lambda t: ("train", "--manifest",
+                _manifest_file(t, lambda m: m["privacy"].update(epsilons=[0]))),
+     "epsilon_target must be positive"),
+    (lambda t: ("train", "--manifest", _manifest_file(t, lambda m: m["privacy"].update(delta=0))),
+     "delta must lie in (0, 1)"),
+    (lambda t: ("train", "--manifest",
+                _manifest_file(t, lambda m: m.update(dataset={"csv": _bad_csv(t)}))),
+     "non-numeric value 'x' at row 2, column 1"),
 ], ids=["prefix-flag", "odd-nodes", "missing-manifest", "bad-csv", "missing-results",
-        "unknown-block-key", "no-audit-block", "epsilon-nan", "epsilon-negative"])
+        "unknown-block-key", "no-audit-block", "epsilon-nan", "epsilon-negative",
+        "grid-odd-nodes", "sweep-homophily-out-of-range", "grid-negative-seed",
+        "grid-fractional-seed", "grid-zero-epsilon", "grid-zero-delta", "grid-bad-csv"])
 def test_cli_rejected_input_is_usage_error(tmp_path, capsys, make_argv, message):
     # every subcommand reports a rejected flag, value, file or manifest the
-    # same way: exit code 2 and the message on stderr, no traceback
+    # same way: exit code 2 and the message on stderr, no traceback, and
+    # nothing written
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, *make_argv(tmp_path))
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: " in err and message in err and "Traceback" not in err
+    assert not (tmp_path / "res").exists()
 
 
 def test_cli_calibrate_json(capsys):
@@ -609,6 +625,8 @@ def test_cli_gen_synthetic_default_separation(tmp_path, capsys):
     args = build_parser().parse_args(["gen-synthetic"])
     names = [f.name for f in dataclasses.fields(dg.SyntheticSpec)]
     assert dg.SyntheticSpec(**{name: getattr(args, name) for name in names}) == dg.SyntheticSpec()
+    args = build_parser().parse_args(["build-graph", "--features", "x", "--labels", "y"])
+    assert {"k": args.k, "metric": args.metric} == ExperimentManifest(dataset={"csv": {}}).graph
     spec = dg.SubgraphSpec()
     for command in (("accountant", "--sigma", "1"), ("calibrate", "--epsilon", "5")):
         args = build_parser().parse_args([*command, "--n-train", "100", "-T", "6"])
