@@ -193,6 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help", "--"):
+        # argparse would name the flag's value as an invalid subcommand
+        flag = argv[0].partition("=")[0]
+        parser.error(f"{flag} is given before the subcommand; flags go after the "
+                     f"subcommand's name, as in 'dpgraphlab COMMAND {flag} ...'")
     args = parser.parse_args(argv)
     try:
         return args.func(args)

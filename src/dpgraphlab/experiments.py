@@ -20,16 +20,16 @@ import os
 import tempfile
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .accounting import PrivacySpec, SubgraphSpec, recommend_delta
+from .attacks import MIN_SHADOWS_EACH_SIDE
 from .attacks import audit as run_audit
-from .graphs import (PopulationGraph, SplitSpec, assign_splits, build_knn_graph, edge_homophily,
-                     load_csv)
+from .graphs import (PopulationGraph, SplitSpec, _split_counts, assign_splits, build_knn_graph,
+                     edge_homophily, load_csv)
 from .synthetic import SyntheticSpec, generate_synthetic
 from .training import TrainConfig, _evaluate, train
 
@@ -138,8 +138,10 @@ class ExperimentManifest:
             if not self.privacy or not self.privacy.get("epsilons"):
                 raise ManifestError("'dp' variant requires a privacy block with a nonempty epsilon list")
         # the dataset, split, seed and spec values a cell reads: bad ones fail the load
+        n_train = None  # a CSV dataset's is known once run() has built its graphs
         if "synthetic" in self.dataset:
-            SyntheticSpec(**self.dataset["synthetic"])
+            num_nodes = SyntheticSpec(**self.dataset["synthetic"]).num_nodes
+            n_train = int(_split_counts(num_nodes, _split_spec(self, 0))[0])
         for seed in self.seeds:  # a seed reaches only default_rng, which takes an int >= 0
             split_seed = _split_spec(self, seed).seed
             for name, value in (("seed", seed), ("split seed plus seed", split_seed)):
@@ -149,6 +151,13 @@ class ExperimentManifest:
             config = config_for_variant(self, variant, seed)
             # n_train (1 here) sets only an absent delta, whose default is in range
             spec_for_cell(self, variant, epsilon, 1, config.num_layers)
+        if n_train is not None:
+            _check_dp_sizes(self, n_train)
+        n_shadows = (self.audit or {}).get("n_shadows")
+        if n_shadows is not None and (type(n_shadows) is not int
+                                      or n_shadows < 2 * MIN_SHADOWS_EACH_SIDE):
+            raise ManifestError(f"audit n_shadows must be an integer >= "
+                                f"{2 * MIN_SHADOWS_EACH_SIDE}, not {n_shadows!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentManifest":
@@ -245,6 +254,19 @@ def spec_for_cell(manifest: ExperimentManifest, variant: str, epsilon, n_train: 
     if variant in ("clipping", "subgraph_clip") and "clip_norm" in privacy:
         knobs["clip_norm"] = privacy["clip_norm"]
     return SubgraphSpec(hops=num_layers, **knobs)
+
+
+def _check_dp_sizes(manifest: ExperimentManifest, n_train: int) -> None:
+    """A DP cell draws batch_size of its n_train subgraphs, and its
+    accountant needs the occurrence bound T <= n_train."""
+    if "dp" not in manifest.variants:
+        return
+    config = config_for_variant(manifest, "dp", manifest.seeds[0])
+    spec = spec_for_cell(manifest, "dp", manifest.privacy["epsilons"][0], 1, config.num_layers)
+    for name, value in (("batch_size", spec.batch_size),
+                        ("occurrence_bound", spec.effective_occurrence_bound)):
+        if value > n_train:
+            raise ManifestError(f"DP {name}={value} exceeds n_train={n_train}")
 
 
 def _cell_name(variant: str, epsilon, seed: int) -> str:
@@ -360,10 +382,16 @@ def run(manifest: ExperimentManifest, out_dir=None, threads: int = 1,
     written, and a build error propagates.
     """
     graphs = {seed: build_graph_for_cell(manifest, seed) for seed in dict.fromkeys(manifest.seeds)}
+    for graph in graphs.values():
+        _check_dp_sizes(manifest, int(graph.train_mask.sum()))
     out = Path(out_dir if out_dir is not None else manifest.output_dir)
     (out / "cells").mkdir(parents=True, exist_ok=True)
     packed = [(manifest, v, e, s, do_audit, graphs[s]) for v, e, s in grid_cells(manifest)]
     if threads > 1:
+        # imported here: the process pool loads multiprocessing, which only a
+        # threaded grid needs, and every CLI command imports this module
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_cell_packed, packed))
     else:

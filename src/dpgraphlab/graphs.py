@@ -284,9 +284,9 @@ def node_homophily(graph: PopulationGraph) -> float:
     return float((per_node[active] / deg[active]).mean())
 
 
-def assign_splits(graph: PopulationGraph, spec: SplitSpec) -> PopulationGraph:
-    """Seeded uniform shuffle partitioned by fractions (largest-remainder rounding)."""
-    n = graph.num_nodes
+def _split_counts(n: int, spec: SplitSpec) -> np.ndarray:
+    """The train, val and test sizes of n nodes: the fractions' shares,
+    rounded by largest remainder."""
     fracs = np.array([spec.train_fraction, spec.val_fraction, spec.test_fraction])
     exact = fracs * n
     counts = np.floor(exact).astype(int)
@@ -294,6 +294,13 @@ def assign_splits(graph: PopulationGraph, spec: SplitSpec) -> PopulationGraph:
     if remainder:
         order = np.argsort(-(exact - counts), kind="stable")
         counts[order[:remainder]] += 1
+    return counts
+
+
+def assign_splits(graph: PopulationGraph, spec: SplitSpec) -> PopulationGraph:
+    """Seeded uniform shuffle partitioned by fractions (largest-remainder rounding)."""
+    n = graph.num_nodes
+    counts = _split_counts(n, spec)
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n)
     masks = []

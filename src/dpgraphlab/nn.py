@@ -76,6 +76,13 @@ optimizer has consumed by then.
 The public functions (:func:`gcn_forward`, :func:`loss_and_grad`,
 :func:`subgraph_batch_gradients`) build a workspace per call, so what they
 return is never overwritten by a later call.
+
+``scipy.sparse`` is imported inside :func:`normalize_adjacency`, the one
+place that builds a sparse matrix; every later product and slice goes
+through the CSR object's own methods.  The import is most of what loading
+the package would otherwise cost, so ``import dpgraphlab`` and the CLI
+commands that build no adjacency load numpy only, and the first adjacency
+build pays for scipy.
 """
 
 from __future__ import annotations
@@ -84,7 +91,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import PopulationGraph
 
@@ -217,6 +223,8 @@ class ForwardContext:
 
 def normalize_adjacency(graph: PopulationGraph) -> ForwardContext:
     """Symmetric normalization with self-loops: D^{-1/2} (A + I) D^{-1/2}."""
+    import scipy.sparse as sp  # imported here: see the module docstring
+
     n = graph.num_nodes
     deg = graph.degrees() + 1.0  # self-loop guarantees positive degree
     inv_sqrt = 1.0 / np.sqrt(deg)

@@ -525,6 +525,14 @@ def _bad_csv(tmp_path):
     return {"features": str(tmp_path / "x.csv"), "labels": str(tmp_path / "y.csv")}
 
 
+def _small_csv(tmp_path):
+    """A valid 10-row, two-class features CSV and its labels."""
+    rows = np.arange(20.0).reshape(10, 2) % 7
+    np.savetxt(tmp_path / "x10.csv", rows, delimiter=",")
+    np.savetxt(tmp_path / "y10.csv", np.arange(10) % 2, fmt="%d")
+    return {"features": str(tmp_path / "x10.csv"), "labels": str(tmp_path / "y10.csv")}
+
+
 def _manifest_file(tmp_path, edit=lambda manifest: None):
     """A 60-node, two-seed non_dp + dp grid writing to tmp_path / "res", as a
     JSON file, after ``edit`` has changed its dict in place."""
@@ -537,7 +545,10 @@ def _manifest_file(tmp_path, edit=lambda manifest: None):
 
 
 @pytest.mark.parametrize("make_argv,message", [
-    (lambda t: ("--manifest", _manifest_file(t), "train"), "invalid choice"),
+    (lambda t: ("--manifest", _manifest_file(t), "train"),
+     "--manifest is given before the subcommand; flags go after the subcommand's name"),
+    (lambda t: ("--seed=3", "gen-synthetic", "--out", str(t / "res")),
+     "--seed is given before the subcommand"),
     (lambda t: ("gen-synthetic", "--nodes", "7", "--out", str(t / "g")),
      "num_nodes must be even"),
     (lambda t: ("train", "--manifest", str(t / "missing.json")), "missing.json"),
@@ -570,10 +581,27 @@ def _manifest_file(tmp_path, edit=lambda manifest: None):
     (lambda t: ("train", "--manifest",
                 _manifest_file(t, lambda m: m.update(dataset={"csv": _bad_csv(t)}))),
      "non-numeric value 'x' at row 2, column 1"),
-], ids=["prefix-flag", "odd-nodes", "missing-manifest", "bad-csv", "missing-results",
+    # a DP cell's batch and occurrence bound must fit n_train: 30 of the
+    # 60-node synthetic graph, known when the manifest loads, and 5 of a
+    # 10-row CSV, known once its graphs are built
+    (lambda t: ("train", "--manifest",
+                _manifest_file(t, lambda m: m["privacy"].update(batch_size=64))),
+     "DP batch_size=64 exceeds n_train=30"),
+    (lambda t: ("sweep", "--manifest",
+                _manifest_file(t, lambda m: m["privacy"].update(occurrence_bound=31))),
+     "DP occurrence_bound=31 exceeds n_train=30"),
+    (lambda t: ("train", "--manifest",
+                _manifest_file(t, lambda m: m.update(dataset={"csv": _small_csv(t)}))),
+     "DP batch_size=8 exceeds n_train=5"),
+    (lambda t: ("audit", "--manifest",
+                _manifest_file(t, lambda m: m.update(audit={"n_shadows": 8}))),
+     "audit n_shadows must be an integer >= 16, not 8"),
+], ids=["prefix-flag", "prefix-flag-with-value", "odd-nodes", "missing-manifest", "bad-csv", "missing-results",
         "unknown-block-key", "no-audit-block", "epsilon-nan", "epsilon-negative",
         "grid-odd-nodes", "sweep-homophily-out-of-range", "grid-negative-seed",
-        "grid-fractional-seed", "grid-zero-epsilon", "grid-zero-delta", "grid-bad-csv"])
+        "grid-fractional-seed", "grid-zero-epsilon", "grid-zero-delta", "grid-bad-csv",
+        "grid-dp-batch-above-n-train", "sweep-dp-occurrence-bound-above-n-train",
+        "grid-csv-dp-batch-above-n-train", "audit-too-few-shadows"])
 def test_cli_rejected_input_is_usage_error(tmp_path, capsys, make_argv, message):
     # every subcommand reports a rejected flag, value, file or manifest the
     # same way: exit code 2 and the message on stderr, no traceback, and
