@@ -78,9 +78,11 @@ class SubgraphSpec:
         if not (self.max_degree >= 1 and self.hops >= 1):
             raise ValueError("max_degree and hops must be >= 1")
         if self.occurrence_bound is not None and not self.occurrence_bound >= 1:
-            raise ValueError("occurrence_bound must be >= 1")
-        if not (self.batch_size >= 1 and self.total_steps >= 0):
-            raise ValueError("batch_size must be >= 1 and total_steps >= 0")
+            raise ValueError("occurrence_bound T must be >= 1")
+        if not self.batch_size >= 1:
+            raise ValueError("batch_size m must be >= 1")
+        if not self.total_steps >= 0:
+            raise ValueError(f"steps must be nonnegative, got total_steps={self.total_steps}")
 
     @property
     def effective_occurrence_bound(self) -> int:
@@ -305,6 +307,24 @@ def calibrate_sigma(epsilon_target: float, delta: float, steps: int, N: int, T: 
         else:
             lo = mid
     return hi
+
+
+def _privacy_claim(spec: SubgraphSpec, n_train: int, delta: float, sigma: float | None = None,
+                   epsilon_target: float | None = None) -> tuple[dict, AccountantState]:
+    """The DP claim of ``spec`` on ``n_train`` subgraphs: its record, at
+    ``spec.total_steps``, and the accountant that training's log composes at
+    each logged step.  ``sigma`` None is solved for at ``epsilon_target``;
+    a given sigma is checked, and a given ``epsilon_target`` only echoed."""
+    T, m, steps = spec.effective_occurrence_bound, spec.batch_size, spec.total_steps
+    if sigma is None:
+        sigma = calibrate_sigma(epsilon_target, delta, steps, n_train, T, m)
+    elif epsilon_target is not None:
+        _check_epsilon(epsilon_target)
+    accountant = make_accountant(sigma, n_train, T, m)
+    eps, order = compose_and_convert(accountant, steps, delta, return_order=True)
+    return {"epsilon_target": epsilon_target, "delta": delta, "sigma": sigma,
+            "clip_norm": spec.clip_norm, "K": spec.max_degree, "T": T, "m": m, "steps": steps,
+            "epsilon_spent": eps, "order_argmin": order}, accountant
 
 
 def supremum_power(epsilon: float, delta: float, fpr, tight: bool = False):

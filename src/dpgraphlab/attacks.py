@@ -86,6 +86,12 @@ def train_shadows(graph: PopulationGraph, config: TrainConfig,
         raise AuditSetupError("graph has no train/test nodes to audit")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     membership = _draw_membership(n_shadows, pool.size, rng)
+    if isinstance(spec, PrivacySpec):  # a shadow's accountant needs m, T <= its n_train
+        smallest = int(membership.sum(axis=1).min())
+        m, T = spec.batch_size, spec.effective_occurrence_bound
+        if smallest < max(m, T):
+            raise AuditSetupError(f"the smallest shadow train set has {smallest} IN nodes, "
+                                  f"fewer than the DP batch size m={m} or occurrence bound T={T}")
     seeds = np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(n_shadows)
 
     phi = np.empty((n_shadows, pool.size))

@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .accounting import (SubgraphSpec, _check_epsilon, calibrate_sigma, compose_and_convert,
-                         make_accountant, recommend_delta, supremum_power)
+from .accounting import SubgraphSpec, _privacy_claim, recommend_delta, supremum_power
 from .experiments import (GRAPH_DEFAULTS, SCHEMA_VERSION, ExperimentManifest, ManifestError,
                           report, run, sweep_homophily)
 from .graphs import (CsvParseError, IngestionError, build_knn_graph, graph_stats, load_csv,
@@ -81,32 +80,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_accountant(args) -> int:
-    """Print the JSON record of ``accountant`` and ``calibrate``, which solves for sigma."""
-    spec = SubgraphSpec(clip_norm=args.clip_norm, max_degree=args.max_degree)  # checks C and K
+    """Print the claim record that DP training logs from: ``accountant`` at
+    a given sigma, ``calibrate`` at the sigma it solves for."""
+    spec = SubgraphSpec(clip_norm=args.clip_norm, max_degree=args.max_degree,
+                        occurrence_bound=args.occurrence_bound, batch_size=args.batch_size,
+                        total_steps=args.steps)
     delta = args.delta if args.delta is not None else recommend_delta(args.n_train)
-    if args.command == "calibrate":
-        sigma = calibrate_sigma(args.epsilon, delta, args.steps, args.n_train,
-                                args.occurrence_bound, args.batch_size)
-    else:
-        sigma = args.sigma
-    if args.epsilon is not None:
-        _check_epsilon(args.epsilon)
-    state = make_accountant(sigma, args.n_train, args.occurrence_bound, args.batch_size)
-    eps, order = compose_and_convert(state, args.steps, delta, return_order=True)
-    payload = {
-        "epsilon_target": args.epsilon,
-        "delta": delta,
-        "sigma": sigma,
-        "clip_norm": spec.clip_norm,
-        "K": spec.max_degree,
-        "T": args.occurrence_bound,
-        "m": args.batch_size,
-        "steps": args.steps,
-        "epsilon_spent": eps,
-        "order_argmin": order,
-    }
+    payload, _ = _privacy_claim(spec, args.n_train, delta, args.sigma, args.epsilon)
     if args.command == "accountant" and args.fpr:
-        eps_for_power = args.epsilon if args.epsilon is not None else eps
+        eps_for_power = args.epsilon if args.epsilon is not None else payload["epsilon_spent"]
         payload["supremum_power"] = {
             f"{f:g}": supremum_power(eps_for_power, delta, f, tight=args.tight)
             for f in (float(x) for x in args.fpr.split(","))
@@ -183,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="solve for the noise multiplier at an epsilon target")
     p.add_argument("--epsilon", type=float, required=True, help="epsilon target")
     _add_accountant_args(p)
-    p.set_defaults(func=cmd_accountant)
+    p.set_defaults(func=cmd_accountant, sigma=None)
 
     p = sub.add_parser("report", help="merge result cells into tables")
     p.add_argument("--results", required=True)

@@ -269,9 +269,12 @@ def _check_dp_sizes(manifest: ExperimentManifest, n_train: int) -> None:
             raise ManifestError(f"DP {name}={value} exceeds n_train={n_train}")
 
 
-def _cell_name(variant: str, epsilon, seed: int) -> str:
+def _cell_head(manifest: ExperimentManifest, variant: str, epsilon, seed: int) -> dict:
+    """The fields of a cell's JSON that name it, whether it ran or failed."""
     eps_part = f"_eps{epsilon:g}" if epsilon is not None else ""
-    return f"{variant}{eps_part}_seed{seed}"
+    return {"schema_version": SCHEMA_VERSION, "manifest_hash": manifest.hash(),
+            "cell": f"{variant}{eps_part}_seed{seed}", "variant": variant, "epsilon": epsilon,
+            "seed": seed}
 
 
 def run_cell(manifest: ExperimentManifest, variant: str, epsilon, seed: int,
@@ -292,12 +295,7 @@ def run_cell(manifest: ExperimentManifest, variant: str, epsilon, seed: int,
         masks.append(graph.val_mask)
     accs = _evaluate(graph, params, masks)
     cell = {
-        "schema_version": SCHEMA_VERSION,
-        "manifest_hash": manifest.hash(),
-        "cell": _cell_name(variant, epsilon, seed),
-        "variant": variant,
-        "epsilon": epsilon,
-        "seed": seed,
+        **_cell_head(manifest, variant, epsilon, seed),
         "test_acc": accs[0],
         "train_acc": accs[1],
         "val_acc": accs[2] if len(accs) > 2 else None,
@@ -317,7 +315,7 @@ def run_cell(manifest: ExperimentManifest, variant: str, epsilon, seed: int,
             params, graph, config,
             seed=seed + audit_cfg.get("seed_offset", 10_000),
             dp=spec,
-            model_variant=_cell_name(variant, epsilon, seed),
+            model_variant=cell["cell"],
             **given,
         )
         cell["audit"] = report.to_json()
@@ -331,16 +329,9 @@ def _run_cell_packed(args):
     try:
         return run_cell(manifest, variant, epsilon, seed, do_audit, graph=graph)
     except Exception as exc:  # cell failures must not kill the grid
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "manifest_hash": manifest.hash(),
-            "cell": _cell_name(variant, epsilon, seed),
-            "variant": variant,
-            "epsilon": epsilon,
-            "seed": seed,
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": "".join(traceback.format_exception(type(exc), exc, exc.__traceback__)),
-        }
+        trace = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+        return {**_cell_head(manifest, variant, epsilon, seed),
+                "error": f"{type(exc).__name__}: {exc}", "traceback": trace}
 
 
 def grid_cells(manifest: ExperimentManifest) -> list[tuple]:
@@ -430,14 +421,20 @@ def sweep_homophily(manifest: ExperimentManifest, homophilies, out_dir=None,
 
     Output CSV rows: homophily, variant, epsilon, mean_acc, std_acc.  A trend
     summary reports the per-seed Spearman correlation between homophily and
-    DP accuracy for each epsilon.  Every level is checked before the first runs.
+    DP accuracy for each epsilon.  Every level is checked before the first
+    runs; two levels whose ``h{h:g}`` directories coincide are rejected.
     """
     if "synthetic" not in manifest.dataset:
         raise ManifestError("sweep_homophily requires a synthetic dataset source")
     out = Path(out_dir if out_dir is not None else manifest.output_dir)
+    homophilies = list(homophilies)  # any iterable; trend.json lists it again
     synth = manifest.dataset["synthetic"]
     levels = [(h, replace(manifest, dataset={"synthetic": {**synth, "target_homophily": h}},
                           output_dir=str(out / f"h{h:g}"))) for h in homophilies]
+    dirs = [Path(sub.output_dir).name for _, sub in levels]
+    twice = [name for i, name in enumerate(dirs) if name in dirs[:i]]
+    if twice:
+        raise ValueError(f"homophily levels {homophilies} share the level directory {twice[0]}")
     out.mkdir(parents=True, exist_ok=True)
     long_rows = []
     per_seed_acc: dict[tuple, dict[float, float]] = {}
@@ -496,51 +493,59 @@ def report(results_dir) -> dict:
     """Merge cell JSONs under a results directory into tables.
 
     Produces a plain-text rendering plus aggregate rows, and a
-    bound-vs-empirical TPR comparison for audited DP cells.  Corrupt or
-    unreadable cell files are listed; the report is still produced.
+    bound-vs-empirical TPR comparison for audited DP cells.  A grid is a
+    directory holding ``cells/``; no row pools two grids, and when the cells
+    come from more than one (a sweep's levels), each row and table starts
+    with its grid's path under ``results_dir``.  Corrupt or unreadable cell
+    files are listed; the report is still produced.
     """
     results_dir = Path(results_dir)
     if not results_dir.is_dir():
         raise FileNotFoundError(f"no results directory {str(results_dir)!r}")
     cell_files = sorted(results_dir.glob("**/cells/*.json"))
-    cells, corrupt = [], []
+    grids, corrupt = {}, []  # grids: a grid's path -> its cells
     for path in cell_files:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                cells.append(json.load(fh))
+                cell = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             corrupt.append({"file": str(path), "error": str(exc)})
-    rows = aggregate(cells)
+            continue
+        grids.setdefault(path.parent.parent.relative_to(results_dir).as_posix(), []).append(cell)
+    # rows name their grid, in a leading column, only when there are several
+    width = max(map(len, grids)) + 2 if len(grids) > 1 else 0
+    grid_col, grid_field = f"{'grid' if width else '':<{width}}", "grid," if width else ""
+    rows, bound_rows = [], []
+    for grid in sorted(grids):
+        tag = {"grid": grid} if width else {}
+        rows += [{**tag, **row} for row in aggregate(grids[grid])]
+        for cell in grids[grid]:
+            audit_block = cell.get("audit")
+            if not audit_block or "supremum_power" not in audit_block:
+                continue
+            for fpr, power in sorted(audit_block["supremum_power"].items(),
+                                     key=lambda kv: float(kv[0])):
+                bound_rows.append({**tag, "cell": cell["cell"], "epsilon": cell["epsilon"],
+                                   "fpr": float(fpr), "tpr": audit_block["tpr"][fpr],
+                                   "supremum_power": power})
 
     lines = []
-    if not cells and not corrupt:
+    if not grids and not corrupt:
         lines.append("no result cells found")
     if rows:
-        lines.append(f"{'variant':<14}{'epsilon':>8}  {'test acc (mean +/- std)':<26}{'seeds':>5}")
+        lines.append(f"{grid_col}{'variant':<14}{'epsilon':>8}  "
+                     f"{'test acc (mean +/- std)':<26}{'seeds':>5}")
         for r in rows:
             eps = "-" if r["epsilon"] is None else f"{r['epsilon']:g}"
-            lines.append(f"{r['variant']:<14}{eps:>8}  "
+            lines.append(f"{r.get('grid', ''):<{width}}{r['variant']:<14}{eps:>8}  "
                          f"{100 * r['mean_acc']:.2f} +/- {100 * r['std_acc']:.2f}"
                          f"{'':<8}{r['n_seeds']:>5}")
-
-    bound_rows = []
-    for cell in cells:
-        audit_block = cell.get("audit")
-        if not audit_block or "supremum_power" not in audit_block:
-            continue
-        for fpr, power in sorted(audit_block["supremum_power"].items(), key=lambda kv: float(kv[0])):
-            bound_rows.append({
-                "cell": cell["cell"],
-                "epsilon": cell["epsilon"],
-                "fpr": float(fpr),
-                "tpr": audit_block["tpr"][fpr],
-                "supremum_power": power,
-            })
     if bound_rows:
         lines.append("")
-        lines.append(f"{'cell':<24}{'fpr':>8}{'tpr':>10}{'power bound':>13}")
+        lines.append(f"{grid_col}{'cell':<24}{'fpr':>8}{'tpr':>10}{'power bound':>13}")
         for r in bound_rows:
-            lines.append(f"{r['cell']:<24}{r['fpr']:>8g}{r['tpr']:>10.4f}{r['supremum_power']:>13.4f}")
+            lines.append(f"{r.get('grid', ''):<{width}}{r['cell']:<24}{r['fpr']:>8g}"
+                         f"{r['tpr']:>10.4f}{r['supremum_power']:>13.4f}")
     if corrupt:
         lines.append("")
         lines.append(f"unreadable cell files: {len(corrupt)}")
@@ -549,8 +554,8 @@ def report(results_dir) -> dict:
 
     text = "\n".join(lines) + "\n"
     _atomic_write(results_dir / "report.txt", text)
-    _write_csv(results_dir / "report.csv", AGGREGATE_COLUMNS, rows)
+    _write_csv(results_dir / "report.csv", grid_field + AGGREGATE_COLUMNS, rows)
     if bound_rows:
         _write_csv(results_dir / "bound_vs_empirical.csv",
-                   "cell,epsilon:g,fpr:g,tpr:.6f,supremum_power:.6f", bound_rows)
+                   grid_field + "cell,epsilon:g,fpr:g,tpr:.6f,supremum_power:.6f", bound_rows)
     return {"text": text, "aggregate": rows, "bound_rows": bound_rows, "corrupt": corrupt}

@@ -11,11 +11,12 @@ and steps; ``SubgraphSpec(hops=config.num_layers)`` when none is given):
     subg. + clip    subgraph_batch, clipping, a SubgraphSpec
     DP              subgraph_batch, clipping, noise, a PrivacySpec
 
-Each source returns one (loss, update, logits) per step; :func:`train`
-owns the optimizer, evaluation, log and checkpoint.  DP runs calibrate (or
-validate) the noise multiplier against the accountant before the first
-step, log spent epsilon and sigma in place of accuracy, and release the
-final iterate rather than a checkpoint selected on private labels.
+A source returns (steps, eval interval, iterator of per-step (loss,
+update, logits)); :func:`train` owns the optimizer, evaluation, log and
+checkpoint.  A DP run first builds its claim (sigma and its accountant),
+runs the subgraph source at that sigma, logs the accountant's epsilon and
+sigma in place of accuracy, and releases the final iterate, not a
+checkpoint chosen on private labels.
 
 Each source builds one step workspace (:mod:`dpgraphlab.nn`) per training,
 so a step's gradient is a buffer that the next step overwrites; the
@@ -32,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import (OCCURRENCE_SENSITIVITY, CalibrationError, PrivacySpec, SubgraphSpec,
-                         calibrate_sigma, clip, compose_and_convert, make_accountant,
-                         noisy_batch_gradient)
+                         _privacy_claim, clip, compose_and_convert, noisy_batch_gradient)
 from .graphs import PopulationGraph
 from .nn import (ModelParams, _masked_loss_grad_and_logits, _StepWorkspace, gcn_forward,
                  init_gcn, init_mlp, normalize_adjacency, subgraph_batch_gradients)
@@ -187,7 +187,15 @@ def train(graph: PopulationGraph, config: TrainConfig,
 
     params = _init_model(graph, config)
     best = None  # (params of the best validation accuracy so far, that accuracy)
-    if not dp:
+    sigma = 0.0  # the accountant's noise multiplier; 0.0 outside DP
+    if dp:  # the claim settles sigma and the budget before any sampling
+        claim, accountant = _privacy_claim(spec, int(graph.train_mask.sum()), spec.delta,
+                                           spec.noise_multiplier, spec.epsilon_target)
+        sigma, spent = claim["sigma"], claim["epsilon_spent"]
+        if spent > spec.epsilon_target * (1.0 + 1e-9):
+            raise CalibrationError(f"epsilon budget infeasible: sigma={sigma} spends {spent:.4g} "
+                                   f"over {spec.total_steps} steps, target {spec.epsilon_target}")
+    else:
         ctx = normalize_adjacency(graph)
         has_val = bool(graph.val_mask.any())
         # the train rows, then the val rows: the rows of the full-graph
@@ -197,9 +205,9 @@ def train(graph: PopulationGraph, config: TrainConfig,
         if has_val:
             best = (params.clone(), -1.0)
     if config.mode == "full_graph":
-        steps, every, gradients, privacy = _full_graph_source(graph, config, spec, ctx, params)
+        steps, every, gradients = _full_graph_source(graph, config, spec, ctx, params)
     else:
-        steps, every, gradients, privacy = _subgraph_source(graph, config, spec, params)
+        steps, every, gradients = _subgraph_source(graph, config, spec, sigma, params)
 
     lr = config.learning_rate
     optimizer = _Adam(lr) if config.optimizer == "adam" else _Sgd(lr)
@@ -209,7 +217,8 @@ def train(graph: PopulationGraph, config: TrainConfig,
         nonlocal best
         entry = {"step": step, "loss": loss}
         if dp:  # the accountant's fields; no evaluation, no selection
-            entry.update(privacy(step))
+            entry.update(epsilon_spent=compose_and_convert(accountant, step, spec.delta),
+                         sigma=sigma)
         else:
             if logits is None:
                 logits = gcn_forward(ctx, params)[eval_rows]
@@ -254,8 +263,7 @@ def _checkpoint(best, params, val_acc):
 
 
 # A gradient source returns (steps, eval interval, endless iterator of
-# per-step (loss, update, logits) at the current params, a DP run's
-# accountant fields for a step or None outside DP).  The full-graph
+# per-step (loss, update, logits) at the current params).  The full-graph
 # source's logits are those of the forward pass its gradient ran, which
 # computes the last layer on the train rows (the loss) and then the val
 # rows only, so one forward serves both the step's gradient and the
@@ -277,41 +285,19 @@ def _full_graph_source(graph, config, spec, ctx, params):
             loss, grad, logits = _masked_loss_grad_and_logits(ws, adj, x)
             yield loss, clip(grad, spec.clip_norm) if config.clipping else grad, logits
 
-    return config.epochs, config.eval_every or 1, gradients(), None
+    return config.epochs, config.eval_every or 1, gradients()
 
 
-def _subgraph_source(graph, config, spec: SubgraphSpec, params):
-    """DP runs calibrate sigma if unset and check the budget before any sampling."""
-    steps, batch_size = spec.total_steps, spec.batch_size
-    occurrence_bound = spec.effective_occurrence_bound
-    sigma, privacy = 0.0, None
-    if isinstance(spec, PrivacySpec):
-        n_train = int(graph.train_mask.sum())
-        if batch_size > n_train:
-            raise ValueError(f"batch_size={batch_size} exceeds n_train={n_train}")
-        sigma = spec.noise_multiplier
-        if sigma is None:
-            sigma = calibrate_sigma(spec.epsilon_target, spec.delta, steps, n_train,
-                                    occurrence_bound, batch_size)
-        accountant = make_accountant(sigma, n_train, occurrence_bound, batch_size)
-        total_eps = compose_and_convert(accountant, steps, spec.delta)
-        if total_eps > spec.epsilon_target * (1.0 + 1e-9):
-            raise CalibrationError(
-                f"epsilon budget infeasible: sigma={sigma} spends {total_eps:.4g} "
-                f"over {steps} steps, target {spec.epsilon_target}"
-            )
-
-        def privacy(step):
-            return {"epsilon_spent": compose_and_convert(accountant, step, spec.delta),
-                    "sigma": sigma}
-
+def _subgraph_source(graph, config, spec: SubgraphSpec, sigma: float, params):
+    """Batches of ``spec``, with noise of the accountant's ``sigma`` (0.0
+    outside DP) when clipping."""
     sampler_rng = _stream(config.seed, 1)
     batch_rng = _stream(config.seed, 2)
     noise_rng = _stream(config.seed, 3)
-    subgraphs = sample_training_subgraphs(graph, spec.max_degree, spec.hops, occurrence_bound,
-                                          sampler_rng)
+    subgraphs = sample_training_subgraphs(graph, spec.max_degree, spec.hops,
+                                          spec.effective_occurrence_bound, sampler_rng)
     store = SubgraphStore(graph, subgraphs, params.layers)
-    batch_size = min(batch_size, len(store))
+    batch_size = min(spec.batch_size, len(store))
     ws = _StepWorkspace(params, batch=(batch_size,))
     # the accountant's sigma is in units of Delta = OCCURRENCE_SENSITIVITY * C
     noise_multiplier = sigma * OCCURRENCE_SENSITIVITY
@@ -328,7 +314,7 @@ def _subgraph_source(graph, config, spec: SubgraphSpec, params):
                 update = grads.mean(axis=0)
             yield float(losses.sum() / losses.size), update, None
 
-    return steps, config.eval_every or 50, gradients(), privacy
+    return spec.total_steps, config.eval_every or 50, gradients()
 
 
 def write_training_log(log: list[dict], path) -> None:

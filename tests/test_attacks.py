@@ -261,3 +261,24 @@ def test_binomial_half_width():
     assert binomial_half_width(0.5, 100) == pytest.approx(1.96 * 0.05)
     assert binomial_half_width(0.0, 100) == 0.0
     assert binomial_half_width(1.0, 50) == 0.0
+
+
+def test_dp_shadows_smaller_than_the_batch_fail_before_any_shadow_trains(monkeypatch):
+    # every shadow's accountant needs m and T <= its IN count; a shadow below
+    # either fails the audit's setup, not a training halfway through it
+    from dpgraphlab import attacks
+
+    g = small_graph(n=60)
+    dp = dg.PrivacySpec(epsilon_target=10.0, delta=1e-3, max_degree=3, occurrence_bound=7,
+                        batch_size=22, total_steps=8)
+    cfg = dg.TrainConfig(mode="subgraph_batch", clipping=True, noise=True, hidden_dim=8)
+    pool = np.flatnonzero(g.train_mask | g.test_mask)
+    rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,)))
+    smallest = int(attacks._draw_membership(16, pool.size, rng).sum(axis=1).min())
+    assert smallest < 22 <= int(g.train_mask.sum())
+    trained = []
+    monkeypatch.setattr(attacks, "train", lambda *args: trained.append(args))
+    with pytest.raises(dg.AuditSetupError,
+                       match=f"has {smallest} IN nodes, .* m=22 or occurrence bound T=7"):
+        dg.train_shadows(g, cfg, dp, n_shadows=16, seed=3)
+    assert trained == []

@@ -297,7 +297,7 @@ def test_spearman_hand_values():
 
 def test_sweep_homophily_outputs(tmp_path):
     manifest = tiny_manifest(tmp_path / "res", variants=("non_dp",), seeds=(0,))
-    out = sweep_homophily(manifest, [0.6, 0.9])
+    out = sweep_homophily(manifest, (h for h in (0.6, 0.9)))  # any iterable of levels
     sweep_csv = (tmp_path / "res" / "sweep.csv").read_text().strip().split("\n")
     assert sweep_csv[0] == "homophily,variant,epsilon,mean_acc,std_acc"
     assert len(sweep_csv) == 3
@@ -400,6 +400,34 @@ def test_report_lists_corrupt_cells(tmp_path):
     assert len(out["aggregate"]) == 2  # partial report still produced
 
 
+def test_report_keeps_each_grid_of_a_sweep_apart(tmp_path):
+    # a sweep's levels are two grids on two graphs; a report over the sweep
+    # directory pools neither their rows nor their bound rows, and names the grid
+    manifest = tiny_manifest(tmp_path / "res", variants=("non_dp",))
+    sweep_homophily(manifest, [0.5, 0.9])
+    single = report(tmp_path / "res" / "h0.5")  # one grid: no grid column
+    out = report(tmp_path / "res")
+    assert [(r["grid"], r["variant"], r["n_seeds"]) for r in out["aggregate"]] == [
+        ("h0.5", "non_dp", 2), ("h0.9", "non_dp", 2)]
+    assert out["aggregate"][0] == {"grid": "h0.5", **single["aggregate"][0]}
+    csv_lines = (tmp_path / "res" / "report.csv").read_text().splitlines()
+    assert csv_lines[0] == "grid,variant,epsilon,mean_acc,std_acc,n_seeds"
+    assert [line.split(",")[0] for line in csv_lines[1:]] == ["h0.5", "h0.9"]
+    text = out["text"].splitlines()
+    assert text[0].startswith("grid  variant") and text[1].startswith("h0.5  non_dp")
+    assert text[1][len("h0.5  "):] == single["text"].splitlines()[1]
+    for level in ("h0.5", "h0.9"):  # the same bound row at each level stays two rows
+        cell = tmp_path / "res" / level / "cells" / "non_dp_seed0.json"
+        blob = json.loads(cell.read_text())
+        blob["audit"] = {"tpr": {"0.01": 0.5}, "supremum_power": {"0.01": 1.0}}
+        cell.write_text(json.dumps(blob))
+    out = report(tmp_path / "res")
+    assert [(r["grid"], r["cell"]) for r in out["bound_rows"]] == [
+        ("h0.5", "non_dp_seed0"), ("h0.9", "non_dp_seed0")]
+    assert (tmp_path / "res" / "bound_vs_empirical.csv").read_text().splitlines()[0] == (
+        "grid,cell,epsilon,fpr,tpr,supremum_power")
+
+
 def test_report_names_a_missing_results_directory(tmp_path):
     with pytest.raises(FileNotFoundError, match="no results directory .*missing"):
         report(tmp_path / "missing")
@@ -433,6 +461,29 @@ def test_cli_accountant_supremum_power(capsys):
     assert power["0.001"] == pytest.approx(0.1485, abs=5e-4)
     assert power["0.005"] == pytest.approx(0.7422, abs=5e-4)
     assert power["0.01"] == 1.0
+
+
+def test_one_claim_read_by_training_calibrate_and_accountant(capsys):
+    # the DP log, calibrate and accountant read one claim record: the
+    # calibrated sigma and epsilon spent of one spec and n_train agree to the bit
+    g = dg.assign_splits(dg.generate_synthetic(dg.SyntheticSpec(num_nodes=80, seed=0)),
+                         dg.SplitSpec(0.5, 0.2, 0.3, seed=1))
+    n_train = int(g.train_mask.sum())
+    dp = dg.PrivacySpec(epsilon_target=3.0, delta=1e-3, clip_norm=0.5, max_degree=3,
+                        occurrence_bound=4, batch_size=8, total_steps=30)
+    cfg = dg.TrainConfig(mode="subgraph_batch", clipping=True, noise=True, hidden_dim=8,
+                         eval_every=10)
+    _, log = dg.train(g, cfg, dp)
+    spec_args = ("--steps", "30", "--n-train", str(n_train), "-T", "4", "-m", "8", "-K", "3",
+                 "--clip-norm", "0.5", "--delta", "1e-3")
+    _, out = run_cli(capsys, "calibrate", "--epsilon", "3", *spec_args)
+    calibrated = json.loads(out)
+    assert (calibrated["sigma"], calibrated["epsilon_spent"]) == (
+        log[-1]["sigma"], log[-1]["epsilon_spent"])
+    _, out = run_cli(capsys, "accountant", "--sigma", repr(calibrated["sigma"]), *spec_args)
+    at_sigma = json.loads(out)
+    assert (at_sigma["epsilon_spent"], at_sigma["order_argmin"]) == (
+        calibrated["epsilon_spent"], calibrated["order_argmin"])
 
 
 def test_cli_accountant_rejects_zero_batch_size(capsys):
@@ -660,6 +711,21 @@ def test_cli_gen_synthetic_default_separation(tmp_path, capsys):
         args = build_parser().parse_args([*command, "--n-train", "100", "-T", "6"])
         assert (args.steps, args.batch_size, args.max_degree, args.clip_norm) == (
             spec.total_steps, spec.batch_size, spec.max_degree, spec.clip_norm)
+
+
+@pytest.mark.parametrize("levels,directory", [("0.5,0.5", "h0.5"), ("0.5,0.50", "h0.5"),
+                                              ("0.6,0.5,0.6000001", "h0.6")])
+def test_cli_sweep_rejects_levels_sharing_a_directory(tmp_path, capsys, levels, directory):
+    # two levels that write one h{h:g} directory are a usage error: exit 2,
+    # nothing written
+    manifest = tiny_manifest(tmp_path / "res", variants=("non_dp",), seeds=(0,)).to_dict()
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "sweep", "--manifest", str(tmp_path / "m.json"),
+                "--homophilies", levels)
+    assert exc.value.code == 2
+    assert f"share the level directory {directory}" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
 
 
 def test_cli_train_and_report(tmp_path, capsys):

@@ -597,7 +597,7 @@ def test_full_graph_workspace_matches_fresh_calls():
         cfg = dg.TrainConfig(num_layers=3, hidden_dim=6, model_kind=model_kind, seed=1)
         params = training._init_model(g, cfg)
         ctx = dg.normalize_adjacency(g)
-        _, _, source, _ = training._full_graph_source(g, cfg, dg.SubgraphSpec(), ctx, params)
+        _, _, source = training._full_graph_source(g, cfg, dg.SubgraphSpec(), ctx, params)
         # the source's logits are the train rows, then the val rows
         rows = np.concatenate([np.flatnonzero(g.train_mask), np.flatnonzero(g.val_mask)])
         adam = training._Adam(cfg.learning_rate)
@@ -682,8 +682,8 @@ def test_row_cut_chaotic_adam_clipping_run_equals_full_row_oracle(hidden):
     oracle = params.clone()
     x = ctx.first_layer_input(params.layers)
     cfg = dg.TrainConfig(num_layers=3, hidden_dim=hidden, clipping=True, seed=12)
-    _, _, source, _ = training._full_graph_source(g, cfg, dg.SubgraphSpec(clip_norm=0.5), ctx,
-                                                  params)
+    _, _, source = training._full_graph_source(g, cfg, dg.SubgraphSpec(clip_norm=0.5), ctx,
+                                               params)
     adam, oracle_adam = training._Adam(1e-2), training._Adam(1e-2)
     for _ in range(60):
         _, update, _ = next(source)
@@ -915,7 +915,7 @@ def test_privacy_spec_validation():
     g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=80, seed=0))
     g = dg.assign_splits(g, dg.SplitSpec(0.4, 0.2, 0.4, seed=1))  # 32 train nodes
     cfg = dg.TrainConfig(num_layers=3, mode="subgraph_batch", clipping=True, noise=True)
-    with pytest.raises(ValueError, match="batch_size=64 exceeds n_train=32"):
+    with pytest.raises(ValueError, match="m=64 must not exceed N=32"):
         dg.train(g, cfg, spec)  # batch larger than train set
 
 
