@@ -181,6 +181,13 @@ def _hyper_log_pmf(N: int, T: int, m: int, rho: int) -> float:
     return out
 
 
+def _check_sizes(T: int, m: int, N: int, error: type = ValueError, context: str = "") -> None:
+    """The accountant's size rule, max(m, T) <= N.  A caller outside
+    accounting raises its own ``error``, the message after its ``context``."""
+    if max(m, T) > N:
+        raise error(f"{context}T={T} and m={m} must not exceed N={N}")
+
+
 def _sigma_free_terms(orders: np.ndarray, N: int, T: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The per-step cost's terms that do not depend on sigma: the log-pmfs of
     every feasible rho and the (orders x rho) matrix alpha (alpha-1) rho^2."""
@@ -188,9 +195,8 @@ def _sigma_free_terms(orders: np.ndarray, N: int, T: int, m: int) -> tuple[np.nd
         raise ValueError(f"occurrence bound T must be >= 1, got T={T}")
     if m < 1:
         raise ValueError(f"batch size m must be >= 1, got m={m}")
+    _check_sizes(T, m, N)  # so that at least one rho is feasible
     rhos = np.arange(max(0, m - (N - T)), min(T, m) + 1)
-    if rhos.size == 0:
-        raise ValueError(f"T={T} and m={m} must not exceed N={N}")
     log_pmf = np.array([_hyper_log_pmf(N, T, m, int(r)) for r in rhos])
     alpha = orders[:, None]
     r = rhos.astype(np.float64)
@@ -279,8 +285,7 @@ def calibrate_sigma(epsilon_target: float, delta: float, steps: int, N: int, T: 
         raise ValueError("steps must be nonnegative")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    # the terms of make_accountant and compose_and_convert that sigma leaves
-    # alone; building them checks T and m against N
+    # the terms that sigma leaves alone; building them applies the size rule
     log_pmf, quad = _sigma_free_terms(DEFAULT_ORDERS, N, T, m)
     if steps == 0:
         return SIGMA_LO

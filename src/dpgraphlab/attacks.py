@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .accounting import PrivacySpec, SubgraphSpec, supremum_power
+from .accounting import PrivacySpec, SubgraphSpec, _check_sizes, supremum_power
 from .graphs import PopulationGraph
 from .nn import ModelParams, gcn_forward, normalize_adjacency
 from .training import TrainConfig, train
@@ -25,6 +25,7 @@ logger = logging.getLogger(__name__)
 CONFIDENCE_CLAMP = 1e-7
 VARIANCE_FLOOR = 1e-3
 MIN_SHADOWS_EACH_SIDE = 8
+DEFAULT_N_SHADOWS = 128
 MEMBERSHIP_REDRAWS = 200
 FPR_GRID = (0.001, 0.005, 0.01)
 
@@ -86,12 +87,10 @@ def train_shadows(graph: PopulationGraph, config: TrainConfig,
         raise AuditSetupError("graph has no train/test nodes to audit")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     membership = _draw_membership(n_shadows, pool.size, rng)
-    if isinstance(spec, PrivacySpec):  # a shadow's accountant needs m, T <= its n_train
+    if isinstance(spec, PrivacySpec):  # each shadow's accountant takes its IN count as N
         smallest = int(membership.sum(axis=1).min())
-        m, T = spec.batch_size, spec.effective_occurrence_bound
-        if smallest < max(m, T):
-            raise AuditSetupError(f"the smallest shadow train set has {smallest} IN nodes, "
-                                  f"fewer than the DP batch size m={m} or occurrence bound T={T}")
+        _check_sizes(spec.effective_occurrence_bound, spec.batch_size, smallest, AuditSetupError,
+                     f"the smallest shadow train set has {smallest} IN nodes: ")
     seeds = np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(n_shadows)
 
     phi = np.empty((n_shadows, pool.size))
@@ -225,7 +224,7 @@ def binomial_half_width(p: float, n: int) -> float:
 
 
 def audit(target_params: ModelParams, graph: PopulationGraph, config: TrainConfig,
-          n_shadows: int = 128, seed: int = 0, dp: SubgraphSpec | None = None,
+          n_shadows: int = DEFAULT_N_SHADOWS, seed: int = 0, dp: SubgraphSpec | None = None,
           fpr_grid=FPR_GRID, model_variant: str = "",
           ensemble: ShadowEnsemble | None = None) -> AttackReport:
     """Full LiRA audit of a trained model: shadows, scores, ROC, and bound check.

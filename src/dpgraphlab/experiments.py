@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .accounting import PrivacySpec, SubgraphSpec, recommend_delta
-from .attacks import MIN_SHADOWS_EACH_SIDE
+from .accounting import PrivacySpec, SubgraphSpec, _check_sizes, recommend_delta
+from .attacks import DEFAULT_N_SHADOWS, FPR_GRID, MIN_SHADOWS_EACH_SIDE, train_shadows
 from .attacks import audit as run_audit
 from .graphs import (PopulationGraph, SplitSpec, _split_counts, assign_splits, build_knn_graph,
                      edge_homophily, load_csv)
@@ -257,16 +257,13 @@ def spec_for_cell(manifest: ExperimentManifest, variant: str, epsilon, n_train: 
 
 
 def _check_dp_sizes(manifest: ExperimentManifest, n_train: int) -> None:
-    """A DP cell draws batch_size of its n_train subgraphs, and its
-    accountant needs the occurrence bound T <= n_train."""
+    """A DP cell's accountant takes its n_train subgraphs as N."""
     if "dp" not in manifest.variants:
         return
     config = config_for_variant(manifest, "dp", manifest.seeds[0])
     spec = spec_for_cell(manifest, "dp", manifest.privacy["epsilons"][0], 1, config.num_layers)
-    for name, value in (("batch_size", spec.batch_size),
-                        ("occurrence_bound", spec.effective_occurrence_bound)):
-        if value > n_train:
-            raise ManifestError(f"DP {name}={value} exceeds n_train={n_train}")
+    _check_sizes(spec.effective_occurrence_bound, spec.batch_size, n_train, ManifestError,
+                 f"DP cells train on n_train={n_train} subgraphs: ")
 
 
 def _cell_head(manifest: ExperimentManifest, variant: str, epsilon, seed: int) -> dict:
@@ -280,14 +277,20 @@ def _cell_head(manifest: ExperimentManifest, variant: str, epsilon, seed: int) -
 def run_cell(manifest: ExperimentManifest, variant: str, epsilon, seed: int,
              do_audit: bool = False, *, graph: PopulationGraph | None = None) -> dict:
     """Train, evaluate, and optionally audit one grid cell on ``graph``, the
-    seed's graph, which is built here when not given.  ``runtime_sec`` times
-    the cell from the moment it has its graph."""
+    seed's graph, which is built here when not given.  An audited cell trains
+    its shadows first, so a failed audit setup costs no training at all.
+    ``runtime_sec`` times the cell from the moment it has its graph."""
     if graph is None:
         graph = build_graph_for_cell(manifest, seed)
     t0 = time.time()
     config = config_for_variant(manifest, variant, seed)
     spec = spec_for_cell(manifest, variant, epsilon, int(graph.train_mask.sum()),
                          config.num_layers)
+    audit_cfg = manifest.audit if do_audit else None
+    if audit_cfg is not None:
+        audit_seed = seed + audit_cfg.get("seed_offset", 10_000)
+        ensemble = train_shadows(graph, config, spec,
+                                 audit_cfg.get("n_shadows", DEFAULT_N_SHADOWS), audit_seed)
     params, log = train(graph, config, spec)
     # one forward serves every split; an empty test split raises, as it must
     masks = [graph.test_mask, graph.train_mask]
@@ -307,17 +310,10 @@ def run_cell(manifest: ExperimentManifest, variant: str, epsilon, seed: int,
         },
         "runtime_sec": None,
     }
-    if do_audit and manifest.audit is not None:
-        audit_cfg = manifest.audit
-        # an absent n_shadows or fpr_grid takes attacks.audit's default
-        given = {k: audit_cfg[k] for k in ("n_shadows", "fpr_grid") if k in audit_cfg}
-        report = run_audit(
-            params, graph, config,
-            seed=seed + audit_cfg.get("seed_offset", 10_000),
-            dp=spec,
-            model_variant=cell["cell"],
-            **given,
-        )
+    if audit_cfg is not None:
+        report = run_audit(params, graph, config, seed=audit_seed, dp=spec,
+                           fpr_grid=audit_cfg.get("fpr_grid", FPR_GRID),
+                           model_variant=cell["cell"], ensemble=ensemble)
         cell["audit"] = report.to_json()
         cell["_roc_points"] = report.roc_points.tolist()
     cell["runtime_sec"] = round(time.time() - t0, 3)

@@ -279,6 +279,7 @@ def test_dp_shadows_smaller_than_the_batch_fail_before_any_shadow_trains(monkeyp
     trained = []
     monkeypatch.setattr(attacks, "train", lambda *args: trained.append(args))
     with pytest.raises(dg.AuditSetupError,
-                       match=f"has {smallest} IN nodes, .* m=22 or occurrence bound T=7"):
+                       match=f"has {smallest} IN nodes: T=7 and m=22 must not exceed "
+                             f"N={smallest}$"):
         dg.train_shadows(g, cfg, dp, n_shadows=16, seed=3)
     assert trained == []

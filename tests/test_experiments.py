@@ -9,8 +9,9 @@ import pytest
 import dpgraphlab as dg
 from dpgraphlab.cli import main as cli_main
 from dpgraphlab.experiments import (ExperimentManifest, ManifestError, aggregate,
-                                    build_graph_for_cell, grid_cells, report, run, run_cell,
-                                    spearman, sweep_homophily)
+                                    build_graph_for_cell, config_for_variant, grid_cells, report,
+                                    run, run_cell, spearman, spec_for_cell, sweep_homophily,
+                                    synthetic_benchmark_manifest)
 
 
 def tiny_manifest(out, variants=("non_dp", "subgraphing"), seeds=(0, 1), privacy=None):
@@ -284,6 +285,64 @@ def test_dp_cell_logs_epsilon(tmp_path):
     assert summary["n_failures"] == 0
     cell = summary["cells"][0]
     assert cell["final_log"]["epsilon_spent"] <= 10.0
+
+
+def shadows_below_the_batch_manifest(out):
+    """The 60-node benchmark grid with one audited DP cell at m=28: its 33
+    train nodes fit m, but the smallest IN set of its 16 shadows has 19."""
+    raw = synthetic_benchmark_manifest(variants=("dp",), seeds=(0,), output_dir=str(out),
+                                       audit={"n_shadows": 16}).to_dict()
+    raw["dataset"]["synthetic"]["num_nodes"] = 60
+    raw["privacy"]["batch_size"] = 28
+    return ExperimentManifest.from_dict(raw)
+
+
+SHADOWS_BELOW_THE_BATCH = ("the smallest shadow train set has 19 IN nodes: "
+                           "T=6 and m=28 must not exceed N=19")
+
+
+def test_audited_cell_whose_shadows_are_below_the_batch_trains_nothing(tmp_path, monkeypatch):
+    # the shadow membership is drawn, and checked, before the target trains
+    from dpgraphlab import attacks, experiments
+
+    trained = []
+
+    def counting(train):
+        def counted(*args, **kwargs):
+            trained.append(args)
+            return train(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(experiments, "train", counting(experiments.train))
+    monkeypatch.setattr(attacks, "train", counting(attacks.train))
+    summary = run(shadows_below_the_batch_manifest(tmp_path / "res"), do_audit=True)
+    assert summary["failed_cells"] == ["dp_eps5_seed0"]
+    assert trained == []
+    assert summary["cells"][0]["error"] == f"AuditSetupError: {SHADOWS_BELOW_THE_BATCH}"
+
+
+def test_audited_cells_equal_the_target_first_order(tmp_path):
+    # an audited cell trains its shadows before its target; each training
+    # draws only from its own seeded streams, so every audit block equals the
+    # one of the target trained first and the shadows after it
+    manifest = dataclasses.replace(
+        tiny_manifest(tmp_path / "res", variants=("non_dp", "dp"), seeds=(0,),
+                      privacy={"epsilons": [10.0], "batch_size": 8, "steps": 8,
+                               "max_degree": 3, "occurrence_bound": 7}),
+        audit={"n_shadows": 16})
+    summary = run(manifest, do_audit=True)
+    assert summary["n_failures"] == 0
+    for cell, (variant, epsilon, seed) in zip(summary["cells"], grid_cells(manifest)):
+        graph = build_graph_for_cell(manifest, seed)
+        config = config_for_variant(manifest, variant, seed)
+        spec = spec_for_cell(manifest, variant, epsilon, int(graph.train_mask.sum()),
+                             config.num_layers)
+        params, log = dg.train(graph, config, spec)
+        ensemble = dg.train_shadows(graph, config, spec, 16, seed + 10_000)
+        expected = dg.audit(params, graph, config, 16, seed + 10_000, spec,
+                            model_variant=cell["cell"], ensemble=ensemble)
+        assert cell["final_log"] == log[-1]
+        assert cell["audit"] == expected.to_json()
 
 
 # ---------------------------------------------------------------- sweep / report
@@ -637,13 +696,13 @@ def _manifest_file(tmp_path, edit=lambda manifest: None):
     # 10-row CSV, known once its graphs are built
     (lambda t: ("train", "--manifest",
                 _manifest_file(t, lambda m: m["privacy"].update(batch_size=64))),
-     "DP batch_size=64 exceeds n_train=30"),
+     "DP cells train on n_train=30 subgraphs: T=7 and m=64 must not exceed N=30"),
     (lambda t: ("sweep", "--manifest",
                 _manifest_file(t, lambda m: m["privacy"].update(occurrence_bound=31))),
-     "DP occurrence_bound=31 exceeds n_train=30"),
+     "DP cells train on n_train=30 subgraphs: T=31 and m=8 must not exceed N=30"),
     (lambda t: ("train", "--manifest",
                 _manifest_file(t, lambda m: m.update(dataset={"csv": _small_csv(t)}))),
-     "DP batch_size=8 exceeds n_train=5"),
+     "DP cells train on n_train=5 subgraphs: T=7 and m=8 must not exceed N=5"),
     (lambda t: ("audit", "--manifest",
                 _manifest_file(t, lambda m: m.update(audit={"n_shadows": 8}))),
      "audit n_shadows must be an integer >= 16, not 8"),
@@ -663,6 +722,28 @@ def test_cli_rejected_input_is_usage_error(tmp_path, capsys, make_argv, message)
     err = capsys.readouterr().err
     assert "error: " in err and message in err and "Traceback" not in err
     assert not (tmp_path / "res").exists()
+
+
+def test_size_rule_reads_the_same_from_every_caller(tmp_path, capsys):
+    # max(m, T) <= N has one home, the accountant's: the accountant command,
+    # the manifest load and the shadow audit's setup each put their own
+    # context before its message
+    with pytest.raises(SystemExit):
+        run_cli(capsys, "accountant", "--sigma", "1", "--n-train", "30", "-T", "7", "-m", "40")
+    assert capsys.readouterr().err.endswith(
+        "dpgraphlab: error: T=7 and m=40 must not exceed N=30\n")
+    with pytest.raises(ManifestError) as exc:
+        ExperimentManifest.from_file(
+            _manifest_file(tmp_path, lambda m: m["privacy"].update(batch_size=40)))
+    assert str(exc.value) == ("DP cells train on n_train=30 subgraphs: "
+                              "T=7 and m=40 must not exceed N=30")
+    manifest = shadows_below_the_batch_manifest(tmp_path / "res")
+    graph = build_graph_for_cell(manifest, 0)
+    config = config_for_variant(manifest, "dp", 0)
+    spec = spec_for_cell(manifest, "dp", 5.0, int(graph.train_mask.sum()), config.num_layers)
+    with pytest.raises(dg.AuditSetupError) as exc:
+        dg.train_shadows(graph, config, spec, 16, 10_000)
+    assert str(exc.value) == SHADOWS_BELOW_THE_BATCH
 
 
 def test_cli_calibrate_json(capsys):
@@ -795,6 +876,21 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)  # exits 2 on a flag the subcommand does not take
+
+
+def test_cli_train_fails_only_the_dp_cells_whose_sigma_overspends(tmp_path, capsys):
+    # a manifest's noise_multiplier is checked against its epsilon target
+    # when each DP cell trains; the non-DP cells of the grid still run
+    mpath = _manifest_file(tmp_path, lambda m: m["privacy"].update(
+        epsilons=[1.0], noise_multiplier=0.5, steps=50))
+    code, out = run_cli(capsys, "train", "--manifest", mpath)
+    assert code == 1
+    assert json.loads(out)["failed_cells"] == ["dp_eps1_seed0", "dp_eps1_seed1"]
+    for seed in (0, 1):
+        dp = json.loads((tmp_path / "res" / "cells" / f"dp_eps1_seed{seed}.json").read_text())
+        assert dp["error"].startswith("CalibrationError: epsilon budget infeasible: sigma=0.5 ")
+        non_dp = json.loads((tmp_path / "res" / "cells" / f"non_dp_seed{seed}.json").read_text())
+        assert "error" not in non_dp
 
 
 def test_cli_train_nonzero_exit_on_failure(tmp_path, capsys):

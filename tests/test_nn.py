@@ -919,6 +919,22 @@ def test_privacy_spec_validation():
         dg.train(g, cfg, spec)  # batch larger than train set
 
 
+def test_dp_train_rejects_a_noise_multiplier_that_overspends(monkeypatch):
+    # a given sigma is checked against the epsilon target before any
+    # subgraph is sampled: sigma=0.5 spends far more than 1 over 50 steps
+    g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=200, seed=0))
+    g = dg.assign_splits(g, dg.SplitSpec(0.5, 0.2, 0.3, seed=1))
+    spec = dg.PrivacySpec(1.0, 1e-3, noise_multiplier=0.5, batch_size=16, total_steps=50)
+    cfg = dg.TrainConfig(mode="subgraph_batch", clipping=True, noise=True)
+    sampled = []
+    monkeypatch.setattr(training, "sample_training_subgraphs",
+                        lambda *args, **kwargs: sampled.append(args))
+    with pytest.raises(dg.CalibrationError, match=r"epsilon budget infeasible: sigma=0\.5 "
+                                                  r"spends \S+ over 50 steps, target 1\.0$"):
+        dg.train(g, cfg, spec)
+    assert sampled == []
+
+
 def test_dp_train_requires_noise_flags():
     g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=80, target_homophily=0.8, seed=0))
     g = dg.assign_splits(g, dg.SplitSpec(0.5, 0.2, 0.3, seed=1))
