@@ -30,7 +30,7 @@ MEMBERSHIP_REDRAWS = 200
 FPR_GRID = (0.001, 0.005, 0.01)
 
 
-class AuditSetupError(Exception):
+class AuditSetupError(ValueError):
     """Raised when shadow membership splits cannot satisfy the coverage invariant."""
 
 
@@ -72,6 +72,20 @@ def _draw_membership(n_shadows: int, n_pool: int, rng: np.random.Generator) -> n
     raise AuditSetupError("IN/OUT coverage not reached within the resampling budget")
 
 
+def _shadow_membership(graph: PopulationGraph, spec, n_shadows: int, seed: int) -> tuple:
+    """The audit pool and each shadow's IN set; a DP spec's m and T must fit the smallest."""
+    pool = np.flatnonzero(graph.train_mask | graph.test_mask)
+    if pool.size == 0:
+        raise AuditSetupError("graph has no train/test nodes to audit")
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    membership = _draw_membership(n_shadows, pool.size, rng)
+    if isinstance(spec, PrivacySpec):  # each shadow's accountant takes its IN count as N
+        smallest = int(membership.sum(axis=1).min())
+        _check_sizes(spec.effective_occurrence_bound, spec.batch_size, smallest, AuditSetupError,
+                     f"the smallest shadow train set has {smallest} IN nodes: ")
+    return pool, membership
+
+
 def train_shadows(graph: PopulationGraph, config: TrainConfig,
                   spec: SubgraphSpec | None, n_shadows: int, seed: int) -> ShadowEnsemble:
     """Train shadow models on fresh random halves of the audit pool.
@@ -82,15 +96,7 @@ def train_shadows(graph: PopulationGraph, config: TrainConfig,
     model.  The original validation mask is kept; only non-DP shadows read
     it, to select their checkpoint.
     """
-    pool = np.flatnonzero(graph.train_mask | graph.test_mask)
-    if pool.size == 0:
-        raise AuditSetupError("graph has no train/test nodes to audit")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    membership = _draw_membership(n_shadows, pool.size, rng)
-    if isinstance(spec, PrivacySpec):  # each shadow's accountant takes its IN count as N
-        smallest = int(membership.sum(axis=1).min())
-        _check_sizes(spec.effective_occurrence_bound, spec.batch_size, smallest, AuditSetupError,
-                     f"the smallest shadow train set has {smallest} IN nodes: ")
+    pool, membership = _shadow_membership(graph, spec, n_shadows, seed)
     seeds = np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(n_shadows)
 
     phi = np.empty((n_shadows, pool.size))

@@ -7,8 +7,8 @@ optional audit block, and the seed list.  The grid builds one graph per
 seed (the seed drives both the synthetic generator and the split shuffle)
 and hands it to every cell of that seed; each cell trains, evaluates, and
 optionally audits.  The manifest checks the values its cells read, and the
-graphs are built before anything is written; a cell that raises is
-recorded.  Output files are written atomically and embed the manifest hash.
+graphs are built and checked before anything is written; a cell that raises
+is recorded.  Output files are written atomically and embed the manifest hash.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from .accounting import PrivacySpec, SubgraphSpec, _check_sizes, recommend_delta
-from .attacks import DEFAULT_N_SHADOWS, FPR_GRID, MIN_SHADOWS_EACH_SIDE, train_shadows
+from .attacks import (DEFAULT_N_SHADOWS, FPR_GRID, MIN_SHADOWS_EACH_SIDE, _shadow_membership,
+                      train_shadows)
 from .attacks import audit as run_audit
-from .graphs import (PopulationGraph, SplitSpec, _split_counts, assign_splits, build_knn_graph,
-                     edge_homophily, load_csv)
+from .graphs import (PopulationGraph, SplitSpec, assign_splits, build_knn_graph, edge_homophily,
+                     load_csv)
 from .synthetic import SyntheticSpec, generate_synthetic
 from .training import TrainConfig, _evaluate, train
 
@@ -137,25 +138,22 @@ class ExperimentManifest:
         if "dp" in self.variants:
             if not self.privacy or not self.privacy.get("epsilons"):
                 raise ManifestError("'dp' variant requires a privacy block with a nonempty epsilon list")
-        # the dataset, split, seed and spec values a cell reads: bad ones fail the load
-        n_train = None  # a CSV dataset's is known once run() has built its graphs
+        # the values a cell reads fail the load; the checks that need a graph are run()'s
         if "synthetic" in self.dataset:
-            num_nodes = SyntheticSpec(**self.dataset["synthetic"]).num_nodes
-            n_train = int(_split_counts(num_nodes, _split_spec(self, 0))[0])
+            SyntheticSpec(**self.dataset["synthetic"])
         for seed in self.seeds:  # a seed reaches only default_rng, which takes an int >= 0
             split_seed = _split_spec(self, seed).seed
-            for name, value in (("seed", seed), ("split seed plus seed", split_seed)):
+            audit_seed = _audit_args(self.audit or {}, seed)[1]
+            for name, value in (("seed", seed), ("split seed plus seed", split_seed),
+                                ("seed plus audit seed_offset", audit_seed)):
                 if type(value) is not int or value < 0:
                     raise ManifestError(f"{name} must be a nonnegative integer, not {value!r}")
         for variant, epsilon, seed in grid_cells(self):
             config = config_for_variant(self, variant, seed)
             # n_train (1 here) sets only an absent delta, whose default is in range
             spec_for_cell(self, variant, epsilon, 1, config.num_layers)
-        if n_train is not None:
-            _check_dp_sizes(self, n_train)
-        n_shadows = (self.audit or {}).get("n_shadows")
-        if n_shadows is not None and (type(n_shadows) is not int
-                                      or n_shadows < 2 * MIN_SHADOWS_EACH_SIDE):
+        n_shadows = (self.audit or {}).get("n_shadows", DEFAULT_N_SHADOWS)
+        if type(n_shadows) is not int or n_shadows < 2 * MIN_SHADOWS_EACH_SIDE:
             raise ManifestError(f"audit n_shadows must be an integer >= "
                                 f"{2 * MIN_SHADOWS_EACH_SIDE}, not {n_shadows!r}")
 
@@ -256,14 +254,26 @@ def spec_for_cell(manifest: ExperimentManifest, variant: str, epsilon, n_train: 
     return SubgraphSpec(hops=num_layers, **knobs)
 
 
-def _check_dp_sizes(manifest: ExperimentManifest, n_train: int) -> None:
-    """A DP cell's accountant takes its n_train subgraphs as N."""
-    if "dp" not in manifest.variants:
-        return
-    config = config_for_variant(manifest, "dp", manifest.seeds[0])
-    spec = spec_for_cell(manifest, "dp", manifest.privacy["epsilons"][0], 1, config.num_layers)
-    _check_sizes(spec.effective_occurrence_bound, spec.batch_size, n_train, ManifestError,
-                 f"DP cells train on n_train={n_train} subgraphs: ")
+def _audit_args(audit_cfg: dict, seed: int) -> tuple[int, int]:
+    return (audit_cfg.get("n_shadows", DEFAULT_N_SHADOWS),
+            seed + audit_cfg.get("seed_offset", 10_000))
+
+
+def _check_graphs(manifest: ExperimentManifest, graphs: dict, audit_cfg: dict | None) -> None:
+    """Every check that needs a seed's graph; run() calls it before its first write."""
+    for seed, graph in graphs.items():
+        n_train = int(graph.train_mask.sum())
+        for name, count in (("train", n_train), ("test", graph.test_mask.sum())):
+            if not count:
+                raise ManifestError(f"seed {seed}'s graph has no {name} nodes")
+        spec = None  # every DP cell has the same m and T
+        if "dp" in manifest.variants:
+            layers = config_for_variant(manifest, "dp", seed).num_layers
+            spec = spec_for_cell(manifest, "dp", manifest.privacy["epsilons"][0], n_train, layers)
+            _check_sizes(spec.effective_occurrence_bound, spec.batch_size, n_train, ManifestError,
+                         f"DP cells train on n_train={n_train} subgraphs: ")
+        if audit_cfg is not None:
+            _shadow_membership(graph, spec, *_audit_args(audit_cfg, seed))
 
 
 def _cell_head(manifest: ExperimentManifest, variant: str, epsilon, seed: int) -> dict:
@@ -288,9 +298,8 @@ def run_cell(manifest: ExperimentManifest, variant: str, epsilon, seed: int,
                          config.num_layers)
     audit_cfg = manifest.audit if do_audit else None
     if audit_cfg is not None:
-        audit_seed = seed + audit_cfg.get("seed_offset", 10_000)
-        ensemble = train_shadows(graph, config, spec,
-                                 audit_cfg.get("n_shadows", DEFAULT_N_SHADOWS), audit_seed)
+        n_shadows, audit_seed = _audit_args(audit_cfg, seed)
+        ensemble = train_shadows(graph, config, spec, n_shadows, audit_seed)
     params, log = train(graph, config, spec)
     # one forward serves every split; an empty test split raises, as it must
     masks = [graph.test_mask, graph.train_mask]
@@ -365,12 +374,13 @@ def run(manifest: ExperimentManifest, out_dir=None, threads: int = 1,
     """Execute the whole grid; write per-cell JSON, aggregate CSV, and ROC CSVs.
 
     Returns a summary with cell results and failure list; failed cells do not
-    stop the rest of the grid.  Every seed's graph is built before anything is
-    written, and a build error propagates.
+    stop the rest of the grid.  Every seed's graph is built and checked before
+    anything is written, and a build or check error propagates.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, not {threads!r}")
     graphs = {seed: build_graph_for_cell(manifest, seed) for seed in dict.fromkeys(manifest.seeds)}
-    for graph in graphs.values():
-        _check_dp_sizes(manifest, int(graph.train_mask.sum()))
+    _check_graphs(manifest, graphs, manifest.audit if do_audit else None)
     out = Path(out_dir if out_dir is not None else manifest.output_dir)
     (out / "cells").mkdir(parents=True, exist_ok=True)
     packed = [(manifest, v, e, s, do_audit, graphs[s]) for v, e, s in grid_cells(manifest)]
@@ -431,7 +441,6 @@ def sweep_homophily(manifest: ExperimentManifest, homophilies, out_dir=None,
     twice = [name for i, name in enumerate(dirs) if name in dirs[:i]]
     if twice:
         raise ValueError(f"homophily levels {homophilies} share the level directory {twice[0]}")
-    out.mkdir(parents=True, exist_ok=True)
     long_rows = []
     per_seed_acc: dict[tuple, dict[float, float]] = {}
     all_results = {}
@@ -446,6 +455,7 @@ def sweep_homophily(manifest: ExperimentManifest, homophilies, out_dir=None,
             key = (cell["variant"], cell["epsilon"], cell["seed"])
             per_seed_acc.setdefault(key, {})[h] = cell["test_acc"]
 
+    out.mkdir(parents=True, exist_ok=True)  # after the levels: a rejected one writes nothing
     _write_csv(out / "sweep.csv", "homophily:g,variant,epsilon:g,mean_acc:.6f,std_acc:.6f",
                long_rows)
 

@@ -174,7 +174,7 @@ def edgeless_graph(features: np.ndarray, labels: np.ndarray, num_classes: int | 
     )
 
 
-def _parse_numeric_csv(path, skip_header: bool) -> list[list[float]]:
+def _parse_numeric_csv(path, skip_header: bool, columns=None) -> list[list[float]]:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -189,6 +189,9 @@ def _parse_numeric_csv(path, skip_header: bool) -> list[list[float]]:
                     parsed.append(float(cell.strip()))
                 except ValueError:
                     raise CsvParseError(path, lineno, colno, cell.strip()) from None
+            if columns is not None and len(parsed) != columns:
+                raise IngestionError(f"{path}: row {lineno} has {len(parsed)} columns, "
+                                     f"expected {columns}")
             rows.append(parsed)
     return rows
 
@@ -203,7 +206,7 @@ def load_csv(features_path, labels_path, standardize: bool = True,
     unit variance (population std; constant columns are left at zero).
     """
     feat_rows = _parse_numeric_csv(features_path, skip_header)
-    label_rows = _parse_numeric_csv(labels_path, skip_header)
+    label_rows = _parse_numeric_csv(labels_path, skip_header, columns=1)
     if len(feat_rows) != len(label_rows):
         raise IngestionError(
             f"row-count mismatch: {len(feat_rows)} feature rows vs {len(label_rows)} label rows"
@@ -284,9 +287,9 @@ def node_homophily(graph: PopulationGraph) -> float:
     return float((per_node[active] / deg[active]).mean())
 
 
-def _split_counts(n: int, spec: SplitSpec) -> np.ndarray:
-    """The train, val and test sizes of n nodes: the fractions' shares,
-    rounded by largest remainder."""
+def assign_splits(graph: PopulationGraph, spec: SplitSpec) -> PopulationGraph:
+    """Seeded uniform shuffle partitioned by fractions (largest-remainder rounding)."""
+    n = graph.num_nodes
     fracs = np.array([spec.train_fraction, spec.val_fraction, spec.test_fraction])
     exact = fracs * n
     counts = np.floor(exact).astype(int)
@@ -294,13 +297,6 @@ def _split_counts(n: int, spec: SplitSpec) -> np.ndarray:
     if remainder:
         order = np.argsort(-(exact - counts), kind="stable")
         counts[order[:remainder]] += 1
-    return counts
-
-
-def assign_splits(graph: PopulationGraph, spec: SplitSpec) -> PopulationGraph:
-    """Seeded uniform shuffle partitioned by fractions (largest-remainder rounding)."""
-    n = graph.num_nodes
-    counts = _split_counts(n, spec)
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n)
     masks = []

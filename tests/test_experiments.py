@@ -302,7 +302,8 @@ SHADOWS_BELOW_THE_BATCH = ("the smallest shadow train set has 19 IN nodes: "
 
 
 def test_audited_cell_whose_shadows_are_below_the_batch_trains_nothing(tmp_path, monkeypatch):
-    # the shadow membership is drawn, and checked, before the target trains
+    # run() draws each seed's shadow membership, and checks it, before it
+    # writes anything or trains a model
     from dpgraphlab import attacks, experiments
 
     trained = []
@@ -315,10 +316,11 @@ def test_audited_cell_whose_shadows_are_below_the_batch_trains_nothing(tmp_path,
 
     monkeypatch.setattr(experiments, "train", counting(experiments.train))
     monkeypatch.setattr(attacks, "train", counting(attacks.train))
-    summary = run(shadows_below_the_batch_manifest(tmp_path / "res"), do_audit=True)
-    assert summary["failed_cells"] == ["dp_eps5_seed0"]
+    with pytest.raises(dg.AuditSetupError) as exc:
+        run(shadows_below_the_batch_manifest(tmp_path / "res"), do_audit=True)
+    assert str(exc.value) == SHADOWS_BELOW_THE_BATCH
     assert trained == []
-    assert summary["cells"][0]["error"] == f"AuditSetupError: {SHADOWS_BELOW_THE_BATCH}"
+    assert not (tmp_path / "res").exists()
 
 
 def test_audited_cells_equal_the_target_first_order(tmp_path):
@@ -643,6 +645,22 @@ def _small_csv(tmp_path):
     return {"features": str(tmp_path / "x10.csv"), "labels": str(tmp_path / "y10.csv")}
 
 
+def _csv_rows(tmp_path, n):
+    """A valid ``n``-row, two-class features CSV and its labels."""
+    rows = np.random.default_rng(0).normal(size=(n, 3))
+    np.savetxt(tmp_path / f"x{n}.csv", rows, delimiter=",")
+    np.savetxt(tmp_path / f"y{n}.csv", np.arange(n) % 2, fmt="%d")
+    return {"features": str(tmp_path / f"x{n}.csv"), "labels": str(tmp_path / f"y{n}.csv")}
+
+
+def _two_column_labels_csv(tmp_path):
+    """The 10-row CSV of ``_small_csv``, whose labels rows read ``0,7``."""
+    csv = _small_csv(tmp_path)
+    with open(csv["labels"], "w", encoding="utf-8") as fh:
+        fh.writelines(f"{i % 2},7\n" for i in range(10))
+    return csv
+
+
 def _manifest_file(tmp_path, edit=lambda manifest: None):
     """A 60-node, two-seed non_dp + dp grid writing to tmp_path / "res", as a
     JSON file, after ``edit`` has changed its dict in place."""
@@ -692,8 +710,8 @@ def _manifest_file(tmp_path, edit=lambda manifest: None):
                 _manifest_file(t, lambda m: m.update(dataset={"csv": _bad_csv(t)}))),
      "non-numeric value 'x' at row 2, column 1"),
     # a DP cell's batch and occurrence bound must fit n_train: 30 of the
-    # 60-node synthetic graph, known when the manifest loads, and 5 of a
-    # 10-row CSV, known once its graphs are built
+    # 60-node synthetic graph and 5 of a 10-row CSV, checked once the grid's
+    # graphs are built
     (lambda t: ("train", "--manifest",
                 _manifest_file(t, lambda m: m["privacy"].update(batch_size=64))),
      "DP cells train on n_train=30 subgraphs: T=7 and m=64 must not exceed N=30"),
@@ -706,12 +724,47 @@ def _manifest_file(tmp_path, edit=lambda manifest: None):
     (lambda t: ("audit", "--manifest",
                 _manifest_file(t, lambda m: m.update(audit={"n_shadows": 8}))),
      "audit n_shadows must be an integer >= 16, not 8"),
+    (lambda t: ("audit", "--manifest",
+                _manifest_file(t, lambda m: m.update(audit={"n_shadows": None}))),
+     "audit n_shadows must be an integer >= 16, not None"),
+    (lambda t: ("audit", "--manifest",
+                _manifest_file(t, lambda m: m.update(audit={"seed_offset": 0.5}))),
+     "seed plus audit seed_offset must be a nonnegative integer, not 0.5"),
+    # the checks that need a seed's graph run once its graphs are built, for
+    # a synthetic and a CSV dataset alike, before anything is written
+    (lambda t: ("audit", "--manifest", _manifest_file(
+        t, lambda m: m.update(shadows_below_the_batch_manifest(t / "res").to_dict()))),
+     SHADOWS_BELOW_THE_BATCH),
+    (lambda t: ("audit", "--manifest", _manifest_file(
+        t, lambda m: m.update(shadows_below_the_batch_manifest(t / "res").to_dict(),
+                              dataset={"csv": _csv_rows(t, 60)}))),
+     SHADOWS_BELOW_THE_BATCH),
+    (lambda t: ("train", "--manifest", _manifest_file(
+        t, lambda m: m.update(split={"train": 0.7, "val": 0.3, "test": 0.0, "seed": 0}))),
+     "seed 0's graph has no test nodes"),
+    (lambda t: ("train", "--manifest", _manifest_file(
+        t, lambda m: m.update(variants=["non_dp"],
+                              split={"train": 0.0, "val": 0.5, "test": 0.5, "seed": 0}))),
+     "seed 0's graph has no train nodes"),
+    (lambda t: ("train", "--manifest", _manifest_file(t), "--threads", "0"),
+     "threads must be >= 1, not 0"),
+    (lambda t: ("sweep", "--manifest", _manifest_file(t), "--threads", "-3"),
+     "threads must be >= 1, not -3"),
+    (lambda t: ("build-graph", *(f"--{k}={v}" for k, v in _two_column_labels_csv(t).items())),
+     "y10.csv: row 1 has 2 columns, expected 1"),
+    (lambda t: ("train", "--manifest", _manifest_file(
+        t, lambda m: m.update(dataset={"csv": _two_column_labels_csv(t)}))),
+     "y10.csv: row 1 has 2 columns, expected 1"),
 ], ids=["prefix-flag", "prefix-flag-with-value", "odd-nodes", "missing-manifest", "bad-csv", "missing-results",
         "unknown-block-key", "no-audit-block", "epsilon-nan", "epsilon-negative",
         "grid-odd-nodes", "sweep-homophily-out-of-range", "grid-negative-seed",
         "grid-fractional-seed", "grid-zero-epsilon", "grid-zero-delta", "grid-bad-csv",
         "grid-dp-batch-above-n-train", "sweep-dp-occurrence-bound-above-n-train",
-        "grid-csv-dp-batch-above-n-train", "audit-too-few-shadows"])
+        "grid-csv-dp-batch-above-n-train", "audit-too-few-shadows", "audit-null-shadows",
+        "audit-fractional-seed-offset",
+        "audit-shadows-below-the-batch", "audit-csv-shadows-below-the-batch",
+        "grid-empty-test-split", "grid-non-dp-empty-train-split", "grid-zero-threads",
+        "sweep-negative-threads", "two-column-labels", "grid-two-column-labels"])
 def test_cli_rejected_input_is_usage_error(tmp_path, capsys, make_argv, message):
     # every subcommand reports a rejected flag, value, file or manifest the
     # same way: exit code 2 and the message on stderr, no traceback, and
@@ -726,15 +779,15 @@ def test_cli_rejected_input_is_usage_error(tmp_path, capsys, make_argv, message)
 
 def test_size_rule_reads_the_same_from_every_caller(tmp_path, capsys):
     # max(m, T) <= N has one home, the accountant's: the accountant command,
-    # the manifest load and the shadow audit's setup each put their own
-    # context before its message
+    # a grid's run() and the shadow audit's setup each put their own context
+    # before its message
     with pytest.raises(SystemExit):
         run_cli(capsys, "accountant", "--sigma", "1", "--n-train", "30", "-T", "7", "-m", "40")
     assert capsys.readouterr().err.endswith(
         "dpgraphlab: error: T=7 and m=40 must not exceed N=30\n")
     with pytest.raises(ManifestError) as exc:
-        ExperimentManifest.from_file(
-            _manifest_file(tmp_path, lambda m: m["privacy"].update(batch_size=40)))
+        run(ExperimentManifest.from_file(
+            _manifest_file(tmp_path, lambda m: m["privacy"].update(batch_size=40))))
     assert str(exc.value) == ("DP cells train on n_train=30 subgraphs: "
                               "T=7 and m=40 must not exceed N=30")
     manifest = shadows_below_the_batch_manifest(tmp_path / "res")
