@@ -11,12 +11,13 @@ the target was trained with DP.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .accounting import PrivacySpec, SubgraphSpec, _check_sizes, supremum_power
-from .graphs import PopulationGraph
+from .graphs import PopulationGraph, _check_integer
 from .nn import ModelParams, gcn_forward, normalize_adjacency
 from .training import TrainConfig, train
 
@@ -31,7 +32,31 @@ FPR_GRID = (0.001, 0.005, 0.01)
 
 
 class AuditSetupError(ValueError):
-    """Raised when shadow membership splits cannot satisfy the coverage invariant."""
+    """Raised when an audit setting is out of range, or when shadow membership
+    splits cannot satisfy the coverage invariant."""
+
+
+@dataclass(frozen=True)
+class AuditSpec:
+    """A grid's shadow audit: the shadow count (each audited node needs
+    MIN_SHADOWS_EACH_SIDE shadows IN and as many OUT), the offset from a
+    cell's seed to its audit seed, and the FPR budgets of its ROC."""
+
+    n_shadows: int = DEFAULT_N_SHADOWS
+    seed_offset: int = 10_000
+    fpr_grid: tuple = FPR_GRID
+
+    def __post_init__(self):
+        _check_integer(self.n_shadows, "audit n_shadows", 2 * MIN_SHADOWS_EACH_SIDE,
+                       AuditSetupError)
+        _check_integer(self.seed_offset, "audit seed_offset", 0, AuditSetupError)
+        grid = self.fpr_grid
+        if not (isinstance(grid, (list, tuple)) and grid and all(
+                isinstance(f, numbers.Real) and not isinstance(f, bool) and 0 <= f <= 1
+                for f in grid)):
+            raise AuditSetupError(f"audit fpr_grid must be a nonempty list of numbers in [0, 1], "
+                                  f"not {grid!r}")
+        object.__setattr__(self, "fpr_grid", tuple(grid))
 
 
 def scaled_confidence(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -55,11 +80,6 @@ class ShadowEnsemble:
 
 
 def _draw_membership(n_shadows: int, n_pool: int, rng: np.random.Generator) -> np.ndarray:
-    if n_shadows < 2 * MIN_SHADOWS_EACH_SIDE:
-        raise AuditSetupError(
-            f"need at least {2 * MIN_SHADOWS_EACH_SIDE} shadows for IN/OUT coverage, "
-            f"got {n_shadows}"
-        )
     membership = rng.random((n_shadows, n_pool)) < 0.5
     for _ in range(MEMBERSHIP_REDRAWS):
         in_counts = membership.sum(axis=0)
@@ -74,6 +94,7 @@ def _draw_membership(n_shadows: int, n_pool: int, rng: np.random.Generator) -> n
 
 def _shadow_membership(graph: PopulationGraph, spec, n_shadows: int, seed: int) -> tuple:
     """The audit pool and each shadow's IN set; a DP spec's m and T must fit the smallest."""
+    AuditSpec(n_shadows)  # checks the count
     pool = np.flatnonzero(graph.train_mask | graph.test_mask)
     if pool.size == 0:
         raise AuditSetupError("graph has no train/test nodes to audit")
@@ -176,10 +197,7 @@ def roc(scores: np.ndarray, member: np.ndarray,
     tpr = np.concatenate([[0.0], cum_tp / n_pos])
     fpr = np.concatenate([[0.0], cum_fp / n_neg])
     auc = float(np.trapezoid(tpr, fpr))
-    tpr_at = {}
-    for f in fpr_grid:
-        ok = fpr <= f + 1e-12
-        tpr_at[f] = float(tpr[ok].max()) if ok.any() else 0.0
+    tpr_at = {f: float(tpr[fpr <= f + 1e-12].max(initial=0.0)) for f in fpr_grid}
     return RocResult(points=np.column_stack([fpr, tpr]), auc=auc, tpr_at=tpr_at)
 
 
@@ -241,6 +259,7 @@ def audit(target_params: ModelParams, graph: PopulationGraph, config: TrainConfi
     FPR budget and a soundness flag (empirical TPR must not exceed the bound
     by more than the 95% binomial half-width for the member count).
     """
+    fpr_grid = AuditSpec(fpr_grid=fpr_grid).fpr_grid  # checked before any shadow trains
     if ensemble is None:
         ensemble = train_shadows(graph, config, dp, n_shadows, seed)
     logits = gcn_forward(normalize_adjacency(graph), target_params)

@@ -26,11 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .accounting import PrivacySpec, SubgraphSpec, _check_sizes, recommend_delta
-from .attacks import (DEFAULT_N_SHADOWS, FPR_GRID, MIN_SHADOWS_EACH_SIDE, _shadow_membership,
-                      train_shadows)
+from .attacks import AuditSpec, _shadow_membership, train_shadows
 from .attacks import audit as run_audit
-from .graphs import (PopulationGraph, SplitSpec, assign_splits, build_knn_graph, edge_homophily,
-                     load_csv)
+from .graphs import (PopulationGraph, SplitSpec, _check_integer, assign_splits, build_knn_graph,
+                     edge_homophily, load_csv)
 from .synthetic import SyntheticSpec, generate_synthetic
 from .training import TrainConfig, _evaluate, train
 
@@ -67,7 +66,7 @@ BLOCK_KEYS = {
                 if f.name not in ("seed", "mode", "clipping", "noise")), *SPEC_KEYS),
     "privacy": ("epsilons", "hops", "delta", "noise_multiplier", *SPEC_KEYS,
                 *DEFAULT_DP_OPTIMIZER),
-    "audit": ("n_shadows", "seed_offset", "fpr_grid"),
+    "audit": tuple(f.name for f in fields(AuditSpec)),
 }
 
 # the graph and split blocks' defaults, for a block or a key a manifest leaves out
@@ -110,7 +109,7 @@ class ExperimentManifest:
     graph: dict = field(default_factory=GRAPH_DEFAULTS.copy)
     model: dict = field(default_factory=dict)
     privacy: dict | None = None
-    audit: dict | None = None
+    audit: AuditSpec | None = None  # a dict at load, built after its keys are checked
     variants: tuple = ("non_dp",)
     seeds: tuple = (0,)
     output_dir: str = "results"
@@ -122,9 +121,11 @@ class ExperimentManifest:
         sources = [k for k in ("synthetic", "csv") if k in self.dataset]
         if len(sources) != 1:
             raise ManifestError("dataset must name exactly one source: 'synthetic' or 'csv'")
+        # replace() hands a loaded manifest's AuditSpec back in; it is checked again as a dict
+        audit = asdict(self.audit) if isinstance(self.audit, AuditSpec) else self.audit
         for name, block in (("dataset", self.dataset), (sources[0], self.dataset[sources[0]]),
                             ("split", self.split), ("graph", self.graph), ("model", self.model),
-                            ("privacy", self.privacy), ("audit", self.audit)):
+                            ("privacy", self.privacy), ("audit", audit)):
             unknown = set(block or ()) - set(BLOCK_KEYS[name])
             if unknown:
                 raise ManifestError(f"unknown {name} keys {sorted(unknown)}; "
@@ -141,26 +142,19 @@ class ExperimentManifest:
         # the values a cell reads fail the load; the checks that need a graph are run()'s
         if "synthetic" in self.dataset:
             SyntheticSpec(**self.dataset["synthetic"])
+        if audit is not None:
+            object.__setattr__(self, "audit", AuditSpec(**audit))
         for seed in self.seeds:  # a seed reaches only default_rng, which takes an int >= 0
-            split_seed = _split_spec(self, seed).seed
-            audit_seed = _audit_args(self.audit or {}, seed)[1]
-            for name, value in (("seed", seed), ("split seed plus seed", split_seed),
-                                ("seed plus audit seed_offset", audit_seed)):
-                if type(value) is not int or value < 0:
-                    raise ManifestError(f"{name} must be a nonnegative integer, not {value!r}")
+            _check_integer(seed, "seed", 0, ManifestError)
+        _split_spec(self, 0)
         for variant, epsilon, seed in grid_cells(self):
             config = config_for_variant(self, variant, seed)
             # n_train (1 here) sets only an absent delta, whose default is in range
             spec_for_cell(self, variant, epsilon, 1, config.num_layers)
-        n_shadows = (self.audit or {}).get("n_shadows", DEFAULT_N_SHADOWS)
-        if type(n_shadows) is not int or n_shadows < 2 * MIN_SHADOWS_EACH_SIDE:
-            raise ManifestError(f"audit n_shadows must be an integer >= "
-                                f"{2 * MIN_SHADOWS_EACH_SIDE}, not {n_shadows!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentManifest":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ManifestError(f"unknown manifest keys {sorted(unknown)}")
         raw = copy.deepcopy(raw)  # the frozen manifest must not share the caller's dicts
@@ -208,8 +202,10 @@ AGGREGATE_COLUMNS = "variant,epsilon:g,mean_acc:.6f,std_acc:.6f,n_seeds"
 
 
 def _split_spec(manifest: ExperimentManifest, seed: int) -> SplitSpec:
+    """The split block's SplitSpec; its seed is checked before the cell seed offsets it."""
     sp = {**SPLIT_DEFAULTS, **manifest.split}
-    return SplitSpec(sp["train"], sp["val"], sp["test"], seed=sp["seed"] + seed)
+    spec = SplitSpec(sp["train"], sp["val"], sp["test"], seed=sp["seed"])
+    return replace(spec, seed=spec.seed + seed)
 
 
 def build_graph_for_cell(manifest: ExperimentManifest, seed: int):
@@ -254,12 +250,7 @@ def spec_for_cell(manifest: ExperimentManifest, variant: str, epsilon, n_train: 
     return SubgraphSpec(hops=num_layers, **knobs)
 
 
-def _audit_args(audit_cfg: dict, seed: int) -> tuple[int, int]:
-    return (audit_cfg.get("n_shadows", DEFAULT_N_SHADOWS),
-            seed + audit_cfg.get("seed_offset", 10_000))
-
-
-def _check_graphs(manifest: ExperimentManifest, graphs: dict, audit_cfg: dict | None) -> None:
+def _check_graphs(manifest: ExperimentManifest, graphs: dict, audit: AuditSpec | None) -> None:
     """Every check that needs a seed's graph; run() calls it before its first write."""
     for seed, graph in graphs.items():
         n_train = int(graph.train_mask.sum())
@@ -272,8 +263,8 @@ def _check_graphs(manifest: ExperimentManifest, graphs: dict, audit_cfg: dict | 
             spec = spec_for_cell(manifest, "dp", manifest.privacy["epsilons"][0], n_train, layers)
             _check_sizes(spec.effective_occurrence_bound, spec.batch_size, n_train, ManifestError,
                          f"DP cells train on n_train={n_train} subgraphs: ")
-        if audit_cfg is not None:
-            _shadow_membership(graph, spec, *_audit_args(audit_cfg, seed))
+        if audit is not None:
+            _shadow_membership(graph, spec, audit.n_shadows, seed + audit.seed_offset)
 
 
 def _cell_head(manifest: ExperimentManifest, variant: str, epsilon, seed: int) -> dict:
@@ -296,10 +287,10 @@ def run_cell(manifest: ExperimentManifest, variant: str, epsilon, seed: int,
     config = config_for_variant(manifest, variant, seed)
     spec = spec_for_cell(manifest, variant, epsilon, int(graph.train_mask.sum()),
                          config.num_layers)
-    audit_cfg = manifest.audit if do_audit else None
-    if audit_cfg is not None:
-        n_shadows, audit_seed = _audit_args(audit_cfg, seed)
-        ensemble = train_shadows(graph, config, spec, n_shadows, audit_seed)
+    audit = manifest.audit if do_audit else None
+    if audit is not None:
+        audit_seed = seed + audit.seed_offset
+        ensemble = train_shadows(graph, config, spec, audit.n_shadows, audit_seed)
     params, log = train(graph, config, spec)
     # one forward serves every split; an empty test split raises, as it must
     masks = [graph.test_mask, graph.train_mask]
@@ -319,10 +310,9 @@ def run_cell(manifest: ExperimentManifest, variant: str, epsilon, seed: int,
         },
         "runtime_sec": None,
     }
-    if audit_cfg is not None:
+    if audit is not None:
         report = run_audit(params, graph, config, seed=audit_seed, dp=spec,
-                           fpr_grid=audit_cfg.get("fpr_grid", FPR_GRID),
-                           model_variant=cell["cell"], ensemble=ensemble)
+                           fpr_grid=audit.fpr_grid, model_variant=cell["cell"], ensemble=ensemble)
         cell["audit"] = report.to_json()
         cell["_roc_points"] = report.roc_points.tolist()
     cell["runtime_sec"] = round(time.time() - t0, 3)
@@ -340,13 +330,9 @@ def _run_cell_packed(args):
 
 
 def grid_cells(manifest: ExperimentManifest) -> list[tuple]:
-    cells = []
-    for variant in manifest.variants:
-        epsilons = manifest.privacy["epsilons"] if variant == "dp" else [None]
-        for eps in epsilons:
-            for seed in manifest.seeds:
-                cells.append((variant, eps, seed))
-    return cells
+    return [(variant, eps, seed) for variant in manifest.variants
+            for eps in (manifest.privacy["epsilons"] if variant == "dp" else [None])
+            for seed in manifest.seeds]
 
 
 def aggregate(cells: list[dict]) -> list[dict]:
@@ -356,17 +342,11 @@ def aggregate(cells: list[dict]) -> list[dict]:
         if "error" in cell:
             continue
         groups.setdefault((cell["variant"], cell["epsilon"]), []).append(cell["test_acc"])
-    rows = []
-    for (variant, eps), accs in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0)):
-        arr = np.asarray(accs)
-        rows.append({
-            "variant": variant,
-            "epsilon": eps,
-            "mean_acc": float(arr.mean()),
-            "std_acc": float(arr.std()),  # population std over seeds
-            "n_seeds": int(arr.size),
-        })
-    return rows
+    return [{"variant": variant, "epsilon": eps, "mean_acc": float(np.mean(accs)),
+             "std_acc": float(np.std(accs)),  # population std over seeds
+             "n_seeds": len(accs)}
+            for (variant, eps), accs in sorted(groups.items(),
+                                               key=lambda kv: (kv[0][0], kv[0][1] or 0))]
 
 
 def run(manifest: ExperimentManifest, out_dir=None, threads: int = 1,
@@ -459,19 +439,11 @@ def sweep_homophily(manifest: ExperimentManifest, homophilies, out_dir=None,
     _write_csv(out / "sweep.csv", "homophily:g,variant,epsilon:g,mean_acc:.6f,std_acc:.6f",
                long_rows)
 
-    trends = []
-    for (variant, eps, seed), by_h in sorted(per_seed_acc.items(),
-                                             key=lambda kv: (kv[0][0], kv[0][1] or 0, kv[0][2])):
-        if len(by_h) < 2:
-            continue
-        hs = sorted(by_h)
-        accs = [by_h[h] for h in hs]
-        trends.append({
-            "variant": variant,
-            "epsilon": eps,
-            "seed": seed,
-            "spearman": spearman(hs, accs),
-        })
+    trends = [{"variant": variant, "epsilon": eps, "seed": seed,
+               "spearman": spearman(sorted(by_h), [by_h[h] for h in sorted(by_h)])}
+              for (variant, eps, seed), by_h in sorted(
+                  per_seed_acc.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0, kv[0][2]))
+              if len(by_h) >= 2]
     trend_summary = {
         "schema_version": SCHEMA_VERSION,
         "manifest_hash": manifest.hash(),

@@ -9,6 +9,7 @@ transductively through boolean train/val/test masks.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,6 +109,12 @@ class PopulationGraph:
                 raise AssertionError(f"edge ({u},{v}) missing its reverse")
 
 
+def _check_integer(value, name: str, least: int, error: type = ValueError) -> None:
+    """Reject a value that is not an integer >= ``least``; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{name} must be an integer >= {least}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Train/val/test fractions (must sum to 1) plus a shuffle seed."""
@@ -123,6 +130,7 @@ class SplitSpec:
             raise ValueError("split fractions must be nonnegative")
         if not abs(sum(fracs) - 1.0) <= 1e-9:
             raise ValueError("split fractions must sum to 1")
+        _check_integer(self.seed, "split seed", 0)
 
 
 def csr_from_edges(num_nodes: int, edges) -> tuple[np.ndarray, np.ndarray]:

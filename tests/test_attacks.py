@@ -263,6 +263,32 @@ def test_binomial_half_width():
     assert binomial_half_width(1.0, 50) == 0.0
 
 
+@pytest.mark.parametrize("fpr_grid", [(), [], (2.0,), (-0.01,), (float("nan"),), ("0.01",),
+                                      (True,), "0.01", None])
+def test_audit_rejects_an_fpr_grid_before_any_shadow_trains(monkeypatch, fpr_grid):
+    # the audit reads its FPR budgets by AuditSpec's rule, so an empty grid
+    # cannot leave a DP audit's bound check empty, and so vacuously sound
+    from dpgraphlab import attacks
+
+    g = small_graph(n=60)
+    dp = dg.PrivacySpec(epsilon_target=10.0, delta=1e-3, max_degree=3, occurrence_bound=4,
+                        batch_size=8, total_steps=8)
+    cfg = dg.TrainConfig(mode="subgraph_batch", clipping=True, noise=True, hidden_dim=8)
+    trained = []
+    monkeypatch.setattr(attacks, "train", lambda *args: trained.append(args))
+    with pytest.raises(dg.AuditSetupError, match="^audit fpr_grid must be a nonempty list of "
+                                                 r"numbers in \[0, 1\], not "):
+        dg.audit(_init_model(g, cfg), g, cfg, n_shadows=16, seed=0, dp=dp, fpr_grid=fpr_grid)
+    assert trained == []
+
+
+@pytest.mark.parametrize("n_shadows", [15, 16.0, True, "16", None])
+def test_train_shadows_reads_the_count_by_the_audit_rule(n_shadows):
+    with pytest.raises(dg.AuditSetupError,
+                       match=f"^audit n_shadows must be an integer >= 16, not {n_shadows!r}$"):
+        dg.train_shadows(small_graph(), quick_config(), None, n_shadows=n_shadows, seed=0)
+
+
 def test_dp_shadows_smaller_than_the_batch_fail_before_any_shadow_trains(monkeypatch):
     # every shadow's accountant needs m and T <= its IN count; a shadow below
     # either fails the audit's setup, not a training halfway through it

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dpgraphlab as dg
+from dpgraphlab.attacks import AuditSpec
 from dpgraphlab.cli import main as cli_main
 from dpgraphlab.experiments import (ExperimentManifest, ManifestError, aggregate,
                                     build_graph_for_cell, config_for_variant, grid_cells, report,
@@ -80,6 +81,22 @@ def test_manifest_hash_stable():
     assert a.hash() == b.hash()
     c = ExperimentManifest.from_dict({"dataset": {"synthetic": {}}, "seeds": [1]})
     assert a.hash() != c.hash()
+
+
+def test_benchmark_manifest_hash_is_pinned():
+    # the manifest hash names a grid's outputs; the canonical grid has no
+    # audit block, so its hash stays as it was
+    assert synthetic_benchmark_manifest().hash() == "ebab7396e4a9d182"
+
+
+def test_manifest_builds_its_audit_block_with_the_defaults_filled_in(tmp_path):
+    manifest = dataclasses.replace(tiny_manifest(tmp_path), audit={"fpr_grid": [0.01]})
+    assert manifest.audit == AuditSpec(n_shadows=128, seed_offset=10_000, fpr_grid=(0.01,))
+    assert manifest.to_dict()["audit"] == {"n_shadows": 128, "seed_offset": 10_000,
+                                           "fpr_grid": (0.01,)}
+    # a manifest built from a loaded one (as a sweep's levels are) keeps the spec
+    assert dataclasses.replace(manifest, seeds=(3,)).audit == manifest.audit
+    assert ExperimentManifest.from_dict(manifest.to_dict()).hash() == manifest.hash()
 
 
 def test_manifest_to_dict_is_a_copy(tmp_path):
@@ -698,9 +715,11 @@ def _manifest_file(tmp_path, edit=lambda manifest: None):
     (lambda t: ("sweep", "--manifest", _manifest_file(t), "--homophilies", "0.5,1.5"),
      "target_homophily must lie in [0, 1]"),
     (lambda t: ("train", "--manifest", _manifest_file(t, lambda m: m.update(seeds=[0, -1]))),
-     "seed must be a nonnegative integer, not -1"),
+     "seed must be an integer >= 0, not -1"),
     (lambda t: ("train", "--manifest", _manifest_file(t, lambda m: m.update(seeds=[0, 1.5]))),
-     "seed must be a nonnegative integer, not 1.5"),
+     "seed must be an integer >= 0, not 1.5"),
+    (lambda t: ("train", "--manifest", _manifest_file(t, lambda m: m["split"].update(seed="x"))),
+     "split seed must be an integer >= 0, not 'x'"),
     (lambda t: ("train", "--manifest",
                 _manifest_file(t, lambda m: m["privacy"].update(epsilons=[0]))),
      "epsilon_target must be positive"),
@@ -729,7 +748,22 @@ def _manifest_file(tmp_path, edit=lambda manifest: None):
      "audit n_shadows must be an integer >= 16, not None"),
     (lambda t: ("audit", "--manifest",
                 _manifest_file(t, lambda m: m.update(audit={"seed_offset": 0.5}))),
-     "seed plus audit seed_offset must be a nonnegative integer, not 0.5"),
+     "audit seed_offset must be an integer >= 0, not 0.5"),
+    (lambda t: ("audit", "--manifest",
+                _manifest_file(t, lambda m: m.update(audit={"seed_offset": "x"}))),
+     "audit seed_offset must be an integer >= 0, not 'x'"),
+    (lambda t: ("audit", "--manifest",
+                _manifest_file(t, lambda m: m.update(audit={"seed_offset": True}))),
+     "audit seed_offset must be an integer >= 0, not True"),
+    (lambda t: ("audit", "--manifest",
+                _manifest_file(t, lambda m: m.update(audit={"fpr_grid": [2.0]}))),
+     "audit fpr_grid must be a nonempty list of numbers in [0, 1], not [2.0]"),
+    (lambda t: ("audit", "--manifest",
+                _manifest_file(t, lambda m: m.update(audit={"fpr_grid": []}))),
+     "audit fpr_grid must be a nonempty list of numbers in [0, 1], not []"),
+    (lambda t: ("audit", "--manifest",
+                _manifest_file(t, lambda m: m.update(audit={"fpr_grid": ["0.01"]}))),
+     "audit fpr_grid must be a nonempty list of numbers in [0, 1], not ['0.01']"),
     # the checks that need a seed's graph run once its graphs are built, for
     # a synthetic and a CSV dataset alike, before anything is written
     (lambda t: ("audit", "--manifest", _manifest_file(
@@ -758,10 +792,11 @@ def _manifest_file(tmp_path, edit=lambda manifest: None):
 ], ids=["prefix-flag", "prefix-flag-with-value", "odd-nodes", "missing-manifest", "bad-csv", "missing-results",
         "unknown-block-key", "no-audit-block", "epsilon-nan", "epsilon-negative",
         "grid-odd-nodes", "sweep-homophily-out-of-range", "grid-negative-seed",
-        "grid-fractional-seed", "grid-zero-epsilon", "grid-zero-delta", "grid-bad-csv",
+        "grid-fractional-seed", "grid-string-split-seed", "grid-zero-epsilon", "grid-zero-delta", "grid-bad-csv",
         "grid-dp-batch-above-n-train", "sweep-dp-occurrence-bound-above-n-train",
         "grid-csv-dp-batch-above-n-train", "audit-too-few-shadows", "audit-null-shadows",
-        "audit-fractional-seed-offset",
+        "audit-fractional-seed-offset", "audit-string-seed-offset", "audit-bool-seed-offset",
+        "audit-fpr-above-one", "audit-empty-fpr-grid", "audit-string-fpr",
         "audit-shadows-below-the-batch", "audit-csv-shadows-below-the-batch",
         "grid-empty-test-split", "grid-non-dp-empty-train-split", "grid-zero-threads",
         "sweep-negative-threads", "two-column-labels", "grid-two-column-labels"])

@@ -386,6 +386,13 @@ def test_split_spec_validation():
         dg.SplitSpec(-0.1, 0.6, 0.5)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+def test_split_spec_seed_is_an_integer_at_least_zero(seed):
+    with pytest.raises(ValueError, match=f"^split seed must be an integer >= 0, not {seed!r}$"):
+        dg.SplitSpec(0.5, 0.2, 0.3, seed=seed)
+    assert dg.SplitSpec(0.5, 0.2, 0.3, seed=np.int64(3)).seed == 3
+
+
 # ---------------------------------------------------------------- stats and I/O
 
 def test_graph_stats_triangle(triangle):
