@@ -5,7 +5,8 @@ shadow model retrains the target's exact pipeline on a random half of the
 pool; per-node Gaussians fitted to the shadows' scaled confidences give a
 likelihood-ratio score for the target's confidence, evaluated at low false
 positive rates and compared against the analytic supremum-power bound when
-the target was trained with DP.
+the target was trained with DP.  Full-graph shadows train in stacks of models
+that share each step, each with the bits of its own training.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .accounting import PrivacySpec, SubgraphSpec, _check_sizes, supremum_power
 from .graphs import PopulationGraph, _check_integer
 from .nn import ModelParams, gcn_forward, normalize_adjacency
-from .training import TrainConfig, train
+from .training import TrainConfig, _train_models, train
 
 logger = logging.getLogger(__name__)
 
@@ -29,6 +30,7 @@ MIN_SHADOWS_EACH_SIDE = 8
 DEFAULT_N_SHADOWS = 128
 MEMBERSHIP_REDRAWS = 200
 FPR_GRID = (0.001, 0.005, 0.01)
+_SHADOW_STACK = 8  # full-graph shadows per stack: 1 MB of activations at 500 nodes x 32
 
 
 class AuditSetupError(ValueError):
@@ -115,23 +117,31 @@ def train_shadows(graph: PopulationGraph, config: TrainConfig,
     the same training pipeline as the target, with the target's ``spec``,
     including DP noise and the final-iterate release when auditing a DP
     model.  The original validation mask is kept; only non-DP shadows read
-    it, to select their checkpoint.
+    it, to select their checkpoint.  Full-graph shadows train _SHADOW_STACK
+    at a time, one step over all; each phi has the bits of its own ``train``.
     """
     pool, membership = _shadow_membership(graph, spec, n_shadows, seed)
     seeds = np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(n_shadows)
 
-    phi = np.empty((n_shadows, pool.size))
     n = graph.num_nodes
+    train_masks = np.zeros((n_shadows, n), dtype=bool)
+    train_masks[:, pool] = membership
     ctx = normalize_adjacency(graph)  # shadows re-mask the graph but keep its edges
-    for s in range(n_shadows):
-        train_mask = np.zeros(n, dtype=bool)
-        train_mask[pool[membership[s]]] = True
-        shadow_graph = graph.with_masks(train_mask, graph.val_mask, np.zeros(n, dtype=bool))
-        shadow_config = replace(config, seed=int(seeds[s]))
-        params, _ = train(shadow_graph, shadow_config, spec)
-        logits = gcn_forward(ctx, params)
-        phi[s] = scaled_confidence(logits[pool], graph.labels[pool])
-    return ShadowEnsemble(pool=pool, membership=membership, phi=phi)
+
+    def phi_of(params):
+        return scaled_confidence(gcn_forward(ctx, params)[pool], graph.labels[pool])
+
+    if config.mode == "full_graph":  # each stack's logs are dropped as it ends
+        phi = [phi_of(params) for start in range(0, n_shadows, _SHADOW_STACK)
+               for params, _ in _train_models(graph, config, spec,
+                                              train_masks[start:start + _SHADOW_STACK],
+                                              seeds[start:start + _SHADOW_STACK])]
+    else:
+        # a larger batch does not make a DP subgraph cheaper: one model at a time
+        phi = [phi_of(train(graph.with_masks(mask, graph.val_mask, np.zeros(n, dtype=bool)),
+                            replace(config, seed=int(s)), spec)[0])
+               for mask, s in zip(train_masks, seeds)]
+    return ShadowEnsemble(pool=pool, membership=membership, phi=np.array(phi))
 
 
 def lira_score(ensemble: ShadowEnsemble, target_phi: np.ndarray) -> np.ndarray:

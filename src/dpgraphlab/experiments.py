@@ -126,6 +126,8 @@ class ExperimentManifest:
         for name, block in (("dataset", self.dataset), (sources[0], self.dataset[sources[0]]),
                             ("split", self.split), ("graph", self.graph), ("model", self.model),
                             ("privacy", self.privacy), ("audit", audit)):
+            if not isinstance(block, dict) and not (block is None and name in ("privacy", "audit")):
+                raise ManifestError(f"{name} must be a JSON object, not {block!r}")
             unknown = set(block or ()) - set(BLOCK_KEYS[name])
             if unknown:
                 raise ManifestError(f"unknown {name} keys {sorted(unknown)}; "

@@ -36,20 +36,25 @@ subgraph shares, ``p @ w`` forward and ``dz @ w.T`` backward, as one 2-D
 product over its m * rows rows, through reshape views
 (:func:`_matmul_rows`); the products that differ per subgraph stay
 batched: the adjacency products and the per-sample weight gradient
-``p.T @ dz``.  On the full graph these products are 2-D already, and the
-same call.  The BLAS kernel may order a row's sum differently in one large
-product than in m small ones, so a batch's gradients can differ in the
-last bits from per-subgraph products.
+``p.T @ dz``.  The BLAS kernel may order a row's sum differently in one
+large product than in m small ones, so a batch's gradients can differ in
+the last bits from per-subgraph products.
 
-A full-graph training step reads the logits of the loss (train) rows and,
-for its log record, of the val rows, so its last layer computes only those
-rows, E (the loss rows, then the val rows): it propagates through A[E], or
-gathers the E rows when it does not propagate, and its backward pass
-starts from the loss rows alone, through A[:, loss rows] (the transpose of
+The full graph runs a stack of S models (S = 1 for one model) with
+(S, rows, k) activations: each weight product is one broadcast matmul,
+each model's own BLAS call, and each adjacency product one CSR product
+over all S * k columns, so each model's step has the bits of a one-model
+step.  A training step reads the logits of the loss (train) rows and, for
+its log record, of the val rows, so its last layer computes only those
+rows, E (the union of the models' loss rows, then the val rows): it
+propagates through A[E], and its backward pass starts from the loss rows,
+zero outside each model's own, through A[:, loss rows] (the transpose of
 A's loss rows, as A is symmetric).  The layers below compute every row.
 For a narrowing last layer (classes < hidden) every kept logit and every
 gradient entry has the bits of the every-row computation: each kept row
 sum is the same CSR row sum, and the backward pass drops only +0.0 terms.
+A last layer that does not propagate its output computes each model's own
+rows of E, since a product's bits can depend on its row count.
 :func:`gcn_forward` computes every row.
 
 Layer order: a ``gcn_conv`` layer above the first multiplies the
@@ -70,9 +75,9 @@ each layer's propagated side, the per-layer views of one flat gradient
 buffer, and the start of each loss row in the flattened logits, through
 which the cross-entropy reads and writes each row's label entry; for the
 full graph it also holds the loss rows, their labels, E and the sparse row
-and column blocks the last layer reads.  Every step
-reuses these, and its gradient overwrites the previous step's, which the
-optimizer has consumed by then.
+and column blocks the last layer reads, and a stack's activation buffers.
+Every step reuses these, and its gradient overwrites the previous step's,
+which the optimizer has consumed by then.
 The public functions (:func:`gcn_forward`, :func:`loss_and_grad`,
 :func:`subgraph_batch_gradients`) build a workspace per call, so what they
 return is never overwritten by a later call.
@@ -88,7 +93,7 @@ build pays for scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -249,57 +254,110 @@ def _propagated_side(l: int, spec: LayerSpec) -> str | None:
 
 
 class _StepWorkspace:
-    """One model's layer layout, resolved once, and the buffers its steps reuse.
+    """A step's layer layout, resolved once, and the buffers its steps reuse.
 
-    ``batch`` is () for the whole graph and (m,) for a stack of m subgraphs.
-    The weight and bias views read ``params.flat``, so in-place optimizer
+    ``flat`` is one model's (n_params,) vector for a stack of m subgraphs
+    (``batch`` = (m,)), or an (S, n_params) stack of models on the whole
+    graph.  The weight and bias views read ``flat``, so in-place optimizer
     updates reach the next step; each step overwrites ``grad``.
 
-    A full-graph training workspace (given ``adj``, ``labels``, the loss
-    ``mask`` and the ``val_mask``) resolves ``rows``, E (see the module
-    docstring), and what its last layer reads: ``adj_rows`` = A[E] and
-    ``adj_loss_cols`` = A[:, loss rows] when it propagates, else
-    ``d_hidden``, an input-gradient buffer whose non-loss rows stay zero.
-    Without a mask ``rows`` is None, and every row is computed.
+    A full-graph training workspace (given ``adj``, ``labels``, the (S, n)
+    loss ``masks`` and the ``val_mask``) resolves E (``rows``, see the module
+    docstring), each model's loss rows in it, and what its last layer reads:
+    A[E] and A[:, loss rows] when it propagates, each model's rows of E when
+    it does not propagate its output, and ``d_hidden``, an input-gradient
+    buffer that stays zero outside each model's loss rows.  Without masks
+    ``rows`` is None, and every row is computed.
     """
 
-    def __init__(self, params: ModelParams, batch: tuple[int, ...] = (), adj=None, labels=None,
-                 mask=None, val_mask=None):
-        layers = params.layers
+    def __init__(self, flat: np.ndarray, layers, batch: tuple[int, ...] = (), adj=None,
+                 labels=None, masks=None, val_mask=None):
         self.layers = layers
         self.sides = [_propagated_side(l, spec) for l, spec in enumerate(layers)]
-        self.weights = _step_views(params.flat, layers)
-        self.grad = np.empty((*batch, params.flat.size))
+        self.weights = _step_views(flat, layers)
+        self.grad = np.empty((*batch, *flat.shape))
         self.grad_views = _step_views(self.grad, layers)
+        self.buffers = None if batch else {}
         self.rows = None
         classes = layers[-1].out_dim
         if batch:
             self.label_starts = np.arange(batch[0]) * classes
-        if mask is not None:
-            self.loss_rows = np.flatnonzero(mask)
-            if self.loss_rows.size == 0:
-                raise ValueError("mask selects no nodes")
-            self.loss_labels = labels[self.loss_rows]
-            self.label_starts = np.arange(self.loss_rows.size) * classes
-            self.rows = (self.loss_rows if val_mask is None
-                         else np.concatenate([self.loss_rows, np.flatnonzero(val_mask)]))
-            if self.sides[-1] is not None:
+        if masks is not None:
+            self.member, self.rows = _stack_rows(masks, val_mask)
+            self.loss_rows = self.rows[:self.member.shape[1]]
+            models, pos = np.nonzero(self.member)  # model by model, rows ascending
+            sizes = self.member.sum(axis=1)
+            self.loss_slices = [slice(e - n, e) for n, e in zip(sizes, np.cumsum(sizes))]
+            self.loss_pos = [pos[cut] for cut in self.loss_slices]
+            self.loss_index = pos * len(masks) + models  # rows of the node-major logits
+            self.loss_labels = labels[self.loss_rows[pos]]
+            self.label_starts = np.arange(pos.size) * classes
+            self.loss_sizes = np.repeat(sizes, sizes)[:, None]
+            # node-major, as the adjacency product reads it (see _propagate)
+            self.d_loss = np.zeros((self.loss_rows.size * len(masks), classes))
+            self.d_logits = self.d_loss.reshape(-1, len(masks), classes).swapaxes(0, 1)
+            side = self.sides[-1]
+            if side is not None:
                 # CSR row and column selection keep each row's entries in order
                 self.adj_rows = adj[self.rows]
                 self.adj_loss_cols = adj[:, self.loss_rows]
-            elif len(layers) > 1:
-                self.d_hidden = np.zeros((mask.shape[0], layers[-1].in_dim))
+            if side != "output":
+                val = np.arange(self.loss_rows.size, self.rows.size)
+                self.model_rows = [np.concatenate([p, val]) for p in self.loss_pos]
+            if side != "output" and len(layers) > 1:  # the loss rows, or every row
+                self.d_hidden = np.zeros((len(masks), self.loss_rows.size if side else
+                                          masks.shape[1], layers[-1].in_dim))
+
+    def buffer(self, key, shape: tuple[int, ...], dtype=float) -> np.ndarray | None:
+        """The array a stack's steps reuse for ``key`` (None in a batch): malloc
+        returns freed stack activations to the OS, and refaulting costs a step."""
+        if self.buffers is None:
+            return None
+        buf = self.buffers.get(key)
+        if buf is None or buf.shape != shape:
+            buf = self.buffers[key] = np.empty(shape, dtype)
+        return buf
+
+
+def _stack_rows(masks: np.ndarray, val_mask) -> tuple[np.ndarray, np.ndarray]:
+    """``member`` (S, U): which of the S models' union of loss rows each trains
+    on, and E: that union, then the val rows.  An empty mask raises ValueError."""
+    union = masks.any(axis=0)
+    if not masks.any(axis=1).all():
+        raise ValueError("mask selects no nodes")
+    val = np.flatnonzero(val_mask) if val_mask is not None else np.empty(0, dtype=np.intp)
+    return masks[:, union], np.concatenate([np.flatnonzero(union), val])
+
+
+def _weights(p: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``p @ w``: a batch's shared (k, o) weight (:func:`_matmul_rows`), or S
+    models' (S, k, o) weights on (S, rows, k) or shared (rows, k) inputs."""
+    if w.ndim == 2:
+        return _matmul_rows(p, w)
+    return np.matmul(p, w, out=out)
+
+
+def _propagate(a, h: np.ndarray) -> np.ndarray:
+    """``a @ h``: a dense (m, r, s) adjacency stack on its (m, s, k) batch, or
+    the graph's adjacency on a stack's (S, n, k) activations, one product on
+    their (n, S * k) node-major copy, returned as an (S, rows, k) view."""
+    if a.ndim == 3:
+        return a @ h
+    models, rows, k = h.shape
+    return (a @ h.swapaxes(0, 1).reshape(rows, -1)).reshape(-1, models, k).swapaxes(0, 1)
 
 
 def _forward(ws: _StepWorkspace, adj, x: np.ndarray, keep_cache: bool, rows=None):
     """Shared forward pass; returns (logits, cache of (layer input, matrix times w)).
 
     ``x`` is layer 0's input (A @ X or X with a ones column, see the module
-    docstring).  ``adj`` is sparse (n, n) with ``x`` (n, d + 1), or a dense
-    (m, s, s) stack with ``x`` (m, s, d + 1).
+    docstring).  ``adj`` is sparse (n, n) with ``x`` (n, d + 1) and logits
+    (S, n, C) for a stack of S models, or a dense (m, s, s) stack with ``x``
+    (m, s, d + 1).
     With ``rows`` (see the module docstring), layer l maps the first
     ``rows[l]`` rows to the first ``rows[l + 1]``.  A full-graph training
-    workspace's last layer maps every row to its E rows (``ws.rows``).
+    workspace's last layer maps every row to its E rows (``ws.rows``); one
+    that does not propagate its output maps each model's own rows of E.
     """
     in_dim = ws.layers[0].in_dim
     if x.shape[-1] != in_dim + 1:
@@ -312,16 +370,22 @@ def _forward(ws: _StepWorkspace, adj, x: np.ndarray, keep_cache: bool, rows=None
         p = h
         if l == last and ws.rows is not None:  # the full graph's E rows only
             if side is None:
-                p = h[ws.rows]
+                p = h[..., ws.rows, :]
             else:
                 a = ws.adj_rows
         if side == "input":
-            p = a @ h
-        z = _matmul_rows(p, w)
+            p = _propagate(a, h)
+        if l == last and ws.rows is not None and side != "output":  # see the module docstring
+            z = np.zeros((ws.rows.size, len(w), w.shape[-1])).swapaxes(0, 1)  # node-major
+            for s, model_rows in enumerate(ws.model_rows):
+                z[s, model_rows] = (p if p.ndim == 2 else p[s])[model_rows] @ w[s]
+        else:  # the logits are returned, not reused
+            z = _weights(p, w, ws.buffer(("z", l), (len(w), p.shape[-2], w.shape[-1]))
+                         if l < last else None)
         if side == "output":
-            z = a @ z
+            z = _propagate(a, z)
         if b is not None:
-            z += b
+            z += b[..., None, :]  # a stack's biases are (S, o)
         if keep_cache:
             cache.append((h, p))
         if l < last:
@@ -333,9 +397,9 @@ def _forward(ws: _StepWorkspace, adj, x: np.ndarray, keep_cache: bool, rows=None
 def gcn_forward(ctx: ForwardContext, params: ModelParams) -> np.ndarray:
     """Per-node class logits over the whole (transductive) graph; MLP models
     (``dense`` layers only) ignore the adjacency."""
-    logits, _ = _forward(_StepWorkspace(params), ctx.adj_norm,
+    logits, _ = _forward(_StepWorkspace(params.flat[None], params.layers), ctx.adj_norm,
                          ctx.first_layer_input(params.layers), keep_cache=False)
-    return logits
+    return logits[0]
 
 
 def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray,
@@ -347,9 +411,10 @@ def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray,
     array, ``np.arange(rows) * classes`` (a workspace's ``label_starts``), so
     each row's label entry is read and written through one flat index."""
     flat = starts + labels
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # class by class: a row max's and (below 8 classes) row sum's ops, in order
+    shifted = logits - reduce(np.maximum, logits.T)[:, None]
     exp = np.exp(shifted)
-    total = exp.sum(axis=1, keepdims=True)
+    total = (reduce(np.add, exp.T) if exp.shape[1] < 8 else exp.sum(axis=1))[:, None]
     losses = np.log(total[:, 0]) - shifted.take(flat)
     exp /= total
     exp.reshape(-1)[flat] -= 1.0
@@ -359,12 +424,13 @@ def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray,
 def _backward(ws: _StepWorkspace, adj, cache, d_logits: np.ndarray, rows=None) -> np.ndarray:
     """Reverse-mode sweep from an output-logit gradient into ``ws.grad``, the
     flat parameter gradient (one row per batch entry when the forward pass
-    ran over an (m, s, s) stack).
+    ran over an (m, s, s) stack, one per model on the full graph).
 
     The normalized adjacency is symmetric, so A^T g == A g; with ``rows``,
     layer l's transposed block is ``adj[:, :rows[l], :rows[l + 1]]``.  A
-    full-graph training workspace's ``d_logits`` holds the loss rows only,
-    and its last layer's transposed block is ``ws.adj_loss_cols``.
+    full-graph training workspace's ``d_logits`` holds the union of the
+    models' loss rows, zero outside each model's own, and its last layer's
+    transposed block is ``ws.adj_loss_cols``.
     """
     dz = d_logits
     last = len(ws.layers) - 1
@@ -375,24 +441,30 @@ def _backward(ws: _StepWorkspace, adj, cache, d_logits: np.ndarray, rows=None) -
         side = ws.sides[l]
         a = adj if rows is None else adj[:, :rows[l], :rows[l + 1]]
         cut = l == last and ws.rows is not None  # dz holds the loss rows only
-        if cut:
-            if side is not None:
-                a = ws.adj_loss_cols
-            if side != "output":
-                p = p[:dz.shape[0]]  # the loss rows, E's prefix
+        if cut and side is not None:
+            a = ws.adj_loss_cols
         if db is not None:
             np.einsum("...rk->...k", dz, out=db)
         if side == "output":
-            dz = a @ dz
-        np.matmul(np.swapaxes(p, -1, -2), dz, out=dw)
+            dz = _propagate(a, dz)
+        if cut and side != "output":  # each model's own loss rows, as in _forward
+            for s, pos in enumerate(ws.loss_pos):
+                dz_s = dz[s, pos]
+                np.matmul((p if p.ndim == 2 else p[s])[pos].T, dz_s, out=dw[s])
+                if l > 0:
+                    ws.d_hidden[s, pos if side else ws.loss_rows[pos]] = dz_s @ w[s].T
+            if l > 0:
+                dh = _propagate(a, ws.d_hidden) if side == "input" else ws.d_hidden
+        else:
+            np.matmul(np.swapaxes(p, -1, -2), dz, out=dw)
+            if l > 0:
+                dh = _weights(dz, np.swapaxes(w, -1, -2),
+                              ws.buffer(("dh", l), (len(w), dz.shape[-2], w.shape[-2])))
+                if side == "input":
+                    dh = _propagate(a, dh)
         if l > 0:
-            dh = _matmul_rows(dz, w.T)
-            if side == "input":
-                dh = a @ dh
-            elif cut and side is None:
-                ws.d_hidden[ws.loss_rows] = dh
-                dh = ws.d_hidden
-            dh *= h > 0.0  # h is post-ReLU, so h > 0 exactly where its pre-activation is
+            # h is post-ReLU, so h > 0 exactly where its pre-activation is
+            dh *= np.greater(h, 0.0, out=ws.buffer(("live", l), h.shape, bool))
             dz = dh
     return ws.grad
 
@@ -417,28 +489,31 @@ def subgraph_batch_gradients(adj: np.ndarray, inputs: np.ndarray, root_labels: n
     :class:`ModelParams`, the arrays are fresh.
     """
     ws = (params if isinstance(params, _StepWorkspace)
-          else _StepWorkspace(params, batch=(root_labels.size,)))
+          else _StepWorkspace(params.flat, params.layers, batch=(root_labels.size,)))
     logits, cache = _forward(ws, adj, inputs, keep_cache=True, rows=rows)
     losses, d_roots = _cross_entropy_rows(logits[:, 0, :], root_labels, ws.label_starts)
     return losses, _backward(ws, adj, cache, d_roots[:, None, :], rows=rows)
 
 
 def _masked_loss_grad_and_logits(ws: _StepWorkspace, adj, x: np.ndarray):
-    """Mean cross-entropy over ``ws``'s loss rows, its gradient (``ws.grad``)
-    and the logits of ``ws.rows``: the loss rows, then the val rows."""
+    """Each model's mean cross-entropy over its loss rows, the (S, n_params)
+    gradient (``ws.grad``) and the (S, E, C) logits of ``ws.rows``."""
     logits, cache = _forward(ws, adj, x, keep_cache=True)
-    size = ws.loss_rows.size
-    losses, d_rows = _cross_entropy_rows(logits[:size], ws.loss_labels, ws.label_starts)
-    d_rows /= size
+    node_rows = logits.swapaxes(0, 1).reshape(-1, logits.shape[-1])  # a view, see _propagate
+    losses, d_rows = _cross_entropy_rows(node_rows.take(ws.loss_index, axis=0), ws.loss_labels,
+                                         ws.label_starts)
+    d_rows /= ws.loss_sizes
+    ws.d_loss[ws.loss_index] = d_rows
     # sum / size is the bits of losses.mean() without its per-call overhead
-    return float(losses.sum() / size), _backward(ws, adj, cache, d_rows), logits
+    means = [float(losses[cut].sum() / (cut.stop - cut.start)) for cut in ws.loss_slices]
+    return means, _backward(ws, adj, cache, ws.d_logits), logits
 
 
 def loss_and_grad(ctx: ForwardContext, params: ModelParams, labels: np.ndarray,
                   mask: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean masked cross-entropy and its exact gradient through all layers."""
-    ws = _StepWorkspace(params, adj=ctx.adj_norm, labels=labels, mask=mask)
-    loss, grad, _ = _masked_loss_grad_and_logits(ws, ctx.adj_norm,
-                                                 ctx.first_layer_input(params.layers))
-    return loss, grad
-
+    ws = _StepWorkspace(params.flat[None], params.layers, adj=ctx.adj_norm, labels=labels,
+                        masks=mask[None])
+    losses, grad, _ = _masked_loss_grad_and_logits(ws, ctx.adj_norm,
+                                                   ctx.first_layer_input(params.layers))
+    return losses[0], grad[0]

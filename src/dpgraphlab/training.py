@@ -28,15 +28,15 @@ and copied into whenever validation accuracy ties or improves.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .accounting import (OCCURRENCE_SENSITIVITY, CalibrationError, PrivacySpec, SubgraphSpec,
                          _privacy_claim, clip, compose_and_convert, noisy_batch_gradient)
 from .graphs import PopulationGraph
-from .nn import (ModelParams, _masked_loss_grad_and_logits, _StepWorkspace, gcn_forward,
-                 init_gcn, init_mlp, normalize_adjacency, subgraph_batch_gradients)
+from .nn import (ModelParams, _masked_loss_grad_and_logits, _stack_rows, _StepWorkspace,
+                 gcn_forward, init_gcn, init_mlp, normalize_adjacency, subgraph_batch_gradients)
 from .sampling import SubgraphStore, sample_training_subgraphs
 
 
@@ -121,33 +121,14 @@ def _stream(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
-def _eval_rows(labels: np.ndarray, masks) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The nodes each mask selects, concatenated in mask order, and each
-    mask's labels: the rows and blocks :func:`_accuracy` scores.  A mask
-    that selects no nodes raises ValueError."""
-    idx = [np.flatnonzero(mask) for mask in masks]
-    if any(i.size == 0 for i in idx):
-        raise ValueError("mask selects no nodes")
-    return np.concatenate(idx), [labels[i] for i in idx]
-
-
-def _accuracy(logits: np.ndarray, blocks) -> list[float]:
-    """Argmax accuracy of consecutive row blocks of ``logits`` against each
-    labels array in ``blocks``, from one argmax."""
-    pred = np.argmax(logits, axis=1)  # argmax ties resolve to the lower class id
-    accs, start = [], 0
-    for labels in blocks:
-        stop = start + labels.size
-        accs.append(np.count_nonzero(pred[start:stop] == labels) / labels.size)
-        start = stop
-    return accs
-
-
 def _evaluate(graph: PopulationGraph, params: ModelParams, masks) -> list[float]:
     """Argmax accuracy over each mask's nodes, from one transductive forward;
     a mask that selects no nodes raises ValueError."""
-    rows, blocks = _eval_rows(graph.labels, masks)
-    return _accuracy(gcn_forward(normalize_adjacency(graph), params)[rows], blocks)
+    if not all(mask.any() for mask in masks):
+        raise ValueError("mask selects no nodes")
+    # argmax ties resolve to the lower class id
+    hits = np.argmax(gcn_forward(normalize_adjacency(graph), params), axis=1) == graph.labels
+    return [np.count_nonzero(hits[mask]) / np.count_nonzero(mask) for mask in masks]
 
 
 def evaluate(graph: PopulationGraph, params: ModelParams, mask: np.ndarray) -> float:
@@ -175,7 +156,16 @@ def train(graph: PopulationGraph, config: TrainConfig,
     CalibrationError before the first step if the epsilon target cannot be
     met at the requested step count.
     """
-    if not graph.train_mask.any():
+    return _train_models(graph, config, spec, graph.train_mask[None], [config.seed])[0]
+
+
+def _train_models(graph: PopulationGraph, config: TrainConfig, spec: SubgraphSpec | None,
+                  train_masks: np.ndarray, seeds) -> list[tuple[ModelParams, list[dict]]]:
+    """Each model's (params, log) of :func:`train` on ``graph`` with train mask
+    ``train_masks[s]`` and seed ``seeds[s]``.  The full-graph source steps the
+    S models as one stack; the subgraph source takes one model, on the
+    graph's own train mask."""
+    if not train_masks.any(axis=1).all():
         raise ValueError("graph has no training nodes; assign splits first")
     if spec is None:
         spec = SubgraphSpec(hops=config.num_layers)
@@ -184,9 +174,13 @@ def train(graph: PopulationGraph, config: TrainConfig,
     if dp != config.noise:
         raise ValueError("DP training requires subgraph_batch mode with clipping and noise, "
                          "and noise requires a PrivacySpec")
+    if config.mode != "full_graph" and len(seeds) != 1:
+        raise ValueError("the subgraph source trains one model at a time")
 
-    params = _init_model(graph, config)
-    best = None  # (params of the best validation accuracy so far, that accuracy)
+    S = len(seeds)
+    models = [_init_model(graph, replace(config, seed=int(seed))) for seed in seeds]
+    layers, flat = models[0].layers, np.stack([model.flat for model in models])  # (S, n_params)
+    best = None  # (each model's params of its best val accuracy so far, those accuracies)
     sigma = 0.0  # the accountant's noise multiplier; 0.0 outside DP
     if dp:  # the claim settles sigma and the budget before any sampling
         claim, accountant = _privacy_claim(spec, int(graph.train_mask.sum()), spec.delta,
@@ -198,75 +192,72 @@ def train(graph: PopulationGraph, config: TrainConfig,
     else:
         ctx = normalize_adjacency(graph)
         has_val = bool(graph.val_mask.any())
-        # the train rows, then the val rows: the rows of the full-graph
-        # source's logits
-        eval_rows, eval_blocks = _eval_rows(
-            graph.labels, [graph.train_mask, graph.val_mask] if has_val else [graph.train_mask])
+        # each model's train rows among the union of them, and E: that union,
+        # then the val rows: the rows of the full-graph source's logits
+        member, eval_rows = _stack_rows(train_masks, graph.val_mask)
+        eval_labels, u = graph.labels[eval_rows], member.shape[1]
+        train_pos, n_val = [np.flatnonzero(row) for row in member], eval_rows.size - u
         if has_val:
-            best = (params.clone(), -1.0)
+            best = (flat.copy(), [-1.0] * S)
     if config.mode == "full_graph":
-        steps, every, gradients = _full_graph_source(graph, config, spec, ctx, params)
+        steps, every, gradients = _full_graph_source(graph, config, spec, ctx, flat, layers,
+                                                     train_masks)
     else:
-        steps, every, gradients = _subgraph_source(graph, config, spec, sigma, params)
+        steps, every, gradients = _subgraph_source(graph, config, spec, sigma,
+                                                   ModelParams(flat[0], layers))
 
     lr = config.learning_rate
     optimizer = _Adam(lr) if config.optimizer == "adam" else _Sgd(lr)
-    log: list[dict] = []
+    logs: list[list[dict]] = [[] for _ in range(S)]
 
-    def record(step, loss, logits):
-        nonlocal best
-        entry = {"step": step, "loss": loss}
+    def record(step, losses, logits):
         if dp:  # the accountant's fields; no evaluation, no selection
-            entry.update(epsilon_spent=compose_and_convert(accountant, step, spec.delta),
-                         sigma=sigma)
-        else:
-            if logits is None:
-                logits = gcn_forward(ctx, params)[eval_rows]
-            acc = _accuracy(logits, eval_blocks)
-            entry.update(train_acc=acc[0], val_acc=acc[1] if has_val else None)
-            if has_val:
-                best = _checkpoint(best, params, entry["val_acc"])
-        log.append(entry)
+            logs[0].append({"step": step, "loss": losses[0],
+                            "epsilon_spent": compose_and_convert(accountant, step, spec.delta),
+                            "sigma": sigma})
+            return
+        if logits is None:
+            logits = np.stack([gcn_forward(ctx, ModelParams(row, layers))[eval_rows]
+                               for row in flat])
+        hits = np.argmax(logits, axis=-1) == eval_labels  # argmax ties resolve to class 0
+        train_acc = [np.count_nonzero(row[pos]) / pos.size for row, pos in zip(hits, train_pos)]
+        val_acc = [np.count_nonzero(row[u:]) / n_val for row in hits] if has_val else [None] * S
+        for log, loss, t, v in zip(logs, losses, train_acc, val_acc):
+            log.append({"step": step, "loss": loss, "train_acc": t, "val_acc": v})
+        for s, v in enumerate(val_acc if has_val else ()):
+            # >= keeps the most-trained params among ties (val accuracy
+            # saturates early on easy splits and carries no signal between them)
+            if v >= best[1][s]:
+                best[0][s], best[1][s] = flat[s], v
 
     # A record is due after an evaluation step's update and, outside DP,
     # takes the logits at the updated params: those of the next step's
     # forward when the source has them, else its own forward.
     due = None
-    loss_window: list[float] = []
+    loss_window: list[list[float]] = []
     for step in range(1, steps + 1):
-        loss, update, logits = next(gradients)
+        losses, update, logits = next(gradients)
         if due is not None:
             record(*due, logits)
             due = None
-        loss_window.append(loss)
-        optimizer.step(params.flat, update)
+        loss_window.append(losses)
+        optimizer.step(flat, update)
         if step % every == 0 or step == steps:
             # a one-loss window is its own mean, to the bit
             due = (step, loss_window[0] if len(loss_window) == 1
-                   else float(np.mean(loss_window)))
+                   else [float(np.mean(window)) for window in zip(*loss_window)])
             loss_window = []
     if due is not None:  # no steps, no record
         record(*due, None)
-    return params if best is None else best[0], log
-
-
-def _checkpoint(best, params, val_acc):
-    """Copy ``params`` into the checkpoint buffer ``best[0]`` when ``val_acc``
-    ties or beats ``best[1]``."""
-    # >= keeps the most-trained params among ties (val accuracy saturates early
-    # on easy splits and carries no signal between tied checkpoints)
-    best_params, best_acc = best
-    if val_acc >= best_acc:
-        np.copyto(best_params.flat, params.flat)
-        return (best_params, val_acc)
-    return best
+    final = flat if best is None else best[0]
+    return [(ModelParams(row, layers), log) for row, log in zip(final, logs)]
 
 
 # A gradient source returns (steps, eval interval, endless iterator of
-# per-step (loss, update, logits) at the current params).  The full-graph
-# source's logits are those of the forward pass its gradient ran, which
-# computes the last layer on the train rows (the loss) and then the val
-# rows only, so one forward serves both the step's gradient and the
+# per-step (per-model losses, update, logits) at the current params).  The
+# full-graph source's logits are those of the forward pass its gradient
+# ran, which computes the last layer on the train rows (the loss) and then
+# the val rows only, so one forward serves both the step's gradient and the
 # previous record's evaluation; the subgraph source has no full-graph
 # logits and yields None.
 # The iterators are generators, so one step's batch arrays stay alive until
@@ -275,15 +266,17 @@ def _checkpoint(best, params, val_acc):
 # the heap top back to the OS and faults it in again on the next step, which
 # made DP training about 1.5x slower on the dp_audit benchmark.
 
-def _full_graph_source(graph, config, spec, ctx, params):
-    adj, x = ctx.adj_norm, ctx.first_layer_input(params.layers)
-    ws = _StepWorkspace(params, adj=adj, labels=graph.labels, mask=graph.train_mask,
+def _full_graph_source(graph, config, spec, ctx, flat, layers, train_masks):
+    adj, x = ctx.adj_norm, ctx.first_layer_input(layers)
+    ws = _StepWorkspace(flat, layers, adj=adj, labels=graph.labels, masks=train_masks,
                         val_mask=graph.val_mask)
 
     def gradients():
         while True:
-            loss, grad, logits = _masked_loss_grad_and_logits(ws, adj, x)
-            yield loss, clip(grad, spec.clip_norm) if config.clipping else grad, logits
+            losses, grad, logits = _masked_loss_grad_and_logits(ws, adj, x)
+            if config.clipping:  # each model's gradient by its own norm
+                grad = np.stack([clip(g, spec.clip_norm) for g in grad])
+            yield losses, grad, logits
 
     return config.epochs, config.eval_every or 1, gradients()
 
@@ -298,7 +291,7 @@ def _subgraph_source(graph, config, spec: SubgraphSpec, sigma: float, params):
                                           spec.effective_occurrence_bound, sampler_rng)
     store = SubgraphStore(graph, subgraphs, params.layers)
     batch_size = min(spec.batch_size, len(store))
-    ws = _StepWorkspace(params, batch=(batch_size,))
+    ws = _StepWorkspace(params.flat, params.layers, batch=(batch_size,))
     # the accountant's sigma is in units of Delta = OCCURRENCE_SENSITIVITY * C
     noise_multiplier = sigma * OCCURRENCE_SENSITIVITY
 
@@ -312,7 +305,7 @@ def _subgraph_source(graph, config, spec: SubgraphSpec, sigma: float, params):
                                               noise_rng)
             else:
                 update = grads.mean(axis=0)
-            yield float(losses.sum() / losses.size), update, None
+            yield [float(losses.sum() / losses.size)], update, None
 
     return spec.total_steps, config.eval_every or 50, gradients()
 

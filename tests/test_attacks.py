@@ -1,9 +1,12 @@
 """LiRA scoring, ROC analysis, and the audit pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import dpgraphlab as dg
+from dpgraphlab import attacks
 from dpgraphlab.attacks import ShadowEnsemble, binomial_half_width, scaled_confidence
 from dpgraphlab.training import _init_model
 
@@ -182,6 +185,56 @@ def test_shadow_determinism():
     np.testing.assert_array_equal(e1.phi, e2.phi)
 
 
+def shadow_phi_by_train(graph, config, spec, n_shadows, seed):
+    """Oracle of ``train_shadows``: ``train`` on each shadow's re-masked graph."""
+    pool, membership = attacks._shadow_membership(graph, spec, n_shadows, seed)
+    seeds = np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(n_shadows)
+    ctx = dg.normalize_adjacency(graph)
+    n = graph.num_nodes
+    phi = []
+    for member, shadow_seed in zip(membership, seeds):
+        train_mask = np.zeros(n, dtype=bool)
+        train_mask[pool[member]] = True
+        params, _ = dg.train(graph.with_masks(train_mask, graph.val_mask, np.zeros(n, bool)),
+                             dataclasses.replace(config, seed=int(shadow_seed)), spec)
+        phi.append(scaled_confidence(dg.gcn_forward(ctx, params)[pool], graph.labels[pool]))
+    return np.array(phi)
+
+
+def four_classes(g):
+    labels = np.random.default_rng(7).integers(0, 4, g.num_nodes)
+    return dataclasses.replace(g, labels=labels, num_classes=4)
+
+
+def no_val(g):
+    return g.with_masks(g.train_mask, np.zeros(g.num_nodes, bool), g.test_mask)
+
+
+@pytest.mark.parametrize("case, graph_of, config, spec", [
+    ("adam", small_graph, dict(), None),
+    ("sgd", small_graph, dict(optimizer="sgd", learning_rate=0.1), None),
+    ("clipping", small_graph, dict(clipping=True), dg.SubgraphSpec(clip_norm=0.05)),
+    ("mlp", small_graph, dict(model_kind="mlp"), None),
+    ("1 layer", small_graph, dict(num_layers=1), None),
+    ("3 layers", small_graph, dict(num_layers=3), None),
+    ("3-layer mlp", small_graph, dict(num_layers=3, model_kind="mlp"), None),
+    ("classes >= hidden", lambda: four_classes(small_graph()), dict(hidden_dim=3), None),
+    ("eval_every", small_graph, dict(eval_every=7), None),
+    ("no val nodes", lambda: no_val(small_graph()), dict(), None),
+    ("larger graph", lambda: small_graph(n=700), dict(hidden_dim=32, epochs=12), None),
+    ("larger mlp", lambda: small_graph(n=700), dict(hidden_dim=32, epochs=12,
+                                                    model_kind="mlp"), None),
+])
+def test_stacked_shadows_equal_a_train_per_shadow(case, graph_of, config, spec):
+    # full-graph shadows train in stacks; each shadow's phi keeps the bits of
+    # its own train() run.  17 shadows are one full stack and a stack of one.
+    g = graph_of()
+    cfg = dataclasses.replace(quick_config(), **config)
+    got = dg.train_shadows(g, cfg, spec, n_shadows=17, seed=4)
+    assert 17 % attacks._SHADOW_STACK not in (0, 17)
+    np.testing.assert_array_equal(got.phi, shadow_phi_by_train(g, cfg, spec, 17, 4))
+
+
 # ---------------------------------------------------------------- audit
 
 def test_audit_report_fields_and_export():
@@ -263,19 +316,32 @@ def test_binomial_half_width():
     assert binomial_half_width(1.0, 50) == 0.0
 
 
+def count_trainings(monkeypatch):
+    """Record every call of ``train`` and of the stacked full-graph
+    ``_train_models`` that ``attacks`` makes, in place of the training."""
+    trained = []
+    monkeypatch.setattr(attacks, "train", lambda *args: trained.append(args))
+    monkeypatch.setattr(attacks, "_train_models", lambda *args: trained.append(args) or [])
+    return trained
+
+
+def test_full_graph_shadows_below_the_count_fail_before_any_shadow_trains(monkeypatch):
+    trained = count_trainings(monkeypatch)
+    with pytest.raises(dg.AuditSetupError, match="^audit n_shadows must be an integer >= 16"):
+        dg.train_shadows(small_graph(), quick_config(), None, n_shadows=15, seed=0)
+    assert trained == []
+
+
 @pytest.mark.parametrize("fpr_grid", [(), [], (2.0,), (-0.01,), (float("nan"),), ("0.01",),
                                       (True,), "0.01", None])
 def test_audit_rejects_an_fpr_grid_before_any_shadow_trains(monkeypatch, fpr_grid):
     # the audit reads its FPR budgets by AuditSpec's rule, so an empty grid
     # cannot leave a DP audit's bound check empty, and so vacuously sound
-    from dpgraphlab import attacks
-
     g = small_graph(n=60)
     dp = dg.PrivacySpec(epsilon_target=10.0, delta=1e-3, max_degree=3, occurrence_bound=4,
                         batch_size=8, total_steps=8)
     cfg = dg.TrainConfig(mode="subgraph_batch", clipping=True, noise=True, hidden_dim=8)
-    trained = []
-    monkeypatch.setattr(attacks, "train", lambda *args: trained.append(args))
+    trained = count_trainings(monkeypatch)
     with pytest.raises(dg.AuditSetupError, match="^audit fpr_grid must be a nonempty list of "
                                                  r"numbers in \[0, 1\], not "):
         dg.audit(_init_model(g, cfg), g, cfg, n_shadows=16, seed=0, dp=dp, fpr_grid=fpr_grid)
@@ -292,8 +358,6 @@ def test_train_shadows_reads_the_count_by_the_audit_rule(n_shadows):
 def test_dp_shadows_smaller_than_the_batch_fail_before_any_shadow_trains(monkeypatch):
     # every shadow's accountant needs m and T <= its IN count; a shadow below
     # either fails the audit's setup, not a training halfway through it
-    from dpgraphlab import attacks
-
     g = small_graph(n=60)
     dp = dg.PrivacySpec(epsilon_target=10.0, delta=1e-3, max_degree=3, occurrence_bound=7,
                         batch_size=22, total_steps=8)
@@ -302,8 +366,7 @@ def test_dp_shadows_smaller_than_the_batch_fail_before_any_shadow_trains(monkeyp
     rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,)))
     smallest = int(attacks._draw_membership(16, pool.size, rng).sum(axis=1).min())
     assert smallest < 22 <= int(g.train_mask.sum())
-    trained = []
-    monkeypatch.setattr(attacks, "train", lambda *args: trained.append(args))
+    trained = count_trainings(monkeypatch)
     with pytest.raises(dg.AuditSetupError,
                        match=f"has {smallest} IN nodes: T=7 and m=22 must not exceed "
                              f"N={smallest}$"):

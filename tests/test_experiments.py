@@ -75,6 +75,25 @@ def test_manifest_rejects_keys_a_block_does_not_take(block, raw):
         ExperimentManifest.from_dict({"dataset": {"synthetic": {}}, "seeds": [0], **raw})
 
 
+@pytest.mark.parametrize("block", ["split", "graph", "model", "privacy", "audit"])
+@pytest.mark.parametrize("value", [[], "x", 3])
+def test_manifest_block_that_is_not_an_object_is_a_usage_error(tmp_path, capsys, block, value):
+    # a block must be a JSON object (privacy and audit may be null): a list
+    # in its place exits 2 with the message, not with a traceback or silently
+    raw = tiny_manifest(tmp_path / "res").to_dict()
+    raw[block] = value
+    with pytest.raises(ManifestError, match=f"^{block} must be a JSON object, not "):
+        ExperimentManifest.from_dict(raw)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "train", "--manifest", str(path), "--out", str(tmp_path / "res"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {block} must be a JSON object" in err and "Traceback" not in err
+    assert not (tmp_path / "res").exists()
+
+
 def test_manifest_hash_stable():
     a = ExperimentManifest.from_dict({"dataset": {"synthetic": {}}, "seeds": [0]})
     b = ExperimentManifest.from_dict({"dataset": {"synthetic": {}}, "seeds": [0]})
@@ -333,6 +352,7 @@ def test_audited_cell_whose_shadows_are_below_the_batch_trains_nothing(tmp_path,
 
     monkeypatch.setattr(experiments, "train", counting(experiments.train))
     monkeypatch.setattr(attacks, "train", counting(attacks.train))
+    monkeypatch.setattr(attacks, "_train_models", counting(attacks._train_models))
     with pytest.raises(dg.AuditSetupError) as exc:
         run(shadows_below_the_batch_manifest(tmp_path / "res"), do_audit=True)
     assert str(exc.value) == SHADOWS_BELOW_THE_BATCH

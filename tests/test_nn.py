@@ -597,16 +597,18 @@ def test_full_graph_workspace_matches_fresh_calls():
         cfg = dg.TrainConfig(num_layers=3, hidden_dim=6, model_kind=model_kind, seed=1)
         params = training._init_model(g, cfg)
         ctx = dg.normalize_adjacency(g)
-        _, _, source = training._full_graph_source(g, cfg, dg.SubgraphSpec(), ctx, params)
+        _, _, source = training._full_graph_source(g, cfg, dg.SubgraphSpec(), ctx,
+                                                   params.flat[None], params.layers,
+                                                   g.train_mask[None])
         # the source's logits are the train rows, then the val rows
         rows = np.concatenate([np.flatnonzero(g.train_mask), np.flatnonzero(g.val_mask)])
         adam = training._Adam(cfg.learning_rate)
         for _ in range(20):
-            loss, grad, logits = next(source)
+            (loss,), (grad,), logits = next(source)  # a stack of one model
             fresh = dg.loss_and_grad(ctx, params, g.labels, g.train_mask)
             assert loss == fresh[0]
             np.testing.assert_array_equal(grad, fresh[1])
-            np.testing.assert_array_equal(logits, dg.gcn_forward(ctx, params)[rows])
+            np.testing.assert_array_equal(logits[0], dg.gcn_forward(ctx, params)[rows])
             adam.step(params.flat, grad)
 
 
@@ -614,22 +616,25 @@ def full_row_loss_grad_and_logits(params, adj, x, labels, mask):
     """Oracle of the full-graph step that computes every row: the full-row
     forward pass, the loss gradient scattered into an (n, C) d_logits whose
     other rows are zero, and the full-row backward pass."""
-    ws = _StepWorkspace(params)
+    ws = _StepWorkspace(params.flat[None], params.layers)
     logits, cache = nn._forward(ws, adj, x, keep_cache=True)
+    logits = logits[0]  # a stack of one model
     idx = np.flatnonzero(mask)
     losses, d_rows = fancy_cross_entropy_rows(logits[idx], labels[idx])
     d_rows /= idx.size
     d_logits = np.zeros_like(logits)
     d_logits[idx] = d_rows
-    return float(losses.sum() / idx.size), nn._backward(ws, adj, cache, d_logits).copy(), logits
+    grad = nn._backward(ws, adj, cache, d_logits[None])[0].copy()
+    return float(losses.sum() / idx.size), grad, logits
 
 
 def cut_step(params, ctx, labels, mask, val_mask):
     """The training step's loss, gradient and E-row logits, and E."""
     adj, x = ctx.adj_norm, ctx.first_layer_input(params.layers)
-    ws = _StepWorkspace(params, adj=adj, labels=labels, mask=mask, val_mask=val_mask)
-    loss, grad, logits = nn._masked_loss_grad_and_logits(ws, adj, x)
-    return loss, grad, logits, ws.rows
+    ws = _StepWorkspace(params.flat[None], params.layers, adj=adj, labels=labels,
+                        masks=mask[None], val_mask=val_mask)
+    (loss,), (grad,), logits = nn._masked_loss_grad_and_logits(ws, adj, x)
+    return loss, grad, logits[0], ws.rows
 
 
 def row_cut_masks(g):
@@ -683,10 +688,11 @@ def test_row_cut_chaotic_adam_clipping_run_equals_full_row_oracle(hidden):
     x = ctx.first_layer_input(params.layers)
     cfg = dg.TrainConfig(num_layers=3, hidden_dim=hidden, clipping=True, seed=12)
     _, _, source = training._full_graph_source(g, cfg, dg.SubgraphSpec(clip_norm=0.5), ctx,
-                                               params)
+                                               params.flat[None], params.layers,
+                                               g.train_mask[None])
     adam, oracle_adam = training._Adam(1e-2), training._Adam(1e-2)
     for _ in range(60):
-        _, update, _ = next(source)
+        _, (update,), _ = next(source)
         adam.step(params.flat, update)
         _, grad, _ = full_row_loss_grad_and_logits(oracle, ctx.adj_norm, x, g.labels,
                                                    g.train_mask)
@@ -726,11 +732,12 @@ def test_row_cut_dense_last_layer_keeps_non_loss_rows_zero():
     ctx = dg.normalize_adjacency(g)
     params = dg.init_mlp(g.feat_dim, 6, 2, 2, seed=3)
     adj, x = ctx.adj_norm, ctx.first_layer_input(params.layers)
-    ws = _StepWorkspace(params, adj=adj, labels=g.labels, mask=g.train_mask, val_mask=g.val_mask)
+    ws = _StepWorkspace(params.flat[None], params.layers, adj=adj, labels=g.labels,
+                        masks=g.train_mask[None], val_mask=g.val_mask)
     for _ in range(3):
         nn._masked_loss_grad_and_logits(ws, adj, x)
-        assert not ws.d_hidden[~g.train_mask].any()
-        training._Sgd(0.5).step(params.flat, ws.grad)
+        assert not ws.d_hidden[:, ~g.train_mask].any()
+        training._Sgd(0.5).step(params.flat, ws.grad[0])
 
 
 def test_adam_step_equals_textbook_expression():
@@ -779,7 +786,7 @@ def test_subgraph_workspace_matches_fresh_calls():
                    dg.init_mlp(g.feat_dim, 6, 2, 2, seed=1)):
         subgraphs = dg.sample_training_subgraphs(g, 3, 3, 10, rng)
         store = SubgraphStore(g, subgraphs, params.layers)
-        ws = _StepWorkspace(params, batch=(8,))
+        ws = _StepWorkspace(params.flat, params.layers, batch=(8,))
         sgd = training._Sgd(0.5)
         for _ in range(20):
             batch = store.batch(rng.choice(len(store), size=8, replace=False))
