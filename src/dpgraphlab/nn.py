@@ -283,10 +283,10 @@ class _StepWorkspace:
         if batch:
             self.label_starts = np.arange(batch[0]) * classes
         if masks is not None:
-            self.member, self.rows = _stack_rows(masks, val_mask)
-            self.loss_rows = self.rows[:self.member.shape[1]]
-            models, pos = np.nonzero(self.member)  # model by model, rows ascending
-            sizes = self.member.sum(axis=1)
+            member, self.rows = _stack_rows(masks, val_mask)
+            self.loss_rows = self.rows[:member.shape[1]]
+            models, pos = np.nonzero(member)  # model by model, rows ascending
+            sizes = member.sum(axis=1)
             self.loss_slices = [slice(e - n, e) for n, e in zip(sizes, np.cumsum(sizes))]
             self.loss_pos = [pos[cut] for cut in self.loss_slices]
             self.loss_index = pos * len(masks) + models  # rows of the node-major logits
