@@ -45,6 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graphs import _check_integer, _check_number
+
 
 class CalibrationError(Exception):
     """Raised when no noise multiplier in the search range meets the target epsilon."""
@@ -75,6 +77,10 @@ class SubgraphSpec:
 
     def __post_init__(self):
         _check_positive(self.clip_norm, "clip_norm")
+        for name in ("max_degree", "hops", "batch_size", "total_steps"):
+            _check_integer(getattr(self, name), name)
+        if self.occurrence_bound is not None:
+            _check_integer(self.occurrence_bound, "occurrence_bound")
         if not (self.max_degree >= 1 and self.hops >= 1):
             raise ValueError("max_degree and hops must be >= 1")
         if self.occurrence_bound is not None and not self.occurrence_bound >= 1:
@@ -103,6 +109,7 @@ class PrivacySpec(SubgraphSpec):
 
     def __post_init__(self):
         super().__post_init__()
+        _check_number(self.delta, "delta")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         _check_positive(self.epsilon_target, "epsilon_target")
@@ -112,6 +119,7 @@ class PrivacySpec(SubgraphSpec):
 
 def _check_positive(value: float, name: str, suffix: str = "") -> None:
     """Reject a value that is not a positive finite number, NaN included."""
+    _check_number(value, name)
     if not value > 0:
         raise ValueError(f"{name} must be positive{suffix}")
     if not value < math.inf:

@@ -109,10 +109,18 @@ class PopulationGraph:
                 raise AssertionError(f"edge ({u},{v}) missing its reverse")
 
 
-def _check_integer(value, name: str, least: int, error: type = ValueError) -> None:
-    """Reject a value that is not an integer >= ``least``; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise error(f"{name} must be an integer >= {least}, not {value!r}")
+def _check_integer(value, name: str, least: int | None = None, error: type = ValueError) -> None:
+    """Reject a value that is not an integer (>= ``least`` when given); a bool is not one."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise error(f"{name} must be an integer{bound}, not {value!r}")
+
+
+def _check_number(value, name: str) -> None:
+    """Reject a value that is not a real number (NaN and inf pass); a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, not {value!r}")
 
 
 @dataclass(frozen=True)

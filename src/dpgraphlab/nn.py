@@ -44,18 +44,24 @@ The full graph runs a stack of S models (S = 1 for one model) with
 (S, rows, k) activations: each weight product is one broadcast matmul,
 each model's own BLAS call, and each adjacency product one CSR product
 over all S * k columns, so each model's step has the bits of a one-model
-step.  A training step reads the logits of the loss (train) rows and, for
-its log record, of the val rows, so its last layer computes only those
-rows, E (the union of the models' loss rows, then the val rows): it
+step.  The CSR product returns the stack node-major, (rows, S, k) seen as
+(S, rows, k); a layer that propagates its input copies it model-major, so
+each model's weight-product operands are laid out as in a one-model step
+(with hidden_dim=1 a layout change alone moves a product's last bits).
+A training step reads the logits of the loss (train) rows and, for its
+log record, of the val rows: E, the union of the models' loss rows, then
+the val rows.  A last layer that propagates its output (a narrowing one,
+classes < hidden) cuts its adjacency products to those rows: it
 propagates through A[E], and its backward pass starts from the loss rows,
 zero outside each model's own, through A[:, loss rows] (the transpose of
-A's loss rows, as A is symmetric).  The layers below compute every row.
-For a narrowing last layer (classes < hidden) every kept logit and every
-gradient entry has the bits of the every-row computation: each kept row
-sum is the same CSR row sum, and the backward pass drops only +0.0 terms.
-A last layer that does not propagate its output computes each model's own
-rows of E, since a product's bits can depend on its row count.
-:func:`gcn_forward` computes every row.
+A's loss rows, as A is symmetric).  Every kept logit and every gradient
+entry has the bits of the every-row computation: each kept row sum is the
+same CSR row sum, and the backward pass drops only +0.0 terms.  Every other
+product computes every row, so each model's weight products have n rows in
+a stack as alone: any other last layer computes every row, returns its E
+rows, and its backward pass starts from a model-major (S, n, C) gradient
+that is zero outside each model's loss rows.  :func:`gcn_forward` computes
+every row.
 
 Layer order: a ``gcn_conv`` layer above the first multiplies the
 adjacency into the narrower side of its weight, as (A @ h) @ w + b when it
@@ -263,11 +269,11 @@ class _StepWorkspace:
 
     A full-graph training workspace (given ``adj``, ``labels``, the (S, n)
     loss ``masks`` and the ``val_mask``) resolves E (``rows``, see the module
-    docstring), each model's loss rows in it, and what its last layer reads:
-    A[E] and A[:, loss rows] when it propagates, each model's rows of E when
-    it does not propagate its output, and ``d_hidden``, an input-gradient
-    buffer that stays zero outside each model's loss rows.  Without masks
-    ``rows`` is None, and every row is computed.
+    docstring), the loss rows and their labels, and the zeroed logit
+    gradient ``d_logits`` that each step's loss gradient is scattered into:
+    (S, loss rows, C) beside A[E] and A[:, loss rows] when the last layer
+    propagates its output, else (S, n, C).  Its rows outside each model's
+    loss rows stay zero.  Without masks ``rows`` is None.
     """
 
     def __init__(self, flat: np.ndarray, layers, batch: tuple[int, ...] = (), adj=None,
@@ -288,25 +294,22 @@ class _StepWorkspace:
             models, pos = np.nonzero(member)  # model by model, rows ascending
             sizes = member.sum(axis=1)
             self.loss_slices = [slice(e - n, e) for n, e in zip(sizes, np.cumsum(sizes))]
-            self.loss_pos = [pos[cut] for cut in self.loss_slices]
             self.loss_index = pos * len(masks) + models  # rows of the node-major logits
             self.loss_labels = labels[self.loss_rows[pos]]
             self.label_starts = np.arange(pos.size) * classes
             self.loss_sizes = np.repeat(sizes, sizes)[:, None]
-            # node-major, as the adjacency product reads it (see _propagate)
-            self.d_loss = np.zeros((self.loss_rows.size * len(masks), classes))
-            self.d_logits = self.d_loss.reshape(-1, len(masks), classes).swapaxes(0, 1)
-            side = self.sides[-1]
-            if side is not None:
+            if self.sides[-1] == "output":  # the loss rows, see the module docstring
                 # CSR row and column selection keep each row's entries in order
                 self.adj_rows = adj[self.rows]
                 self.adj_loss_cols = adj[:, self.loss_rows]
-            if side != "output":
-                val = np.arange(self.loss_rows.size, self.rows.size)
-                self.model_rows = [np.concatenate([p, val]) for p in self.loss_pos]
-            if side != "output" and len(layers) > 1:  # the loss rows, or every row
-                self.d_hidden = np.zeros((len(masks), self.loss_rows.size if side else
-                                          masks.shape[1], layers[-1].in_dim))
+                # node-major, as the adjacency product reads it (see _propagate)
+                self.d_index = self.loss_index
+                self.d_loss = np.zeros((self.loss_rows.size * len(masks), classes))
+                self.d_logits = self.d_loss.reshape(-1, len(masks), classes).swapaxes(0, 1)
+            else:  # every row, each model's laid out as in a one-model step
+                self.d_index = models * masks.shape[1] + self.loss_rows[pos]
+                self.d_loss = np.zeros((len(masks) * masks.shape[1], classes))
+                self.d_logits = self.d_loss.reshape(len(masks), -1, classes)
 
     def buffer(self, key, shape: tuple[int, ...], dtype=float) -> np.ndarray | None:
         """The array a stack's steps reuse for ``key`` (None in a batch): malloc
@@ -340,7 +343,8 @@ def _weights(p: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.
 def _propagate(a, h: np.ndarray) -> np.ndarray:
     """``a @ h``: a dense (m, r, s) adjacency stack on its (m, s, k) batch, or
     the graph's adjacency on a stack's (S, n, k) activations, one product on
-    their (n, S * k) node-major copy, returned as an (S, rows, k) view."""
+    their (n, S * k) node-major copy, returned as an (S, rows, k) view of the
+    node-major result."""
     if a.ndim == 3:
         return a @ h
     models, rows, k = h.shape
@@ -356,8 +360,7 @@ def _forward(ws: _StepWorkspace, adj, x: np.ndarray, keep_cache: bool, rows=None
     (m, s, d + 1).
     With ``rows`` (see the module docstring), layer l maps the first
     ``rows[l]`` rows to the first ``rows[l + 1]``.  A full-graph training
-    workspace's last layer maps every row to its E rows (``ws.rows``); one
-    that does not propagate its output maps each model's own rows of E.
+    workspace returns the logits of its E rows (``ws.rows``).
     """
     in_dim = ws.layers[0].in_dim
     if x.shape[-1] != in_dim + 1:
@@ -367,21 +370,13 @@ def _forward(ws: _StepWorkspace, adj, x: np.ndarray, keep_cache: bool, rows=None
     last = len(ws.layers) - 1
     for l, ((w, b), side) in enumerate(zip(ws.weights, ws.sides)):
         a = adj if rows is None else adj[:, :rows[l + 1], :rows[l]]
-        p = h
-        if l == last and ws.rows is not None:  # the full graph's E rows only
-            if side is None:
-                p = h[..., ws.rows, :]
-            else:
-                a = ws.adj_rows
-        if side == "input":
-            p = _propagate(a, h)
-        if l == last and ws.rows is not None and side != "output":  # see the module docstring
-            z = np.zeros((ws.rows.size, len(w), w.shape[-1])).swapaxes(0, 1)  # node-major
-            for s, model_rows in enumerate(ws.model_rows):
-                z[s, model_rows] = (p if p.ndim == 2 else p[s])[model_rows] @ w[s]
-        else:  # the logits are returned, not reused
-            z = _weights(p, w, ws.buffer(("z", l), (len(w), p.shape[-2], w.shape[-1]))
-                         if l < last else None)
+        if l == last and side == "output" and ws.rows is not None:
+            a = ws.adj_rows  # the E rows only, see the module docstring
+        # an input-side product feeds the weight products, so each model's
+        # rows are laid out as in a one-model step (a copy only in a stack)
+        p = np.ascontiguousarray(_propagate(a, h)) if side == "input" else h
+        z = _weights(p, w, ws.buffer(("z", l), (len(w), p.shape[-2], w.shape[-1]))
+                     if l < last else None)  # the logits are returned, not reused
         if side == "output":
             z = _propagate(a, z)
         if b is not None:
@@ -391,6 +386,8 @@ def _forward(ws: _StepWorkspace, adj, x: np.ndarray, keep_cache: bool, rows=None
         if l < last:
             np.maximum(z, 0.0, out=z)
         h = z
+    if ws.rows is not None and side != "output":  # node-major, as the cut layer's logits
+        h = h.swapaxes(0, 1)[ws.rows].swapaxes(0, 1)
     return h, cache
 
 
@@ -428,9 +425,8 @@ def _backward(ws: _StepWorkspace, adj, cache, d_logits: np.ndarray, rows=None) -
 
     The normalized adjacency is symmetric, so A^T g == A g; with ``rows``,
     layer l's transposed block is ``adj[:, :rows[l], :rows[l + 1]]``.  A
-    full-graph training workspace's ``d_logits`` holds the union of the
-    models' loss rows, zero outside each model's own, and its last layer's
-    transposed block is ``ws.adj_loss_cols``.
+    full-graph training workspace's ``d_logits`` is its ``ws.d_logits``,
+    and a last layer that propagates its output reads ``ws.adj_loss_cols``.
     """
     dz = d_logits
     last = len(ws.layers) - 1
@@ -440,29 +436,18 @@ def _backward(ws: _StepWorkspace, adj, cache, d_logits: np.ndarray, rows=None) -
         h, p = cache[l]
         side = ws.sides[l]
         a = adj if rows is None else adj[:, :rows[l], :rows[l + 1]]
-        cut = l == last and ws.rows is not None  # dz holds the loss rows only
-        if cut and side is not None:
-            a = ws.adj_loss_cols
+        if l == last and side == "output" and ws.rows is not None:
+            a = ws.adj_loss_cols  # dz holds the loss rows only
         if db is not None:
             np.einsum("...rk->...k", dz, out=db)
         if side == "output":
             dz = _propagate(a, dz)
-        if cut and side != "output":  # each model's own loss rows, as in _forward
-            for s, pos in enumerate(ws.loss_pos):
-                dz_s = dz[s, pos]
-                np.matmul((p if p.ndim == 2 else p[s])[pos].T, dz_s, out=dw[s])
-                if l > 0:
-                    ws.d_hidden[s, pos if side else ws.loss_rows[pos]] = dz_s @ w[s].T
-            if l > 0:
-                dh = _propagate(a, ws.d_hidden) if side == "input" else ws.d_hidden
-        else:
-            np.matmul(np.swapaxes(p, -1, -2), dz, out=dw)
-            if l > 0:
-                dh = _weights(dz, np.swapaxes(w, -1, -2),
-                              ws.buffer(("dh", l), (len(w), dz.shape[-2], w.shape[-2])))
-                if side == "input":
-                    dh = _propagate(a, dh)
+        np.matmul(np.swapaxes(p, -1, -2), dz, out=dw)
         if l > 0:
+            dh = _weights(dz, np.swapaxes(w, -1, -2),
+                          ws.buffer(("dh", l), (len(w), dz.shape[-2], w.shape[-2])))
+            if side == "input":  # laid out as p is in _forward
+                dh = np.ascontiguousarray(_propagate(a, dh))
             # h is post-ReLU, so h > 0 exactly where its pre-activation is
             dh *= np.greater(h, 0.0, out=ws.buffer(("live", l), h.shape, bool))
             dz = dh
@@ -499,11 +484,11 @@ def _masked_loss_grad_and_logits(ws: _StepWorkspace, adj, x: np.ndarray):
     """Each model's mean cross-entropy over its loss rows, the (S, n_params)
     gradient (``ws.grad``) and the (S, E, C) logits of ``ws.rows``."""
     logits, cache = _forward(ws, adj, x, keep_cache=True)
-    node_rows = logits.swapaxes(0, 1).reshape(-1, logits.shape[-1])  # a view, see _propagate
+    node_rows = logits.swapaxes(0, 1).reshape(-1, logits.shape[-1])  # a view, see _forward
     losses, d_rows = _cross_entropy_rows(node_rows.take(ws.loss_index, axis=0), ws.loss_labels,
                                          ws.label_starts)
     d_rows /= ws.loss_sizes
-    ws.d_loss[ws.loss_index] = d_rows
+    ws.d_loss[ws.d_index] = d_rows
     # sum / size is the bits of losses.mean() without its per-call overhead
     means = [float(losses[cut].sum() / (cut.stop - cut.start)) for cut in ws.loss_slices]
     return means, _backward(ws, adj, cache, ws.d_logits), logits

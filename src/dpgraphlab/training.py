@@ -28,13 +28,14 @@ and copied into whenever validation accuracy ties or improves.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .accounting import (OCCURRENCE_SENSITIVITY, CalibrationError, PrivacySpec, SubgraphSpec,
                          _privacy_claim, clip, compose_and_convert, noisy_batch_gradient)
-from .graphs import PopulationGraph
+from .graphs import PopulationGraph, _check_integer, _check_number
 from .nn import (ModelParams, _masked_loss_grad_and_logits, _stack_rows, _StepWorkspace,
                  gcn_forward, init_gcn, init_mlp, normalize_adjacency, subgraph_batch_gradients)
 from .sampling import SubgraphStore, sample_training_subgraphs
@@ -55,12 +56,14 @@ class TrainConfig:
     eval_every: int | None = None  # None -> every epoch / every 50 steps
 
     def __post_init__(self):
-        if self.num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
-        if not self.learning_rate >= 0:
-            raise ValueError("learning_rate must be nonnegative")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
+        _check_integer(self.num_layers, "num_layers", 1)
+        _check_integer(self.hidden_dim, "hidden_dim", 1)
+        _check_integer(self.epochs, "epochs", 0)
+        if self.eval_every is not None:
+            _check_integer(self.eval_every, "eval_every", 1)
+        _check_number(self.learning_rate, "learning_rate")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and nonnegative")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("optimizer must be 'sgd' or 'adam'")
         if self.mode not in ("full_graph", "subgraph_batch"):
@@ -69,8 +72,6 @@ class TrainConfig:
             raise ValueError("model_kind must be 'gcn' or 'mlp'")
         if self.noise and not (self.clipping and self.mode == "subgraph_batch"):
             raise ValueError("noise requires clipping and subgraph_batch mode")
-        if self.eval_every is not None and self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1 when set")
 
 
 class _Sgd:
@@ -256,8 +257,8 @@ def _train_models(graph: PopulationGraph, config: TrainConfig, spec: SubgraphSpe
 # A gradient source returns (steps, eval interval, endless iterator of
 # per-step (per-model losses, update, logits) at the current params).  The
 # full-graph source's logits are those of the forward pass its gradient
-# ran, which computes the last layer on the train rows (the loss) and then
-# the val rows only, so one forward serves both the step's gradient and the
+# ran, which returns the last layer's train rows (the loss) and then its
+# val rows only, so one forward serves both the step's gradient and the
 # previous record's evaluation; the subgraph source has no full-graph
 # logits and yields None.
 # The iterators are generators, so one step's batch arrays stay alive until

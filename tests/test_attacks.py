@@ -235,6 +235,17 @@ def test_stacked_shadows_equal_a_train_per_shadow(case, graph_of, config, spec):
     np.testing.assert_array_equal(got.phi, shadow_phi_by_train(g, cfg, spec, 17, 4))
 
 
+@pytest.mark.parametrize("num_layers", [2, 3])
+def test_stacked_hidden_dim_one_shadows_equal_a_train_per_shadow(num_layers):
+    # at hidden_dim=1 a product with a unit dimension takes a BLAS path
+    # whose bits follow its operands' layout: a stack lays each model's
+    # operands out as a one-model step does
+    g = small_graph(n=300)
+    cfg = dg.TrainConfig(num_layers=num_layers, hidden_dim=1, epochs=40, seed=0)
+    got = dg.train_shadows(g, cfg, None, n_shadows=16, seed=4)
+    np.testing.assert_array_equal(got.phi, shadow_phi_by_train(g, cfg, None, 16, 4))
+
+
 # ---------------------------------------------------------------- audit
 
 def test_audit_report_fields_and_export():

@@ -832,6 +832,36 @@ def test_cli_rejected_input_is_usage_error(tmp_path, capsys, make_argv, message)
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize("block, key, value, message", [
+    ("model", "max_degree", 2.5, "max_degree must be an integer, not 2.5"),
+    ("model", "eval_every", 2.5, "eval_every must be an integer >= 1, not 2.5"),
+    ("model", "hidden_dim", 0, "hidden_dim must be an integer >= 1, not 0"),
+    ("model", "hidden_dim", 2.5, "hidden_dim must be an integer >= 1, not 2.5"),
+    ("model", "epochs", 1.5, "epochs must be an integer >= 0, not 1.5"),
+    ("model", "num_layers", 2.5, "num_layers must be an integer >= 1, not 2.5"),
+    ("model", "learning_rate", "0.1", "learning_rate must be a number, not '0.1'"),
+    ("model", "learning_rate", float("inf"), "learning_rate must be finite and nonnegative"),
+    ("model", "clip_norm", "1", "clip_norm must be a number, not '1'"),
+    ("privacy", "steps", 2.5, "total_steps must be an integer, not 2.5"),
+    ("privacy", "batch_size", 2.5, "batch_size must be an integer, not 2.5"),
+    ("privacy", "occurrence_bound", 2.5, "occurrence_bound must be an integer, not 2.5"),
+    ("privacy", "hops", 2.5, "hops must be an integer, not 2.5"),
+    ("privacy", "clip_norm", "1", "clip_norm must be a number, not '1'"),
+])
+def test_grid_setting_of_the_wrong_kind_is_usage_error(tmp_path, capsys, block, key, value,
+                                                       message):
+    # a fraction where a count goes, a string where a number goes, or an
+    # infinite learning rate fails the manifest's load: exit code 2, the
+    # message on stderr and nothing written, not a failure of every cell
+    manifest = _manifest_file(tmp_path, lambda m: m[block].update({key: value}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "train", "--manifest", manifest)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "res").exists()
+
+
 def test_size_rule_reads_the_same_from_every_caller(tmp_path, capsys):
     # max(m, T) <= N has one home, the accountant's: the accountant command,
     # a grid's run() and the shadow audit's setup each put their own context

@@ -1,6 +1,8 @@
 """GCN/MLP numeric core: normalization, forward passes, gradients."""
 
 import dataclasses
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -700,10 +702,10 @@ def test_row_cut_chaotic_adam_clipping_run_equals_full_row_oracle(hidden):
         np.testing.assert_array_equal(params.flat, oracle.flat)
 
 
-def test_row_cut_step_close_to_full_row_oracle_for_other_last_layers():
+def test_row_cut_step_equals_full_row_oracle_for_other_last_layers():
     # a last layer that does not narrow (an MLP, a 1-layer GCN, classes >=
-    # hidden, hidden_dim=1) sums its weight gradient over the loss rows only,
-    # and the BLAS kernel may then order the sum differently
+    # hidden, hidden_dim=1) computes every row and returns the E rows, and
+    # its backward pass starts from the every-row gradient: the oracle's step
     g = workspace_graph()
     g4 = relabeled(g, 4, 5)
     rng = np.random.default_rng(29)
@@ -718,26 +720,32 @@ def test_row_cut_step_close_to_full_row_oracle_for_other_last_layers():
         for mask, val_mask in row_cut_masks(graph):
             loss, grad, logits, rows = cut_step(params, ctx, graph.labels, mask, val_mask)
             want = full_row_loss_grad_and_logits(params, ctx.adj_norm, x, graph.labels, mask)
-            np.testing.assert_allclose(loss, want[0], rtol=1e-14)
-            np.testing.assert_allclose(grad, want[1], rtol=1e-14,
-                                       atol=1e-14 * np.abs(want[1]).max())
-            np.testing.assert_allclose(logits, want[2][rows], rtol=1e-14,
-                                       atol=1e-14 * np.abs(want[2]).max())
+            assert loss == want[0]
+            np.testing.assert_array_equal(grad, want[1])
+            np.testing.assert_array_equal(logits, want[2][rows])
 
 
-def test_row_cut_dense_last_layer_keeps_non_loss_rows_zero():
-    # the scattered input gradient of a dense last layer stays zero outside
-    # the loss rows from one step to the next
+@pytest.mark.parametrize("init, num_layers, hidden", [(dg.init_mlp, 2, 6), (dg.init_gcn, 1, 6),
+                                                      (dg.init_gcn, 2, 1)])
+def test_every_row_last_layer_gradient_stays_zero_outside_loss_rows(init, num_layers, hidden):
+    # a stack's (S, n, C) logit gradient is written on each model's own loss
+    # rows only, so every other row stays zero from one SGD step to the next
     g = workspace_graph()
     ctx = dg.normalize_adjacency(g)
-    params = dg.init_mlp(g.feat_dim, 6, 2, 2, seed=3)
-    adj, x = ctx.adj_norm, ctx.first_layer_input(params.layers)
-    ws = _StepWorkspace(params.flat[None], params.layers, adj=adj, labels=g.labels,
-                        masks=g.train_mask[None], val_mask=g.val_mask)
-    for _ in range(3):
+    rng = np.random.default_rng(3)
+    masks = np.stack([g.train_mask & (rng.random(g.num_nodes) < 0.5) for _ in range(3)])
+    flat = np.stack([init(g.feat_dim, hidden, 2, num_layers, seed=s).flat for s in range(3)])
+    layers = init(g.feat_dim, hidden, 2, num_layers, seed=0).layers
+    adj, x = ctx.adj_norm, ctx.first_layer_input(layers)
+    ws = _StepWorkspace(flat, layers, adj=adj, labels=g.labels, masks=masks,
+                        val_mask=g.val_mask)
+    assert ws.d_logits.shape == (3, g.num_nodes, 2)
+    sgd = training._Sgd(0.5)
+    for _ in range(4):
         nn._masked_loss_grad_and_logits(ws, adj, x)
-        assert not ws.d_hidden[:, ~g.train_mask].any()
-        training._Sgd(0.5).step(params.flat, ws.grad[0])
+        assert not ws.d_logits[~masks].any()
+        assert ws.d_logits[masks].any(axis=-1).all()
+        sgd.step(flat, ws.grad)
 
 
 def test_adam_step_equals_textbook_expression():
@@ -906,6 +914,36 @@ def test_subgraph_spec_validation():
     assert dg.SubgraphSpec(occurrence_bound=2).effective_occurrence_bound == 2
     with pytest.raises(TypeError):
         dg.SubgraphSpec(1.0)  # every field is keyword-only
+
+
+@pytest.mark.parametrize("make, field, bad, message", [
+    (dg.TrainConfig, "num_layers", 2.5, "num_layers must be an integer >= 1, not 2.5"),
+    (dg.TrainConfig, "num_layers", True, "num_layers must be an integer >= 1, not True"),
+    (dg.TrainConfig, "hidden_dim", 0, "hidden_dim must be an integer >= 1, not 0"),
+    (dg.TrainConfig, "hidden_dim", 2.5, "hidden_dim must be an integer >= 1, not 2.5"),
+    (dg.TrainConfig, "epochs", 1.5, "epochs must be an integer >= 0, not 1.5"),
+    (dg.TrainConfig, "eval_every", 2.5, "eval_every must be an integer >= 1, not 2.5"),
+    (dg.TrainConfig, "learning_rate", "0.1", "learning_rate must be a number, not '0.1'"),
+    (dg.TrainConfig, "learning_rate", float("inf"), "learning_rate must be finite"),
+    (dg.TrainConfig, "learning_rate", float("nan"), "learning_rate must be finite"),
+    (dg.SubgraphSpec, "max_degree", 2.5, "max_degree must be an integer, not 2.5"),
+    (dg.SubgraphSpec, "hops", 2.5, "hops must be an integer, not 2.5"),
+    (dg.SubgraphSpec, "occurrence_bound", 2.5, "occurrence_bound must be an integer, not 2.5"),
+    (dg.SubgraphSpec, "batch_size", 2.5, "batch_size must be an integer, not 2.5"),
+    (dg.SubgraphSpec, "total_steps", 2.5, "total_steps must be an integer, not 2.5"),
+    (dg.SubgraphSpec, "max_degree", "5", "max_degree must be an integer, not '5'"),
+    (dg.SubgraphSpec, "clip_norm", "1", "clip_norm must be a number, not '1'"),
+    (partial(dg.PrivacySpec, 5.0), "delta", "0.1", "delta must be a number, not '0.1'"),
+    (partial(dg.PrivacySpec, 5.0, 1e-4), "noise_multiplier", "1",
+     "noise_multiplier must be a number, not '1'"),
+    (partial(dg.PrivacySpec, 5.0, 1e-4), "total_steps", 2.5,
+     "total_steps must be an integer, not 2.5"),
+])
+def test_integer_and_number_settings_reject_other_values(make, field, bad, message):
+    # a fraction where a count goes, or a string where a number goes, is a
+    # ValueError when the config is built, not a failure of every step
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        make(**{field: bad})
 
 
 def test_privacy_spec_validation():
