@@ -15,8 +15,9 @@ accountant works in units of Delta: training draws the noise with std
 ``alpha * rho**2 / (2 sigma**2)`` at order ``alpha``, and the logged
 ``sigma`` is this one.  The factor ``Delta / C`` has one home,
 :data:`OCCURRENCE_SENSITIVITY`, and one use, the noise multiplier that
-training passes to :func:`noisy_batch_gradient` (which itself draws
-``sigma * C``).  The per-step cost is the moment of that mixture:
+training passes to the clipped noisy mean of :func:`noisy_batch_gradient`
+(which itself draws ``sigma * C``).  The per-step cost is the moment of
+that mixture:
 
     eps(alpha) = log( sum_rho pmf(rho) * exp(alpha (alpha-1) rho^2 / (2 sigma^2)) ) / (alpha - 1)
 
@@ -162,13 +163,30 @@ def noisy_batch_gradient(gradients: np.ndarray, clip_norm: float, sigma: float,
     if not sigma < math.inf:
         raise ValueError("sigma must be finite")
     _check_positive(clip_norm, "clip_norm")
-    m = gradients.shape[0]
-    # the row-wise clip folded into the sum
-    total = _clip_scale(np.sqrt(np.vecdot(gradients, gradients)), clip_norm) @ gradients
+    rng = None
     if sigma > 0:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        total += rng.normal(0.0, sigma * clip_norm, size=total.shape)
-    return total / m
+    return _noisy_batch_means(gradients[None], clip_norm, [sigma], [rng])[0]
+
+
+def _noisy_batch_means(gradients: np.ndarray, clip_norm: float, sigmas, rngs,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`noisy_batch_gradient` of each model of an (S, m, n) stack of
+    per-subgraph gradients, into ``out`` (S, n): model s's noise has std
+    ``sigmas[s] * clip_norm`` and comes from ``rngs[s]``.  Each step runs
+    once over the stack but the noise draws, one per model from its own
+    stream; the clipped sums are one (1, m) @ (m, n) product per model, the
+    product of a one-model call, so each row has that call's bits."""
+    models, m, n = gradients.shape
+    out = np.empty((models, n)) if out is None else out
+    # the row-wise clip folded into each model's sum
+    scale = _clip_scale(np.sqrt(np.vecdot(gradients, gradients)), clip_norm)
+    np.matmul(scale[:, None, :], gradients, out=out[:, None, :])
+    for row, sigma, rng in zip(out, sigmas, rngs):
+        if sigma > 0:
+            row += rng.normal(0.0, sigma * clip_norm, size=n)
+    out /= m
+    return out
 
 
 def _hyper_log_pmf(N: int, T: int, m: int, rho: int) -> float:

@@ -5,22 +5,23 @@ shadow model retrains the target's exact pipeline on a random half of the
 pool; per-node Gaussians fitted to the shadows' scaled confidences give a
 likelihood-ratio score for the target's confidence, evaluated at low false
 positive rates and compared against the analytic supremum-power bound when
-the target was trained with DP.  Full-graph shadows train in stacks of models
-that share each step, each with the bits of its own training.
+the target was trained with DP.  Shadows train in stacks of models that
+share each step, full-graph and DP shadows alike, each with the bits of its
+own training.
 """
 
 from __future__ import annotations
 
 import logging
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .accounting import PrivacySpec, SubgraphSpec, _check_sizes, supremum_power
 from .graphs import PopulationGraph, _check_integer
 from .nn import ModelParams, gcn_forward, normalize_adjacency
-from .training import TrainConfig, _train_models, train
+from .training import TrainConfig, _train_models
 
 logger = logging.getLogger(__name__)
 
@@ -30,7 +31,9 @@ MIN_SHADOWS_EACH_SIDE = 8
 DEFAULT_N_SHADOWS = 128
 MEMBERSHIP_REDRAWS = 200
 FPR_GRID = (0.001, 0.005, 0.01)
-_SHADOW_STACK = 8  # full-graph shadows per stack: 1 MB of activations at 500 nodes x 32
+# shadows per stack: 1 MB of full-graph activations at 500 nodes x 32, and a
+# 1.7 MB (8 m, n_params) DP batch gradient at m = 64 on the dp_audit model
+_SHADOW_STACK = 8
 
 
 class AuditSetupError(ValueError):
@@ -117,8 +120,11 @@ def train_shadows(graph: PopulationGraph, config: TrainConfig,
     the same training pipeline as the target, with the target's ``spec``,
     including DP noise and the final-iterate release when auditing a DP
     model.  The original validation mask is kept; only non-DP shadows read
-    it, to select their checkpoint.  Full-graph shadows train _SHADOW_STACK
-    at a time, one step over all; each phi has the bits of its own ``train``.
+    it, to select their checkpoint.  Shadows of either source train
+    _SHADOW_STACK at a time, one step over all; subgraph-source shadows
+    whose stores resolve different rows or batch sizes split their stack.
+    Each keeps its own seed, DP claim, sampler and streams, and each phi has
+    the bits of its own ``train``.
     """
     pool, membership = _shadow_membership(graph, spec, n_shadows, seed)
     seeds = np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(n_shadows)
@@ -131,16 +137,11 @@ def train_shadows(graph: PopulationGraph, config: TrainConfig,
     def phi_of(params):
         return scaled_confidence(gcn_forward(ctx, params)[pool], graph.labels[pool])
 
-    if config.mode == "full_graph":  # each stack's logs are dropped as it ends
-        phi = [phi_of(params) for start in range(0, n_shadows, _SHADOW_STACK)
-               for params, _ in _train_models(graph, config, spec,
-                                              train_masks[start:start + _SHADOW_STACK],
-                                              seeds[start:start + _SHADOW_STACK])]
-    else:
-        # a larger batch does not make a DP subgraph cheaper: one model at a time
-        phi = [phi_of(train(graph.with_masks(mask, graph.val_mask, np.zeros(n, dtype=bool)),
-                            replace(config, seed=int(s)), spec)[0])
-               for mask, s in zip(train_masks, seeds)]
+    # each stack's logs are dropped as it ends
+    phi = [phi_of(params) for start in range(0, n_shadows, _SHADOW_STACK)
+           for params, _ in _train_models(graph, config, spec,
+                                          train_masks[start:start + _SHADOW_STACK],
+                                          seeds[start:start + _SHADOW_STACK])]
     return ShadowEnsemble(pool=pool, membership=membership, phi=np.array(phi))
 
 

@@ -134,6 +134,8 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train_fraction, self.val_fraction, self.test_fraction)
+        for name, f in zip(("train_fraction", "val_fraction", "test_fraction"), fracs):
+            _check_number(f, f"split {name}")
         if not all(f >= 0 for f in fracs):
             raise ValueError("split fractions must be nonnegative")
         if not abs(sum(fracs) - 1.0) <= 1e-9:

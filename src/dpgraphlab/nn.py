@@ -31,23 +31,28 @@ The store resolves these rows once, over all its subgraphs, when it is
 built, and keeps only the first ``rows[0]`` rows and columns of each
 subgraph.
 
-A stacked (m, rows, k) batch takes each product with a weight that every
-subgraph shares, ``p @ w`` forward and ``dz @ w.T`` backward, as one 2-D
-product over its m * rows rows, through reshape views
-(:func:`_matmul_rows`); the products that differ per subgraph stay
-batched: the adjacency products and the per-sample weight gradient
-``p.T @ dz``.  The BLAS kernel may order a row's sum differently in one
-large product than in m small ones, so a batch's gradients can differ in
-the last bits from per-subgraph products.
+Every step runs a stack of S models (S = 1 for one model) with
+(S, n_params) parameters.  A batch of subgraphs holds m of each model's,
+model by model, as one (S * m, rows, k) stack.  It takes each product
+with a weight that a model's subgraphs share, ``p @ w`` forward and
+``dz @ w.T`` backward, as one broadcast matmul over the (S, m * rows, k)
+view of the batch (:func:`_model_rows`): one product over each model's
+m * rows rows, so each model's BLAS call is that of its one-model batch.
+The products that differ per subgraph, the adjacency products and the
+per-sample weight gradient ``p.T @ dz``, the loss and the gradient rows
+run once over the whole stack, so each model's losses and gradient rows
+have the bits of its one-model batch.  The BLAS kernel may order a row's
+sum differently in one large product than in m small ones, so a batch's
+gradients can differ in the last bits from per-subgraph products.
 
-The full graph runs a stack of S models (S = 1 for one model) with
-(S, rows, k) activations: each weight product is one broadcast matmul,
-each model's own BLAS call, and each adjacency product one CSR product
-over all S * k columns, so each model's step has the bits of a one-model
-step.  The CSR product returns the stack node-major, (rows, S, k) seen as
-(S, rows, k); a layer that propagates its input copies it model-major, so
-each model's weight-product operands are laid out as in a one-model step
-(with hidden_dim=1 a layout change alone moves a product's last bits).
+On the full graph a stack has (S, rows, k) activations: each weight
+product is one broadcast matmul, each model's own BLAS call, and each
+adjacency product one CSR product over all S * k columns, so each model's
+step has the bits of a one-model step.  The CSR product returns the stack
+node-major, (rows, S, k) seen as (S, rows, k); a layer that propagates its
+input copies it model-major, so each model's weight-product operands are
+laid out as in a one-model step (with hidden_dim=1 a layout change alone
+moves a product's last bits).
 A training step reads the logits of the loss (train) rows and, for its
 log record, of the val rows: E, the union of the models' loss rows, then
 the val rows.  A last layer that propagates its output (a narrowing one,
@@ -172,13 +177,6 @@ def _with_ones(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matmul_rows(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``p @ w`` for a weight ``w`` shared by every row of ``p``, as one 2-D
-    product over all of p's rows: (..., r, k) -> (..., r, o) through reshape
-    views (a stacked ``p`` is copied only when its rows are not contiguous)."""
-    return (p.reshape(-1, p.shape[-1]) @ w).reshape(*p.shape[:-1], w.shape[-1])
-
-
 def layer_dims(in_dim: int, hidden_dim: int, out_dim: int, num_layers: int) -> list[tuple[int, int]]:
     if num_layers < 1:
         raise ValueError("num_layers must be >= 1")
@@ -262,10 +260,11 @@ def _propagated_side(l: int, spec: LayerSpec) -> str | None:
 class _StepWorkspace:
     """A step's layer layout, resolved once, and the buffers its steps reuse.
 
-    ``flat`` is one model's (n_params,) vector for a stack of m subgraphs
-    (``batch`` = (m,)), or an (S, n_params) stack of models on the whole
-    graph.  The weight and bias views read ``flat``, so in-place optimizer
-    updates reach the next step; each step overwrites ``grad``.
+    ``flat`` is an (S, n_params) stack of models, for a batch of B
+    subgraphs (``batch`` = (B,): m per model, model by model, and ``grad``
+    (B, n_params)) or for the whole graph (``grad`` (S, n_params)).  The
+    weight and bias views read ``flat``, so in-place optimizer updates reach
+    the next step; each step overwrites ``grad``.
 
     A full-graph training workspace (given ``adj``, ``labels``, the (S, n)
     loss ``masks`` and the ``val_mask``) resolves E (``rows``, see the module
@@ -281,7 +280,7 @@ class _StepWorkspace:
         self.layers = layers
         self.sides = [_propagated_side(l, spec) for l, spec in enumerate(layers)]
         self.weights = _step_views(flat, layers)
-        self.grad = np.empty((*batch, *flat.shape))
+        self.grad = np.empty((*batch, flat.shape[1]) if batch else flat.shape)
         self.grad_views = _step_views(self.grad, layers)
         self.buffers = None if batch else {}
         self.rows = None
@@ -332,12 +331,21 @@ def _stack_rows(masks: np.ndarray, val_mask) -> tuple[np.ndarray, np.ndarray]:
     return masks[:, union], np.concatenate([np.flatnonzero(union), val])
 
 
+def _model_rows(a: np.ndarray, models: int) -> np.ndarray:
+    """``a`` as each model's block of rows: an (S * m, r, k) stacked batch as
+    (S, m * r, k), a view of its rows (a copy when they are cut from longer
+    subgraphs); a full-graph stack's (S, rows, k) as it is."""
+    return a if len(a) == models else a.reshape(models, -1, a.shape[-1])
+
+
 def _weights(p: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``p @ w``: a batch's shared (k, o) weight (:func:`_matmul_rows`), or S
-    models' (S, k, o) weights on (S, rows, k) or shared (rows, k) inputs."""
-    if w.ndim == 2:
-        return _matmul_rows(p, w)
-    return np.matmul(p, w, out=out)
+    """``p @ w`` for S models' (S, k, o) weights, one product per model: on
+    a full-graph stack's shared (rows, k) input or (S, rows, k) rows, or on
+    each model's block of a stacked batch (:func:`_model_rows`), as one
+    product over all of its rows."""
+    if p.ndim == 2 or len(p) == len(w):
+        return np.matmul(p, w, out=out)
+    return np.matmul(_model_rows(p, len(w)), w).reshape(*p.shape[:-1], w.shape[-1])
 
 
 def _propagate(a, h: np.ndarray) -> np.ndarray:
@@ -379,8 +387,9 @@ def _forward(ws: _StepWorkspace, adj, x: np.ndarray, keep_cache: bool, rows=None
                      if l < last else None)  # the logits are returned, not reused
         if side == "output":
             z = _propagate(a, z)
-        if b is not None:
-            z += b[..., None, :]  # a stack's biases are (S, o)
+        if b is not None:  # (S, o): each model's bias on its rows
+            model_z = _model_rows(z, len(b))
+            model_z += b[:, None, :]
         if keep_cache:
             cache.append((h, p))
         if l < last:
@@ -474,7 +483,7 @@ def subgraph_batch_gradients(adj: np.ndarray, inputs: np.ndarray, root_labels: n
     :class:`ModelParams`, the arrays are fresh.
     """
     ws = (params if isinstance(params, _StepWorkspace)
-          else _StepWorkspace(params.flat, params.layers, batch=(root_labels.size,)))
+          else _StepWorkspace(params.flat[None], params.layers, batch=(root_labels.size,)))
     logits, cache = _forward(ws, adj, inputs, keep_cache=True, rows=rows)
     losses, d_roots = _cross_entropy_rows(logits[:, 0, :], root_labels, ws.label_starts)
     return losses, _backward(ws, adj, cache, d_roots[:, None, :], rows=rows)

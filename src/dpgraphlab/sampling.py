@@ -190,3 +190,19 @@ class SubgraphStore:
         """(adj, inputs, root_labels, rows) for the given subgraph indices: the
         arguments of :func:`dpgraphlab.nn.subgraph_batch_gradients`."""
         return self.adj[idx], self.inputs[idx], self.root_labels[idx], self.rows
+
+
+def _stack_stores(stores: list[SubgraphStore]) -> SubgraphStore:
+    """One store of the subgraphs of ``stores``, store by store, which must
+    resolve the same ``rows``: one batch of it gathers several models'
+    batches.  The stack takes the stores' arrays over, so the subgraphs are
+    not held twice; a single store is returned as it is."""
+    if len(stores) == 1:
+        return stores[0]
+    stack = object.__new__(SubgraphStore)
+    stack.rows = stores[0].rows
+    for name in ("sizes", "root_labels", "adj", "inputs"):
+        setattr(stack, name, np.concatenate([getattr(store, name) for store in stores]))
+        for store in stores:
+            delattr(store, name)
+    return stack

@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .graphs import PopulationGraph, csr_from_edges, edgeless_graph
+from .graphs import PopulationGraph, _check_integer, _check_number, csr_from_edges, edgeless_graph
 
 _RETRY_CAP = 20
 
@@ -34,6 +34,10 @@ class SyntheticSpec:
     num_classes: ClassVar[int] = 2  # binary task; even split between the two classes
 
     def __post_init__(self):
+        for name in ("num_nodes", "neighbors_per_node", "feat_dim"):
+            _check_integer(getattr(self, name), name)
+        for name in ("target_homophily", "class_separation", "feature_noise_std"):
+            _check_number(getattr(self, name), name)
         if not 0.0 <= self.target_homophily <= 1.0:
             raise ValueError("target_homophily must lie in [0, 1]")
         if self.neighbors_per_node < 1:

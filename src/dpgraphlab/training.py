@@ -18,11 +18,20 @@ runs the subgraph source at that sigma, logs the accountant's epsilon and
 sigma in place of accuracy, and releases the final iterate, not a
 checkpoint chosen on private labels.
 
-Each source builds one step workspace (:mod:`dpgraphlab.nn`) per training,
+An audit's shadows train in stacks of S models that share each step
+(:func:`_train_models`; :func:`train` is the S = 1 case).  Each model keeps
+its own seed, train mask and DP claim (a model's N is its own train
+count), and for the subgraph source its own sampler, store, batch and
+noise streams and log, so it has the bits of its own :func:`train` run.
+The subgraph source stacks only models that share a batch size and store
+``rows``, as their batches gather into one array.
+
+Each source builds one step workspace (:mod:`dpgraphlab.nn`) per stack,
 so a step's gradient is a buffer that the next step overwrites; the
-optimizer updates ``params.flat`` in place, which the workspace's weight
-views read.  The checkpoint is one buffer, allocated before the first step
-and copied into whenever validation accuracy ties or improves.
+optimizer updates the stack's (S, n_params) parameters in place, which the
+workspace's weight views read.  The checkpoint is one buffer, allocated
+before the first step and copied into whenever validation accuracy ties or
+improves.
 """
 
 from __future__ import annotations
@@ -34,11 +43,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .accounting import (OCCURRENCE_SENSITIVITY, CalibrationError, PrivacySpec, SubgraphSpec,
-                         _privacy_claim, clip, compose_and_convert, noisy_batch_gradient)
+                         _noisy_batch_means, _privacy_claim, clip, compose_and_convert)
 from .graphs import PopulationGraph, _check_integer, _check_number
 from .nn import (ModelParams, _masked_loss_grad_and_logits, _stack_rows, _StepWorkspace,
                  gcn_forward, init_gcn, init_mlp, normalize_adjacency, subgraph_batch_gradients)
-from .sampling import SubgraphStore, sample_training_subgraphs
+from .sampling import SubgraphStore, _stack_stores, sample_training_subgraphs
 
 
 @dataclass(frozen=True)
@@ -163,9 +172,9 @@ def train(graph: PopulationGraph, config: TrainConfig,
 def _train_models(graph: PopulationGraph, config: TrainConfig, spec: SubgraphSpec | None,
                   train_masks: np.ndarray, seeds) -> list[tuple[ModelParams, list[dict]]]:
     """Each model's (params, log) of :func:`train` on ``graph`` with train mask
-    ``train_masks[s]`` and seed ``seeds[s]``.  The full-graph source steps the
-    S models as one stack; the subgraph source takes one model, on the
-    graph's own train mask."""
+    ``train_masks[s]`` and seed ``seeds[s]``, trained in stacks of models that
+    share each step: the full-graph source steps all S models as one stack,
+    the subgraph source one stack per batch size and store ``rows``."""
     if not train_masks.any(axis=1).all():
         raise ValueError("graph has no training nodes; assign splits first")
     if spec is None:
@@ -175,22 +184,51 @@ def _train_models(graph: PopulationGraph, config: TrainConfig, spec: SubgraphSpe
     if dp != config.noise:
         raise ValueError("DP training requires subgraph_batch mode with clipping and noise, "
                          "and noise requires a PrivacySpec")
-    if config.mode != "full_graph" and len(seeds) != 1:
-        raise ValueError("the subgraph source trains one model at a time")
-
-    S = len(seeds)
+    # each DP model's (sigma, accountant), which settle sigma and the budget
+    # before any sampling; a model's N is its own train count
+    claims = [_checked_claim(spec, int(mask.sum())) if dp else None for mask in train_masks]
     models = [_init_model(graph, replace(config, seed=int(seed))) for seed in seeds]
+    if config.mode == "full_graph":
+        return _train_stack(graph, config, spec, train_masks, models, claims, None)
+
+    # each model samples its own train mask; a shadow's IN nodes may be the
+    # target's test nodes, and no training reads a test mask
+    no_test = np.zeros(graph.num_nodes, dtype=bool)
+    feeds = [_SubgraphFeed(graph.with_masks(mask, graph.val_mask, no_test), spec, int(seed),
+                           models[0].layers, 0.0 if claim is None else claim[0])
+             for mask, seed, claim in zip(train_masks, seeds, claims)]
+    # a stack's batches gather into one array: its models share m and rows
+    stacks: dict[tuple, list[int]] = {}
+    for s, feed in enumerate(feeds):
+        stacks.setdefault((feed.batch_size, tuple(feed.store.rows)), []).append(s)
+    results = {}
+    for members in stacks.values():
+        results.update(zip(members, _train_stack(
+            graph, config, spec, train_masks[members], [models[s] for s in members],
+            [claims[s] for s in members], [feeds[s] for s in members])))
+    return [results[s] for s in range(len(feeds))]
+
+
+def _checked_claim(spec: PrivacySpec, n_train: int):
+    """A DP model's (sigma, accountant) on ``n_train`` training subgraphs;
+    CalibrationError when sigma cannot meet the epsilon target."""
+    claim, accountant = _privacy_claim(spec, n_train, spec.delta, spec.noise_multiplier,
+                                       spec.epsilon_target)
+    sigma, spent = claim["sigma"], claim["epsilon_spent"]
+    if spent > spec.epsilon_target * (1.0 + 1e-9):
+        raise CalibrationError(f"epsilon budget infeasible: sigma={sigma} spends {spent:.4g} "
+                               f"over {spec.total_steps} steps, target {spec.epsilon_target}")
+    return sigma, accountant
+
+
+def _train_stack(graph, config, spec, train_masks, models, claims, feeds):
+    """One stack's (params, log) per model: the full-graph source when
+    ``feeds`` is None, else the subgraph source over ``feeds``."""
+    S = len(models)
     layers, flat = models[0].layers, np.stack([model.flat for model in models])  # (S, n_params)
     best = None  # (each model's params of its best val accuracy so far, those accuracies)
-    sigma = 0.0  # the accountant's noise multiplier; 0.0 outside DP
-    if dp:  # the claim settles sigma and the budget before any sampling
-        claim, accountant = _privacy_claim(spec, int(graph.train_mask.sum()), spec.delta,
-                                           spec.noise_multiplier, spec.epsilon_target)
-        sigma, spent = claim["sigma"], claim["epsilon_spent"]
-        if spent > spec.epsilon_target * (1.0 + 1e-9):
-            raise CalibrationError(f"epsilon budget infeasible: sigma={sigma} spends {spent:.4g} "
-                                   f"over {spec.total_steps} steps, target {spec.epsilon_target}")
-    else:
+    dp = claims[0] is not None
+    if not dp:
         ctx = normalize_adjacency(graph)
         has_val = bool(graph.val_mask.any())
         # each model's train rows among the union of them, and E: that union,
@@ -200,12 +238,11 @@ def _train_models(graph: PopulationGraph, config: TrainConfig, spec: SubgraphSpe
         train_pos, n_val = [np.flatnonzero(row) for row in member], eval_rows.size - u
         if has_val:
             best = (flat.copy(), [-1.0] * S)
-    if config.mode == "full_graph":
+    if feeds is None:
         steps, every, gradients = _full_graph_source(graph, config, spec, ctx, flat, layers,
                                                      train_masks)
     else:
-        steps, every, gradients = _subgraph_source(graph, config, spec, sigma,
-                                                   ModelParams(flat[0], layers))
+        steps, every, gradients = _subgraph_source(config, spec, feeds, flat, layers)
 
     lr = config.learning_rate
     optimizer = _Adam(lr) if config.optimizer == "adam" else _Sgd(lr)
@@ -213,7 +250,8 @@ def _train_models(graph: PopulationGraph, config: TrainConfig, spec: SubgraphSpe
 
     def record(step, losses, logits):
         if dp:  # the accountant's fields; no evaluation, no selection
-            logs[0].append({"step": step, "loss": losses[0],
+            for log, loss, (sigma, accountant) in zip(logs, losses, claims):
+                log.append({"step": step, "loss": loss,
                             "epsilon_spent": compose_and_convert(accountant, step, spec.delta),
                             "sigma": sigma})
             return
@@ -255,12 +293,12 @@ def _train_models(graph: PopulationGraph, config: TrainConfig, spec: SubgraphSpe
 
 
 # A gradient source returns (steps, eval interval, endless iterator of
-# per-step (per-model losses, update, logits) at the current params).  The
-# full-graph source's logits are those of the forward pass its gradient
-# ran, which returns the last layer's train rows (the loss) and then its
-# val rows only, so one forward serves both the step's gradient and the
-# previous record's evaluation; the subgraph source has no full-graph
-# logits and yields None.
+# per-step (per-model losses, (S, n_params) update, logits) at the current
+# params).  The full-graph source's logits are those of the forward pass its
+# gradient ran, which returns the last layer's train rows (the loss) and then
+# its val rows only, so one forward serves both the step's gradient and the
+# previous record's evaluation; the subgraph source has no full-graph logits
+# and yields None.
 # The iterators are generators, so one step's batch arrays stay alive until
 # the next step has allocated its own, as in an inline loop.  A function
 # call per step frees the whole batch at once on return; malloc then hands
@@ -282,31 +320,52 @@ def _full_graph_source(graph, config, spec, ctx, flat, layers, train_masks):
     return config.epochs, config.eval_every or 1, gradients()
 
 
-def _subgraph_source(graph, config, spec: SubgraphSpec, sigma: float, params):
-    """Batches of ``spec``, with noise of the accountant's ``sigma`` (0.0
-    outside DP) when clipping."""
-    sampler_rng = _stream(config.seed, 1)
-    batch_rng = _stream(config.seed, 2)
-    noise_rng = _stream(config.seed, 3)
-    subgraphs = sample_training_subgraphs(graph, spec.max_degree, spec.hops,
-                                          spec.effective_occurrence_bound, sampler_rng)
-    store = SubgraphStore(graph, subgraphs, params.layers)
-    batch_size = min(spec.batch_size, len(store))
-    ws = _StepWorkspace(params.flat, params.layers, batch=(batch_size,))
-    # the accountant's sigma is in units of Delta = OCCURRENCE_SENSITIVITY * C
-    noise_multiplier = sigma * OCCURRENCE_SENSITIVITY
+class _SubgraphFeed:
+    """One model's subgraph batches: its store, batch size m, batch and
+    noise streams, and noise multiplier (from its accountant's ``sigma``,
+    0.0 outside DP)."""
+
+    def __init__(self, graph: PopulationGraph, spec: SubgraphSpec, seed: int, layers,
+                 sigma: float):
+        sampler_rng = _stream(seed, 1)
+        self.batch_rng, self.noise_rng = _stream(seed, 2), _stream(seed, 3)
+        subgraphs = sample_training_subgraphs(graph, spec.max_degree, spec.hops,
+                                              spec.effective_occurrence_bound, sampler_rng)
+        self.store = SubgraphStore(graph, subgraphs, layers)
+        self.batch_size = min(spec.batch_size, len(self.store))
+        # the accountant's sigma is in units of Delta = OCCURRENCE_SENSITIVITY * C
+        self.noise_multiplier = sigma * OCCURRENCE_SENSITIVITY
+
+
+def _subgraph_source(config, spec: SubgraphSpec, feeds: list[_SubgraphFeed], flat, layers):
+    """Batches of ``spec`` for a stack of models that share their batch size
+    m and store ``rows``.  Each step draws each model's m subgraphs from its
+    own store and stream, and gathers them into one (S * m, R, .) batch of the
+    stacked stores; when clipping, each model's mean takes the noise of its
+    own multiplier from its own stream."""
+    S, m = len(feeds), feeds[0].batch_size
+    sizes = [len(feed.store) for feed in feeds]
+    store = _stack_stores([feed.store for feed in feeds])  # takes the stores' arrays over
+    idx = np.empty(S * m, dtype=np.intp)  # the stacked batch, model by model
+    draws = [(feed.batch_rng.choice, size, start, part) for feed, size, start, part
+             in zip(feeds, sizes, np.cumsum([0] + sizes[:-1]), idx.reshape(S, m))]
+    multipliers = [feed.noise_multiplier for feed in feeds]
+    noise_rngs = [feed.noise_rng for feed in feeds]
+    ws = _StepWorkspace(flat, layers, batch=(S * m,))
+    update = np.empty_like(flat)
 
     def gradients():
         while True:
-            idx = batch_rng.choice(len(store), size=batch_size, replace=False)
+            for choice, size, start, part in draws:  # each into its model's part of idx
+                np.add(choice(size, size=m, replace=False), start, out=part)
             batch = store.batch(idx)
             losses, grads = subgraph_batch_gradients(*batch, ws)
-            if config.clipping:  # sigma is 0.0 outside DP runs
-                update = noisy_batch_gradient(grads, spec.clip_norm, noise_multiplier,
-                                              noise_rng)
+            grads = grads.reshape(S, m, -1)
+            if config.clipping:  # the multipliers are 0.0 outside DP runs
+                _noisy_batch_means(grads, spec.clip_norm, multipliers, noise_rngs, update)
             else:
-                update = grads.mean(axis=0)
-            yield [float(losses.sum() / losses.size)], update, None
+                np.mean(grads, axis=1, out=update)
+            yield (losses.reshape(S, m).sum(axis=1) / m).tolist(), update, None
 
     return spec.total_steps, config.eval_every or 50, gradients()
 

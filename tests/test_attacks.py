@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dpgraphlab as dg
-from dpgraphlab import attacks
+from dpgraphlab import attacks, training
 from dpgraphlab.attacks import ShadowEnsemble, binomial_half_width, scaled_confidence
 from dpgraphlab.training import _init_model
 
@@ -176,13 +176,28 @@ def test_shadow_coverage_invariant():
     assert (ens.n_shadows - in_counts).min() >= 8
 
 
+DP = dict(mode="subgraph_batch", clipping=True, noise=True, optimizer="sgd", learning_rate=0.05,
+          eval_every=5)
+
+
+def dp_spec(**kwargs):
+    return dg.PrivacySpec(epsilon_target=5.0, delta=1e-3, **{
+        "max_degree": 3, "occurrence_bound": 4, "batch_size": 8, "total_steps": 12, **kwargs})
+
+
+def subgraph_spec(**kwargs):
+    return dg.SubgraphSpec(**{"max_degree": 3, "occurrence_bound": 4, "batch_size": 8,
+                              "total_steps": 12, **kwargs})
+
+
 def test_shadow_determinism():
     g = small_graph()
-    cfg = quick_config()
-    e1 = dg.train_shadows(g, cfg, None, n_shadows=24, seed=5)
-    e2 = dg.train_shadows(g, cfg, None, n_shadows=24, seed=5)
-    np.testing.assert_array_equal(e1.membership, e2.membership)
-    np.testing.assert_array_equal(e1.phi, e2.phi)
+    for config, spec in ((dict(), None), (DP, dp_spec())):  # full-graph and DP shadows
+        cfg = dataclasses.replace(quick_config(), **config)
+        e1 = dg.train_shadows(g, cfg, spec, n_shadows=24, seed=5)
+        e2 = dg.train_shadows(g, cfg, spec, n_shadows=24, seed=5)
+        np.testing.assert_array_equal(e1.membership, e2.membership)
+        np.testing.assert_array_equal(e1.phi, e2.phi)
 
 
 def shadow_phi_by_train(graph, config, spec, n_shadows, seed):
@@ -224,14 +239,59 @@ def no_val(g):
     ("larger graph", lambda: small_graph(n=700), dict(hidden_dim=32, epochs=12), None),
     ("larger mlp", lambda: small_graph(n=700), dict(hidden_dim=32, epochs=12,
                                                     model_kind="mlp"), None),
+    ("dp", small_graph, DP, dp_spec()),
+    ("dp adam", small_graph, dict(DP, optimizer="adam", learning_rate=0.01), dp_spec()),
+    ("dp 3 layers", small_graph, dict(DP, num_layers=3), dp_spec(hops=3)),
+    ("dp mlp", small_graph, dict(DP, model_kind="mlp"), dp_spec()),
+    ("dp hidden_dim=1", small_graph, dict(DP, hidden_dim=1), dp_spec()),
+    ("dp 3 layers, hidden_dim=1", small_graph, dict(DP, num_layers=3, hidden_dim=1),
+     dp_spec(hops=3)),
+    ("subgraphing", small_graph, dict(mode="subgraph_batch", eval_every=5), subgraph_spec()),
+    ("subgraph_clip", small_graph, dict(mode="subgraph_batch", clipping=True, eval_every=5),
+     subgraph_spec(clip_norm=0.05)),
+    ("subgraph_clip, no val nodes", lambda: no_val(small_graph()),
+     dict(mode="subgraph_batch", clipping=True, eval_every=5), subgraph_spec(clip_norm=0.05)),
 ])
 def test_stacked_shadows_equal_a_train_per_shadow(case, graph_of, config, spec):
-    # full-graph shadows train in stacks; each shadow's phi keeps the bits of
-    # its own train() run.  17 shadows are one full stack and a stack of one.
+    # shadows train in stacks, from either source; each shadow's phi keeps the
+    # bits of its own train() run.  17 shadows are one full stack and a stack
+    # of one.
     g = graph_of()
     cfg = dataclasses.replace(quick_config(), **config)
     got = dg.train_shadows(g, cfg, spec, n_shadows=17, seed=4)
     assert 17 % attacks._SHADOW_STACK not in (0, 17)
+    if isinstance(spec, dg.PrivacySpec):  # each shadow's sigma is that of its IN count
+        sigmas = {dg.calibrate_sigma(spec.epsilon_target, spec.delta, spec.total_steps, int(n),
+                                     spec.occurrence_bound, spec.batch_size)
+                  for n in got.membership.sum(axis=1)}
+        assert len(sigmas) > 1
+    np.testing.assert_array_equal(got.phi, shadow_phi_by_train(g, cfg, spec, 17, 4))
+
+
+def one_neighbor_slot_graph():
+    # degrees up to 5, so at max_degree 5 the shadows' roots reach different
+    # child counts, and their stores resolve different rows
+    g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=80, target_homophily=0.7,
+                                               neighbors_per_node=1, seed=0))
+    return dg.assign_splits(g, dg.SplitSpec(0.4, 0.2, 0.4, seed=1))
+
+
+@pytest.mark.parametrize("config, spec", [
+    (DP, dp_spec(max_degree=5)),
+    # a batch above the smaller shadows' IN counts: each takes its whole store
+    (dict(mode="subgraph_batch", eval_every=5), subgraph_spec(batch_size=32)),
+], ids=["rows", "batch size"])
+def test_shadows_whose_stores_differ_train_in_separate_stacks(monkeypatch, config, spec):
+    # one stacked batch needs one batch size and one set of rows; models that
+    # differ in either split a stack, and each still matches its own train()
+    g = one_neighbor_slot_graph()
+    cfg = dataclasses.replace(quick_config(), **config)
+    stacks = []
+    stack = training._train_stack
+    monkeypatch.setattr(training, "_train_stack",
+                        lambda *args: stacks.append(len(args[4])) or stack(*args))
+    got = dg.train_shadows(g, cfg, spec, n_shadows=17, seed=4)
+    assert sum(stacks) == 17 and len(stacks) > -(-17 // attacks._SHADOW_STACK)
     np.testing.assert_array_equal(got.phi, shadow_phi_by_train(g, cfg, spec, 17, 4))
 
 
@@ -328,10 +388,9 @@ def test_binomial_half_width():
 
 
 def count_trainings(monkeypatch):
-    """Record every call of ``train`` and of the stacked full-graph
-    ``_train_models`` that ``attacks`` makes, in place of the training."""
+    """Record every call of the stacked ``_train_models`` that ``attacks``
+    makes, in place of the training."""
     trained = []
-    monkeypatch.setattr(attacks, "train", lambda *args: trained.append(args))
     monkeypatch.setattr(attacks, "_train_models", lambda *args: trained.append(args) or [])
     return trained
 

@@ -351,7 +351,6 @@ def test_audited_cell_whose_shadows_are_below_the_batch_trains_nothing(tmp_path,
         return counted
 
     monkeypatch.setattr(experiments, "train", counting(experiments.train))
-    monkeypatch.setattr(attacks, "train", counting(attacks.train))
     monkeypatch.setattr(attacks, "_train_models", counting(attacks._train_models))
     with pytest.raises(dg.AuditSetupError) as exc:
         run(shadows_below_the_batch_manifest(tmp_path / "res"), do_audit=True)
@@ -809,6 +808,19 @@ def _manifest_file(tmp_path, edit=lambda manifest: None):
     (lambda t: ("train", "--manifest", _manifest_file(
         t, lambda m: m.update(dataset={"csv": _two_column_labels_csv(t)}))),
      "y10.csv: row 1 has 2 columns, expected 1"),
+    # a dataset or split value of the wrong kind is rejected at load
+    (lambda t: ("train", "--manifest",
+                _manifest_file(t, lambda m: m["dataset"]["synthetic"].update(num_nodes=60.0))),
+     "num_nodes must be an integer, not 60.0"),
+    (lambda t: ("train", "--manifest",
+                _manifest_file(t, lambda m: m["dataset"]["synthetic"].update(feat_dim=2.5))),
+     "feat_dim must be an integer, not 2.5"),
+    (lambda t: ("train", "--manifest", _manifest_file(
+        t, lambda m: m["dataset"]["synthetic"].update(target_homophily="0.8"))),
+     "target_homophily must be a number, not '0.8'"),
+    (lambda t: ("train", "--manifest",
+                _manifest_file(t, lambda m: m["split"].update(train="0.5"))),
+     "split train_fraction must be a number, not '0.5'"),
 ], ids=["prefix-flag", "prefix-flag-with-value", "odd-nodes", "missing-manifest", "bad-csv", "missing-results",
         "unknown-block-key", "no-audit-block", "epsilon-nan", "epsilon-negative",
         "grid-odd-nodes", "sweep-homophily-out-of-range", "grid-negative-seed",
@@ -819,7 +831,9 @@ def _manifest_file(tmp_path, edit=lambda manifest: None):
         "audit-fpr-above-one", "audit-empty-fpr-grid", "audit-string-fpr",
         "audit-shadows-below-the-batch", "audit-csv-shadows-below-the-batch",
         "grid-empty-test-split", "grid-non-dp-empty-train-split", "grid-zero-threads",
-        "sweep-negative-threads", "two-column-labels", "grid-two-column-labels"])
+        "sweep-negative-threads", "two-column-labels", "grid-two-column-labels",
+        "grid-fractional-num-nodes", "grid-fractional-feat-dim", "grid-string-homophily",
+        "grid-string-train-split"])
 def test_cli_rejected_input_is_usage_error(tmp_path, capsys, make_argv, message):
     # every subcommand reports a rejected flag, value, file or manifest the
     # same way: exit code 2 and the message on stderr, no traceback, and

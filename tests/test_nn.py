@@ -441,23 +441,28 @@ def test_stacked_row_products_match_per_slice_products():
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
 
 
-def test_matmul_rows_is_the_2d_product():
-    # a 2-D p (the full graph) makes the same call as p @ w, so the same bits,
-    # for a transposed w too (the backward pass's w.T); a stacked p with rows
-    # cut from a longer stack is copied, not misread
+def test_weights_make_each_models_2d_product():
+    # each model's block of a stacked (S * m, r, k) batch makes the call of
+    # p @ w over its m * r rows, so the bits of a one-model batch, for a
+    # transposed w too (the backward pass's w.T); rows cut from longer
+    # subgraphs are copied, not misread; a full-graph stack's shared input
+    # is each model's p @ w
     rng = np.random.default_rng(43)
-    w = rng.standard_normal((7, 3))
-    p = rng.standard_normal((40, 7))
-    assert nn._matmul_rows(p, w).tobytes() == (p @ w).tobytes()
-    q = rng.standard_normal((40, 3))
-    assert nn._matmul_rows(q, w.T).tobytes() == (q @ w.T).tobytes()
-    stack = rng.standard_normal((5, 9, 7))
-    cut = stack[:, :4]
-    got = nn._matmul_rows(cut, w)
-    assert got.shape == (5, 4, 3)
-    assert got.tobytes() == nn._matmul_rows(np.ascontiguousarray(cut), w).tobytes()
-    want = np.stack([cut[i] @ w for i in range(5)])
-    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+    w = rng.standard_normal((2, 7, 3))
+    stack = rng.standard_normal((2 * 5, 9, 7))
+    for p in (stack, stack[:, :4]):
+        got = nn._weights(p, w)
+        assert got.shape == (*p.shape[:-1], 3)
+        for s, rows in enumerate(np.split(p, 2)):
+            flat = np.ascontiguousarray(rows).reshape(-1, 7)
+            assert got[5 * s:5 * (s + 1)].tobytes() == (flat @ w[s]).tobytes()
+    q = rng.standard_normal((2 * 5, 1, 3))
+    got = nn._weights(q, w.swapaxes(-1, -2))
+    for s in range(2):
+        assert got[5 * s:5 * (s + 1)].tobytes() == (q[5 * s:5 * (s + 1), 0] @ w[s].T).tobytes()
+    x = rng.standard_normal((40, 7))
+    got = nn._weights(x, w)
+    assert all(got[s].tobytes() == (x @ w[s]).tobytes() for s in range(2))
 
 
 # ---------------------------------------------------------------- model invariances
@@ -794,7 +799,7 @@ def test_subgraph_workspace_matches_fresh_calls():
                    dg.init_mlp(g.feat_dim, 6, 2, 2, seed=1)):
         subgraphs = dg.sample_training_subgraphs(g, 3, 3, 10, rng)
         store = SubgraphStore(g, subgraphs, params.layers)
-        ws = _StepWorkspace(params.flat, params.layers, batch=(8,))
+        ws = _StepWorkspace(params.flat[None], params.layers, batch=(8,))
         sgd = training._Sgd(0.5)
         for _ in range(20):
             batch = store.batch(rng.choice(len(store), size=8, replace=False))
