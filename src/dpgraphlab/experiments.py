@@ -488,7 +488,13 @@ def report(results_dir) -> dict:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 cell = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            if not isinstance(cell, dict):
+                raise ValueError(f"not a cell: a JSON {type(cell).__name__}, not an object")
+            missing = ({"cell", "variant", "epsilon", "error" if "error" in cell else "test_acc"}
+                       - cell.keys())
+            if missing:
+                raise ValueError(f"not a cell: no {', '.join(sorted(missing))}")
+        except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
             corrupt.append({"file": str(path), "error": str(exc)})
             continue
         grids.setdefault(path.parent.parent.relative_to(results_dir).as_posix(), []).append(cell)

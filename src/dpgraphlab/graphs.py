@@ -255,8 +255,7 @@ def build_knn_graph(graph: PopulationGraph, k: int, metric: str = "euclidean") -
     deterministic in the inputs.
     """
     n = graph.num_nodes
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_integer(k, "k", 1)
     if k >= n:
         raise ValueError(f"k={k} must be smaller than num_nodes={n}")
     x = graph.features

@@ -85,10 +85,11 @@ optimizer updates in place; layer 0's [w; b] block and no separate bias),
 each layer's propagated side, the per-layer views of one flat gradient
 buffer, and the start of each loss row in the flattened logits, through
 which the cross-entropy reads and writes each row's label entry; for the
-full graph it also holds the loss rows, their labels, E and the sparse row
-and column blocks the last layer reads, and a stack's activation buffers.
-Every step reuses these, and its gradient overwrites the previous step's,
-which the optimizer has consumed by then.
+full graph it also holds a stack's activation buffers and, in training,
+the one layout of its rows: E, ``member``, the loss rows' labels and the
+sparse row and column blocks the last layer reads.  Every step and every
+forward pass over E reuse these, and a step's gradient overwrites the
+previous step's, which the optimizer has consumed by then.
 The public functions (:func:`gcn_forward`, :func:`loss_and_grad`,
 :func:`subgraph_batch_gradients`) build a workspace per call, so what they
 return is never overwritten by a later call.
@@ -212,7 +213,7 @@ def init_mlp(in_dim: int, hidden_dim: int, out_dim: int, num_layers: int, seed: 
 class ForwardContext:
     """Normalized adjacency plus the feature matrix it propagates."""
 
-    adj_norm: object  # scipy CSR for full graphs, dense ndarray for small subgraphs
+    adj_norm: object  # scipy CSR; only SubgraphStore batches hold dense adjacencies
     features: np.ndarray
 
     @cached_property
@@ -267,12 +268,14 @@ class _StepWorkspace:
     the next step; each step overwrites ``grad``.
 
     A full-graph training workspace (given ``adj``, ``labels``, the (S, n)
-    loss ``masks`` and the ``val_mask``) resolves E (``rows``, see the module
-    docstring), the loss rows and their labels, and the zeroed logit
-    gradient ``d_logits`` that each step's loss gradient is scattered into:
-    (S, loss rows, C) beside A[E] and A[:, loss rows] when the last layer
-    propagates its output, else (S, n, C).  Its rows outside each model's
-    loss rows stay zero.  Without masks ``rows`` is None.
+    loss ``masks`` and the ``val_mask``) is the one layout of a stack's rows:
+    E (``rows``, see the module docstring), the union's U ``loss_rows`` and
+    their labels, ``member`` (S, U): which of them each model trains on, and
+    the zeroed logit gradient ``d_logits`` that each step's loss gradient is
+    scattered into: (S, loss rows, C) beside A[E] and A[:, loss rows] when the
+    last layer propagates its output, else (S, n, C).  Its rows outside each
+    model's loss rows stay zero.  An empty mask raises ValueError; without
+    masks ``rows`` is None.
     """
 
     def __init__(self, flat: np.ndarray, layers, batch: tuple[int, ...] = (), adj=None,
@@ -288,10 +291,14 @@ class _StepWorkspace:
         if batch:
             self.label_starts = np.arange(batch[0]) * classes
         if masks is not None:
-            member, self.rows = _stack_rows(masks, val_mask)
-            self.loss_rows = self.rows[:member.shape[1]]
-            models, pos = np.nonzero(member)  # model by model, rows ascending
-            sizes = member.sum(axis=1)
+            if not masks.any(axis=1).all():
+                raise ValueError("mask selects no nodes")
+            union = masks.any(axis=0)
+            self.member, self.loss_rows = masks[:, union], np.flatnonzero(union)
+            self.rows = (self.loss_rows if val_mask is None
+                         else np.concatenate([self.loss_rows, np.flatnonzero(val_mask)]))
+            models, pos = np.nonzero(self.member)  # model by model, rows ascending
+            sizes = self.member.sum(axis=1)
             self.loss_slices = [slice(e - n, e) for n, e in zip(sizes, np.cumsum(sizes))]
             self.loss_index = pos * len(masks) + models  # rows of the node-major logits
             self.loss_labels = labels[self.loss_rows[pos]]
@@ -319,16 +326,6 @@ class _StepWorkspace:
         if buf is None or buf.shape != shape:
             buf = self.buffers[key] = np.empty(shape, dtype)
         return buf
-
-
-def _stack_rows(masks: np.ndarray, val_mask) -> tuple[np.ndarray, np.ndarray]:
-    """``member`` (S, U): which of the S models' union of loss rows each trains
-    on, and E: that union, then the val rows.  An empty mask raises ValueError."""
-    union = masks.any(axis=0)
-    if not masks.any(axis=1).all():
-        raise ValueError("mask selects no nodes")
-    val = np.flatnonzero(val_mask) if val_mask is not None else np.empty(0, dtype=np.intp)
-    return masks[:, union], np.concatenate([np.flatnonzero(union), val])
 
 
 def _model_rows(a: np.ndarray, models: int) -> np.ndarray:

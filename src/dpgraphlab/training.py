@@ -26,12 +26,14 @@ noise streams and log, so it has the bits of its own :func:`train` run.
 The subgraph source stacks only models that share a batch size and store
 ``rows``, as their batches gather into one array.
 
-Each source builds one step workspace (:mod:`dpgraphlab.nn`) per stack,
-so a step's gradient is a buffer that the next step overwrites; the
+A non-DP stack's full-graph step workspace (:mod:`dpgraphlab.nn`) lays out
+E, its loss rows and then its val rows: the full-graph source steps on it,
+and a record without the step's logits runs the stack's forward over E on
+it.  The subgraph source builds a batch workspace.  A step's gradient is a
+buffer that the next step overwrites (clipping scales it in place); the
 optimizer updates the stack's (S, n_params) parameters in place, which the
-workspace's weight views read.  The checkpoint is one buffer, allocated
-before the first step and copied into whenever validation accuracy ties or
-improves.
+workspaces' weight views read.  The checkpoint is one buffer, allocated
+before the first step and copied into whenever val accuracy ties or improves.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .accounting import (OCCURRENCE_SENSITIVITY, CalibrationError, PrivacySpec, SubgraphSpec,
-                         _noisy_batch_means, _privacy_claim, clip, compose_and_convert)
+                         _clip_scale, _noisy_batch_means, _privacy_claim, compose_and_convert)
 from .graphs import PopulationGraph, _check_integer, _check_number
-from .nn import (ModelParams, _masked_loss_grad_and_logits, _stack_rows, _StepWorkspace,
+from .nn import (ModelParams, _forward, _masked_loss_grad_and_logits, _StepWorkspace,
                  gcn_forward, init_gcn, init_mlp, normalize_adjacency, subgraph_batch_gradients)
 from .sampling import SubgraphStore, _stack_stores, sample_training_subgraphs
 
@@ -230,17 +232,17 @@ def _train_stack(graph, config, spec, train_masks, models, claims, feeds):
     dp = claims[0] is not None
     if not dp:
         ctx = normalize_adjacency(graph)
+        adj, x = ctx.adj_norm, ctx.first_layer_input(layers)
         has_val = bool(graph.val_mask.any())
-        # each model's train rows among the union of them, and E: that union,
-        # then the val rows: the rows of the full-graph source's logits
-        member, eval_rows = _stack_rows(train_masks, graph.val_mask)
-        eval_labels, u = graph.labels[eval_rows], member.shape[1]
-        train_pos, n_val = [np.flatnonzero(row) for row in member], eval_rows.size - u
         if has_val:
             best = (flat.copy(), [-1.0] * S)
+        # E and each model's loss rows: every record's logits are E's rows
+        ws = _StepWorkspace(flat, layers, adj=adj, labels=graph.labels, masks=train_masks,
+                            val_mask=graph.val_mask)
+        eval_labels, u = graph.labels[ws.rows], ws.member.shape[1]
+        train_pos, n_val = [np.flatnonzero(row) for row in ws.member], ws.rows.size - u
     if feeds is None:
-        steps, every, gradients = _full_graph_source(graph, config, spec, ctx, flat, layers,
-                                                     train_masks)
+        steps, every, gradients = _full_graph_source(config, spec, ws, adj, x)
     else:
         steps, every, gradients = _subgraph_source(config, spec, feeds, flat, layers)
 
@@ -255,9 +257,7 @@ def _train_stack(graph, config, spec, train_masks, models, claims, feeds):
                             "epsilon_spent": compose_and_convert(accountant, step, spec.delta),
                             "sigma": sigma})
             return
-        if logits is None:
-            logits = np.stack([gcn_forward(ctx, ModelParams(row, layers))[eval_rows]
-                               for row in flat])
+        logits = _forward(ws, adj, x, keep_cache=False)[0] if logits is None else logits
         hits = np.argmax(logits, axis=-1) == eval_labels  # argmax ties resolve to class 0
         train_acc = [np.count_nonzero(row[pos]) / pos.size for row, pos in zip(hits, train_pos)]
         val_acc = [np.count_nonzero(row[u:]) / n_val for row in hits] if has_val else [None] * S
@@ -305,16 +305,12 @@ def _train_stack(graph, config, spec, train_masks, models, claims, feeds):
 # the heap top back to the OS and faults it in again on the next step, which
 # made DP training about 1.5x slower on the dp_audit benchmark.
 
-def _full_graph_source(graph, config, spec, ctx, flat, layers, train_masks):
-    adj, x = ctx.adj_norm, ctx.first_layer_input(layers)
-    ws = _StepWorkspace(flat, layers, adj=adj, labels=graph.labels, masks=train_masks,
-                        val_mask=graph.val_mask)
-
+def _full_graph_source(config, spec, ws: _StepWorkspace, adj, x):
     def gradients():
         while True:
             losses, grad, logits = _masked_loss_grad_and_logits(ws, adj, x)
-            if config.clipping:  # each model's gradient by its own norm
-                grad = np.stack([clip(g, spec.clip_norm) for g in grad])
+            if config.clipping:  # each model's gradient by its own norm, in place
+                grad *= _clip_scale(np.sqrt(np.vecdot(grad, grad)), spec.clip_norm)[:, None]
             yield losses, grad, logits
 
     return config.epochs, config.eval_every or 1, gradients()

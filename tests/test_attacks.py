@@ -200,20 +200,28 @@ def test_shadow_determinism():
         np.testing.assert_array_equal(e1.phi, e2.phi)
 
 
-def shadow_phi_by_train(graph, config, spec, n_shadows, seed):
-    """Oracle of ``train_shadows``: ``train`` on each shadow's re-masked graph."""
+def shadow_runs_by_train(graph, config, spec, n_shadows, seed):
+    """Oracle of ``train_shadows``'s trainings: the pool and each shadow's
+    (params, log) of ``train`` on its re-masked graph."""
     pool, membership = attacks._shadow_membership(graph, spec, n_shadows, seed)
     seeds = np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(n_shadows)
-    ctx = dg.normalize_adjacency(graph)
     n = graph.num_nodes
-    phi = []
+    runs = []
     for member, shadow_seed in zip(membership, seeds):
         train_mask = np.zeros(n, dtype=bool)
         train_mask[pool[member]] = True
-        params, _ = dg.train(graph.with_masks(train_mask, graph.val_mask, np.zeros(n, bool)),
-                             dataclasses.replace(config, seed=int(shadow_seed)), spec)
-        phi.append(scaled_confidence(dg.gcn_forward(ctx, params)[pool], graph.labels[pool]))
-    return np.array(phi)
+        runs.append(dg.train(graph.with_masks(train_mask, graph.val_mask, np.zeros(n, bool)),
+                             dataclasses.replace(config, seed=int(shadow_seed)), spec))
+    return pool, runs
+
+
+def shadow_phi_by_train(graph, config, spec, n_shadows, seed, trained=None):
+    """Oracle of ``train_shadows``: ``train`` on each shadow's re-masked graph
+    (or ``trained``, a ``shadow_runs_by_train`` result)."""
+    pool, runs = trained or shadow_runs_by_train(graph, config, spec, n_shadows, seed)
+    ctx = dg.normalize_adjacency(graph)
+    return np.array([scaled_confidence(dg.gcn_forward(ctx, params)[pool], graph.labels[pool])
+                     for params, _ in runs])
 
 
 def four_classes(g):
@@ -252,12 +260,20 @@ def no_val(g):
     ("subgraph_clip, no val nodes", lambda: no_val(small_graph()),
      dict(mode="subgraph_batch", clipping=True, eval_every=5), subgraph_spec(clip_norm=0.05)),
 ])
-def test_stacked_shadows_equal_a_train_per_shadow(case, graph_of, config, spec):
-    # shadows train in stacks, from either source; each shadow's phi keeps the
-    # bits of its own train() run.  17 shadows are one full stack and a stack
-    # of one.
+def test_stacked_shadows_equal_a_train_per_shadow(monkeypatch, case, graph_of, config, spec):
+    # shadows train in stacks, from either source; each shadow's params, log
+    # and phi keep the bits of its own train() run.  17 shadows are one full
+    # stack and a stack of one.
     g = graph_of()
     cfg = dataclasses.replace(quick_config(), **config)
+    stacked = []  # each shadow's (params, log), as its stack returns them
+    train_models = training._train_models
+
+    def train_stack(*args):
+        stacked.extend(train_models(*args))
+        return stacked[-len(args[4]):]
+
+    monkeypatch.setattr(attacks, "_train_models", train_stack)
     got = dg.train_shadows(g, cfg, spec, n_shadows=17, seed=4)
     assert 17 % attacks._SHADOW_STACK not in (0, 17)
     if isinstance(spec, dg.PrivacySpec):  # each shadow's sigma is that of its IN count
@@ -265,7 +281,12 @@ def test_stacked_shadows_equal_a_train_per_shadow(case, graph_of, config, spec):
                                      spec.occurrence_bound, spec.batch_size)
                   for n in got.membership.sum(axis=1)}
         assert len(sigmas) > 1
-    np.testing.assert_array_equal(got.phi, shadow_phi_by_train(g, cfg, spec, 17, 4))
+    trained = shadow_runs_by_train(g, cfg, spec, 17, 4)
+    np.testing.assert_array_equal(got.phi, shadow_phi_by_train(g, cfg, spec, 17, 4, trained))
+    assert len(stacked) == 17
+    for (params, log), (want_params, want_log) in zip(stacked, trained[1]):
+        np.testing.assert_array_equal(params.flat, want_params.flat)
+        assert log == want_log
 
 
 def one_neighbor_slot_graph():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -490,11 +491,19 @@ def test_report_bound_vs_empirical_table(tmp_path):
 def test_report_lists_corrupt_cells(tmp_path):
     manifest = tiny_manifest(tmp_path / "res")
     run(manifest)
-    bad = tmp_path / "res" / "cells" / "broken.json"
-    bad.write_text("{not json")
+    cells = tmp_path / "res" / "cells"
+    (cells / "broken.json").write_text("{not json")
+    # JSON that is not a cell: not an object, and an object without test_acc
+    (cells / "list.json").write_text("[]")
+    (cells / "no_acc.json").write_text('{"variant": "dp", "epsilon": 5.0}')
     out = report(tmp_path / "res")
-    assert len(out["corrupt"]) == 1
+    assert [Path(c["file"]).name for c in out["corrupt"]] == ["broken.json", "list.json",
+                                                              "no_acc.json"]
+    assert out["corrupt"][1]["error"] == "not a cell: a JSON list, not an object"
+    assert out["corrupt"][2]["error"] == "not a cell: no cell, test_acc"
     assert len(out["aggregate"]) == 2  # partial report still produced
+    text = (tmp_path / "res" / "report.txt").read_text()
+    assert "unreadable cell files: 3" in text and "list.json: not a cell" in text
 
 
 def test_report_keeps_each_grid_of_a_sweep_apart(tmp_path):
@@ -708,6 +717,12 @@ def _manifest_file(tmp_path, edit=lambda manifest: None):
     return str(tmp_path / "m.json")
 
 
+def _csv_knn_manifest(tmp_path, k):
+    """``_manifest_file`` on a 60-row CSV dataset whose kNN graph has ``k``."""
+    return _manifest_file(tmp_path, lambda m: m.update(dataset={"csv": _csv_rows(tmp_path, 60)},
+                                                       graph={"k": k}))
+
+
 @pytest.mark.parametrize("make_argv,message", [
     (lambda t: ("--manifest", _manifest_file(t), "train"),
      "--manifest is given before the subcommand; flags go after the subcommand's name"),
@@ -821,6 +836,13 @@ def _manifest_file(tmp_path, edit=lambda manifest: None):
     (lambda t: ("train", "--manifest",
                 _manifest_file(t, lambda m: m["split"].update(train="0.5"))),
      "split train_fraction must be a number, not '0.5'"),
+    # a CSV dataset's kNN k is checked when its graph is built, before any write
+    (lambda t: ("train", "--manifest", _csv_knn_manifest(t, 2.5)),
+     "k must be an integer >= 1, not 2.5"),
+    (lambda t: ("train", "--manifest", _csv_knn_manifest(t, "5")),
+     "k must be an integer >= 1, not '5'"),
+    (lambda t: ("train", "--manifest", _csv_knn_manifest(t, True)),
+     "k must be an integer >= 1, not True"),
 ], ids=["prefix-flag", "prefix-flag-with-value", "odd-nodes", "missing-manifest", "bad-csv", "missing-results",
         "unknown-block-key", "no-audit-block", "epsilon-nan", "epsilon-negative",
         "grid-odd-nodes", "sweep-homophily-out-of-range", "grid-negative-seed",
@@ -833,7 +855,8 @@ def _manifest_file(tmp_path, edit=lambda manifest: None):
         "grid-empty-test-split", "grid-non-dp-empty-train-split", "grid-zero-threads",
         "sweep-negative-threads", "two-column-labels", "grid-two-column-labels",
         "grid-fractional-num-nodes", "grid-fractional-feat-dim", "grid-string-homophily",
-        "grid-string-train-split"])
+        "grid-string-train-split", "grid-csv-fractional-k", "grid-csv-string-k",
+        "grid-csv-bool-k"])
 def test_cli_rejected_input_is_usage_error(tmp_path, capsys, make_argv, message):
     # every subcommand reports a rejected flag, value, file or manifest the
     # same way: exit code 2 and the message on stderr, no traceback, and

@@ -604,9 +604,10 @@ def test_full_graph_workspace_matches_fresh_calls():
         cfg = dg.TrainConfig(num_layers=3, hidden_dim=6, model_kind=model_kind, seed=1)
         params = training._init_model(g, cfg)
         ctx = dg.normalize_adjacency(g)
-        _, _, source = training._full_graph_source(g, cfg, dg.SubgraphSpec(), ctx,
-                                                   params.flat[None], params.layers,
-                                                   g.train_mask[None])
+        adj, x = ctx.adj_norm, ctx.first_layer_input(params.layers)
+        ws = _StepWorkspace(params.flat[None], params.layers, adj=adj, labels=g.labels,
+                            masks=g.train_mask[None], val_mask=g.val_mask)
+        _, _, source = training._full_graph_source(cfg, dg.SubgraphSpec(), ws, adj, x)
         # the source's logits are the train rows, then the val rows
         rows = np.concatenate([np.flatnonzero(g.train_mask), np.flatnonzero(g.val_mask)])
         adam = training._Adam(cfg.learning_rate)
@@ -615,7 +616,10 @@ def test_full_graph_workspace_matches_fresh_calls():
             fresh = dg.loss_and_grad(ctx, params, g.labels, g.train_mask)
             assert loss == fresh[0]
             np.testing.assert_array_equal(grad, fresh[1])
-            np.testing.assert_array_equal(logits[0], dg.gcn_forward(ctx, params)[rows])
+            want = dg.gcn_forward(ctx, params)[rows]
+            np.testing.assert_array_equal(logits[0], want)
+            # a record's own forward pass over the workspace's rows
+            np.testing.assert_array_equal(nn._forward(ws, adj, x, keep_cache=False)[0][0], want)
             adam.step(params.flat, grad)
 
 
@@ -694,9 +698,10 @@ def test_row_cut_chaotic_adam_clipping_run_equals_full_row_oracle(hidden):
     oracle = params.clone()
     x = ctx.first_layer_input(params.layers)
     cfg = dg.TrainConfig(num_layers=3, hidden_dim=hidden, clipping=True, seed=12)
-    _, _, source = training._full_graph_source(g, cfg, dg.SubgraphSpec(clip_norm=0.5), ctx,
-                                               params.flat[None], params.layers,
-                                               g.train_mask[None])
+    ws = _StepWorkspace(params.flat[None], params.layers, adj=ctx.adj_norm, labels=g.labels,
+                        masks=g.train_mask[None], val_mask=g.val_mask)
+    _, _, source = training._full_graph_source(cfg, dg.SubgraphSpec(clip_norm=0.5), ws,
+                                               ctx.adj_norm, x)
     adam, oracle_adam = training._Adam(1e-2), training._Adam(1e-2)
     for _ in range(60):
         _, (update,), _ = next(source)
