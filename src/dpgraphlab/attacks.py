@@ -7,7 +7,9 @@ likelihood-ratio score for the target's confidence, evaluated at low false
 positive rates and compared against the analytic supremum-power bound when
 the target was trained with DP.  Shadows train in stacks of models that
 share each step, full-graph and DP shadows alike, each with the bits of its
-own training.
+own training.  The audit reads only each shadow's params, so the stacks
+keep no logs: a non-DP shadow scores only the val rows, to select its
+checkpoint, and a DP shadow composes no epsilon.
 """
 
 from __future__ import annotations
@@ -124,7 +126,9 @@ def train_shadows(graph: PopulationGraph, config: TrainConfig,
     _SHADOW_STACK at a time, one step over all; subgraph-source shadows
     whose stores resolve different rows or batch sizes split their stack.
     Each keeps its own seed, DP claim, sampler and streams, and each phi has
-    the bits of its own ``train``.
+    the bits of its own ``train``.  The stacks keep no logs: no loss, train
+    accuracy or epsilon is computed, and a non-DP shadow's checkpoint is
+    selected on the val rows alone.
     """
     pool, membership = _shadow_membership(graph, spec, n_shadows, seed)
     seeds = np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(n_shadows)
@@ -137,11 +141,11 @@ def train_shadows(graph: PopulationGraph, config: TrainConfig,
     def phi_of(params):
         return scaled_confidence(gcn_forward(ctx, params)[pool], graph.labels[pool])
 
-    # each stack's logs are dropped as it ends
+    # the audit reads params only: the stacks keep no logs
     phi = [phi_of(params) for start in range(0, n_shadows, _SHADOW_STACK)
            for params, _ in _train_models(graph, config, spec,
                                           train_masks[start:start + _SHADOW_STACK],
-                                          seeds[start:start + _SHADOW_STACK])]
+                                          seeds[start:start + _SHADOW_STACK], logs=False)]
     return ShadowEnsemble(pool=pool, membership=membership, phi=np.array(phi))
 
 

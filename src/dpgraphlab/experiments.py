@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import numbers
 import os
 import tempfile
 import time
@@ -469,6 +470,51 @@ def spearman(x, y) -> float:
     return float(spearmanr(x, y).statistic)
 
 
+def _check_cell(cell) -> None:
+    """Raise ValueError unless a cell file's JSON holds what :func:`report`
+    reads: an object with string ``cell`` and ``variant``, a numeric (or
+    null) ``epsilon`` and, unless it holds an ``error``, a numeric
+    ``test_acc``; an audit block with a power bound needs a TPR at each of
+    the bound's FPRs."""
+    def fail(why):
+        raise ValueError(f"not a cell: {why}")
+
+    def number(value, name):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            fail(f"{name} is {value!r}, not a number")
+
+    if not isinstance(cell, dict):
+        fail(f"a JSON {type(cell).__name__}, not an object")
+    missing = ({"cell", "variant", "epsilon", "error" if "error" in cell else "test_acc"}
+               - cell.keys())
+    if missing:
+        fail(f"no {', '.join(sorted(missing))}")
+    for key in ("cell", "variant"):
+        if not isinstance(cell[key], str):
+            fail(f"{key} is {cell[key]!r}, not a string")
+    if cell["epsilon"] is not None:
+        number(cell["epsilon"], "epsilon")
+    if "error" not in cell:
+        number(cell["test_acc"], "test_acc")
+    audit = cell.get("audit")
+    if audit and not isinstance(audit, dict):
+        fail(f"audit is {audit!r}, not an object")
+    if not audit or "supremum_power" not in audit:
+        return
+    bound, tpr = audit["supremum_power"], audit.get("tpr", {})
+    if not isinstance(bound, dict) or not isinstance(tpr, dict):
+        fail("the audit's supremum_power and tpr are not both objects")
+    for fpr, power in bound.items():
+        if fpr not in tpr:
+            fail(f"the audit has supremum_power but no tpr at fpr {fpr}")
+        try:
+            float(fpr)
+        except ValueError:
+            fail(f"the audit's fpr {fpr!r} is not a number")
+        number(power, f"supremum_power at fpr {fpr}")
+        number(tpr[fpr], f"tpr at fpr {fpr}")
+
+
 def report(results_dir) -> dict:
     """Merge cell JSONs under a results directory into tables.
 
@@ -488,12 +534,7 @@ def report(results_dir) -> dict:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 cell = json.load(fh)
-            if not isinstance(cell, dict):
-                raise ValueError(f"not a cell: a JSON {type(cell).__name__}, not an object")
-            missing = ({"cell", "variant", "epsilon", "error" if "error" in cell else "test_acc"}
-                       - cell.keys())
-            if missing:
-                raise ValueError(f"not a cell: no {', '.join(sorted(missing))}")
+            _check_cell(cell)
         except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
             corrupt.append({"file": str(path), "error": str(exc)})
             continue
@@ -527,13 +568,15 @@ def report(results_dir) -> dict:
                          f"{100 * r['mean_acc']:.2f} +/- {100 * r['std_acc']:.2f}"
                          f"{'':<8}{r['n_seeds']:>5}")
     if bound_rows:
-        lines.append("")
+        if lines:  # a blank line between sections, none before the first
+            lines.append("")
         lines.append(f"{grid_col}{'cell':<24}{'fpr':>8}{'tpr':>10}{'power bound':>13}")
         for r in bound_rows:
             lines.append(f"{r.get('grid', ''):<{width}}{r['cell']:<24}{r['fpr']:>8g}"
                          f"{r['tpr']:>10.4f}{r['supremum_power']:>13.4f}")
     if corrupt:
-        lines.append("")
+        if lines:
+            lines.append("")
         lines.append(f"unreadable cell files: {len(corrupt)}")
         for c in corrupt:
             lines.append(f"  {c['file']}: {c['error']}")

@@ -486,9 +486,10 @@ def subgraph_batch_gradients(adj: np.ndarray, inputs: np.ndarray, root_labels: n
     return losses, _backward(ws, adj, cache, d_roots[:, None, :], rows=rows)
 
 
-def _masked_loss_grad_and_logits(ws: _StepWorkspace, adj, x: np.ndarray):
-    """Each model's mean cross-entropy over its loss rows, the (S, n_params)
-    gradient (``ws.grad``) and the (S, E, C) logits of ``ws.rows``."""
+def _masked_loss_grad_and_logits(ws: _StepWorkspace, adj, x: np.ndarray, means: bool = True):
+    """Each model's mean cross-entropy over its loss rows (None without
+    ``means``), the (S, n_params) gradient (``ws.grad``) and the (S, E, C)
+    logits of ``ws.rows``."""
     logits, cache = _forward(ws, adj, x, keep_cache=True)
     node_rows = logits.swapaxes(0, 1).reshape(-1, logits.shape[-1])  # a view, see _forward
     losses, d_rows = _cross_entropy_rows(node_rows.take(ws.loss_index, axis=0), ws.loss_labels,
@@ -496,8 +497,9 @@ def _masked_loss_grad_and_logits(ws: _StepWorkspace, adj, x: np.ndarray):
     d_rows /= ws.loss_sizes
     ws.d_loss[ws.d_index] = d_rows
     # sum / size is the bits of losses.mean() without its per-call overhead
-    means = [float(losses[cut].sum() / (cut.stop - cut.start)) for cut in ws.loss_slices]
-    return means, _backward(ws, adj, cache, ws.d_logits), logits
+    loss_means = ([float(losses[cut].sum() / (cut.stop - cut.start)) for cut in ws.loss_slices]
+                  if means else None)
+    return loss_means, _backward(ws, adj, cache, ws.d_logits), logits
 
 
 def loss_and_grad(ctx: ForwardContext, params: ModelParams, labels: np.ndarray,

@@ -24,7 +24,10 @@ its own seed, train mask and DP claim (a model's N is its own train
 count), and for the subgraph source its own sampler, store, batch and
 noise streams and log, so it has the bits of its own :func:`train` run.
 The subgraph source stacks only models that share a batch size and store
-``rows``, as their batches gather into one array.
+``rows``, as their batches gather into one array.  A shadow stack keeps no
+logs (the audit reads params only): it computes no loss, no train accuracy
+and no epsilon, and its records, non-DP only, select each model's
+checkpoint from E's val rows alone, with the bits of a logging run.
 
 A non-DP stack's full-graph step workspace (:mod:`dpgraphlab.nn`) lays out
 E, its loss rows and then its val rows: the full-graph source steps on it,
@@ -172,11 +175,16 @@ def train(graph: PopulationGraph, config: TrainConfig,
 
 
 def _train_models(graph: PopulationGraph, config: TrainConfig, spec: SubgraphSpec | None,
-                  train_masks: np.ndarray, seeds) -> list[tuple[ModelParams, list[dict]]]:
+                  train_masks: np.ndarray, seeds,
+                  logs: bool = True) -> list[tuple[ModelParams, list[dict]]]:
     """Each model's (params, log) of :func:`train` on ``graph`` with train mask
     ``train_masks[s]`` and seed ``seeds[s]``, trained in stacks of models that
     share each step: the full-graph source steps all S models as one stack,
-    the subgraph source one stack per batch size and store ``rows``."""
+    the subgraph source one stack per batch size and store ``rows``.
+
+    Without ``logs`` every log is empty and the params keep their bits: no
+    loss, accuracy or epsilon is computed, and a record only selects the
+    checkpoint, from the val rows alone."""
     if not train_masks.any(axis=1).all():
         raise ValueError("graph has no training nodes; assign splits first")
     if spec is None:
@@ -191,7 +199,7 @@ def _train_models(graph: PopulationGraph, config: TrainConfig, spec: SubgraphSpe
     claims = [_checked_claim(spec, int(mask.sum())) if dp else None for mask in train_masks]
     models = [_init_model(graph, replace(config, seed=int(seed))) for seed in seeds]
     if config.mode == "full_graph":
-        return _train_stack(graph, config, spec, train_masks, models, claims, None)
+        return _train_stack(graph, config, spec, train_masks, models, claims, None, logs)
 
     # each model samples its own train mask; a shadow's IN nodes may be the
     # target's test nodes, and no training reads a test mask
@@ -207,7 +215,7 @@ def _train_models(graph: PopulationGraph, config: TrainConfig, spec: SubgraphSpe
     for members in stacks.values():
         results.update(zip(members, _train_stack(
             graph, config, spec, train_masks[members], [models[s] for s in members],
-            [claims[s] for s in members], [feeds[s] for s in members])))
+            [claims[s] for s in members], [feeds[s] for s in members], logs)))
     return [results[s] for s in range(len(feeds))]
 
 
@@ -223,9 +231,10 @@ def _checked_claim(spec: PrivacySpec, n_train: int):
     return sigma, accountant
 
 
-def _train_stack(graph, config, spec, train_masks, models, claims, feeds):
+def _train_stack(graph, config, spec, train_masks, models, claims, feeds, logs):
     """One stack's (params, log) per model: the full-graph source when
-    ``feeds`` is None, else the subgraph source over ``feeds``."""
+    ``feeds`` is None, else the subgraph source over ``feeds``; without
+    ``logs``, empty logs (see :func:`_train_models`)."""
     S = len(models)
     layers, flat = models[0].layers, np.stack([model.flat for model in models])  # (S, n_params)
     best = None  # (each model's params of its best val accuracy so far, those accuracies)
@@ -239,30 +248,43 @@ def _train_stack(graph, config, spec, train_masks, models, claims, feeds):
         # E and each model's loss rows: every record's logits are E's rows
         ws = _StepWorkspace(flat, layers, adj=adj, labels=graph.labels, masks=train_masks,
                             val_mask=graph.val_mask)
-        eval_labels, u = graph.labels[ws.rows], ws.member.shape[1]
+        u = ws.member.shape[1]
+        # the rows a record scores: E, or its val rows alone without logs
+        # (argmax works row by row, so each val hit keeps its bits)
+        first = 0 if logs else u
+        eval_labels = graph.labels[ws.rows[first:]]
         train_pos, n_val = [np.flatnonzero(row) for row in ws.member], ws.rows.size - u
+    # a record logs, or selects the checkpoint
+    records = logs or best is not None
     if feeds is None:
-        steps, every, gradients = _full_graph_source(config, spec, ws, adj, x)
+        steps, every, gradients = _full_graph_source(config, spec, ws, adj, x, logs)
     else:
-        steps, every, gradients = _subgraph_source(config, spec, feeds, flat, layers)
+        steps, every, gradients = _subgraph_source(config, spec, feeds, flat, layers, logs)
 
     lr = config.learning_rate
     optimizer = _Adam(lr) if config.optimizer == "adam" else _Sgd(lr)
-    logs: list[list[dict]] = [[] for _ in range(S)]
+    model_logs: list[list[dict]] = [[] for _ in range(S)]
 
-    def record(step, losses, logits):
+    def record(step, window, logits):
+        # each model's mean loss over the interval (a one-loss window is its
+        # own mean, to the bit); without logs the window is empty
+        losses = (window[0] if len(window) == 1
+                  else [float(np.mean(model_losses)) for model_losses in zip(*window)])
         if dp:  # the accountant's fields; no evaluation, no selection
-            for log, loss, (sigma, accountant) in zip(logs, losses, claims):
+            for log, loss, (sigma, accountant) in zip(model_logs, losses, claims):
                 log.append({"step": step, "loss": loss,
                             "epsilon_spent": compose_and_convert(accountant, step, spec.delta),
                             "sigma": sigma})
             return
         logits = _forward(ws, adj, x, keep_cache=False)[0] if logits is None else logits
-        hits = np.argmax(logits, axis=-1) == eval_labels  # argmax ties resolve to class 0
-        train_acc = [np.count_nonzero(row[pos]) / pos.size for row, pos in zip(hits, train_pos)]
-        val_acc = [np.count_nonzero(row[u:]) / n_val for row in hits] if has_val else [None] * S
-        for log, loss, t, v in zip(logs, losses, train_acc, val_acc):
-            log.append({"step": step, "loss": loss, "train_acc": t, "val_acc": v})
+        hits = np.argmax(logits[:, first:], axis=-1) == eval_labels  # ties resolve to class 0
+        val_acc = ([np.count_nonzero(row[u - first:]) / n_val for row in hits] if has_val
+                   else [None] * S)
+        if logs:
+            train_acc = [np.count_nonzero(row[pos]) / pos.size
+                         for row, pos in zip(hits, train_pos)]
+            for log, loss, t, v in zip(model_logs, losses, train_acc, val_acc):
+                log.append({"step": step, "loss": loss, "train_acc": t, "val_acc": v})
         for s, v in enumerate(val_acc if has_val else ()):
             # >= keeps the most-trained params among ties (val accuracy
             # saturates early on easy splits and carries no signal between them)
@@ -279,36 +301,34 @@ def _train_stack(graph, config, spec, train_masks, models, claims, feeds):
         if due is not None:
             record(*due, logits)
             due = None
-        loss_window.append(losses)
+        if logs:
+            loss_window.append(losses)
         optimizer.step(flat, update)
-        if step % every == 0 or step == steps:
-            # a one-loss window is its own mean, to the bit
-            due = (step, loss_window[0] if len(loss_window) == 1
-                   else [float(np.mean(window)) for window in zip(*loss_window)])
-            loss_window = []
+        if records and (step % every == 0 or step == steps):
+            due, loss_window = (step, loss_window), []
     if due is not None:  # no steps, no record
         record(*due, None)
     final = flat if best is None else best[0]
-    return [(ModelParams(row, layers), log) for row, log in zip(final, logs)]
+    return [(ModelParams(row, layers), log) for row, log in zip(final, model_logs)]
 
 
 # A gradient source returns (steps, eval interval, endless iterator of
-# per-step (per-model losses, (S, n_params) update, logits) at the current
-# params).  The full-graph source's logits are those of the forward pass its
-# gradient ran, which returns the last layer's train rows (the loss) and then
-# its val rows only, so one forward serves both the step's gradient and the
-# previous record's evaluation; the subgraph source has no full-graph logits
-# and yields None.
+# per-step (per-model losses, None without logs, (S, n_params) update,
+# logits) at the current params).  The full-graph source's logits are those
+# of the forward pass its gradient ran, which returns the last layer's train
+# rows (the loss) and then its val rows only, so one forward serves both the
+# step's gradient and the previous record's evaluation; the subgraph source
+# has no full-graph logits and yields None.
 # The iterators are generators, so one step's batch arrays stay alive until
 # the next step has allocated its own, as in an inline loop.  A function
 # call per step frees the whole batch at once on return; malloc then hands
 # the heap top back to the OS and faults it in again on the next step, which
 # made DP training about 1.5x slower on the dp_audit benchmark.
 
-def _full_graph_source(config, spec, ws: _StepWorkspace, adj, x):
+def _full_graph_source(config, spec, ws: _StepWorkspace, adj, x, logs=True):
     def gradients():
         while True:
-            losses, grad, logits = _masked_loss_grad_and_logits(ws, adj, x)
+            losses, grad, logits = _masked_loss_grad_and_logits(ws, adj, x, logs)
             if config.clipping:  # each model's gradient by its own norm, in place
                 grad *= _clip_scale(np.sqrt(np.vecdot(grad, grad)), spec.clip_norm)[:, None]
             yield losses, grad, logits
@@ -333,7 +353,8 @@ class _SubgraphFeed:
         self.noise_multiplier = sigma * OCCURRENCE_SENSITIVITY
 
 
-def _subgraph_source(config, spec: SubgraphSpec, feeds: list[_SubgraphFeed], flat, layers):
+def _subgraph_source(config, spec: SubgraphSpec, feeds: list[_SubgraphFeed], flat, layers,
+                     logs=True):
     """Batches of ``spec`` for a stack of models that share their batch size
     m and store ``rows``.  Each step draws each model's m subgraphs from its
     own store and stream, and gathers them into one (S * m, R, .) batch of the
@@ -361,7 +382,7 @@ def _subgraph_source(config, spec: SubgraphSpec, feeds: list[_SubgraphFeed], fla
                 _noisy_batch_means(grads, spec.clip_norm, multipliers, noise_rngs, update)
             else:
                 np.mean(grads, axis=1, out=update)
-            yield (losses.reshape(S, m).sum(axis=1) / m).tolist(), update, None
+            yield (losses.reshape(S, m).sum(axis=1) / m).tolist() if logs else None, update, None
 
     return spec.total_steps, config.eval_every or 50, gradients()
 

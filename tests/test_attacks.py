@@ -200,19 +200,23 @@ def test_shadow_determinism():
         np.testing.assert_array_equal(e1.phi, e2.phi)
 
 
+def shadow_masks(graph, spec, n_shadows, seed):
+    """``train_shadows``'s pool, and each shadow's train mask and seed."""
+    pool, membership = attacks._shadow_membership(graph, spec, n_shadows, seed)
+    seeds = np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(n_shadows)
+    masks = np.zeros((n_shadows, graph.num_nodes), dtype=bool)
+    masks[:, pool] = membership
+    return pool, masks, seeds
+
+
 def shadow_runs_by_train(graph, config, spec, n_shadows, seed):
     """Oracle of ``train_shadows``'s trainings: the pool and each shadow's
     (params, log) of ``train`` on its re-masked graph."""
-    pool, membership = attacks._shadow_membership(graph, spec, n_shadows, seed)
-    seeds = np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(n_shadows)
-    n = graph.num_nodes
-    runs = []
-    for member, shadow_seed in zip(membership, seeds):
-        train_mask = np.zeros(n, dtype=bool)
-        train_mask[pool[member]] = True
-        runs.append(dg.train(graph.with_masks(train_mask, graph.val_mask, np.zeros(n, bool)),
-                             dataclasses.replace(config, seed=int(shadow_seed)), spec))
-    return pool, runs
+    pool, masks, seeds = shadow_masks(graph, spec, n_shadows, seed)
+    no_test = np.zeros(graph.num_nodes, dtype=bool)
+    return pool, [dg.train(graph.with_masks(mask, graph.val_mask, no_test),
+                           dataclasses.replace(config, seed=int(shadow_seed)), spec)
+                  for mask, shadow_seed in zip(masks, seeds)]
 
 
 def shadow_phi_by_train(graph, config, spec, n_shadows, seed, trained=None):
@@ -233,7 +237,8 @@ def no_val(g):
     return g.with_masks(g.train_mask, np.zeros(g.num_nodes, bool), g.test_mask)
 
 
-@pytest.mark.parametrize("case, graph_of, config, spec", [
+# (case, graph, config, spec) of the stacked-training oracles
+STACK_CASES = [
     ("adam", small_graph, dict(), None),
     ("sgd", small_graph, dict(optimizer="sgd", learning_rate=0.1), None),
     ("clipping", small_graph, dict(clipping=True), dg.SubgraphSpec(clip_norm=0.05)),
@@ -259,18 +264,21 @@ def no_val(g):
      subgraph_spec(clip_norm=0.05)),
     ("subgraph_clip, no val nodes", lambda: no_val(small_graph()),
      dict(mode="subgraph_batch", clipping=True, eval_every=5), subgraph_spec(clip_norm=0.05)),
-])
+]
+
+
+@pytest.mark.parametrize("case, graph_of, config, spec", STACK_CASES)
 def test_stacked_shadows_equal_a_train_per_shadow(monkeypatch, case, graph_of, config, spec):
-    # shadows train in stacks, from either source; each shadow's params, log
-    # and phi keep the bits of its own train() run.  17 shadows are one full
+    # shadows train in stacks, from either source; each shadow's params and
+    # phi keep the bits of its own train() run.  17 shadows are one full
     # stack and a stack of one.
     g = graph_of()
     cfg = dataclasses.replace(quick_config(), **config)
     stacked = []  # each shadow's (params, log), as its stack returns them
     train_models = training._train_models
 
-    def train_stack(*args):
-        stacked.extend(train_models(*args))
+    def train_stack(*args, **kwargs):
+        stacked.extend(train_models(*args, **kwargs))
         return stacked[-len(args[4]):]
 
     monkeypatch.setattr(attacks, "_train_models", train_stack)
@@ -284,9 +292,62 @@ def test_stacked_shadows_equal_a_train_per_shadow(monkeypatch, case, graph_of, c
     trained = shadow_runs_by_train(g, cfg, spec, 17, 4)
     np.testing.assert_array_equal(got.phi, shadow_phi_by_train(g, cfg, spec, 17, 4, trained))
     assert len(stacked) == 17
-    for (params, log), (want_params, want_log) in zip(stacked, trained[1]):
+    for (params, _), (want_params, _) in zip(stacked, trained[1]):
         np.testing.assert_array_equal(params.flat, want_params.flat)
-        assert log == want_log
+
+
+@pytest.mark.parametrize("case, graph_of, config, spec", STACK_CASES)
+def test_logging_stacks_equal_a_train_per_model(case, graph_of, config, spec):
+    # a stack that keeps its logs, as train() does, gives each model the
+    # params and log of its own train() run: here over train_shadows' 17
+    # masks in one call (one stack per batch size and store rows)
+    g = graph_of()
+    cfg = dataclasses.replace(quick_config(), **config)
+    _, masks, seeds = shadow_masks(g, spec, 17, 4)
+    got = training._train_models(g, cfg, spec, masks, seeds)
+    _, trained = shadow_runs_by_train(g, cfg, spec, 17, 4)
+    assert len(got) == 17
+    for (params, log), (want_params, want_log) in zip(got, trained):
+        np.testing.assert_array_equal(params.flat, want_params.flat)
+        assert log and log == want_log
+
+
+def test_shadow_stacks_keep_no_logs(monkeypatch):
+    # the audit reads each shadow's params alone: a full-graph stack
+    # computes no loss means and scores only its val rows, to select its
+    # checkpoint, and a DP stack composes no epsilon; no stack keeps a log
+    g = small_graph()
+    stacked, means, scored, composed = [], [], [], []
+    train_models, loss_grad, argmax = (training._train_models,
+                                       training._masked_loss_grad_and_logits, np.argmax)
+
+    def train_stack(*args, **kwargs):
+        stacked.extend(train_models(*args, **kwargs))
+        return stacked[-len(args[4]):]
+
+    def counted_loss_grad(*args):
+        out = loss_grad(*args)
+        means.append(out[0])
+        return out
+
+    monkeypatch.setattr(attacks, "_train_models", train_stack)
+    monkeypatch.setattr(training, "_masked_loss_grad_and_logits", counted_loss_grad)
+    monkeypatch.setattr(np, "argmax", lambda a, *args, **kwargs: scored.append(a.shape)
+                        or argmax(a, *args, **kwargs))
+    monkeypatch.setattr(training, "compose_and_convert",
+                        lambda *args: composed.append(args) or 1.0)
+    dg.train_shadows(g, quick_config(), None, n_shadows=17, seed=4)
+    assert len(stacked) == 17 and all(log == [] for _, log in stacked)
+    assert len(means) == 30 * 3 and all(m is None for m in means)  # 30 epochs, 3 stacks
+    n_val = int(g.val_mask.sum())
+    assert len(scored) == 30 * 3 and {shape[1:] for shape in scored} == {(n_val, 2)}
+    stacked.clear()
+    dp = dataclasses.replace(quick_config(), **DP)
+    dg.train_shadows(g, dp, dp_spec(), n_shadows=17, seed=4)
+    assert len(stacked) == 17 and all(log == [] for _, log in stacked)
+    assert composed == []
+    dg.train(g, dp, dp_spec())  # the probe sees a logging DP run's records
+    assert len(composed) == 12 // 5 + 1
 
 
 def one_neighbor_slot_graph():
@@ -412,7 +473,8 @@ def count_trainings(monkeypatch):
     """Record every call of the stacked ``_train_models`` that ``attacks``
     makes, in place of the training."""
     trained = []
-    monkeypatch.setattr(attacks, "_train_models", lambda *args: trained.append(args) or [])
+    monkeypatch.setattr(attacks, "_train_models",
+                        lambda *args, **kwargs: trained.append(args) or [])
     return trained
 
 

@@ -493,17 +493,36 @@ def test_report_lists_corrupt_cells(tmp_path):
     run(manifest)
     cells = tmp_path / "res" / "cells"
     (cells / "broken.json").write_text("{not json")
-    # JSON that is not a cell: not an object, and an object without test_acc
+    # JSON that is not a cell: not an object, an object without test_acc,
+    # a test_acc that is no number, and a power bound without its TPRs
     (cells / "list.json").write_text("[]")
     (cells / "no_acc.json").write_text('{"variant": "dp", "epsilon": 5.0}')
+    head = {"cell": "dp_eps5_seed9", "variant": "dp", "epsilon": 5.0}
+    (cells / "high.json").write_text(json.dumps({**head, "test_acc": "high"}))
+    (cells / "no_tpr.json").write_text(json.dumps(
+        {**head, "test_acc": 0.5, "audit": {"supremum_power": {"0.01": 0.2}}}))
     out = report(tmp_path / "res")
-    assert [Path(c["file"]).name for c in out["corrupt"]] == ["broken.json", "list.json",
-                                                              "no_acc.json"]
-    assert out["corrupt"][1]["error"] == "not a cell: a JSON list, not an object"
-    assert out["corrupt"][2]["error"] == "not a cell: no cell, test_acc"
-    assert len(out["aggregate"]) == 2  # partial report still produced
+    errors = {Path(c["file"]).name: c["error"] for c in out["corrupt"]}
+    assert list(errors) == ["broken.json", "high.json", "list.json", "no_acc.json",
+                            "no_tpr.json"]
+    assert errors["high.json"] == "not a cell: test_acc is 'high', not a number"
+    assert errors["list.json"] == "not a cell: a JSON list, not an object"
+    assert errors["no_acc.json"] == "not a cell: no cell, test_acc"
+    assert errors["no_tpr.json"] == ("not a cell: the audit has supremum_power but no tpr at "
+                                     "fpr 0.01")
+    assert len(out["aggregate"]) == 2 and out["bound_rows"] == []  # partial report still produced
     text = (tmp_path / "res" / "report.txt").read_text()
-    assert "unreadable cell files: 3" in text and "list.json: not a cell" in text
+    assert "unreadable cell files: 5" in text and "list.json: not a cell" in text
+
+
+def test_report_of_unreadable_cells_alone_starts_with_them(tmp_path):
+    cells = tmp_path / "res" / "cells"
+    cells.mkdir(parents=True)
+    (cells / "a.json").write_text("[]")
+    out = report(tmp_path / "res")
+    assert out["text"] == (f"unreadable cell files: 1\n  {cells / 'a.json'}: "
+                           "not a cell: a JSON list, not an object\n")
+    assert (tmp_path / "res" / "report.txt").read_text() == out["text"]
 
 
 def test_report_keeps_each_grid_of_a_sweep_apart(tmp_path):
