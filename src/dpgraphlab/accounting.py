@@ -166,14 +166,14 @@ def noisy_batch_gradient(gradients: np.ndarray, clip_norm: float, sigma: float,
     rng = None
     if sigma > 0:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _noisy_batch_means(gradients[None], clip_norm, [sigma], [rng])[0]
+    return _noisy_batch_means(gradients[None], clip_norm, sigma, [rng])[0]
 
 
-def _noisy_batch_means(gradients: np.ndarray, clip_norm: float, sigmas, rngs,
+def _noisy_batch_means(gradients: np.ndarray, clip_norm: float, sigma: float, rngs,
                        out: np.ndarray | None = None) -> np.ndarray:
     """:func:`noisy_batch_gradient` of each model of an (S, m, n) stack of
     per-subgraph gradients, into ``out`` (S, n): model s's noise has std
-    ``sigmas[s] * clip_norm`` and comes from ``rngs[s]``.  Each step runs
+    ``sigma * clip_norm`` and comes from ``rngs[s]``.  Each step runs
     once over the stack but the noise draws, one per model from its own
     stream; the clipped sums are one (1, m) @ (m, n) product per model, the
     product of a one-model call, so each row has that call's bits."""
@@ -182,8 +182,8 @@ def _noisy_batch_means(gradients: np.ndarray, clip_norm: float, sigmas, rngs,
     # the row-wise clip folded into each model's sum
     scale = _clip_scale(np.sqrt(np.vecdot(gradients, gradients)), clip_norm)
     np.matmul(scale[:, None, :], gradients, out=out[:, None, :])
-    for row, sigma, rng in zip(out, sigmas, rngs):
-        if sigma > 0:
+    if sigma > 0:
+        for row, rng in zip(out, rngs):
             row += rng.normal(0.0, sigma * clip_norm, size=n)
     out /= m
     return out

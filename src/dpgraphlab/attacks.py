@@ -1,15 +1,16 @@
 """Likelihood-ratio membership inference (shadow-model LiRA) and ROC analysis.
 
 The audit pool is the union of the target's train and test nodes.  Each
-shadow model retrains the target's exact pipeline on a random half of the
-pool; per-node Gaussians fitted to the shadows' scaled confidences give a
-likelihood-ratio score for the target's confidence, evaluated at low false
-positive rates and compared against the analytic supremum-power bound when
-the target was trained with DP.  Shadows train in stacks of models that
-share each step, full-graph and DP shadows alike, each with the bits of its
-own training.  The audit reads only each shadow's params, so the stacks
-keep no logs: a non-DP shadow scores only the val rows, to select its
-checkpoint, and a DP shadow composes no epsilon.
+shadow model retrains the target's exact pipeline on one of a complementary
+pair of random halves of the pool (a DP audit needs n_test == n_train, so
+each half holds the target's N); per-node Gaussians fitted to the shadows'
+scaled confidences give a likelihood-ratio score for the target's
+confidence, evaluated at low false positive rates and compared against the
+analytic supremum-power bound when the target was trained with DP.  Shadows
+train in stacks of models that share each step, full-graph and DP shadows
+alike, each with the bits of its own training.  The audit reads only each
+shadow's params, so the stacks keep no logs: a non-DP shadow scores only
+the val rows, to select its checkpoint, and a DP shadow composes no epsilon.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounting import PrivacySpec, SubgraphSpec, _check_sizes, supremum_power
+from .accounting import PrivacySpec, SubgraphSpec, supremum_power
 from .graphs import PopulationGraph, _check_integer
 from .nn import ModelParams, gcn_forward, normalize_adjacency
 from .training import TrainConfig, _train_models
@@ -31,7 +32,6 @@ CONFIDENCE_CLAMP = 1e-7
 VARIANCE_FLOOR = 1e-3
 MIN_SHADOWS_EACH_SIDE = 8
 DEFAULT_N_SHADOWS = 128
-MEMBERSHIP_REDRAWS = 200
 FPR_GRID = (0.001, 0.005, 0.01)
 # shadows per stack: 1 MB of full-graph activations at 500 nodes x 32, and a
 # 1.7 MB (8 m, n_params) DP batch gradient at m = 64 on the dp_audit model
@@ -39,15 +39,15 @@ _SHADOW_STACK = 8
 
 
 class AuditSetupError(ValueError):
-    """Raised when an audit setting is out of range, or when shadow membership
-    splits cannot satisfy the coverage invariant."""
+    """Raised when an audit setting is out of range, or when a DP audit's
+    pool cannot give each shadow the target's N."""
 
 
 @dataclass(frozen=True)
 class AuditSpec:
-    """A grid's shadow audit: the shadow count (each audited node needs
-    MIN_SHADOWS_EACH_SIDE shadows IN and as many OUT), the offset from a
-    cell's seed to its audit seed, and the FPR budgets of its ROC."""
+    """A grid's shadow audit: the shadow count (paired halves put each audited
+    node IN and OUT of MIN_SHADOWS_EACH_SIDE shadows at least), the offset
+    from a cell's seed to its audit seed, and the FPR budgets of its ROC."""
 
     n_shadows: int = DEFAULT_N_SHADOWS
     seed_offset: int = 10_000
@@ -86,46 +86,43 @@ class ShadowEnsemble:
         return self.membership.shape[0]
 
 
-def _draw_membership(n_shadows: int, n_pool: int, rng: np.random.Generator) -> np.ndarray:
-    membership = rng.random((n_shadows, n_pool)) < 0.5
-    for _ in range(MEMBERSHIP_REDRAWS):
-        in_counts = membership.sum(axis=0)
-        bad = (in_counts < MIN_SHADOWS_EACH_SIDE) | (
-            n_shadows - in_counts < MIN_SHADOWS_EACH_SIDE
-        )
-        if not bad.any():
-            return membership
-        membership[:, bad] = rng.random((n_shadows, int(bad.sum()))) < 0.5
-    raise AuditSetupError("IN/OUT coverage not reached within the resampling budget")
+def _check_parity(graph: PopulationGraph, spec) -> None:
+    """A DP audit's rule: n_test == n_train, so each shadow's half has the target's N."""
+    n_train, n_test = int(graph.train_mask.sum()), int(graph.test_mask.sum())
+    if isinstance(spec, PrivacySpec) and n_test != n_train:
+        raise AuditSetupError(f"a DP audit needs n_test == n_train, so that each shadow trains "
+                              f"on the target's N: n_train={n_train}, n_test={n_test}")
 
 
 def _shadow_membership(graph: PopulationGraph, spec, n_shadows: int, seed: int) -> tuple:
-    """The audit pool and each shadow's IN set; a DP spec's m and T must fit the smallest."""
+    """The audit pool and each shadow's IN set, once the audit's rules hold:
+    complementary pairs, in which shadow 2k takes a random floor(P/2) of the
+    P pool nodes and shadow 2k+1 the rest, so each node is IN in floor(S/2)
+    or ceil(S/2) shadows; an odd count keeps the first ``n_shadows`` rows."""
     AuditSpec(n_shadows)  # checks the count
+    _check_parity(graph, spec)
     pool = np.flatnonzero(graph.train_mask | graph.test_mask)
     if pool.size == 0:
         raise AuditSetupError("graph has no train/test nodes to audit")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    membership = _draw_membership(n_shadows, pool.size, rng)
-    if isinstance(spec, PrivacySpec):  # each shadow's accountant takes its IN count as N
-        smallest = int(membership.sum(axis=1).min())
-        _check_sizes(spec.effective_occurrence_bound, spec.batch_size, smallest, AuditSetupError,
-                     f"the smallest shadow train set has {smallest} IN nodes: ")
-    return pool, membership
+    half = np.arange(pool.size) < pool.size // 2
+    first = rng.permuted(np.broadcast_to(half, (-(-n_shadows // 2), pool.size)), axis=1)
+    return pool, np.stack([first, ~first], axis=1).reshape(-1, pool.size)[:n_shadows]
 
 
 def train_shadows(graph: PopulationGraph, config: TrainConfig,
                   spec: SubgraphSpec | None, n_shadows: int, seed: int) -> ShadowEnsemble:
-    """Train shadow models on fresh random halves of the audit pool.
+    """Train shadow models on complementary pairs of halves of the audit pool.
 
     Each shadow re-masks the graph (IN nodes become the train set) and runs
     the same training pipeline as the target, with the target's ``spec``,
     including DP noise and the final-iterate release when auditing a DP
-    model.  The original validation mask is kept; only non-DP shadows read
-    it, to select their checkpoint.  Shadows of either source train
-    _SHADOW_STACK at a time, one step over all; subgraph-source shadows
-    whose stores resolve different rows or batch sizes split their stack.
-    Each keeps its own seed, DP claim, sampler and streams, and each phi has
+    model, whose n_test must equal n_train: each shadow then has the
+    target's N and claim.  The original validation mask is kept; only non-DP
+    shadows read it, to select their checkpoint.  Shadows of either source
+    train _SHADOW_STACK at a time, one step over all; subgraph-source
+    shadows whose stores resolve different rows or batch sizes split their
+    stack.  Each keeps its own seed, sampler and streams, and each phi has
     the bits of its own ``train``.  The stacks keep no logs: no loss, train
     accuracy or epsilon is computed, and a non-DP shadow's checkpoint is
     selected on the val rows alone.
@@ -153,7 +150,7 @@ def lira_score(ensemble: ShadowEnsemble, target_phi: np.ndarray) -> np.ndarray:
     """Per-node log-likelihood ratio of the target confidence under IN vs OUT Gaussians.
 
     Nodes with fewer than two IN or OUT shadow observations are excluded
-    (NaN score) with a warning; the coverage invariant normally prevents this.
+    (NaN score) with a warning; train_shadows' coverage is exact by construction.
     """
     n_pool = ensemble.pool.size
     if target_phi.shape != (n_pool,):

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .accounting import PrivacySpec, SubgraphSpec, _check_sizes, recommend_delta
-from .attacks import AuditSpec, _shadow_membership, train_shadows
+from .attacks import AuditSpec, _check_parity, train_shadows
 from .attacks import audit as run_audit
 from .graphs import (PopulationGraph, SplitSpec, _check_integer, assign_splits, build_knn_graph,
                      edge_homophily, load_csv)
@@ -260,14 +260,13 @@ def _check_graphs(manifest: ExperimentManifest, graphs: dict, audit: AuditSpec |
         for name, count in (("train", n_train), ("test", graph.test_mask.sum())):
             if not count:
                 raise ManifestError(f"seed {seed}'s graph has no {name} nodes")
-        spec = None  # every DP cell has the same m and T
-        if "dp" in manifest.variants:
+        if "dp" in manifest.variants:  # every DP cell has the same m and T
             layers = config_for_variant(manifest, "dp", seed).num_layers
             spec = spec_for_cell(manifest, "dp", manifest.privacy["epsilons"][0], n_train, layers)
             _check_sizes(spec.effective_occurrence_bound, spec.batch_size, n_train, ManifestError,
                          f"DP cells train on n_train={n_train} subgraphs: ")
-        if audit is not None:
-            _shadow_membership(graph, spec, audit.n_shadows, seed + audit.seed_offset)
+            if audit is not None:  # only a DP audit has a rule that needs the graph
+                _check_parity(graph, spec)
 
 
 def _cell_head(manifest: ExperimentManifest, variant: str, epsilon, seed: int) -> dict:

@@ -19,10 +19,10 @@ sigma in place of accuracy, and releases the final iterate, not a
 checkpoint chosen on private labels.
 
 An audit's shadows train in stacks of S models that share each step
-(:func:`_train_models`; :func:`train` is the S = 1 case).  Each model keeps
-its own seed, train mask and DP claim (a model's N is its own train
-count), and for the subgraph source its own sampler, store, batch and
-noise streams and log, so it has the bits of its own :func:`train` run.
+(:func:`_train_models`; :func:`train` is the S = 1 case), and DP models
+share their N and so one claim.  Each model keeps its own seed and train
+mask, and for the subgraph source its own sampler, store, batch and noise
+streams and log, so it has the bits of its own :func:`train` run.
 The subgraph source stacks only models that share a batch size and store
 ``rows``, as their batches gather into one array.  A shadow stack keeps no
 logs (the audit reads params only): it computes no loss, no train accuracy
@@ -180,7 +180,8 @@ def _train_models(graph: PopulationGraph, config: TrainConfig, spec: SubgraphSpe
     """Each model's (params, log) of :func:`train` on ``graph`` with train mask
     ``train_masks[s]`` and seed ``seeds[s]``, trained in stacks of models that
     share each step: the full-graph source steps all S models as one stack,
-    the subgraph source one stack per batch size and store ``rows``.
+    the subgraph source one stack per batch size and store ``rows``.  DP
+    masks must share their count, the N of the models' one claim.
 
     Without ``logs`` every log is empty and the params keep their bits: no
     loss, accuracy or epsilon is computed, and a record only selects the
@@ -194,19 +195,20 @@ def _train_models(graph: PopulationGraph, config: TrainConfig, spec: SubgraphSpe
     if dp != config.noise:
         raise ValueError("DP training requires subgraph_batch mode with clipping and noise, "
                          "and noise requires a PrivacySpec")
-    # each DP model's (sigma, accountant), which settle sigma and the budget
-    # before any sampling; a model's N is its own train count
-    claims = [_checked_claim(spec, int(mask.sum())) if dp else None for mask in train_masks]
+    # the DP models' one (sigma, accountant) settles sigma and the budget before any sampling
+    counts = np.unique(train_masks.sum(axis=1))
+    if dp and counts.size > 1:
+        raise ValueError(f"DP models share one claim, so one train count, not {counts.tolist()}")
+    claim = _checked_claim(spec, int(counts[0])) if dp else None
     models = [_init_model(graph, replace(config, seed=int(seed))) for seed in seeds]
     if config.mode == "full_graph":
-        return _train_stack(graph, config, spec, train_masks, models, claims, None, logs)
+        return _train_stack(graph, config, spec, train_masks, models, None, None, logs)
 
     # each model samples its own train mask; a shadow's IN nodes may be the
     # target's test nodes, and no training reads a test mask
     no_test = np.zeros(graph.num_nodes, dtype=bool)
     feeds = [_SubgraphFeed(graph.with_masks(mask, graph.val_mask, no_test), spec, int(seed),
-                           models[0].layers, 0.0 if claim is None else claim[0])
-             for mask, seed, claim in zip(train_masks, seeds, claims)]
+                           models[0].layers) for mask, seed in zip(train_masks, seeds)]
     # a stack's batches gather into one array: its models share m and rows
     stacks: dict[tuple, list[int]] = {}
     for s, feed in enumerate(feeds):
@@ -214,8 +216,8 @@ def _train_models(graph: PopulationGraph, config: TrainConfig, spec: SubgraphSpe
     results = {}
     for members in stacks.values():
         results.update(zip(members, _train_stack(
-            graph, config, spec, train_masks[members], [models[s] for s in members],
-            [claims[s] for s in members], [feeds[s] for s in members], logs)))
+            graph, config, spec, train_masks[members], [models[s] for s in members], claim,
+            [feeds[s] for s in members], logs)))
     return [results[s] for s in range(len(feeds))]
 
 
@@ -231,14 +233,15 @@ def _checked_claim(spec: PrivacySpec, n_train: int):
     return sigma, accountant
 
 
-def _train_stack(graph, config, spec, train_masks, models, claims, feeds, logs):
+def _train_stack(graph, config, spec, train_masks, models, claim, feeds, logs):
     """One stack's (params, log) per model: the full-graph source when
-    ``feeds`` is None, else the subgraph source over ``feeds``; without
-    ``logs``, empty logs (see :func:`_train_models`)."""
+    ``feeds`` is None, else the subgraph source over ``feeds``, at the DP
+    ``claim`` (None outside DP); without ``logs``, empty logs (see
+    :func:`_train_models`)."""
     S = len(models)
     layers, flat = models[0].layers, np.stack([model.flat for model in models])  # (S, n_params)
     best = None  # (each model's params of its best val accuracy so far, those accuracies)
-    dp = claims[0] is not None
+    dp = claim is not None
     if not dp:
         ctx = normalize_adjacency(graph)
         adj, x = ctx.adj_norm, ctx.first_layer_input(layers)
@@ -259,7 +262,7 @@ def _train_stack(graph, config, spec, train_masks, models, claims, feeds, logs):
     if feeds is None:
         steps, every, gradients = _full_graph_source(config, spec, ws, adj, x, logs)
     else:
-        steps, every, gradients = _subgraph_source(config, spec, feeds, flat, layers, logs)
+        steps, every, gradients = _subgraph_source(config, spec, feeds, flat, layers, claim, logs)
 
     lr = config.learning_rate
     optimizer = _Adam(lr) if config.optimizer == "adam" else _Sgd(lr)
@@ -271,10 +274,10 @@ def _train_stack(graph, config, spec, train_masks, models, claims, feeds, logs):
         losses = (window[0] if len(window) == 1
                   else [float(np.mean(model_losses)) for model_losses in zip(*window)])
         if dp:  # the accountant's fields; no evaluation, no selection
-            for log, loss, (sigma, accountant) in zip(model_logs, losses, claims):
-                log.append({"step": step, "loss": loss,
-                            "epsilon_spent": compose_and_convert(accountant, step, spec.delta),
-                            "sigma": sigma})
+            sigma, accountant = claim
+            spent = compose_and_convert(accountant, step, spec.delta)
+            for log, loss in zip(model_logs, losses):
+                log.append({"step": step, "loss": loss, "epsilon_spent": spent, "sigma": sigma})
             return
         logits = _forward(ws, adj, x, keep_cache=False)[0] if logits is None else logits
         hits = np.argmax(logits[:, first:], axis=-1) == eval_labels  # ties resolve to class 0
@@ -337,36 +340,33 @@ def _full_graph_source(config, spec, ws: _StepWorkspace, adj, x, logs=True):
 
 
 class _SubgraphFeed:
-    """One model's subgraph batches: its store, batch size m, batch and
-    noise streams, and noise multiplier (from its accountant's ``sigma``,
-    0.0 outside DP)."""
+    """One model's subgraph batches: its store, batch size m, and batch and
+    noise streams."""
 
-    def __init__(self, graph: PopulationGraph, spec: SubgraphSpec, seed: int, layers,
-                 sigma: float):
+    def __init__(self, graph: PopulationGraph, spec: SubgraphSpec, seed: int, layers):
         sampler_rng = _stream(seed, 1)
         self.batch_rng, self.noise_rng = _stream(seed, 2), _stream(seed, 3)
         subgraphs = sample_training_subgraphs(graph, spec.max_degree, spec.hops,
                                               spec.effective_occurrence_bound, sampler_rng)
         self.store = SubgraphStore(graph, subgraphs, layers)
         self.batch_size = min(spec.batch_size, len(self.store))
-        # the accountant's sigma is in units of Delta = OCCURRENCE_SENSITIVITY * C
-        self.noise_multiplier = sigma * OCCURRENCE_SENSITIVITY
 
 
 def _subgraph_source(config, spec: SubgraphSpec, feeds: list[_SubgraphFeed], flat, layers,
-                     logs=True):
+                     claim, logs=True):
     """Batches of ``spec`` for a stack of models that share their batch size
     m and store ``rows``.  Each step draws each model's m subgraphs from its
     own store and stream, and gathers them into one (S * m, R, .) batch of the
-    stacked stores; when clipping, each model's mean takes the noise of its
-    own multiplier from its own stream."""
+    stacked stores; when clipping, each model's mean takes the noise of the
+    DP ``claim``'s sigma from its own stream."""
     S, m = len(feeds), feeds[0].batch_size
     sizes = [len(feed.store) for feed in feeds]
     store = _stack_stores([feed.store for feed in feeds])  # takes the stores' arrays over
     idx = np.empty(S * m, dtype=np.intp)  # the stacked batch, model by model
     draws = [(feed.batch_rng.choice, size, start, part) for feed, size, start, part
              in zip(feeds, sizes, np.cumsum([0] + sizes[:-1]), idx.reshape(S, m))]
-    multipliers = [feed.noise_multiplier for feed in feeds]
+    # the accountant's sigma is in units of Delta = OCCURRENCE_SENSITIVITY * C
+    multiplier = 0.0 if claim is None else claim[0] * OCCURRENCE_SENSITIVITY
     noise_rngs = [feed.noise_rng for feed in feeds]
     ws = _StepWorkspace(flat, layers, batch=(S * m,))
     update = np.empty_like(flat)
@@ -378,8 +378,8 @@ def _subgraph_source(config, spec: SubgraphSpec, feeds: list[_SubgraphFeed], fla
             batch = store.batch(idx)
             losses, grads = subgraph_batch_gradients(*batch, ws)
             grads = grads.reshape(S, m, -1)
-            if config.clipping:  # the multipliers are 0.0 outside DP runs
-                _noisy_batch_means(grads, spec.clip_norm, multipliers, noise_rngs, update)
+            if config.clipping:  # the multiplier is 0.0 outside DP runs
+                _noisy_batch_means(grads, spec.clip_norm, multiplier, noise_rngs, update)
             else:
                 np.mean(grads, axis=1, out=update)
             yield (losses.reshape(S, m).sum(axis=1) / m).tolist() if logs else None, update, None

@@ -176,6 +176,37 @@ def test_shadow_coverage_invariant():
     assert (ens.n_shadows - in_counts).min() >= 8
 
 
+def odd_pool(g):
+    """``g`` with its first test node moved to val: an audit pool of odd size."""
+    node = np.flatnonzero(g.test_mask)[0]
+    test, val = g.test_mask.copy(), g.val_mask.copy()
+    test[node], val[node] = False, True
+    return g.with_masks(g.train_mask, val, test)
+
+
+@pytest.mark.parametrize("n_shadows", [16, 17])
+@pytest.mark.parametrize("graph_of", [small_graph, lambda: odd_pool(small_graph())],
+                         ids=["even pool", "odd pool"])
+def test_membership_is_complementary_pairs(graph_of, n_shadows):
+    # shadow 2k takes a random floor(P/2) of the pool and shadow 2k+1 the
+    # rest, so coverage is exact by construction; the draw is its seed's
+    g = graph_of()
+    pool, membership = attacks._shadow_membership(g, None, n_shadows, seed=3)
+    P, S = pool.size, n_shadows
+    assert P % 2 == (graph_of is not small_graph)
+    np.testing.assert_array_equal(pool, np.flatnonzero(g.train_mask | g.test_mask))
+    assert membership.shape == (S, P)
+    for k in range(S // 2):
+        np.testing.assert_array_equal(membership[2 * k + 1], ~membership[2 * k])
+    assert set(membership.sum(axis=0)) <= {S // 2, -(-S // 2)}
+    assert set(membership.sum(axis=1)) == {P // 2, -(-P // 2)}
+    assert (membership[::2].sum(axis=1) == P // 2).all()
+    again = attacks._shadow_membership(g, None, n_shadows, seed=3)[1]
+    np.testing.assert_array_equal(again, membership)
+    assert not np.array_equal(attacks._shadow_membership(g, None, n_shadows, seed=4)[1],
+                              membership)
+
+
 DP = dict(mode="subgraph_batch", clipping=True, noise=True, optimizer="sgd", learning_rate=0.05,
           eval_every=5)
 
@@ -281,14 +312,26 @@ def test_stacked_shadows_equal_a_train_per_shadow(monkeypatch, case, graph_of, c
         stacked.extend(train_models(*args, **kwargs))
         return stacked[-len(args[4]):]
 
+    sigmas = []  # each stack's one claim's sigma
+    checked_claim = training._checked_claim
+
+    def recorded_claim(*args):
+        claim = checked_claim(*args)
+        sigmas.append(claim[0])
+        return claim
+
+    monkeypatch.setattr(training, "_checked_claim", recorded_claim)
     monkeypatch.setattr(attacks, "_train_models", train_stack)
     got = dg.train_shadows(g, cfg, spec, n_shadows=17, seed=4)
     assert 17 % attacks._SHADOW_STACK not in (0, 17)
-    if isinstance(spec, dg.PrivacySpec):  # each shadow's sigma is that of its IN count
-        sigmas = {dg.calibrate_sigma(spec.epsilon_target, spec.delta, spec.total_steps, int(n),
-                                     spec.occurrence_bound, spec.batch_size)
-                  for n in got.membership.sum(axis=1)}
-        assert len(sigmas) > 1
+    if isinstance(spec, dg.PrivacySpec):  # every shadow's sigma is the target's
+        n_train = int(g.train_mask.sum())
+        assert (got.membership.sum(axis=1) == n_train).all()
+        assert len(sigmas) == 3 and set(sigmas) == {dg.calibrate_sigma(
+            spec.epsilon_target, spec.delta, spec.total_steps, n_train,
+            spec.effective_occurrence_bound, spec.batch_size)}
+    else:
+        assert sigmas == []
     trained = shadow_runs_by_train(g, cfg, spec, 17, 4)
     np.testing.assert_array_equal(got.phi, shadow_phi_by_train(g, cfg, spec, 17, 4, trained))
     assert len(stacked) == 17
@@ -358,15 +401,18 @@ def one_neighbor_slot_graph():
     return dg.assign_splits(g, dg.SplitSpec(0.4, 0.2, 0.4, seed=1))
 
 
-@pytest.mark.parametrize("config, spec", [
-    (DP, dp_spec(max_degree=5)),
-    # a batch above the smaller shadows' IN counts: each takes its whole store
-    (dict(mode="subgraph_batch", eval_every=5), subgraph_spec(batch_size=32)),
+@pytest.mark.parametrize("graph_of, config, spec", [
+    (one_neighbor_slot_graph, DP, dp_spec(max_degree=5)),
+    # an odd pool of 63 at m = 32: the shadows of 31 IN nodes take their
+    # whole store, those of 32 a batch of 32
+    (lambda: odd_pool(one_neighbor_slot_graph()), dict(mode="subgraph_batch", eval_every=5),
+     subgraph_spec(batch_size=32)),
 ], ids=["rows", "batch size"])
-def test_shadows_whose_stores_differ_train_in_separate_stacks(monkeypatch, config, spec):
+def test_shadows_whose_stores_differ_train_in_separate_stacks(monkeypatch, graph_of, config,
+                                                              spec):
     # one stacked batch needs one batch size and one set of rows; models that
     # differ in either split a stack, and each still matches its own train()
-    g = one_neighbor_slot_graph()
+    g = graph_of()
     cfg = dataclasses.replace(quick_config(), **config)
     stacks = []
     stack = training._train_stack
@@ -508,20 +554,31 @@ def test_train_shadows_reads_the_count_by_the_audit_rule(n_shadows):
         dg.train_shadows(small_graph(), quick_config(), None, n_shadows=n_shadows, seed=0)
 
 
-def test_dp_shadows_smaller_than_the_batch_fail_before_any_shadow_trains(monkeypatch):
-    # every shadow's accountant needs m and T <= its IN count; a shadow below
-    # either fails the audit's setup, not a training halfway through it
-    g = small_graph(n=60)
+def test_dp_audit_without_parity_fails_before_any_shadow_trains(monkeypatch):
+    # each DP shadow trains on half the pool, so n_test must equal n_train
+    # for its N to be the target's; a DP audit on another split fails its
+    # setup, from train_shadows and audit alike, and a non-DP audit does not
+    g = odd_pool(small_graph(n=60))
     dp = dg.PrivacySpec(epsilon_target=10.0, delta=1e-3, max_degree=3, occurrence_bound=7,
-                        batch_size=22, total_steps=8)
+                        batch_size=8, total_steps=8)
     cfg = dg.TrainConfig(mode="subgraph_batch", clipping=True, noise=True, hidden_dim=8)
-    pool = np.flatnonzero(g.train_mask | g.test_mask)
-    rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,)))
-    smallest = int(attacks._draw_membership(16, pool.size, rng).sum(axis=1).min())
-    assert smallest < 22 <= int(g.train_mask.sum())
+    message = ("^a DP audit needs n_test == n_train, so that each shadow trains on the "
+               "target's N: n_train=24, n_test=23$")
     trained = count_trainings(monkeypatch)
-    with pytest.raises(dg.AuditSetupError,
-                       match=f"has {smallest} IN nodes: T=7 and m=22 must not exceed "
-                             f"N={smallest}$"):
+    with pytest.raises(dg.AuditSetupError, match=message):
         dg.train_shadows(g, cfg, dp, n_shadows=16, seed=3)
+    with pytest.raises(dg.AuditSetupError, match=message):
+        dg.audit(_init_model(g, cfg), g, cfg, n_shadows=16, seed=3, dp=dp)
     assert trained == []
+    dg.train_shadows(g, dataclasses.replace(cfg, noise=False), None, n_shadows=16, seed=3)
+    assert len(trained) == 2
+
+
+def test_dp_models_of_one_call_need_one_train_count():
+    # a DP call's models share one claim, whose N is their train count
+    g = small_graph()
+    cfg = dataclasses.replace(quick_config(), **DP)
+    masks = np.stack([g.train_mask, g.train_mask | g.test_mask])
+    with pytest.raises(ValueError, match=r"^DP models share one claim, so one train count, "
+                                         r"not \[32, 64\]$"):
+        training._train_models(g, cfg, dp_spec(), masks, [0, 1])

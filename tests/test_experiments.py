@@ -324,9 +324,10 @@ def test_dp_cell_logs_epsilon(tmp_path):
     assert cell["final_log"]["epsilon_spent"] <= 10.0
 
 
-def shadows_below_the_batch_manifest(out):
-    """The 60-node benchmark grid with one audited DP cell at m=28: its 33
-    train nodes fit m, but the smallest IN set of its 16 shadows has 19."""
+def unpaired_dp_audit_manifest(out):
+    """The 60-node benchmark grid with one audited DP cell at m=28: its 34
+    train nodes fit m, but its 18 test nodes are fewer, so its shadows'
+    halves of the pool cannot hold the target's N."""
     raw = synthetic_benchmark_manifest(variants=("dp",), seeds=(0,), output_dir=str(out),
                                        audit={"n_shadows": 16}).to_dict()
     raw["dataset"]["synthetic"]["num_nodes"] = 60
@@ -334,12 +335,12 @@ def shadows_below_the_batch_manifest(out):
     return ExperimentManifest.from_dict(raw)
 
 
-SHADOWS_BELOW_THE_BATCH = ("the smallest shadow train set has 19 IN nodes: "
-                           "T=6 and m=28 must not exceed N=19")
+UNPAIRED_DP_AUDIT = ("a DP audit needs n_test == n_train, so that each shadow trains on the "
+                     "target's N: n_train=34, n_test=18")
 
 
-def test_audited_cell_whose_shadows_are_below_the_batch_trains_nothing(tmp_path, monkeypatch):
-    # run() draws each seed's shadow membership, and checks it, before it
+def test_unpaired_dp_audit_trains_nothing_and_writes_nothing(tmp_path, monkeypatch):
+    # run() checks each seed's DP audit split, n_test == n_train, before it
     # writes anything or trains a model
     from dpgraphlab import attacks, experiments
 
@@ -354,8 +355,8 @@ def test_audited_cell_whose_shadows_are_below_the_batch_trains_nothing(tmp_path,
     monkeypatch.setattr(experiments, "train", counting(experiments.train))
     monkeypatch.setattr(attacks, "_train_models", counting(attacks._train_models))
     with pytest.raises(dg.AuditSetupError) as exc:
-        run(shadows_below_the_batch_manifest(tmp_path / "res"), do_audit=True)
-    assert str(exc.value) == SHADOWS_BELOW_THE_BATCH
+        run(unpaired_dp_audit_manifest(tmp_path / "res"), do_audit=True)
+    assert str(exc.value) == UNPAIRED_DP_AUDIT
     assert trained == []
     assert not (tmp_path / "res").exists()
 
@@ -363,12 +364,13 @@ def test_audited_cell_whose_shadows_are_below_the_batch_trains_nothing(tmp_path,
 def test_audited_cells_equal_the_target_first_order(tmp_path):
     # an audited cell trains its shadows before its target; each training
     # draws only from its own seeded streams, so every audit block equals the
-    # one of the target trained first and the shadows after it
+    # one of the target trained first and the shadows after it.  The split
+    # has n_test == n_train, as a DP audit needs.
     manifest = dataclasses.replace(
         tiny_manifest(tmp_path / "res", variants=("non_dp", "dp"), seeds=(0,),
                       privacy={"epsilons": [10.0], "batch_size": 8, "steps": 8,
                                "max_degree": 3, "occurrence_bound": 7}),
-        audit={"n_shadows": 16})
+        audit={"n_shadows": 16}, split={"train": 0.4, "val": 0.2, "test": 0.4, "seed": 0})
     summary = run(manifest, do_audit=True)
     assert summary["n_failures"] == 0
     for cell, (variant, epsilon, seed) in zip(summary["cells"], grid_cells(manifest)):
@@ -820,12 +822,12 @@ def _csv_knn_manifest(tmp_path, k):
     # the checks that need a seed's graph run once its graphs are built, for
     # a synthetic and a CSV dataset alike, before anything is written
     (lambda t: ("audit", "--manifest", _manifest_file(
-        t, lambda m: m.update(shadows_below_the_batch_manifest(t / "res").to_dict()))),
-     SHADOWS_BELOW_THE_BATCH),
+        t, lambda m: m.update(unpaired_dp_audit_manifest(t / "res").to_dict()))),
+     UNPAIRED_DP_AUDIT),
     (lambda t: ("audit", "--manifest", _manifest_file(
-        t, lambda m: m.update(shadows_below_the_batch_manifest(t / "res").to_dict(),
+        t, lambda m: m.update(unpaired_dp_audit_manifest(t / "res").to_dict(),
                               dataset={"csv": _csv_rows(t, 60)}))),
-     SHADOWS_BELOW_THE_BATCH),
+     UNPAIRED_DP_AUDIT),
     (lambda t: ("train", "--manifest", _manifest_file(
         t, lambda m: m.update(split={"train": 0.7, "val": 0.3, "test": 0.0, "seed": 0}))),
      "seed 0's graph has no test nodes"),
@@ -870,7 +872,7 @@ def _csv_knn_manifest(tmp_path, k):
         "grid-csv-dp-batch-above-n-train", "audit-too-few-shadows", "audit-null-shadows",
         "audit-fractional-seed-offset", "audit-string-seed-offset", "audit-bool-seed-offset",
         "audit-fpr-above-one", "audit-empty-fpr-grid", "audit-string-fpr",
-        "audit-shadows-below-the-batch", "audit-csv-shadows-below-the-batch",
+        "audit-unpaired-dp", "audit-csv-unpaired-dp",
         "grid-empty-test-split", "grid-non-dp-empty-train-split", "grid-zero-threads",
         "sweep-negative-threads", "two-column-labels", "grid-two-column-labels",
         "grid-fractional-num-nodes", "grid-fractional-feat-dim", "grid-string-homophily",
@@ -919,9 +921,9 @@ def test_grid_setting_of_the_wrong_kind_is_usage_error(tmp_path, capsys, block, 
 
 
 def test_size_rule_reads_the_same_from_every_caller(tmp_path, capsys):
-    # max(m, T) <= N has one home, the accountant's: the accountant command,
-    # a grid's run() and the shadow audit's setup each put their own context
-    # before its message
+    # max(m, T) <= N has one home, the accountant's: the accountant command
+    # and a grid's run() each put their own context before its message (a DP
+    # audit's shadows train on the target's N, so its rule is the target's)
     with pytest.raises(SystemExit):
         run_cli(capsys, "accountant", "--sigma", "1", "--n-train", "30", "-T", "7", "-m", "40")
     assert capsys.readouterr().err.endswith(
@@ -931,13 +933,6 @@ def test_size_rule_reads_the_same_from_every_caller(tmp_path, capsys):
             _manifest_file(tmp_path, lambda m: m["privacy"].update(batch_size=40))))
     assert str(exc.value) == ("DP cells train on n_train=30 subgraphs: "
                               "T=7 and m=40 must not exceed N=30")
-    manifest = shadows_below_the_batch_manifest(tmp_path / "res")
-    graph = build_graph_for_cell(manifest, 0)
-    config = config_for_variant(manifest, "dp", 0)
-    spec = spec_for_cell(manifest, "dp", 5.0, int(graph.train_mask.sum()), config.num_layers)
-    with pytest.raises(dg.AuditSetupError) as exc:
-        dg.train_shadows(graph, config, spec, 16, 10_000)
-    assert str(exc.value) == SHADOWS_BELOW_THE_BATCH
 
 
 def test_cli_calibrate_json(capsys):
