@@ -7,16 +7,18 @@ each half holds the target's N); per-node Gaussians fitted to the shadows'
 scaled confidences give a likelihood-ratio score for the target's
 confidence, evaluated at low false positive rates and compared against the
 analytic supremum-power bound when the target was trained with DP.  Shadows
-train in stacks of models that share each step, full-graph and DP shadows
-alike, each with the bits of its own training.  The audit reads only each
-shadow's params, so the stacks keep no logs: a non-DP shadow scores only
-the val rows, to select its checkpoint, and a DP shadow composes no epsilon.
+train in stacks of models that share each step, full-graph and DP alike,
+each with the bits of its own training, one stack per usable core at once.
+The audit reads only each shadow's params, so the stacks keep no logs: a
+non-DP shadow scores only the val rows, to select its checkpoint, and a DP
+shadow composes no epsilon.
 """
 
 from __future__ import annotations
 
 import logging
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,25 +127,42 @@ def train_shadows(graph: PopulationGraph, config: TrainConfig,
     stack.  Each keeps its own seed, sampler and streams, and each phi has
     the bits of its own ``train``.  The stacks keep no logs: no loss, train
     accuracy or epsilon is computed, and a non-DP shadow's checkpoint is
-    selected on the val rows alone.
+    selected on the val rows alone.  The stacks share nothing mutable and
+    train concurrently, one per usable core (serially in a cell worker of
+    ``run(threads > 1)``); phi is computed once they have all joined.
     """
     pool, membership = _shadow_membership(graph, spec, n_shadows, seed)
     seeds = np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(n_shadows)
 
-    n = graph.num_nodes
-    train_masks = np.zeros((n_shadows, n), dtype=bool)
+    train_masks = np.zeros((n_shadows, graph.num_nodes), dtype=bool)
     train_masks[:, pool] = membership
+
+    def train_stack(start):  # the audit reads params only: the stacks keep no logs
+        return _train_models(graph, config, spec, train_masks[start:start + _SHADOW_STACK],
+                             seeds[start:start + _SHADOW_STACK], logs=False)
+
+    starts = range(0, n_shadows, _SHADOW_STACK)
+    workers = _shadow_workers(len(starts))
+    if workers == 1:
+        stacks = [train_stack(start) for start in starts]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # so import dpgraphlab skips it
+        executor = ThreadPoolExecutor(workers)
+        try:  # in stack order, so the first failure raised is a serial run's
+            stacks = list(executor.map(train_stack, starts))
+        finally:  # cancels the stacks not started, and joins every thread
+            executor.shutdown(cancel_futures=True)
     ctx = normalize_adjacency(graph)  # shadows re-mask the graph but keep its edges
-
-    def phi_of(params):
-        return scaled_confidence(gcn_forward(ctx, params)[pool], graph.labels[pool])
-
-    # the audit reads params only: the stacks keep no logs
-    phi = [phi_of(params) for start in range(0, n_shadows, _SHADOW_STACK)
-           for params, _ in _train_models(graph, config, spec,
-                                          train_masks[start:start + _SHADOW_STACK],
-                                          seeds[start:start + _SHADOW_STACK], logs=False)]
+    phi = [scaled_confidence(gcn_forward(ctx, params)[pool], graph.labels[pool])
+           for stack in stacks for params, _ in stack]
     return ShadowEnsemble(pool=pool, membership=membership, phi=np.array(phi))
+
+
+def _shadow_workers(n_stacks: int) -> int:
+    """Threads for an audit's stacks: min(stacks, usable cores), 1 in a multiprocessing child."""
+    import multiprocessing
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return 1 if multiprocessing.parent_process() is not None else min(n_stacks, cores or 1)
 
 
 def lira_score(ensemble: ShadowEnsemble, target_phi: np.ndarray) -> np.ndarray:

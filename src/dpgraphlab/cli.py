@@ -147,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=about)
         p.add_argument("--manifest", required=True, help="experiment manifest JSON")
         p.add_argument("--out", default=None, help="output directory (default: the manifest's)")
-        p.add_argument("--threads", type=int, default=1, help="cell worker processes")
+        p.add_argument("--threads", type=int, default=1,
+                       help="cell worker processes; each trains its shadows serially")
         p.set_defaults(func=func)
     sub.choices["sweep"].add_argument("--homophilies", default="0.5,0.6,0.7,0.8,0.9")
 

@@ -1,6 +1,10 @@
 """LiRA scoring, ROC analysis, and the audit pipeline."""
 
 import dataclasses
+import multiprocessing
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -240,6 +244,14 @@ def shadow_masks(graph, spec, n_shadows, seed):
     return pool, masks, seeds
 
 
+def in_stack_order(by_seeds, seeds):
+    """The shadows of stacks keyed by their seeds, in ``train_shadows``'s stack
+    order: concurrent stacks may finish in any order."""
+    stack = attacks._SHADOW_STACK
+    return [shadow for start in range(0, len(seeds), stack)
+            for shadow in by_seeds[tuple(seeds[start:start + stack])]]
+
+
 def shadow_runs_by_train(graph, config, spec, n_shadows, seed):
     """Oracle of ``train_shadows``'s trainings: the pool and each shadow's
     (params, log) of ``train`` on its re-masked graph."""
@@ -305,12 +317,12 @@ def test_stacked_shadows_equal_a_train_per_shadow(monkeypatch, case, graph_of, c
     # stack and a stack of one.
     g = graph_of()
     cfg = dataclasses.replace(quick_config(), **config)
-    stacked = []  # each shadow's (params, log), as its stack returns them
+    by_seeds = {}  # each stack's (params, log) per shadow, by the stack's seeds
     train_models = training._train_models
 
     def train_stack(*args, **kwargs):
-        stacked.extend(train_models(*args, **kwargs))
-        return stacked[-len(args[4]):]
+        by_seeds[tuple(args[4])] = stack = train_models(*args, **kwargs)
+        return stack
 
     sigmas = []  # each stack's one claim's sigma
     checked_claim = training._checked_claim
@@ -323,6 +335,7 @@ def test_stacked_shadows_equal_a_train_per_shadow(monkeypatch, case, graph_of, c
     monkeypatch.setattr(training, "_checked_claim", recorded_claim)
     monkeypatch.setattr(attacks, "_train_models", train_stack)
     got = dg.train_shadows(g, cfg, spec, n_shadows=17, seed=4)
+    stacked = in_stack_order(by_seeds, shadow_masks(g, spec, 17, 4)[2])
     assert 17 % attacks._SHADOW_STACK not in (0, 17)
     if isinstance(spec, dg.PrivacySpec):  # every shadow's sigma is the target's
         n_train = int(g.train_mask.sum())
@@ -360,13 +373,14 @@ def test_shadow_stacks_keep_no_logs(monkeypatch):
     # computes no loss means and scores only its val rows, to select its
     # checkpoint, and a DP stack composes no epsilon; no stack keeps a log
     g = small_graph()
-    stacked, means, scored, composed = [], [], [], []
+    by_seeds, means, scored, composed = {}, [], [], []
     train_models, loss_grad, argmax = (training._train_models,
                                        training._masked_loss_grad_and_logits, np.argmax)
+    seeds = shadow_masks(g, None, 17, 4)[2]
 
     def train_stack(*args, **kwargs):
-        stacked.extend(train_models(*args, **kwargs))
-        return stacked[-len(args[4]):]
+        by_seeds[tuple(args[4])] = stack = train_models(*args, **kwargs)
+        return stack
 
     def counted_loss_grad(*args):
         out = loss_grad(*args)
@@ -380,13 +394,15 @@ def test_shadow_stacks_keep_no_logs(monkeypatch):
     monkeypatch.setattr(training, "compose_and_convert",
                         lambda *args: composed.append(args) or 1.0)
     dg.train_shadows(g, quick_config(), None, n_shadows=17, seed=4)
+    stacked = in_stack_order(by_seeds, seeds)
     assert len(stacked) == 17 and all(log == [] for _, log in stacked)
     assert len(means) == 30 * 3 and all(m is None for m in means)  # 30 epochs, 3 stacks
     n_val = int(g.val_mask.sum())
     assert len(scored) == 30 * 3 and {shape[1:] for shape in scored} == {(n_val, 2)}
-    stacked.clear()
+    by_seeds.clear()
     dp = dataclasses.replace(quick_config(), **DP)
     dg.train_shadows(g, dp, dp_spec(), n_shadows=17, seed=4)
+    stacked = in_stack_order(by_seeds, seeds)
     assert len(stacked) == 17 and all(log == [] for _, log in stacked)
     assert composed == []
     dg.train(g, dp, dp_spec())  # the probe sees a logging DP run's records
@@ -432,6 +448,98 @@ def test_stacked_hidden_dim_one_shadows_equal_a_train_per_shadow(num_layers):
     cfg = dg.TrainConfig(num_layers=num_layers, hidden_dim=1, epochs=40, seed=0)
     got = dg.train_shadows(g, cfg, None, n_shadows=16, seed=4)
     np.testing.assert_array_equal(got.phi, shadow_phi_by_train(g, cfg, None, 16, 4))
+
+
+def forced_workers(monkeypatch, workers):
+    monkeypatch.setattr(attacks, "_shadow_workers", lambda n_stacks: workers)
+
+
+@pytest.mark.parametrize("case", ["adam", "dp"])
+def test_concurrent_stacks_equal_serial_stacks(monkeypatch, case):
+    # stacks share nothing mutable and their results are taken in stack
+    # order, so 1, 2 or 3 threads over 3 stacks (the last of one shadow)
+    # give the same bits; every thread is joined before train_shadows returns
+    _, graph_of, config, spec = next(c for c in STACK_CASES if c[0] == case)
+    g = graph_of()
+    cfg = dataclasses.replace(quick_config(), **config)
+    train_models = training._train_models
+    threads = []  # (thread, stack size) of each stack
+
+    def train_stack(*args, **kwargs):
+        threads.append((threading.current_thread(), len(args[4])))
+        return train_models(*args, **kwargs)
+
+    monkeypatch.setattr(attacks, "_train_models", train_stack)
+    got = []
+    for workers in (1, 2, 3):
+        forced_workers(monkeypatch, workers)
+        threads.clear()
+        before = threading.active_count()
+        got.append(dg.train_shadows(g, cfg, spec, n_shadows=17, seed=4))
+        assert threading.active_count() == before
+        assert sorted(size for _, size in threads) == [1, 8, 8]
+        in_main = {thread is threading.main_thread() for thread, _ in threads}
+        assert in_main == {workers == 1}
+        assert len({thread for thread, _ in threads}) <= workers
+    for ensemble in got[1:]:
+        assert ensemble.membership.tobytes() == got[0].membership.tobytes()
+        assert ensemble.phi.tobytes() == got[0].phi.tobytes()
+
+
+class StackFailed(RuntimeError):
+    pass
+
+
+def test_a_failing_stack_raises_its_error_and_leaves_no_thread(monkeypatch):
+    # the first failure in stack order is raised, with its own type, as a
+    # serial run raises it, even when a later stack fails first; every
+    # thread is joined
+    g = small_graph()
+    seeds = shadow_masks(g, None, 17, 4)[2]
+    train_models = training._train_models
+
+    def failing(*args, **kwargs):
+        if args[4][0] == seeds[8]:
+            time.sleep(0.2)
+            raise StackFailed("the second stack")
+        if args[4][0] == seeds[16]:
+            raise ValueError("the third stack")
+        return train_models(*args, **kwargs)
+
+    monkeypatch.setattr(attacks, "_train_models", failing)
+    for workers in (1, 2, 3):
+        forced_workers(monkeypatch, workers)
+        before = threading.active_count()
+        with pytest.raises(StackFailed, match="^the second stack$"):
+            dg.train_shadows(g, quick_config(), None, n_shadows=17, seed=4)
+        assert threading.active_count() == before
+
+
+def test_shadow_workers_are_one_per_usable_core_and_one_in_a_child(monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=1) as pool:  # as run(threads > 1) starts its cells
+        assert pool.submit(attacks._shadow_workers, 16).result() == 1
+    starts = []
+    thread_start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: starts.append(self) or thread_start(self))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert [attacks._shadow_workers(n) for n in (1, 2, 16)] == [1, 2, 3]
+    monkeypatch.delattr(os, "sched_getaffinity")  # where it does not exist
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert [attacks._shadow_workers(n) for n in (1, 2, 16)] == [1, 2, 4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert attacks._shadow_workers(16) == 1
+    # a multiprocessing child, such as a run(threads > 1) cell worker,
+    # trains its stacks serially and starts no thread
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+    assert [attacks._shadow_workers(n) for n in (1, 2, 16)] == [1, 1, 1]
+    g = small_graph()
+    got = dg.train_shadows(g, quick_config(), None, n_shadows=17, seed=4)
+    assert starts == []
+    np.testing.assert_array_equal(got.phi, shadow_phi_by_train(g, quick_config(), None, 17, 4))
 
 
 # ---------------------------------------------------------------- audit
