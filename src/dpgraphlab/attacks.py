@@ -8,10 +8,10 @@ scaled confidences give a likelihood-ratio score for the target's
 confidence, evaluated at low false positive rates and compared against the
 analytic supremum-power bound when the target was trained with DP.  Shadows
 train in stacks of models that share each step, full-graph and DP alike,
-each with the bits of its own training, one stack per usable core at once.
-The audit reads only each shadow's params, so the stacks keep no logs: a
-non-DP shadow scores only the val rows, to select its checkpoint, and a DP
-shadow composes no epsilon.
+each with the bits of its own training, two stacks at once.  The audit
+reads only each shadow's params, so the stacks keep no logs: a non-DP
+shadow scores only the val rows, to select its checkpoint, and a DP shadow
+composes no epsilon.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ FPR_GRID = (0.001, 0.005, 0.01)
 # shadows per stack: 1 MB of full-graph activations at 500 nodes x 32, and a
 # 1.7 MB (8 m, n_params) DP batch gradient at m = 64 on the dp_audit model
 _SHADOW_STACK = 8
+# stacks trained at once, each holding its working set: 2 paid off, more was never measured
+_SHADOW_THREADS = 2
 
 
 class AuditSetupError(ValueError):
@@ -128,12 +130,10 @@ def train_shadows(graph: PopulationGraph, config: TrainConfig,
     the bits of its own ``train``.  The stacks keep no logs: no loss, train
     accuracy or epsilon is computed, and a non-DP shadow's checkpoint is
     selected on the val rows alone.  The stacks share nothing mutable and
-    train concurrently, one per usable core (serially in a cell worker of
-    ``run(threads > 1)``); phi is computed once they have all joined.
+    train _SHADOW_THREADS at once, all joined before phi is computed.
     """
     pool, membership = _shadow_membership(graph, spec, n_shadows, seed)
     seeds = np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(n_shadows)
-
     train_masks = np.zeros((n_shadows, graph.num_nodes), dtype=bool)
     train_masks[:, pool] = membership
 
@@ -143,7 +143,7 @@ def train_shadows(graph: PopulationGraph, config: TrainConfig,
 
     starts = range(0, n_shadows, _SHADOW_STACK)
     workers = _shadow_workers(len(starts))
-    if workers == 1:
+    if workers == 1:  # starts no thread, so Ctrl-C stops the stack at once
         stacks = [train_stack(start) for start in starts]
     else:
         from concurrent.futures import ThreadPoolExecutor  # so import dpgraphlab skips it
@@ -159,10 +159,10 @@ def train_shadows(graph: PopulationGraph, config: TrainConfig,
 
 
 def _shadow_workers(n_stacks: int) -> int:
-    """Threads for an audit's stacks: min(stacks, usable cores), 1 in a multiprocessing child."""
+    """min(stacks, _SHADOW_THREADS, usable cores) threads; 1 in a multiprocessing child."""
     import multiprocessing
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return 1 if multiprocessing.parent_process() is not None else min(n_stacks, cores or 1)
+    return 1 if multiprocessing.parent_process() else min(n_stacks, _SHADOW_THREADS, cores or 1)
 
 
 def lira_score(ensemble: ShadowEnsemble, target_phi: np.ndarray) -> np.ndarray:

@@ -515,7 +515,7 @@ def test_a_failing_stack_raises_its_error_and_leaves_no_thread(monkeypatch):
         assert threading.active_count() == before
 
 
-def test_shadow_workers_are_one_per_usable_core_and_one_in_a_child(monkeypatch):
+def test_shadow_workers_are_at_most_two_and_one_in_a_child(monkeypatch):
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=1) as pool:  # as run(threads > 1) starts its cells
@@ -524,11 +524,17 @@ def test_shadow_workers_are_one_per_usable_core_and_one_in_a_child(monkeypatch):
     thread_start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
                         lambda self: starts.append(self) or thread_start(self))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    assert [attacks._shadow_workers(n) for n in (1, 2, 16)] == [1, 2, 3]
+    # at most _SHADOW_THREADS (2, the count measured), however many cores
+    assert attacks._SHADOW_THREADS == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert [attacks._shadow_workers(n) for n in (1, 2, 3, 16)] == [1, 2, 2, 2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+    assert [attacks._shadow_workers(n) for n in (1, 2, 16)] == [1, 1, 1]
     monkeypatch.delattr(os, "sched_getaffinity")  # where it does not exist
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert [attacks._shadow_workers(n) for n in (1, 2, 16)] == [1, 2, 4]
+    assert [attacks._shadow_workers(n) for n in (1, 2, 16)] == [1, 2, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert attacks._shadow_workers(16) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert attacks._shadow_workers(16) == 1
     # a multiprocessing child, such as a run(threads > 1) cell worker,
