@@ -39,6 +39,3 @@ print(f"{'epsilon':>8} {'fpr=0.001':>10} {'fpr=0.005':>10} {'fpr=0.01':>10}")
 for epsilon in (5, 10, 15, 20):
     powers = [dg.supremum_power(epsilon, 1.31e-4, f) for f in (0.001, 0.005, 0.01)]
     print(f"{epsilon:>8} " + " ".join(f"{p:>10.4f}" for p in powers))
-
-print("\ntight two-sided bound at (eps=5, fpr=0.01):",
-      f"{dg.supremum_power(5, 1.31e-4, 0.01, tight=True):.4f}")

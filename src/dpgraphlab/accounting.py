@@ -127,12 +127,6 @@ def _check_positive(value: float, name: str, suffix: str = "") -> None:
         raise ValueError(f"{name} must be finite")
 
 
-def _check_epsilon(epsilon: float) -> None:
-    """Reject an epsilon that is not a finite number >= 0, NaN included."""
-    if not 0 <= epsilon < math.inf:
-        raise ValueError("epsilon must be finite and >= 0")
-
-
 def clip(gradient: np.ndarray, clip_norm: float) -> np.ndarray:
     """Scale ``gradient`` down to l2 norm ``clip_norm`` if it exceeds it."""
     _check_positive(clip_norm, "clip_norm")
@@ -349,8 +343,6 @@ def _privacy_claim(spec: SubgraphSpec, n_train: int, delta: float, sigma: float 
     T, m, steps = spec.effective_occurrence_bound, spec.batch_size, spec.total_steps
     if sigma is None:
         sigma = calibrate_sigma(epsilon_target, delta, steps, n_train, T, m)
-    elif epsilon_target is not None:
-        _check_epsilon(epsilon_target)
     accountant = make_accountant(sigma, n_train, T, m)
     eps, order = compose_and_convert(accountant, steps, delta, return_order=True)
     return {"epsilon_target": epsilon_target, "delta": delta, "sigma": sigma,
@@ -358,28 +350,25 @@ def _privacy_claim(spec: SubgraphSpec, n_train: int, delta: float, sigma: float 
             "epsilon_spent": eps, "order_argmin": order}, accountant
 
 
-def supremum_power(epsilon: float, delta: float, fpr, tight: bool = False):
+def supremum_power(epsilon: float, delta: float, fpr):
     """Maximum TPR any membership test can reach at false-positive rate ``fpr``
-    against an (epsilon, delta)-DP mechanism.
+    against an (epsilon, delta)-DP mechanism: min(1, exp(epsilon) * fpr + delta).
 
-    Default is the one-sided bound min(1, exp(epsilon) * fpr + delta); the
-    two-sided variant 1 - max(0, 1 - delta - e^eps * fpr, e^-eps (1 - delta - fpr))
-    is tighter near power 1 and available behind ``tight``.
+    The line is delta at fpr 0 and 1 once exp(epsilon) * fpr >= 1, also where
+    exp(epsilon) overflows (epsilon above about 709).
     """
-    _check_epsilon(epsilon)
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and >= 0")
     if not 0 <= delta < 1:
         raise ValueError("delta must lie in [0, 1)")
     fpr_arr = np.asarray(fpr, dtype=np.float64)
     if not np.all((fpr_arr >= 0) & (fpr_arr <= 1)):
         raise ValueError("fpr must lie in [0, 1]")
-    if tight:
-        beta = np.maximum(0.0, np.maximum(
-            1.0 - delta - np.exp(epsilon) * fpr_arr,
-            np.exp(-epsilon) * (1.0 - delta - fpr_arr),
-        ))
-        power = 1.0 - beta
-    else:
+    # an overflowed exp(epsilon) is inf, which gives 1 where fpr > 0 and NaN
+    # (inf * 0) where fpr is 0, whose line is delta
+    with np.errstate(over="ignore", invalid="ignore"):
         power = np.minimum(1.0, np.exp(epsilon) * fpr_arr + delta)
+    power = np.where(fpr_arr > 0, power, delta)
     if np.isscalar(fpr) or fpr_arr.ndim == 0:
         return float(power)
     return power

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .accounting import SubgraphSpec, _privacy_claim, recommend_delta, supremum_power
+from .accounting import (CalibrationError, SubgraphSpec, _privacy_claim, recommend_delta,
+                         supremum_power)
 from .experiments import (GRAPH_DEFAULTS, SCHEMA_VERSION, ExperimentManifest, ManifestError,
                           report, run, sweep_homophily)
 from .graphs import (CsvParseError, IngestionError, build_knn_graph, graph_stats, load_csv,
@@ -88,9 +89,8 @@ def cmd_accountant(args) -> int:
     delta = args.delta if args.delta is not None else recommend_delta(args.n_train)
     payload, _ = _privacy_claim(spec, args.n_train, delta, args.sigma, args.epsilon)
     if args.command == "accountant" and args.fpr:
-        eps_for_power = args.epsilon if args.epsilon is not None else payload["epsilon_spent"]
         payload["supremum_power"] = {
-            f"{f:g}": supremum_power(eps_for_power, delta, f, tight=args.tight)
+            f"{f:g}": supremum_power(payload["epsilon_spent"], delta, f)
             for f in (float(x) for x in args.fpr.split(","))
         }
     _print_json(payload)
@@ -154,14 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("accountant", help="epsilon spent for a given sigma")
     p.add_argument("--sigma", type=float, required=True, help="noise multiplier")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="epsilon target, echoed and used for --fpr (default: epsilon spent)")
     _add_accountant_args(p)
     p.add_argument("--fpr", default=None,
-                   help="comma list of FPR budgets to report supremum power at")
-    p.add_argument("--tight", action="store_true",
-                   help="use the two-sided power bound")
-    p.set_defaults(func=cmd_accountant)
+                   help="comma list of FPR budgets to report supremum power at, "
+                        "at the epsilon spent")
+    p.set_defaults(func=cmd_accountant, epsilon=None)
 
     p = sub.add_parser("calibrate", help="solve for the noise multiplier at an epsilon target")
     p.add_argument("--epsilon", type=float, required=True, help="epsilon target")
@@ -185,7 +182,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ManifestError, IngestionError, CsvParseError, FileNotFoundError) as exc:
+    except (ValueError, CalibrationError, ManifestError, IngestionError, CsvParseError,
+            FileNotFoundError) as exc:
         parser.error(str(exc))  # a usage error: the message on stderr, exit code 2
 
 

@@ -147,9 +147,6 @@ class ModelParams:
         if not np.all(np.isfinite(self.flat)):
             raise ValueError("parameters must be finite")
 
-    def clone(self) -> "ModelParams":
-        return ModelParams(flat=self.flat.copy(), layers=self.layers)
-
 
 def _weight_bias_views(flat: np.ndarray, layers, l: int) -> tuple[np.ndarray, np.ndarray]:
     """Views of layer l's weight matrix and bias vector into the last axis of ``flat``."""

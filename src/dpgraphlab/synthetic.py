@@ -42,6 +42,8 @@ class SyntheticSpec:
             raise ValueError("target_homophily must lie in [0, 1]")
         if self.neighbors_per_node < 1:
             raise ValueError("neighbors_per_node must be >= 1")
+        if self.num_nodes < 2:
+            raise ValueError(f"num_nodes must be >= 2 (a node per class), not {self.num_nodes}")
         if self.num_nodes % 2 != 0:
             raise ValueError("num_nodes must be even (balanced classes)")
         if self.feat_dim < 1:

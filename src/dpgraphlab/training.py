@@ -107,29 +107,16 @@ class _Adam:
         self.t = 0
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
-        """(lr * m_hat) / (sqrt(v_hat) + eps) in two reused buffers, with the
-        textbook expression's operations in its order."""
         if self.m is None:
             self.m, self.v = np.zeros_like(flat), np.zeros_like(flat)
-            self._num, self._den = np.empty_like(flat), np.empty_like(flat)
         self.t += 1
-        m, v, num, den = self.m, self.v, self._num, self._den
-        beta1, beta2 = self.beta1, self.beta2
-        m *= beta1
-        # out passed by position: a keyword out costs more than the work here
-        np.multiply(1 - beta1, grad, num)
-        m += num
-        v *= beta2
-        np.multiply(1 - beta2, grad, num)
-        num *= grad
-        v += num
-        np.divide(m, 1 - beta1 ** self.t, num)  # m_hat
-        num *= self.lr
-        np.divide(v, 1 - beta2 ** self.t, den)  # v_hat
-        np.sqrt(den, den)
-        den += self.eps
-        num /= den
-        flat -= num
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1 - self.beta2) * grad * grad
+        m_hat = self.m / (1 - self.beta1 ** self.t)
+        v_hat = self.v / (1 - self.beta2 ** self.t)
+        flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def _stream(seed: int, key: int) -> np.random.Generator:

@@ -482,11 +482,29 @@ def test_supremum_power_monotone_and_endpoints():
     assert dg.supremum_power(5.0, 1e-3, 0.001) >= dg.supremum_power(5.0, 1e-4, 0.001)
 
 
-def test_supremum_power_tight_variant():
-    # two-sided bound at (eps=5, fpr=0.01) is strictly below the clamped one-sided 1.0
-    tight = dg.supremum_power(5.0, 1.31e-4, 0.01, tight=True)
-    assert tight == pytest.approx(0.9933, abs=5e-4)
-    assert dg.supremum_power(5.0, 1.31e-4, 0.01) == 1.0
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("epsilon", [710.0, 800.0, 947.1, 1e300])
+def test_supremum_power_is_finite_where_exp_epsilon_overflows(epsilon):
+    # exp(epsilon) is inf here: the line is still delta at fpr 0 and 1 at
+    # every fpr > 0 (e^eps * fpr >= 1 even at the smallest subnormal fpr)
+    delta = 1e-4
+    assert dg.supremum_power(epsilon, delta, 0.0) == delta
+    assert dg.supremum_power(epsilon, delta, 0.01) == 1.0
+    power = dg.supremum_power(epsilon, delta, [0.0, 5e-324, 1e-300, 0.5, 1.0])
+    np.testing.assert_array_equal(power, [delta, 1.0, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_supremum_power_keeps_the_bits_of_the_plain_line_where_it_is_finite():
+    # up to epsilon ~709.78 exp(epsilon) is finite, and the line has the bits
+    # of min(1, exp(epsilon) * fpr + delta), fpr 0 included
+    fprs = np.array([0.0, 5e-324, 1e-300, 1e-6, 0.001, 0.005, 0.01, 0.3, 1.0])
+    for epsilon in (0.0, 0.1, 1.0, 5.0, 20.0, 300.0, 709.0, 709.78):
+        for delta in (0.0, 1.31e-4, 0.5):
+            want = np.minimum(1.0, np.exp(epsilon) * fprs + delta)
+            np.testing.assert_array_equal(dg.supremum_power(epsilon, delta, fprs), want)
+            for f, w in zip(fprs, want):
+                assert dg.supremum_power(epsilon, delta, float(f)) == w
 
 
 @pytest.mark.parametrize("epsilon,delta", [

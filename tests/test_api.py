@@ -58,8 +58,7 @@ def test_import_loads_no_scipy():
 
 @pytest.mark.parametrize("argv", [
     ["calibrate", "--epsilon", "5", "--steps", "1000", "--n-train", "560", "-T", "6", "-m", "64"],
-    ["accountant", "--sigma", "30", "--n-train", "560", "-T", "6", "--epsilon", "5",
-     "--fpr", "0.001,0.01"],
+    ["accountant", "--sigma", "30", "--n-train", "560", "-T", "6", "--fpr", "0.001,0.01"],
     ["gen-synthetic", "--nodes", "40", "--out", "g"],
 ], ids=["calibrate", "accountant", "gen-synthetic"])
 def test_cli_commands_that_build_no_adjacency_load_no_scipy(tmp_path, argv):

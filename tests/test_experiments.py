@@ -580,14 +580,15 @@ def test_cli_accountant_json(capsys):
 
 
 def test_cli_accountant_supremum_power(capsys):
-    code, out = run_cli(capsys, "accountant", "--sigma", "10", "--steps", "0",
-                        "--n-train", "763", "-T", "6", "--epsilon", "5",
-                        "--delta", "1.31e-4", "--fpr", "0.001,0.005,0.01")
+    # the power is read at the epsilon this sigma spends (about 947 here)
+    code, out = run_cli(capsys, "accountant", "--sigma", "1", "--n-train", "560",
+                        "-T", "6", "-m", "64", "--fpr", "0,0.01")
+    assert code == 0
     payload = json.loads(out)
-    power = payload["supremum_power"]
-    assert power["0.001"] == pytest.approx(0.1485, abs=5e-4)
-    assert power["0.005"] == pytest.approx(0.7422, abs=5e-4)
-    assert power["0.01"] == 1.0
+    assert payload["epsilon_target"] is None
+    assert payload["supremum_power"] == {"0": 1 / 5600, "0.01": 1.0}
+    assert payload["supremum_power"]["0"] == payload["delta"]
+    assert capsys.readouterr().err == ""
 
 
 def test_one_claim_read_by_training_calibrate_and_accountant(capsys):
@@ -751,6 +752,10 @@ def _csv_knn_manifest(tmp_path, k):
      "--seed is given before the subcommand"),
     (lambda t: ("gen-synthetic", "--nodes", "7", "--out", str(t / "g")),
      "num_nodes must be even"),
+    (lambda t: ("gen-synthetic", "--nodes", "-2", "--out", str(t / "res")),
+     "num_nodes must be >= 2 (a node per class), not -2"),
+    (lambda t: ("gen-synthetic", "--nodes", "0", "--out", str(t / "res")),
+     "num_nodes must be >= 2 (a node per class), not 0"),
     (lambda t: ("train", "--manifest", str(t / "missing.json")), "missing.json"),
     (lambda t: ("build-graph", "--features", _bad_csv(t)["features"], "--labels", str(t / "y.csv")),
      "non-numeric value 'x' at row 2, column 1"),
@@ -759,10 +764,14 @@ def _csv_knn_manifest(tmp_path, k):
                 _manifest_file(t, lambda m: m.update(audit={"n_shadow": 16}))),
      "unknown audit keys ['n_shadow']"),
     (lambda t: ("audit", "--manifest", _manifest_file(t)), "manifest has no audit block"),
+    # the power line is read at the epsilon spent, so accountant takes no
+    # epsilon and no second form of the line
     (lambda t: ("accountant", "--sigma", "30", "--n-train", "560", "-T", "6",
-                "--epsilon", "nan"), "epsilon must be finite and >= 0"),
+                "--epsilon", "nan"), "unrecognized arguments: --epsilon nan"),
     (lambda t: ("accountant", "--sigma", "30", "--n-train", "560", "-T", "6",
-                "--epsilon", "-3", "--fpr", "0.01"), "epsilon must be finite and >= 0"),
+                "--epsilon", "-3", "--fpr", "0.01"), "unrecognized arguments: --epsilon -3"),
+    (lambda t: ("accountant", "--sigma", "30", "--n-train", "560", "-T", "6",
+                "--fpr", "0.01", "--tight"), "unrecognized arguments: --tight"),
     # a grid's input is checked whole before its first cell runs
     (lambda t: ("train", "--manifest",
                 _manifest_file(t, lambda m: m["dataset"]["synthetic"].update(num_nodes=61))),
@@ -864,8 +873,9 @@ def _csv_knn_manifest(tmp_path, k):
      "k must be an integer >= 1, not '5'"),
     (lambda t: ("train", "--manifest", _csv_knn_manifest(t, True)),
      "k must be an integer >= 1, not True"),
-], ids=["prefix-flag", "prefix-flag-with-value", "odd-nodes", "missing-manifest", "bad-csv", "missing-results",
-        "unknown-block-key", "no-audit-block", "epsilon-nan", "epsilon-negative",
+], ids=["prefix-flag", "prefix-flag-with-value", "odd-nodes", "negative-nodes", "zero-nodes",
+        "missing-manifest", "bad-csv", "missing-results",
+        "unknown-block-key", "no-audit-block", "epsilon-nan", "epsilon-negative", "tight",
         "grid-odd-nodes", "sweep-homophily-out-of-range", "grid-negative-seed",
         "grid-fractional-seed", "grid-string-split-seed", "grid-zero-epsilon", "grid-zero-delta", "grid-bad-csv",
         "grid-dp-batch-above-n-train", "sweep-dp-occurrence-bound-above-n-train",
@@ -933,6 +943,22 @@ def test_size_rule_reads_the_same_from_every_caller(tmp_path, capsys):
             _manifest_file(tmp_path, lambda m: m["privacy"].update(batch_size=40))))
     assert str(exc.value) == ("DP cells train on n_train=30 subgraphs: "
                               "T=7 and m=40 must not exceed N=30")
+
+
+@pytest.mark.parametrize("argv", [
+    ("calibrate", "--epsilon", "0.0001", "--steps", "1000", "--n-train", "560", "-T", "6",
+     "-m", "64"),
+    ("calibrate", "--epsilon", "5", "--steps", "1000", "--n-train", "560", "-T", "6", "-m", "64",
+     "--delta", "1e-320"),
+], ids=["tiny-epsilon", "subnormal-delta"])
+def test_cli_calibrate_unreachable_target_is_usage_error(capsys, argv):
+    # no sigma in the search range meets the target: a usage error, exit
+    # code 2 and the message on stderr, not a traceback and exit code 1
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: epsilon target " in err and "unreachable" in err and "Traceback" not in err
 
 
 def test_cli_calibrate_json(capsys):

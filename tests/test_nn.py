@@ -695,7 +695,7 @@ def test_row_cut_chaotic_adam_clipping_run_equals_full_row_oracle(hidden):
     g = dg.assign_splits(g, dg.SplitSpec(0.5, 0.2, 0.3, seed=11))
     ctx = dg.normalize_adjacency(g)
     params = dg.init_gcn(g.feat_dim, hidden, 2, 3, seed=12)
-    oracle = params.clone()
+    oracle = dg.ModelParams(flat=params.flat.copy(), layers=params.layers)
     x = ctx.first_layer_input(params.layers)
     cfg = dg.TrainConfig(num_layers=3, hidden_dim=hidden, clipping=True, seed=12)
     ws = _StepWorkspace(params.flat[None], params.layers, adj=ctx.adj_norm, labels=g.labels,
@@ -874,15 +874,6 @@ def test_evaluate_empty_mask_error():
     params = dg.init_gcn(3, 4, 2, 2, seed=0)
     with pytest.raises(ValueError):
         dg.evaluate(g, params, np.zeros(g.num_nodes, bool))
-
-
-# ---------------------------------------------------------------- ModelParams
-
-def test_model_params_helpers():
-    params = dg.init_gcn(3, 4, 2, 2, seed=0)
-    c = params.clone()
-    c.flat[0] += 1.0
-    assert params.flat[0] != c.flat[0]
 
 
 def test_train_config_validation():
