@@ -255,13 +255,22 @@ class AccountantState:
 def make_accountant(sigma: float, N: int, T: int, m: int,
                     orders: np.ndarray | None = None) -> AccountantState:
     """Per-step Renyi cost at every order of ``orders`` (default
-    :data:`DEFAULT_ORDERS`; see the module docstring)."""
+    :data:`DEFAULT_ORDERS`; see the module docstring).  An order whose cost
+    overflows costs +inf; a sigma so small that 2 sigma**2 underflows to 0,
+    or that the cost overflows at every order, raises ValueError."""
     orders = DEFAULT_ORDERS if orders is None else np.asarray(orders, dtype=np.float64)
     if not np.all(orders > 1):
         raise ValueError("alpha must exceed 1")
     _check_positive(sigma, "sigma")
     log_pmf, quad = _sigma_free_terms(orders, N, T, m)
-    costs = _logsumexp_rows(log_pmf + quad / (2.0 * sigma * sigma)) / (orders - 1.0)
+    variance2 = 2.0 * sigma * sigma
+    if not variance2 > 0:
+        raise ValueError(f"sigma={sigma!r} is too small: 2 sigma**2 underflows to 0")
+    with np.errstate(over="ignore"):  # an order whose cost overflows costs +inf
+        costs = _logsumexp_rows(log_pmf + quad / variance2) / (orders - 1.0)
+    if not np.isfinite(costs).any():
+        raise ValueError(f"sigma={sigma!r} is too small: the per-step cost overflows at "
+                         f"every order")
     return AccountantState(orders=orders, per_step_costs=costs)
 
 
@@ -276,7 +285,9 @@ def compose_and_convert(state: AccountantState, steps: int, delta: float,
     """Total epsilon after ``steps`` compositions, converted at ``delta``.
 
     epsilon = min over orders of [steps * cost(alpha) + log(1/delta)/(alpha-1)].
-    Zero steps spend zero epsilon by convention.
+    Zero steps spend zero epsilon by convention.  An epsilon that would not
+    be finite raises ValueError naming its cause: a delta whose 1/delta
+    overflows, or steps whose total overflows at every order.
     """
     if not steps >= 0:
         raise ValueError("steps must be nonnegative")
@@ -284,9 +295,16 @@ def compose_and_convert(state: AccountantState, steps: int, delta: float,
         raise ValueError("delta must lie in (0, 1)")
     if steps == 0:
         return (0.0, None) if return_order else 0.0
-    totals = _epsilon_over_orders(state.per_step_costs, state.orders, steps, delta)
+    if not 1.0 / float(delta) < math.inf:  # log(1/delta) is added at every order
+        raise ValueError(f"delta={delta!r} is too small: 1/delta overflows, so no epsilon "
+                         f"is finite")
+    with np.errstate(over="ignore"):  # an order whose total overflows is +inf
+        totals = _epsilon_over_orders(state.per_step_costs, state.orders, steps, delta)
     best = int(np.argmin(totals))
     eps = float(totals[best])
+    if not eps < math.inf:
+        raise ValueError(f"epsilon overflows at steps={steps}: the accountant's sigma is too "
+                         f"small for this many steps")
     if return_order:
         return eps, float(state.orders[best])
     return eps

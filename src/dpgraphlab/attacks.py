@@ -8,10 +8,11 @@ scaled confidences give a likelihood-ratio score for the target's
 confidence, evaluated at low false positive rates and compared against the
 analytic supremum-power bound when the target was trained with DP.  Shadows
 train in stacks of models that share each step, full-graph and DP alike,
-each with the bits of its own training, two stacks at once.  The audit
-reads only each shadow's params, so the stacks keep no logs: a non-DP
-shadow scores only the val rows, to select its checkpoint, and a DP shadow
-composes no epsilon.
+each with the bits of its own training: balanced stacks of up to 16
+full-graph or 8 DP shadows, at least one stack per thread, on two threads
+at once.  The audit reads only each shadow's params, so the stacks keep no
+logs: a non-DP shadow scores only the val rows, to select its checkpoint,
+and a DP shadow composes no epsilon.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ VARIANCE_FLOOR = 1e-3
 MIN_SHADOWS_EACH_SIDE = 8
 DEFAULT_N_SHADOWS = 128
 FPR_GRID = (0.001, 0.005, 0.01)
-# shadows per stack: 1 MB of full-graph activations at 500 nodes x 32, and a
-# 1.7 MB (8 m, n_params) DP batch gradient at m = 64 on the dp_audit model
-_SHADOW_STACK = 8
+# most shadows per stack, by source: 16 full-graph shadows hold 2 MB of
+# activations at 500 nodes x 32; 8 DP shadows a 1.7 MB (8 m, n_params) batch
+# gradient at m = 64 on the dp_audit model (16 took more memory and no less time)
+_SHADOW_STACK = {"full_graph": 16, "subgraph_batch": 8}
 # stacks trained at once, each holding its working set: 2 paid off, more was never measured
 _SHADOW_THREADS = 2
 
@@ -124,32 +126,37 @@ def train_shadows(graph: PopulationGraph, config: TrainConfig,
     model, whose n_test must equal n_train: each shadow then has the
     target's N and claim.  The original validation mask is kept; only non-DP
     shadows read it, to select their checkpoint.  Shadows of either source
-    train _SHADOW_STACK at a time, one step over all; subgraph-source
-    shadows whose stores resolve different rows or batch sizes split their
-    stack.  Each keeps its own seed, sampler and streams, and each phi has
-    the bits of its own ``train``.  The stacks keep no logs: no loss, train
-    accuracy or epsilon is computed, and a non-DP shadow's checkpoint is
-    selected on the val rows alone.  The stacks share nothing mutable and
-    train _SHADOW_THREADS at once, all joined before phi is computed.
+    train in stacks, one step over each stack, and the stacks train on
+    ``_shadow_workers()`` threads at once: max(threads, ceil(n_shadows /
+    cap)) contiguous runs of shadows, whose sizes differ by at most one, at
+    a cap of ``_SHADOW_STACK[config.mode]`` (16 full-graph or 8
+    subgraph-source shadows).  Subgraph-source shadows whose stores resolve
+    different rows or batch sizes split their stack.  Each keeps its own
+    seed, sampler and streams, and each phi has the bits of its own
+    ``train``.  The stacks keep no logs: no loss, train accuracy or epsilon
+    is computed, and a non-DP shadow's checkpoint is selected on the val
+    rows alone.  The stacks share nothing mutable, and all are joined
+    before phi is computed.
     """
     pool, membership = _shadow_membership(graph, spec, n_shadows, seed)
     seeds = np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(n_shadows)
     train_masks = np.zeros((n_shadows, graph.num_nodes), dtype=bool)
     train_masks[:, pool] = membership
 
-    def train_stack(start):  # the audit reads params only: the stacks keep no logs
-        return _train_models(graph, config, spec, train_masks[start:start + _SHADOW_STACK],
-                             seeds[start:start + _SHADOW_STACK], logs=False)
+    def train_stack(start, stop):  # the audit reads params only: the stacks keep no logs
+        return _train_models(graph, config, spec, train_masks[start:stop], seeds[start:stop],
+                             logs=False)
 
-    starts = range(0, n_shadows, _SHADOW_STACK)
-    workers = _shadow_workers(len(starts))
+    workers = _shadow_workers()
+    n_stacks = max(workers, -(-n_shadows // _SHADOW_STACK[config.mode]))
+    bounds = [n_shadows * i // n_stacks for i in range(n_stacks + 1)]
     if workers == 1:  # starts no thread, so Ctrl-C stops the stack at once
-        stacks = [train_stack(start) for start in starts]
+        stacks = [train_stack(*cut) for cut in zip(bounds, bounds[1:])]
     else:
         from concurrent.futures import ThreadPoolExecutor  # so import dpgraphlab skips it
         executor = ThreadPoolExecutor(workers)
         try:  # in stack order, so the first failure raised is a serial run's
-            stacks = list(executor.map(train_stack, starts))
+            stacks = list(executor.map(train_stack, bounds, bounds[1:]))
         finally:  # cancels the stacks not started, and joins every thread
             executor.shutdown(cancel_futures=True)
     ctx = normalize_adjacency(graph)  # shadows re-mask the graph but keep its edges
@@ -158,11 +165,11 @@ def train_shadows(graph: PopulationGraph, config: TrainConfig,
     return ShadowEnsemble(pool=pool, membership=membership, phi=np.array(phi))
 
 
-def _shadow_workers(n_stacks: int) -> int:
-    """min(stacks, _SHADOW_THREADS, usable cores) threads; 1 in a multiprocessing child."""
+def _shadow_workers() -> int:
+    """min(_SHADOW_THREADS, usable cores) threads; 1 in a multiprocessing child."""
     import multiprocessing
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return 1 if multiprocessing.parent_process() else min(n_stacks, _SHADOW_THREADS, cores or 1)
+    return 1 if multiprocessing.parent_process() else min(_SHADOW_THREADS, cores or 1)
 
 
 def lira_score(ensemble: ShadowEnsemble, target_phi: np.ndarray) -> np.ndarray:

@@ -27,9 +27,10 @@ from .synthetic import SyntheticSpec, generate_synthetic
 
 
 def _print_json(payload: dict) -> None:
+    """Write ``payload`` as strict JSON: a NaN or infinity raises ValueError
+    (a usage error) before anything is written."""
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def cmd_gen_synthetic(args) -> int:

@@ -77,7 +77,11 @@ multiplied into w (A @ h or h itself); the backward pass masks with h > 0,
 which is the ReLU mask of the pre-activation.  Each step allocates only the
 arrays the loss needs: the biases above layer 0 are added and ReLUs applied
 in place, and the backward pass writes each layer's weight and bias
-gradient straight into its slice of the flat gradient.
+gradient straight into its slice of the flat gradient.  On the full graph
+it also writes each hidden layer's gradient dh = dz @ w.T over that layer's
+input h, once the ReLU mask and the weight gradient have read h (which no
+lower layer reads), so a step keeps no dh buffer.  A batch does not: its
+dh has the rows of the layer above, not h's.
 
 A training run resolves the layout once, in a ``_StepWorkspace``: the
 views of each layer's weight and bias in ``params.flat`` (which the
@@ -447,12 +451,14 @@ def _backward(ws: _StepWorkspace, adj, cache, d_logits: np.ndarray, rows=None) -
             dz = _propagate(a, dz)
         np.matmul(np.swapaxes(p, -1, -2), dz, out=dw)
         if l > 0:
-            dh = _weights(dz, np.swapaxes(w, -1, -2),
-                          ws.buffer(("dh", l), (len(w), dz.shape[-2], w.shape[-2])))
+            # h is post-ReLU, so h > 0 exactly where its pre-activation is
+            live = np.greater(h, 0.0, out=ws.buffer(("live", l), h.shape, bool))
+            # dw has read p, so a full-graph step writes dh over h, which no
+            # later layer reads; a batch's dh has rows[l + 1] rows, not h's rows[l]
+            dh = _weights(dz, np.swapaxes(w, -1, -2), None if ws.buffers is None else h)
             if side == "input":  # laid out as p is in _forward
                 dh = np.ascontiguousarray(_propagate(a, dh))
-            # h is post-ReLU, so h > 0 exactly where its pre-activation is
-            dh *= np.greater(h, 0.0, out=ws.buffer(("live", l), h.shape, bool))
+            dh *= live
             dz = dh
     return ws.grad
 

@@ -244,12 +244,22 @@ def shadow_masks(graph, spec, n_shadows, seed):
     return pool, masks, seeds
 
 
+def stack_sizes(n_shadows, mode, workers):
+    """``train_shadows``'s stack sizes, in shadow order: max(workers, ceil(n /
+    cap)) contiguous stacks, at a cap of 16 full-graph or 8 subgraph-source
+    shadows, whose sizes differ by at most one."""
+    count = max(workers, -(-n_shadows // {"full_graph": 16, "subgraph_batch": 8}[mode]))
+    return np.diff([n_shadows * i // count for i in range(count + 1)]).tolist()
+
+
 def in_stack_order(by_seeds, seeds):
-    """The shadows of stacks keyed by their seeds, in ``train_shadows``'s stack
-    order: concurrent stacks may finish in any order."""
-    stack = attacks._SHADOW_STACK
-    return [shadow for start in range(0, len(seeds), stack)
-            for shadow in by_seeds[tuple(seeds[start:start + stack])]]
+    """The shadows of stacks keyed by their seeds, in shadow order, once the
+    stacks are checked to be contiguous runs of ``seeds`` that cover each
+    shadow once: concurrent stacks may finish in any order."""
+    position = {seed: i for i, seed in enumerate(seeds.tolist())}
+    stacks = sorted(by_seeds.items(), key=lambda item: position[int(item[0][0])])
+    assert [int(seed) for key, _ in stacks for seed in key] == seeds.tolist()
+    return [shadow for _, stack in stacks for shadow in stack]
 
 
 def shadow_runs_by_train(graph, config, spec, n_shadows, seed):
@@ -313,8 +323,8 @@ STACK_CASES = [
 @pytest.mark.parametrize("case, graph_of, config, spec", STACK_CASES)
 def test_stacked_shadows_equal_a_train_per_shadow(monkeypatch, case, graph_of, config, spec):
     # shadows train in stacks, from either source; each shadow's params and
-    # phi keep the bits of its own train() run.  17 shadows are one full
-    # stack and a stack of one.
+    # phi keep the bits of its own train() run.  17 shadows make stacks of
+    # unequal sizes.
     g = graph_of()
     cfg = dataclasses.replace(quick_config(), **config)
     by_seeds = {}  # each stack's (params, log) per shadow, by the stack's seeds
@@ -336,11 +346,12 @@ def test_stacked_shadows_equal_a_train_per_shadow(monkeypatch, case, graph_of, c
     monkeypatch.setattr(attacks, "_train_models", train_stack)
     got = dg.train_shadows(g, cfg, spec, n_shadows=17, seed=4)
     stacked = in_stack_order(by_seeds, shadow_masks(g, spec, 17, 4)[2])
-    assert 17 % attacks._SHADOW_STACK not in (0, 17)
+    sizes = stack_sizes(17, cfg.mode, attacks._shadow_workers())
+    assert len(by_seeds) == len(sizes) and len(set(sizes)) == 2
     if isinstance(spec, dg.PrivacySpec):  # every shadow's sigma is the target's
         n_train = int(g.train_mask.sum())
         assert (got.membership.sum(axis=1) == n_train).all()
-        assert len(sigmas) == 3 and set(sigmas) == {dg.calibrate_sigma(
+        assert len(sigmas) == len(sizes) and set(sigmas) == {dg.calibrate_sigma(
             spec.epsilon_target, spec.delta, spec.total_steps, n_train,
             spec.effective_occurrence_bound, spec.batch_size)}
     else:
@@ -396,9 +407,10 @@ def test_shadow_stacks_keep_no_logs(monkeypatch):
     dg.train_shadows(g, quick_config(), None, n_shadows=17, seed=4)
     stacked = in_stack_order(by_seeds, seeds)
     assert len(stacked) == 17 and all(log == [] for _, log in stacked)
-    assert len(means) == 30 * 3 and all(m is None for m in means)  # 30 epochs, 3 stacks
+    epochs = 30 * len(stack_sizes(17, "full_graph", attacks._shadow_workers()))  # per stack
+    assert len(means) == epochs and all(m is None for m in means)
     n_val = int(g.val_mask.sum())
-    assert len(scored) == 30 * 3 and {shape[1:] for shape in scored} == {(n_val, 2)}
+    assert len(scored) == epochs and {shape[1:] for shape in scored} == {(n_val, 2)}
     by_seeds.clear()
     dp = dataclasses.replace(quick_config(), **DP)
     dg.train_shadows(g, dp, dp_spec(), n_shadows=17, seed=4)
@@ -435,7 +447,8 @@ def test_shadows_whose_stores_differ_train_in_separate_stacks(monkeypatch, graph
     monkeypatch.setattr(training, "_train_stack",
                         lambda *args: stacks.append(len(args[4])) or stack(*args))
     got = dg.train_shadows(g, cfg, spec, n_shadows=17, seed=4)
-    assert sum(stacks) == 17 and len(stacks) > -(-17 // attacks._SHADOW_STACK)
+    assert sum(stacks) == 17
+    assert len(stacks) > len(stack_sizes(17, cfg.mode, attacks._shadow_workers()))
     np.testing.assert_array_equal(got.phi, shadow_phi_by_train(g, cfg, spec, 17, 4))
 
 
@@ -451,14 +464,47 @@ def test_stacked_hidden_dim_one_shadows_equal_a_train_per_shadow(num_layers):
 
 
 def forced_workers(monkeypatch, workers):
-    monkeypatch.setattr(attacks, "_shadow_workers", lambda n_stacks: workers)
+    monkeypatch.setattr(attacks, "_shadow_workers", lambda: workers)
+
+
+# the stack sizes that the rule gives the benchmark audits, at two threads
+TWO_THREAD_LAYOUTS = {("adam", 32): [16, 16], ("adam", 17): [8, 9], ("adam", 128): [16] * 8,
+                      ("dp", 16): [8, 8], ("dp", 128): [8] * 16}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", ["adam", "dp"])
+def test_shadow_stacks_are_balanced_contiguous_runs(monkeypatch, case, workers):
+    # the workers are decided first, then max(workers, ceil(n / cap)) stacks
+    # of consecutive shadows, at a cap of 16 full-graph or 8 DP shadows,
+    # whose sizes differ by at most one
+    _, graph_of, config, spec = next(c for c in STACK_CASES if c[0] == case)
+    g = graph_of()
+    cfg = dataclasses.replace(quick_config(), **config)
+    cap = 16 if case == "adam" else 8
+    params = _init_model(g, cfg)
+    stacks = []  # each stack's seeds, in the order the stacks start
+    monkeypatch.setattr(attacks, "_train_models", lambda *args, **kwargs: (
+        stacks.append(args[4].tolist()) or [(params, [])] * len(args[4])))
+    forced_workers(monkeypatch, workers)
+    for n in (16, 17, 32, 128):
+        stacks.clear()
+        dg.train_shadows(g, cfg, spec, n_shadows=n, seed=4)
+        seeds = shadow_masks(g, spec, n, 4)[2].tolist()
+        stacks.sort(key=lambda stack: seeds.index(stack[0]))  # threads start in any order
+        assert [seed for stack in stacks for seed in stack] == seeds
+        sizes = [len(stack) for stack in stacks]
+        assert len(sizes) == max(workers, -(-n // cap))
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= cap
+        if workers == 2 and (case, n) in TWO_THREAD_LAYOUTS:
+            assert sizes == TWO_THREAD_LAYOUTS[case, n]
 
 
 @pytest.mark.parametrize("case", ["adam", "dp"])
 def test_concurrent_stacks_equal_serial_stacks(monkeypatch, case):
     # stacks share nothing mutable and their results are taken in stack
-    # order, so 1, 2 or 3 threads over 3 stacks (the last of one shadow)
-    # give the same bits; every thread is joined before train_shadows returns
+    # order, so 1, 2 or 3 threads, over the stacks each count lays out, give
+    # the same bits; every thread is joined before train_shadows returns
     _, graph_of, config, spec = next(c for c in STACK_CASES if c[0] == case)
     g = graph_of()
     cfg = dataclasses.replace(quick_config(), **config)
@@ -477,7 +523,8 @@ def test_concurrent_stacks_equal_serial_stacks(monkeypatch, case):
         before = threading.active_count()
         got.append(dg.train_shadows(g, cfg, spec, n_shadows=17, seed=4))
         assert threading.active_count() == before
-        assert sorted(size for _, size in threads) == [1, 8, 8]
+        want = sorted(stack_sizes(17, cfg.mode, workers))
+        assert sorted(size for _, size in threads) == want
         in_main = {thread is threading.main_thread() for thread, _ in threads}
         assert in_main == {workers == 1}
         assert len({thread for thread, _ in threads}) <= workers
@@ -493,25 +540,28 @@ class StackFailed(RuntimeError):
 def test_a_failing_stack_raises_its_error_and_leaves_no_thread(monkeypatch):
     # the first failure in stack order is raised, with its own type, as a
     # serial run raises it, even when a later stack fails first; every
-    # thread is joined
+    # thread is joined.  33 shadows make three stacks at 1, 2 or 3 threads.
     g = small_graph()
-    seeds = shadow_masks(g, None, 17, 4)[2]
+    seeds = shadow_masks(g, None, 33, 4)[2]
     train_models = training._train_models
 
     def failing(*args, **kwargs):
-        if args[4][0] == seeds[8]:
+        if args[4][0] == seeds[second]:
             time.sleep(0.2)
             raise StackFailed("the second stack")
-        if args[4][0] == seeds[16]:
+        if args[4][0] == seeds[third]:
             raise ValueError("the third stack")
         return train_models(*args, **kwargs)
 
     monkeypatch.setattr(attacks, "_train_models", failing)
     for workers in (1, 2, 3):
         forced_workers(monkeypatch, workers)
+        sizes = stack_sizes(33, "full_graph", workers)
+        assert len(sizes) == 3
+        second, third = np.cumsum(sizes[:2])
         before = threading.active_count()
         with pytest.raises(StackFailed, match="^the second stack$"):
-            dg.train_shadows(g, quick_config(), None, n_shadows=17, seed=4)
+            dg.train_shadows(g, quick_config(), None, n_shadows=33, seed=4)
         assert threading.active_count() == before
 
 
@@ -519,7 +569,7 @@ def test_shadow_workers_are_at_most_two_and_one_in_a_child(monkeypatch):
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=1) as pool:  # as run(threads > 1) starts its cells
-        assert pool.submit(attacks._shadow_workers, 16).result() == 1
+        assert pool.submit(attacks._shadow_workers).result() == 1
     starts = []
     thread_start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
@@ -527,21 +577,21 @@ def test_shadow_workers_are_at_most_two_and_one_in_a_child(monkeypatch):
     # at most _SHADOW_THREADS (2, the count measured), however many cores
     assert attacks._SHADOW_THREADS == 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    assert [attacks._shadow_workers(n) for n in (1, 2, 3, 16)] == [1, 2, 2, 2]
+    assert attacks._shadow_workers() == 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
-    assert [attacks._shadow_workers(n) for n in (1, 2, 16)] == [1, 1, 1]
+    assert attacks._shadow_workers() == 1
     monkeypatch.delattr(os, "sched_getaffinity")  # where it does not exist
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert [attacks._shadow_workers(n) for n in (1, 2, 16)] == [1, 2, 2]
+    assert attacks._shadow_workers() == 2
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert attacks._shadow_workers(16) == 1
+    assert attacks._shadow_workers() == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert attacks._shadow_workers(16) == 1
+    assert attacks._shadow_workers() == 1
     # a multiprocessing child, such as a run(threads > 1) cell worker,
     # trains its stacks serially and starts no thread
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
-    assert [attacks._shadow_workers(n) for n in (1, 2, 16)] == [1, 1, 1]
+    assert attacks._shadow_workers() == 1
     g = small_graph()
     got = dg.train_shadows(g, quick_config(), None, n_shadows=17, seed=4)
     assert starts == []

@@ -9,6 +9,7 @@ import pytest
 
 import dpgraphlab as dg
 from dpgraphlab.attacks import AuditSpec
+from dpgraphlab.cli import _print_json
 from dpgraphlab.cli import main as cli_main
 from dpgraphlab.experiments import (ExperimentManifest, ManifestError, aggregate,
                                     build_graph_for_cell, config_for_variant, grid_cells, report,
@@ -959,6 +960,51 @@ def test_cli_calibrate_unreachable_target_is_usage_error(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: epsilon target " in err and "unreachable" in err and "Traceback" not in err
+
+
+ACCOUNTANT_SETUP = ("--n-train", "560", "-T", "6", "-m", "64")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (("--sigma", "1", "--delta", "1e-320"),
+     "delta=1e-320 is too small: 1/delta overflows, so no epsilon is finite"),
+    (("--sigma", "1", "--delta", "1e-320", "--fpr", "0.01"),
+     "delta=1e-320 is too small: 1/delta overflows, so no epsilon is finite"),
+    (("--sigma", "1e-160"), "sigma=1e-160 is too small: the per-step cost overflows at "
+                            "every order"),
+    (("--sigma", "1e-200"), "sigma=1e-200 is too small: 2 sigma**2 underflows to 0"),
+    (("--sigma", "1e-153"), "epsilon overflows at steps=1000: the accountant's sigma is too "
+                            "small for this many steps"),
+], ids=["subnormal-delta", "subnormal-delta-fpr", "sigma-cost-overflow", "sigma-underflow",
+        "steps-overflow"])
+def test_cli_accountant_never_prints_a_non_finite_epsilon(capsys, argv, message):
+    # a sigma or delta whose epsilon is not finite is a usage error that
+    # names its cause: exit code 2, nothing on stdout and no numpy warning
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "accountant", *argv, *ACCOUNTANT_SETUP)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_accountant_prints_a_finite_epsilon_at_an_extreme_sigma(capsys):
+    # at sigma 1e-153 the cost overflows at the high orders only: one step
+    # spends a finite epsilon, read at the lowest order, with no warning
+    code, out = run_cli(capsys, "accountant", "--sigma", "1e-153", "--steps", "1",
+                        *ACCOUNTANT_SETUP)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["epsilon_spent"] == 2.25e307 and payload["order_argmin"] == 1.25
+
+
+def test_cli_json_is_strict(capsys):
+    # NaN and infinity are not JSON: the record raises before a byte is written
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON "):
+            _print_json({"epsilon_spent": value})
+        assert capsys.readouterr().out == ""
 
 
 def test_cli_calibrate_json(capsys):

@@ -758,6 +758,50 @@ def test_every_row_last_layer_gradient_stays_zero_outside_loss_rows(init, num_la
         sgd.step(flat, ws.grad)
 
 
+@pytest.mark.parametrize("init, num_layers, hidden, classes, sides", [
+    (dg.init_gcn, 2, 6, 2, [None, "output"]),
+    (dg.init_gcn, 3, 6, 2, [None, "input", "output"]),
+    (dg.init_gcn, 3, 3, 4, [None, "input", "input"]),
+    (dg.init_gcn, 2, 1, 2, [None, "input"]),
+    (dg.init_gcn, 3, 1, 2, [None, "input", "input"]),
+    (dg.init_mlp, 3, 6, 2, [None, None, None]),
+], ids=["2 layers", "3 layers", "3 layers, classes >= hidden", "hidden_dim=1",
+        "3 layers, hidden_dim=1", "3-layer mlp"])
+def test_full_graph_step_writes_dh_over_h(init, num_layers, hidden, classes, sides):
+    # a stack's backward pass writes each hidden layer's dh over that
+    # layer's input h once the ReLU mask and the weight gradient have read
+    # it, so its workspace keeps activations and masks but no dh buffer, and
+    # each model's gradient keeps the bits of its own loss_and_grad (which
+    # writes dh over h too, so the unfolded oracle checks the values)
+    g = workspace_graph()
+    g = g if classes == 2 else relabeled(g, classes, 5)
+    ctx = dg.normalize_adjacency(g)
+    rng = np.random.default_rng(37)
+    masks = np.stack([g.train_mask & (rng.random(g.num_nodes) < 0.6) for _ in range(3)])
+    flat = np.stack([init(g.feat_dim, hidden, classes, num_layers, seed=s).flat
+                     for s in range(3)])
+    flat += 0.1 * rng.standard_normal(flat.shape)  # nonzero biases
+    layers = init(g.feat_dim, hidden, classes, num_layers, seed=0).layers
+    assert [nn._propagated_side(l, spec) for l, spec in enumerate(layers)] == sides
+    adj, x = ctx.adj_norm, ctx.first_layer_input(layers)
+    ws = _StepWorkspace(flat, layers, adj=adj, labels=g.labels, masks=masks,
+                        val_mask=g.val_mask)
+    sgd = training._Sgd(0.5)
+    for _ in range(3):
+        _, grad, _ = nn._masked_loss_grad_and_logits(ws, adj, x)
+        assert set(ws.buffers) == ({("z", l) for l in range(num_layers - 1)}
+                                   | {("live", l) for l in range(1, num_layers)})
+        for s, mask in enumerate(masks):
+            model = ModelParams(flat[s].copy(), layers)
+            np.testing.assert_array_equal(grad[s],
+                                          dg.loss_and_grad(ctx, model, g.labels, mask)[1])
+            loss_rows = np.flatnonzero(mask)
+            want = unfolded_gradients(adj, x[:, :-1], model, g.labels[loss_rows], loss_rows)[2]
+            np.testing.assert_allclose(grad[s], want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+        sgd.step(flat, grad)
+
+
 def test_adam_step_equals_textbook_expression():
     # the buffered step keeps the textbook operations in their order
     rng = np.random.default_rng(31)
