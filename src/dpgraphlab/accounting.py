@@ -142,10 +142,12 @@ def _clip_scale(norms: np.ndarray, clip_norm: float) -> np.ndarray:
 
 def noisy_batch_gradient(gradients: np.ndarray, clip_norm: float, sigma: float,
                          seed) -> np.ndarray:
-    """Average of clipped per-subgraph gradients plus N(0, sigma^2 C^2 I).
+    """(Sum of the m clipped per-subgraph gradients + N(0, sigma^2 C^2 I)) / m.
 
-    DP training passes ``sigma * OCCURRENCE_SENSITIVITY`` for the
-    accountant's sigma, so its noise std is sigma * Delta = sigma * 2C.
+    This draws its one noise row from ``seed`` and takes the mean of DP
+    training's step, which draws each model's noise rows a window of steps
+    at a time, at std (sigma * OCCURRENCE_SENSITIVITY) * C = sigma * 2C for
+    the accountant's sigma.
 
     ``sigma == 0`` disables the noise (plain mean of clipped gradients);
     negative sigma is rejected.  ``seed`` may be an int or a Generator;
@@ -157,28 +159,28 @@ def noisy_batch_gradient(gradients: np.ndarray, clip_norm: float, sigma: float,
     if not sigma < math.inf:
         raise ValueError("sigma must be finite")
     _check_positive(clip_norm, "clip_norm")
-    rng = None
+    noise = None
     if sigma > 0:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _noisy_batch_means(gradients[None], clip_norm, sigma, [rng])[0]
+        noise = rng.normal(0.0, sigma * clip_norm, size=(1, gradients.shape[1]))
+    return _noisy_batch_means(gradients[None], clip_norm, noise)[0]
 
 
-def _noisy_batch_means(gradients: np.ndarray, clip_norm: float, sigma: float, rngs,
+def _noisy_batch_means(gradients: np.ndarray, clip_norm: float, noise: np.ndarray | None,
                        out: np.ndarray | None = None) -> np.ndarray:
     """:func:`noisy_batch_gradient` of each model of an (S, m, n) stack of
-    per-subgraph gradients, into ``out`` (S, n): model s's noise has std
-    ``sigma * clip_norm`` and comes from ``rngs[s]``.  Each step runs
-    once over the stack but the noise draws, one per model from its own
-    stream; the clipped sums are one (1, m) @ (m, n) product per model, the
-    product of a one-model call, so each row has that call's bits."""
+    per-subgraph gradients, into ``out`` (S, n): model s's clipped sum takes
+    ``noise[s]``, a draw of its own stream at its std (None adds no noise),
+    before the division by m.  The clipped sums are one (1, m) @ (m, n)
+    product per model, the product of a one-model call, and the noise is one
+    addition per element, so each row has that call's bits."""
     models, m, n = gradients.shape
     out = np.empty((models, n)) if out is None else out
     # the row-wise clip folded into each model's sum
     scale = _clip_scale(np.sqrt(np.vecdot(gradients, gradients)), clip_norm)
     np.matmul(scale[:, None, :], gradients, out=out[:, None, :])
-    if sigma > 0:
-        for row, rng in zip(out, rngs):
-            row += rng.normal(0.0, sigma * clip_norm, size=n)
+    if noise is not None:
+        out += noise
     out /= m
     return out
 

@@ -23,6 +23,8 @@ An audit's shadows train in stacks of S models that share each step
 share their N and so one claim.  Each model keeps its own seed and train
 mask, and for the subgraph source its own sampler, store, batch and noise
 streams and log, so it has the bits of its own :func:`train` run.
+A model's batches and noise are drawn a window of steps at a time, each
+stream's draws those of one draw per step, so a window moves no bit.
 The subgraph source stacks only models that share a batch size and store
 ``rows``, as their batches gather into one array.  A shadow stack keeps no
 logs (the audit reads params only): it computes no loss, no train accuracy
@@ -32,11 +34,13 @@ checkpoint from E's val rows alone, with the bits of a logging run.
 A non-DP stack's full-graph step workspace (:mod:`dpgraphlab.nn`) lays out
 E, its loss rows and then its val rows: the full-graph source steps on it,
 and a record without the step's logits runs the stack's forward over E on
-it.  The subgraph source builds a batch workspace.  A step's gradient is a
-buffer that the next step overwrites (clipping scales it in place); the
-optimizer updates the stack's (S, n_params) parameters in place, which the
-workspaces' weight views read.  The checkpoint is one buffer, allocated
-before the first step and copied into whenever val accuracy ties or improves.
+it.  The subgraph source builds a batch workspace and a window's (W, S * m)
+batch indices and (W, S, n_params) noise, which each window refills.  A
+step's gradient is a buffer that the next step overwrites (clipping scales
+it in place); the optimizer updates the stack's (S, n_params) parameters in
+place, which the workspaces' weight views read.  The checkpoint is one
+buffer, allocated before the first step and copied into whenever val
+accuracy ties or improves.
 """
 
 from __future__ import annotations
@@ -302,8 +306,8 @@ def _train_stack(graph, config, spec, train_masks, models, claim, feeds, logs):
     return [(ModelParams(row, layers), log) for row, log in zip(final, model_logs)]
 
 
-# A gradient source returns (steps, eval interval, endless iterator of
-# per-step (per-model losses, None without logs, (S, n_params) update,
+# A gradient source returns (steps, eval interval, iterator of at least
+# ``steps`` per-step (per-model losses, None without logs, (S, n_params) update,
 # logits) at the current params).  The full-graph source's logits are those
 # of the forward pass its gradient ran, which returns the last layer's train
 # rows (the loss) and then its val rows only, so one forward serves both the
@@ -339,39 +343,58 @@ class _SubgraphFeed:
         self.batch_size = min(spec.batch_size, len(self.store))
 
 
+# the steps whose batches and noise the subgraph source draws at once
+_WINDOW = 25
+
+
 def _subgraph_source(config, spec: SubgraphSpec, feeds: list[_SubgraphFeed], flat, layers,
                      claim, logs=True):
     """Batches of ``spec`` for a stack of models that share their batch size
-    m and store ``rows``.  Each step draws each model's m subgraphs from its
-    own store and stream, and gathers them into one (S * m, R, .) batch of the
-    stacked stores; when clipping, each model's mean takes the noise of the
-    DP ``claim``'s sigma from its own stream."""
-    S, m = len(feeds), feeds[0].batch_size
+    m and store ``rows``, for ``spec.total_steps`` steps, drawn a window of
+    W = ``_WINDOW`` steps at a time (the last window draws the steps left).
+    Each model fills its (W, m) block of a (W, S * m) index array with one
+    draw of m subgraphs per step from its own store and stream, and row k
+    gathers step k's (S * m, R, .) batch from the stacked stores.  In a DP
+    run each model draws its (W, n) noise at the ``claim``'s sigma from its
+    own stream in one call, and step k adds the (S, n) row k to the clipped
+    sums.  Each stream makes the draws of one draw per step in the same
+    order, so every step keeps their bits."""
+    S, m, steps, n = len(feeds), feeds[0].batch_size, spec.total_steps, flat.shape[1]
     sizes = [len(feed.store) for feed in feeds]
     store = _stack_stores([feed.store for feed in feeds])  # takes the stores' arrays over
-    idx = np.empty(S * m, dtype=np.intp)  # the stacked batch, model by model
-    draws = [(feed.batch_rng.choice, size, start, part) for feed, size, start, part
-             in zip(feeds, sizes, np.cumsum([0] + sizes[:-1]), idx.reshape(S, m))]
+    idx = np.empty((_WINDOW, S * m), dtype=np.intp)  # each step's stacked batch, model by model
     # the accountant's sigma is in units of Delta = OCCURRENCE_SENSITIVITY * C
-    multiplier = 0.0 if claim is None else claim[0] * OCCURRENCE_SENSITIVITY
-    noise_rngs = [feed.noise_rng for feed in feeds]
+    std = 0.0 if claim is None else claim[0] * OCCURRENCE_SENSITIVITY * spec.clip_norm
+    noise = np.empty((_WINDOW, S, n)) if std > 0 else None  # each step's (S, n) noise
+    # each model's feed, store size, offset in the stacked store, and (W, m)
+    # and (W, n) blocks of idx and noise
+    draws = list(zip(feeds, sizes, np.cumsum([0] + sizes[:-1]),
+                     idx.reshape(_WINDOW, S, m).transpose(1, 0, 2),
+                     [None] * S if noise is None else noise.transpose(1, 0, 2)))
     ws = _StepWorkspace(flat, layers, batch=(S * m,))
     update = np.empty_like(flat)
 
     def gradients():
-        while True:
-            for choice, size, start, part in draws:  # each into its model's part of idx
-                np.add(choice(size, size=m, replace=False), start, out=part)
-            batch = store.batch(idx)
-            losses, grads = subgraph_batch_gradients(*batch, ws)
-            grads = grads.reshape(S, m, -1)
-            if config.clipping:  # the multiplier is 0.0 outside DP runs
-                _noisy_batch_means(grads, spec.clip_norm, multiplier, noise_rngs, update)
-            else:
-                np.mean(grads, axis=1, out=update)
-            yield (losses.reshape(S, m).sum(axis=1) / m).tolist() if logs else None, update, None
+        for first in range(0, steps, _WINDOW):
+            w = min(_WINDOW, steps - first)  # the last window draws only the steps left
+            for feed, size, start, block, noise_block in draws:
+                block[:w] = [feed.batch_rng.choice(size, size=m, replace=False)
+                             for _ in range(w)]
+                block[:w] += start
+                if noise is not None:
+                    noise_block[:w] = feed.noise_rng.normal(0.0, std, size=(w, n))
+            for row, noise_row in zip(idx[:w], [None] * w if noise is None else noise):
+                batch = store.batch(row)
+                losses, grads = subgraph_batch_gradients(*batch, ws)
+                grads = grads.reshape(S, m, -1)
+                if config.clipping:  # no noise outside DP runs
+                    _noisy_batch_means(grads, spec.clip_norm, noise_row, update)
+                else:
+                    np.mean(grads, axis=1, out=update)
+                yield ((losses.reshape(S, m).sum(axis=1) / m).tolist() if logs else None,
+                       update, None)
 
-    return spec.total_steps, config.eval_every or 50, gradients()
+    return steps, config.eval_every or 50, gradients()
 
 
 def write_training_log(log: list[dict], path) -> None:

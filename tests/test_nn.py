@@ -580,6 +580,141 @@ def test_dp_train_runs_no_full_graph_pass(monkeypatch):
     assert log == expected[1]
 
 
+# ---------------------------------------------------------------- the DP mechanism
+
+def test_dp_step_noise_std_is_sigma_times_2c_over_m():
+    # one momentum-SGD step at learning rate 1 releases init - update.
+    # Removing a node moves a batch's clipped sum by up to Delta = 2C, so the
+    # sum's noise has std sigma * 2C and the update's sigma * 2C / m per
+    # coordinate; at this sigma the clipped mean (norm <= C) is lost in it
+    g = checkpoint_graph()
+    sigma, C, m = 1000.0, 0.5, 16
+    spec = dg.PrivacySpec(1.0, 1e-3, clip_norm=C, noise_multiplier=sigma, batch_size=m,
+                          total_steps=1)
+    updates = []
+    for seed in range(4):
+        cfg = dg.TrainConfig(mode="subgraph_batch", clipping=True, noise=True, optimizer="sgd",
+                             learning_rate=1.0, seed=seed)
+        params, _ = dg.train(g, cfg, spec)
+        init = dg.init_gcn(g.feat_dim, cfg.hidden_dim, g.num_classes, cfg.num_layers, seed)
+        updates.append(init.flat - params.flat)
+    assert np.concatenate(updates).std() == pytest.approx(sigma * 2 * C / m, rel=0.04)
+
+
+def spy_subgraph_runs(monkeypatch):
+    """Lists that fill as subgraph-source runs train: each model's feed and
+    store size, in stack order, each step's gathered indices, and each
+    clipping step's (S, n) noise (or None)."""
+    feeds, sizes, rows, noises = [], [], [], []
+    batch, noisy_means = SubgraphStore.batch, training._noisy_batch_means
+
+    class Feed(training._SubgraphFeed):
+        def __init__(self, *args):
+            super().__init__(*args)
+            feeds.append(self)
+            sizes.append(len(self.store))
+
+    def spied_batch(store, idx):
+        rows.append(np.array(idx))
+        return batch(store, idx)
+
+    def spied_means(grads, clip_norm, noise, out):
+        noises.append(None if noise is None else noise.copy())
+        return noisy_means(grads, clip_norm, noise, out)
+
+    monkeypatch.setattr(training, "_SubgraphFeed", Feed)
+    monkeypatch.setattr(SubgraphStore, "batch", spied_batch)
+    monkeypatch.setattr(training, "_noisy_batch_means", spied_means)
+    return feeds, sizes, rows, noises
+
+
+def dp_stack_graph():
+    g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=120, target_homophily=0.7, seed=4))
+    return dg.assign_splits(g, dg.SplitSpec(0.5, 0.2, 0.3, seed=4))
+
+
+@pytest.mark.parametrize("models", [1, 3])
+def test_every_dp_step_gathers_m_distinct_subgraphs_of_each_model(monkeypatch, models):
+    # the accountant's hypergeometric batch rate: each step holds m distinct
+    # subgraphs of each model's own store (its block of the stacked store)
+    g = dp_stack_graph()
+    feeds, sizes, rows, _ = spy_subgraph_runs(monkeypatch)
+    m, steps = 16, 30
+    spec = dg.PrivacySpec(10.0, 1e-3, batch_size=m, total_steps=steps)
+    cfg = dg.TrainConfig(mode="subgraph_batch", clipping=True, noise=True, optimizer="sgd",
+                         learning_rate=0.05, seed=2)
+    if models == 1:
+        dg.train(g, cfg, spec)
+    else:
+        training._train_models(g, cfg, spec, np.repeat(g.train_mask[None], models, axis=0),
+                               [2, 3, 4])
+    assert len(feeds) == models and len(rows) == steps
+    starts = np.cumsum([0] + sizes)
+    for row in rows:
+        assert row.shape == (models * m,)
+        for start, end, part in zip(starts, starts[1:], row.reshape(models, m)):
+            assert np.unique(part).size == m
+            assert start <= part.min() and part.max() < end
+
+
+def test_a_bulk_normal_fill_equals_one_draw_per_step():
+    # the subgraph source's windowed noise: one (W, n) draw is the W draws of n
+    W = training._WINDOW
+    for n in (1, 7, 418):
+        bulk, per_step = np.random.default_rng(n), np.random.default_rng(n)
+        got = bulk.normal(0.0, 2.5, size=(W, n))
+        want = np.stack([per_step.normal(0.0, 2.5, size=n) for _ in range(W)])
+        assert got.tobytes() == want.tobytes()
+        assert bulk.bit_generator.state == per_step.bit_generator.state
+
+
+@pytest.mark.parametrize("variant", ["dp", "subgraph_clip", "subgraphing"])
+def test_windowed_draws_equal_a_per_step_replay(monkeypatch, variant):
+    # a stack of 3 draws its batches and noise a window at a time: each step
+    # gathers the batches of a per-step replay of each model's batch stream
+    # and, in DP, adds the rows of a per-step replay of its noise stream at
+    # std sigma * 2C; each stream ends where its replay leaves it, so a short
+    # last window draws no step too many
+    W = training._WINDOW
+    g = dp_stack_graph()
+    seeds, m = [5, 6, 7], 8
+    masks = np.repeat(g.train_mask[None], len(seeds), axis=0)
+    cfg = dg.TrainConfig(mode="subgraph_batch", clipping=variant != "subgraphing",
+                         noise=variant == "dp", optimizer="sgd", learning_rate=0.05,
+                         eval_every=10, seed=0)
+    n = training._init_model(g, cfg).flat.size
+    spied = spy_subgraph_runs(monkeypatch)
+    feeds, sizes, rows, noises = spied
+    for steps in (W - 1, W, 2 * W + 3):
+        knobs = dict(max_degree=3, occurrence_bound=4, batch_size=m, total_steps=steps)
+        spec = (dg.PrivacySpec(5.0, 1e-3, **knobs) if variant == "dp"
+                else dg.SubgraphSpec(clip_norm=0.05, **knobs))
+        for spied_list in spied:
+            spied_list.clear()
+        training._train_models(g, cfg, spec, masks, seeds, logs=False)
+        assert len(feeds) == len(seeds) and len(rows) == steps
+        starts = np.cumsum([0] + sizes[:-1])
+        want = np.empty((steps, len(seeds) * m), dtype=np.intp)
+        want_noise = np.empty((steps, len(seeds), n))
+        if variant == "dp":
+            std = dg.calibrate_sigma(5.0, 1e-3, steps, int(g.train_mask.sum()),
+                                     spec.effective_occurrence_bound, m) * 2 * spec.clip_norm
+        for s, (feed, seed, size, start) in enumerate(zip(feeds, seeds, sizes, starts)):
+            batch_rng, noise_rng = training._stream(seed, 2), training._stream(seed, 3)
+            for step in range(steps):
+                want[step, s * m:(s + 1) * m] = batch_rng.choice(size, size=m,
+                                                                 replace=False) + start
+                if variant == "dp":
+                    want_noise[step, s] = noise_rng.normal(0.0, std, size=n)
+            assert feed.batch_rng.bit_generator.state == batch_rng.bit_generator.state
+            assert feed.noise_rng.bit_generator.state == noise_rng.bit_generator.state
+        np.testing.assert_array_equal(np.stack(rows), want)
+        if variant == "dp":
+            np.testing.assert_array_equal(np.stack(noises), want_noise)
+        else:
+            assert noises == ([None] * steps if variant == "subgraph_clip" else [])
+
+
 def test_zero_learning_rate_is_null_update():
     g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=80, target_homophily=0.8, seed=0))
     g = dg.assign_splits(g, dg.SplitSpec(0.5, 0.2, 0.3, seed=1))
