@@ -25,9 +25,14 @@ which reduces exactly to the plain Gaussian mechanism when T=1 and m=N.
 All orders of the grid are computed together, in one log-sum-exp over an
 (orders x rho) matrix built from the T+1 hypergeometric log-pmfs.  The
 log-pmfs and ``alpha (alpha-1) rho^2`` do not depend on sigma, so
-:func:`calibrate_sigma` derives them once and each bisection step only
-divides by ``2 sigma^2``, reduces, and converts to epsilon with the
-conversion that :func:`compose_and_convert` uses.  The log-sum-exp is
+:func:`calibrate_sigma` derives them once, and each bisection step
+evaluates the cost with the one function that :func:`make_accountant` uses
+and converts it to epsilon as :func:`compose_and_convert` does.  Each rule
+the inputs meet is written once: a count is an integer of at least its
+least value (``graphs._check_integer``), delta lies in (0, 1) with a
+finite log(1/delta), the order grid is nonempty with every order above 1,
+and max(m, T) <= N; the claim checks a given sigma against its epsilon
+target itself.  The log-sum-exp is
 plain numpy, in the form ``scipy.special.logsumexp`` takes from scipy 1.15
 on: the row maximum ``a_max`` and its ``k`` ties are separated out, the
 other terms are summed as ``s = sum exp(a - a_max) / k``, and the result is
@@ -78,18 +83,11 @@ class SubgraphSpec:
 
     def __post_init__(self):
         _check_positive(self.clip_norm, "clip_norm")
-        for name in ("max_degree", "hops", "batch_size", "total_steps"):
-            _check_integer(getattr(self, name), name)
+        for name in ("max_degree", "hops", "batch_size"):
+            _check_integer(getattr(self, name), name, 1)
+        _check_integer(self.total_steps, "total_steps", 0)
         if self.occurrence_bound is not None:
-            _check_integer(self.occurrence_bound, "occurrence_bound")
-        if not (self.max_degree >= 1 and self.hops >= 1):
-            raise ValueError("max_degree and hops must be >= 1")
-        if self.occurrence_bound is not None and not self.occurrence_bound >= 1:
-            raise ValueError("occurrence_bound T must be >= 1")
-        if not self.batch_size >= 1:
-            raise ValueError("batch_size m must be >= 1")
-        if not self.total_steps >= 0:
-            raise ValueError(f"steps must be nonnegative, got total_steps={self.total_steps}")
+            _check_integer(self.occurrence_bound, "occurrence_bound", 1)
 
     @property
     def effective_occurrence_bound(self) -> int:
@@ -110,9 +108,7 @@ class PrivacySpec(SubgraphSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_number(self.delta, "delta")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+        _check_delta(self.delta)
         _check_positive(self.epsilon_target, "epsilon_target")
         if self.noise_multiplier is not None:
             _check_positive(self.noise_multiplier, "noise_multiplier", " when set")
@@ -125,6 +121,17 @@ def _check_positive(value: float, name: str, suffix: str = "") -> None:
         raise ValueError(f"{name} must be positive{suffix}")
     if not value < math.inf:
         raise ValueError(f"{name} must be finite")
+
+
+def _check_delta(delta: float) -> None:
+    """The claim's delta: a number in (0, 1) whose log(1/delta), which the
+    conversion adds at every order, is finite."""
+    _check_number(delta, "delta")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    if not 1.0 / float(delta) < math.inf:
+        raise ValueError(f"delta={delta!r} is too small: 1/delta overflows, so no epsilon "
+                         f"is finite")
 
 
 def clip(gradient: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -213,16 +220,24 @@ def _check_sizes(T: int, m: int, N: int, error: type = ValueError, context: str 
 def _sigma_free_terms(orders: np.ndarray, N: int, T: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The per-step cost's terms that do not depend on sigma: the log-pmfs of
     every feasible rho and the (orders x rho) matrix alpha (alpha-1) rho^2."""
-    if T < 1:
-        raise ValueError(f"occurrence bound T must be >= 1, got T={T}")
-    if m < 1:
-        raise ValueError(f"batch size m must be >= 1, got m={m}")
+    for value, name in ((T, "T"), (m, "m"), (N, "N")):
+        _check_integer(value, name, 1)
     _check_sizes(T, m, N)  # so that at least one rho is feasible
     rhos = np.arange(max(0, m - (N - T)), min(T, m) + 1)
     log_pmf = np.array([_hyper_log_pmf(N, T, m, int(r)) for r in rhos])
     alpha = orders[:, None]
     r = rhos.astype(np.float64)
     return log_pmf, alpha * (alpha - 1.0) * r * r
+
+
+def _step_costs(log_pmf: np.ndarray, quad: np.ndarray, orders: np.ndarray,
+                sigma: float) -> np.ndarray:
+    """The per-step cost at every order at noise multiplier ``sigma``, from
+    the sigma-free terms: the formula of the module docstring, which
+    :func:`make_accountant` and :func:`calibrate_sigma` both evaluate here.
+    An order whose cost overflows costs +inf."""
+    with np.errstate(over="ignore"):
+        return _logsumexp_rows(log_pmf + quad / (2.0 * sigma * sigma)) / (orders - 1.0)
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -238,6 +253,13 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return (np.log1p(s) + np.log(ties) + a_max)[:, 0]
 
 
+def _check_orders(orders: np.ndarray) -> None:
+    """The order grid's rule: nonempty, with every order above 1."""
+    if orders.size == 0 or not np.all(orders > 1):
+        raise ValueError(f"the order grid must be nonempty with every order above 1, "
+                         f"not {orders.tolist()}")
+
+
 @dataclass(frozen=True)
 class AccountantState:
     """Per-order RDP cost of one step, on a fixed grid of orders."""
@@ -246,10 +268,7 @@ class AccountantState:
     per_step_costs: np.ndarray
 
     def __post_init__(self):
-        if self.orders.size == 0:
-            raise ValueError("order grid must be nonempty")
-        if not np.all(self.orders > 1):
-            raise ValueError("all orders must exceed 1")
+        _check_orders(self.orders)
         if not np.all(self.per_step_costs >= 0):
             raise ValueError("RDP costs must be nonnegative")
 
@@ -261,15 +280,12 @@ def make_accountant(sigma: float, N: int, T: int, m: int,
     overflows costs +inf; a sigma so small that 2 sigma**2 underflows to 0,
     or that the cost overflows at every order, raises ValueError."""
     orders = DEFAULT_ORDERS if orders is None else np.asarray(orders, dtype=np.float64)
-    if not np.all(orders > 1):
-        raise ValueError("alpha must exceed 1")
+    _check_orders(orders)
     _check_positive(sigma, "sigma")
     log_pmf, quad = _sigma_free_terms(orders, N, T, m)
-    variance2 = 2.0 * sigma * sigma
-    if not variance2 > 0:
+    if not 2.0 * sigma * sigma > 0:
         raise ValueError(f"sigma={sigma!r} is too small: 2 sigma**2 underflows to 0")
-    with np.errstate(over="ignore"):  # an order whose cost overflows costs +inf
-        costs = _logsumexp_rows(log_pmf + quad / variance2) / (orders - 1.0)
+    costs = _step_costs(log_pmf, quad, orders, sigma)
     if not np.isfinite(costs).any():
         raise ValueError(f"sigma={sigma!r} is too small: the per-step cost overflows at "
                          f"every order")
@@ -291,15 +307,10 @@ def compose_and_convert(state: AccountantState, steps: int, delta: float,
     be finite raises ValueError naming its cause: a delta whose 1/delta
     overflows, or steps whose total overflows at every order.
     """
-    if not steps >= 0:
-        raise ValueError("steps must be nonnegative")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_integer(steps, "steps", 0)
+    _check_delta(delta)
     if steps == 0:
         return (0.0, None) if return_order else 0.0
-    if not 1.0 / float(delta) < math.inf:  # log(1/delta) is added at every order
-        raise ValueError(f"delta={delta!r} is too small: 1/delta overflows, so no epsilon "
-                         f"is finite")
     with np.errstate(over="ignore"):  # an order whose total overflows is +inf
         totals = _epsilon_over_orders(state.per_step_costs, state.orders, steps, delta)
     best = int(np.argmin(totals))
@@ -321,18 +332,15 @@ def calibrate_sigma(epsilon_target: float, delta: float, steps: int, N: int, T: 
     ``SIGMA_REL_TOL`` against the infeasible side.
     """
     _check_positive(epsilon_target, "epsilon_target")
-    if not steps >= 0:
-        raise ValueError("steps must be nonnegative")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_integer(steps, "steps", 0)
+    _check_delta(delta)
     # the terms that sigma leaves alone; building them applies the size rule
     log_pmf, quad = _sigma_free_terms(DEFAULT_ORDERS, N, T, m)
     if steps == 0:
         return SIGMA_LO
-    order_m1 = DEFAULT_ORDERS - 1.0
 
     def eps_at(sig):
-        costs = _logsumexp_rows(log_pmf + quad / (2.0 * sig * sig)) / order_m1
+        costs = _step_costs(log_pmf, quad, DEFAULT_ORDERS, sig)
         return float(np.min(_epsilon_over_orders(costs, DEFAULT_ORDERS, steps, delta)))
 
     eps_hi = eps_at(SIGMA_HI)
@@ -358,13 +366,17 @@ def _privacy_claim(spec: SubgraphSpec, n_train: int, delta: float, sigma: float 
                    epsilon_target: float | None = None) -> tuple[dict, AccountantState]:
     """The DP claim of ``spec`` on ``n_train`` subgraphs: its record, at
     ``spec.total_steps``, and the accountant that training's log composes at
-    each logged step.  ``sigma`` None is solved for at ``epsilon_target``;
-    a given sigma is checked, and a given ``epsilon_target`` only echoed."""
+    each logged step.  ``sigma`` None is solved for at ``epsilon_target``; a
+    given sigma is checked against a given ``epsilon_target``, and one that
+    spends more raises CalibrationError."""
     T, m, steps = spec.effective_occurrence_bound, spec.batch_size, spec.total_steps
     if sigma is None:
         sigma = calibrate_sigma(epsilon_target, delta, steps, n_train, T, m)
     accountant = make_accountant(sigma, n_train, T, m)
     eps, order = compose_and_convert(accountant, steps, delta, return_order=True)
+    if epsilon_target is not None and eps > epsilon_target * (1.0 + 1e-9):
+        raise CalibrationError(f"epsilon budget infeasible: sigma={sigma} spends {eps:.4g} "
+                               f"over {steps} steps, target {epsilon_target}")
     return {"epsilon_target": epsilon_target, "delta": delta, "sigma": sigma,
             "clip_norm": spec.clip_norm, "K": spec.max_degree, "T": T, "m": m, "steps": steps,
             "epsilon_spent": eps, "order_argmin": order}, accountant
@@ -400,6 +412,5 @@ def recommend_delta(n_train: int) -> float:
     Inferred rule: it reproduces the published per-dataset delta values to
     three significant figures under the train counts used here.
     """
-    if not n_train >= 1:
-        raise ValueError("n_train must be >= 1")
+    _check_integer(n_train, "n_train", 1)
     return 1.0 / (10.0 * n_train)

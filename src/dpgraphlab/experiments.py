@@ -359,8 +359,7 @@ def run(manifest: ExperimentManifest, out_dir=None, threads: int = 1,
     stop the rest of the grid.  Every seed's graph is built and checked before
     anything is written, and a build or check error propagates.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, not {threads!r}")
+    _check_integer(threads, "threads", 1)
     graphs = {seed: build_graph_for_cell(manifest, seed) for seed in dict.fromkeys(manifest.seeds)}
     _check_graphs(manifest, graphs, manifest.audit if do_audit else None)
     out = Path(out_dir if out_dir is not None else manifest.output_dir)

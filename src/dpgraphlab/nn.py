@@ -113,7 +113,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .graphs import PopulationGraph
+from .graphs import PopulationGraph, _check_integer
 
 
 class ShapeError(Exception):
@@ -129,8 +129,8 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in ("gcn_conv", "dense"):
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ValueError("layer dims must be positive")
+        _check_integer(self.in_dim, "in_dim", 1)
+        _check_integer(self.out_dim, "out_dim", 1)
 
     @property
     def size(self) -> int:
@@ -180,8 +180,7 @@ def _with_ones(x: np.ndarray) -> np.ndarray:
 
 
 def layer_dims(in_dim: int, hidden_dim: int, out_dim: int, num_layers: int) -> list[tuple[int, int]]:
-    if num_layers < 1:
-        raise ValueError("num_layers must be >= 1")
+    _check_integer(num_layers, "num_layers", 1)
     if num_layers == 1:
         return [(in_dim, out_dim)]
     dims = [(in_dim, hidden_dim)]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import PopulationGraph
+from .graphs import PopulationGraph, _check_integer
 from .nn import _propagated_side, _with_ones
 
 logger = logging.getLogger(__name__)
@@ -56,10 +56,9 @@ def sample_training_subgraphs(graph: PopulationGraph, max_degree: int, hops: int
     logged.  The returned list is sorted by root id; the RNG order only
     affects which nodes win contested occurrence slots.
     """
-    if occurrence_bound < 1:
-        raise ValueError("occurrence_bound must be >= 1")
-    if max_degree < 1 or hops < 1:
-        raise ValueError("max_degree and hops must be >= 1")
+    for value, name in ((max_degree, "max_degree"), (hops, "hops"),
+                        (occurrence_bound, "occurrence_bound")):
+        _check_integer(value, name, 1)
     roots = np.flatnonzero(graph.train_mask)
     if roots.size == 0:
         raise ValueError("graph has no training nodes; assign splits first")

@@ -34,20 +34,15 @@ class SyntheticSpec:
     num_classes: ClassVar[int] = 2  # binary task; even split between the two classes
 
     def __post_init__(self):
-        for name in ("num_nodes", "neighbors_per_node", "feat_dim"):
-            _check_integer(getattr(self, name), name)
+        # num_nodes holds a node per class at least
+        for name, least in (("num_nodes", 2), ("neighbors_per_node", 1), ("feat_dim", 1)):
+            _check_integer(getattr(self, name), name, least)
         for name in ("target_homophily", "class_separation", "feature_noise_std"):
             _check_number(getattr(self, name), name)
         if not 0.0 <= self.target_homophily <= 1.0:
             raise ValueError("target_homophily must lie in [0, 1]")
-        if self.neighbors_per_node < 1:
-            raise ValueError("neighbors_per_node must be >= 1")
-        if self.num_nodes < 2:
-            raise ValueError(f"num_nodes must be >= 2 (a node per class), not {self.num_nodes}")
         if self.num_nodes % 2 != 0:
             raise ValueError("num_nodes must be even (balanced classes)")
-        if self.feat_dim < 1:
-            raise ValueError("feat_dim must be >= 1")
         if not (math.isfinite(self.class_separation) and math.isfinite(self.feature_noise_std)):
             raise ValueError("class_separation and feature_noise_std must be finite")
 

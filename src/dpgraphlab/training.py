@@ -13,10 +13,10 @@ and steps; ``SubgraphSpec(hops=config.num_layers)`` when none is given):
 
 A source returns (steps, eval interval, iterator of per-step (loss,
 update, logits)); :func:`train` owns the optimizer, evaluation, log and
-checkpoint.  A DP run first builds its claim (sigma and its accountant),
-runs the subgraph source at that sigma, logs the accountant's epsilon and
-sigma in place of accuracy, and releases the final iterate, not a
-checkpoint chosen on private labels.
+checkpoint.  A DP run first builds its claim, which solves sigma or checks
+a given one against the epsilon target, runs the subgraph source at its
+sigma, logs the accountant's epsilon and sigma in place of accuracy, and
+releases the final iterate, not a checkpoint chosen on private labels.
 
 An audit's shadows train in stacks of S models that share each step
 (:func:`_train_models`; :func:`train` is the S = 1 case), and DP models
@@ -51,8 +51,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .accounting import (OCCURRENCE_SENSITIVITY, CalibrationError, PrivacySpec, SubgraphSpec,
-                         _clip_scale, _noisy_batch_means, _privacy_claim, compose_and_convert)
+from .accounting import (OCCURRENCE_SENSITIVITY, PrivacySpec, SubgraphSpec, _clip_scale,
+                         _noisy_batch_means, _privacy_claim, compose_and_convert)
 from .graphs import PopulationGraph, _check_integer, _check_number
 from .nn import (ModelParams, _forward, _masked_loss_grad_and_logits, _StepWorkspace,
                  gcn_forward, init_gcn, init_mlp, normalize_adjacency, subgraph_batch_gradients)
@@ -186,11 +186,13 @@ def _train_models(graph: PopulationGraph, config: TrainConfig, spec: SubgraphSpe
     if dp != config.noise:
         raise ValueError("DP training requires subgraph_batch mode with clipping and noise, "
                          "and noise requires a PrivacySpec")
-    # the DP models' one (sigma, accountant) settles sigma and the budget before any sampling
+    # the DP models' one claim (its record and accountant) settles sigma and
+    # checks the budget before any sampling
     counts = np.unique(train_masks.sum(axis=1))
     if dp and counts.size > 1:
         raise ValueError(f"DP models share one claim, so one train count, not {counts.tolist()}")
-    claim = _checked_claim(spec, int(counts[0])) if dp else None
+    claim = (_privacy_claim(spec, int(counts[0]), spec.delta, spec.noise_multiplier,
+                            spec.epsilon_target) if dp else None)
     models = [_init_model(graph, replace(config, seed=int(seed))) for seed in seeds]
     if config.mode == "full_graph":
         return _train_stack(graph, config, spec, train_masks, models, None, None, logs)
@@ -212,23 +214,11 @@ def _train_models(graph: PopulationGraph, config: TrainConfig, spec: SubgraphSpe
     return [results[s] for s in range(len(feeds))]
 
 
-def _checked_claim(spec: PrivacySpec, n_train: int):
-    """A DP model's (sigma, accountant) on ``n_train`` training subgraphs;
-    CalibrationError when sigma cannot meet the epsilon target."""
-    claim, accountant = _privacy_claim(spec, n_train, spec.delta, spec.noise_multiplier,
-                                       spec.epsilon_target)
-    sigma, spent = claim["sigma"], claim["epsilon_spent"]
-    if spent > spec.epsilon_target * (1.0 + 1e-9):
-        raise CalibrationError(f"epsilon budget infeasible: sigma={sigma} spends {spent:.4g} "
-                               f"over {spec.total_steps} steps, target {spec.epsilon_target}")
-    return sigma, accountant
-
-
 def _train_stack(graph, config, spec, train_masks, models, claim, feeds, logs):
     """One stack's (params, log) per model: the full-graph source when
     ``feeds`` is None, else the subgraph source over ``feeds``, at the DP
-    ``claim`` (None outside DP); without ``logs``, empty logs (see
-    :func:`_train_models`)."""
+    ``claim``, its record and accountant (None outside DP); without
+    ``logs``, empty logs (see :func:`_train_models`)."""
     S = len(models)
     layers, flat = models[0].layers, np.stack([model.flat for model in models])  # (S, n_params)
     best = None  # (each model's params of its best val accuracy so far, those accuracies)
@@ -265,7 +255,7 @@ def _train_stack(graph, config, spec, train_masks, models, claim, feeds, logs):
         losses = (window[0] if len(window) == 1
                   else [float(np.mean(model_losses)) for model_losses in zip(*window)])
         if dp:  # the accountant's fields; no evaluation, no selection
-            sigma, accountant = claim
+            sigma, accountant = claim[0]["sigma"], claim[1]
             spent = compose_and_convert(accountant, step, spec.delta)
             for log, loss in zip(model_logs, losses):
                 log.append({"step": step, "loss": loss, "epsilon_spent": spent, "sigma": sigma})
@@ -364,7 +354,7 @@ def _subgraph_source(config, spec: SubgraphSpec, feeds: list[_SubgraphFeed], fla
     store = _stack_stores([feed.store for feed in feeds])  # takes the stores' arrays over
     idx = np.empty((_WINDOW, S * m), dtype=np.intp)  # each step's stacked batch, model by model
     # the accountant's sigma is in units of Delta = OCCURRENCE_SENSITIVITY * C
-    std = 0.0 if claim is None else claim[0] * OCCURRENCE_SENSITIVITY * spec.clip_norm
+    std = 0.0 if claim is None else claim[0]["sigma"] * OCCURRENCE_SENSITIVITY * spec.clip_norm
     noise = np.empty((_WINDOW, S, n)) if std > 0 else None  # each step's (S, n) noise
     # each model's feed, store size, offset in the stacked store, and (W, m)
     # and (W, n) blocks of idx and noise

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -315,10 +316,46 @@ def test_sigma_free_terms_need_T_and_m_within_N():
 
 
 def test_accountant_names_a_nonpositive_T_or_m():
-    with pytest.raises(ValueError, match="T must be >= 1, got T=-1"):
+    with pytest.raises(ValueError, match="T must be an integer >= 1, not -1"):
         make_accountant(1.0, 100, -1, 64)
-    with pytest.raises(ValueError, match="m must be >= 1, got m=0"):
+    with pytest.raises(ValueError, match="m must be an integer >= 1, not 0"):
         make_accountant(1.0, 100, 6, 0)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1.0, 560, 6.5, 64), "T must be an integer >= 1, not 6.5"),
+    ((1.0, 560, True, 64), "T must be an integer >= 1, not True"),
+    ((1.0, 560, 6, 64.0), "m must be an integer >= 1, not 64.0"),
+    ((1.0, 560.0, 6, 64), "N must be an integer >= 1, not 560.0"),
+], ids=["float-T", "bool-T", "float-m", "float-N"])
+def test_accountant_rejects_a_count_that_is_not_an_integer(args, message):
+    # a float T once raised a bare TypeError from math.comb
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_accountant(*args)
+
+
+@pytest.mark.parametrize("orders", [[], [8.0, 1.0], [float("nan")]],
+                         ids=["empty", "order-1", "nan"])
+def test_accountant_applies_the_order_grid_rule_before_any_cost(orders):
+    # an empty grid once blamed sigma, as no order's cost was finite
+    with pytest.raises(ValueError, match=re.escape(
+            f"the order grid must be nonempty with every order above 1, not {orders}")):
+        make_accountant(1.0, 100, 3, 10, orders=orders)
+
+
+SUBNORMAL_DELTA = "delta=1e-320 is too small: 1/delta overflows, so no epsilon is finite"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dg.calibrate_sigma(5.0, 1e-320, 1000, 560, 6, 64),
+    lambda: dg.PrivacySpec(5.0, 1e-320),
+    lambda: dg.compose_and_convert(make_accountant(1.0, 560, 6, 64), 0, 1e-320),
+], ids=["calibrate", "privacy-spec", "compose-zero-steps"])
+def test_a_delta_whose_log_overflows_is_named(build):
+    # one delta rule: calibrate_sigma once blamed the epsilon target, and a
+    # PrivacySpec took the delta and failed only when its claim was built
+    with pytest.raises(ValueError, match=f"^{re.escape(SUBNORMAL_DELTA)}$"):
+        build()
 
 
 def scipy_calibrate(epsilon_target, delta, steps, N, T, m):
@@ -433,10 +470,10 @@ def test_calibrate_regression_pin():
     ((5.0, 1e-3, -1, 100, 6, 64), "steps"),
     ((5.0, 1e-3, 0, 100, 101, 64), "must not exceed"),  # T above N
     ((5.0, 1e-3, 0, 100, 6, 101), "must not exceed"),  # m above N
-    ((5.0, 1e-3, 0, 100, 0, 64), "T must be >= 1"),
-    ((5.0, 1e-3, 0, 100, -1, 64), "T must be >= 1"),
-    ((5.0, 1e-3, 0, 100, 6, 0), "m must be >= 1"),
-    ((5.0, 1e-3, 0, 100, 6, -3), "m must be >= 1"),
+    ((5.0, 1e-3, 0, 100, 0, 64), "T must be an integer >= 1, not 0"),
+    ((5.0, 1e-3, 0, 100, -1, 64), "T must be an integer >= 1, not -1"),
+    ((5.0, 1e-3, 0, 100, 6, 0), "m must be an integer >= 1, not 0"),
+    ((5.0, 1e-3, 0, 100, 6, -3), "m must be an integer >= 1, not -3"),
 ])
 def test_calibrate_validates_before_the_zero_step_shortcut(args, match):
     # the accountant and its conversion reject the same inputs

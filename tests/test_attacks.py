@@ -335,14 +335,14 @@ def test_stacked_shadows_equal_a_train_per_shadow(monkeypatch, case, graph_of, c
         return stack
 
     sigmas = []  # each stack's one claim's sigma
-    checked_claim = training._checked_claim
+    privacy_claim = training._privacy_claim
 
     def recorded_claim(*args):
-        claim = checked_claim(*args)
-        sigmas.append(claim[0])
+        claim = privacy_claim(*args)
+        sigmas.append(claim[0]["sigma"])
         return claim
 
-    monkeypatch.setattr(training, "_checked_claim", recorded_claim)
+    monkeypatch.setattr(training, "_privacy_claim", recorded_claim)
     monkeypatch.setattr(attacks, "_train_models", train_stack)
     got = dg.train_shadows(g, cfg, spec, n_shadows=17, seed=4)
     stacked = in_stack_order(by_seeds, shadow_masks(g, spec, 17, 4)[2])

@@ -620,14 +620,14 @@ def test_cli_accountant_rejects_zero_batch_size(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "accountant", "--sigma", "1", "--n-train", "100", "-T", "6", "-m", "0")
     assert exc.value.code == 2
-    assert "m must be >= 1" in capsys.readouterr().err
+    assert "batch_size must be an integer >= 1, not 0" in capsys.readouterr().err
 
 
 def test_cli_calibrate_rejects_zero_occurrence_bound(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "calibrate", "--epsilon", "5", "--n-train", "100", "-T", "0")
     assert exc.value.code == 2
-    assert "T must be >= 1" in capsys.readouterr().err
+    assert "occurrence_bound must be an integer >= 1, not 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -635,7 +635,7 @@ def test_cli_calibrate_rejects_zero_occurrence_bound(capsys):
      "delta must lie in (0, 1)"),
     (("accountant", "--sigma", "-1", "--n-train", "100", "-T", "6"), "sigma must be positive"),
     (("accountant", "--sigma", "1", "--n-train", "100", "-T", "6", "--steps", "-1"),
-     "steps must be nonnegative"),
+     "total_steps must be an integer >= 0, not -1"),
     (("accountant", "--sigma", "1", "--n-train", "100", "-T", "200"),
      "T=200 and m=64 must not exceed N=100"),
     (("accountant", "--sigma", "1", "--n-train", "100", "-T", "6", "--fpr", "2"),
@@ -672,7 +672,7 @@ def test_cli_missing_required_value_is_usage_error(capsys, argv):
     (("accountant", "--sigma", "1", "--n-train", "100", "-T", "6", "--clip-norm", "-1"),
      "clip_norm must be positive"),
     (("accountant", "--sigma", "1", "--n-train", "100", "-T", "6", "-K", "0"),
-     "max_degree and hops must be >= 1"),
+     "max_degree must be an integer >= 1, not 0"),
     (("calibrate", "--epsilon", "5", "--n-train", "100", "-T", "6", "--clip-norm", "inf"),
      "clip_norm must be finite"),
 ])
@@ -754,9 +754,9 @@ def _csv_knn_manifest(tmp_path, k):
     (lambda t: ("gen-synthetic", "--nodes", "7", "--out", str(t / "g")),
      "num_nodes must be even"),
     (lambda t: ("gen-synthetic", "--nodes", "-2", "--out", str(t / "res")),
-     "num_nodes must be >= 2 (a node per class), not -2"),
+     "num_nodes must be an integer >= 2, not -2"),
     (lambda t: ("gen-synthetic", "--nodes", "0", "--out", str(t / "res")),
-     "num_nodes must be >= 2 (a node per class), not 0"),
+     "num_nodes must be an integer >= 2, not 0"),
     (lambda t: ("train", "--manifest", str(t / "missing.json")), "missing.json"),
     (lambda t: ("build-graph", "--features", _bad_csv(t)["features"], "--labels", str(t / "y.csv")),
      "non-numeric value 'x' at row 2, column 1"),
@@ -846,9 +846,9 @@ def _csv_knn_manifest(tmp_path, k):
                               split={"train": 0.0, "val": 0.5, "test": 0.5, "seed": 0}))),
      "seed 0's graph has no train nodes"),
     (lambda t: ("train", "--manifest", _manifest_file(t), "--threads", "0"),
-     "threads must be >= 1, not 0"),
+     "threads must be an integer >= 1, not 0"),
     (lambda t: ("sweep", "--manifest", _manifest_file(t), "--threads", "-3"),
-     "threads must be >= 1, not -3"),
+     "threads must be an integer >= 1, not -3"),
     (lambda t: ("build-graph", *(f"--{k}={v}" for k, v in _two_column_labels_csv(t).items())),
      "y10.csv: row 1 has 2 columns, expected 1"),
     (lambda t: ("train", "--manifest", _manifest_file(
@@ -857,10 +857,10 @@ def _csv_knn_manifest(tmp_path, k):
     # a dataset or split value of the wrong kind is rejected at load
     (lambda t: ("train", "--manifest",
                 _manifest_file(t, lambda m: m["dataset"]["synthetic"].update(num_nodes=60.0))),
-     "num_nodes must be an integer, not 60.0"),
+     "num_nodes must be an integer >= 2, not 60.0"),
     (lambda t: ("train", "--manifest",
                 _manifest_file(t, lambda m: m["dataset"]["synthetic"].update(feat_dim=2.5))),
-     "feat_dim must be an integer, not 2.5"),
+     "feat_dim must be an integer >= 1, not 2.5"),
     (lambda t: ("train", "--manifest", _manifest_file(
         t, lambda m: m["dataset"]["synthetic"].update(target_homophily="0.8"))),
      "target_homophily must be a number, not '0.8'"),
@@ -902,7 +902,7 @@ def test_cli_rejected_input_is_usage_error(tmp_path, capsys, make_argv, message)
 
 
 @pytest.mark.parametrize("block, key, value, message", [
-    ("model", "max_degree", 2.5, "max_degree must be an integer, not 2.5"),
+    ("model", "max_degree", 2.5, "max_degree must be an integer >= 1, not 2.5"),
     ("model", "eval_every", 2.5, "eval_every must be an integer >= 1, not 2.5"),
     ("model", "hidden_dim", 0, "hidden_dim must be an integer >= 1, not 0"),
     ("model", "hidden_dim", 2.5, "hidden_dim must be an integer >= 1, not 2.5"),
@@ -911,10 +911,10 @@ def test_cli_rejected_input_is_usage_error(tmp_path, capsys, make_argv, message)
     ("model", "learning_rate", "0.1", "learning_rate must be a number, not '0.1'"),
     ("model", "learning_rate", float("inf"), "learning_rate must be finite and nonnegative"),
     ("model", "clip_norm", "1", "clip_norm must be a number, not '1'"),
-    ("privacy", "steps", 2.5, "total_steps must be an integer, not 2.5"),
-    ("privacy", "batch_size", 2.5, "batch_size must be an integer, not 2.5"),
-    ("privacy", "occurrence_bound", 2.5, "occurrence_bound must be an integer, not 2.5"),
-    ("privacy", "hops", 2.5, "hops must be an integer, not 2.5"),
+    ("privacy", "steps", 2.5, "total_steps must be an integer >= 0, not 2.5"),
+    ("privacy", "batch_size", 2.5, "batch_size must be an integer >= 1, not 2.5"),
+    ("privacy", "occurrence_bound", 2.5, "occurrence_bound must be an integer >= 1, not 2.5"),
+    ("privacy", "hops", 2.5, "hops must be an integer >= 1, not 2.5"),
     ("privacy", "clip_norm", "1", "clip_norm must be a number, not '1'"),
 ])
 def test_grid_setting_of_the_wrong_kind_is_usage_error(tmp_path, capsys, block, key, value,
@@ -946,20 +946,22 @@ def test_size_rule_reads_the_same_from_every_caller(tmp_path, capsys):
                               "T=7 and m=40 must not exceed N=30")
 
 
-@pytest.mark.parametrize("argv", [
-    ("calibrate", "--epsilon", "0.0001", "--steps", "1000", "--n-train", "560", "-T", "6",
-     "-m", "64"),
-    ("calibrate", "--epsilon", "5", "--steps", "1000", "--n-train", "560", "-T", "6", "-m", "64",
-     "--delta", "1e-320"),
+@pytest.mark.parametrize("argv, parts", [
+    (("calibrate", "--epsilon", "0.0001", "--steps", "1000", "--n-train", "560", "-T", "6",
+      "-m", "64"), ("error: epsilon target ", "unreachable")),
+    (("calibrate", "--epsilon", "5", "--steps", "1000", "--n-train", "560", "-T", "6", "-m", "64",
+      "--delta", "1e-320"),
+     ("error: delta=1e-320 is too small: 1/delta overflows, so no epsilon is finite\n",)),
 ], ids=["tiny-epsilon", "subnormal-delta"])
-def test_cli_calibrate_unreachable_target_is_usage_error(capsys, argv):
-    # no sigma in the search range meets the target: a usage error, exit
+def test_cli_calibrate_unreachable_target_is_usage_error(capsys, argv, parts):
+    # no sigma in the search range meets the target, or a delta admits no
+    # finite epsilon at any sigma, which names the delta: a usage error, exit
     # code 2 and the message on stderr, not a traceback and exit code 1
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, *argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "error: epsilon target " in err and "unreachable" in err and "Traceback" not in err
+    assert all(part in err for part in parts) and "Traceback" not in err
 
 
 ACCOUNTANT_SETUP = ("--n-train", "560", "-T", "6", "-m", "64")

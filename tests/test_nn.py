@@ -601,6 +601,52 @@ def test_dp_step_noise_std_is_sigma_times_2c_over_m():
     assert np.concatenate(updates).std() == pytest.approx(sigma * 2 * C / m, rel=0.04)
 
 
+def test_one_dp_step_equals_an_oracle_built_from_public_pieces(monkeypatch):
+    # An oracle of the claim, not of the code: one DP step recomputed from the
+    # public pieces alone and compared with the update train() hands its
+    # optimizer.  The model's sampler, batch and noise streams are keys 1, 2
+    # and 3 of its seed; each batch subgraph's gradient is loss_and_grad on
+    # that subgraph as its own graph (its tree edges, its root the one loss
+    # row), clipped to C; the clipped sum takes noise at std sigma * Delta,
+    # with Delta = 2C because a subgraph that survives a node's removal moves
+    # by up to 2C (the accounting module docstring), and is divided by m.
+    # The gradients take another path than training's batched store, so the
+    # match is to 1e-12 of the update's scale, not bit for bit.
+    g = dp_stack_graph()
+    epsilon, delta, C, K, r, T, m, seed = 5.0, 1e-3, 0.5, 3, 2, 4, 16, 5
+    spec = dg.PrivacySpec(epsilon, delta, clip_norm=C, max_degree=K, hops=r, occurrence_bound=T,
+                          batch_size=m, total_steps=1)
+    cfg = dg.TrainConfig(mode="subgraph_batch", clipping=True, noise=True, optimizer="sgd",
+                         learning_rate=1.0, seed=seed)
+    applied, sgd_step = [], training._Sgd.step
+
+    def spied_step(optimizer, flat, grad):
+        applied.append(grad.copy())
+        return sgd_step(optimizer, flat, grad)
+
+    monkeypatch.setattr(training._Sgd, "step", spied_step)
+    dg.train(g, cfg, spec)
+    (update,) = applied
+
+    def stream(key):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
+
+    params = dg.init_gcn(g.feat_dim, cfg.hidden_dim, g.num_classes, cfg.num_layers, seed)
+    subgraphs = dg.sample_training_subgraphs(g, K, r, T, stream(1))
+    N = len(subgraphs)
+    total = np.zeros(params.flat.size)
+    for i in stream(2).choice(N, size=m, replace=False):
+        sg = subgraphs[i]
+        own = make_graph(g.features[sg.nodes], g.labels[sg.nodes], sg.edges, g.num_classes)
+        _, grad = dg.loss_and_grad(dg.normalize_adjacency(own), params, own.labels,
+                                   np.arange(sg.size) == 0)
+        total += dg.clip(grad, C)
+    sigma = dg.calibrate_sigma(epsilon, delta, 1, N, T, m)
+    want = (total + stream(3).normal(0.0, sigma * 2 * C, size=total.size)) / m
+    assert update.shape == (1, want.size)
+    np.testing.assert_allclose(update[0], want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 def spy_subgraph_runs(monkeypatch):
     """Lists that fill as subgraph-source runs train: each model's feed and
     store size, in stack order, each step's gathered indices, and each
@@ -1106,18 +1152,31 @@ def test_subgraph_spec_validation():
     (dg.TrainConfig, "learning_rate", "0.1", "learning_rate must be a number, not '0.1'"),
     (dg.TrainConfig, "learning_rate", float("inf"), "learning_rate must be finite"),
     (dg.TrainConfig, "learning_rate", float("nan"), "learning_rate must be finite"),
-    (dg.SubgraphSpec, "max_degree", 2.5, "max_degree must be an integer, not 2.5"),
-    (dg.SubgraphSpec, "hops", 2.5, "hops must be an integer, not 2.5"),
-    (dg.SubgraphSpec, "occurrence_bound", 2.5, "occurrence_bound must be an integer, not 2.5"),
-    (dg.SubgraphSpec, "batch_size", 2.5, "batch_size must be an integer, not 2.5"),
-    (dg.SubgraphSpec, "total_steps", 2.5, "total_steps must be an integer, not 2.5"),
-    (dg.SubgraphSpec, "max_degree", "5", "max_degree must be an integer, not '5'"),
+    (dg.SubgraphSpec, "max_degree", 2.5, "max_degree must be an integer >= 1, not 2.5"),
+    (dg.SubgraphSpec, "hops", 2.5, "hops must be an integer >= 1, not 2.5"),
+    (dg.SubgraphSpec, "occurrence_bound", 2.5,
+     "occurrence_bound must be an integer >= 1, not 2.5"),
+    (dg.SubgraphSpec, "batch_size", 2.5, "batch_size must be an integer >= 1, not 2.5"),
+    (dg.SubgraphSpec, "total_steps", 2.5, "total_steps must be an integer >= 0, not 2.5"),
+    (dg.SubgraphSpec, "max_degree", "5", "max_degree must be an integer >= 1, not '5'"),
     (dg.SubgraphSpec, "clip_norm", "1", "clip_norm must be a number, not '1'"),
     (partial(dg.PrivacySpec, 5.0), "delta", "0.1", "delta must be a number, not '0.1'"),
     (partial(dg.PrivacySpec, 5.0, 1e-4), "noise_multiplier", "1",
      "noise_multiplier must be a number, not '1'"),
     (partial(dg.PrivacySpec, 5.0, 1e-4), "total_steps", 2.5,
-     "total_steps must be an integer, not 2.5"),
+     "total_steps must be an integer >= 0, not 2.5"),
+    # a float num_layers of 2.0 once raised a bare TypeError, and 1.0 built
+    # a one-layer model
+    (partial(dg.init_gcn, 3, 4, 2, seed=0), "num_layers", 2.0,
+     "num_layers must be an integer >= 1, not 2.0"),
+    (partial(dg.init_gcn, 3, 4, 2, seed=0), "num_layers", 1.0,
+     "num_layers must be an integer >= 1, not 1.0"),
+    (partial(dg.init_mlp, 3, 4, 2, seed=0), "num_layers", True,
+     "num_layers must be an integer >= 1, not True"),
+    (partial(dg.init_gcn, 3, out_dim=2, num_layers=2, seed=0), "hidden_dim", 4.0,
+     "out_dim must be an integer >= 1, not 4.0"),
+    (partial(LayerSpec, out_dim=2, kind="dense"), "in_dim", 0,
+     "in_dim must be an integer >= 1, not 0"),
 ])
 def test_integer_and_number_settings_reject_other_values(make, field, bad, message):
     # a fraction where a count goes, or a string where a number goes, is a
