@@ -1,7 +1,15 @@
 #!/usr/bin/env bash
 # One round of a benchmark workload, for CI: the arguments go to
 # perfbench/run.py (e.g. --workload dp_audit --trace 1).  Fails unless the
-# run's summary line reads correct: true and failed: 0.
+# run's last stdout line is strict JSON (no NaN or Infinity) that reads
+# correct: true and failed: 0.
 set -euo pipefail
 out=$(python3 perfbench/run.py --seed 0 --seconds 0 "$@")
-printf '%s\n' "$out" | tail -n 1 | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(not (r["correct"] is True and r["failed"] == 0))'
+printf '%s\n' "$out" | tail -n 1 | python3 -c '
+import json, sys
+
+def reject(constant):
+    raise ValueError(f"not strict JSON: {constant}")
+
+r = json.loads(sys.stdin.read(), parse_constant=reject)
+sys.exit(not (r["correct"] is True and r["failed"] == 0))'

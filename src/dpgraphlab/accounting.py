@@ -14,10 +14,11 @@ accountant works in units of Delta: training draws the noise with std
 ``sigma * Delta``, so the Gaussian mechanism pays Renyi cost
 ``alpha * rho**2 / (2 sigma**2)`` at order ``alpha``, and the logged
 ``sigma`` is this one.  The factor ``Delta / C`` has one home,
-:data:`OCCURRENCE_SENSITIVITY`, and one use, the noise multiplier that
-training passes to the clipped noisy mean of :func:`noisy_batch_gradient`
-(which itself draws ``sigma * C``).  The per-step cost is the moment of
-that mixture:
+:data:`OCCURRENCE_SENSITIVITY`, and one use: ``training._subgraph_source``
+draws each model's noise at std ``sigma * OCCURRENCE_SENSITIVITY * C``
+itself (:func:`noisy_batch_gradient`, one step's clipped noisy mean, draws
+``sigma * C`` for the multiplier it is given).  The per-step cost is the
+moment of that mixture:
 
     eps(alpha) = log( sum_rho pmf(rho) * exp(alpha (alpha-1) rho^2 / (2 sigma^2)) ) / (alpha - 1)
 

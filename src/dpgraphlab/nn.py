@@ -19,7 +19,7 @@ forward pass is one product against the block, and its backward pass one
 product that writes the weight and bias gradients together.
 
 The same forward and backward pass serves the whole graph (sparse
-adjacency) and a zero-padded stack of sampled subgraphs (dense (m, s, s)
+adjacency) and a zero-padded stack of sampled subgraphs (dense (m, a, s)
 adjacency), where :func:`subgraph_batch_gradients` takes each subgraph's
 root loss and returns one gradient row per subgraph.  That loss sits on
 row 0 only, so the batch computes only the root's receptive field, given
@@ -27,9 +27,14 @@ as ``rows``, the row prefix each layer reads.  Going back from the output,
 the last layer yields 1 row, a layer above the first that propagates reads
 the rows up to the last column with a nonzero in the adjacency rows the
 next layer reads, and any other layer reads the rows the next layer reads.
-The store resolves these rows once, over all its subgraphs, when it is
-built, and keeps only the first ``rows[0]`` rows and columns of each
-subgraph.
+Layer l maps ``rows[l]`` rows to ``rows[l + 1]``: one that propagates
+reads the block ``adj[:, :rows[l + 1], :rows[l]]`` forward and its
+transpose backward, so a batch reads a stack's first a rows only, a being
+the largest such ``rows[l + 1]`` (0 for an MLP), and never leans on the
+adjacency's symmetry.  The store resolves these rows once, over all its
+subgraphs, when it is built, and keeps only the first ``rows[0]`` rows of
+each subgraph's input and the first a rows and ``rows[0]`` columns of its
+adjacency.
 
 Every step runs a stack of S models (S = 1 for one model) with
 (S, n_params) parameters.  A batch of subgraphs holds m of each model's,
@@ -77,11 +82,13 @@ multiplied into w (A @ h or h itself); the backward pass masks with h > 0,
 which is the ReLU mask of the pre-activation.  Each step allocates only the
 arrays the loss needs: the biases above layer 0 are added and ReLUs applied
 in place, and the backward pass writes each layer's weight and bias
-gradient straight into its slice of the flat gradient.  On the full graph
-it also writes each hidden layer's gradient dh = dz @ w.T over that layer's
-input h, once the ReLU mask and the weight gradient have read h (which no
-lower layer reads), so a step keeps no dh buffer.  A batch does not: its
-dh has the rows of the layer above, not h's.
+gradient straight into its slice of the flat gradient.  It also writes
+each hidden layer's input gradient dh over that layer's input h, on either
+source, once the ReLU mask and the weight gradient have read h (which no
+lower layer reads), so a step keeps no dh buffer: a layer that does not
+propagate its input writes dz @ w.T into h, and one that does propagates
+dz @ w.T, which has the rows of the layer above, into h, in one product
+on a batch and as the model-major copy of the CSR product on the graph.
 
 A training run resolves the layout once, in a ``_StepWorkspace``: the
 views of each layer's weight and bias in ``params.flat`` (which the
@@ -339,10 +346,12 @@ def _weights(p: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.
     """``p @ w`` for S models' (S, k, o) weights, one product per model: on
     a full-graph stack's shared (rows, k) input or (S, rows, k) rows, or on
     each model's block of a stacked batch (:func:`_model_rows`), as one
-    product over all of its rows."""
+    product over all of its rows.  A stacked batch's ``out`` must be
+    C-contiguous, so that its (S, m * rows, o) view is no copy."""
     if p.ndim == 2 or len(p) == len(w):
         return np.matmul(p, w, out=out)
-    return np.matmul(_model_rows(p, len(w)), w).reshape(*p.shape[:-1], w.shape[-1])
+    out = None if out is None else _model_rows(out, len(w))
+    return np.matmul(_model_rows(p, len(w)), w, out=out).reshape(*p.shape[:-1], w.shape[-1])
 
 
 def _propagate(a, h: np.ndarray) -> np.ndarray:
@@ -361,7 +370,7 @@ def _forward(ws: _StepWorkspace, adj, x: np.ndarray, keep_cache: bool, rows=None
 
     ``x`` is layer 0's input (A @ X or X with a ones column, see the module
     docstring).  ``adj`` is sparse (n, n) with ``x`` (n, d + 1) and logits
-    (S, n, C) for a stack of S models, or a dense (m, s, s) stack with ``x``
+    (S, n, C) for a stack of S models, or a dense (m, a, s) stack with ``x``
     (m, s, d + 1).
     With ``rows`` (see the module docstring), layer l maps the first
     ``rows[l]`` rows to the first ``rows[l + 1]``.  A full-graph training
@@ -427,12 +436,13 @@ def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray,
 def _backward(ws: _StepWorkspace, adj, cache, d_logits: np.ndarray, rows=None) -> np.ndarray:
     """Reverse-mode sweep from an output-logit gradient into ``ws.grad``, the
     flat parameter gradient (one row per batch entry when the forward pass
-    ran over an (m, s, s) stack, one per model on the full graph).
+    ran over an (m, a, s) stack, one per model on the full graph).
 
-    The normalized adjacency is symmetric, so A^T g == A g; with ``rows``,
-    layer l's transposed block is ``adj[:, :rows[l], :rows[l + 1]]``.  A
-    full-graph training workspace's ``d_logits`` is its ``ws.d_logits``,
-    and a last layer that propagates its output reads ``ws.adj_loss_cols``.
+    With ``rows``, layer l reads the transpose of the block its forward pass
+    read, ``adj[:, :rows[l + 1], :rows[l]].swapaxes(1, 2)``; the graph's
+    normalized adjacency is symmetric, so A^T g == A g.  A full-graph
+    training workspace's ``d_logits`` is its ``ws.d_logits``, and a last
+    layer that propagates its output reads ``ws.adj_loss_cols``.
     """
     dz = d_logits
     last = len(ws.layers) - 1
@@ -441,7 +451,7 @@ def _backward(ws: _StepWorkspace, adj, cache, d_logits: np.ndarray, rows=None) -
         dw, db = ws.grad_views[l]
         h, p = cache[l]
         side = ws.sides[l]
-        a = adj if rows is None else adj[:, :rows[l], :rows[l + 1]]
+        a = adj if rows is None else adj[:, :rows[l + 1], :rows[l]].swapaxes(1, 2)
         if l == last and side == "output" and ws.rows is not None:
             a = ws.adj_loss_cols  # dz holds the loss rows only
         if db is not None:
@@ -452,13 +462,16 @@ def _backward(ws: _StepWorkspace, adj, cache, d_logits: np.ndarray, rows=None) -
         if l > 0:
             # h is post-ReLU, so h > 0 exactly where its pre-activation is
             live = np.greater(h, 0.0, out=ws.buffer(("live", l), h.shape, bool))
-            # dw has read p, so a full-graph step writes dh over h, which no
-            # later layer reads; a batch's dh has rows[l + 1] rows, not h's rows[l]
-            dh = _weights(dz, np.swapaxes(w, -1, -2), None if ws.buffers is None else h)
-            if side == "input":  # laid out as p is in _forward
-                dh = np.ascontiguousarray(_propagate(a, dh))
-            dh *= live
-            dz = dh
+            # dw has read p and the mask h, which no lower layer reads: dh goes over h
+            w_t = np.swapaxes(w, -1, -2)
+            if side == "input" and rows is not None:  # rows[l + 1] rows into h's rows[l]
+                np.matmul(a, _weights(dz, w_t), out=h)
+            else:
+                _weights(dz, w_t, h)
+                if side == "input":  # the CSR product, back model-major as in _forward
+                    h[...] = _propagate(a, h)
+            h *= live
+            dz = h
     return ws.grad
 
 
@@ -467,14 +480,15 @@ def subgraph_batch_gradients(adj: np.ndarray, inputs: np.ndarray, root_labels: n
                              ) -> tuple[np.ndarray, np.ndarray]:
     """Per-subgraph root losses and flat gradients, vectorized over the batch.
 
-    ``adj`` is a zero-padded (m, s, s) stack of normalized adjacencies with
+    ``adj`` is a zero-padded (m, a, s) stack of normalized adjacencies with
     the root at local index 0, ``inputs`` the (m, s, d + 1) stack of layer
     0's inputs (A @ X or X) with a trailing ones column (see the module
-    docstring), and ``rows`` the row prefix each layer reads (see
-    the module docstring), with ``rows[0] <= s``;
-    :meth:`dpgraphlab.sampling.SubgraphStore.batch` returns all four, cut to
-    ``rows[0]``.  Gradients come back as an (m, n_params) matrix in the same
-    layout as ``params.flat``.
+    docstring), and ``rows`` the row prefix each layer reads (see the
+    module docstring), with ``rows[0] <= s`` and ``rows[l + 1] <= a`` for
+    each layer l that propagates, so the store's cut stack and a full
+    (m, s, s) one serve alike; :meth:`dpgraphlab.sampling.SubgraphStore.batch`
+    returns all four.  Gradients come back as an (m, n_params) matrix in the
+    same layout as ``params.flat``.
 
     The workspace form of ``params`` is internal: the training loop passes
     its :class:`_StepWorkspace`, and the gradient matrix is then that

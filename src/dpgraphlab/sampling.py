@@ -14,8 +14,9 @@ construction.
 
 :class:`SubgraphStore` keeps only the rows of each subgraph that its root
 loss reads, resolved once per build: on the 1000-node benchmark graph at 3
-hops the largest subgraph has 156 nodes, yet a 2-layer GCN reads 6 rows of
-each (0.43 MB in all; 31 rows and 5.7 MB for a 3-layer GCN).
+hops the largest subgraph has 156 nodes, yet a 2-layer GCN reads 6 input
+rows of each and 1 adjacency row (0.31 MB in all; 31 input rows, 6
+adjacency rows and 2.3 MB for a 3-layer GCN).
 """
 
 from __future__ import annotations
@@ -119,9 +120,12 @@ class SubgraphStore:
 
     The build resolves, once over the whole store, ``rows``: the row prefix
     each layer reads, going back from the root row (see :mod:`dpgraphlab.nn`).
-    With R = ``rows[0]`` the store keeps
+    With R = ``rows[0]`` and a the largest ``rows[l + 1]`` over the layers
+    that propagate (0 for an MLP) the store keeps
 
-    - ``adj``: each subgraph's normalized adjacency cut to (R, R), (N, R, R);
+    - ``adj``: each subgraph's normalized adjacency cut to the a rows those
+      layers read and R columns, (N, a, R): (N, 1, 6) for the benchmark's
+      2-layer GCN, whose one propagating layer reads the root row alone;
     - ``inputs``: each subgraph's first-layer input with a trailing ones
       column (see :mod:`dpgraphlab.nn`), (N, R, d + 1): A @ X for a
       ``gcn_conv`` first layer, X for a ``dense`` one;
@@ -139,7 +143,7 @@ class SubgraphStore:
     exact integers and the per-subgraph product only adds a factor 1.0.  A
     row's last nonzero column, and so ``rows``, come from the nonzeros
     alone.  A @ X is the slab times the features of its ``cols`` columns,
-    and ``adj`` the slab's first R columns.
+    and ``adj`` the slab's first a rows and R columns.
     """
 
     def __init__(self, graph: PopulationGraph, subgraphs: list[SampledSubgraph], layers):
@@ -161,9 +165,11 @@ class SubgraphStore:
         ends = np.zeros(node_sub.size, dtype=np.int64)  # 1 + each row's last nonzero column
         np.maximum.at(ends, grow, col + 1)
         self.rows = [1]
+        reach = 0  # the most adjacency rows a layer that propagates reads
         for l in range(len(layers) - 1, -1, -1):
             r = self.rows[0]
             if _propagated_side(l, layers[l]) is not None:
+                reach = max(reach, r)
                 r = int(ends[node_local < r].max())
             self.rows.insert(0, r)
         r = self.rows[0]
@@ -173,7 +179,7 @@ class SubgraphStore:
         keep = row < r
         slab = np.zeros((n, r, cols))
         slab[sub[keep], row[keep], col[keep]] = inv_sqrt[grow[keep]] * inv_sqrt[gcol[keep]]
-        self.adj = slab[:, :, :r].copy()
+        self.adj = slab[:, :reach, :r].copy()
 
         keep = node_local < cols
         features = np.zeros((n, cols, graph.feat_dim))

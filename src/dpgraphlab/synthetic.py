@@ -35,7 +35,8 @@ class SyntheticSpec:
 
     def __post_init__(self):
         # num_nodes holds a node per class at least
-        for name, least in (("num_nodes", 2), ("neighbors_per_node", 1), ("feat_dim", 1)):
+        for name, least in (("num_nodes", 2), ("neighbors_per_node", 1), ("feat_dim", 1),
+                            ("seed", 0)):
             _check_integer(getattr(self, name), name, least)
         for name in ("target_homophily", "class_separation", "feature_noise_std"):
             _check_number(getattr(self, name), name)

@@ -77,6 +77,7 @@ class TrainConfig:
         _check_integer(self.num_layers, "num_layers", 1)
         _check_integer(self.hidden_dim, "hidden_dim", 1)
         _check_integer(self.epochs, "epochs", 0)
+        _check_integer(self.seed, "seed", 0)
         if self.eval_every is not None:
             _check_integer(self.eval_every, "eval_every", 1)
         _check_number(self.learning_rate, "learning_rate")

@@ -1057,6 +1057,16 @@ def test_cli_gen_synthetic_default_separation(tmp_path, capsys):
             spec.total_steps, spec.batch_size, spec.max_degree, spec.clip_norm)
 
 
+def test_cli_gen_synthetic_rejects_a_negative_seed(tmp_path, capsys):
+    # a usage error that names the seed, not numpy's SeedSequence, and writes nothing
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "gen-synthetic", "--seed", "-1", "--out", str(tmp_path / "g"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: seed must be an integer >= 0, not -1" in err and "Traceback" not in err
+    assert not (tmp_path / "g").exists()
+
+
 @pytest.mark.parametrize("levels,directory", [("0.5,0.5", "h0.5"), ("0.5,0.50", "h0.5"),
                                               ("0.6,0.5,0.6000001", "h0.6")])
 def test_cli_sweep_rejects_levels_sharing_a_directory(tmp_path, capsys, levels, directory):

@@ -393,6 +393,14 @@ def test_split_spec_seed_is_an_integer_at_least_zero(seed):
     assert dg.SplitSpec(0.5, 0.2, 0.3, seed=np.int64(3)).seed == 3
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+def test_synthetic_spec_seed_is_an_integer_at_least_zero(seed):
+    # numpy's SeedSequence raised a bare TypeError for 1.5 at generation time
+    with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, not {seed!r}$"):
+        dg.SyntheticSpec(num_nodes=20, seed=seed)
+    assert dg.SyntheticSpec(num_nodes=20, seed=np.int64(3)).seed == 3
+
+
 # ---------------------------------------------------------------- stats and I/O
 
 def test_graph_stats_triangle(triangle):

@@ -292,8 +292,9 @@ def unfolded_gradients(adj, x, params, labels, loss_rows=None, rows=None):
 
     ``x`` is layer 0's input without the ones column.  A sparse ``adj`` is the
     full graph, whose mean loss over ``loss_rows`` is differentiated; a dense
-    (m, s, s) stack with ``rows`` is a batch of root losses, one gradient row
-    each.  Returns (losses, logits, gradient)."""
+    (m, a, s) stack with ``rows`` is a batch of root losses, one gradient row
+    each, whose backward pass reads the transpose of each forward block.
+    Returns (losses, logits, gradient)."""
     layers = params.layers
     h = x if rows is None else x[:, :rows[0]]
     cache = []
@@ -322,7 +323,7 @@ def unfolded_gradients(adj, x, params, labels, loss_rows=None, rows=None):
     for l in range(len(layers) - 1, -1, -1):
         w, _ = nn._weight_bias_views(params.flat, params.layers, l)
         h, p, side = cache[l]
-        a = adj if rows is None else adj[:, :rows[l], :rows[l + 1]]
+        a = adj if rows is None else adj[:, :rows[l + 1], :rows[l]].swapaxes(1, 2)
         db = np.einsum("...rk->...k", dz)
         if side == "output":
             dz = a @ dz
@@ -403,7 +404,7 @@ def per_slice_batch_gradients(adj, inputs, labels, rows, params):
         for l in range(last, -1, -1):
             (w, b), side = weights[l], sides[l]
             h, p = cache[l]
-            a = adj[i, :rows[l], :rows[l + 1]]
+            a = adj[i, :rows[l + 1], :rows[l]].T
             db = dz.sum(axis=0)
             if side == "output":
                 dz = a @ dz
@@ -463,6 +464,18 @@ def test_weights_make_each_models_2d_product():
     x = rng.standard_normal((40, 7))
     got = nn._weights(x, w)
     assert all(got[s].tobytes() == (x @ w[s]).tobytes() for s in range(2))
+
+
+def test_weights_write_a_stacked_batch_into_out():
+    # the backward pass writes a batch's dh = dz @ w.T over its activation h:
+    # the product lands in out's own buffer, with the bits of the fresh product
+    rng = np.random.default_rng(44)
+    w = rng.standard_normal((2, 7, 3))
+    dz = rng.standard_normal((2 * 5, 4, 3))
+    out = np.empty((2 * 5, 4, 7))
+    got = nn._weights(dz, w.swapaxes(-1, -2), out)
+    assert np.shares_memory(got, out)
+    assert out.tobytes() == nn._weights(dz, w.swapaxes(-1, -2)).tobytes()
 
 
 # ---------------------------------------------------------------- model invariances
@@ -1117,6 +1130,14 @@ def test_train_config_validation():
             dg.TrainConfig(eval_every=bad)
     with pytest.raises(ValueError, match="epochs"):
         dg.TrainConfig(epochs=-3)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_train_config_seed_is_an_integer_at_least_zero(seed):
+    # 1.5 and True trained silently as seed 1, and -1 failed inside numpy
+    with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, not {seed!r}$"):
+        dg.TrainConfig(seed=seed)
+    assert dg.TrainConfig(seed=np.int64(3)).seed == 3
 
 
 @pytest.mark.parametrize("field", ["steps", "batch_size", "clip_norm", "max_degree",

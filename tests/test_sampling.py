@@ -256,12 +256,19 @@ def padded_adjacency(subgraphs, dtype=np.float64):
     return adj
 
 
+def adjacency_reach(rows, layers):
+    """How many adjacency rows a store keeps: the most that a ``gcn_conv``
+    layer above the first reads, rows[l + 1] (0 for an MLP)."""
+    return max([rows[l + 1] for l in range(1, len(layers)) if layers[l].kind == "gcn_conv"],
+               default=0)
+
+
 def store_oracle(graph, subgraphs, layers):
     """(adj, inputs, rows) of a store, built one subgraph at a time: each block
     is the subgraph's own dense normalized adjacency and features, zero-padded,
     then cut to the receptive rows R = rows[0] of the whole padded stack; A @ X
     multiplies the first R rows into the first ``cols`` columns, the last that
-    any of those rows touches."""
+    any of those rows touches.  ``adj`` is the square (R, R) cut."""
     adj = padded_adjacency(subgraphs)
     features = np.zeros((*adj.shape[:2], graph.feat_dim))
     for i, sg in enumerate(subgraphs):
@@ -300,13 +307,13 @@ def test_store_arrays_equal_per_subgraph_oracle():
         params = init(g.feat_dim, 8, g.num_classes, num_layers, seed=0)
         store = SubgraphStore(g, subs, params.layers)
         adj, inputs, rows = store_oracle(g, subs, params.layers)
-        assert np.array_equal(store.adj, adj)
+        assert np.array_equal(store.adj, adj[:, :adjacency_reach(rows, params.layers)])
         assert np.array_equal(store.inputs, np.concatenate(  # layer 0's ones column
             [inputs, np.ones((*inputs.shape[:2], 1))], axis=2))
         assert np.array_equal(store.rows, rows)
         assert np.array_equal(store.sizes, [sg.size for sg in subs])
         assert np.array_equal(store.root_labels, g.labels[[sg.root for sg in subs]])
-    assert store.adj.shape[1:] == (1, 1)
+    assert store.adj.shape[1:] == (0, 1)
 
 
 def test_store_batch_matches_singletons():
@@ -363,12 +370,13 @@ def test_store_batch_equals_padded_blocks():
                 want_adj[j, :k, :k] = a
                 want_inputs[j, :k, :-1] = a @ x if gcn else x
             adj, inputs, labels, rows = store.batch(idx)
-            r = rows[0]
+            r, reach = rows[0], adjacency_reach(rows, params.layers)
             assert rows == store.rows
             assert all(a >= b for a, b in zip(rows, padded_receptive_rows(want_adj,
                                                                           params.layers)))
-            assert adj.shape == (idx.size, r, r) and inputs.shape == (idx.size, r, g.feat_dim + 1)
-            assert np.array_equal(adj, want_adj[:, :r, :r])
+            assert (adj.shape == (idx.size, reach, r)
+                    and inputs.shape == (idx.size, r, g.feat_dim + 1))
+            assert np.array_equal(adj, want_adj[:, :reach, :r])
             if gcn:
                 np.testing.assert_allclose(inputs, want_inputs[:, :r], rtol=1e-12, atol=1e-15)
             else:
@@ -429,12 +437,14 @@ def test_store_rows_equal_receptive_rows_of_padded_adjacency():
             assert rows == store.rows
             assert all(a >= b for a, b in zip(rows, padded_receptive_rows(full[batch],
                                                                           params.layers)))
-            assert adj.shape[1:] == (rows[0], rows[0]) and inputs.shape[1] == rows[0]
+            assert adj.shape[1:] == (adjacency_reach(rows, params.layers), rows[0])
+            assert inputs.shape[1] == rows[0]
 
 
 def test_store_rows_independent_of_largest_subgraph():
     # on the 1000-node benchmark graph at 3 hops (K=5, T=6) the largest
-    # subgraph has 156 nodes; the store keeps each one's receptive rows only
+    # subgraph has 156 nodes; the store keeps each one's receptive rows only,
+    # and of its adjacency the rows a layer that propagates reads
     g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=1000, target_homophily=0.8,
                                                neighbors_per_node=5, feat_dim=10, seed=0))
     g = dg.assign_splits(g, dg.SplitSpec(0.56, 0.14, 0.30, seed=0))
@@ -442,24 +452,26 @@ def test_store_rows_independent_of_largest_subgraph():
     pattern = padded_adjacency(subs, dtype=bool)
     n, s_max = len(subs), pattern.shape[1]
     assert s_max == 156
-    for num_layers in (2, 3):
+    for num_layers, a in ((2, 1), (3, 6)):
         params = dg.init_gcn(g.feat_dim, 32, g.num_classes, num_layers, seed=0)
         store = SubgraphStore(g, subs, params.layers)
         r = store.rows[0]
         assert store.rows == padded_receptive_rows(pattern, params.layers)
-        assert store.adj.shape == (n, r, r) and store.inputs.shape == (n, r, g.feat_dim + 1)
+        assert store.adj.shape == (n, a, r) and store.inputs.shape == (n, r, g.feat_dim + 1)
         assert r < s_max
         if num_layers == 2:
             assert store.adj.nbytes + store.inputs.nbytes < 1e6
 
 
 def test_batch_rows_independent_of_padding():
-    # a batch cut to the store's receptive rows and the same batch zero-padded
-    # to the store's s_max, with the rows of its padded adjacency, give
-    # bit-identical losses and gradient rows
+    # a batch cut to the store's receptive rows, the same batch zero-padded to
+    # the store's s_max, with the rows of its padded adjacency, and the batch's
+    # full square (s_max, s_max) adjacency blocks, with their own receptive
+    # rows, give bit-identical losses and gradient rows
     rng = np.random.default_rng(11)
     g = random_split_graph(rng, n=60)
     subs = dg.sample_training_subgraphs(g, 3, 2, 5, seed=2)
+    full = padded_adjacency(subs)
     for params in (dg.init_gcn(g.feat_dim, 8, 2, 2, seed=3), dg.init_gcn(g.feat_dim, 8, 2, 3, seed=4),
                    dg.init_mlp(g.feat_dim, 8, 2, 2, seed=5)):
         store = SubgraphStore(g, subs, params.layers)
@@ -470,15 +482,19 @@ def test_batch_rows_independent_of_padding():
             adj, inputs, labels, rows = store.batch(idx)
             r = rows[0]
             padded_adj = np.zeros((idx.size, s, s))
-            padded_adj[:, :r, :r] = adj
+            padded_adj[:, :adj.shape[1], :r] = adj
             padded_inputs = np.zeros((idx.size, s, g.feat_dim + 1))
             padded_inputs[:, :r] = inputs
             cut = subgraph_batch_gradients(adj, inputs, labels, rows, params)
             padded = subgraph_batch_gradients(padded_adj, padded_inputs, labels,
                                               padded_receptive_rows(padded_adj, params.layers),
                                               params)
-            assert np.array_equal(cut[0], padded[0])
-            assert np.array_equal(cut[1], padded[1])
+            square = subgraph_batch_gradients(full[idx], padded_inputs, labels,
+                                              padded_receptive_rows(full[idx], params.layers),
+                                              params)
+            for got in (padded, square):
+                assert np.array_equal(cut[0], got[0])
+                assert np.array_equal(cut[1], got[1])
 
 
 def test_batch_gradients_match_finite_differences():
