@@ -16,7 +16,8 @@ construction.
 loss reads, resolved once per build: on the 1000-node benchmark graph at 3
 hops the largest subgraph has 156 nodes, yet a 2-layer GCN reads 6 input
 rows of each and 1 adjacency row (0.31 MB in all; 31 input rows, 6
-adjacency rows and 2.3 MB for a 3-layer GCN).
+adjacency rows and 2.3 MB for a 3-layer GCN).  It fills them a bounded
+block of subgraphs at a time, so a build peaks near what the store keeps.
 """
 
 from __future__ import annotations
@@ -27,9 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import PopulationGraph, _check_integer
-from .nn import _propagated_side, _with_ones
+from .nn import _propagated_side
 
 logger = logging.getLogger(__name__)
+
+# The most bytes a SubgraphStore build block's slab and features take.  The
+# sweep's peak RSS was 2.0 MB below one whole slab's with 128 or 256 KiB
+# blocks, 1.8 MB with 512 KiB and 1.1 MB with 1 MiB: larger blocks stay in
+# the heap.
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -133,17 +140,24 @@ class SubgraphStore:
     and a batch is a plain gather of both.  Rows past a subgraph's size are
     zero and contribute nothing.
 
-    The arrays are built for all subgraphs at once, in O(nodes + edges)
-    array operations, from one (N, R, cols) slab of adjacency rows, where
-    ``cols`` is the last column those R rows touch.  The nonzeros are the
-    diagonal and each tree edge both ways: a row's count of them is its
-    degree plus the self-loop, a ``bincount``, and the nonzero (u, v) is
-    ``inv_sqrt[u] * inv_sqrt[v]``.  Each entry equals the one of
-    D^{-1/2}(A+I)D^{-1/2} built per subgraph, bit for bit: the degrees are
-    exact integers and the per-subgraph product only adds a factor 1.0.  A
-    row's last nonzero column, and so ``rows``, come from the nonzeros
-    alone.  A @ X is the slab times the features of its ``cols`` columns,
-    and ``adj`` the slab's first a rows and R columns.
+    The nonzeros of all subgraphs are found at once, in O(nodes + edges)
+    array operations: the diagonal and each tree edge both ways.  A row's
+    count of them is its degree plus the self-loop, a ``bincount``, and the
+    nonzero (u, v) is ``inv_sqrt[u] * inv_sqrt[v]``.  Each entry equals the
+    one of D^{-1/2}(A+I)D^{-1/2} built per subgraph, bit for bit: the degrees
+    are exact integers and the per-subgraph product only adds a factor 1.0.
+    A row's last nonzero column, and so ``rows`` and ``cols`` (the last
+    column those R rows touch), come from the nonzeros alone.
+
+    The arrays are then filled a block of B subgraphs at a time, from the
+    block's (B, R, cols) slab of adjacency rows and (B, cols, d) features,
+    which together take at most ``_BLOCK_BYTES`` (B >= 1) and are reused
+    from block to block.  ``adj`` is the slab's first a rows and R columns,
+    and A @ X the slab times the features, written straight into
+    ``inputs``.  numpy's stacked matmul makes one BLAS call per subgraph, so
+    the blocks give the bits of one whole product.  On the benchmark graph
+    the 3-layer build peaks at 3.7 MiB for the 2.3 MiB it keeps, where a
+    build of all subgraphs in one block peaks at 31.9 MiB.
     """
 
     def __init__(self, graph: PopulationGraph, subgraphs: list[SampledSubgraph], layers):
@@ -176,17 +190,41 @@ class SubgraphStore:
         cols = int(ends[node_local < r].max())
 
         inv_sqrt = 1.0 / np.sqrt(np.bincount(grow))  # a row's nonzeros: degree + self-loop
-        keep = row < r
-        slab = np.zeros((n, r, cols))
-        slab[sub[keep], row[keep], col[keep]] = inv_sqrt[grow[keep]] * inv_sqrt[gcol[keep]]
-        self.adj = slab[:, :reach, :r].copy()
+        d = graph.feat_dim
+        block = min(n, max(1, _BLOCK_BYTES // (8 * cols * (r + d))))  # subgraphs per block
+        # the nonzeros of the R rows in subgraph order (the diagonal's and each
+        # edge direction's are three runs sorted by subgraph, which one stable
+        # sort merges) and the feature rows of the cols columns, each with its
+        # place in its block's flat slab or feature block
+        keep = np.flatnonzero(row < r)
+        keep = keep[np.argsort(sub[keep], kind="stable")]
+        value = inv_sqrt[grow[keep]] * inv_sqrt[gcol[keep]]
+        sub = sub[keep]
+        place = (sub % block * r + row[keep]) * cols + col[keep]
+        keep = np.flatnonzero(node_local < cols)
+        node_ids = np.concatenate([sg.nodes for sg in subgraphs])[keep]
+        node_sub = node_sub[keep]
+        node_place = node_sub % block * cols + node_local[keep]
 
-        keep = node_local < cols
-        features = np.zeros((n, cols, graph.feat_dim))
-        features[node_sub[keep], node_local[keep]] = graph.features[
-            np.concatenate([sg.nodes for sg in subgraphs])[keep]]
-        self.inputs = _with_ones(slab @ features if layers[0].kind == "gcn_conv"
-                                 else features[:, :r])
+        self.adj = np.empty((n, reach, r))
+        self.inputs = np.empty((n, r, d + 1))
+        self.inputs[..., d] = 1.0  # layer 0's ones column (see nn._with_ones)
+        slab, features = np.zeros((block, r, cols)), np.zeros((block, cols, d))
+        flat_slab, flat_features = slab.reshape(-1), features.reshape(-1, d)
+        starts = [*range(0, n, block), n]
+        nz, fz = np.searchsorted(sub, starts).tolist(), np.searchsorted(node_sub, starts).tolist()
+        for i, lo in enumerate(starts[:-1]):
+            hi = starts[i + 1]
+            j, k = slice(nz[i], nz[i + 1]), slice(fz[i], fz[i + 1])
+            flat_slab[place[j]] = value[j]
+            flat_features[node_place[k]] = graph.features[node_ids[k]]
+            a, x = slab[:hi - lo], features[:hi - lo]
+            self.adj[lo:hi] = a[:, :reach, :r]
+            if layers[0].kind == "gcn_conv":
+                np.matmul(a, x, out=self.inputs[lo:hi, :, :d])
+            else:
+                self.inputs[lo:hi, :, :d] = x[:, :r]
+            flat_slab[place[j]], flat_features[node_place[k]] = 0.0, 0.0  # zero for the next block
 
     def __len__(self) -> int:
         return self.sizes.size

@@ -68,7 +68,7 @@ def generate_synthetic(spec: SyntheticSpec) -> PopulationGraph:
     # the wiring loop runs on Python ints, with the same RNG calls in the same order
     class_members = [np.flatnonzero(labels == c).tolist() for c in (0, 1)]
     random, integers = rng.random, rng.integers
-    edge_set: set[tuple[int, int]] = set()
+    edge_set: set[int] = set()  # each edge (u, v), u < v, as the key u * n + v
     h = spec.target_homophily
     skipped = 0
     total_slots = n * spec.neighbors_per_node
@@ -81,7 +81,7 @@ def generate_synthetic(spec: SyntheticSpec) -> PopulationGraph:
                 u = pool[integers(len(pool))]
                 if u == v:
                     continue
-                key = (v, u) if v < u else (u, v)
+                key = v * n + u if v < u else u * n + v
                 if key in edge_set:
                     continue
                 edge_set.add(key)
@@ -104,5 +104,6 @@ def generate_synthetic(spec: SyntheticSpec) -> PopulationGraph:
         )
 
     graph = edgeless_graph(features, labels, num_classes=spec.num_classes, meta=meta)
-    indptr, indices = csr_from_edges(n, sorted(edge_set))
+    keys = np.fromiter(edge_set, dtype=np.int64, count=len(edge_set))  # csr_from_edges sorts
+    indptr, indices = csr_from_edges(n, np.column_stack(np.divmod(keys, n)))
     return graph.with_edges(indptr, indices)

@@ -1,8 +1,10 @@
 """Occurrence-bounded subgraph sampling and its sensitivity guarantees."""
 
+import dataclasses
 import functools
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
 
 import dpgraphlab as dg
+from dpgraphlab import sampling
 from dpgraphlab.experiments import build_graph_for_cell, synthetic_benchmark_manifest
 from dpgraphlab.sampling import SampledSubgraph, SubgraphStore
 from dpgraphlab.training import subgraph_batch_gradients
@@ -263,6 +266,20 @@ def adjacency_reach(rows, layers):
                default=0)
 
 
+def slab_cols(adj, r):
+    """How many columns the first r rows of a padded adjacency stack touch:
+    the width of the store build's slab."""
+    return int(np.flatnonzero(adj[:, :r].any(axis=(0, 1))).max()) + 1
+
+
+def block_budget(graph, subgraphs, layers, block):
+    """A ``sampling._BLOCK_BYTES`` that builds a store ``block`` subgraphs at a
+    time: each takes an (R, cols) slab and (cols, d) features of float64."""
+    pattern = padded_adjacency(subgraphs, dtype=bool)
+    r = padded_receptive_rows(pattern, layers)[0]
+    return block * 8 * slab_cols(pattern, r) * (r + graph.feat_dim)
+
+
 def store_oracle(graph, subgraphs, layers):
     """(adj, inputs, rows) of a store, built one subgraph at a time: each block
     is the subgraph's own dense normalized adjacency and features, zero-padded,
@@ -275,7 +292,7 @@ def store_oracle(graph, subgraphs, layers):
         features[i, :sg.size] = graph.features[sg.nodes]
     rows = padded_receptive_rows(adj, layers)
     r = rows[0]
-    cols = int(np.flatnonzero(adj[:, :r].any(axis=(0, 1))).max()) + 1
+    cols = slab_cols(adj, r)
     if layers[0].kind == "gcn_conv":
         inputs = adj[:, :r, :cols] @ features[:, :cols]
     else:
@@ -288,9 +305,19 @@ def root_only(roots):
                             edges=np.zeros((0, 2), dtype=np.int64)) for r in roots]
 
 
-def test_store_arrays_equal_per_subgraph_oracle():
-    # the whole-array build gives the per-subgraph construction's arrays, cut to
-    # the store's receptive rows, bit for bit, also with local indices out of BFS order
+def init_dense_gcn(in_dim, hidden_dim, out_dim, num_layers, seed):
+    """A GCN whose first layer is ``dense``: it reads the first R rows of X,
+    and a root-only subgraph's rows past its root must stay zero."""
+    gcn = dg.init_gcn(in_dim, hidden_dim, out_dim, num_layers, seed)
+    return dg.ModelParams(flat=gcn.flat, layers=(
+        dataclasses.replace(gcn.layers[0], kind="dense"), *gcn.layers[1:]))
+
+
+def test_store_arrays_equal_per_subgraph_oracle(monkeypatch):
+    # a build of all subgraphs in one block gives the per-subgraph construction's
+    # arrays, cut to the store's receptive rows, bit for bit, also with local
+    # indices out of BFS order; a build a block of 1 or 7 subgraphs at a time (7
+    # does not divide the 30 roots) gives the one-block build's arrays bit for bit
     rng = np.random.default_rng(21)
     g = random_split_graph(rng, n=60)
     roots = np.flatnonzero(g.train_mask)
@@ -301,10 +328,14 @@ def test_store_arrays_equal_per_subgraph_oracle():
     cases += [(dg.init_mlp, 2, dg.sample_training_subgraphs(g, 3, 2, 5, seed=7)),
               (dg.init_gcn, 3, [shuffle_local_order(sg, rng) for sg in cases[2][2]]),
               (dg.init_gcn, 2, mixed),
+              (init_dense_gcn, 2, mixed),
               (dg.init_gcn, 2, root_only(roots)),
               (dg.init_mlp, 2, root_only(roots))]
+    assert roots.size % 7 != 0
     for init, num_layers, subs in cases:
         params = init(g.feat_dim, 8, g.num_classes, num_layers, seed=0)
+        monkeypatch.setattr(sampling, "_BLOCK_BYTES", block_budget(g, subs, params.layers,
+                                                                   len(subs)))
         store = SubgraphStore(g, subs, params.layers)
         adj, inputs, rows = store_oracle(g, subs, params.layers)
         assert np.array_equal(store.adj, adj[:, :adjacency_reach(rows, params.layers)])
@@ -313,6 +344,13 @@ def test_store_arrays_equal_per_subgraph_oracle():
         assert np.array_equal(store.rows, rows)
         assert np.array_equal(store.sizes, [sg.size for sg in subs])
         assert np.array_equal(store.root_labels, g.labels[[sg.root for sg in subs]])
+        for block in (1, 7):
+            monkeypatch.setattr(sampling, "_BLOCK_BYTES", block_budget(g, subs, params.layers,
+                                                                       block))
+            blocked = SubgraphStore(g, subs, params.layers)
+            for name in ("adj", "inputs", "sizes", "root_labels"):
+                assert np.array_equal(getattr(blocked, name), getattr(store, name))
+            assert blocked.rows == store.rows
     assert store.adj.shape[1:] == (0, 1)
 
 
@@ -461,6 +499,28 @@ def test_store_rows_independent_of_largest_subgraph():
         assert r < s_max
         if num_layers == 2:
             assert store.adj.nbytes + store.inputs.nbytes < 1e6
+
+
+def test_store_build_peaks_near_what_it_keeps():
+    # the build's transient is a block of subgraphs, not the whole (N, R, cols)
+    # slab: at 3 layers on the 1000-node benchmark graph (3 hops, K=5, T=6) a
+    # whole slab and its features would take 31.9 MiB for a 2.3 MiB store
+    g = dg.generate_synthetic(dg.SyntheticSpec(num_nodes=1000, target_homophily=0.8,
+                                               neighbors_per_node=5, feat_dim=10, seed=0))
+    g = dg.assign_splits(g, dg.SplitSpec(0.56, 0.14, 0.30, seed=0))
+    subs = dg.sample_training_subgraphs(g, 5, 3, 6, seed=0)
+    params = dg.init_gcn(g.feat_dim, 32, g.num_classes, 3, seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        store = SubgraphStore(g, subs, params.layers)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    kept = sum(getattr(store, name).nbytes for name in ("adj", "inputs", "sizes", "root_labels"))
+    assert store.rows[0] == 31 and kept > 2 * 2**20
+    assert peak <= 2 * kept
 
 
 def test_batch_rows_independent_of_padding():
