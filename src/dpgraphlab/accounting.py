@@ -15,10 +15,9 @@ accountant works in units of Delta: training draws the noise with std
 ``alpha * rho**2 / (2 sigma**2)`` at order ``alpha``, and the logged
 ``sigma`` is this one.  The factor ``Delta / C`` has one home,
 :data:`OCCURRENCE_SENSITIVITY`, and one use: ``training._subgraph_source``
-draws each model's noise at std ``sigma * OCCURRENCE_SENSITIVITY * C``
-itself (:func:`noisy_batch_gradient`, one step's clipped noisy mean, draws
-``sigma * C`` for the multiplier it is given).  The per-step cost is the
-moment of that mixture:
+draws each model's noise at std ``sigma * OCCURRENCE_SENSITIVITY * C``,
+and :func:`noisy_batch_gradient` adds it to the clipped sums.  The per-step
+cost is the moment of that mixture:
 
     eps(alpha) = log( sum_rho pmf(rho) * exp(alpha (alpha-1) rho^2 / (2 sigma^2)) ) / (alpha - 1)
 
@@ -148,40 +147,18 @@ def _clip_scale(norms: np.ndarray, clip_norm: float) -> np.ndarray:
     return clip_norm / np.maximum(norms, clip_norm)
 
 
-def noisy_batch_gradient(gradients: np.ndarray, clip_norm: float, sigma: float,
-                         seed) -> np.ndarray:
-    """(Sum of the m clipped per-subgraph gradients + N(0, sigma^2 C^2 I)) / m.
+def noisy_batch_gradient(gradients: np.ndarray, clip_norm: float, noise: np.ndarray | None,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """One DP-SGD step's noisy mean of each model of an (S, m, n) stack of
+    per-subgraph gradients, into ``out`` (S, n): (the sum of model s's rows,
+    each clipped to l2 norm ``clip_norm`` = C, + ``noise[s]``) / m.
 
-    This draws its one noise row from ``seed`` and takes the mean of DP
-    training's step, which draws each model's noise rows a window of steps
-    at a time, at std (sigma * OCCURRENCE_SENSITIVITY) * C = sigma * 2C for
-    the accountant's sigma.
-
-    ``sigma == 0`` disables the noise (plain mean of clipped gradients);
-    negative sigma is rejected.  ``seed`` may be an int or a Generator;
-    a fixed seed gives a bit-identical noise vector.
-    """
-    gradients = np.atleast_2d(np.asarray(gradients, dtype=np.float64))
-    if not sigma >= 0:
-        raise ValueError("sigma must be nonnegative")
-    if not sigma < math.inf:
-        raise ValueError("sigma must be finite")
+    ``noise`` holds each model's pre-drawn (S, n) noise row, or None for no
+    noise; DP training draws it at std sigma * Delta, Delta = 2C, for the
+    accountant's sigma.  The clipped sums are one (1, m) @ (m, n) product per
+    model and the noise one addition per element, so each row has the bits
+    of a one-model call."""
     _check_positive(clip_norm, "clip_norm")
-    noise = None
-    if sigma > 0:
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        noise = rng.normal(0.0, sigma * clip_norm, size=(1, gradients.shape[1]))
-    return _noisy_batch_means(gradients[None], clip_norm, noise)[0]
-
-
-def _noisy_batch_means(gradients: np.ndarray, clip_norm: float, noise: np.ndarray | None,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`noisy_batch_gradient` of each model of an (S, m, n) stack of
-    per-subgraph gradients, into ``out`` (S, n): model s's clipped sum takes
-    ``noise[s]``, a draw of its own stream at its std (None adds no noise),
-    before the division by m.  The clipped sums are one (1, m) @ (m, n)
-    product per model, the product of a one-model call, and the noise is one
-    addition per element, so each row has that call's bits."""
     models, m, n = gradients.shape
     out = np.empty((models, n)) if out is None else out
     # the row-wise clip folded into each model's sum

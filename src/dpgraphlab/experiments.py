@@ -521,18 +521,29 @@ def report(results_dir) -> dict:
     directory holding ``cells/``; no row pools two grids, and when the cells
     come from more than one (a sweep's levels), each row and table starts
     with its grid's path under ``results_dir``.  Corrupt or unreadable cell
-    files are listed; the report is still produced.
+    files are listed, as are the cells of a grid whose readable
+    ``summary.json`` names another ``manifest_hash``; the report is still produced.
     """
     results_dir = Path(results_dir)
     if not results_dir.is_dir():
         raise FileNotFoundError(f"no results directory {str(results_dir)!r}")
     cell_files = sorted(results_dir.glob("**/cells/*.json"))
+    hashes = {}  # a grid's directory -> the manifest_hash of its readable summary.json
+    for grid in {path.parent.parent for path in cell_files}:
+        try:
+            hashes[grid] = json.loads((grid / "summary.json").read_bytes())["manifest_hash"]
+        except (OSError, ValueError, KeyError, TypeError):
+            pass
     grids, corrupt = {}, []  # grids: a grid's path -> its cells
     for path in cell_files:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 cell = json.load(fh)
             _check_cell(cell)
+            want = hashes.get(path.parent.parent, cell.get("manifest_hash"))
+            if cell.get("manifest_hash") != want:
+                raise ValueError(f"a cell of manifest_hash {cell.get('manifest_hash')!r}, not "
+                                 f"{want!r} as the grid's summary.json names")
         except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
             corrupt.append({"file": str(path), "error": str(exc)})
             continue

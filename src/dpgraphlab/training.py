@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .accounting import (OCCURRENCE_SENSITIVITY, PrivacySpec, SubgraphSpec, _clip_scale,
-                         _noisy_batch_means, _privacy_claim, compose_and_convert)
+                         _privacy_claim, compose_and_convert, noisy_batch_gradient)
 from .graphs import PopulationGraph, _check_integer, _check_number
 from .nn import (ModelParams, _forward, _masked_loss_grad_and_logits, _StepWorkspace,
                  gcn_forward, init_gcn, init_mlp, normalize_adjacency, subgraph_batch_gradients)
@@ -379,7 +379,7 @@ def _subgraph_source(config, spec: SubgraphSpec, feeds: list[_SubgraphFeed], fla
                 losses, grads = subgraph_batch_gradients(*batch, ws)
                 grads = grads.reshape(S, m, -1)
                 if config.clipping:  # no noise outside DP runs
-                    _noisy_batch_means(grads, spec.clip_norm, noise_row, update)
+                    noisy_batch_gradient(grads, spec.clip_norm, noise_row, update)
                 else:
                     np.mean(grads, axis=1, out=update)
                 yield ((losses.reshape(S, m).sum(axis=1) / m).tolist() if logs else None,

@@ -1,6 +1,7 @@
 """Accountant anchors, clipping, noise, and the power bound."""
 
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -57,19 +58,30 @@ def test_clip_norm_bound_property():
 
 
 def test_noisy_batch_gradient_sigma_zero_is_mean():
-    # oracle: row-wise clip, then the mean; one row is all zero and one has
+    # oracle: row-wise clip, then the mean, plus noise / m when given, for a
+    # stack of S = 1 and of S = 3 models; one row is all zero and one has
     # norm exactly 5 (a 3-4-5 row), which C = 5 leaves as it is
     rng = np.random.default_rng(1)
-    grads = rng.standard_normal((8, 20))
-    grads[2] = 0.0
-    grads[5] = 0.0
-    grads[5, :2] = (3.0, 4.0)
-    assert np.linalg.norm(grads[5]) == 5.0
-    for C in (0.7, 5.0):
-        out = dg.noisy_batch_gradient(grads, clip_norm=C, sigma=0.0, seed=0)
-        want = np.stack([dg.clip(g, C) for g in grads]).mean(axis=0)
-        np.testing.assert_allclose(out, want, atol=1e-12)
-        assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+    for models, noisy in itertools.product((1, 3), (False, True)):
+        grads = rng.standard_normal((models, 8, 20))
+        grads[:, 2] = 0.0
+        grads[:, 5] = 0.0
+        grads[:, 5, :2] = (3.0, 4.0)
+        assert np.linalg.norm(grads[0, 5]) == 5.0
+        noise = rng.normal(0.0, 2.0, size=(models, 20)) if noisy else None
+        for C in (0.7, 5.0):
+            out = dg.noisy_batch_gradient(grads, C, noise)
+            assert out.shape == (models, 20)
+            for s in range(models):
+                want = np.stack([dg.clip(g, C) for g in grads[s]]).mean(axis=0)
+                if noisy:
+                    want += noise[s] / 8
+                np.testing.assert_allclose(out[s], want, atol=1e-12)
+                assert np.abs(out[s] - want).max() <= 1e-12 * np.abs(want).max()
+                # each model's row has the bits of a call on that model alone
+                alone = dg.noisy_batch_gradient(grads[s:s + 1], C,
+                                                None if noise is None else noise[s:s + 1])
+                assert out[s].tobytes() == alone[0].tobytes()
 
 
 def min_clip_scale(norms, C):
@@ -87,8 +99,8 @@ def test_clip_scale_equals_the_min_expression_bit_for_bit():
         rows = np.zeros((5, 3))
         rows[:, 0] = norms[[0, 2, 3, 4, 5]]
         want_sum = min_clip_scale(np.sqrt(np.vecdot(rows, rows)), C) @ rows
-        got = dg.noisy_batch_gradient(rows, C, 0.0, seed=0)
-        assert got.tobytes() == (want_sum / 5).tobytes()
+        got = dg.noisy_batch_gradient(rows[None], C, None)
+        assert got.shape == (1, 3) and got[0].tobytes() == (want_sum / 5).tobytes()
 
 
 def test_clip_equals_the_branch_expression_bit_for_bit():
@@ -109,28 +121,11 @@ def test_clip_equals_the_branch_expression_bit_for_bit():
     assert dg.clip(g, 1.0).tobytes() == branch_clip(g, 1.0).tobytes()
 
 
-def test_noisy_batch_gradient_std_monte_carlo():
-    # m=1, g=0, sigma=1, C=1: output is standard normal per coordinate
-    draws = np.stack([
-        dg.noisy_batch_gradient(np.zeros((1, 8)), 1.0, 1.0, seed=s) for s in range(10_000)
-    ])
-    stds = draws.std(axis=0)
-    assert np.all(np.abs(stds - 1.0) < 0.05)
-
-
-def test_noisy_batch_gradient_deterministic():
-    grads = np.ones((4, 10))
-    a = dg.noisy_batch_gradient(grads, 1.0, 2.0, seed=42)
-    b = dg.noisy_batch_gradient(grads, 1.0, 2.0, seed=42)
-    np.testing.assert_array_equal(a, b)
-
-
 def test_noisy_batch_gradient_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        dg.noisy_batch_gradient(np.zeros((1, 4)), 1.0, -0.5, seed=0)
+    # the noise rows come drawn, at the caller's sigma; the clip norm must be positive
     for clip_norm in (0.0, -1.0):
         with pytest.raises(ValueError):
-            dg.noisy_batch_gradient(np.zeros((1, 4)), clip_norm, 1.0, seed=0)
+            dg.noisy_batch_gradient(np.zeros((1, 1, 4)), clip_norm, None)
 
 
 def without_local_node(sg, k):
@@ -568,9 +563,7 @@ NAN, INF = float("nan"), float("inf")
     lambda: dg.SubgraphSpec(clip_norm=INF),
     lambda: dg.clip(np.ones(3), NAN),
     lambda: dg.clip(np.ones(3), INF),
-    lambda: dg.noisy_batch_gradient(np.ones((2, 3)), NAN, 1.0, seed=0),
-    lambda: dg.noisy_batch_gradient(np.ones((2, 3)), 1.0, NAN, seed=0),
-    lambda: dg.noisy_batch_gradient(np.ones((2, 3)), 1.0, INF, seed=0),
+    lambda: dg.noisy_batch_gradient(np.ones((1, 2, 3)), NAN, None),
     lambda: make_accountant(NAN, 100, 6, 64),
     lambda: dg.compose_and_convert(make_accountant(1.0, 100, 6, 64), NAN, 1e-3),
     lambda: dg.calibrate_sigma(NAN, 1e-3, 100, 100, 6, 64),
@@ -586,11 +579,11 @@ NAN, INF = float("nan"), float("inf")
     lambda: dg.SyntheticSpec(feature_noise_std=NAN),
     lambda: dg.SyntheticSpec(feature_noise_std=-INF),
 ], ids=["eps-nan", "eps-inf", "noise-mult-nan", "noise-mult-inf", "spec-clip-nan",
-        "spec-clip-inf", "clip-nan", "clip-inf", "noisy-clip-nan", "noisy-sigma-nan",
-        "noisy-sigma-inf", "accountant-sigma-nan", "compose-steps-nan", "calibrate-eps-nan",
-        "calibrate-eps-inf", "calibrate-steps-nan", "power-fpr-nan", "power-fpr-list-nan",
-        "delta-n-train-nan", "split-nan", "learning-rate-nan", "separation-nan",
-        "separation-inf", "noise-std-nan", "noise-std-neg-inf"])
+        "spec-clip-inf", "clip-nan", "clip-inf", "noisy-clip-nan", "accountant-sigma-nan",
+        "compose-steps-nan", "calibrate-eps-nan", "calibrate-eps-inf", "calibrate-steps-nan",
+        "power-fpr-nan", "power-fpr-list-nan", "delta-n-train-nan", "split-nan",
+        "learning-rate-nan", "separation-nan", "separation-inf", "noise-std-nan",
+        "noise-std-neg-inf"])
 def test_range_checks_reject_nan_and_inf(build):
     # every float rule is a comparison that NaN fails; C, sigma and epsilon
     # must also be finite (C / max(norm, inf) is NaN)

@@ -518,6 +518,27 @@ def test_report_lists_corrupt_cells(tmp_path):
     assert "unreadable cell files: 5" in text and "list.json: not a cell" in text
 
 
+def test_report_leaves_out_the_cells_of_another_manifest(tmp_path):
+    # a second run into the same directory, at fewer seeds, leaves the first
+    # run's other cells behind; a report pools only the cells of the manifest
+    # that summary.json names and lists the others with both hashes
+    first = tiny_manifest(tmp_path / "res", variants=("non_dp",), seeds=(0, 1, 2))
+    second = tiny_manifest(tmp_path / "res", variants=("non_dp",), seeds=(0,))
+    run(first)
+    summary = run(second)
+    out = report(tmp_path / "res")
+    assert out["aggregate"] == summary["aggregate"] and out["aggregate"][0]["n_seeds"] == 1
+    assert [Path(c["file"]).name for c in out["corrupt"]] == ["non_dp_seed1.json",
+                                                              "non_dp_seed2.json"]
+    for c in out["corrupt"]:
+        assert first.hash() in c["error"] and second.hash() in c["error"]
+    # without a readable summary.json, a grid's cells are not checked
+    for text in ("{not json", "[]", '{"n_cells": 1}'):
+        (tmp_path / "res" / "summary.json").write_text(text)
+        out = report(tmp_path / "res")
+        assert out["corrupt"] == [] and out["aggregate"][0]["n_seeds"] == 3
+
+
 def test_report_of_unreadable_cells_alone_starts_with_them(tmp_path):
     cells = tmp_path / "res" / "cells"
     cells.mkdir(parents=True)

@@ -665,7 +665,7 @@ def spy_subgraph_runs(monkeypatch):
     store size, in stack order, each step's gathered indices, and each
     clipping step's (S, n) noise (or None)."""
     feeds, sizes, rows, noises = [], [], [], []
-    batch, noisy_means = SubgraphStore.batch, training._noisy_batch_means
+    batch, noisy_means = SubgraphStore.batch, training.noisy_batch_gradient
 
     class Feed(training._SubgraphFeed):
         def __init__(self, *args):
@@ -683,7 +683,7 @@ def spy_subgraph_runs(monkeypatch):
 
     monkeypatch.setattr(training, "_SubgraphFeed", Feed)
     monkeypatch.setattr(SubgraphStore, "batch", spied_batch)
-    monkeypatch.setattr(training, "_noisy_batch_means", spied_means)
+    monkeypatch.setattr(training, "noisy_batch_gradient", spied_means)
     return feeds, sizes, rows, noises
 
 
