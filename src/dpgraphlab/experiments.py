@@ -521,8 +521,9 @@ def report(results_dir) -> dict:
     directory holding ``cells/``; no row pools two grids, and when the cells
     come from more than one (a sweep's levels), each row and table starts
     with its grid's path under ``results_dir``.  Corrupt or unreadable cell
-    files are listed, as are the cells of a grid whose readable
-    ``summary.json`` names another ``manifest_hash``; the report is still produced.
+    files are listed in ``corrupt``, and the cells of a grid whose readable
+    ``summary.json`` names another ``manifest_hash`` in ``stale``, each
+    under its own heading; the report is still produced.
     """
     results_dir = Path(results_dir)
     if not results_dir.is_dir():
@@ -534,18 +535,20 @@ def report(results_dir) -> dict:
             hashes[grid] = json.loads((grid / "summary.json").read_bytes())["manifest_hash"]
         except (OSError, ValueError, KeyError, TypeError):
             pass
-    grids, corrupt = {}, []  # grids: a grid's path -> its cells
+    grids, corrupt, stale = {}, [], []  # grids: a grid's path -> its cells
     for path in cell_files:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 cell = json.load(fh)
             _check_cell(cell)
-            want = hashes.get(path.parent.parent, cell.get("manifest_hash"))
-            if cell.get("manifest_hash") != want:
-                raise ValueError(f"a cell of manifest_hash {cell.get('manifest_hash')!r}, not "
-                                 f"{want!r} as the grid's summary.json names")
         except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
             corrupt.append({"file": str(path), "error": str(exc)})
+            continue
+        want = hashes.get(path.parent.parent, cell.get("manifest_hash"))
+        if cell.get("manifest_hash") != want:
+            stale.append({"file": str(path),
+                          "error": f"a cell of manifest_hash {cell.get('manifest_hash')!r}, not "
+                                   f"{want!r} as the grid's summary.json names"})
             continue
         grids.setdefault(path.parent.parent.relative_to(results_dir).as_posix(), []).append(cell)
     # rows name their grid, in a leading column, only when there are several
@@ -566,7 +569,7 @@ def report(results_dir) -> dict:
                                    "supremum_power": power})
 
     lines = []
-    if not grids and not corrupt:
+    if not grids and not corrupt and not stale:
         lines.append("no result cells found")
     if rows:
         lines.append(f"{grid_col}{'variant':<14}{'epsilon':>8}  "
@@ -583,11 +586,14 @@ def report(results_dir) -> dict:
         for r in bound_rows:
             lines.append(f"{r.get('grid', ''):<{width}}{r['cell']:<24}{r['fpr']:>8g}"
                          f"{r['tpr']:>10.4f}{r['supremum_power']:>13.4f}")
-    if corrupt:
+    for heading, files in (("unreadable cell files", corrupt),
+                           ("cells of another manifest", stale)):
+        if not files:
+            continue
         if lines:
             lines.append("")
-        lines.append(f"unreadable cell files: {len(corrupt)}")
-        for c in corrupt:
+        lines.append(f"{heading}: {len(files)}")
+        for c in files:
             lines.append(f"  {c['file']}: {c['error']}")
 
     text = "\n".join(lines) + "\n"
@@ -596,4 +602,5 @@ def report(results_dir) -> dict:
     if bound_rows:
         _write_csv(results_dir / "bound_vs_empirical.csv",
                    grid_field + "cell,epsilon:g,fpr:g,tpr:.6f,supremum_power:.6f", bound_rows)
-    return {"text": text, "aggregate": rows, "bound_rows": bound_rows, "corrupt": corrupt}
+    return {"text": text, "aggregate": rows, "bound_rows": bound_rows, "corrupt": corrupt,
+            "stale": stale}

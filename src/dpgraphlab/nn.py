@@ -41,8 +41,8 @@ Every step runs a stack of S models (S = 1 for one model) with
 model by model, as one (S * m, rows, k) stack.  It takes each product
 with a weight that a model's subgraphs share, ``p @ w`` forward and
 ``dz @ w.T`` backward, as one broadcast matmul over the (S, m * rows, k)
-view of the batch (:func:`_model_rows`): one product over each model's
-m * rows rows, so each model's BLAS call is that of its one-model batch.
+view of the batch: one product over each model's m * rows rows, so each
+model's BLAS call is that of its one-model batch.
 The products that differ per subgraph, the adjacency products and the
 per-sample weight gradient ``p.T @ dz``, the loss and the gradient rows
 run once over the whole stack, so each model's losses and gradient rows
@@ -77,12 +77,12 @@ Layer order: a ``gcn_conv`` layer above the first multiplies the
 adjacency into the narrower side of its weight, as (A @ h) @ w + b when it
 widens or keeps the width and as A @ (h @ w) + b when it narrows, so the
 32 -> 2 output layer propagates 2 columns forward and backward.  The
-forward cache holds, per layer, the post-activation input h and the matrix
-multiplied into w (A @ h or h itself); the backward pass masks with h > 0,
-which is the ReLU mask of the pre-activation.  Each step allocates only the
-arrays the loss needs: the biases above layer 0 are added and ReLUs applied
-in place, and the backward pass writes each layer's weight and bias
-gradient straight into its slice of the flat gradient.  It also writes
+backward pass reads, per layer, the post-activation input h and the matrix
+multiplied into w (A @ h or h itself), both as the forward pass left them,
+and masks with h > 0, which is the ReLU mask of the pre-activation.  The
+biases above layer 0 are added and ReLUs applied in place, and the
+backward pass writes each layer's weight and bias gradient straight into
+its slice of the flat gradient.  It also writes
 each hidden layer's input gradient dh over that layer's input h, on either
 source, once the ReLU mask and the weight gradient have read h (which no
 lower layer reads), so a step keeps no dh buffer: a layer that does not
@@ -90,18 +90,26 @@ propagate its input writes dz @ w.T into h, and one that does propagates
 dz @ w.T, which has the rows of the layer above, into h, in one product
 on a batch and as the model-major copy of the CSR product on the graph.
 
-A training run resolves the layout once, in a ``_StepWorkspace``: the
-views of each layer's weight and bias in ``params.flat`` (which the
-optimizer updates in place; layer 0's [w; b] block and no separate bias),
-each layer's propagated side, the per-layer views of one flat gradient
-buffer, and the start of each loss row in the flattened logits, through
-which the cross-entropy reads and writes each row's label entry; for the
-full graph it also holds a stack's activation buffers and, in training,
-the one layout of its rows: E, ``member``, the loss rows' labels and the
-sparse row and column blocks the last layer reads.  Every step and every
-forward pass over E reuse these, and a step's gradient overwrites the
-previous step's, which the optimizer has consumed by then.
-The public functions (:func:`gcn_forward`, :func:`loss_and_grad`,
+A training run resolves every operand of its step once, in a
+``_StepWorkspace`` built on the arrays the step reads: the graph's
+adjacency and layer-0 input, or the batch buffers that each step's batch
+is gathered into.  Per layer it holds the adjacency block and its
+transpose, the views of the weight, the transposed weight and the bias in
+``params.flat`` (which the optimizer updates in place; layer 0's [w; b]
+block and no separate bias), the views of the weight and bias gradient in
+one flat gradient buffer, the activation, product and ReLU-mask buffers,
+and a batch's per-model row views of them.  It also holds the start of
+each loss row in the flattened logits, through which the cross-entropy
+reads and writes each row's label entry, and, in full-graph training, the
+one layout of the stack's rows: E, ``member``, the loss rows' labels and
+the sparse row and column blocks the last layer reads.  A forward or
+backward pass is then a fixed sequence of numpy calls, each writing into
+a resolved operand (``out=``); the graph's CSR products are the
+exception, as scipy returns a fresh array.  One forward and one backward
+pass serve both sources, and every step and every forward pass over E
+reuse the buffers: a step's gradient overwrites the previous step's,
+which the optimizer has consumed by then.  The public functions
+(:func:`gcn_forward`, :func:`loss_and_grad`,
 :func:`subgraph_batch_gradients`) build a workspace per call, so what they
 return is never overwritten by a later call.
 
@@ -116,7 +124,7 @@ build pays for scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -265,38 +273,84 @@ def _propagated_side(l: int, spec: LayerSpec) -> str | None:
     return "output" if spec.out_dim < spec.in_dim else "input"
 
 
+def _csr_product(adj, h: np.ndarray) -> np.ndarray:
+    """``adj @ h`` for the graph's sparse adjacency (or a row or column block
+    of it) on a stack's (S, rows, k) activations: one CSR product on their
+    (rows, S * k) node-major copy (no copy when ``h`` is a node-major view),
+    returned as an (S, rows', k) view of the node-major result."""
+    models, rows, k = h.shape
+    return (adj @ h.swapaxes(0, 1).reshape(rows, -1)).reshape(-1, models, k).swapaxes(0, 1)
+
+
+def _csr_into(out: np.ndarray, adj, h: np.ndarray, b: np.ndarray | None = None) -> None:
+    """Writes ``adj @ h`` (:func:`_csr_product`), plus the (S, 1, k) bias ``b``
+    when given, into ``out``."""
+    if b is None:
+        np.copyto(out, _csr_product(adj, h))
+    else:
+        np.add(_csr_product(adj, h), b, out=out)
+
+
+class _Layer:
+    """One layer's step operands, resolved by :class:`_StepWorkspace`; a step
+    that a layer does not take is None.
+
+    Forward: ``prop_in`` writes p = a @ h, ``p_rows @ w`` goes into
+    ``q_rows``, ``prop_out`` writes z = a @ q, ``b`` is added to ``z_rows``,
+    and ``relu`` (z, None on the last layer) is clipped at 0.  Backward from
+    ``dz``: ``db`` receives its row sum, ``back_out`` writes dq = a.T @ dz
+    into ``dq`` (else ``dq`` is dz; on the graph it returns a fresh dq, and
+    ``dq`` is None), ``p_t @ dq`` goes into ``dw``, and a layer above the
+    first writes ``live`` = h > 0, then ``dq_rows @ w_t`` into ``dh_rows``:
+    h's own rows, or a buffer that ``back_in`` propagates into h.  Last, h
+    is multiplied by ``live``, so h holds dz of the layer below."""
+
+    __slots__ = ("prop_in", "p_rows", "w", "q_rows", "prop_out", "z_rows", "b", "relu", "dz",
+                 "db", "back_out", "p_t", "dq", "dw", "h", "live", "dq_rows", "w_t", "dh_rows",
+                 "back_in")
+
+
 class _StepWorkspace:
-    """A step's layer layout, resolved once, and the buffers its steps reuse.
+    """A step's operands, resolved once, and the buffers its steps reuse.
 
-    ``flat`` is an (S, n_params) stack of models, for a batch of B
-    subgraphs (``batch`` = (B,): m per model, model by model, and ``grad``
-    (B, n_params)) or for the whole graph (``grad`` (S, n_params)).  The
-    weight and bias views read ``flat``, so in-place optimizer updates reach
-    the next step; each step overwrites ``grad``.
+    ``flat`` is an (S, n_params) stack of models; ``adj`` and ``x`` are the
+    graph's sparse (n, n) adjacency and shared (n, d + 1) layer-0 input or,
+    given a batch's ``rows`` (see the module docstring), a dense (B, a, s)
+    adjacency stack and its (B, s, d + 1) inputs, m subgraphs per model,
+    model by model, with ``labels`` their (B,) root labels.  ``grad`` is
+    (S, n_params) on the graph and (B, n_params) on a batch.  ``plan`` holds
+    one :class:`_Layer` per layer, whose operands are views of ``flat``
+    (which the optimizer updates in place), ``grad``, ``adj`` and ``x`` and
+    of the arrays in ``buffers``; a batch's (S, m * rows, k) model-row views
+    of a contiguous stack are views, so every step rereads them in place.
+    Each step overwrites ``grad`` and the buffers, and :func:`_forward`
+    returns ``logits``, a buffer too.
 
-    A full-graph training workspace (given ``adj``, ``labels``, the (S, n)
-    loss ``masks`` and the ``val_mask``) is the one layout of a stack's rows:
-    E (``rows``, see the module docstring), the union's U ``loss_rows`` and
+    A full-graph training workspace (given ``labels``, the (S, n) loss
+    ``masks`` and the ``val_mask``) is the one layout of a stack's rows: E
+    (``rows``, see the module docstring), the union's U ``loss_rows`` and
     their labels, ``member`` (S, U): which of them each model trains on, and
     the zeroed logit gradient ``d_logits`` that each step's loss gradient is
-    scattered into: (S, loss rows, C) beside A[E] and A[:, loss rows] when the
-    last layer propagates its output, else (S, n, C).  Its rows outside each
-    model's loss rows stay zero.  An empty mask raises ValueError; without
-    masks ``rows`` is None.
+    scattered into: (S, loss rows, C) beside A[E] and A[:, loss rows] when
+    the last layer propagates its output, else (S, n, C).  Its rows outside
+    each model's loss rows stay zero.  An empty mask raises ValueError.
+    Without masks ``rows`` is None and ``d_logits`` is an every-row (S, n, C)
+    buffer of zeros; on a batch it is the (B, 1, C) view of ``d_roots``, into
+    which the root losses' gradient is written.
     """
 
-    def __init__(self, flat: np.ndarray, layers, batch: tuple[int, ...] = (), adj=None,
-                 labels=None, masks=None, val_mask=None):
-        self.layers = layers
-        self.sides = [_propagated_side(l, spec) for l, spec in enumerate(layers)]
-        self.weights = _step_views(flat, layers)
-        self.grad = np.empty((*batch, flat.shape[1]) if batch else flat.shape)
-        self.grad_views = _step_views(self.grad, layers)
-        self.buffers = None if batch else {}
-        self.rows = None
-        classes = layers[-1].out_dim
-        if batch:
-            self.label_starts = np.arange(batch[0]) * classes
+    def __init__(self, flat: np.ndarray, layers, adj, x: np.ndarray, labels=None, rows=None,
+                 masks=None, val_mask=None):
+        in_dim = layers[0].in_dim
+        if x.shape[-1] != in_dim + 1:
+            raise ShapeError(f"feature dim {x.shape[-1] - 1} != first-layer in_dim {in_dim}")
+        models, classes, last = len(flat), layers[-1].out_dim, len(layers) - 1
+        batch = rows is not None
+        self.adj, self.x, self.labels = adj, x, labels
+        self.buffers: dict = {}
+        self.grad = np.empty((len(x), flat.shape[1]) if batch else flat.shape)
+        self.rows = self.take_logits = None
+        sides = [_propagated_side(l, spec) for l, spec in enumerate(layers)]
         if masks is not None:
             if not masks.any(axis=1).all():
                 raise ValueError("mask selects no nodes")
@@ -304,120 +358,140 @@ class _StepWorkspace:
             self.member, self.loss_rows = masks[:, union], np.flatnonzero(union)
             self.rows = (self.loss_rows if val_mask is None
                          else np.concatenate([self.loss_rows, np.flatnonzero(val_mask)]))
-            models, pos = np.nonzero(self.member)  # model by model, rows ascending
+            ms, pos = np.nonzero(self.member)  # model by model, rows ascending
             sizes = self.member.sum(axis=1)
             self.loss_slices = [slice(e - n, e) for n, e in zip(sizes, np.cumsum(sizes))]
-            self.loss_index = pos * len(masks) + models  # rows of the node-major logits
+            self.loss_index = pos * models + ms  # rows of the node-major logits
             self.loss_labels = labels[self.loss_rows[pos]]
             self.label_starts = np.arange(pos.size) * classes
             self.loss_sizes = np.repeat(sizes, sizes)[:, None]
-            if self.sides[-1] == "output":  # the loss rows, see the module docstring
+            if sides[-1] == "output":  # the loss rows, see the module docstring
                 # CSR row and column selection keep each row's entries in order
                 self.adj_rows = adj[self.rows]
                 self.adj_loss_cols = adj[:, self.loss_rows]
-                # node-major, as the adjacency product reads it (see _propagate)
+                # node-major, as the adjacency product reads it (see _csr_product)
                 self.d_index = self.loss_index
-                self.d_loss = np.zeros((self.loss_rows.size * len(masks), classes))
-                self.d_logits = self.d_loss.reshape(-1, len(masks), classes).swapaxes(0, 1)
+                self.d_loss = np.zeros((self.loss_rows.size * models, classes))
+                self.d_logits = self.d_loss.reshape(-1, models, classes).swapaxes(0, 1)
             else:  # every row, each model's laid out as in a one-model step
-                self.d_index = models * masks.shape[1] + self.loss_rows[pos]
-                self.d_loss = np.zeros((len(masks) * masks.shape[1], classes))
-                self.d_logits = self.d_loss.reshape(len(masks), -1, classes)
+                self.d_index = ms * masks.shape[1] + self.loss_rows[pos]
+                self.d_loss = np.zeros((models * masks.shape[1], classes))
+                self.d_logits = self.d_loss.reshape(models, -1, classes)
+        elif batch:
+            self.label_starts = np.arange(len(x)) * classes
+            self.d_roots = self.buffer("d_roots", (len(x), classes))
+            self.d_logits = self.d_roots[:, None, :]
+        else:
+            self.d_logits = np.zeros((models, len(x), classes))
 
-    def buffer(self, key, shape: tuple[int, ...], dtype=float) -> np.ndarray | None:
-        """The array a stack's steps reuse for ``key`` (None in a batch): malloc
-        returns freed stack activations to the OS, and refaulting costs a step."""
-        if self.buffers is None:
-            return None
-        buf = self.buffers.get(key)
-        if buf is None or buf.shape != shape:
-            buf = self.buffers[key] = np.empty(shape, dtype)
+        def model_rows(a):  # each model's rows of a batch stack, a view of a contiguous one
+            return a if a.ndim == 2 or len(a) == models else a.reshape(models, -1, a.shape[-1])
+
+        lead = len(x) if batch else models
+        h = x[:, :rows[0]] if batch else x
+        self.plan = []
+        for l, (spec, side, (w, b), (dw, db)) in enumerate(zip(
+                layers, sides, _step_views(flat, layers), _step_views(self.grad, layers))):
+            L = _Layer()
+            cut = not batch and l == last and side == "output" and self.rows is not None
+            n_in = rows[l] if batch else len(x)
+            n_out = rows[l + 1] if batch else len(self.rows) if cut else len(x)
+            a = a_t = None
+            if batch and side is not None:
+                a = adj[:, :rows[l + 1], :rows[l]]
+                a_t = a.swapaxes(1, 2)
+            elif side is not None:  # the E rows, and from the loss rows, when cut
+                a, a_t = (self.adj_rows, self.adj_loss_cols) if cut else (adj, adj)
+            L.prop_in = L.prop_out = L.back_out = L.back_in = None
+            p = h
+            if side == "input":  # copied model-major, as each model's weight product reads it
+                p = self.buffer(("p", l), (lead, n_out, spec.in_dim))
+                L.prop_in = (partial(np.matmul, a, h, out=p) if batch
+                             else partial(_csr_into, p, adj, h))
+            if side == "output":
+                q = self.buffer(("q", l), (lead, n_in, spec.out_dim))
+                if batch:
+                    z = self.buffer(("z", l), (lead, n_out, spec.out_dim))
+                    L.prop_out = partial(np.matmul, a, q, out=z)
+                else:  # node-major, as the CSR product returns it, with the bias added
+                    z = self.buffer(("z", l), (n_out, models, spec.out_dim)).swapaxes(0, 1)
+                    L.prop_out = partial(_csr_into, z, a, q, b[:, None, :])
+            else:
+                q = z = self.buffer(("z", l), (lead, n_out, spec.out_dim))
+            L.p_rows, L.w, L.q_rows, L.z_rows = model_rows(p), w, model_rows(q), model_rows(z)
+            L.b = None if b is None or (side == "output" and not batch) else b[:, None, :]
+            L.relu = z if l < last else None
+            L.dz = z if l < last else self.d_logits  # the layer above writes dz over its h
+            L.db, L.p_t, L.dw, L.h, L.w_t = db, np.swapaxes(p, -1, -2), dw, h, w.swapaxes(-1, -2)
+            L.dq = L.dz
+            if side == "output" and batch:
+                L.dq = self.buffer(("dq", l), (lead, n_in, spec.out_dim))
+                L.back_out = partial(np.matmul, a_t, L.dz, out=L.dq)
+            elif side == "output":
+                L.back_out, L.dq = partial(_csr_product, a_t, L.dz), None
+            L.dq_rows = None if L.dq is None else model_rows(L.dq)
+            L.live = L.dh_rows = None
+            if l > 0:
+                L.live, L.dh_rows = self.buffer(("live", l), h.shape, bool), model_rows(h)
+            if l > 0 and side == "input" and batch:  # rows[l + 1] rows, propagated into h
+                t = self.buffer(("dz_wt", l), (lead, n_out, spec.in_dim))
+                L.dh_rows, L.back_in = model_rows(t), partial(np.matmul, a_t, t, out=h)
+            elif l > 0 and side == "input":  # the CSR product, back model-major into h
+                L.back_in = partial(_csr_into, h, adj, h)
+            self.plan.append(L)
+            h = z
+        self.backward_plan = self.plan[::-1]
+        if batch:
+            self.logits, self.root_logits = z, z[:, 0, :]
+        elif self.rows is not None and sides[-1] != "output":
+            # the E rows of every row's logits, node-major as a cut layer's
+            e_rows = self.buffer("logits", (len(self.rows), models, classes))
+            index = (self.rows[:, None] + np.arange(models) * len(x)).ravel()
+            self.take_logits = partial(z.reshape(-1, classes).take, index, axis=0,
+                                       out=e_rows.reshape(-1, classes), mode="clip")
+            self.logits = e_rows.swapaxes(0, 1)
+        else:
+            self.logits = z
+        if self.rows is not None:
+            self.node_logits = self.logits.swapaxes(0, 1).reshape(-1, classes)  # a view
+
+    def buffer(self, key, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        """A new array that every step reuses for ``key``, kept in ``buffers``."""
+        buf = self.buffers[key] = np.empty(shape, dtype)
         return buf
 
 
-def _model_rows(a: np.ndarray, models: int) -> np.ndarray:
-    """``a`` as each model's block of rows: an (S * m, r, k) stacked batch as
-    (S, m * r, k), a view of its rows (a copy when they are cut from longer
-    subgraphs); a full-graph stack's (S, rows, k) as it is."""
-    return a if len(a) == models else a.reshape(models, -1, a.shape[-1])
-
-
-def _weights(p: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``p @ w`` for S models' (S, k, o) weights, one product per model: on
-    a full-graph stack's shared (rows, k) input or (S, rows, k) rows, or on
-    each model's block of a stacked batch (:func:`_model_rows`), as one
-    product over all of its rows.  A stacked batch's ``out`` must be
-    C-contiguous, so that its (S, m * rows, o) view is no copy."""
-    if p.ndim == 2 or len(p) == len(w):
-        return np.matmul(p, w, out=out)
-    out = None if out is None else _model_rows(out, len(w))
-    return np.matmul(_model_rows(p, len(w)), w, out=out).reshape(*p.shape[:-1], w.shape[-1])
-
-
-def _propagate(a, h: np.ndarray) -> np.ndarray:
-    """``a @ h``: a dense (m, r, s) adjacency stack on its (m, s, k) batch, or
-    the graph's adjacency on a stack's (S, n, k) activations, one product on
-    their (n, S * k) node-major copy, returned as an (S, rows, k) view of the
-    node-major result."""
-    if a.ndim == 3:
-        return a @ h
-    models, rows, k = h.shape
-    return (a @ h.swapaxes(0, 1).reshape(rows, -1)).reshape(-1, models, k).swapaxes(0, 1)
-
-
-def _forward(ws: _StepWorkspace, adj, x: np.ndarray, keep_cache: bool, rows=None):
-    """Shared forward pass; returns (logits, cache of (layer input, matrix times w)).
-
-    ``x`` is layer 0's input (A @ X or X with a ones column, see the module
-    docstring).  ``adj`` is sparse (n, n) with ``x`` (n, d + 1) and logits
-    (S, n, C) for a stack of S models, or a dense (m, a, s) stack with ``x``
-    (m, s, d + 1).
-    With ``rows`` (see the module docstring), layer l maps the first
-    ``rows[l]`` rows to the first ``rows[l + 1]``.  A full-graph training
-    workspace returns the logits of its E rows (``ws.rows``).
-    """
-    in_dim = ws.layers[0].in_dim
-    if x.shape[-1] != in_dim + 1:
-        raise ShapeError(f"feature dim {x.shape[-1] - 1} != first-layer in_dim {in_dim}")
-    h = x if rows is None else x[:, :rows[0]]
-    cache = []
-    last = len(ws.layers) - 1
-    for l, ((w, b), side) in enumerate(zip(ws.weights, ws.sides)):
-        a = adj if rows is None else adj[:, :rows[l + 1], :rows[l]]
-        if l == last and side == "output" and ws.rows is not None:
-            a = ws.adj_rows  # the E rows only, see the module docstring
-        # an input-side product feeds the weight products, so each model's
-        # rows are laid out as in a one-model step (a copy only in a stack)
-        p = np.ascontiguousarray(_propagate(a, h)) if side == "input" else h
-        z = _weights(p, w, ws.buffer(("z", l), (len(w), p.shape[-2], w.shape[-1]))
-                     if l < last else None)  # the logits are returned, not reused
-        if side == "output":
-            z = _propagate(a, z)
-        if b is not None:  # (S, o): each model's bias on its rows
-            model_z = _model_rows(z, len(b))
-            model_z += b[:, None, :]
-        if keep_cache:
-            cache.append((h, p))
-        if l < last:
-            np.maximum(z, 0.0, out=z)
-        h = z
-    if ws.rows is not None and side != "output":  # node-major, as the cut layer's logits
-        h = h.swapaxes(0, 1)[ws.rows].swapaxes(0, 1)
-    return h, cache
+def _forward(ws: _StepWorkspace) -> np.ndarray:
+    """The forward pass over ``ws.plan``; returns ``ws.logits``: (S, n, C) on
+    the graph, (S, E, C) on a full-graph training workspace (the E rows, see
+    the module docstring) and (B, 1, C) on a batch."""
+    for L in ws.plan:
+        if L.prop_in is not None:
+            L.prop_in()
+        np.matmul(L.p_rows, L.w, out=L.q_rows)
+        if L.prop_out is not None:
+            L.prop_out()
+        if L.b is not None:  # (S, 1, o): each model's bias on its rows
+            np.add(L.z_rows, L.b, out=L.z_rows)
+        if L.relu is not None:
+            np.maximum(L.relu, 0.0, out=L.relu)
+    if ws.take_logits is not None:
+        ws.take_logits()
+    return ws.logits
 
 
 def gcn_forward(ctx: ForwardContext, params: ModelParams) -> np.ndarray:
     """Per-node class logits over the whole (transductive) graph; MLP models
     (``dense`` layers only) ignore the adjacency."""
-    logits, _ = _forward(_StepWorkspace(params.flat[None], params.layers), ctx.adj_norm,
-                         ctx.first_layer_input(params.layers), keep_cache=False)
-    return logits[0]
+    return _forward(_StepWorkspace(params.flat[None], params.layers, ctx.adj_norm,
+                                   ctx.first_layer_input(params.layers)))[0]
 
 
-def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray,
-                        starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray, starts: np.ndarray,
+                        out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-row softmax cross-entropy and its gradient with respect to the rows,
-    both from one shifted log-softmax.
+    both from one shifted log-softmax; the gradient is written into ``out``
+    (a C-contiguous array of the logits' shape) when given.
 
     ``starts`` holds each row's offset in the flattened (rows, classes)
     array, ``np.arange(rows) * classes`` (a workspace's ``label_starts``), so
@@ -425,7 +499,7 @@ def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray,
     flat = starts + labels
     # class by class: a row max's and (below 8 classes) row sum's ops, in order
     shifted = logits - reduce(np.maximum, logits.T)[:, None]
-    exp = np.exp(shifted)
+    exp = np.exp(shifted, out=out)
     total = (reduce(np.add, exp.T) if exp.shape[1] < 8 else exp.sum(axis=1))[:, None]
     losses = np.log(total[:, 0]) - shifted.take(flat)
     exp /= total
@@ -433,45 +507,34 @@ def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray,
     return losses, exp
 
 
-def _backward(ws: _StepWorkspace, adj, cache, d_logits: np.ndarray, rows=None) -> np.ndarray:
-    """Reverse-mode sweep from an output-logit gradient into ``ws.grad``, the
-    flat parameter gradient (one row per batch entry when the forward pass
-    ran over an (m, a, s) stack, one per model on the full graph).
+def _backward(ws: _StepWorkspace) -> np.ndarray:
+    """The reverse-mode sweep over ``ws.plan`` from ``ws.d_logits`` into
+    ``ws.grad``, the flat parameter gradient (one row per batch entry on a
+    batch, one per model on the graph).
 
-    With ``rows``, layer l reads the transpose of the block its forward pass
-    read, ``adj[:, :rows[l + 1], :rows[l]].swapaxes(1, 2)``; the graph's
-    normalized adjacency is symmetric, so A^T g == A g.  A full-graph
-    training workspace's ``d_logits`` is its ``ws.d_logits``, and a last
-    layer that propagates its output reads ``ws.adj_loss_cols``.
+    A layer that propagates reads the transpose of the block its forward
+    pass read: on a batch ``adj[:, :rows[l + 1], :rows[l]].swapaxes(1, 2)``;
+    on the graph the normalized adjacency, which is symmetric, so A^T g ==
+    A g, or, on a last layer that propagates its output in a training
+    workspace, ``ws.adj_loss_cols``.  Each hidden layer's dh goes over its h,
+    once the ReLU mask and the weight gradient have read it.
     """
-    dz = d_logits
-    last = len(ws.layers) - 1
-    for l in range(last, -1, -1):
-        w, _ = ws.weights[l]
-        dw, db = ws.grad_views[l]
-        h, p = cache[l]
-        side = ws.sides[l]
-        a = adj if rows is None else adj[:, :rows[l + 1], :rows[l]].swapaxes(1, 2)
-        if l == last and side == "output" and ws.rows is not None:
-            a = ws.adj_loss_cols  # dz holds the loss rows only
-        if db is not None:
-            np.einsum("...rk->...k", dz, out=db)
-        if side == "output":
-            dz = _propagate(a, dz)
-        np.matmul(np.swapaxes(p, -1, -2), dz, out=dw)
-        if l > 0:
+    for L in ws.backward_plan:
+        if L.db is not None:
+            np.einsum("...rk->...k", L.dz, out=L.db)
+        dq, dq_rows = L.dq, L.dq_rows
+        if L.back_out is not None:
+            fresh = L.back_out()
+            if dq is None:  # the graph's CSR product
+                dq = dq_rows = fresh
+        np.matmul(L.p_t, dq, out=L.dw)
+        if L.live is not None:
             # h is post-ReLU, so h > 0 exactly where its pre-activation is
-            live = np.greater(h, 0.0, out=ws.buffer(("live", l), h.shape, bool))
-            # dw has read p and the mask h, which no lower layer reads: dh goes over h
-            w_t = np.swapaxes(w, -1, -2)
-            if side == "input" and rows is not None:  # rows[l + 1] rows into h's rows[l]
-                np.matmul(a, _weights(dz, w_t), out=h)
-            else:
-                _weights(dz, w_t, h)
-                if side == "input":  # the CSR product, back model-major as in _forward
-                    h[...] = _propagate(a, h)
-            h *= live
-            dz = h
+            np.greater(L.h, 0.0, out=L.live)
+            np.matmul(dq_rows, L.w_t, out=L.dh_rows)
+            if L.back_in is not None:
+                L.back_in()
+            np.multiply(L.h, L.live, out=L.h)
     return ws.grad
 
 
@@ -491,38 +554,41 @@ def subgraph_batch_gradients(adj: np.ndarray, inputs: np.ndarray, root_labels: n
     same layout as ``params.flat``.
 
     The workspace form of ``params`` is internal: the training loop passes
-    its :class:`_StepWorkspace`, and the gradient matrix is then that
-    workspace's buffer, overwritten by the next call.  Given a
-    :class:`ModelParams`, the arrays are fresh.
+    its :class:`_StepWorkspace`, built on the batch buffers that the store
+    gathers each step's batch into, and these must be the arrays given; the
+    gradient matrix is then that workspace's buffer, overwritten by the next
+    call.  Given a :class:`ModelParams`, the arrays are fresh.
     """
-    ws = (params if isinstance(params, _StepWorkspace)
-          else _StepWorkspace(params.flat[None], params.layers, batch=(root_labels.size,)))
-    logits, cache = _forward(ws, adj, inputs, keep_cache=True, rows=rows)
-    losses, d_roots = _cross_entropy_rows(logits[:, 0, :], root_labels, ws.label_starts)
-    return losses, _backward(ws, adj, cache, d_roots[:, None, :], rows=rows)
+    if isinstance(params, _StepWorkspace):
+        ws = params
+        if adj is not ws.adj or inputs is not ws.x or root_labels is not ws.labels:
+            raise ValueError("a step workspace steps on the batch buffers it was built on")
+    else:
+        ws = _StepWorkspace(params.flat[None], params.layers, adj, inputs, root_labels, rows)
+    _forward(ws)
+    losses, _ = _cross_entropy_rows(ws.root_logits, ws.labels, ws.label_starts, ws.d_roots)
+    return losses, _backward(ws)
 
 
-def _masked_loss_grad_and_logits(ws: _StepWorkspace, adj, x: np.ndarray, means: bool = True):
+def _masked_loss_grad_and_logits(ws: _StepWorkspace, means: bool = True):
     """Each model's mean cross-entropy over its loss rows (None without
     ``means``), the (S, n_params) gradient (``ws.grad``) and the (S, E, C)
     logits of ``ws.rows``."""
-    logits, cache = _forward(ws, adj, x, keep_cache=True)
-    node_rows = logits.swapaxes(0, 1).reshape(-1, logits.shape[-1])  # a view, see _forward
-    losses, d_rows = _cross_entropy_rows(node_rows.take(ws.loss_index, axis=0), ws.loss_labels,
-                                         ws.label_starts)
+    logits = _forward(ws)
+    losses, d_rows = _cross_entropy_rows(ws.node_logits.take(ws.loss_index, axis=0),
+                                         ws.loss_labels, ws.label_starts)
     d_rows /= ws.loss_sizes
     ws.d_loss[ws.d_index] = d_rows
     # sum / size is the bits of losses.mean() without its per-call overhead
     loss_means = ([float(losses[cut].sum() / (cut.stop - cut.start)) for cut in ws.loss_slices]
                   if means else None)
-    return loss_means, _backward(ws, adj, cache, ws.d_logits), logits
+    return loss_means, _backward(ws), logits
 
 
 def loss_and_grad(ctx: ForwardContext, params: ModelParams, labels: np.ndarray,
                   mask: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean masked cross-entropy and its exact gradient through all layers."""
-    ws = _StepWorkspace(params.flat[None], params.layers, adj=ctx.adj_norm, labels=labels,
-                        masks=mask[None])
-    losses, grad, _ = _masked_loss_grad_and_logits(ws, ctx.adj_norm,
-                                                   ctx.first_layer_input(params.layers))
+    ws = _StepWorkspace(params.flat[None], params.layers, ctx.adj_norm,
+                        ctx.first_layer_input(params.layers), labels=labels, masks=mask[None])
+    losses, grad, _ = _masked_loss_grad_and_logits(ws)
     return losses[0], grad[0]

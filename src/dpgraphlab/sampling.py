@@ -137,8 +137,9 @@ class SubgraphStore:
       column (see :mod:`dpgraphlab.nn`), (N, R, d + 1): A @ X for a
       ``gcn_conv`` first layer, X for a ``dense`` one;
 
-    and a batch is a plain gather of both.  Rows past a subgraph's size are
-    zero and contribute nothing.
+    and a batch is a gather of both, into fresh arrays or, in training, into
+    the buffers that the training's step workspace reads.  Rows past a
+    subgraph's size are zero and contribute nothing.
 
     The nonzeros of all subgraphs are found at once, in O(nodes + edges)
     array operations: the diagonal and each tree edge both ways.  A row's
@@ -229,10 +230,23 @@ class SubgraphStore:
     def __len__(self) -> int:
         return self.sizes.size
 
-    def batch(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    def batch(self, idx: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                        list[int]]:
         """(adj, inputs, root_labels, rows) for the given subgraph indices: the
-        arguments of :func:`dpgraphlab.nn.subgraph_batch_gradients`."""
-        return self.adj[idx], self.inputs[idx], self.root_labels[idx], self.rows
+        arguments of :func:`dpgraphlab.nn.subgraph_batch_gradients`.
+
+        Given ``out``, an (adj, inputs, root_labels) triple of arrays of the
+        batch's shapes, the batch is gathered into them and they are
+        returned.  That gather clips each index to the store, so the caller
+        checks their range (``take`` with ``mode="raise"`` and ``out``
+        gathers into a temporary copy first, about twice as slow)."""
+        if out is None:
+            return self.adj[idx], self.inputs[idx], self.root_labels[idx], self.rows
+        adj, inputs, root_labels = out
+        self.adj.take(idx, axis=0, out=adj, mode="clip")
+        self.inputs.take(idx, axis=0, out=inputs, mode="clip")
+        self.root_labels.take(idx, out=root_labels, mode="clip")
+        return adj, inputs, root_labels, self.rows
 
 
 def _stack_stores(stores: list[SubgraphStore]) -> SubgraphStore:

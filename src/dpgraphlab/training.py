@@ -226,13 +226,12 @@ def _train_stack(graph, config, spec, train_masks, models, claim, feeds, logs):
     dp = claim is not None
     if not dp:
         ctx = normalize_adjacency(graph)
-        adj, x = ctx.adj_norm, ctx.first_layer_input(layers)
         has_val = bool(graph.val_mask.any())
         if has_val:
             best = (flat.copy(), [-1.0] * S)
         # E and each model's loss rows: every record's logits are E's rows
-        ws = _StepWorkspace(flat, layers, adj=adj, labels=graph.labels, masks=train_masks,
-                            val_mask=graph.val_mask)
+        ws = _StepWorkspace(flat, layers, ctx.adj_norm, ctx.first_layer_input(layers),
+                            labels=graph.labels, masks=train_masks, val_mask=graph.val_mask)
         u = ws.member.shape[1]
         # the rows a record scores: E, or its val rows alone without logs
         # (argmax works row by row, so each val hit keeps its bits)
@@ -242,7 +241,7 @@ def _train_stack(graph, config, spec, train_masks, models, claim, feeds, logs):
     # a record logs, or selects the checkpoint
     records = logs or best is not None
     if feeds is None:
-        steps, every, gradients = _full_graph_source(config, spec, ws, adj, x, logs)
+        steps, every, gradients = _full_graph_source(config, spec, ws, logs)
     else:
         steps, every, gradients = _subgraph_source(config, spec, feeds, flat, layers, claim, logs)
 
@@ -261,7 +260,7 @@ def _train_stack(graph, config, spec, train_masks, models, claim, feeds, logs):
             for log, loss in zip(model_logs, losses):
                 log.append({"step": step, "loss": loss, "epsilon_spent": spent, "sigma": sigma})
             return
-        logits = _forward(ws, adj, x, keep_cache=False)[0] if logits is None else logits
+        logits = _forward(ws) if logits is None else logits
         hits = np.argmax(logits[:, first:], axis=-1) == eval_labels  # ties resolve to class 0
         val_acc = ([np.count_nonzero(row[u - first:]) / n_val for row in hits] if has_val
                    else [None] * S)
@@ -304,16 +303,15 @@ def _train_stack(graph, config, spec, train_masks, models, claim, feeds, logs):
 # rows (the loss) and then its val rows only, so one forward serves both the
 # step's gradient and the previous record's evaluation; the subgraph source
 # has no full-graph logits and yields None.
-# The iterators are generators, so one step's batch arrays stay alive until
-# the next step has allocated its own, as in an inline loop.  A function
-# call per step frees the whole batch at once on return; malloc then hands
-# the heap top back to the OS and faults it in again on the next step, which
-# made DP training about 1.5x slower on the dp_audit benchmark.
+# Each source steps on its workspace's buffers (the subgraph source gathers
+# each batch into the buffers its workspace was built on), so a step frees
+# no large array: malloc would hand a freed batch back to the OS and fault
+# it in again on the next step (about 1.5x slower DP training on dp_audit).
 
-def _full_graph_source(config, spec, ws: _StepWorkspace, adj, x, logs=True):
+def _full_graph_source(config, spec, ws: _StepWorkspace, logs=True):
     def gradients():
         while True:
-            losses, grad, logits = _masked_loss_grad_and_logits(ws, adj, x, logs)
+            losses, grad, logits = _masked_loss_grad_and_logits(ws, logs)
             if config.clipping:  # each model's gradient by its own norm, in place
                 grad *= _clip_scale(np.sqrt(np.vecdot(grad, grad)), spec.clip_norm)[:, None]
             yield losses, grad, logits
@@ -349,7 +347,14 @@ def _subgraph_source(config, spec: SubgraphSpec, feeds: list[_SubgraphFeed], fla
     run each model draws its (W, n) noise at the ``claim``'s sigma from its
     own stream in one call, and step k adds the (S, n) row k to the clipped
     sums.  Each stream makes the draws of one draw per step in the same
-    order, so every step keeps their bits."""
+    order, so every step keeps their bits.
+
+    The source owns the batch: the (S * m, a, R) adjacency, (S * m, R,
+    d + 1) inputs and (S * m,) root labels that each step gathers into, on
+    which the step workspace resolves every operand once (see
+    :class:`dpgraphlab.nn._StepWorkspace`), and the (S, m, n) view of its
+    gradient rows that the clip-and-noise step reads.  The gather clips its
+    indices, so each window checks its indices' range once."""
     S, m, steps, n = len(feeds), feeds[0].batch_size, spec.total_steps, flat.shape[1]
     sizes = [len(feed.store) for feed in feeds]
     store = _stack_stores([feed.store for feed in feeds])  # takes the stores' arrays over
@@ -362,7 +367,10 @@ def _subgraph_source(config, spec: SubgraphSpec, feeds: list[_SubgraphFeed], fla
     draws = list(zip(feeds, sizes, np.cumsum([0] + sizes[:-1]),
                      idx.reshape(_WINDOW, S, m).transpose(1, 0, 2),
                      [None] * S if noise is None else noise.transpose(1, 0, 2)))
-    ws = _StepWorkspace(flat, layers, batch=(S * m,))
+    batch = tuple(np.empty((S * m, *a.shape[1:]), a.dtype)
+                  for a in (store.adj, store.inputs, store.root_labels))
+    ws = _StepWorkspace(flat, layers, *batch, rows=store.rows)
+    grads = ws.grad.reshape(S, m, n)  # each model's gradient rows
     update = np.empty_like(flat)
 
     def gradients():
@@ -374,10 +382,10 @@ def _subgraph_source(config, spec: SubgraphSpec, feeds: list[_SubgraphFeed], fla
                 block[:w] += start
                 if noise is not None:
                     noise_block[:w] = feed.noise_rng.normal(0.0, std, size=(w, n))
+            if idx[:w].max() >= len(store):  # the gather would clip it silently
+                raise IndexError(f"batch index {idx[:w].max()} out of a store of {len(store)}")
             for row, noise_row in zip(idx[:w], [None] * w if noise is None else noise):
-                batch = store.batch(row)
-                losses, grads = subgraph_batch_gradients(*batch, ws)
-                grads = grads.reshape(S, m, -1)
+                losses, _ = subgraph_batch_gradients(*store.batch(row, out=batch), ws)
                 if config.clipping:  # no noise outside DP runs
                     noisy_batch_gradient(grads, spec.clip_norm, noise_row, update)
                 else:

@@ -528,15 +528,19 @@ def test_report_leaves_out_the_cells_of_another_manifest(tmp_path):
     summary = run(second)
     out = report(tmp_path / "res")
     assert out["aggregate"] == summary["aggregate"] and out["aggregate"][0]["n_seeds"] == 1
-    assert [Path(c["file"]).name for c in out["corrupt"]] == ["non_dp_seed1.json",
-                                                              "non_dp_seed2.json"]
-    for c in out["corrupt"]:
+    # they are valid cells, so they are listed apart from the unreadable ones
+    assert out["corrupt"] == []
+    assert [Path(c["file"]).name for c in out["stale"]] == ["non_dp_seed1.json",
+                                                            "non_dp_seed2.json"]
+    for c in out["stale"]:
         assert first.hash() in c["error"] and second.hash() in c["error"]
+    assert "cells of another manifest: 2" in out["text"]
+    assert "unreadable cell files" not in out["text"]
     # without a readable summary.json, a grid's cells are not checked
     for text in ("{not json", "[]", '{"n_cells": 1}'):
         (tmp_path / "res" / "summary.json").write_text(text)
         out = report(tmp_path / "res")
-        assert out["corrupt"] == [] and out["aggregate"][0]["n_seeds"] == 3
+        assert out["stale"] == out["corrupt"] == [] and out["aggregate"][0]["n_seeds"] == 3
 
 
 def test_report_of_unreadable_cells_alone_starts_with_them(tmp_path):

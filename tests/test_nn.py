@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import weakref
 from functools import partial
 
 import numpy as np
@@ -442,42 +443,6 @@ def test_stacked_row_products_match_per_slice_products():
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
 
 
-def test_weights_make_each_models_2d_product():
-    # each model's block of a stacked (S * m, r, k) batch makes the call of
-    # p @ w over its m * r rows, so the bits of a one-model batch, for a
-    # transposed w too (the backward pass's w.T); rows cut from longer
-    # subgraphs are copied, not misread; a full-graph stack's shared input
-    # is each model's p @ w
-    rng = np.random.default_rng(43)
-    w = rng.standard_normal((2, 7, 3))
-    stack = rng.standard_normal((2 * 5, 9, 7))
-    for p in (stack, stack[:, :4]):
-        got = nn._weights(p, w)
-        assert got.shape == (*p.shape[:-1], 3)
-        for s, rows in enumerate(np.split(p, 2)):
-            flat = np.ascontiguousarray(rows).reshape(-1, 7)
-            assert got[5 * s:5 * (s + 1)].tobytes() == (flat @ w[s]).tobytes()
-    q = rng.standard_normal((2 * 5, 1, 3))
-    got = nn._weights(q, w.swapaxes(-1, -2))
-    for s in range(2):
-        assert got[5 * s:5 * (s + 1)].tobytes() == (q[5 * s:5 * (s + 1), 0] @ w[s].T).tobytes()
-    x = rng.standard_normal((40, 7))
-    got = nn._weights(x, w)
-    assert all(got[s].tobytes() == (x @ w[s]).tobytes() for s in range(2))
-
-
-def test_weights_write_a_stacked_batch_into_out():
-    # the backward pass writes a batch's dh = dz @ w.T over its activation h:
-    # the product lands in out's own buffer, with the bits of the fresh product
-    rng = np.random.default_rng(44)
-    w = rng.standard_normal((2, 7, 3))
-    dz = rng.standard_normal((2 * 5, 4, 3))
-    out = np.empty((2 * 5, 4, 7))
-    got = nn._weights(dz, w.swapaxes(-1, -2), out)
-    assert np.shares_memory(got, out)
-    assert out.tobytes() == nn._weights(dz, w.swapaxes(-1, -2)).tobytes()
-
-
 # ---------------------------------------------------------------- model invariances
 
 def test_permutation_equivariance():
@@ -673,9 +638,9 @@ def spy_subgraph_runs(monkeypatch):
             feeds.append(self)
             sizes.append(len(self.store))
 
-    def spied_batch(store, idx):
+    def spied_batch(store, idx, out=None):
         rows.append(np.array(idx))
-        return batch(store, idx)
+        return batch(store, idx, out)
 
     def spied_means(grads, clip_norm, noise, out):
         noises.append(None if noise is None else noise.copy())
@@ -799,9 +764,9 @@ def test_full_graph_workspace_matches_fresh_calls():
         params = training._init_model(g, cfg)
         ctx = dg.normalize_adjacency(g)
         adj, x = ctx.adj_norm, ctx.first_layer_input(params.layers)
-        ws = _StepWorkspace(params.flat[None], params.layers, adj=adj, labels=g.labels,
+        ws = _StepWorkspace(params.flat[None], params.layers, adj, x, labels=g.labels,
                             masks=g.train_mask[None], val_mask=g.val_mask)
-        _, _, source = training._full_graph_source(cfg, dg.SubgraphSpec(), ws, adj, x)
+        _, _, source = training._full_graph_source(cfg, dg.SubgraphSpec(), ws)
         # the source's logits are the train rows, then the val rows
         rows = np.concatenate([np.flatnonzero(g.train_mask), np.flatnonzero(g.val_mask)])
         adam = training._Adam(cfg.learning_rate)
@@ -813,7 +778,7 @@ def test_full_graph_workspace_matches_fresh_calls():
             want = dg.gcn_forward(ctx, params)[rows]
             np.testing.assert_array_equal(logits[0], want)
             # a record's own forward pass over the workspace's rows
-            np.testing.assert_array_equal(nn._forward(ws, adj, x, keep_cache=False)[0][0], want)
+            np.testing.assert_array_equal(nn._forward(ws)[0], want)
             adam.step(params.flat, grad)
 
 
@@ -821,24 +786,23 @@ def full_row_loss_grad_and_logits(params, adj, x, labels, mask):
     """Oracle of the full-graph step that computes every row: the full-row
     forward pass, the loss gradient scattered into an (n, C) d_logits whose
     other rows are zero, and the full-row backward pass."""
-    ws = _StepWorkspace(params.flat[None], params.layers)
-    logits, cache = nn._forward(ws, adj, x, keep_cache=True)
-    logits = logits[0]  # a stack of one model
+    ws = _StepWorkspace(params.flat[None], params.layers, adj, x)
+    logits = nn._forward(ws)[0]  # a stack of one model
     idx = np.flatnonzero(mask)
     losses, d_rows = fancy_cross_entropy_rows(logits[idx], labels[idx])
     d_rows /= idx.size
-    d_logits = np.zeros_like(logits)
-    d_logits[idx] = d_rows
-    grad = nn._backward(ws, adj, cache, d_logits[None])[0].copy()
+    assert not ws.d_logits.any()  # every other row's gradient is zero
+    ws.d_logits[0, idx] = d_rows
+    grad = nn._backward(ws)[0].copy()
     return float(losses.sum() / idx.size), grad, logits
 
 
 def cut_step(params, ctx, labels, mask, val_mask):
     """The training step's loss, gradient and E-row logits, and E."""
     adj, x = ctx.adj_norm, ctx.first_layer_input(params.layers)
-    ws = _StepWorkspace(params.flat[None], params.layers, adj=adj, labels=labels,
+    ws = _StepWorkspace(params.flat[None], params.layers, adj, x, labels=labels,
                         masks=mask[None], val_mask=val_mask)
-    (loss,), (grad,), logits = nn._masked_loss_grad_and_logits(ws, adj, x)
+    (loss,), (grad,), logits = nn._masked_loss_grad_and_logits(ws)
     return loss, grad, logits[0], ws.rows
 
 
@@ -892,10 +856,9 @@ def test_row_cut_chaotic_adam_clipping_run_equals_full_row_oracle(hidden):
     oracle = dg.ModelParams(flat=params.flat.copy(), layers=params.layers)
     x = ctx.first_layer_input(params.layers)
     cfg = dg.TrainConfig(num_layers=3, hidden_dim=hidden, clipping=True, seed=12)
-    ws = _StepWorkspace(params.flat[None], params.layers, adj=ctx.adj_norm, labels=g.labels,
+    ws = _StepWorkspace(params.flat[None], params.layers, ctx.adj_norm, x, labels=g.labels,
                         masks=g.train_mask[None], val_mask=g.val_mask)
-    _, _, source = training._full_graph_source(cfg, dg.SubgraphSpec(clip_norm=0.5), ws,
-                                               ctx.adj_norm, x)
+    _, _, source = training._full_graph_source(cfg, dg.SubgraphSpec(clip_norm=0.5), ws)
     adam, oracle_adam = training._Adam(1e-2), training._Adam(1e-2)
     for _ in range(60):
         _, (update,), _ = next(source)
@@ -941,12 +904,12 @@ def test_every_row_last_layer_gradient_stays_zero_outside_loss_rows(init, num_la
     flat = np.stack([init(g.feat_dim, hidden, 2, num_layers, seed=s).flat for s in range(3)])
     layers = init(g.feat_dim, hidden, 2, num_layers, seed=0).layers
     adj, x = ctx.adj_norm, ctx.first_layer_input(layers)
-    ws = _StepWorkspace(flat, layers, adj=adj, labels=g.labels, masks=masks,
+    ws = _StepWorkspace(flat, layers, adj, x, labels=g.labels, masks=masks,
                         val_mask=g.val_mask)
     assert ws.d_logits.shape == (3, g.num_nodes, 2)
     sgd = training._Sgd(0.5)
     for _ in range(4):
-        nn._masked_loss_grad_and_logits(ws, adj, x)
+        nn._masked_loss_grad_and_logits(ws)
         assert not ws.d_logits[~masks].any()
         assert ws.d_logits[masks].any(axis=-1).all()
         sgd.step(flat, ws.grad)
@@ -964,9 +927,10 @@ def test_every_row_last_layer_gradient_stays_zero_outside_loss_rows(init, num_la
 def test_full_graph_step_writes_dh_over_h(init, num_layers, hidden, classes, sides):
     # a stack's backward pass writes each hidden layer's dh over that
     # layer's input h once the ReLU mask and the weight gradient have read
-    # it, so its workspace keeps activations and masks but no dh buffer, and
-    # each model's gradient keeps the bits of its own loss_and_grad (which
-    # writes dh over h too, so the unfolded oracle checks the values)
+    # it, so its workspace keeps activations, products and masks but no dh
+    # buffer, and each model's gradient keeps the bits of its own
+    # loss_and_grad (which writes dh over h too, so the unfolded oracle
+    # checks the values)
     g = workspace_graph()
     g = g if classes == 2 else relabeled(g, classes, 5)
     ctx = dg.normalize_adjacency(g)
@@ -978,13 +942,19 @@ def test_full_graph_step_writes_dh_over_h(init, num_layers, hidden, classes, sid
     layers = init(g.feat_dim, hidden, classes, num_layers, seed=0).layers
     assert [nn._propagated_side(l, spec) for l, spec in enumerate(layers)] == sides
     adj, x = ctx.adj_norm, ctx.first_layer_input(layers)
-    ws = _StepWorkspace(flat, layers, adj=adj, labels=g.labels, masks=masks,
+    ws = _StepWorkspace(flat, layers, adj, x, labels=g.labels, masks=masks,
                         val_mask=g.val_mask)
+    # every layer's output z, an input-side layer's propagated input p, an
+    # output-side layer's product q before its propagation, the masks, and
+    # the E rows of an every-row last layer's logits
+    kept = ({("z", l) for l in range(num_layers)} | {("live", l) for l in range(1, num_layers)}
+            | {("p", l) for l, side in enumerate(sides) if side == "input"}
+            | {("q", l) for l, side in enumerate(sides) if side == "output"}
+            | ({"logits"} if sides[-1] != "output" else set()))
+    assert set(ws.buffers) == kept
     sgd = training._Sgd(0.5)
     for _ in range(3):
-        _, grad, _ = nn._masked_loss_grad_and_logits(ws, adj, x)
-        assert set(ws.buffers) == ({("z", l) for l in range(num_layers - 1)}
-                                   | {("live", l) for l in range(1, num_layers)})
+        _, grad, _ = nn._masked_loss_grad_and_logits(ws)
         for s, mask in enumerate(masks):
             model = ModelParams(flat[s].copy(), layers)
             np.testing.assert_array_equal(grad[s],
@@ -994,6 +964,10 @@ def test_full_graph_step_writes_dh_over_h(init, num_layers, hidden, classes, sid
             np.testing.assert_allclose(grad[s], want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
         sgd.step(flat, grad)
+    # no reference cycle keeps a finished stack's buffers alive
+    alive = weakref.ref(ws)
+    del ws
+    assert alive() is None
 
 
 def test_adam_step_equals_textbook_expression():
@@ -1036,22 +1010,77 @@ def test_records_score_the_e_row_logits():
 
 
 def test_subgraph_workspace_matches_fresh_calls():
+    # the training's step: each step gathers its batch into the buffers the
+    # workspace resolved every operand on, and over two steps on those
+    # buffers (the params moving in place between them) its losses,
+    # gradient rows and clip-and-noise update equal, bit for bit, the fresh
+    # public calls on each model's own batch and params: in a stack of 3
+    # each model's rows make its own one-model BLAS call per weight product
     g = workspace_graph()
     rng = np.random.default_rng(3)
-    for params in (dg.init_gcn(g.feat_dim, 6, 2, 3, seed=1),
-                   dg.init_mlp(g.feat_dim, 6, 2, 2, seed=1)):
-        subgraphs = dg.sample_training_subgraphs(g, 3, 3, 10, rng)
-        store = SubgraphStore(g, subgraphs, params.layers)
-        ws = _StepWorkspace(params.flat[None], params.layers, batch=(8,))
-        sgd = training._Sgd(0.5)
-        for _ in range(20):
-            batch = store.batch(rng.choice(len(store), size=8, replace=False))
-            losses, grads = subgraph_batch_gradients(*batch, ws)
-            assert grads is ws.grad  # the buffer is reused, not reallocated
-            fresh = subgraph_batch_gradients(*batch, params)
-            np.testing.assert_array_equal(losses, fresh[0])
-            np.testing.assert_array_equal(grads, fresh[1])
-            sgd.step(params.flat, grads.mean(axis=0))
+    m, C = 8, 0.05
+    for init, num_layers in ((dg.init_gcn, 1), (dg.init_gcn, 2), (dg.init_gcn, 3),
+                             (dg.init_mlp, 2)):
+        layers = init(g.feat_dim, 6, 2, num_layers, seed=0).layers
+        store = SubgraphStore(g, dg.sample_training_subgraphs(g, 3, num_layers, 10, rng), layers)
+        for models in (1, 3):
+            flat = np.stack([init(g.feat_dim, 6, 2, num_layers, seed=s).flat
+                             for s in range(models)])
+            flat += 0.1 * rng.standard_normal(flat.shape)  # nonzero biases
+            batch = tuple(np.empty((models * m, *a.shape[1:]), a.dtype)
+                          for a in (store.adj, store.inputs, store.root_labels))
+            ws = _StepWorkspace(flat, layers, *batch, rows=store.rows)
+            update = np.empty_like(flat)
+            for _ in range(2):
+                idx = np.concatenate([rng.choice(len(store), m, replace=False)
+                                      for _ in range(models)])
+                gathered = store.batch(idx, out=batch)
+                assert all(a is b for a, b in zip(gathered, batch))
+                losses, grads = subgraph_batch_gradients(*gathered, ws)
+                assert grads is ws.grad  # the buffer is reused, not reallocated
+                noise = rng.standard_normal(flat.shape)
+                dg.noisy_batch_gradient(grads.reshape(models, m, -1), C, noise, update)
+                for s, own in enumerate(np.split(idx, models)):
+                    rows = slice(s * m, (s + 1) * m)
+                    params = ModelParams(flat[s].copy(), layers)
+                    fresh = subgraph_batch_gradients(*store.batch(own), params)
+                    assert losses[rows].tobytes() == fresh[0].tobytes()
+                    assert grads[rows].tobytes() == fresh[1].tobytes()
+                    want = dg.noisy_batch_gradient(fresh[1][None], C, noise[s:s + 1])
+                    assert update[s].tobytes() == want[0].tobytes()
+                flat -= 0.5 * update
+            with pytest.raises(ValueError, match="batch buffers"):
+                subgraph_batch_gradients(*store.batch(idx), ws)
+            # no reference cycle keeps a finished training's buffers alive
+            alive = weakref.ref(ws)
+            del ws
+            assert alive() is None
+
+
+def test_an_out_of_range_batch_index_raises(monkeypatch):
+    # the training's gather clips its indices, so the subgraph source checks
+    # each window's: an index one past the store fails loudly, not as the
+    # store's last subgraph
+    g = dp_stack_graph()
+
+    class PastTheEnd:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def choice(self, n, **kwargs):
+            drawn = self.rng.choice(n, **kwargs)
+            drawn[0] = n
+            return drawn
+
+    class Feed(training._SubgraphFeed):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.batch_rng = PastTheEnd(self.batch_rng)
+
+    monkeypatch.setattr(training, "_SubgraphFeed", Feed)
+    spec = dg.SubgraphSpec(batch_size=8, total_steps=3)
+    with pytest.raises(IndexError, match="out of a store"):
+        dg.train(g, dg.TrainConfig(mode="subgraph_batch", seed=1), spec)
 
 
 def test_public_gradients_are_fresh_arrays():

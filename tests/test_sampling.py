@@ -527,7 +527,9 @@ def test_batch_rows_independent_of_padding():
     # a batch cut to the store's receptive rows, the same batch zero-padded to
     # the store's s_max, with the rows of its padded adjacency, and the batch's
     # full square (s_max, s_max) adjacency blocks, with their own receptive
-    # rows, give bit-identical losses and gradient rows
+    # rows, give bit-identical losses and gradient rows; a gather into given
+    # arrays (as training's, holding the previous batch) returns them with the
+    # fresh gather's bits
     rng = np.random.default_rng(11)
     g = random_split_graph(rng, n=60)
     subs = dg.sample_training_subgraphs(g, 3, 2, 5, seed=2)
@@ -540,6 +542,11 @@ def test_batch_rows_independent_of_padding():
         assert small.size >= 8
         for idx in (rng.choice(small, size=8, replace=False), rng.permutation(len(store))[:8]):
             adj, inputs, labels, rows = store.batch(idx)
+            out = tuple(np.full_like(a, -1) for a in (adj, inputs, labels))
+            gathered = store.batch(idx, out=out)
+            assert all(a is b for a, b in zip(gathered, out)) and gathered[3] == rows
+            for got, want in zip(gathered, (adj, inputs, labels)):
+                assert got.tobytes() == want.tobytes()
             r = rows[0]
             padded_adj = np.zeros((idx.size, s, s))
             padded_adj[:, :adj.shape[1], :r] = adj
