@@ -443,6 +443,78 @@ def test_stacked_row_products_match_per_slice_products():
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
 
 
+def stepped_batch_workspace(g, init, num_layers, hidden, models, m, rng):
+    """A batch workspace of ``models`` stacked models, m subgraphs each,
+    after one step on a batch gathered into the buffers it was built on."""
+    layers = init(g.feat_dim, hidden, 2, num_layers, seed=0).layers
+    flat = np.stack([init(g.feat_dim, hidden, 2, num_layers, seed=s).flat
+                     for s in range(models)])
+    flat += 0.1 * rng.standard_normal(flat.shape)  # nonzero biases
+    store = SubgraphStore(g, dg.sample_training_subgraphs(g, 3, num_layers, 10, rng), layers)
+    batch = tuple(np.empty((models * m, *a.shape[1:]), a.dtype)
+                  for a in (store.adj, store.inputs, store.root_labels))
+    ws = _StepWorkspace(flat, layers, *batch, rows=store.rows)
+    idx = rng.choice(len(store), models * m, replace=False)
+    subgraph_batch_gradients(*store.batch(idx, out=batch), ws)
+    return ws, flat
+
+
+LAYOUTS = ((dg.init_gcn, 3, 6), (dg.init_gcn, 2, 1), (dg.init_mlp, 2, 6))
+
+
+def test_weights_make_each_models_2d_product():
+    # each model's rows of a stacked (S * m, r, k) batch are an (S, m * r, k)
+    # view of the stack the layer reads, so the step's one broadcast matmul
+    # makes the call of p @ w over each model's m * r rows: the bits of its
+    # one-model batch, for the transposed w (the backward pass's w.T) too;
+    # on the full graph the stack's shared input x is each model's x @ w
+    g = workspace_graph()
+    rng = np.random.default_rng(43)
+    models, m = 2, 5
+    for init, num_layers, hidden in LAYOUTS:
+        ws, flat = stepped_batch_workspace(g, init, num_layers, hidden, models, m, rng)
+        for L in ws.plan:
+            p = L.p_t.swapaxes(-1, -2)  # the (S * m, r, k) stack the product reads
+            assert np.shares_memory(L.p_rows, p)  # a view, reread in place each step
+            assert np.shares_memory(L.w, flat)
+            products = [(L.p_rows, p, L.w, L.q_rows)]
+            if L.live is not None:
+                products.append((L.dq_rows, L.dq, L.w_t, L.dh_rows))
+            for rows, stack, w, out in products:
+                got = np.matmul(rows, w, out=out)
+                for s, own in enumerate(np.split(stack, models)):
+                    own_rows = np.ascontiguousarray(own).reshape(-1, own.shape[-1])
+                    assert got[s].tobytes() == (own_rows @ w[s]).tobytes()
+    ctx = dg.normalize_adjacency(g)
+    layers = dg.init_gcn(g.feat_dim, 6, 2, 2, seed=0).layers
+    flat = np.stack([dg.init_gcn(g.feat_dim, 6, 2, 2, seed=s).flat for s in range(models)])
+    x = ctx.first_layer_input(layers)
+    L = _StepWorkspace(flat, layers, ctx.adj_norm, x).plan[0]
+    assert L.p_rows is x
+    got = np.matmul(L.p_rows, L.w, out=L.q_rows)
+    assert all(got[s].tobytes() == (x @ nn._step_views(flat[s], layers)[0][0]).tobytes()
+               for s in range(models))
+
+
+def test_weights_write_a_stacked_batch_into_out():
+    # the backward pass writes a batch's dh = dz @ w.T over its activation h
+    # (below a layer that propagates its input, into the buffer it propagates
+    # back from): through the model-row view, the product lands in that
+    # buffer, with the bits of the fresh product
+    g = workspace_graph()
+    rng = np.random.default_rng(44)
+    for init, num_layers, hidden in LAYOUTS:
+        ws, _ = stepped_batch_workspace(g, init, num_layers, hidden, 2, 5, rng)
+        for l, L in enumerate(ws.plan):
+            if L.live is None:
+                continue
+            target = L.h if L.back_in is None else ws.buffers[("dz_wt", l)]
+            fresh = np.matmul(L.dq_rows, L.w_t)
+            got = np.matmul(L.dq_rows, L.w_t, out=L.dh_rows)
+            assert np.shares_memory(got, target)
+            assert target.tobytes() == fresh.tobytes()
+
+
 # ---------------------------------------------------------------- model invariances
 
 def test_permutation_equivariance():
